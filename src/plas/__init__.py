@@ -10,8 +10,6 @@ The package is organized as a small numpy library:
 - :mod:`plas.baselines` — behavior cloning and the unconstrained learner
 - :mod:`plas.diagnostics` — Q-error and support-distance analysis
 - :mod:`plas.mmd` — sampled kernel two-sample (MMD) simulation study
-- :mod:`plas.config` / :mod:`plas.experiment` / :mod:`plas.cli` — experiment
-  runner and command-line entry points
 """
 
 __version__ = "0.1.0"

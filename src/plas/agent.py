@@ -14,7 +14,7 @@ piece; everything else is a standard deterministic policy gradient step.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -117,22 +117,59 @@ def critic_step(
 
     This is the single critic/optimizer code path used by every learner in the
     repo (latent-action agent, unconstrained baseline, online trainer), so
-    performance differences between them cannot come from here.
+    performance differences between them cannot come from here. Both losses
+    and gradients are computed before either critic moves: on NonFiniteError
+    neither critic nor its Adam state has changed.
     """
     x = np.concatenate([states, actions], axis=1)
     B = x.shape[0]
-    total = 0.0
-    for qnet, adam in ((critics.q1, adam_q1), (critics.q2, adam_q2)):
-        pred = mlp_forward(qnet, x)[:, 0]
-        err = pred - targets
+    pairs = ((critics.q1, adam_q1), (critics.q2, adam_q2))
+    losses, grads = [], []
+    for qnet, _ in pairs:
+        err = mlp_forward(qnet, x)[:, 0] - targets
         loss = float(np.mean(err ** 2))
         if not np.isfinite(loss):
             raise NonFiniteError("non-finite critic loss")
-        gout = (2.0 * err / B)[:, None]
-        grads, _ = mlp_backward(qnet, x, gout)
-        adam_step(qnet, grads, adam)
-        total += loss
-    return total / 2.0
+        losses.append(loss)
+        grads.append(mlp_backward(qnet, x, (2.0 * err / B)[:, None])[0])
+    # adam_step rejects non-finite gradients before it changes anything, so
+    # only q2's need checking here, before q1 steps
+    if not grads[1].all_finite():
+        raise NonFiniteError("non-finite critic gradient")
+    for (qnet, adam), g in zip(pairs, grads):
+        adam_step(qnet, g, adam)
+    return sum(losses) / 2.0
+
+
+def _action_grad(critics: CriticPair, states: np.ndarray, actions: np.ndarray,
+                 objective: str) -> tuple[float, np.ndarray]:
+    """Batch-mean actor objective and the gradient of its negation w.r.t. actions.
+
+    The one Q-gradient path of every actor: ``"q1"`` ascends the first critic,
+    ``"soft-mix"`` the lambda-mix of the twin critics' min and max.
+    """
+    B, state_dim = states.shape
+    qin = np.concatenate([states, actions], axis=1)
+    q1 = mlp_forward(critics.q1, qin)[:, 0]
+    if objective == "q1":
+        mean_q = float(np.mean(q1))
+        _, d_qin = mlp_backward(critics.q1, qin, np.full((B, 1), -1.0 / B))
+    elif objective == "soft-mix":
+        q2 = mlp_forward(critics.q2, qin)[:, 0]
+        lam = critics.lam
+        mean_q = float(np.mean(lam * np.minimum(q1, q2) + (1 - lam) * np.maximum(q1, q2)))
+        take_q1_min = (q1 <= q2)[:, None]
+        g1 = np.where(take_q1_min, lam, 1 - lam) * (-1.0 / B)
+        g2 = np.where(take_q1_min, 1 - lam, lam) * (-1.0 / B)
+        _, d1 = mlp_backward(critics.q1, qin, g1)
+        _, d2 = mlp_backward(critics.q2, qin, g2)
+        d_qin = d1 + d2
+    else:
+        raise ValueError(f"unknown actor objective {objective!r}")
+    da = d_qin[:, state_dim:]
+    if not np.all(np.isfinite(da)):
+        raise NonFiniteError("non-finite actor gradient")
+    return mean_q, da
 
 
 @dataclass
@@ -209,31 +246,8 @@ def actor_update(
     computed for the chain rule but its parameters are never touched.
     """
     s = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    B = s.shape[0]
     actions, cache = _policy_actions(agent, s, use_target=False)
-
-    qin = np.concatenate([s, actions], axis=1)
-    q1 = mlp_forward(agent.critics.q1, qin)[:, 0]
-    if agent.actor_objective == "q1":
-        mean_q = float(np.mean(q1))
-        gq = np.full((B, 1), -1.0 / B)
-        _, d_qin = mlp_backward(agent.critics.q1, qin, gq)
-        da = d_qin[:, agent.state_dim:]
-    elif agent.actor_objective == "soft-mix":
-        q2 = mlp_forward(agent.critics.q2, qin)[:, 0]
-        lam = agent.critics.lam
-        mean_q = float(np.mean(lam * np.minimum(q1, q2) + (1 - lam) * np.maximum(q1, q2)))
-        take_q1_min = (q1 <= q2)[:, None]
-        g1 = np.where(take_q1_min, lam, 1 - lam) * (-1.0 / B)
-        g2 = np.where(take_q1_min, 1 - lam, lam) * (-1.0 / B)
-        _, d1 = mlp_backward(agent.critics.q1, qin, g1)
-        _, d2 = mlp_backward(agent.critics.q2, qin, g2)
-        da = (d1 + d2)[:, agent.state_dim:]
-    else:
-        raise ValueError(f"unknown actor objective {agent.actor_objective!r}")
-
-    if not np.all(np.isfinite(da)):
-        raise NonFiniteError("non-finite actor gradient")
+    mean_q, da = _action_grad(agent.critics, s, actions, agent.actor_objective)
 
     pert_grads = None
     if agent.perturbation is not None:

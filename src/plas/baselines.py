@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import CriticPair, LogRecord, compute_target, critic_step
+from .agent import CriticPair, LogRecord, _action_grad, compute_target, critic_step
 from .data import TransitionDataset, sample_batch, sample_indices
 from .envs import evaluate_policy
 from .nets import (
@@ -119,15 +119,7 @@ def direct_actor_update(agent: UnconstrainedAgent, states: np.ndarray,
                         adam_actor: AdamState) -> float:
     """Deterministic policy gradient straight through the actor (no decoder)."""
     s = np.atleast_2d(states)
-    B = s.shape[0]
-    actions = mlp_forward(agent.actor, s)
-    x = np.concatenate([s, actions], axis=1)
-    q = mlp_forward(agent.critics.q1, x)[:, 0]
-    mean_q = float(np.mean(q))
-    _, d_x = mlp_backward(agent.critics.q1, x, np.full((B, 1), -1.0 / B))
-    da = d_x[:, s.shape[1]:]
-    if not np.all(np.isfinite(da)):
-        raise NonFiniteError("non-finite actor gradient")
+    mean_q, da = _action_grad(agent.critics, s, mlp_forward(agent.actor, s), "q1")
     grads, _ = mlp_backward(agent.actor, s, da)
     adam_step(agent.actor, grads, adam_actor)
     return mean_q
@@ -153,8 +145,10 @@ def train_unconstrained(
     """Run the off-policy learner on the fixed buffer, no constraint at all.
 
     Non-finite losses late in training are expected behavior for this
-    baseline, not a bug: they are logged (capped at ``LOSS_REPORT_CAP``), the
-    offending update is skipped, and the run continues.
+    baseline, not a bug: they are logged (capped at ``LOSS_REPORT_CAP``) and
+    the run continues. A non-finite critic loss or gradient skips the whole
+    update, critics and actor alike; a non-finite actor gradient skips only
+    the actor's step, after the critics have already stepped.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -190,21 +184,3 @@ def train_unconstrained(
             log.append(rec)
     return agent, log
 
-
-def project_to_dataset_actions(agent: UnconstrainedAgent, dataset: TransitionDataset,
-                               states: np.ndarray, k: int = 10) -> np.ndarray:
-    """Diagnostic mode: replace each proposed action with the nearest dataset
-    action among the k nearest dataset states. Confirms the out-of-distribution
-    mechanism by construction."""
-    from scipy.spatial.distance import cdist
-
-    s = np.atleast_2d(states)
-    proposed = mlp_forward(agent.actor, s)
-    state_d = cdist(s, dataset.states)
-    out = np.empty_like(proposed)
-    for i in range(s.shape[0]):
-        nearest = np.argsort(state_d[i])[:k]
-        cand = dataset.actions[nearest]
-        j = np.argmin(np.linalg.norm(cand - proposed[i], axis=1))
-        out[i] = cand[j]
-    return out

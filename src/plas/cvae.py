@@ -19,6 +19,7 @@ from .nets import (
     Mlp,
     NonFiniteError,
     ShapeError,
+    _as_batch,
     adam_init,
     adam_step,
     mlp_backward,
@@ -97,20 +98,10 @@ def cvae_init(
                         log_std_min, log_std_max)
 
 
-def _rows(x, dim, what):
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise ShapeError(f"{what}: expected width {dim}")
-    return x, single
-
-
 def encode(cvae: BehaviorCvae, state, action):
     """Posterior parameters (mu, log_std); log_std is clamped before use."""
-    s, single = _rows(state, cvae.state_dim, "state")
-    a, _ = _rows(action, cvae.action_dim, "action")
+    s, single = _as_batch(state, cvae.state_dim, "state")
+    a, _ = _as_batch(action, cvae.action_dim, "action")
     if s.shape[0] != a.shape[0]:
         raise ShapeError("state/action batch mismatch")
     out = mlp_forward(cvae.encoder, np.concatenate([s, a], axis=1))
@@ -133,8 +124,8 @@ def reparameterize(mu, log_std, noise):
 
 def decode(cvae: BehaviorCvae, state, z):
     """Deterministic decoder output; tanh keeps actions in [-1, 1]^d."""
-    s, single = _rows(state, cvae.state_dim, "state")
-    zz, _ = _rows(z, cvae.latent_dim, "z")
+    s, single = _as_batch(state, cvae.state_dim, "state")
+    zz, _ = _as_batch(z, cvae.latent_dim, "z")
     if s.shape[0] != zz.shape[0]:
         raise ShapeError("state/z batch mismatch")
     a = mlp_forward(cvae.decoder, np.concatenate([s, zz], axis=1))
@@ -168,8 +159,8 @@ def elbo_loss_and_grads(
     reconstruction term is the mean squared error over every action entry in
     the batch; the KL term is averaged over the batch.
     """
-    s, _ = _rows(states, cvae.state_dim, "states")
-    a, _ = _rows(actions, cvae.action_dim, "actions")
+    s, _ = _as_batch(states, cvae.state_dim, "states")
+    a, _ = _as_batch(actions, cvae.action_dim, "actions")
     B = s.shape[0]
 
     enc_in = np.concatenate([s, a], axis=1)

@@ -19,15 +19,6 @@ DATASET_FORMAT_VERSION = 1
 
 
 @dataclass
-class Transition:
-    state: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_state: np.ndarray
-    done: bool
-
-
-@dataclass
 class DatasetMeta:
     env_name: str
     generator_kind: str
@@ -77,15 +68,6 @@ class TransitionDataset:
     def action_dim(self) -> int:
         return self.actions.shape[1]
 
-    def transition(self, i: int) -> Transition:
-        return Transition(
-            state=self.states[i].copy(),
-            action=self.actions[i].copy(),
-            reward=float(self.rewards[i]),
-            next_state=self.next_states[i].copy(),
-            done=bool(self.dones[i]),
-        )
-
     def content_hash(self) -> str:
         """SHA-256 over the canonical JSONL serialization (immutability probe)."""
         h = hashlib.sha256()
@@ -95,20 +77,9 @@ class TransitionDataset:
         return h.hexdigest()
 
 
-def dataset_from_transitions(transitions: list[Transition], meta: DatasetMeta) -> TransitionDataset:
-    if not transitions:
-        raise ValueError("empty dataset")
-    return TransitionDataset(
-        states=np.stack([t.state for t in transitions]),
-        actions=np.stack([t.action for t in transitions]),
-        rewards=np.array([t.reward for t in transitions]),
-        next_states=np.stack([t.next_state for t in transitions]),
-        dones=np.array([1.0 if t.done else 0.0 for t in transitions]),
-        meta=meta,
-    )
-
-
-def concat_datasets(a: TransitionDataset, b: TransitionDataset, meta: DatasetMeta) -> TransitionDataset:
+def concat_datasets(a: TransitionDataset | Batch, b: TransitionDataset | Batch,
+                    meta: DatasetMeta) -> TransitionDataset:
+    """``a``'s rows followed by ``b``'s; either part may be any columnar set."""
     return TransitionDataset(
         states=np.concatenate([a.states, b.states]),
         actions=np.concatenate([a.actions, b.actions]),
@@ -122,17 +93,11 @@ def concat_datasets(a: TransitionDataset, b: TransitionDataset, meta: DatasetMet
 # -- sampling ---------------------------------------------------------------
 
 def sample_indices(dataset: TransitionDataset, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform-with-replacement index draw; the single sampling core used by
-    both the Transition and array minibatch views."""
+    """Uniform-with-replacement index draw; the single sampling core behind
+    ``sample_batch`` and every learner that indexes the columns itself."""
     if k <= 0:
         raise ValueError("k must be >= 1")
     return rng.integers(0, len(dataset), size=k)
-
-
-def sample_minibatch(dataset: TransitionDataset, k: int, rng: np.random.Generator) -> list[Transition]:
-    if k > len(dataset):
-        raise ValueError("k exceeds dataset size")
-    return [dataset.transition(int(i)) for i in sample_indices(dataset, k, rng)]
 
 
 @dataclass

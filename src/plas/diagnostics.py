@@ -77,9 +77,7 @@ def q_error_report(agent, env, n_episodes: int, gamma: float,
     errors: list[np.ndarray] = []
     for _ in range(n_episodes):
         ro = rollout(env, policy, rng)
-        states = np.stack([t.state for t in ro.transitions])
-        actions = np.stack([t.action for t in ro.transitions])
-        q = q_values(agent.critics.q1, states, actions)
+        q = q_values(agent.critics.q1, ro.states, ro.actions)
         g = empirical_return(ro.rewards, gamma, truncation)
         errors.append(q - g)
     return report_from_errors(np.concatenate(errors), n_episodes)

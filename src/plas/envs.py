@@ -18,11 +18,9 @@ than raising (see ``clip_warning_count``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .data import Transition
 
 _CLIP_WARNINGS = 0
 
@@ -160,18 +158,21 @@ def make_env(name: str):
 
 @dataclass
 class Rollout:
-    transitions: list[Transition] = field(default_factory=list)
+    """One episode in the dataset's column layout: row t is step t."""
 
-    @property
-    def rewards(self) -> list[float]:
-        return [t.reward for t in self.transitions]
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    dones: np.ndarray
 
     @property
     def total_reward(self) -> float:
-        return float(sum(t.reward for t in self.transitions))
+        # Python's left-to-right sum: np.sum's pairwise order would change the last bits
+        return float(sum(self.rewards.tolist()))
 
     def __len__(self) -> int:
-        return len(self.transitions)
+        return len(self.rewards)
 
 
 def rollout(env, policy_fn, rng: np.random.Generator, noise_std: float = 0.0) -> Rollout:
@@ -181,18 +182,23 @@ def rollout(env, policy_fn, rng: np.random.Generator, noise_std: float = 0.0) ->
     stream comes from the caller's rng so rollouts stay reproducible.
     """
     state = env.reset(rng)
-    out = Rollout()
+    states, actions, rewards, next_states, dones = [], [], [], [], []
     for _ in range(env.horizon):
         action = np.asarray(policy_fn(state), dtype=np.float64).reshape(-1)
         if noise_std > 0.0:
             action = action + rng.normal(0.0, noise_std, size=action.shape)
         action = np.clip(action, -1.0, 1.0)
         next_state, reward, done = env.step(state, action)
-        out.transitions.append(Transition(state.copy(), action, reward, next_state.copy(), done))
+        states.append(state)
+        actions.append(action)
+        rewards.append(reward)
+        next_states.append(next_state)
+        dones.append(done)
         state = next_state
         if done:
             break
-    return out
+    return Rollout(np.array(states), np.array(actions), np.array(rewards, dtype=np.float64),
+                   np.array(next_states), np.array(dones, dtype=np.float64))
 
 
 def evaluate_policy(env, policy_fn, n_episodes: int, rng: np.random.Generator) -> tuple[float, float]:

@@ -19,20 +19,14 @@ the experiment pipeline does not pay for it twice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .baselines import UnconstrainedTrainConfig, unconstrained_agent_init, unconstrained_update
-from .data import (
-    Batch,
-    DatasetMeta,
-    Transition,
-    TransitionDataset,
-    dataset_from_transitions,
-)
-from .envs import EdgeFollowEnv, evaluate_policy, rollout
-from .nets import adam_init, mlp_forward, polyak_update
+from .data import Batch, DatasetMeta, TransitionDataset, concat_datasets
+from .envs import EdgeFollowEnv, evaluate_policy, random_policy, rollout
+from .nets import adam_init, polyak_update
 
 
 @dataclass
@@ -54,7 +48,7 @@ class OnlineTrainRecipe:
 @dataclass
 class OnlineRunResult:
     policy_fn: object
-    replay: list[Transition] = field(default_factory=list)
+    replay: Batch  # every transition the run logged, in order
     eval_history: list[tuple[int, float]] = field(default_factory=list)
     stop_step: int = 0
     expert_return: float = 0.0
@@ -71,8 +65,6 @@ def expert_return(env, rng: np.random.Generator, episodes: int = 20) -> float:
 
 
 def random_return(env, rng: np.random.Generator, episodes: int = 20) -> float:
-    from .envs import random_policy
-
     mean, _ = evaluate_policy(env, random_policy(env, rng), episodes, rng)
     return mean
 
@@ -101,14 +93,6 @@ class _ReplayBuffer:
         idx = rng.integers(0, self.n, size=min(k, self.n))
         return Batch(self.states[idx], self.actions[idx], self.rewards[idx],
                      self.next_states[idx], self.dones[idx])
-
-    def transitions(self) -> list[Transition]:
-        return [
-            Transition(self.states[i].copy(), self.actions[i].copy(),
-                       float(self.rewards[i]), self.next_states[i].copy(),
-                       bool(self.dones[i]))
-            for i in range(self.n)
-        ]
 
 
 def train_online_medium(env, seed: int, recipe: OnlineTrainRecipe) -> OnlineRunResult:
@@ -174,7 +158,7 @@ def train_online_medium(env, seed: int, recipe: OnlineTrainRecipe) -> OnlineRunR
     medium_mean, _ = evaluate_policy(env, agent.policy_fn(), 20, np.random.default_rng(seed + 99))
     return OnlineRunResult(
         policy_fn=agent.policy_fn(),
-        replay=replay.transitions(),
+        replay=_first_rows([replay], replay.n),
         eval_history=history,
         stop_step=stop_step,
         expert_return=exp_ret,
@@ -193,12 +177,24 @@ def medium_run(env, seed: int, recipe: OnlineTrainRecipe | None = None) -> Onlin
     return _MEDIUM_CACHE[key]
 
 
-def _rollout_transitions(env, policy_fn, n: int, rng: np.random.Generator,
-                         noise_std: float = 0.0) -> list[Transition]:
-    out: list[Transition] = []
-    while len(out) < n:
-        out.extend(rollout(env, policy_fn, rng, noise_std=noise_std).transitions)
-    return out[:n]
+_COLUMNS = tuple(f.name for f in fields(Batch))
+
+
+def _first_rows(parts, n: int) -> Batch:
+    """The first ``n`` rows of columnar ``parts`` laid end to end, as new arrays."""
+    return Batch(*(np.concatenate([getattr(p, c) for p in parts])[:n] for c in _COLUMNS))
+
+
+def _rollout_columns(env, policy_fn, n: int, rng: np.random.Generator,
+                     noise_std: float = 0.0) -> Batch:
+    """Whole episodes under ``policy_fn`` until there are ``n`` rows, cut to ``n``."""
+    # an empty buffer sets the column widths, so n == 0 gives zero rows, not an error
+    episodes = [_ReplayBuffer(0, env.state_dim, env.action_dim)]
+    rows = 0
+    while rows < n:
+        episodes.append(rollout(env, policy_fn, rng, noise_std=noise_std))
+        rows += len(episodes[-1])
+    return _first_rows(episodes, n)
 
 
 def generate_dataset(env, kind: str, size: int, seed: int,
@@ -208,27 +204,25 @@ def generate_dataset(env, kind: str, size: int, seed: int,
         raise ValueError("size must be >= 1")
     rng = np.random.default_rng(seed)
     if kind == "random":
-        def uniform_policy(_s):
-            return rng.uniform(-1.0, 1.0, size=env.action_dim)
-        transitions = _rollout_transitions(env, uniform_policy, size, rng)
+        columns = _rollout_columns(env, random_policy(env, rng), size, rng)
     elif kind == "expert":
-        transitions = _rollout_transitions(env, expert_policy_fn(env), size, rng, noise_std=0.01)
+        columns = _rollout_columns(env, expert_policy_fn(env), size, rng, noise_std=0.01)
     elif kind == "medium":
         run = medium_run(env, seed, recipe)
-        transitions = _rollout_transitions(env, run.policy_fn, size, rng, noise_std=0.05)
+        columns = _rollout_columns(env, run.policy_fn, size, rng, noise_std=0.05)
     elif kind == "medium_replay":
-        run = medium_run(env, seed, recipe)
-        transitions = run.replay[: min(size, len(run.replay))]
+        columns = _first_rows([medium_run(env, seed, recipe).replay], size)
     elif kind == "medium_expert":
         run = medium_run(env, seed, recipe)
         n_medium = size // 2
-        n_expert = size - n_medium
-        transitions = _rollout_transitions(env, run.policy_fn, n_medium, rng, noise_std=0.05)
-        transitions += _rollout_transitions(env, expert_policy_fn(env), n_expert, rng, noise_std=0.01)
+        medium = _rollout_columns(env, run.policy_fn, n_medium, rng, noise_std=0.05)
+        expert = _rollout_columns(env, expert_policy_fn(env), size - n_medium, rng, noise_std=0.01)
+        return concat_datasets(medium, expert, DatasetMeta(env.name, kind, seed, size))
     else:
         raise ValueError(f"unknown dataset kind {kind!r}")
-    meta = DatasetMeta(env_name=env.name, generator_kind=kind, seed=seed, size=len(transitions))
-    return dataset_from_transitions(transitions, meta)
+    meta = DatasetMeta(env_name=env.name, generator_kind=kind, seed=seed, size=len(columns))
+    return TransitionDataset(columns.states, columns.actions, columns.rewards,
+                             columns.next_states, columns.dones, meta)
 
 
 def make_bimodal_dataset(size: int, seed: int, env: EdgeFollowEnv | None = None,
@@ -242,8 +236,8 @@ def make_bimodal_dataset(size: int, seed: int, env: EdgeFollowEnv | None = None,
     """
     env = env or EdgeFollowEnv()
     rng = np.random.default_rng(seed)
-    transitions: list[Transition] = []
-    while len(transitions) < size:
+    states, actions, rewards, next_states, dones = [], [], [], [], []
+    while len(rewards) < size:
         state = env.reset(rng)
         for _ in range(env.horizon):
             frac = fast_frac if rng.uniform() < p_fast else slow_frac
@@ -251,9 +245,13 @@ def make_bimodal_dataset(size: int, seed: int, env: EdgeFollowEnv | None = None,
             a = float(np.clip(a + mode_noise * rng.standard_normal(), -1.0, 1.0))
             action = np.array([a])
             next_state, reward, done = env.step(state, action)
-            transitions.append(Transition(state.copy(), action, reward, next_state.copy(), done))
+            states.append(state)
+            actions.append(action)
+            rewards.append(reward)
+            next_states.append(next_state)
+            dones.append(done)
             state = next_state
-            if done or len(transitions) >= size:
+            if done or len(rewards) >= size:
                 break
     meta = DatasetMeta(env_name=env.name, generator_kind="custom", seed=seed, size=size)
-    return dataset_from_transitions(transitions[:size], meta)
+    return TransitionDataset(states, actions, rewards, next_states, dones, meta)

@@ -19,7 +19,18 @@ from plas.agent import (
 )
 from plas.cvae import FrozenDecoder, cvae_init
 from plas.data import Batch, DatasetMeta, TransitionDataset
-from plas.nets import Gradients, Mlp, adam_init, adam_step, mlp_backward, mlp_forward, mlp_init, mlp_zeros, params_hash
+from plas.nets import (
+    Gradients,
+    Mlp,
+    NonFiniteError,
+    adam_init,
+    adam_step,
+    mlp_backward,
+    mlp_forward,
+    mlp_init,
+    mlp_zeros,
+    params_hash,
+)
 
 from .oracles import finite_diff_param_grads, max_rel_err
 
@@ -167,6 +178,31 @@ def test_critic_step_zero_on_terminal_zero_reward():
     loss = critic_update(agent, batch, adam1, adam2)
     assert loss == 0.0
     assert params_hash(agent.critics.q1, agent.critics.q2) == before
+
+
+@pytest.mark.parametrize("blowup", ["loss", "gradient"])
+def test_critic_step_commits_both_critics_or_neither(blowup):
+    # q2 alone blows up; q1 must not have taken its step either
+    rng = np.random.default_rng(59)
+    q1 = mlp_init([3, 8, 1], rng)
+    q2 = mlp_init([3, 8, 1], rng)
+    critics = CriticPair(q1, q2, q1.copy(), q2.copy())
+    adam1 = adam_init(critics.q1, 1e-3)
+    adam2 = adam_init(critics.q2, 1e-3)
+    if blowup == "loss":
+        critics.q2.weights[-1][:] = 1e200
+    else:
+        # hidden units ~1e200 and outputs ~1e150: the loss (~1e300) stays
+        # finite, the last layer's gradient (~1e350) does not
+        critics.q2.weights[0][:] = 1e200
+        critics.q2.weights[-1][:] = 1e-50
+    s = rng.normal(size=(6, 2))
+    a = rng.uniform(-1, 1, size=(6, 1))
+    before = params_hash(critics.q1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+        critic_step(critics, adam1, adam2, s, a, np.zeros(6))
+    assert params_hash(critics.q1) == before
+    assert adam1.step == 0 and adam2.step == 0
 
 
 def test_critic_regression_to_fixed_target():

@@ -3,14 +3,11 @@ import pytest
 
 from plas.data import (
     DatasetMeta,
-    Transition,
     TransitionDataset,
     concat_datasets,
-    dataset_from_transitions,
     load_dataset,
     sample_batch,
     sample_indices,
-    sample_minibatch,
     save_dataset,
 )
 
@@ -64,16 +61,6 @@ def test_jsonl_round_trip_and_hash(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_sample_minibatch_single_item_dataset():
-    ds = tiny_dataset(n=1)
-    out = sample_minibatch(ds, 1, np.random.default_rng(0))
-    assert len(out) == 1
-    assert np.array_equal(out[0].state, ds.states[0])
-    # k may repeat the single transition only up to the dataset size
-    with pytest.raises(ValueError):
-        sample_minibatch(ds, 2, np.random.default_rng(0))
-
-
 def test_sampling_seed_reproducible():
     ds = tiny_dataset(n=50)
     a = sample_indices(ds, 32, np.random.default_rng(123))
@@ -102,9 +89,9 @@ def test_sampling_uniformity_chi_square():
 def test_sample_batch_matches_minibatch_indices():
     ds = tiny_dataset(n=30)
     batch = sample_batch(ds, 8, np.random.default_rng(9))
-    trans = sample_minibatch(ds, 8, np.random.default_rng(9))
-    assert np.array_equal(batch.states, np.stack([t.state for t in trans]))
-    assert np.array_equal(batch.rewards, np.array([t.reward for t in trans]))
+    idx = sample_indices(ds, 8, np.random.default_rng(9))
+    assert np.array_equal(batch.states, ds.states[idx])
+    assert np.array_equal(batch.rewards, ds.rewards[idx])
 
 
 def test_concat_preserves_order():
@@ -116,10 +103,3 @@ def test_concat_preserves_order():
     assert np.array_equal(both.states[:5], a.states)
     assert np.array_equal(both.states[5:], b.states)
 
-
-def test_transition_round_trip():
-    ds = tiny_dataset(n=3)
-    t = ds.transition(1)
-    assert isinstance(t, Transition)
-    rebuilt = dataset_from_transitions([ds.transition(i) for i in range(3)], ds.meta)
-    assert rebuilt.content_hash() == ds.content_hash()

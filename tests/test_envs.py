@@ -36,10 +36,10 @@ def test_point_mass_scripted_rollout_matches_hand_simulation():
     rng = np.random.default_rng(42)
     ro = rollout(env, env.expert_action, rng)
 
-    state = ro.transitions[0].state.copy()
+    state = ro.states[0].copy()
     total = 0.0
     goal = np.asarray(env.goal)
-    for t in ro.transitions:
+    for _ in range(len(ro)):
         a = np.clip(2.0 * (goal - state[:2]) - 1.0 * state[2:], -1, 1)
         v2 = env.damping * state[2:] + env.dt * a
         p2 = state[:2] + env.dt * v2
@@ -100,9 +100,9 @@ def test_edge_follow_upper_bound():
 def test_edge_follow_reward_equals_progress_over_scale():
     env = EdgeFollowEnv()
     ro = rollout(env, env.expert_action, np.random.default_rng(5))
-    progress = ro.transitions[-1].next_state[0] - ro.transitions[0].state[0]
+    progress = ro.next_states[-1, 0] - ro.states[0, 0]
     assert ro.total_reward == pytest.approx(progress / env.step_scale, abs=1e-9)
-    assert all(t.reward >= 0.0 for t in ro.transitions)
+    assert np.all(ro.rewards >= 0.0)
 
 
 def test_out_of_bounds_actions_clip_and_count():

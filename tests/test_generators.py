@@ -74,6 +74,13 @@ def test_medium_expert_is_concatenation():
     assert np.mean(np.abs(medium_speeds - (limits_m - 0.05)) < 0.06) < 0.8
 
 
+def test_medium_expert_of_one_row_is_all_expert():
+    env = EdgeFollowEnv()
+    ds = generate_dataset(env, "medium_expert", 1, seed=5, recipe=FAST_RECIPE)
+    assert len(ds) == 1 and ds.meta.size == 1
+    assert abs(env.speed_of(ds.actions[0, 0]) - (env.speed_limit(ds.states[0, 0]) - 0.05)) < 0.06
+
+
 def test_medium_replay_smaller_than_medium():
     env = EdgeFollowEnv()
     medium = generate_dataset(env, "medium", 10_000, seed=5, recipe=FAST_RECIPE)
