@@ -362,7 +362,6 @@ def train_plas(
         if agent.perturbation is not None
         else None
     )
-    decoder_hash_before = decoder.checkpoint_hash()
 
     log: list[LogRecord] = []
     interval_losses: list[float] = []
@@ -378,13 +377,11 @@ def train_plas(
         interval_losses.append(loss)
         interval_qs.append(mean_q)
 
-        agent.critics.q1_target = polyak_update(agent.critics.q1_target, agent.critics.q1, config.tau)
-        agent.critics.q2_target = polyak_update(agent.critics.q2_target, agent.critics.q2, config.tau)
-        agent.actor_target.net = polyak_update(agent.actor_target.net, agent.actor.net, config.tau)
+        polyak_update(agent.critics.q1_target, agent.critics.q1, config.tau)
+        polyak_update(agent.critics.q2_target, agent.critics.q2, config.tau)
+        polyak_update(agent.actor_target.net, agent.actor.net, config.tau)
         if agent.perturbation is not None:
-            agent.perturbation_target.net = polyak_update(
-                agent.perturbation_target.net, agent.perturbation.net, config.tau
-            )
+            polyak_update(agent.perturbation_target.net, agent.perturbation.net, config.tau)
 
         if step % config.log_every == 0 or step == config.steps:
             rec = LogRecord(step, float(np.mean(interval_losses)), float(np.mean(interval_qs)))
@@ -398,7 +395,7 @@ def train_plas(
                 rec.eval_return_std = std
             log.append(rec)
 
-    if decoder.checkpoint_hash() != decoder_hash_before:
+    if decoder.checkpoint_hash() != agent.decoder_hash:
         raise RuntimeError("frozen decoder was mutated during policy training")
     return agent, log
 

@@ -169,9 +169,9 @@ def train_unconstrained(
         losses.append(min(loss, LOSS_REPORT_CAP))
         qs.append(float(np.clip(mean_q, -LOSS_REPORT_CAP, LOSS_REPORT_CAP)))
 
-        agent.critics.q1_target = polyak_update(agent.critics.q1_target, agent.critics.q1, config.tau)
-        agent.critics.q2_target = polyak_update(agent.critics.q2_target, agent.critics.q2, config.tau)
-        agent.actor_target = polyak_update(agent.actor_target, agent.actor, config.tau)
+        polyak_update(agent.critics.q1_target, agent.critics.q1, config.tau)
+        polyak_update(agent.critics.q2_target, agent.critics.q2, config.tau)
+        polyak_update(agent.actor_target, agent.actor, config.tau)
 
         if step % config.log_every == 0 or step == config.steps:
             rec = LogRecord(step, float(np.mean(losses)), float(np.mean(qs)))

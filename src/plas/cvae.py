@@ -233,6 +233,7 @@ def train_cvae(
             )
         adam_step(cvae.encoder, enc_grads, enc_adam)
         adam_step(cvae.decoder, dec_grads, dec_adam)
+        del enc_grads, dec_grads  # not held while the next step computes its own
         if step % config.log_every == 0 or step == config.steps:
             report.step = step
             reports.append(report)

@@ -48,10 +48,13 @@ class TransitionDataset:
             raise ValueError("next_states shape mismatch")
         if not (self.actions.shape[0] == self.rewards.shape[0] == self.dones.shape[0] == n):
             raise ValueError("column lengths differ")
+        for name in ("states", "actions", "rewards", "next_states"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"non-finite {name}")
         if np.max(np.abs(self.actions)) > 1.0 + 1e-12:
             raise ValueError("actions outside [-1, 1]")
-        if not np.all(np.isfinite(self.rewards)):
-            raise ValueError("non-finite rewards")
+        if not ((self.dones == 0.0) | (self.dones == 1.0)).all():
+            raise ValueError("dones outside {0, 1}")
         if self.meta.size != n:
             raise ValueError(f"metadata size {self.meta.size} != length {n}")
         if self.meta.generator_kind not in GENERATOR_KINDS:
@@ -69,11 +72,12 @@ class TransitionDataset:
         return self.actions.shape[1]
 
     def content_hash(self) -> str:
-        """SHA-256 over the canonical JSONL serialization (immutability probe)."""
-        h = hashlib.sha256()
-        for line in _jsonl_lines(self):
-            h.update(line.encode("utf-8"))
-            h.update(b"\n")
+        """SHA-256 over the five columns' shapes, then their little-endian
+        float64 bytes (immutability probe; equal across a JSONL round trip)."""
+        columns = (self.states, self.actions, self.rewards, self.next_states, self.dones)
+        h = hashlib.sha256(json.dumps([c.shape for c in columns]).encode("utf-8"))
+        for c in columns:
+            h.update(np.ascontiguousarray(c, dtype="<f8"))
         return h.hexdigest()
 
 
@@ -158,6 +162,9 @@ def save_dataset(path, dataset: TransitionDataset, extra_meta: dict | None = Non
 
 def load_dataset(path) -> TransitionDataset:
     path = Path(path)
+    raw = json.loads(meta_path_for(path).read_text(encoding="utf-8"))
+    if raw.get("format_version") != DATASET_FORMAT_VERSION:
+        raise ValueError(f"unsupported dataset format version {raw.get('format_version')!r}")
     states, actions, rewards, next_states, dones = [], [], [], [], []
     with path.open("r", encoding="utf-8") as f:
         for line in f:
@@ -169,7 +176,6 @@ def load_dataset(path) -> TransitionDataset:
             rewards.append(rec["r"])
             next_states.append(rec["s2"])
             dones.append(1.0 if rec["done"] else 0.0)
-    raw = json.loads(meta_path_for(path).read_text(encoding="utf-8"))
     meta = DatasetMeta(
         env_name=raw["env_name"],
         generator_kind=raw["generator_kind"],

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from plas.data import (
     TransitionDataset,
     concat_datasets,
     load_dataset,
+    meta_path_for,
     sample_batch,
     sample_indices,
     save_dataset,
@@ -36,6 +39,25 @@ def test_dataset_validation():
                           np.zeros((2, 2)), np.zeros(2), DatasetMeta("e", "custom", 0, 2))
     with pytest.raises(ValueError):
         tiny_dataset(kind="bogus")
+
+
+@pytest.mark.parametrize("column", ["states", "actions", "next_states"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_dataset_rejects_non_finite_columns(column, value):
+    ds = tiny_dataset()
+    cols = {c: getattr(ds, c).copy() for c in ("states", "actions", "rewards", "next_states", "dones")}
+    cols[column][3, 0] = value
+    with pytest.raises(ValueError):
+        TransitionDataset(**cols, meta=ds.meta)
+
+
+@pytest.mark.parametrize("done", [2.0, -1.0, 0.5, np.nan])
+def test_dataset_rejects_dones_outside_zero_one(done):
+    ds = tiny_dataset()
+    dones = ds.dones.copy()
+    dones[0] = done
+    with pytest.raises(ValueError):
+        TransitionDataset(ds.states, ds.actions, ds.rewards, ds.next_states, dones, ds.meta)
 
 
 def test_metadata_size_must_match():
@@ -103,3 +125,18 @@ def test_concat_preserves_order():
     assert np.array_equal(both.states[:5], a.states)
     assert np.array_equal(both.states[5:], b.states)
 
+
+
+@pytest.mark.parametrize("version", [None, 99, "1"])
+def test_load_dataset_checks_format_version(tmp_path, version):
+    path = tmp_path / "d.jsonl"
+    save_dataset(path, tiny_dataset())
+    meta_path = meta_path_for(path)
+    meta = json.loads(meta_path.read_text())
+    if version is None:
+        del meta["format_version"]
+    else:
+        meta["format_version"] = version
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError):
+        load_dataset(path)

@@ -264,6 +264,10 @@ def test_checkpoint_format_check(tmp_path):
     path.write_text(json.dumps({"format": "mlp", "version": 999}))
     with pytest.raises(ValueError):
         load_checkpoint(path, "mlp")
+    # version 1 hashed parameters through JSON; its stored hashes no longer match
+    path.write_text(json.dumps({"format": "mlp", "version": 1, "net": {}}))
+    with pytest.raises(ValueError):
+        load_checkpoint(path, "mlp")
 
 
 def test_mlp_invariants_enforced():
@@ -274,3 +278,77 @@ def test_mlp_invariants_enforced():
         Mlp([np.array([[np.inf]])], [np.zeros(1)], ["identity"])
     with pytest.raises(ValueError):
         Mlp([np.zeros((1, 1))], [np.zeros(1)], ["softmax"])
+
+
+# -- the flat parameter vector -------------------------------------------------
+
+@pytest.mark.parametrize("hidden", [(5, 4), (300, 200)], ids=["small", "multi-slice"])
+def test_adam_steps_match_per_layer_reference(hidden):
+    rng = np.random.default_rng(9)
+    net = mlp_init([3, *hidden, 2], rng, output_activation="tanh")
+    ref_w = [w.copy() for w in net.weights]
+    ref_b = [b.copy() for b in net.biases]
+    m_w = [np.zeros_like(w) for w in ref_w]
+    v_w = [np.zeros_like(w) for w in ref_w]
+    m_b = [np.zeros_like(b) for b in ref_b]
+    v_b = [np.zeros_like(b) for b in ref_b]
+    state = adam_init(net, learning_rate=1e-2)
+    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+    for t in range(1, 6):
+        grads, _ = mlp_backward(net, rng.normal(size=(7, 3)), rng.normal(size=(7, 2)))
+        adam_step(net, grads, state)
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for ps, gs, ms, vs in ((ref_w, grads.weights, m_w, v_w), (ref_b, grads.biases, m_b, v_b)):
+            for p, g, m, v in zip(ps, gs, ms, vs):
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        for got, want in zip(net.weights + net.biases, ref_w + ref_b):
+            assert np.array_equal(got, want)
+
+
+def test_layers_are_views_of_flat_and_copy_shares_nothing():
+    rng = np.random.default_rng(10)
+    net = mlp_init([3, 4, 2], rng)
+    assert net.flat.shape == (net.n_params(),) == (3 * 4 + 4 + 4 * 2 + 2,)
+    assert np.array_equal(net.flat[:12], net.weights[0].ravel())
+    assert np.array_equal(net.flat[12:16], net.biases[0])
+    copy = net.copy()
+    before = params_hash(net)
+    net.weights[1][1, 2] = 7.5
+    net.biases[0][3] = -1.25
+    assert net.flat[16 + 4 + 2] == 7.5 and net.flat[15] == -1.25
+    assert params_hash(net) != before
+    assert params_hash(copy) == before
+    for a in [copy.flat] + copy.weights + copy.biases:
+        assert not np.shares_memory(a, net.flat)
+    grads, _ = mlp_backward(net, rng.normal(size=3), rng.normal(size=2))
+    assert all(np.shares_memory(g, grads.flat) for g in grads.weights + grads.biases)
+
+
+@pytest.mark.parametrize("bad", ["nan-online", "nan-target", "shape"])
+def test_polyak_rejection_leaves_target_untouched(bad):
+    rng = np.random.default_rng(11)
+    target = mlp_init([3, 4, 2], rng)
+    online = mlp_init([3, 5, 2] if bad == "shape" else [3, 4, 2], rng)
+    if bad == "nan-online":
+        online.weights[1][0, 0] = np.nan
+    if bad == "nan-target":
+        target.biases[1][1] = np.nan
+    before = target.flat.copy()
+    error = ShapeError if bad == "shape" else NonFiniteError
+    with pytest.raises(error):
+        polyak_update(target, online, 0.005)
+    assert np.array_equal(target.flat, before, equal_nan=True)
+
+
+def test_params_hash_covers_layer_sizes_and_activations():
+    net = mlp_init([2, 3, 1], np.random.default_rng(12))
+    other_acts = Mlp(net.weights, net.biases, ["tanh", "identity"])
+    other_sizes = mlp_zeros([1, 4, 1])  # also 13 parameters
+    other_sizes.flat[:] = net.flat
+    assert other_acts.flat.tobytes() == other_sizes.flat.tobytes() == net.flat.tobytes()
+    hashes = {params_hash(net), params_hash(other_acts), params_hash(other_sizes)}
+    assert len(hashes) == 3
