@@ -9,7 +9,8 @@ Polyak-averaged target copies complete the loop.
 
 Gradient flow in the actor update runs through the frozen decoder (its input
 gradient only, never its parameters), which is the one structurally unusual
-piece; everything else is a standard deterministic policy gradient step.
+piece; everything else is a standard deterministic policy gradient step. Every
+backward here reuses the tape of its own forward pass (``nets.mlp_tape``).
 """
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ from .nets import (
     mlp_forward,
     mlp_from_dict,
     mlp_init,
+    mlp_input_grad,
+    mlp_tape,
     mlp_to_dict,
     params_hash,
     polyak_update,
@@ -126,12 +129,13 @@ def critic_step(
     pairs = ((critics.q1, adam_q1), (critics.q2, adam_q2))
     losses, grads = [], []
     for qnet, _ in pairs:
-        err = mlp_forward(qnet, x)[:, 0] - targets
+        tape = mlp_tape(qnet, x)
+        err = tape.output[:, 0] - targets
         loss = float(np.mean(err ** 2))
         if not np.isfinite(loss):
             raise NonFiniteError("non-finite critic loss")
         losses.append(loss)
-        grads.append(mlp_backward(qnet, x, (2.0 * err / B)[:, None])[0])
+        grads.append(mlp_backward(qnet, (2.0 * err / B)[:, None], tape)[0])
     # adam_step rejects non-finite gradients before it changes anything, so
     # only q2's need checking here, before q1 steps
     if not grads[1].all_finite():
@@ -146,24 +150,26 @@ def _action_grad(critics: CriticPair, states: np.ndarray, actions: np.ndarray,
     """Batch-mean actor objective and the gradient of its negation w.r.t. actions.
 
     The one Q-gradient path of every actor: ``"q1"`` ascends the first critic,
-    ``"soft-mix"`` the lambda-mix of the twin critics' min and max.
+    ``"soft-mix"`` the lambda-mix of the twin critics' min and max. The
+    critics give their input gradients only.
     """
     B, state_dim = states.shape
     qin = np.concatenate([states, actions], axis=1)
-    q1 = mlp_forward(critics.q1, qin)[:, 0]
+    tape1 = mlp_tape(critics.q1, qin)
+    q1 = tape1.output[:, 0]
     if objective == "q1":
         mean_q = float(np.mean(q1))
-        _, d_qin = mlp_backward(critics.q1, qin, np.full((B, 1), -1.0 / B))
+        d_qin = mlp_input_grad(critics.q1, np.full((B, 1), -1.0 / B), tape1)
     elif objective == "soft-mix":
-        q2 = mlp_forward(critics.q2, qin)[:, 0]
+        tape2 = mlp_tape(critics.q2, qin)
+        q2 = tape2.output[:, 0]
         lam = critics.lam
         mean_q = float(np.mean(lam * np.minimum(q1, q2) + (1 - lam) * np.maximum(q1, q2)))
         take_q1_min = (q1 <= q2)[:, None]
         g1 = np.where(take_q1_min, lam, 1 - lam) * (-1.0 / B)
         g2 = np.where(take_q1_min, 1 - lam, lam) * (-1.0 / B)
-        _, d1 = mlp_backward(critics.q1, qin, g1)
-        _, d2 = mlp_backward(critics.q2, qin, g2)
-        d_qin = d1 + d2
+        d_qin = (mlp_input_grad(critics.q1, g1, tape1)
+                 + mlp_input_grad(critics.q2, g2, tape2))
     else:
         raise ValueError(f"unknown actor objective {objective!r}")
     da = d_qin[:, state_dim:]
@@ -177,7 +183,9 @@ class PlasAgent:
     actor: LatentActor
     actor_target: LatentActor
     critics: CriticPair
-    decoder: object  # FrozenDecoder-like: forward(s, z), backward(s, z, da)
+    # FrozenDecoder-like: forward(s, z) -> actions; tape(s, z) -> a tape whose
+    # .output is forward(s, z); backward(tape, da) -> dz, the input gradient only
+    decoder: object
     perturbation: PerturbationHead | None = None
     perturbation_target: PerturbationHead | None = None
     tau: float = 0.005
@@ -197,24 +205,39 @@ class PlasAgent:
 
 
 def _policy_actions(
-    agent: PlasAgent, states: np.ndarray, use_target: bool
+    agent: PlasAgent, states: np.ndarray, use_target: bool, taped: bool = False
 ) -> tuple[np.ndarray, dict]:
-    """Batched action computation with the intermediates the backward pass needs."""
+    """Batched actions: actor, decoder, then the residual head if there is one.
+
+    ``act`` and ``critic_update`` run plain forwards and get an empty dict.
+    With ``taped`` (``actor_update``) the actor, decoder and head forwards are
+    tapes, returned under "actor", "decoder" and "head" with the unclipped
+    action sum under "summed", for the backward pass.
+    """
     s = np.atleast_2d(np.asarray(states, dtype=np.float64))
     actor = agent.actor_target if use_target else agent.actor
     head = agent.perturbation_target if use_target else agent.perturbation
-    u = mlp_forward(actor.net, s)
-    z = actor.max_latent_action * u
-    decoded = agent.decoder.forward(s, z)
-    cache = {"s": s, "z": z, "decoded": decoded}
+    tapes = {}
+    if taped:
+        tapes["actor"] = mlp_tape(actor.net, s)
+        z = actor.max_latent_action * tapes["actor"].output
+        tapes["decoder"] = agent.decoder.tape(s, z)
+        decoded = tapes["decoder"].output
+    else:
+        z = actor.max_latent_action * mlp_forward(actor.net, s)
+        decoded = agent.decoder.forward(s, z)
     if head is None:
-        return decoded, cache
+        return decoded, tapes
     pin = np.concatenate([s, decoded], axis=1)
-    raw = mlp_forward(head.net, pin)
+    if taped:
+        tapes["head"] = mlp_tape(head.net, pin)
+        raw = tapes["head"].output
+    else:
+        raw = mlp_forward(head.net, pin)
     summed = decoded + head.epsilon * raw
-    final = np.clip(summed, -1.0, 1.0)
-    cache.update({"pin": pin, "raw": raw, "summed": summed})
-    return final, cache
+    if taped:
+        tapes["summed"] = summed
+    return np.clip(summed, -1.0, 1.0), tapes
 
 
 def act(agent: PlasAgent, state: np.ndarray, use_target: bool = False) -> np.ndarray:
@@ -242,26 +265,28 @@ def actor_update(
 ) -> float:
     """Ascend the critic through decoder and (optional) residual head.
 
-    Returns the batch-mean Q value before the step. Decoder gradients are
-    computed for the chain rule but its parameters are never touched.
+    Returns the batch-mean Q value before the step. The actor, decoder and
+    head each run forward once, taped, and the backward pass reuses those
+    tapes. The critics and the decoder give input gradients only: no decoder
+    gradient is formed and its parameters are never touched.
     """
     s = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    actions, cache = _policy_actions(agent, s, use_target=False)
+    actions, tapes = _policy_actions(agent, s, use_target=False, taped=True)
     mean_q, da = _action_grad(agent.critics, s, actions, agent.actor_objective)
 
     pert_grads = None
     if agent.perturbation is not None:
         head = agent.perturbation
-        inside = (np.abs(cache["summed"]) < 1.0).astype(np.float64)
+        inside = (np.abs(tapes["summed"]) < 1.0).astype(np.float64)
         d_sum = da * inside
-        pert_grads, d_pin = mlp_backward(head.net, cache["pin"], d_sum * head.epsilon)
+        pert_grads, d_pin = mlp_backward(head.net, d_sum * head.epsilon, tapes["head"])
         d_decoded = d_sum + d_pin[:, agent.state_dim:]
     else:
         d_decoded = da
 
-    dz = agent.decoder.backward(s, cache["z"], d_decoded)
+    dz = agent.decoder.backward(tapes["decoder"], d_decoded)
     du = agent.actor.max_latent_action * dz
-    actor_grads, _ = mlp_backward(agent.actor.net, s, du)
+    actor_grads, _ = mlp_backward(agent.actor.net, du, tapes["actor"])
 
     adam_step(agent.actor.net, actor_grads, adam_actor)
     if pert_grads is not None and adam_pert is not None:

@@ -26,6 +26,7 @@ from .nets import (
     mlp_backward,
     mlp_forward,
     mlp_init,
+    mlp_tape,
     polyak_update,
 )
 
@@ -64,12 +65,12 @@ def train_bc(dataset: TransitionDataset, config: BcTrainConfig,
     for step in range(1, config.steps + 1):
         idx = sample_indices(dataset, config.batch_size, rng)
         s, a = dataset.states[idx], dataset.actions[idx]
-        pred = mlp_forward(net, s)
-        err = pred - a
+        tape = mlp_tape(net, s)
+        err = tape.output - a
         loss = float(np.mean(err ** 2))
         if not np.isfinite(loss):
             raise NonFiniteError(f"BC loss non-finite at step {step}")
-        grads, _ = mlp_backward(net, s, 2.0 * err / err.size)
+        grads, _ = mlp_backward(net, 2.0 * err / err.size, tape)
         adam_step(net, grads, adam)
         if step % config.log_every == 0 or step == config.steps:
             curve.append((step, loss))
@@ -119,8 +120,9 @@ def direct_actor_update(agent: UnconstrainedAgent, states: np.ndarray,
                         adam_actor: AdamState) -> float:
     """Deterministic policy gradient straight through the actor (no decoder)."""
     s = np.atleast_2d(states)
-    mean_q, da = _action_grad(agent.critics, s, mlp_forward(agent.actor, s), "q1")
-    grads, _ = mlp_backward(agent.actor, s, da)
+    tape = mlp_tape(agent.actor, s)
+    mean_q, da = _action_grad(agent.critics, s, tape.output, "q1")
+    grads, _ = mlp_backward(agent.actor, da, tape)
     adam_step(agent.actor, grads, adam_actor)
     return mean_q
 

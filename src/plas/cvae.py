@@ -19,6 +19,7 @@ from .nets import (
     Mlp,
     NonFiniteError,
     ShapeError,
+    Tape,
     _as_batch,
     adam_init,
     adam_step,
@@ -26,6 +27,8 @@ from .nets import (
     mlp_forward,
     mlp_from_dict,
     mlp_init,
+    mlp_input_grad,
+    mlp_tape,
     mlp_to_dict,
     params_hash,
 )
@@ -122,13 +125,20 @@ def reparameterize(mu, log_std, noise):
     return mu + np.exp(log_std) * noise
 
 
-def decode(cvae: BehaviorCvae, state, z):
-    """Deterministic decoder output; tanh keeps actions in [-1, 1]^d."""
+def _decoder_input(cvae: BehaviorCvae, state, z) -> tuple[np.ndarray, bool]:
+    """(state, z) joined into the decoder's (B, state_dim + latent_dim) input,
+    each width checked; the flag marks 1-D arguments."""
     s, single = _as_batch(state, cvae.state_dim, "state")
     zz, _ = _as_batch(z, cvae.latent_dim, "z")
     if s.shape[0] != zz.shape[0]:
         raise ShapeError("state/z batch mismatch")
-    a = mlp_forward(cvae.decoder, np.concatenate([s, zz], axis=1))
+    return np.concatenate([s, zz], axis=1), single
+
+
+def decode(cvae: BehaviorCvae, state, z):
+    """Deterministic decoder output; tanh keeps actions in [-1, 1]^d."""
+    x, single = _decoder_input(cvae, state, z)
+    a = mlp_forward(cvae.decoder, x)
     return a[0] if single else a
 
 
@@ -163,24 +173,23 @@ def elbo_loss_and_grads(
     a, _ = _as_batch(actions, cvae.action_dim, "actions")
     B = s.shape[0]
 
-    enc_in = np.concatenate([s, a], axis=1)
-    enc_out = mlp_forward(cvae.encoder, enc_in)
+    enc_tape = mlp_tape(cvae.encoder, np.concatenate([s, a], axis=1))
+    enc_out = enc_tape.output
     mu = enc_out[:, : cvae.latent_dim]
     raw_log_std = enc_out[:, cvae.latent_dim :]
     log_std = np.clip(raw_log_std, cvae.log_std_min, cvae.log_std_max)
     std = np.exp(log_std)
     z = mu + std * noise
 
-    dec_in = np.concatenate([s, z], axis=1)
-    recon = mlp_forward(cvae.decoder, dec_in)
-    diff = recon - a
+    dec_tape = mlp_tape(cvae.decoder, np.concatenate([s, z], axis=1))
+    diff = dec_tape.output - a
     recon_loss = float(np.mean(diff ** 2))
     kl = kl_to_standard_normal(mu, log_std)
     kl_loss = float(np.mean(kl))
 
     # reconstruction path
     d_recon = 2.0 * diff / diff.size
-    dec_grads, d_dec_in = mlp_backward(cvae.decoder, dec_in, d_recon)
+    dec_grads, d_dec_in = mlp_backward(cvae.decoder, d_recon, dec_tape)
     dz = d_dec_in[:, cvae.state_dim :]
 
     # z = mu + exp(log_std)*noise, plus the KL term's direct dependence
@@ -190,7 +199,8 @@ def elbo_loss_and_grads(
     inside = (raw_log_std > cvae.log_std_min) & (raw_log_std < cvae.log_std_max)
     g_log_std = np.where(inside, g_log_std, 0.0)
 
-    enc_grads, _ = mlp_backward(cvae.encoder, enc_in, np.concatenate([g_mu, g_log_std], axis=1))
+    enc_grads, _ = mlp_backward(cvae.encoder, np.concatenate([g_mu, g_log_std], axis=1),
+                                enc_tape)
     report = ElboReport(recon_loss, kl_loss, kl_weight)
     return report, enc_grads, dec_grads
 
@@ -243,8 +253,9 @@ def train_cvae(
 class FrozenDecoder:
     """Read-only view of a trained decoder for the policy side.
 
-    forward/backward operate on batches; backward never returns parameter
-    gradients, so the decoder cannot be updated through this interface.
+    ``forward`` decodes; ``tape`` decodes a batch and keeps the tape that
+    ``backward`` turns into dL/dz. ``backward`` forms no parameter gradients,
+    so the decoder cannot be updated through this interface.
     """
 
     def __init__(self, cvae: BehaviorCvae):
@@ -256,10 +267,13 @@ class FrozenDecoder:
     def forward(self, states: np.ndarray, z: np.ndarray) -> np.ndarray:
         return decode(self._cvae, states, z)
 
-    def backward(self, states: np.ndarray, z: np.ndarray, action_grad: np.ndarray) -> np.ndarray:
-        """dL/dz for L implied by action_grad; decoder parameters untouched."""
-        dec_in = np.concatenate([np.atleast_2d(states), np.atleast_2d(z)], axis=1)
-        _, d_in = mlp_backward(self._cvae.decoder, dec_in, np.atleast_2d(action_grad))
+    def tape(self, states: np.ndarray, z: np.ndarray) -> Tape:
+        """Taped batch forward; ``.output`` is the (B, action_dim) decoded batch."""
+        return mlp_tape(self._cvae.decoder, _decoder_input(self._cvae, states, z)[0])
+
+    def backward(self, tape: Tape, action_grad: np.ndarray) -> np.ndarray:
+        """(B, latent_dim) dL/dz for L = <action_grad, tape.output>."""
+        d_in = mlp_input_grad(self._cvae.decoder, np.atleast_2d(action_grad), tape)
         return d_in[:, self.state_dim:]
 
     def checkpoint_hash(self) -> str:

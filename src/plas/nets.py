@@ -12,6 +12,13 @@ and Adam moments share the layout. Polyak runs in place on the target's
 vector, ``t *= 1-tau; t += tau*o``, which rounds exactly like
 ``tau*o + (1-tau)*t``. ``params_hash`` is the SHA-256 of the JSON header
 ``[[layer_sizes, activations], ...]``, then each ``flat``'s little-endian bytes.
+
+A backward reuses its own forward: ``mlp_tape`` runs the forward pass and keeps
+a ``Tape`` (the input and each layer's activation), and
+``mlp_backward(params, output_grad, tape)`` propagates through it without
+recomputing anything. ``mlp_input_grad`` takes the same arguments and returns
+only dL/dx, skipping the weight and bias gradients; it is what a frozen network
+(a critic under the actor, the decoder under the latent policy) needs.
 """
 from __future__ import annotations
 
@@ -35,25 +42,25 @@ class NonFiniteError(FloatingPointError):
     """Raised when an update would introduce NaN/inf parameters."""
 
 
-def _act(name: str, x: np.ndarray) -> np.ndarray:
+def _act_inplace(name: str, x: np.ndarray) -> np.ndarray:
     if name == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=x)
     if name == "tanh":
-        return np.tanh(x)
+        return np.tanh(x, out=x)
     if name == "identity":
         return x
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _act_grad(name: str, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-    # Derivative w.r.t. the pre-activation, using whichever of (pre, post)
-    # gives the cheaper formula.
+def _act_grad(name: str, g: np.ndarray, post: np.ndarray) -> np.ndarray:
+    # g times the derivative w.r.t. the pre-activation, from the activation
+    # alone: relu's mask post > 0 is pre > 0, and tanh' = 1 - post^2
     if name == "relu":
-        return (pre > 0.0).astype(np.float64)
+        return g * (post > 0.0)
     if name == "tanh":
-        return 1.0 - post * post
+        return g * (1.0 - post * post)
     if name == "identity":
-        return np.ones_like(pre)
+        return g
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -194,51 +201,87 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _forward_cached(params: Mlp, x: np.ndarray):
-    """Returns (output, inputs-per-layer, pre-activations, post-activations)."""
-    h = x
-    inputs, pres, posts = [], [], []
+@dataclass
+class Tape:
+    """One forward pass, kept for its backward.
+
+    ``output`` is what ``mlp_forward`` returns for the same input.
+    ``values[0]`` is the (B, in) input and ``values[k + 1]`` layer k's
+    activation. No pre-activation is kept: every derivative reads the
+    activation, and a relu tape is then half the size. ``single`` records a
+    1-D input.
+    """
+
+    output: np.ndarray
+    values: list[np.ndarray]
+    single: bool
+
+
+def _forward(params: Mlp, x: np.ndarray) -> tuple[list[np.ndarray], bool]:
+    """The input as a (B, n) batch, then each layer's activation; the flag
+    marks a 1-D input. Bias and activation are applied in place, so a layer
+    allocates one (B, out) array."""
+    xb, single = _as_batch(x, params.in_dim, "input")
+    values = [xb]
     for w, b, a in zip(params.weights, params.biases, params.activations):
-        inputs.append(h)
-        pre = h @ w.T + b
-        h = _act(a, pre)
-        pres.append(pre)
-        posts.append(h)
-    return h, inputs, pres, posts
+        h = values[-1] @ w.T
+        h += b
+        values.append(_act_inplace(a, h))
+    return values, single
 
 
 def mlp_forward(params: Mlp, x: np.ndarray) -> np.ndarray:
     """Pure forward pass. Accepts (n,) or (B, n); output shape matches."""
-    xb, single = _as_batch(x, params.in_dim, "input")
-    y, _, _, _ = _forward_cached(params, xb)
-    return y[0] if single else y
+    values, single = _forward(params, x)
+    return values[-1][0] if single else values[-1]
+
+
+def mlp_tape(params: Mlp, x: np.ndarray) -> Tape:
+    """The forward pass with what its backward needs; ``.output`` equals
+    ``mlp_forward(params, x)``."""
+    values, single = _forward(params, x)
+    return Tape(values[-1][0] if single else values[-1], values, single)
+
+
+def _backprop(params: Mlp, output_grad: np.ndarray, tape: Tape,
+              grad_w: list[np.ndarray] | None = None,
+              grad_b: list[np.ndarray] | None = None) -> np.ndarray:
+    """dL/dx through ``tape``; writes the parameter gradients into ``grad_w``
+    and ``grad_b`` when given."""
+    sizes = [v.shape[1] for v in tape.values]
+    if sizes != params.layer_sizes:
+        raise ShapeError(f"tape of a {sizes} network, parameters of {params.layer_sizes}")
+    g, single = _as_batch(output_grad, params.out_dim, "output_grad")
+    if single != tape.single or g.shape[0] != tape.values[0].shape[0]:
+        raise ShapeError("output_grad and tape batch shapes differ")
+    for k in range(len(params.weights) - 1, -1, -1):
+        d_pre = _act_grad(params.activations[k], g, tape.values[k + 1])
+        if grad_w is not None:
+            np.matmul(d_pre.T, tape.values[k], out=grad_w[k])
+            np.sum(d_pre, axis=0, out=grad_b[k])
+        g = d_pre @ params.weights[k]
+    return g[0] if single else g
 
 
 def mlp_backward(
-    params: Mlp, x: np.ndarray, output_grad: np.ndarray
+    params: Mlp, output_grad: np.ndarray, tape: Tape
 ) -> tuple[Gradients, np.ndarray]:
-    """Reverse-mode gradients of the scalar L = <output_grad, f(x)>.
+    """Reverse-mode gradients of the scalar L = <output_grad, f(x)>, where
+    ``tape = mlp_tape(params, x)``.
 
     For batched inputs, L sums over the batch, so parameter gradients
     accumulate across rows (callers fold any 1/B factors into output_grad).
     Returns (parameter gradients, dL/dx with the same shape as x).
     """
-    xb, single = _as_batch(x, params.in_dim, "input")
-    gb, gsingle = _as_batch(output_grad, params.out_dim, "output_grad")
-    if single != gsingle or xb.shape[0] != gb.shape[0]:
-        raise ShapeError("input and output_grad batch shapes differ")
-    _, inputs, pres, posts = _forward_cached(params, xb)
-
     flat = np.empty(params.flat.size)
     grad_w, grad_b = _views(flat, params.layer_sizes)
-    g = gb
-    for k in range(len(params.weights) - 1, -1, -1):
-        d_pre = g * _act_grad(params.activations[k], pres[k], posts[k])
-        np.matmul(d_pre.T, inputs[k], out=grad_w[k])
-        np.sum(d_pre, axis=0, out=grad_b[k])
-        g = d_pre @ params.weights[k]
-    input_grad = g[0] if single else g
+    input_grad = _backprop(params, output_grad, tape, grad_w, grad_b)
     return Gradients(grad_w, grad_b, flat), input_grad
+
+
+def mlp_input_grad(params: Mlp, output_grad: np.ndarray, tape: Tape) -> np.ndarray:
+    """dL/dx of ``mlp_backward`` without forming any parameter gradient."""
+    return _backprop(params, output_grad, tape)
 
 
 # Adam walks the flat vectors in slices: whole-vector temporaries of a 750x750

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from plas.nets import (
     mlp_backward,
     mlp_forward,
     mlp_init,
+    mlp_tape,
     mlp_zeros,
     params_hash,
 )
@@ -36,7 +39,8 @@ from .oracles import finite_diff_param_grads, max_rel_err
 
 
 class IdentityDecoder:
-    """Test stub: latent action is the action (1-to-1), no parameters."""
+    """Test stub: latent action is the action (1-to-1), no parameters; its
+    tape holds only the output."""
 
     def __init__(self, dim: int, state_dim: int = 1):
         self.latent_dim = dim
@@ -46,7 +50,10 @@ class IdentityDecoder:
     def forward(self, states, z):
         return np.atleast_2d(np.asarray(z, dtype=np.float64)).copy()
 
-    def backward(self, states, z, action_grad):
+    def tape(self, states, z):
+        return SimpleNamespace(output=self.forward(states, z))
+
+    def backward(self, tape, action_grad):
         return np.atleast_2d(np.asarray(action_grad, dtype=np.float64)).copy()
 
     def checkpoint_hash(self):
@@ -239,7 +246,7 @@ def test_critic_loss_gradient_matches_fd(seed):
 
     pred = mlp_forward(q, x)[:, 0]
     gout = (2.0 * (pred - targets) / 5)[:, None]
-    grads, _ = mlp_backward(q, x, gout)
+    grads, _ = mlp_backward(q, gout, mlp_tape(q, x))
     fd_w, fd_b = finite_diff_param_grads(loss_fn, q)
     for got, want in zip(grads.weights + grads.biases, fd_w + fd_b):
         assert max_rel_err(got, want, floor=1e-6) < 1e-4
@@ -271,21 +278,21 @@ def test_actor_chain_gradient_matches_fd(epsilon):
     adam_p = adam_init(agent.perturbation.net, 1e-9) if agent.perturbation else None
     from plas.agent import _policy_actions
 
-    actions, cache = _policy_actions(agent, s, use_target=False)
+    actions, tapes = _policy_actions(agent, s, use_target=False, taped=True)
     x = np.concatenate([s, actions], axis=1)
     B = s.shape[0]
     gq = np.full((B, 1), -1.0 / B)
-    _, d_qin = mlp_backward(agent.critics.q1, x, gq)
+    _, d_qin = mlp_backward(agent.critics.q1, gq, mlp_tape(agent.critics.q1, x))
     da = d_qin[:, 2:]
     if agent.perturbation is not None:
-        inside = (np.abs(cache["summed"]) < 1.0).astype(np.float64)
+        inside = (np.abs(tapes["summed"]) < 1.0).astype(np.float64)
         d_sum = da * inside
-        _, d_pin = mlp_backward(agent.perturbation.net, cache["pin"], d_sum * epsilon)
+        _, d_pin = mlp_backward(agent.perturbation.net, d_sum * epsilon, tapes["head"])
         d_decoded = d_sum + d_pin[:, 2:]
     else:
         d_decoded = da
-    dz = decoder.backward(s, cache["z"], d_decoded)
-    grads, _ = mlp_backward(agent.actor.net, s, 2.0 * dz)
+    dz = decoder.backward(tapes["decoder"], d_decoded)
+    grads, _ = mlp_backward(agent.actor.net, 2.0 * dz, tapes["actor"])
 
     fd_w, fd_b = finite_diff_param_grads(neg_mean_q, agent.actor.net)
     for got, want in zip(grads.weights + grads.biases, fd_w + fd_b):
@@ -306,7 +313,7 @@ def test_actor_update_reaches_quadratic_optimum():
         x = np.concatenate([s, a], axis=1)
         pred = mlp_forward(q, x)[:, 0]
         err = pred - (-(a[:, 0] ** 2))
-        grads, _ = mlp_backward(q, x, (2 * err / 64)[:, None])
+        grads, _ = mlp_backward(q, (2 * err / 64)[:, None], mlp_tape(q, x))
         adam_step(q, grads, adam_q)
 
     cfg = PlasTrainConfig(hidden_sizes=(16, 16), max_latent_action=2.0)
@@ -329,6 +336,43 @@ def test_actor_update_never_touches_decoder():
     for _ in range(1000):
         actor_update(agent, rng.normal(size=(16, 2)), adam_actor)
     assert decoder.checkpoint_hash() == before
+
+
+def test_plas_step_runs_each_forward_once(monkeypatch):
+    # one step with the residual head: the decoder runs forward twice (target
+    # actions, taped policy chain) and backward once, for its input only
+    import plas.agent
+    import plas.cvae
+
+    decoder = small_cvae_decoder(seed=71)
+    agent = make_agent(decoder, epsilon=0.1, seed=72)
+    calls = []
+    for module in (plas.agent, plas.cvae):
+        for name in ("mlp_forward", "mlp_tape", "mlp_backward", "mlp_input_grad"):
+            def counted(params, *args, _name=name, _fn=getattr(module, name)):
+                calls.append((_name, id(params)))
+                return _fn(params, *args)
+            monkeypatch.setattr(module, name, counted)
+    rng = np.random.default_rng(73)
+    s, s2 = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
+    batch = Batch(s, rng.uniform(-1, 1, size=(8, 2)), rng.normal(size=8), s2, np.zeros(8))
+    adams = [adam_init(net, 1e-3) for net in (agent.critics.q1, agent.critics.q2,
+                                             agent.actor.net, agent.perturbation.net)]
+    critic_update(agent, batch, adams[0], adams[1])
+    actor_update(agent, s, adams[2], adams[3])
+
+    def count(net, *names):
+        return sum(1 for name, i in calls if i == id(net) and name in names)
+
+    dec = decoder._cvae.decoder
+    assert count(dec, "mlp_forward", "mlp_tape") == 2
+    assert count(dec, "mlp_input_grad") == 1 and count(dec, "mlp_backward") == 0
+    c = agent.critics
+    for net, forwards in ((c.q1, 2), (c.q2, 1), (c.q1_target, 1), (c.q2_target, 1),
+                          (agent.actor.net, 1), (agent.actor_target.net, 1),
+                          (agent.perturbation.net, 1), (agent.perturbation_target.net, 1)):
+        assert count(net, "mlp_forward", "mlp_tape") == forwards
+    assert len(calls) == 11 + 6  # 11 forwards; q1 x2, q2, head, actor, decoder backward
 
 
 def test_train_plas_smoke_and_freeze(tmp_path):

@@ -20,7 +20,7 @@ from plas.cvae import (
     train_cvae,
 )
 from plas.data import DatasetMeta, TransitionDataset
-from plas.nets import mlp_zeros
+from plas.nets import ShapeError, mlp_zeros
 
 from .oracles import finite_diff_param_grads, max_rel_err
 
@@ -263,7 +263,7 @@ def test_frozen_decoder_backward_matches_fd():
     s = rng.normal(size=(2, 2))
     z = rng.normal(size=(2, 3))
     gout = rng.normal(size=(2, 2))
-    dz = dec.backward(s, z, gout)
+    dz = dec.backward(dec.tape(s, z), gout)
     h = 1e-6
     fd = np.zeros_like(z)
     for i in range(z.shape[0]):
@@ -273,6 +273,20 @@ def test_frozen_decoder_backward_matches_fd():
             zm[i, j] -= h
             fd[i, j] = (np.sum(gout * dec.forward(s, zp)) - np.sum(gout * dec.forward(s, zm))) / (2 * h)
     assert max_rel_err(dz, fd, floor=1e-6) < 1e-4
+
+
+def test_frozen_decoder_checks_state_and_latent_widths():
+    # widths 3 + 1 add up to the decoder's input width 2 + 2
+    cvae = cvae_init(2, 2, np.random.default_rng(22), latent_dim=2, hidden_sizes=(8,))
+    dec = FrozenDecoder(cvae)
+    s, z = np.zeros((4, 2)), np.zeros((4, 2))
+    assert dec.tape(s, z).output.shape == (4, 2)
+    for bad_s, bad_z in ((np.zeros((4, 3)), np.zeros((4, 1))), (s, np.zeros((4, 3))),
+                         (s, np.zeros((5, 2)))):
+        with pytest.raises(ShapeError):
+            dec.tape(bad_s, bad_z)
+        with pytest.raises(ShapeError):
+            dec.forward(bad_s, bad_z)
 
 
 def test_cvae_checkpoint_round_trip_and_hash():

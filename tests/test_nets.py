@@ -18,6 +18,8 @@ from plas.nets import (
     mlp_forward,
     mlp_from_dict,
     mlp_init,
+    mlp_input_grad,
+    mlp_tape,
     mlp_to_dict,
     mlp_zeros,
     params_hash,
@@ -69,7 +71,7 @@ def test_forward_shape_error():
 
 def test_backward_identity_net():
     net = Mlp([np.array([[1.0]])], [np.array([0.0])], ["identity"])
-    grads, input_grad = mlp_backward(net, np.array([4.0]), np.array([1.0]))
+    grads, input_grad = mlp_backward(net, np.array([1.0]), mlp_tape(net, np.array([4.0])))
     assert input_grad == pytest.approx([1.0])
     assert np.allclose(grads.weights[0], [[4.0]])
     assert grads.biases[0] == pytest.approx([1.0])
@@ -78,7 +80,7 @@ def test_backward_identity_net():
 def test_backward_zero_output_grad():
     rng = np.random.default_rng(2)
     net = mlp_init([3, 5, 2], rng)
-    grads, input_grad = mlp_backward(net, rng.normal(size=3), np.zeros(2))
+    grads, input_grad = mlp_backward(net, np.zeros(2), mlp_tape(net, rng.normal(size=3)))
     assert np.all(input_grad == 0.0)
     for g in grads.weights + grads.biases:
         assert np.all(g == 0.0)
@@ -94,7 +96,7 @@ def test_backward_matches_finite_differences(seed):
     def loss(p: Mlp) -> float:
         return float(np.dot(gout, mlp_forward(p, x)))
 
-    grads, input_grad = mlp_backward(net, x, gout)
+    grads, input_grad = mlp_backward(net, gout, mlp_tape(net, x))
     fd_w, fd_b = finite_diff_param_grads(loss, net)
     for got, want in zip(grads.weights + grads.biases, fd_w + fd_b):
         assert max_rel_err(got, want, floor=1e-6) < 1e-4
@@ -105,11 +107,11 @@ def test_backward_batch_sums_over_rows():
     net = mlp_init([3, 6, 2], rng)
     xs = rng.normal(size=(4, 3))
     gouts = rng.normal(size=(4, 2))
-    grads, input_grad = mlp_backward(net, xs, gouts)
+    grads, input_grad = mlp_backward(net, gouts, mlp_tape(net, xs))
     acc_w = [np.zeros_like(w) for w in net.weights]
     acc_b = [np.zeros_like(b) for b in net.biases]
     for x, g in zip(xs, gouts):
-        row, row_in = mlp_backward(net, x, g)
+        row, row_in = mlp_backward(net, g, mlp_tape(net, x))
         for a, r in zip(acc_w, row.weights):
             a += r
         for a, r in zip(acc_b, row.biases):
@@ -133,12 +135,78 @@ def test_gradient_correctness_many_shapes():
         def loss(p: Mlp) -> float:
             return float(np.dot(gout, mlp_forward(p, x)))
 
-        grads, _ = mlp_backward(net, x, gout)
+        grads, _ = mlp_backward(net, gout, mlp_tape(net, x))
         fd_w, fd_b = finite_diff_param_grads(loss, net)
         for got, want in zip(grads.weights + grads.biases, fd_w + fd_b):
             assert max_rel_err(got, want, floor=1e-6) < 1e-4
         count += 1
     assert count == 25
+
+
+def _reference_backward(net: Mlp, x, gout):
+    """Backward that recomputes its own forward and multiplies by each
+    activation's derivative as a float array."""
+    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    g = np.atleast_2d(np.asarray(gout, dtype=np.float64))
+    inputs, pres, posts = [], [], []
+    for w, b, a in zip(net.weights, net.biases, net.activations):
+        inputs.append(h)
+        pre = h @ w.T + b
+        h = {"relu": np.maximum(pre, 0.0), "tanh": np.tanh(pre), "identity": pre}[a]
+        pres.append(pre)
+        posts.append(h)
+    grad_w, grad_b = [None] * len(net.weights), [None] * len(net.weights)
+    for k in range(len(net.weights) - 1, -1, -1):
+        deriv = {"relu": (pres[k] > 0.0).astype(np.float64),
+                 "tanh": 1.0 - posts[k] * posts[k],
+                 "identity": np.ones_like(pres[k])}[net.activations[k]]
+        d_pre = g * deriv
+        grad_w[k] = d_pre.T @ inputs[k]
+        grad_b[k] = np.sum(d_pre, axis=0)
+        g = d_pre @ net.weights[k]
+    return posts[-1], grad_w, grad_b, g[0] if np.ndim(x) == 1 else g
+
+
+ACTIVATION_ORDERS = [("relu", "tanh", "identity"), ("tanh", "identity", "relu"),
+                     ("identity", "relu", "tanh")]
+
+
+@pytest.mark.parametrize("rows", [None, 6], ids=["single", "batch"])
+@pytest.mark.parametrize("acts", ACTIVATION_ORDERS, ids="-".join)
+def test_taped_backward_equals_recomputing_reference(acts, rows):
+    rng = np.random.default_rng(13)
+    sizes = [4, 7, 5, 3]
+    base = mlp_init(sizes, rng)
+    net = Mlp(base.weights, [rng.normal(size=b.shape) for b in base.biases], list(acts))
+    shape = (sizes[0],) if rows is None else (rows, sizes[0])
+    x = rng.normal(size=shape)
+    gout = rng.normal(size=shape[:-1] + (sizes[-1],))
+    tape = mlp_tape(net, x)
+    grads, input_grad = mlp_backward(net, gout, tape)
+    out, want_w, want_b, want_in = _reference_backward(net, x, gout)
+    assert np.array_equal(tape.output, mlp_forward(net, x))
+    assert np.array_equal(tape.output, out[0] if rows is None else out)
+    assert input_grad.shape == x.shape
+    assert np.array_equal(input_grad, want_in)
+    for got, want in zip(grads.weights + grads.biases, want_w + want_b):
+        assert np.array_equal(got, want)
+    assert np.array_equal(mlp_input_grad(net, gout, tape), input_grad)
+
+
+@pytest.mark.parametrize("backward", [mlp_backward, mlp_input_grad])
+def test_backward_rejects_a_foreign_tape_or_batch(backward):
+    rng = np.random.default_rng(14)
+    net = mlp_init([3, 5, 2], rng)
+    x = rng.normal(size=(4, 3))
+    for other in (mlp_init([3, 6, 2], rng), mlp_init([3, 5, 5, 2], rng)):
+        with pytest.raises(ShapeError):
+            backward(net, np.ones((4, 2)), mlp_tape(other, x))
+    tape = mlp_tape(net, x)
+    for gout in (np.ones((3, 2)), np.ones(2), np.ones((4, 3))):
+        with pytest.raises(ShapeError):
+            backward(net, gout, tape)
+    with pytest.raises(ShapeError):
+        backward(net, np.ones((1, 2)), mlp_tape(net, x[0]))
 
 
 def test_adam_zero_gradient_keeps_params():
@@ -295,7 +363,8 @@ def test_adam_steps_match_per_layer_reference(hidden):
     state = adam_init(net, learning_rate=1e-2)
     b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
     for t in range(1, 6):
-        grads, _ = mlp_backward(net, rng.normal(size=(7, 3)), rng.normal(size=(7, 2)))
+        tape = mlp_tape(net, rng.normal(size=(7, 3)))
+        grads, _ = mlp_backward(net, rng.normal(size=(7, 2)), tape)
         adam_step(net, grads, state)
         c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
         for ps, gs, ms, vs in ((ref_w, grads.weights, m_w, v_w), (ref_b, grads.biases, m_b, v_b)):
@@ -324,7 +393,8 @@ def test_layers_are_views_of_flat_and_copy_shares_nothing():
     assert params_hash(copy) == before
     for a in [copy.flat] + copy.weights + copy.biases:
         assert not np.shares_memory(a, net.flat)
-    grads, _ = mlp_backward(net, rng.normal(size=3), rng.normal(size=2))
+    tape = mlp_tape(net, rng.normal(size=3))
+    grads, _ = mlp_backward(net, rng.normal(size=2), tape)
     assert all(np.shares_memory(g, grads.flat) for g in grads.weights + grads.biases)
 
 
