@@ -15,6 +15,16 @@ non-negative). Within one repeat, every sweep point reuses the same base
 draws — scenario 1 scales one fixed standard-normal sample, scenario 2 shifts
 it — so a sweep traces a smooth curve whose shape is the signal rather than
 per-point sampling noise. Each repeat redraws everything.
+
+A sweep evaluates every kernel on the same pairs, so each exact n x n term
+builds its difference array once, squares it once and takes its absolute
+value once; each kernel then only divides, exponentiates and averages, in
+place, inside n x n buffers that ``run_scenario`` allocates once per call.
+The kernel formula is written once, as a family distance (``_distance``) over
+a signed divisor (``_divisor``), and serves ``kernel_eval``, the binned terms
+and the shared sweep alike. Means are taken over whole arrays, never over row
+blocks, so the curves keep the summation order, and the bits, of a direct
+``.mean()`` per (kernel, point) cell.
 """
 from __future__ import annotations
 
@@ -25,6 +35,8 @@ from pathlib import Path
 import numpy as np
 
 KERNEL_FAMILIES = ("gaussian", "laplacian")
+BEHAVIORS = ("std_normal", "uniform_bimodal")
+AGENT_FAMILIES = ("scale", "shift")
 
 
 @dataclass(frozen=True)
@@ -52,11 +64,23 @@ def kernel_eval(spec: KernelSpec, x, y) -> np.ndarray:
     return _kernel_of_diff(spec, x - y)
 
 
+def _distance(family: str, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The family's distance of differences d: gaussian d^2, laplacian |d|."""
+    return np.square(d, out=out) if family == "gaussian" else np.abs(d, out=out)
+
+
+def _divisor(spec: KernelSpec) -> float:
+    """A kernel value is exp(distance / divisor): gaussian -(2 s^2), laplacian -s.
+
+    Folding the minus sign into the divisor is exact in IEEE arithmetic:
+    -(d^2) / (2 s^2) == d^2 / -(2 s^2) and -|d| / s == |d| / -s, bit for bit.
+    """
+    return -(2.0 * spec.sigma ** 2) if spec.family == "gaussian" else -spec.sigma
+
+
 def _kernel_of_diff(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
     """The one kernel formula, applied to differences d = x - y."""
-    if spec.family == "gaussian":
-        return np.exp(-(d ** 2) / (2.0 * spec.sigma ** 2))
-    return np.exp(-np.abs(d) / spec.sigma)
+    return np.exp(_distance(spec.family, d) / _divisor(spec))
 
 
 def _kernel_matrix_mean(spec: KernelSpec, a: np.ndarray, b: np.ndarray,
@@ -99,10 +123,21 @@ class MmdScenario:
     n_repeats: int = 20
 
     def __post_init__(self):
+        if self.behavior not in BEHAVIORS:
+            raise ValueError(f"unknown behavior {self.behavior!r}")
+        if self.agent_family not in AGENT_FAMILIES:
+            raise ValueError(f"unknown agent family {self.agent_family!r}")
+        self.sweep = np.asarray(self.sweep, dtype=np.float64)
+        if self.sweep.ndim != 1:
+            raise ValueError(f"sweep must be 1-d, got shape {self.sweep.shape}")
         if self.sweep.size == 0:
             raise ValueError("empty sweep")
+        if not np.all(np.isfinite(self.sweep)):
+            raise ValueError("non-finite sweep point")
         if self.n_samples < 2:
             raise ValueError("n_samples must be >= 2")
+        if self.n_repeats < 1:
+            raise ValueError("n_repeats must be >= 1")
 
     def behavior_sample(self, rng: np.random.Generator) -> np.ndarray:
         if self.behavior == "std_normal":
@@ -175,6 +210,24 @@ def _diff_histogram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centers[mask], counts[mask] / values.size
 
 
+def _kernel_means(kernels: list[KernelSpec], a: np.ndarray, b: np.ndarray,
+                  work: np.ndarray, dist: dict[str, np.ndarray]) -> np.ndarray:
+    """Mean of every kernel over the n x n differences a[:, None] - b[None, :].
+
+    The differences land in ``work`` and each family's distance in
+    ``dist[family]`` once; each kernel then divides into ``work`` and
+    exponentiates in place, so no n x n array is allocated here.
+    """
+    np.subtract(a[:, None], b[None, :], out=work)
+    for family, buf in dist.items():
+        _distance(family, work, out=buf)
+    means = np.empty(len(kernels))
+    for ki, k in enumerate(kernels):
+        np.divide(dist[k.family], _divisor(k), out=work)
+        means[ki] = np.exp(work, out=work).mean()
+    return means
+
+
 def run_scenario(scenario: MmdScenario, kernels: list[KernelSpec] | None = None,
                  seed: int = 0) -> list[SweepCurve]:
     """Mean +/- std loss curves over repeats, common random numbers per repeat.
@@ -182,43 +235,49 @@ def run_scenario(scenario: MmdScenario, kernels: list[KernelSpec] | None = None,
     Matches ``sampled_mmd`` on every (kernel, x, repeat) cell up to the binned
     evaluation of the x-dependent terms (see ``_diff_histogram``); constant
     terms are exact and computed once per repeat.
+
+    Every exact term (pp, the shift family's constant qq, the scale family's
+    pq at each sweep point) builds its difference array once and shares it,
+    squared and absolute, across all kernels (``_kernel_means``). The n x n
+    float64 buffers are allocated once per call, so a sweep does not fault in
+    fresh pages at every (kernel, point) pair. Each mean is one ``.mean()``
+    over the whole array; rows are not blocked, because blocking would change
+    the summation order and with it the last bits of every curve.
     """
     kernels = kernels if kernels is not None else default_kernels()
     xs = scenario.sweep
+    n = scenario.n_samples
+    work = np.empty((n, n))
+    dist = {k.family: np.empty((n, n)) for k in kernels}
     values = np.empty((len(kernels), scenario.n_repeats, xs.size))
     for r in range(scenario.n_repeats):
         rng = np.random.default_rng([seed, r])
         behavior = scenario.behavior_sample(rng)
-        base = rng.standard_normal(scenario.n_samples)
-        d_pp = behavior[:, None] - behavior[None, :]
-        d_bb = base[:, None] - base[None, :]
+        base = rng.standard_normal(n)
+        pp = _kernel_means(kernels, behavior, behavior, work, dist)
         if scenario.agent_family == "scale":
             # pq diffs are b_i - x*base_j (2-d structure, computed direct);
             # qq diffs are x*(base_i - base_j): binned on |base_i - base_j|
-            qq_centers, qq_weights = _diff_histogram(np.abs(d_bb).ravel())
-        else:
-            # pq diffs are (b_i - 0.5*base_j) - x: binned on the constant part;
-            # qq diffs are 0.5*(base_i - base_j), independent of x
-            pq_centers, pq_weights = _diff_histogram(
-                (behavior[:, None] - 0.5 * base[None, :]).ravel()
-            )
-        for ki, k in enumerate(kernels):
-            pp = float(_kernel_of_diff(k, d_pp).mean())
-            if scenario.agent_family == "shift":
-                qq_const = float(_kernel_of_diff(k, 0.5 * d_bb).mean())
+            np.subtract(base[:, None], base[None, :], out=work)
+            qq_centers, qq_weights = _diff_histogram(np.abs(work, out=work).ravel())
             for xi, x in enumerate(xs):
                 x = float(x)
-                if scenario.agent_family == "scale":
-                    # held in a local so it is freed after the kernel values; the
-                    # reverse order gave the desk-analysis MMD stage ~25% more
-                    # page faults from glibc trimming and regrowing its heap
-                    d_pq = behavior[:, None] - x * base[None, :]
-                    pq = float(_kernel_of_diff(k, d_pq).mean())
-                    qq = float(qq_weights @ _kernel_of_diff(k, abs(x) * qq_centers))
-                else:
-                    pq = float(pq_weights @ _kernel_of_diff(k, pq_centers - x))
-                    qq = qq_const
-                values[ki, r, xi] = pp - 2.0 * pq + qq
+                pq = _kernel_means(kernels, behavior, x * base, work, dist)
+                qq = np.array([qq_weights @ _kernel_of_diff(k, abs(x) * qq_centers)
+                               for k in kernels])
+                values[:, r, xi] = pp - 2.0 * pq + qq
+        else:
+            # pq diffs are (b_i - 0.5*base_j) - x: binned on the constant part;
+            # qq diffs are 0.5*(base_i - base_j), independent of x (halving is
+            # exact, so differences of halved draws are the same numbers)
+            half = 0.5 * base
+            np.subtract(behavior[:, None], half[None, :], out=work)
+            pq_centers, pq_weights = _diff_histogram(work.ravel())
+            qq = _kernel_means(kernels, half, half, work, dist)
+            for xi, x in enumerate(xs):
+                pq = np.array([pq_weights @ _kernel_of_diff(k, pq_centers - float(x))
+                               for k in kernels])
+                values[:, r, xi] = pp - 2.0 * pq + qq
     return [
         SweepCurve(k, xs.copy(), values[ki].mean(axis=0), values[ki].std(axis=0))
         for ki, k in enumerate(kernels)

@@ -4,6 +4,8 @@ import pytest
 from plas.mmd import (
     KernelSpec,
     MmdScenario,
+    _diff_histogram,
+    _kernel_of_diff,
     default_kernels,
     kernel_eval,
     run_scenario,
@@ -93,18 +95,75 @@ def test_sampled_mmd_needs_two_points():
 
 
 def test_run_scenario_matches_direct_estimator():
-    sc = MmdScenario("t", "uniform_bimodal", "shift",
-                     sweep=np.array([-0.7, 0.3]), n_samples=200, n_repeats=2)
-    kern = KernelSpec("gaussian", 0.1)
-    curve = run_scenario(sc, [kern], seed=3)[0]
-    direct = np.zeros_like(curve.mean)
-    for r in range(2):
-        rng = np.random.default_rng([3, r])
-        behavior = sc.behavior_sample(rng)
+    # one repeat, so each point of a curve is one (kernel, x, repeat) cell
+    kernels = [KernelSpec("gaussian", 0.1), KernelSpec("laplacian", 1.0)]
+    for behavior, family, sweep in (("uniform_bimodal", "shift", [-0.7, 0.3]),
+                                    ("std_normal", "scale", [0.5, 1.3])):
+        sc = MmdScenario("t", behavior, family, sweep=np.array(sweep),
+                         n_samples=200, n_repeats=1)
+        curves = run_scenario(sc, kernels, seed=3)
+        rng = np.random.default_rng([3, 0])
+        behavior_draws = sc.behavior_sample(rng)
         base = rng.standard_normal(200)
-        for xi, x in enumerate(sc.sweep):
-            direct[xi] += sampled_mmd(kern, behavior, sc.agent_sample(float(x), base)) / 2
-    assert np.max(np.abs(curve.mean - direct)) < 1e-5
+        for kern, curve in zip(kernels, curves):
+            direct = [sampled_mmd(kern, behavior_draws, sc.agent_sample(float(x), base))
+                      for x in sc.sweep]
+            assert np.max(np.abs(curve.mean - direct)) < 1e-5, (family, kern)
+
+
+def _reference_curves(sc, kernels, seed):
+    """The per-(kernel, point) loop of the earlier sweep: one fresh n x n
+    difference array, and fresh kernel temporaries, for every cell."""
+    values = np.empty((len(kernels), sc.n_repeats, sc.sweep.size))
+    for r in range(sc.n_repeats):
+        rng = np.random.default_rng([seed, r])
+        behavior = sc.behavior_sample(rng)
+        base = rng.standard_normal(sc.n_samples)
+        d_pp = behavior[:, None] - behavior[None, :]
+        d_bb = base[:, None] - base[None, :]
+        if sc.agent_family == "scale":
+            qq_centers, qq_weights = _diff_histogram(np.abs(d_bb).ravel())
+        else:
+            pq_centers, pq_weights = _diff_histogram(
+                (behavior[:, None] - 0.5 * base[None, :]).ravel()
+            )
+        for ki, k in enumerate(kernels):
+            pp = float(_kernel_of_diff(k, d_pp).mean())
+            if sc.agent_family == "shift":
+                qq_const = float(_kernel_of_diff(k, 0.5 * d_bb).mean())
+            for xi, x in enumerate(sc.sweep):
+                x = float(x)
+                if sc.agent_family == "scale":
+                    d_pq = behavior[:, None] - x * base[None, :]
+                    pq = float(_kernel_of_diff(k, d_pq).mean())
+                    qq = float(qq_weights @ _kernel_of_diff(k, abs(x) * qq_centers))
+                else:
+                    pq = float(pq_weights @ _kernel_of_diff(k, pq_centers - x))
+                    qq = qq_const
+                values[ki, r, xi] = pp - 2.0 * pq + qq
+    return [(values[ki].mean(axis=0), values[ki].std(axis=0)) for ki in range(len(kernels))]
+
+
+def test_kernel_formula_bit_equal_to_written_form():
+    # the reference loop above rests on _kernel_of_diff; pin it to the
+    # formula as written, exp(-d^2 / (2 s^2)) and exp(-|d| / s)
+    d = np.random.default_rng(35).normal(scale=3.0, size=(40, 50))
+    for k in default_kernels():
+        if k.family == "gaussian":
+            written = np.exp(-(d ** 2) / (2.0 * k.sigma ** 2))
+        else:
+            written = np.exp(-np.abs(d) / k.sigma)
+        assert np.array_equal(_kernel_of_diff(k, d), written)
+
+
+@pytest.mark.parametrize("factory", [scenario_matched_scale, scenario_bimodal_hole])
+def test_run_scenario_bit_equal_to_reference_loop(factory):
+    sc = factory(n_samples=37, n_repeats=2)
+    kernels = default_kernels()
+    curves = run_scenario(sc, kernels, seed=4)
+    for curve, (mean, std) in zip(curves, _reference_curves(sc, kernels, seed=4)):
+        assert np.array_equal(curve.mean, mean)
+        assert np.array_equal(curve.std, std)
 
 
 def test_run_scenario_reproducible_bit_for_bit():
@@ -119,11 +178,13 @@ def test_run_scenario_reproducible_bit_for_bit():
 
 def test_run_scenario_kernel_curves_independent_of_list():
     # a kernel's curve only depends on (seed, scenario, kernel)
-    sc = scenario_bimodal_hole(n_samples=100, n_repeats=2)
-    solo = run_scenario(sc, [KernelSpec("gaussian", 3.0)], seed=5)[0]
-    joint = run_scenario(sc, default_kernels(), seed=5)
-    match = [c for c in joint if c.kernel == KernelSpec("gaussian", 3.0)][0]
-    assert np.array_equal(solo.mean, match.mean)
+    for factory in (scenario_matched_scale, scenario_bimodal_hole):
+        sc = factory(n_samples=100, n_repeats=2)
+        solo = run_scenario(sc, [KernelSpec("gaussian", 3.0)], seed=5)[0]
+        joint = run_scenario(sc, default_kernels(), seed=5)
+        match = [c for c in joint if c.kernel == KernelSpec("gaussian", 3.0)][0]
+        assert np.array_equal(solo.mean, match.mean)
+        assert np.array_equal(solo.std, match.std)
 
 
 def test_scenario_small_scale_minima():
@@ -159,3 +220,17 @@ def test_scenario_validation():
         MmdScenario("t", "std_normal", "scale", sweep=np.array([]), n_samples=10)
     with pytest.raises(ValueError):
         MmdScenario("t", "std_normal", "scale", sweep=np.array([1.0]), n_samples=1)
+
+
+@pytest.mark.parametrize("bad", [
+    {"n_repeats": 0},  # all-NaN curves, argmin silently at the first point
+    {"agent_family": "scael"},  # ran as the shift family, then crashed
+    {"behavior": "std_normall"},  # failed only inside run_scenario
+    {"sweep": np.array([[0.5, 1.0], [1.5, 2.0]])},  # TypeError inside the loop
+    {"sweep": np.array([0.5, np.nan])},
+])
+def test_scenario_rejects_what_run_scenario_cannot_run(bad):
+    fields = dict(name="t", behavior="std_normal", agent_family="scale",
+                  sweep=np.array([0.5, 1.0]), n_samples=10, n_repeats=2)
+    with pytest.raises(ValueError):
+        MmdScenario(**{**fields, **bad})
