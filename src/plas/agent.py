@@ -26,15 +26,15 @@ from .nets import (
     AdamState,
     Mlp,
     NonFiniteError,
+    _read,
+    _write,
     adam_init,
     adam_step,
     mlp_backward,
     mlp_forward,
-    mlp_from_dict,
     mlp_init,
     mlp_input_grad,
     mlp_tape,
-    mlp_to_dict,
     params_hash,
     polyak_update,
 )
@@ -427,59 +427,61 @@ def train_plas(
 
 # -- checkpoints --------------------------------------------------------------
 
-def agent_to_dict(agent: PlasAgent, config: PlasTrainConfig | None = None) -> dict:
-    doc = {
-        "actor": mlp_to_dict(agent.actor.net),
-        "actor_target": mlp_to_dict(agent.actor_target.net),
+def save_agent(path, agent: PlasAgent, config: PlasTrainConfig | None = None) -> None:
+    """Every network of ``agent`` and its settings; the decoder is recorded by
+    the hash of the one the agent holds, which ``load_agent`` checks."""
+    nets = {
+        "actor": agent.actor.net,
+        "actor_target": agent.actor_target.net,
+        "q1": agent.critics.q1,
+        "q2": agent.critics.q2,
+        "q1_target": agent.critics.q1_target,
+        "q2_target": agent.critics.q2_target,
+    }
+    if agent.perturbation is not None:
+        nets["perturbation"] = agent.perturbation.net
+        nets["perturbation_target"] = agent.perturbation_target.net
+    _write(path, "agent", {
         "max_latent_action": agent.actor.max_latent_action,
-        "q1": mlp_to_dict(agent.critics.q1),
-        "q2": mlp_to_dict(agent.critics.q2),
-        "q1_target": mlp_to_dict(agent.critics.q1_target),
-        "q2_target": mlp_to_dict(agent.critics.q2_target),
         "lam": agent.critics.lam,
         "gamma": agent.critics.gamma,
         "tau": agent.tau,
         "actor_objective": agent.actor_objective,
-        "decoder_hash": agent.decoder_hash,
-        "perturbation": None,
-        "perturbation_target": None,
-        "perturbation_epsilon": 0.0,
-    }
-    if agent.perturbation is not None:
-        doc["perturbation"] = mlp_to_dict(agent.perturbation.net)
-        doc["perturbation_target"] = mlp_to_dict(agent.perturbation_target.net)
-        doc["perturbation_epsilon"] = agent.perturbation.epsilon
-    if config is not None:
-        doc["config"] = asdict(config)
-    return doc
+        "decoder_hash": agent.decoder.checkpoint_hash(),
+        "perturbation_epsilon": 0.0 if agent.perturbation is None else agent.perturbation.epsilon,
+        "config": None if config is None else asdict(config),
+    }, nets)
 
 
-def agent_from_dict(doc: dict, decoder) -> PlasAgent:
-    if doc["decoder_hash"] and decoder.checkpoint_hash() != doc["decoder_hash"]:
+def load_agent(path, decoder) -> PlasAgent:
+    """The agent saved at ``path``, acting through ``decoder``, which must be
+    the decoder it was saved with."""
+    header, nets = _read(path, "agent")
+    if decoder.checkpoint_hash() != header["decoder_hash"]:
         raise ValueError("checkpoint was trained against a different decoder")
-    sigma = doc["max_latent_action"]
+    sigma = header["max_latent_action"]
     pert = pert_target = None
-    if doc.get("perturbation") is not None:
-        eps = doc["perturbation_epsilon"]
-        pert = PerturbationHead(mlp_from_dict(doc["perturbation"]), eps)
-        pert_target = PerturbationHead(mlp_from_dict(doc["perturbation_target"]), eps)
+    if "perturbation" in nets:
+        eps = header["perturbation_epsilon"]
+        pert = PerturbationHead(nets["perturbation"], eps)
+        pert_target = PerturbationHead(nets["perturbation_target"], eps)
     return PlasAgent(
-        actor=LatentActor(mlp_from_dict(doc["actor"]), sigma),
-        actor_target=LatentActor(mlp_from_dict(doc["actor_target"]), sigma),
+        actor=LatentActor(nets["actor"], sigma),
+        actor_target=LatentActor(nets["actor_target"], sigma),
         critics=CriticPair(
-            mlp_from_dict(doc["q1"]),
-            mlp_from_dict(doc["q2"]),
-            mlp_from_dict(doc["q1_target"]),
-            mlp_from_dict(doc["q2_target"]),
-            lam=doc["lam"],
-            gamma=doc["gamma"],
+            nets["q1"],
+            nets["q2"],
+            nets["q1_target"],
+            nets["q2_target"],
+            lam=header["lam"],
+            gamma=header["gamma"],
         ),
         decoder=decoder,
         perturbation=pert,
         perturbation_target=pert_target,
-        tau=doc["tau"],
-        actor_objective=doc["actor_objective"],
-        decoder_hash=doc["decoder_hash"],
+        tau=header["tau"],
+        actor_objective=header["actor_objective"],
+        decoder_hash=header["decoder_hash"],
     )
 
 

@@ -21,15 +21,15 @@ from .nets import (
     ShapeError,
     Tape,
     _as_batch,
+    _read,
+    _write,
     adam_init,
     adam_step,
     mlp_backward,
     mlp_forward,
-    mlp_from_dict,
     mlp_init,
     mlp_input_grad,
     mlp_tape,
-    mlp_to_dict,
     params_hash,
 )
 
@@ -282,28 +282,18 @@ class FrozenDecoder:
 
 # -- checkpoints --------------------------------------------------------------
 
-def cvae_to_dict(cvae: BehaviorCvae) -> dict:
-    return {
-        "encoder": mlp_to_dict(cvae.encoder),
-        "decoder": mlp_to_dict(cvae.decoder),
-        "state_dim": cvae.state_dim,
-        "action_dim": cvae.action_dim,
-        "latent_dim": cvae.latent_dim,
-        "log_std_min": cvae.log_std_min,
-        "log_std_max": cvae.log_std_max,
-    }
+_SETTINGS = ("state_dim", "action_dim", "latent_dim", "log_std_min", "log_std_max")
 
 
-def cvae_from_dict(d: dict) -> BehaviorCvae:
-    return BehaviorCvae(
-        encoder=mlp_from_dict(d["encoder"]),
-        decoder=mlp_from_dict(d["decoder"]),
-        state_dim=d["state_dim"],
-        action_dim=d["action_dim"],
-        latent_dim=d["latent_dim"],
-        log_std_min=d["log_std_min"],
-        log_std_max=d["log_std_max"],
-    )
+def save_cvae(path, cvae: BehaviorCvae) -> None:
+    _write(path, "cvae", {name: getattr(cvae, name) for name in _SETTINGS},
+           {"encoder": cvae.encoder, "decoder": cvae.decoder})
+
+
+def load_cvae(path) -> BehaviorCvae:
+    header, nets = _read(path, "cvae")
+    return BehaviorCvae(nets["encoder"], nets["decoder"],
+                        **{name: header[name] for name in _SETTINGS})
 
 
 def cvae_hash(cvae: BehaviorCvae) -> str:

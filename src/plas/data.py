@@ -1,21 +1,22 @@
-"""Offline transition datasets: containers, minibatch sampling, JSONL files.
+"""Offline transition datasets: containers, minibatch sampling, files.
 
 A dataset is columnar (state/action/reward/next_state/done arrays) with a
-metadata record. Files are one JSON object per transition plus a sidecar
-``<name>.meta.json``, chosen for diff-ability at desk scale.
+metadata record. A file is one ``nets`` container of kind ``"dataset"``: the
+five columns as float64 arrays, the metadata in its header.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .nets import _read, _write
+
 GENERATOR_KINDS = ("random", "medium", "medium_replay", "medium_expert", "expert", "custom")
 
-DATASET_FORMAT_VERSION = 1
+COLUMNS = ("states", "actions", "rewards", "next_states", "dones")
 
 
 @dataclass
@@ -73,8 +74,8 @@ class TransitionDataset:
 
     def content_hash(self) -> str:
         """SHA-256 over the five columns' shapes, then their little-endian
-        float64 bytes (immutability probe; equal across a JSONL round trip)."""
-        columns = (self.states, self.actions, self.rewards, self.next_states, self.dones)
+        float64 bytes (immutability probe; equal across a file round trip)."""
+        columns = [getattr(self, name) for name in COLUMNS]
         h = hashlib.sha256(json.dumps([c.shape for c in columns]).encode("utf-8"))
         for c in columns:
             h.update(np.ascontiguousarray(c, dtype="<f8"))
@@ -129,57 +130,11 @@ def sample_batch(dataset: TransitionDataset, k: int, rng: np.random.Generator) -
 
 # -- files -------------------------------------------------------------------
 
-def _jsonl_lines(dataset: TransitionDataset):
-    for i in range(len(dataset)):
-        yield json.dumps(
-            {
-                "s": dataset.states[i].tolist(),
-                "a": dataset.actions[i].tolist(),
-                "r": float(dataset.rewards[i]),
-                "s2": dataset.next_states[i].tolist(),
-                "done": bool(dataset.dones[i]),
-            }
-        )
-
-
-def meta_path_for(path) -> Path:
-    path = Path(path)
-    return path.with_name(path.stem + ".meta.json")
-
-
-def save_dataset(path, dataset: TransitionDataset, extra_meta: dict | None = None) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as f:
-        for line in _jsonl_lines(dataset):
-            f.write(line)
-            f.write("\n")
-    meta = {"format_version": DATASET_FORMAT_VERSION}
-    meta.update(asdict(dataset.meta))
-    if extra_meta:
-        meta.update(extra_meta)
-    meta_path_for(path).write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
+def save_dataset(path, dataset: TransitionDataset) -> None:
+    _write(path, "dataset", {"meta": asdict(dataset.meta)},
+           {name: getattr(dataset, name) for name in COLUMNS})
 
 
 def load_dataset(path) -> TransitionDataset:
-    path = Path(path)
-    raw = json.loads(meta_path_for(path).read_text(encoding="utf-8"))
-    if raw.get("format_version") != DATASET_FORMAT_VERSION:
-        raise ValueError(f"unsupported dataset format version {raw.get('format_version')!r}")
-    states, actions, rewards, next_states, dones = [], [], [], [], []
-    with path.open("r", encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            states.append(rec["s"])
-            actions.append(rec["a"])
-            rewards.append(rec["r"])
-            next_states.append(rec["s2"])
-            dones.append(1.0 if rec["done"] else 0.0)
-    meta = DatasetMeta(
-        env_name=raw["env_name"],
-        generator_kind=raw["generator_kind"],
-        seed=raw["seed"],
-        size=raw["size"],
-    )
-    return TransitionDataset(states, actions, rewards, next_states, dones, meta)
+    header, columns = _read(path, "dataset", COLUMNS)
+    return TransitionDataset(**columns, meta=DatasetMeta(**header["meta"]))

@@ -14,7 +14,6 @@ from leave-one-out calibration on the dataset itself.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -140,10 +139,6 @@ def support_threshold(dataset, k: int = 10, quantile: float = 0.99,
 
 
 # -- emission -----------------------------------------------------------------
-
-def report_to_json(report: QErrorReport) -> str:
-    return json.dumps(asdict(report), sort_keys=True)
-
 
 CSV_FIELDS = ["algorithm", "dataset", "seed", "step",
               "mse", "positive_error_pct", "positive_error_mean",

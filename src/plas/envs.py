@@ -203,6 +203,8 @@ def rollout(env, policy_fn, rng: np.random.Generator, noise_std: float = 0.0) ->
 
 def evaluate_policy(env, policy_fn, n_episodes: int, rng: np.random.Generator) -> tuple[float, float]:
     """Mean and std of undiscounted episode returns over fresh rollouts."""
+    if n_episodes < 1:
+        raise ValueError("need at least one episode")
     returns = [rollout(env, policy_fn, rng).total_reward for _ in range(n_episodes)]
     return float(np.mean(returns)), float(np.std(returns))
 

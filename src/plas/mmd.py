@@ -291,13 +291,3 @@ def write_curves_csv(path, scenario: MmdScenario, curves: list[SweepCurve]) -> N
         for c in curves:
             for x, m, s in zip(c.xs, c.mean, c.std):
                 w.writerow([scenario.name, c.kernel.family, c.kernel.sigma, x, m, s])
-
-
-def write_curves_gnuplot(path, curves: list[SweepCurve]) -> None:
-    """Long-format whitespace table: one block per kernel, blank-line separated."""
-    with Path(path).open("w", encoding="utf-8") as f:
-        for c in curves:
-            f.write(f"# {c.kernel.label}\n")
-            for x, m, s in zip(c.xs, c.mean, c.std):
-                f.write(f"{x} {m} {s}\n")
-            f.write("\n\n")

@@ -1,5 +1,6 @@
 """Minimal MLP toolkit: forward/backward passes with hand-written reverse-mode
-gradients, Adam, Polyak averaging, and bit-exact JSON checkpoints.
+gradients, Adam, Polyak averaging, and the one file container that datasets and
+checkpoints share.
 
 Everything in this repo trains through these routines, so they are kept small
 enough to verify against finite differences. All math is float64. Weight
@@ -13,6 +14,12 @@ vector, ``t *= 1-tau; t += tau*o``, which rounds exactly like
 ``tau*o + (1-tau)*t``. ``params_hash`` is the SHA-256 of the JSON header
 ``[[layer_sizes, activations], ...]``, then each ``flat``'s little-endian bytes.
 
+Files are ``.npz`` archives written by ``_write`` and read by ``_read``, the only
+code that knows the container: a ``header`` entry holding one JSON object
+(``format``, ``version``, the writer's settings, and ``nets``, each network's
+``[layer_sizes, activations]``) and named float64 arrays, one ``flat`` per
+network. Zip entries carry a fixed timestamp, so equal contents give equal bytes.
+
 A backward reuses its own forward: ``mlp_tape`` runs the forward pass and keeps
 a ``Tape`` (the input and each layer's activation), and
 ``mlp_backward(params, output_grad, tape)`` propagates through it without
@@ -24,14 +31,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
-CHECKPOINT_VERSION = 2
+# 1 was JSONL datasets, 2 JSON checkpoints; neither is read any more
+FORMAT_VERSION = 3
 
 
 class ShapeError(ValueError):
@@ -77,6 +85,10 @@ class _FlatLayers:
         layers = [np.ravel(a) for wb in zip(self.weights, self.biases) for a in wb]
         self.flat = np.concatenate(layers, dtype=np.float64)
         self.weights, self.biases = _views(self.flat, self.layer_sizes)
+
+
+def _flat_size(layer_sizes) -> int:
+    return sum(n_out * (n_in + 1) for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]))
 
 
 def _views(flat: np.ndarray, layer_sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -140,6 +152,17 @@ class Mlp(_FlatLayers):
     def copy(self) -> "Mlp":
         return Mlp(self.weights, self.biases, list(self.activations))
 
+    @classmethod
+    def from_flat(cls, flat, layer_sizes, activations) -> "Mlp":
+        """The network whose parameter vector (a copy of ``flat``) has the
+        layout ``layer_sizes``; a vector of any other length is rejected."""
+        flat = np.asarray(flat, dtype=np.float64)
+        n = _flat_size(layer_sizes)
+        if flat.shape != (n,):
+            raise ShapeError(f"flat of shape {flat.shape} for layer sizes {layer_sizes}, "
+                             f"expected ({n},)")
+        return cls(*_views(flat, layer_sizes), list(activations))
+
 
 @dataclass
 class Gradients(_FlatLayers):
@@ -182,9 +205,8 @@ def mlp_zeros(
     output_activation: str = "identity",
 ) -> Mlp:
     """All-zero network (useful for tests and target bootstraps)."""
-    n = sum(n_out * (n_in + 1) for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]))
     acts = [hidden_activation] * (len(layer_sizes) - 2) + [output_activation]
-    return Mlp(*_views(np.zeros(n), layer_sizes), acts)
+    return Mlp.from_flat(np.zeros(_flat_size(layer_sizes)), layer_sizes, acts)
 
 
 def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
@@ -350,49 +372,62 @@ def polyak_update(target: Mlp, online: Mlp, tau: float) -> Mlp:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints. Versioned JSON containers; parameter arrays are stored row-major
-# (C order). Python's json round-trips float64 exactly via repr, so save/load
-# is bit-exact.
+# Files.
 
-def mlp_to_dict(params: Mlp) -> dict:
-    return {
-        "layer_sizes": params.layer_sizes,
-        "activations": list(params.activations),
-        "weights": [w.tolist() for w in params.weights],
-        "biases": [b.tolist() for b in params.biases],
-    }
-
-
-def mlp_from_dict(d: dict) -> Mlp:
-    net = Mlp(
-        [np.array(w, dtype=np.float64) for w in d["weights"]],
-        [np.array(b, dtype=np.float64) for b in d["biases"]],
-        list(d["activations"]),
-    )
-    if net.layer_sizes != list(d["layer_sizes"]):
-        raise ShapeError("checkpoint layer_sizes inconsistent with arrays")
-    return net
+def _write(path, kind: str, settings: dict, contents: dict) -> None:
+    """Write a ``kind`` container to exactly ``path``: a header of ``settings``
+    and, under its name, each of ``contents``, an array or an ``Mlp`` (stored as
+    its ``flat``, with its layout in the header)."""
+    header = {"format": kind, "version": FORMAT_VERSION, **settings,
+              "nets": {name: _layout(c) for name, c in contents.items() if isinstance(c, Mlp)}}
+    arrays = {name: c.flat if isinstance(c, Mlp) else np.asarray(c, dtype=np.float64)
+              for name, c in contents.items()}
+    # through a handle: given a name, np.savez would append ".npz" to it
+    with open(path, "wb") as f:
+        np.savez(f, header=np.array(json.dumps(header)), **arrays)
 
 
-def save_checkpoint(path, kind: str, payload: dict) -> None:
-    doc = {"format": kind, "version": CHECKPOINT_VERSION}
-    doc.update(payload)
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+def _read(path, kind: str, columns=()) -> tuple[dict, dict]:
+    """The header of the ``kind`` container at ``path`` and its contents: each
+    of ``columns`` as an array, each network the header lists as an ``Mlp``.
+    A file that is not such a container, is of another format or version, or
+    lacks an entry raises ValueError (ShapeError for a vector that does not fit
+    its layout). Nothing is unpickled."""
+    def bad(why):
+        return ValueError(f"{path} is not a {kind!r} file of version {FORMAT_VERSION}: {why}")
+
+    with open(path, "rb") as f:
+        try:
+            with np.load(f, allow_pickle=False) as z:
+                header = json.loads(z["header"].item())
+                arrays = {name: z[name] for name in z.files}
+        except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as e:
+            raise bad(f"{type(e).__name__}: {e}") from e
+    if not isinstance(header, dict):
+        raise bad("the header is not a JSON object")
+    if (header.get("format"), header.get("version")) != (kind, FORMAT_VERSION):
+        raise bad(f"format {header.get('format')!r}, version {header.get('version')!r}")
+    layouts = header.get("nets", {})
+    for name in [*columns, *layouts]:
+        if name not in arrays or arrays[name].dtype != np.float64:
+            raise bad(f"no float64 array {name!r}")
+    contents = {name: arrays[name] for name in columns}
+    for name, (sizes, activations) in layouts.items():
+        try:
+            contents[name] = Mlp.from_flat(arrays[name], sizes, activations)
+        except ShapeError as e:
+            raise ShapeError(f"{path}: {kind!r} network {name!r}: {e}") from e
+    return header, contents
 
 
-def load_checkpoint(path, kind: str) -> dict:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != kind:
-        raise ValueError(f"expected checkpoint format {kind!r}, got {doc.get('format')!r}")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
-    return doc
+def _layout(net: Mlp) -> list:
+    return [net.layer_sizes, list(net.activations)]
 
 
 def params_hash(*nets: Mlp) -> str:
     """SHA-256 of the JSON header ``[[layer_sizes, activations], ...]``
     followed by each network's ``flat`` as little-endian float64 bytes."""
-    header = json.dumps([[n.layer_sizes, list(n.activations)] for n in nets])
+    header = json.dumps([_layout(n) for n in nets])
     h = hashlib.sha256(header.encode("utf-8"))
     for n in nets:
         h.update(n.flat.astype("<f8", copy=False))

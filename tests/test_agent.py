@@ -11,12 +11,13 @@ from plas.agent import (
     PlasTrainConfig,
     act,
     actor_update,
-    agent_from_dict,
-    agent_to_dict,
+    agent_hash,
     compute_target,
     critic_step,
     critic_update,
+    load_agent,
     plas_agent_init,
+    save_agent,
     train_plas,
 )
 from plas.cvae import FrozenDecoder, cvae_init
@@ -396,20 +397,44 @@ def test_train_plas_smoke_and_freeze(tmp_path):
     assert np.max(np.abs(z)) <= cfg.max_latent_action
 
 
-def test_agent_checkpoint_round_trip():
+def test_agent_checkpoint_round_trip(tmp_path):
     decoder = small_cvae_decoder(seed=71)
-    agent = make_agent(decoder, epsilon=0.05, seed=72)
-    doc = agent_to_dict(agent)
-    back = agent_from_dict(doc, decoder)
     rng = np.random.default_rng(73)
-    for s in rng.normal(size=(20, 2)):
-        assert np.array_equal(act(agent, s), act(back, s))
+    for epsilon in (0.0, 0.05):  # with and without the residual head
+        agent = make_agent(decoder, epsilon=epsilon, seed=72)
+        agent.critics.q1_target.flat[:] = rng.normal(size=agent.critics.q1_target.n_params())
+        save_agent(tmp_path / "agent.npz", agent, PlasTrainConfig(steps=7))
+        back = load_agent(tmp_path / "agent.npz", decoder)
+        assert agent_hash(back) == agent_hash(agent)
+        assert params_hash(back.actor_target.net, back.critics.q1_target,
+                           back.critics.q2_target) == params_hash(
+            agent.actor_target.net, agent.critics.q1_target, agent.critics.q2_target)
+        assert (back.perturbation is None) == (epsilon == 0.0)
+        if epsilon:
+            assert back.perturbation.epsilon == epsilon
+            assert params_hash(back.perturbation_target.net) == params_hash(
+                agent.perturbation_target.net)
+        assert back.decoder_hash == decoder.checkpoint_hash()
+        for s in rng.normal(size=(20, 2)):
+            assert np.array_equal(act(agent, s), act(back, s))
 
 
-def test_agent_checkpoint_rejects_wrong_decoder():
+def test_agent_checkpoint_rejects_wrong_decoder(tmp_path):
     decoder = small_cvae_decoder(seed=74)
     other = small_cvae_decoder(seed=75)
     agent = make_agent(decoder, seed=76)
-    doc = agent_to_dict(agent)
+    save_agent(tmp_path / "agent.npz", agent)
     with pytest.raises(ValueError):
-        agent_from_dict(doc, other)
+        load_agent(tmp_path / "agent.npz", other)
+
+
+def test_hand_built_agent_checkpoint_rejects_wrong_decoder(tmp_path):
+    # decoder_hash defaults to "", which must not switch the decoder check off
+    decoder = small_cvae_decoder(seed=77)
+    built = make_agent(decoder, seed=78)
+    agent = PlasAgent(built.actor, built.actor_target, built.critics, decoder)
+    assert agent.decoder_hash == ""
+    save_agent(tmp_path / "agent.npz", agent)
+    assert load_agent(tmp_path / "agent.npz", decoder).decoder_hash == decoder.checkpoint_hash()
+    with pytest.raises(ValueError):
+        load_agent(tmp_path / "agent.npz", small_cvae_decoder(seed=79))

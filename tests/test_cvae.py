@@ -8,15 +8,15 @@ from plas.cvae import (
     BehaviorCvae,
     CvaeTrainConfig,
     FrozenDecoder,
-    cvae_from_dict,
     cvae_hash,
     cvae_init,
-    cvae_to_dict,
     decode,
     elbo_loss_and_grads,
     encode,
     kl_to_standard_normal,
+    load_cvae,
     reparameterize,
+    save_cvae,
     train_cvae,
 )
 from plas.data import DatasetMeta, TransitionDataset
@@ -289,11 +289,14 @@ def test_frozen_decoder_checks_state_and_latent_widths():
             dec.forward(bad_s, bad_z)
 
 
-def test_cvae_checkpoint_round_trip_and_hash():
+def test_cvae_checkpoint_round_trip_and_hash(tmp_path):
     rng = np.random.default_rng(21)
-    cvae = cvae_init(3, 2, rng, hidden_sizes=(8, 8))
-    back = cvae_from_dict(cvae_to_dict(cvae))
+    cvae = cvae_init(3, 2, rng, hidden_sizes=(8, 8), log_std_min=-3.0)
+    save_cvae(tmp_path / "cvae.npz", cvae)
+    back = load_cvae(tmp_path / "cvae.npz")
     assert cvae_hash(back) == cvae_hash(cvae)
+    assert (back.state_dim, back.action_dim, back.latent_dim) == (3, 2, 4)
+    assert (back.log_std_min, back.log_std_max) == (cvae.log_std_min, cvae.log_std_max)
     s = rng.normal(size=3)
     z = rng.normal(size=cvae.latent_dim)
     assert np.array_equal(decode(back, s, z), decode(cvae, s, z))

@@ -1,4 +1,4 @@
-import json
+import time
 
 import numpy as np
 import pytest
@@ -8,11 +8,12 @@ from plas.data import (
     TransitionDataset,
     concat_datasets,
     load_dataset,
-    meta_path_for,
     sample_batch,
     sample_indices,
     save_dataset,
 )
+
+from .test_nets import rewrite_container
 
 
 def tiny_dataset(n=10, state_dim=2, action_dim=1, seed=0, kind="custom"):
@@ -66,14 +67,16 @@ def test_metadata_size_must_match():
                           np.zeros((2, 1)), np.zeros(2), DatasetMeta("e", "custom", 0, 3))
 
 
-def test_jsonl_round_trip_and_hash(tmp_path):
+def test_dataset_file_round_trip_and_hash(tmp_path):
     ds = tiny_dataset(seed=4)
     path = tmp_path / "d.jsonl"
     save_dataset(path, ds)
+    assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]  # no suffix, no sidecar
     back = load_dataset(path)
     assert np.array_equal(back.states, ds.states)
     assert np.array_equal(back.actions, ds.actions)
     assert np.array_equal(back.rewards, ds.rewards)
+    assert np.array_equal(back.next_states, ds.next_states)
     assert np.array_equal(back.dones, ds.dones)
     assert back.meta == ds.meta
     assert back.content_hash() == ds.content_hash()
@@ -81,6 +84,14 @@ def test_jsonl_round_trip_and_hash(tmp_path):
     path2 = tmp_path / "d2.jsonl"
     save_dataset(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_dataset_file_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
+    ds = tiny_dataset(seed=5)
+    save_dataset(tmp_path / "a", ds)
+    monkeypatch.setattr(time, "time", lambda: 2_000_000_000.0)
+    save_dataset(tmp_path / "b", ds)
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
 
 def test_sampling_seed_reproducible():
@@ -129,14 +140,15 @@ def test_concat_preserves_order():
 
 @pytest.mark.parametrize("version", [None, 99, "1"])
 def test_load_dataset_checks_format_version(tmp_path, version):
-    path = tmp_path / "d.jsonl"
+    path = tmp_path / "d.npz"
     save_dataset(path, tiny_dataset())
-    meta_path = meta_path_for(path)
-    meta = json.loads(meta_path.read_text())
-    if version is None:
-        del meta["format_version"]
-    else:
-        meta["format_version"] = version
-    meta_path.write_text(json.dumps(meta))
-    with pytest.raises(ValueError):
+
+    def edit(header):
+        if version is None:
+            del header["version"]
+        else:
+            header["version"] = version
+
+    rewrite_container(path, edit)
+    with pytest.raises(ValueError, match="'dataset'"):
         load_dataset(path)

@@ -11,7 +11,6 @@ from plas.diagnostics import (
     empirical_return,
     q_error_report,
     report_from_errors,
-    report_to_json,
     support_distance,
     support_threshold,
 )
@@ -162,8 +161,6 @@ def test_support_threshold_separates_random_probes():
 
 def test_report_emission(tmp_path):
     rep = QErrorReport(1.5, 0.4, 2.0, -0.5, 100, 10)
-    blob = report_to_json(rep)
-    assert '"mse": 1.5' in blob
     path = tmp_path / "reports.csv"
     append_report_csv(path, rep, "plas", "edge-follow-medium", seed=0, step=1000)
     append_report_csv(path, rep, "bc", "edge-follow-medium", seed=0, step=1000)

@@ -57,6 +57,13 @@ def test_point_mass_expert_beats_random():
     assert e > r + 50
 
 
+@pytest.mark.parametrize("n_episodes", [0, -1])
+def test_evaluate_policy_needs_an_episode(n_episodes):
+    env = PointMassEnv()
+    with pytest.raises(ValueError):
+        evaluate_policy(env, env.expert_action, n_episodes, np.random.default_rng(0))
+
+
 def test_edge_follow_safe_step_reward_is_commanded_speed():
     env = EdgeFollowEnv()
     state = np.array([0.2])

@@ -13,7 +13,6 @@ from plas.mmd import (
     scenario_bimodal_hole,
     scenario_matched_scale,
     write_curves_csv,
-    write_curves_gnuplot,
 )
 
 
@@ -201,7 +200,7 @@ def test_scenario_bimodal_small_scale_hole():
     assert abs(curve.argmin_x()) <= 0.2
 
 
-def test_csv_and_gnuplot_outputs(tmp_path):
+def test_csv_output(tmp_path):
     sc = scenario_bimodal_hole(n_samples=50, n_repeats=2)
     kerns = [KernelSpec("gaussian", 1.0)]
     curves = run_scenario(sc, kerns, seed=0)
@@ -210,9 +209,6 @@ def test_csv_and_gnuplot_outputs(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "scenario,kernel,sigma,x,mean,std"
     assert len(lines) == 1 + len(sc.sweep)
-    gp_path = tmp_path / "curves.dat"
-    write_curves_gnuplot(gp_path, curves)
-    assert gp_path.read_text().startswith("# gaussian-1")
 
 
 def test_scenario_validation():

@@ -5,26 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plas.cvae import cvae_init, load_cvae, save_cvae
+from plas.data import DatasetMeta, TransitionDataset, load_dataset, save_dataset
 from plas.nets import (
+    FORMAT_VERSION,
     AdamState,
     Gradients,
     Mlp,
     NonFiniteError,
     ShapeError,
+    _read,
+    _write,
     adam_init,
     adam_step,
-    load_checkpoint,
     mlp_backward,
     mlp_forward,
-    mlp_from_dict,
     mlp_init,
     mlp_input_grad,
     mlp_tape,
-    mlp_to_dict,
     mlp_zeros,
     params_hash,
     polyak_update,
-    save_checkpoint,
 )
 
 from .oracles import finite_diff_param_grads, max_rel_err, naive_mlp_forward
@@ -312,30 +313,133 @@ def test_polyak_exact_affine(tau, a, b):
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(8)
     net = mlp_init([5, 7, 3], rng, output_activation="tanh")
-    path = tmp_path / "net.json"
-    save_checkpoint(path, "mlp", {"net": mlp_to_dict(net)})
-    doc = load_checkpoint(path, "mlp")
-    back = mlp_from_dict(doc["net"])
+    path = tmp_path / "net.npz"
+    _write(path, "mlp", {"note": "x"}, {"net": net})
+    header, contents = _read(path, "mlp")
+    back = contents["net"]
     for w0, w1 in zip(net.weights, back.weights):
         assert np.array_equal(w0, w1)
     for b0, b1 in zip(net.biases, back.biases):
         assert np.array_equal(b0, b1)
     assert back.activations == net.activations
     assert params_hash(net) == params_hash(back)
+    assert header["note"] == "x"
+
+
+def rewrite_container(path, header_edit=None, drop=(), **replace):
+    """Rewrite the container at ``path`` with its header edited by
+    ``header_edit``, the arrays in ``drop`` left out and those in ``replace``
+    swapped in."""
+    with np.load(path) as z:
+        header = json.loads(z["header"].item())
+        arrays = {k: z[k] for k in z.files if k != "header" and k not in drop}
+    if header_edit is not None:
+        header_edit(header)
+    arrays.update(replace)
+    with open(path, "wb") as f:
+        np.savez(f, header=np.array(json.dumps(header)), **arrays)
 
 
 def test_checkpoint_format_check(tmp_path):
-    path = tmp_path / "x.json"
-    save_checkpoint(path, "mlp", {"net": {}})
-    with pytest.raises(ValueError):
-        load_checkpoint(path, "agent")
-    path.write_text(json.dumps({"format": "mlp", "version": 999}))
-    with pytest.raises(ValueError):
-        load_checkpoint(path, "mlp")
-    # version 1 hashed parameters through JSON; its stored hashes no longer match
-    path.write_text(json.dumps({"format": "mlp", "version": 1, "net": {}}))
-    with pytest.raises(ValueError):
-        load_checkpoint(path, "mlp")
+    path = tmp_path / "x.npz"
+    _write(path, "mlp", {}, {"net": mlp_zeros([2, 1])})
+    with pytest.raises(ValueError, match="'agent'"):
+        _read(path, "agent")
+    rewrite_container(path, lambda h: h.update(version=999))
+    with pytest.raises(ValueError, match="version 999"):
+        _read(path, "mlp")
+    # version 2 was a JSON document; its bytes are not a container
+    path.write_text(json.dumps({"format": "mlp", "version": 2, "net": {}}))
+    with pytest.raises(ValueError, match="'mlp'"):
+        _read(path, "mlp")
+
+
+def _small_dataset_file(path):
+    rows = np.zeros((10, 1))
+    save_dataset(path, TransitionDataset(rows, rows, rows[:, 0], rows, rows[:, 0],
+                                         DatasetMeta("e", "custom", 0, 10)))
+    return load_dataset
+
+
+def _small_cvae_file(path):
+    save_cvae(path, cvae_init(2, 1, np.random.default_rng(0), hidden_sizes=(4,)))
+    return load_cvae
+
+
+def _jsonl_v1(path):
+    # a version-1 dataset: one JSON object per row, metadata in a sidecar
+    path.write_text(json.dumps({"s": [0.0], "a": [0.0], "r": 0.0, "s2": [0.0],
+                                "done": False}) + "\n")
+    path.with_name(path.stem + ".meta.json").write_text(json.dumps({"format_version": 1}))
+    return load_dataset
+
+
+def _json_checkpoint_v2(path):
+    path.write_text(json.dumps({"format": "cvae", "version": 2, "state_dim": 2}))
+    return load_cvae
+
+
+def _truncated(path):
+    load = _small_dataset_file(path)
+    path.write_bytes(path.read_bytes()[:200])
+    return load
+
+
+def _wrong_format(path):
+    _small_cvae_file(path)
+    return load_dataset
+
+
+def _wrong_version(path):
+    load = _small_cvae_file(path)
+    rewrite_container(path, lambda h: h.update(version=FORMAT_VERSION - 1))
+    return load
+
+
+def _missing_column(path):
+    load = _small_dataset_file(path)
+    rewrite_container(path, drop=("dones",))
+    return load
+
+
+def _flat_too_short(path):
+    load = _small_cvae_file(path)
+    with np.load(path) as z:
+        decoder = z["decoder"]
+    rewrite_container(path, decoder=decoder[:-1])
+    return load
+
+
+def _object_array(path):
+    load = _small_dataset_file(path)
+    rewrite_container(path, states=np.array([[object()]] * 10, dtype=object))
+    return load
+
+
+@pytest.mark.parametrize("make", [
+    _jsonl_v1, _json_checkpoint_v2, _truncated, _wrong_format, _wrong_version,
+    _missing_column, _flat_too_short, _object_array,
+], ids=lambda f: f.__name__.lstrip("_"))
+def test_malformed_files_raise_value_error(tmp_path, make, monkeypatch):
+    path = tmp_path / "f.npz"
+    load = make(path)
+    kind = "'dataset'" if load is load_dataset else "'cvae'"
+    # nothing may be unpickled on the way to the error
+    monkeypatch.setattr("pickle.load", lambda *a, **k: pytest.fail("unpickled"))
+    monkeypatch.setattr("pickle.loads", lambda *a, **k: pytest.fail("unpickled"))
+    expected = ShapeError if make is _flat_too_short else ValueError
+    with pytest.raises(expected, match=kind):
+        load(path)
+
+
+def test_from_flat_rejects_a_vector_of_another_length():
+    net = mlp_init([3, 4, 2], np.random.default_rng(0))
+    back = Mlp.from_flat(net.flat, [3, 4, 2], net.activations)
+    assert params_hash(back) == params_hash(net)
+    assert back.flat is not net.flat
+    for bad in (net.flat[:-1], np.append(net.flat, 0.0), net.flat.reshape(2, -1)):
+        with pytest.raises(ShapeError):
+            Mlp.from_flat(bad, [3, 4, 2], net.activations)
 
 
 def test_mlp_invariants_enforced():
