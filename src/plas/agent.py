@@ -70,10 +70,6 @@ class PerturbationHead:
         if self.net.activations[-1] != "tanh":
             raise ValueError("perturbation output activation must be tanh")
 
-    def residual(self, states: np.ndarray, decoded: np.ndarray) -> np.ndarray:
-        pin = np.concatenate([np.atleast_2d(states), np.atleast_2d(decoded)], axis=1)
-        return self.epsilon * mlp_forward(self.net, pin)
-
 
 @dataclass
 class CriticPair:
@@ -145,34 +141,17 @@ def critic_step(
     return sum(losses) / 2.0
 
 
-def _action_grad(critics: CriticPair, states: np.ndarray, actions: np.ndarray,
-                 objective: str) -> tuple[float, np.ndarray]:
-    """Batch-mean actor objective and the gradient of its negation w.r.t. actions.
+def _action_grad(critics: CriticPair, states: np.ndarray,
+                 actions: np.ndarray) -> tuple[float, np.ndarray]:
+    """Batch-mean Q1 and the gradient of its negation w.r.t. actions.
 
-    The one Q-gradient path of every actor: ``"q1"`` ascends the first critic,
-    ``"soft-mix"`` the lambda-mix of the twin critics' min and max. The
-    critics give their input gradients only.
+    The one Q-gradient path of every actor: it ascends the first critic, which
+    gives its input gradient only.
     """
     B, state_dim = states.shape
-    qin = np.concatenate([states, actions], axis=1)
-    tape1 = mlp_tape(critics.q1, qin)
-    q1 = tape1.output[:, 0]
-    if objective == "q1":
-        mean_q = float(np.mean(q1))
-        d_qin = mlp_input_grad(critics.q1, np.full((B, 1), -1.0 / B), tape1)
-    elif objective == "soft-mix":
-        tape2 = mlp_tape(critics.q2, qin)
-        q2 = tape2.output[:, 0]
-        lam = critics.lam
-        mean_q = float(np.mean(lam * np.minimum(q1, q2) + (1 - lam) * np.maximum(q1, q2)))
-        take_q1_min = (q1 <= q2)[:, None]
-        g1 = np.where(take_q1_min, lam, 1 - lam) * (-1.0 / B)
-        g2 = np.where(take_q1_min, 1 - lam, lam) * (-1.0 / B)
-        d_qin = (mlp_input_grad(critics.q1, g1, tape1)
-                 + mlp_input_grad(critics.q2, g2, tape2))
-    else:
-        raise ValueError(f"unknown actor objective {objective!r}")
-    da = d_qin[:, state_dim:]
+    tape = mlp_tape(critics.q1, np.concatenate([states, actions], axis=1))
+    mean_q = float(np.mean(tape.output[:, 0]))
+    da = mlp_input_grad(critics.q1, np.full((B, 1), -1.0 / B), tape)[:, state_dim:]
     if not np.all(np.isfinite(da)):
         raise NonFiniteError("non-finite actor gradient")
     return mean_q, da
@@ -188,20 +167,23 @@ class PlasAgent:
     decoder: object
     perturbation: PerturbationHead | None = None
     perturbation_target: PerturbationHead | None = None
-    tau: float = 0.005
-    actor_objective: str = "q1"  # "q1" | "soft-mix"
     decoder_hash: str = ""
 
     @property
     def state_dim(self) -> int:
         return self.actor.net.in_dim
 
-    @property
-    def action_dim(self) -> int:
-        return self.decoder.action_dim
-
     def policy_fn(self):
         return lambda s: act(self, s)
+
+    def target_pairs(self) -> list[tuple[Mlp, Mlp]]:
+        """(target, online) for every network with a Polyak-averaged copy."""
+        pairs = [(self.critics.q1_target, self.critics.q1),
+                 (self.critics.q2_target, self.critics.q2),
+                 (self.actor_target.net, self.actor.net)]
+        if self.perturbation is not None:
+            pairs.append((self.perturbation_target.net, self.perturbation.net))
+        return pairs
 
 
 def _policy_actions(
@@ -240,18 +222,19 @@ def _policy_actions(
     return np.clip(summed, -1.0, 1.0), tapes
 
 
-def act(agent: PlasAgent, state: np.ndarray, use_target: bool = False) -> np.ndarray:
+def act(agent: PlasAgent, state: np.ndarray) -> np.ndarray:
     """Deterministic action for a single state."""
-    a, _ = _policy_actions(agent, np.asarray(state, dtype=np.float64)[None, :], use_target)
+    a, _ = _policy_actions(agent, np.asarray(state, dtype=np.float64)[None, :], use_target=False)
     return a[0]
 
 
-def critic_update(agent: PlasAgent, batch: Batch, adam_q1: AdamState, adam_q2: AdamState,
-                  use_target_actor: bool = True) -> float:
-    """Algorithm step: decode latent actions for s', form targets, fit critics."""
+def critic_update(agent: PlasAgent, batch: Batch, adam_q1: AdamState,
+                  adam_q2: AdamState) -> float:
+    """Algorithm step: decode the target actor's latent actions for s', form
+    targets, fit critics."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    next_actions, _ = _policy_actions(agent, batch.next_states, use_target=use_target_actor)
+    next_actions, _ = _policy_actions(agent, batch.next_states, use_target=True)
     targets = compute_target(agent.critics, batch.rewards, batch.next_states,
                              next_actions, batch.dones)
     return critic_step(agent.critics, adam_q1, adam_q2, batch.states, batch.actions, targets)
@@ -272,7 +255,7 @@ def actor_update(
     """
     s = np.atleast_2d(np.asarray(states, dtype=np.float64))
     actions, tapes = _policy_actions(agent, s, use_target=False, taped=True)
-    mean_q, da = _action_grad(agent.critics, s, actions, agent.actor_objective)
+    mean_q, da = _action_grad(agent.critics, s, actions)
 
     pert_grads = None
     if agent.perturbation is not None:
@@ -306,8 +289,6 @@ class PlasTrainConfig:
     max_latent_action: float = 2.0
     perturbation_epsilon: float = 0.0  # 0 disables the residual head
     hidden_sizes: tuple[int, ...] = (64, 64)
-    actor_objective: str = "q1"
-    use_target_actor_for_decode: bool = True
     eval_interval: int = 2_500
     eval_episodes: int = 10
     log_every: int = 500
@@ -357,10 +338,43 @@ def plas_agent_init(
         decoder=decoder,
         perturbation=pert,
         perturbation_target=pert_target,
-        tau=config.tau,
-        actor_objective=config.actor_objective,
         decoder_hash=decoder.checkpoint_hash(),
     )
+
+
+def _fit(agent, dataset: TransitionDataset, config, rng: np.random.Generator, env,
+         update) -> list[LogRecord]:
+    """The training loop of both offline learners. Each step draws a minibatch,
+    runs ``update(batch) -> (critic_loss, mean_q)`` and Polyak-updates every
+    pair of ``agent.target_pairs()``. It logs every ``log_every`` steps and at
+    the last; with an env it also evaluates where ``eval_interval`` divides the
+    step, and at the last. A ``NonFiniteError`` is re-raised naming the step."""
+    if config.log_every < 1:
+        raise ValueError("log_every must be >= 1")
+    if env is not None and (config.eval_interval < 1 or config.eval_episodes < 1):
+        raise ValueError("eval_interval and eval_episodes must be >= 1")
+    log: list[LogRecord] = []
+    losses, qs = [], []
+    for step in range(1, config.steps + 1):
+        batch = sample_batch(dataset, config.batch_size, rng)
+        try:
+            loss, mean_q = update(batch)
+        except NonFiniteError as e:
+            raise NonFiniteError(f"{e} (training step {step})") from e
+        losses.append(loss)
+        qs.append(mean_q)
+        for target, online in agent.target_pairs():
+            polyak_update(target, online, config.tau)
+
+        if step % config.log_every == 0 or step == config.steps:
+            rec = LogRecord(step, float(np.mean(losses)), float(np.mean(qs)))
+            losses, qs = [], []
+            if env is not None and (step % config.eval_interval == 0 or step == config.steps):
+                eval_rng = np.random.default_rng(rng.integers(2 ** 63))
+                rec.eval_return_mean, rec.eval_return_std = evaluate_policy(
+                    env, agent.policy_fn(), config.eval_episodes, eval_rng)
+            log.append(rec)
+    return log
 
 
 def train_plas(
@@ -372,54 +386,24 @@ def train_plas(
 ) -> tuple[PlasAgent, list[LogRecord]]:
     """Policy-training phase over a frozen behavior decoder.
 
-    Per iteration: sample a minibatch, produce next-state latent actions with
-    the target actor, decode them, form the soft clipped double-Q target, take
-    one Adam step per critic and one on the actor (plus residual head when
-    enabled), then Polyak-update every target copy. Evaluation rollouts run
-    whenever ``eval_interval`` divides the step and an env is provided.
+    Runs ``_fit``, whose update is: produce next-state latent actions with the
+    target actor, decode them, form the soft clipped double-Q target, take one
+    Adam step per critic and one on the actor (plus the residual head when
+    enabled). A non-finite loss or gradient stops training with
+    ``NonFiniteError``. Raises RuntimeError if the decoder changed.
     """
     agent = plas_agent_init(dataset.state_dim, decoder, config, rng)
     adam_q1 = adam_init(agent.critics.q1, config.critic_lr)
     adam_q2 = adam_init(agent.critics.q2, config.critic_lr)
     adam_actor = adam_init(agent.actor.net, config.actor_lr)
-    adam_pert = (
-        adam_init(agent.perturbation.net, config.actor_lr)
-        if agent.perturbation is not None
-        else None
-    )
+    adam_pert = (None if agent.perturbation is None
+                 else adam_init(agent.perturbation.net, config.actor_lr))
 
-    log: list[LogRecord] = []
-    interval_losses: list[float] = []
-    interval_qs: list[float] = []
-    for step in range(1, config.steps + 1):
-        batch = sample_batch(dataset, config.batch_size, rng)
-        try:
-            loss = critic_update(agent, batch, adam_q1, adam_q2,
-                                 use_target_actor=config.use_target_actor_for_decode)
-            mean_q = actor_update(agent, batch.states, adam_actor, adam_pert)
-        except NonFiniteError as e:
-            raise NonFiniteError(f"{e} (training step {step})") from e
-        interval_losses.append(loss)
-        interval_qs.append(mean_q)
+    def update(batch):
+        return (critic_update(agent, batch, adam_q1, adam_q2),
+                actor_update(agent, batch.states, adam_actor, adam_pert))
 
-        polyak_update(agent.critics.q1_target, agent.critics.q1, config.tau)
-        polyak_update(agent.critics.q2_target, agent.critics.q2, config.tau)
-        polyak_update(agent.actor_target.net, agent.actor.net, config.tau)
-        if agent.perturbation is not None:
-            polyak_update(agent.perturbation_target.net, agent.perturbation.net, config.tau)
-
-        if step % config.log_every == 0 or step == config.steps:
-            rec = LogRecord(step, float(np.mean(interval_losses)), float(np.mean(interval_qs)))
-            interval_losses, interval_qs = [], []
-            if env is not None and (step % config.eval_interval == 0 or step == config.steps):
-                eval_rng = np.random.default_rng(rng.integers(2 ** 63))
-                mean, std = evaluate_policy(
-                    env, lambda s: act(agent, s), config.eval_episodes, eval_rng
-                )
-                rec.eval_return_mean = mean
-                rec.eval_return_std = std
-            log.append(rec)
-
+    log = _fit(agent, dataset, config, rng, env, update)
     if decoder.checkpoint_hash() != agent.decoder_hash:
         raise RuntimeError("frozen decoder was mutated during policy training")
     return agent, log
@@ -445,8 +429,6 @@ def save_agent(path, agent: PlasAgent, config: PlasTrainConfig | None = None) ->
         "max_latent_action": agent.actor.max_latent_action,
         "lam": agent.critics.lam,
         "gamma": agent.critics.gamma,
-        "tau": agent.tau,
-        "actor_objective": agent.actor_objective,
         "decoder_hash": agent.decoder.checkpoint_hash(),
         "perturbation_epsilon": 0.0 if agent.perturbation is None else agent.perturbation.epsilon,
         "config": None if config is None else asdict(config),
@@ -456,7 +438,8 @@ def save_agent(path, agent: PlasAgent, config: PlasTrainConfig | None = None) ->
 def load_agent(path, decoder) -> PlasAgent:
     """The agent saved at ``path``, acting through ``decoder``, which must be
     the decoder it was saved with."""
-    header, nets = _read(path, "agent")
+    header, nets = _read(path, "agent", settings=(
+        "max_latent_action", "lam", "gamma", "decoder_hash", "perturbation_epsilon"))
     if decoder.checkpoint_hash() != header["decoder_hash"]:
         raise ValueError("checkpoint was trained against a different decoder")
     sigma = header["max_latent_action"]
@@ -479,8 +462,6 @@ def load_agent(path, decoder) -> PlasAgent:
         decoder=decoder,
         perturbation=pert,
         perturbation_target=pert_target,
-        tau=header["tau"],
-        actor_objective=header["actor_objective"],
         decoder_hash=header["decoder_hash"],
     )
 

@@ -1,8 +1,9 @@
 """Comparison policies: behavior cloning and the unconstrained off-policy learner.
 
 The unconstrained learner is the minimal ablation of the latent-action agent:
-identical twin critics, identical optimizer code path (``agent.critic_step``),
-identical target logic; only the actor differs, mapping states straight to
+the same training loop (``agent._fit``: sampling, Polyak targets, logging,
+evaluation), twin critics, critic step (``agent.critic_step``), target logic
+and Q1 actor gradient; only the actor differs, mapping states straight to
 actions with no behavior-model constraint. It deliberately omits target-policy
 smoothing noise so the two learners differ in the actor parameterization and
 nothing else. Applied to a fixed dataset it is the classic recipe for Q-value
@@ -14,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import CriticPair, LogRecord, _action_grad, compute_target, critic_step
-from .data import TransitionDataset, sample_batch, sample_indices
-from .envs import evaluate_policy
+from .agent import CriticPair, LogRecord, _action_grad, _fit, compute_target, critic_step
+from .data import TransitionDataset, sample_indices
 from .nets import (
     AdamState,
     Mlp,
@@ -27,7 +27,6 @@ from .nets import (
     mlp_forward,
     mlp_init,
     mlp_tape,
-    polyak_update,
 )
 
 LOSS_REPORT_CAP = 1e12
@@ -89,6 +88,12 @@ class UnconstrainedAgent:
     def policy_fn(self):
         return lambda s: self.action(s)
 
+    def target_pairs(self) -> list[tuple[Mlp, Mlp]]:
+        """(target, online) for every network with a Polyak-averaged copy."""
+        return [(self.critics.q1_target, self.critics.q1),
+                (self.critics.q2_target, self.critics.q2),
+                (self.actor_target, self.actor)]
+
 
 @dataclass
 class UnconstrainedTrainConfig:
@@ -121,7 +126,7 @@ def direct_actor_update(agent: UnconstrainedAgent, states: np.ndarray,
     """Deterministic policy gradient straight through the actor (no decoder)."""
     s = np.atleast_2d(states)
     tape = mlp_tape(agent.actor, s)
-    mean_q, da = _action_grad(agent.critics, s, tape.output, "q1")
+    mean_q, da = _action_grad(agent.critics, s, tape.output)
     grads, _ = mlp_backward(agent.actor, da, tape)
     adam_step(agent.actor, grads, adam_actor)
     return mean_q
@@ -146,43 +151,24 @@ def train_unconstrained(
 ) -> tuple[UnconstrainedAgent, list[LogRecord]]:
     """Run the off-policy learner on the fixed buffer, no constraint at all.
 
+    Runs ``agent._fit`` with ``unconstrained_update`` as its update.
     Non-finite losses late in training are expected behavior for this
     baseline, not a bug: they are logged (capped at ``LOSS_REPORT_CAP``) and
     the run continues. A non-finite critic loss or gradient skips the whole
     update, critics and actor alike; a non-finite actor gradient skips only
     the actor's step, after the critics have already stepped.
     """
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
     agent = unconstrained_agent_init(dataset.state_dim, dataset.action_dim, config, rng)
     adam_q1 = adam_init(agent.critics.q1, config.critic_lr)
     adam_q2 = adam_init(agent.critics.q2, config.critic_lr)
     adam_actor = adam_init(agent.actor, config.actor_lr)
 
-    log: list[LogRecord] = []
-    losses: list[float] = []
-    qs: list[float] = []
-    for step in range(1, config.steps + 1):
-        batch = sample_batch(dataset, config.batch_size, rng)
+    def update(batch):
         try:
             loss, mean_q = unconstrained_update(agent, batch, adam_q1, adam_q2, adam_actor)
         except NonFiniteError:
-            loss, mean_q = LOSS_REPORT_CAP, LOSS_REPORT_CAP
-        losses.append(min(loss, LOSS_REPORT_CAP))
-        qs.append(float(np.clip(mean_q, -LOSS_REPORT_CAP, LOSS_REPORT_CAP)))
+            return LOSS_REPORT_CAP, LOSS_REPORT_CAP
+        return (min(loss, LOSS_REPORT_CAP),
+                float(np.clip(mean_q, -LOSS_REPORT_CAP, LOSS_REPORT_CAP)))
 
-        polyak_update(agent.critics.q1_target, agent.critics.q1, config.tau)
-        polyak_update(agent.critics.q2_target, agent.critics.q2, config.tau)
-        polyak_update(agent.actor_target, agent.actor, config.tau)
-
-        if step % config.log_every == 0 or step == config.steps:
-            rec = LogRecord(step, float(np.mean(losses)), float(np.mean(qs)))
-            losses, qs = [], []
-            if env is not None and (step % config.eval_interval == 0 or step == config.steps):
-                eval_rng = np.random.default_rng(rng.integers(2 ** 63))
-                mean, std = evaluate_policy(env, agent.policy_fn(), config.eval_episodes, eval_rng)
-                rec.eval_return_mean = mean
-                rec.eval_return_std = std
-            log.append(rec)
-    return agent, log
-
+    return agent, _fit(agent, dataset, config, rng, env, update)

@@ -291,7 +291,7 @@ def save_cvae(path, cvae: BehaviorCvae) -> None:
 
 
 def load_cvae(path) -> BehaviorCvae:
-    header, nets = _read(path, "cvae")
+    header, nets = _read(path, "cvae", settings=_SETTINGS)
     return BehaviorCvae(nets["encoder"], nets["decoder"],
                         **{name: header[name] for name in _SETTINGS})
 

@@ -136,5 +136,9 @@ def save_dataset(path, dataset: TransitionDataset) -> None:
 
 
 def load_dataset(path) -> TransitionDataset:
-    header, columns = _read(path, "dataset", COLUMNS)
-    return TransitionDataset(**columns, meta=DatasetMeta(**header["meta"]))
+    header, columns = _read(path, "dataset", COLUMNS, ("meta",))
+    try:
+        meta = DatasetMeta(**header["meta"])
+    except TypeError as e:
+        raise ValueError(f"{path} is not a 'dataset' file: meta {header['meta']!r}: {e}") from e
+    return TransitionDataset(**columns, meta=meta)

@@ -143,9 +143,8 @@ def train_online_medium(env, seed: int, recipe: OnlineTrainRecipe) -> OnlineRunR
         if t > recipe.warmup_steps:
             batch = replay.sample(recipe.batch_size, rng)
             unconstrained_update(agent, batch, adam_q1, adam_q2, adam_actor)
-            polyak_update(agent.critics.q1_target, agent.critics.q1, cfg.tau)
-            polyak_update(agent.critics.q2_target, agent.critics.q2, cfg.tau)
-            polyak_update(agent.actor_target, agent.actor, cfg.tau)
+            for target, online in agent.target_pairs():
+                polyak_update(target, online, cfg.tau)
 
         if t % recipe.eval_every == 0 and t > recipe.warmup_steps:
             mean, _ = evaluate_policy(env, agent.policy_fn(), recipe.eval_episodes,

@@ -387,12 +387,13 @@ def _write(path, kind: str, settings: dict, contents: dict) -> None:
         np.savez(f, header=np.array(json.dumps(header)), **arrays)
 
 
-def _read(path, kind: str, columns=()) -> tuple[dict, dict]:
+def _read(path, kind: str, columns=(), settings=()) -> tuple[dict, dict]:
     """The header of the ``kind`` container at ``path`` and its contents: each
     of ``columns`` as an array, each network the header lists as an ``Mlp``.
     A file that is not such a container, is of another format or version, or
-    lacks an entry raises ValueError (ShapeError for a vector that does not fit
-    its layout). Nothing is unpickled."""
+    lacks an entry or one of the header's ``settings`` raises ValueError
+    (ShapeError for a vector that does not fit its layout). Nothing is
+    unpickled."""
     def bad(why):
         return ValueError(f"{path} is not a {kind!r} file of version {FORMAT_VERSION}: {why}")
 
@@ -407,6 +408,9 @@ def _read(path, kind: str, columns=()) -> tuple[dict, dict]:
         raise bad("the header is not a JSON object")
     if (header.get("format"), header.get("version")) != (kind, FORMAT_VERSION):
         raise bad(f"format {header.get('format')!r}, version {header.get('version')!r}")
+    for name in settings:
+        if name not in header:
+            raise bad(f"no setting {name!r}")
     layouts = header.get("nets", {})
     for name in [*columns, *layouts]:
         if name not in arrays or arrays[name].dtype != np.float64:

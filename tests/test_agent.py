@@ -101,7 +101,6 @@ def test_perturbation_stays_within_epsilon():
         actor_target=LatentActor(with_head.actor_target.net.copy(), 2.0),
         critics=with_head.critics,
         decoder=decoder,
-        tau=0.005,
     )
     rng = np.random.default_rng(54)
     states = rng.normal(size=(10_000, 2))
@@ -125,7 +124,6 @@ def test_epsilon_zero_is_identity_path():
         decoder=decoder,
         perturbation=PerturbationHead(head_net, 0.0),
         perturbation_target=PerturbationHead(head_net.copy(), 0.0),
-        tau=0.005,
     )
     for s in rng.normal(size=(50, 2)):
         assert np.array_equal(act(agent, s), act(with_head, s))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plas.cvae import cvae_init, load_cvae, save_cvae
+from plas.agent import PlasTrainConfig, load_agent, plas_agent_init, save_agent
+from plas.cvae import FrozenDecoder, cvae_init, load_cvae, save_cvae
 from plas.data import DatasetMeta, TransitionDataset, load_dataset, save_dataset
 from plas.nets import (
     FORMAT_VERSION,
@@ -429,6 +430,29 @@ def test_malformed_files_raise_value_error(tmp_path, make, monkeypatch):
     monkeypatch.setattr("pickle.loads", lambda *a, **k: pytest.fail("unpickled"))
     expected = ShapeError if make is _flat_too_short else ValueError
     with pytest.raises(expected, match=kind):
+        load(path)
+
+
+def _small_agent_file(path):
+    decoder = FrozenDecoder(cvae_init(2, 1, np.random.default_rng(0), hidden_sizes=(4,)))
+    agent = plas_agent_init(2, decoder, PlasTrainConfig(hidden_sizes=(4,)),
+                            np.random.default_rng(1))
+    save_agent(path, agent)
+    return lambda p: load_agent(p, decoder)
+
+
+@pytest.mark.parametrize("make, kind, edit", [
+    (_small_dataset_file, "dataset", lambda h: h.pop("meta")),
+    (_small_dataset_file, "dataset", lambda h: h["meta"].pop("seed")),
+    (_small_cvae_file, "cvae", lambda h: h.pop("latent_dim")),
+    (_small_agent_file, "agent", lambda h: h.pop("decoder_hash")),
+], ids=["dataset-meta", "dataset-meta-seed", "cvae-latent_dim", "agent-decoder_hash"])
+def test_header_missing_a_setting_raises_value_error(tmp_path, make, kind, edit):
+    path = tmp_path / "f.npz"
+    load = make(path)
+    load(path)  # the unedited file loads
+    rewrite_container(path, edit)
+    with pytest.raises(ValueError, match=f"'{kind}'"):
         load(path)
 
 
