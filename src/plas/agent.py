@@ -222,10 +222,11 @@ def _policy_actions(
     return np.clip(summed, -1.0, 1.0), tapes
 
 
-def act(agent: PlasAgent, state: np.ndarray) -> np.ndarray:
-    """Deterministic action for a single state."""
-    a, _ = _policy_actions(agent, np.asarray(state, dtype=np.float64)[None, :], use_target=False)
-    return a[0]
+def act(agent: PlasAgent, states: np.ndarray) -> np.ndarray:
+    """Deterministic actions: one state (d,) gives (a,), a batch (k, d) gives (k, a)."""
+    s = np.asarray(states, dtype=np.float64)
+    a, _ = _policy_actions(agent, s, use_target=False)
+    return a[0] if s.ndim == 1 else a
 
 
 def critic_update(agent: PlasAgent, batch: Batch, adam_q1: AdamState,

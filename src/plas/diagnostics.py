@@ -21,7 +21,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .agent import q_values
-from .envs import rollout
+from .envs import rollout_batch
 
 
 @dataclass
@@ -67,19 +67,16 @@ def q_error_report(agent, env, n_episodes: int, gamma: float,
                    rng: np.random.Generator, truncation: int = 1000) -> QErrorReport:
     """Roll out the agent's deterministic policy and grade its first critic.
 
-    ``agent`` needs a ``policy_fn()`` and a ``critics.q1`` network (both the
-    latent-action agent and the unconstrained baseline qualify).
+    ``agent`` needs a ``policy_fn()`` that maps a batch of states (k, d) to
+    actions (k, a), and a ``critics.q1`` network (both the latent-action agent
+    and the unconstrained baseline qualify). The episodes run in lockstep
+    (``envs.rollout_batch``) and the critic grades all their steps in one call.
     """
-    if n_episodes < 1:
-        raise ValueError("need at least one episode")
-    policy = agent.policy_fn()
-    errors: list[np.ndarray] = []
-    for _ in range(n_episodes):
-        ro = rollout(env, policy, rng)
-        q = q_values(agent.critics.q1, ro.states, ro.actions)
-        g = empirical_return(ro.rewards, gamma, truncation)
-        errors.append(q - g)
-    return report_from_errors(np.concatenate(errors), n_episodes)
+    rollouts = rollout_batch(env, agent.policy_fn(), n_episodes, rng)
+    q = q_values(agent.critics.q1, np.concatenate([ro.states for ro in rollouts]),
+                 np.concatenate([ro.actions for ro in rollouts]))
+    g = np.concatenate([empirical_return(ro.rewards, gamma, truncation) for ro in rollouts])
+    return report_from_errors(q - g, n_episodes)
 
 
 @dataclass

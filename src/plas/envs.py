@@ -12,12 +12,22 @@ Two environments ship by default:
   which is exactly the regime where out-of-distribution actions get punished.
 
 Environments are cheap value objects: ``step`` is a pure function of
-(state, action) and ``reset`` only consumes the rng you hand it. Out-of-bounds
-actions are clipped into [-1, 1] and counted on a module-level tally rather
-than raising (see ``clip_warning_count``).
+(states, actions) and ``reset`` only consumes the rng you hand it. ``step`` is an
+array step: states (N, state_dim) and actions (N, action_dim) give next states
+(N, state_dim), rewards (N,) and dones (N,), row by row. One state (state_dim,)
+with one action runs the same code and gives (next state, float, bool), equal
+bit for bit to row 0 of the batched step. Out-of-bounds actions are clipped
+into [-1, 1] row by row (a row is clipped when its largest magnitude exceeds
+1 + 1e-12) and each clipped row adds one to a module-level tally rather than
+raising (see ``clip_warning_count``).
+
+``rollout_batch`` is the one episode engine: it runs N episodes in lockstep,
+one batched policy call and one array ``step`` per time step, and is used by
+dataset generation, evaluation and the Q-error report.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +36,7 @@ _CLIP_WARNINGS = 0
 
 
 def clip_warning_count() -> int:
-    """Number of out-of-bounds actions clipped since import (or last reset)."""
+    """Number of action rows clipped into [-1, 1] since import (or last reset)."""
     return _CLIP_WARNINGS
 
 
@@ -35,15 +45,34 @@ def reset_clip_warning_count() -> None:
     _CLIP_WARNINGS = 0
 
 
-def _clip_action(action: np.ndarray, dim: int) -> np.ndarray:
+def _step_rows(env, states, actions) -> tuple[np.ndarray, np.ndarray, bool]:
+    """States (N, state_dim) and row-clipped actions (N, action_dim) as float64,
+    and whether one state was given (then the action may be any shape of
+    ``action_dim`` entries)."""
     global _CLIP_WARNINGS
-    a = np.asarray(action, dtype=np.float64).reshape(-1)
-    if a.shape[0] != dim:
-        raise ValueError(f"action must have {dim} entries, got {a.shape[0]}")
-    if np.max(np.abs(a)) > 1.0 + 1e-12:
-        _CLIP_WARNINGS += 1
-        a = np.clip(a, -1.0, 1.0)
-    return a
+    s = np.asarray(states, dtype=np.float64)
+    a = np.asarray(actions, dtype=np.float64)
+    single = s.ndim == 1
+    if single:
+        s, a = s[None, :], a.reshape(1, -1)
+    if s.ndim != 2 or s.shape[1] != env.state_dim:
+        raise ValueError(f"states must be ({env.state_dim},) or (N, {env.state_dim}), "
+                         f"got {np.shape(states)}")
+    if a.shape != (s.shape[0], env.action_dim):
+        raise ValueError(f"actions must be ({s.shape[0]}, {env.action_dim}) for states "
+                         f"{np.shape(states)}, got {np.shape(actions)}")
+    over = np.abs(a) > 1.0 + 1e-12
+    if np.count_nonzero(over):
+        over = over.any(axis=1)
+        _CLIP_WARNINGS += int(over.sum())
+        a = np.where(over[:, None], np.clip(a, -1.0, 1.0), a)
+    return s, a, single
+
+
+def _stepped(next_states, rewards, dones, single: bool):
+    if single:
+        return next_states[0], rewards.item(), dones.item()
+    return next_states, rewards, dones
 
 
 @dataclass(frozen=True)
@@ -65,19 +94,21 @@ class PointMassEnv:
         p = rng.uniform(-self.start_jitter, self.start_jitter, size=2)
         return np.array([p[0], p[1], 0.0, 0.0])
 
-    def step(self, state: np.ndarray, action) -> tuple[np.ndarray, float, bool]:
-        a = _clip_action(action, self.action_dim)
-        p, v = state[:2], state[2:]
-        v2 = self.damping * v + self.dt * a
-        p2 = p + self.dt * v2
-        dist = float(np.linalg.norm(p2 - np.asarray(self.goal)))
-        done = dist < self.goal_radius
-        reward = -dist + (self.goal_bonus if done else 0.0)
-        return np.concatenate([p2, v2]), reward, done
+    def step(self, states: np.ndarray, actions):
+        """Array step: see the module docstring for the shapes."""
+        s, a, single = _step_rows(self, states, actions)
+        v2 = self.damping * s[:, 2:] + self.dt * a
+        p2 = s[:, :2] + self.dt * v2
+        d = p2 - np.asarray(self.goal)
+        # sqrt of a per-row dot product: the same rounding as np.linalg.norm of one row
+        dist = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
+        dones = dist < self.goal_radius
+        rewards = -dist + self.goal_bonus * dones
+        return _stepped(np.concatenate([p2, v2], axis=1), rewards, dones, single)
 
-    def expert_action(self, state: np.ndarray) -> np.ndarray:
-        # proportional-derivative servo onto the goal
-        p, v = state[:2], state[2:]
+    def expert_action(self, states: np.ndarray) -> np.ndarray:
+        """Proportional-derivative servo onto the goal, row-wise over (..., 4)."""
+        p, v = states[..., :2], states[..., 2:]
         return np.clip(2.0 * (np.asarray(self.goal) - p) - 1.0 * v, -1.0, 1.0)
 
 
@@ -117,19 +148,20 @@ class EdgeFollowEnv:
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         return np.array([rng.uniform(0.0, self.start_jitter)])
 
-    def step(self, state: np.ndarray, action) -> tuple[np.ndarray, float, bool]:
-        a = float(_clip_action(action, self.action_dim)[0])
-        speed = 0.5 * (a + 1.0)
-        x = float(state[0])
-        if speed > float(self.speed_limit(x)):
-            # edge lost: absorbing failure, no reward this step
-            return np.array([x]), 0.0, True
-        x2 = min(x + self.step_scale * speed, 1.0)
-        done = x2 >= 1.0
-        return np.array([x2]), speed, done
+    def step(self, states: np.ndarray, actions):
+        """Array step: see the module docstring for the shapes."""
+        s, a, single = _step_rows(self, states, actions)
+        x = s[:, 0]
+        speed = 0.5 * (a[:, 0] + 1.0)
+        # edge lost: absorbing failure, no reward this step, the state stays
+        lost = speed > self.speed_limit(x)
+        x2 = np.minimum(x + self.step_scale * speed, 1.0)
+        next_states = np.where(lost, x, x2)[:, None]
+        return _stepped(next_states, np.where(lost, 0.0, speed), lost | (x2 >= 1.0), single)
 
-    def expert_action(self, state: np.ndarray, margin: float = 0.05) -> np.ndarray:
-        return self.action_for_speed([float(self.speed_limit(state[0])) - margin])
+    def expert_action(self, states: np.ndarray, margin: float = 0.05) -> np.ndarray:
+        """Just under the local speed limit, row-wise over (..., 1)."""
+        return self.action_for_speed(self.speed_limit(np.asarray(states)[..., :1]) - margin)
 
     def return_upper_bound(self, gamma: float) -> float:
         """Analytic ceiling on any discounted return from any state-action.
@@ -175,42 +207,71 @@ class Rollout:
         return len(self.rewards)
 
 
-def rollout(env, policy_fn, rng: np.random.Generator, noise_std: float = 0.0) -> Rollout:
-    """One episode under ``policy_fn(state) -> action``.
+def rollout_batch(env, policy, n_episodes: int, rng: np.random.Generator,
+                  noise_std: float = 0.0) -> list[Rollout]:
+    """``n_episodes`` episodes in lockstep under ``policy(states (k, d)) -> (k, a)``.
 
-    Optional Gaussian exploration noise is added before clipping; the noise
-    stream comes from the caller's rng so rollouts stay reproducible.
+    All resets are drawn first, in episode order. Each time step then calls
+    ``policy`` once on the k unfinished episodes, adds Gaussian exploration
+    noise (one (k, a) draw from ``rng`` when ``noise_std > 0``), clips into
+    [-1, 1] and takes one array ``env.step``; an episode ends at ``done`` or
+    after ``env.horizon`` steps. Returns one ``Rollout`` per episode, in
+    episode order. With one episode and a policy that reads only its own row,
+    this is the sequential single-episode loop, draw for draw.
     """
-    state = env.reset(rng)
-    states, actions, rewards, next_states, dones = [], [], [], [], []
-    for _ in range(env.horizon):
-        action = np.asarray(policy_fn(state), dtype=np.float64).reshape(-1)
+    if n_episodes < 1:
+        raise ValueError("need at least one episode")
+    if not (math.isfinite(noise_std) and noise_std >= 0.0):
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
+    n, horizon, a_dim = n_episodes, env.horizon, env.action_dim
+    state = np.stack([env.reset(rng) for _ in range(n)])
+    states = np.empty((n, horizon, env.state_dim))
+    actions = np.empty((n, horizon, a_dim))
+    rewards = np.empty((n, horizon))
+    next_states = np.empty_like(states)
+    dones = np.empty((n, horizon))
+    lengths = np.full(n, horizon)
+    live = np.arange(n)
+    rows = slice(None)  # indexes the live episodes; a slice until the first one ends
+    for t in range(horizon):
+        action = np.asarray(policy(state), dtype=np.float64).reshape(len(live), a_dim)
         if noise_std > 0.0:
             action = action + rng.normal(0.0, noise_std, size=action.shape)
-        action = np.clip(action, -1.0, 1.0)
+        action = action.clip(-1.0, 1.0)
         next_state, reward, done = env.step(state, action)
-        states.append(state)
-        actions.append(action)
-        rewards.append(reward)
-        next_states.append(next_state)
-        dones.append(done)
+        states[rows, t] = state
+        actions[rows, t] = action
+        rewards[rows, t] = reward
+        next_states[rows, t] = next_state
+        dones[rows, t] = done
+        if np.count_nonzero(done):  # cheaper than .any() on a few rows
+            lengths[live[done]] = t + 1
+            live = rows = live[~done]
+            if not live.size:
+                break
+            next_state = next_state[~done]
         state = next_state
-        if done:
-            break
-    return Rollout(np.array(states), np.array(actions), np.array(rewards, dtype=np.float64),
-                   np.array(next_states), np.array(dones, dtype=np.float64))
+    return [Rollout(states[i, :k], actions[i, :k], rewards[i, :k], next_states[i, :k],
+                    dones[i, :k]) for i, k in enumerate(lengths.tolist())]
 
 
 def evaluate_policy(env, policy_fn, n_episodes: int, rng: np.random.Generator) -> tuple[float, float]:
-    """Mean and std of undiscounted episode returns over fresh rollouts."""
-    if n_episodes < 1:
-        raise ValueError("need at least one episode")
-    returns = [rollout(env, policy_fn, rng).total_reward for _ in range(n_episodes)]
+    """Mean and std of undiscounted episode returns over fresh rollouts.
+
+    ``policy_fn(state) -> action`` maps one state. It is called once per state
+    per step, in episode order among the live episodes, while the env steps
+    all of them in lockstep. The rng gives the resets only.
+    """
+    def per_state(states):
+        return np.array([policy_fn(s) for s in states])
+
+    returns = [ro.total_reward for ro in rollout_batch(env, per_state, n_episodes, rng)]
     return float(np.mean(returns)), float(np.std(returns))
 
 
 def random_policy(env, rng: np.random.Generator):
-    def policy(_state):
-        return rng.uniform(-1.0, 1.0, size=env.action_dim)
+    """Uniform actions from ``rng``: (a,) for one state, (k, a) for k states."""
+    def policy(states):
+        return rng.uniform(-1.0, 1.0, size=np.shape(states)[:-1] + (env.action_dim,))
 
     return policy

@@ -13,9 +13,19 @@
   the support studies: a fast mode just under the local speed limit and a slow
   reverse mode, with nothing in between.
 
-The online run is cached per (env, seed, recipe) within a process so that
-``medium`` and ``medium_replay`` describe the same training run, and so that
-the experiment pipeline does not pay for it twice.
+Rollout regimes (all but ``medium_replay``) run their episodes in lockstep
+batches of ``EPISODES_PER_BATCH`` through ``envs.rollout_batch``: one batched
+policy call and one array env step per time step. Batches are appended in
+episode order until there are enough rows, and the result is cut to the size
+asked for. Per-step exploration and behaviour noise is drawn once per lockstep
+step for the live rows, so the datasets (and their content hashes) differ from
+those of the earlier one-episode-at-a-time loop; for a fixed seed they are
+stable, and a size-n dataset is the first n rows of any larger one.
+
+The online run (``train_online_medium``) steps one state at a time. It is
+cached per (env, seed, recipe) within a process so that ``medium`` and
+``medium_replay`` describe the same training run, and so that the experiment
+pipeline does not pay for it twice.
 """
 from __future__ import annotations
 
@@ -25,7 +35,7 @@ import numpy as np
 
 from .baselines import UnconstrainedTrainConfig, unconstrained_agent_init, unconstrained_update
 from .data import Batch, DatasetMeta, TransitionDataset, concat_datasets
-from .envs import EdgeFollowEnv, evaluate_policy, random_policy, rollout
+from .envs import EdgeFollowEnv, evaluate_policy, random_policy, rollout_batch
 from .nets import adam_init, polyak_update
 
 
@@ -178,27 +188,34 @@ def medium_run(env, seed: int, recipe: OnlineTrainRecipe | None = None) -> Onlin
 
 _COLUMNS = tuple(f.name for f in fields(Batch))
 
+# Episodes per lockstep batch in generation. A constant, not a function of the
+# size asked for, so a size-n dataset is the first n rows of any larger one.
+EPISODES_PER_BATCH = 128
+
 
 def _first_rows(parts, n: int) -> Batch:
     """The first ``n`` rows of columnar ``parts`` laid end to end, as new arrays."""
     return Batch(*(np.concatenate([getattr(p, c) for p in parts])[:n] for c in _COLUMNS))
 
 
-def _rollout_columns(env, policy_fn, n: int, rng: np.random.Generator,
+def _rollout_columns(env, policy, n: int, rng: np.random.Generator,
                      noise_std: float = 0.0) -> Batch:
-    """Whole episodes under ``policy_fn`` until there are ``n`` rows, cut to ``n``."""
-    # an empty buffer sets the column widths, so n == 0 gives zero rows, not an error
-    episodes = [_ReplayBuffer(0, env.state_dim, env.action_dim)]
-    rows = 0
-    while rows < n:
-        episodes.append(rollout(env, policy_fn, rng, noise_std=noise_std))
-        rows += len(episodes[-1])
+    """Batches of ``EPISODES_PER_BATCH`` lockstep episodes under the batched
+    ``policy`` until there are ``n`` rows, laid end to end and cut to ``n``."""
+    episodes = []
+    # at least one batch, so n == 0 still knows the column widths
+    while not episodes or sum(map(len, episodes)) < n:
+        episodes += rollout_batch(env, policy, EPISODES_PER_BATCH, rng, noise_std)
     return _first_rows(episodes, n)
 
 
 def generate_dataset(env, kind: str, size: int, seed: int,
                      recipe: OnlineTrainRecipe | None = None) -> TransitionDataset:
-    """Produce one of the benchmark-style dataset regimes for a toy env."""
+    """Produce one of the benchmark-style dataset regimes for a toy env.
+
+    Exactly ``size`` rows, except ``medium_replay``, which has at most the
+    online run's logged transitions.
+    """
     if size < 1:
         raise ValueError("size must be >= 1")
     rng = np.random.default_rng(seed)
@@ -231,26 +248,19 @@ def make_bimodal_dataset(size: int, seed: int, env: EdgeFollowEnv | None = None,
 
     At every state the behavior commands either ``fast_frac`` or ``slow_frac``
     of the local speed limit (plus a little action noise), so the local action
-    distribution is bimodal everywhere, with nothing between the modes.
+    distribution is bimodal everywhere, with nothing between the modes. The
+    episodes run in lockstep batches like every other rollout regime; each
+    step draws the live rows' modes, then their noise.
     """
     env = env or EdgeFollowEnv()
     rng = np.random.default_rng(seed)
-    states, actions, rewards, next_states, dones = [], [], [], [], []
-    while len(rewards) < size:
-        state = env.reset(rng)
-        for _ in range(env.horizon):
-            frac = fast_frac if rng.uniform() < p_fast else slow_frac
-            a = float(env.action_for_speed(frac * float(env.speed_limit(state[0]))))
-            a = float(np.clip(a + mode_noise * rng.standard_normal(), -1.0, 1.0))
-            action = np.array([a])
-            next_state, reward, done = env.step(state, action)
-            states.append(state)
-            actions.append(action)
-            rewards.append(reward)
-            next_states.append(next_state)
-            dones.append(done)
-            state = next_state
-            if done or len(rewards) >= size:
-                break
+
+    def behavior(states):
+        frac = np.where(rng.uniform(size=len(states)) < p_fast, fast_frac, slow_frac)
+        a = env.action_for_speed(frac * env.speed_limit(states[:, 0]))
+        return np.clip(a + mode_noise * rng.standard_normal(len(states)), -1.0, 1.0)
+
+    columns = _rollout_columns(env, behavior, size, rng)
     meta = DatasetMeta(env_name=env.name, generator_kind="custom", seed=seed, size=size)
-    return TransitionDataset(states, actions, rewards, next_states, dones, meta)
+    return TransitionDataset(columns.states, columns.actions, columns.rewards,
+                             columns.next_states, columns.dones, meta)

@@ -82,6 +82,19 @@ def test_act_zero_actor_equals_decode_at_zero():
     assert np.allclose(act(agent, s), expect)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+def test_act_takes_one_state_or_a_batch(epsilon):
+    agent = make_agent(small_cvae_decoder(), epsilon=epsilon)
+    states = np.random.default_rng(57).normal(size=(9, 2))
+    batch = act(agent, states)
+    assert batch.shape == (9, 2)
+    one = np.stack([act(agent, s) for s in states])
+    assert one.shape == (9, 2)
+    # a batched GEMM row may round differently from the batch-1 forward
+    assert np.allclose(batch, one, rtol=0.0, atol=1e-14)
+    assert np.array_equal(agent.policy_fn()(states), batch)
+
+
 def test_latent_bound_holds_everywhere():
     decoder = small_cvae_decoder()
     agent = make_agent(decoder)

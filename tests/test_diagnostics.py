@@ -168,3 +168,48 @@ def test_report_emission(tmp_path):
     assert len(rows) == 2
     assert rows[0]["algorithm"] == "plas"
     assert float(rows[1]["mse"]) == 1.5
+
+
+def _tiny_agents(env, seed):
+    from plas.agent import PlasTrainConfig, plas_agent_init
+    from plas.baselines import UnconstrainedTrainConfig, unconstrained_agent_init
+    from plas.cvae import FrozenDecoder, cvae_init
+
+    rng = np.random.default_rng(seed)
+    cvae = cvae_init(env.state_dim, env.action_dim, rng, hidden_sizes=(8, 8))
+    plas = plas_agent_init(env.state_dim, FrozenDecoder(cvae),
+                           PlasTrainConfig(hidden_sizes=(8, 8), perturbation_epsilon=0.05), rng)
+    base = unconstrained_agent_init(env.state_dim, env.action_dim,
+                                    UnconstrainedTrainConfig(hidden_sizes=(8, 8)), rng)
+    return {"plas": plas, "unconstrained": base}
+
+
+@pytest.mark.parametrize("env_name", ["point-mass", "edge-follow"])
+@pytest.mark.parametrize("which", ["plas", "unconstrained"])
+def test_q_error_report_matches_sequential_per_state_reference(env_name, which):
+    from plas.agent import q_values
+    from plas.envs import make_env
+
+    env = make_env(env_name)
+    agent = _tiny_agents(env, 45)[which]
+    policy = agent.policy_fn()
+    rng = np.random.default_rng(46)
+    errors = []
+    for _ in range(6):  # one episode at a time, one state at a time
+        state, rows = env.reset(rng), []
+        for _ in range(env.horizon):
+            action = np.clip(np.asarray(policy(state)).reshape(-1), -1.0, 1.0)
+            next_state, reward, done = env.step(state, action)
+            rows.append((state, action, reward))
+            state = next_state
+            if done:
+                break
+        s, a, r = (np.array(c) for c in zip(*rows))
+        errors.append(q_values(agent.critics.q1, s, a) - empirical_return(r, 0.99))
+    want = report_from_errors(np.concatenate(errors), 6)
+
+    got = q_error_report(agent, env, 6, 0.99, np.random.default_rng(46))
+    assert (got.n_points, got.n_episodes) == (want.n_points, want.n_episodes)
+    assert got.positive_error_pct == want.positive_error_pct
+    for field in ("mse", "positive_error_mean", "negative_error_mean"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9, abs=1e-12)

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from plas import envs
 from plas.envs import (
     EdgeFollowEnv,
     PointMassEnv,
@@ -9,8 +14,74 @@ from plas.envs import (
     make_env,
     random_policy,
     reset_clip_warning_count,
-    rollout,
+    rollout_batch,
 )
+
+
+# -- frozen reference: the one-state step and the sequential episode loop ------
+# Kept verbatim from the per-row implementation the array step replaced, so the
+# array step, the lockstep engine and evaluation can be held to it bit for bit.
+
+def _ref_clip(action, dim):
+    a = np.asarray(action, dtype=np.float64).reshape(-1)
+    assert a.shape[0] == dim
+    clipped = bool(np.max(np.abs(a)) > 1.0 + 1e-12)
+    return (np.clip(a, -1.0, 1.0) if clipped else a), clipped
+
+
+def _ref_step(env, state, action):
+    """(next state, reward, done, clipped) of the scalar step."""
+    a, clipped = _ref_clip(action, env.action_dim)
+    if isinstance(env, PointMassEnv):
+        p, v = state[:2], state[2:]
+        v2 = env.damping * v + env.dt * a
+        p2 = p + env.dt * v2
+        dist = float(np.linalg.norm(p2 - np.asarray(env.goal)))
+        done = dist < env.goal_radius
+        reward = -dist + (env.goal_bonus if done else 0.0)
+        return np.concatenate([p2, v2]), reward, done, clipped
+    a = float(a[0])
+    speed = 0.5 * (a + 1.0)
+    x = float(state[0])
+    if speed > float(env.speed_limit(x)):
+        return np.array([x]), 0.0, True, clipped
+    x2 = min(x + env.step_scale * speed, 1.0)
+    return np.array([x2]), speed, x2 >= 1.0, clipped
+
+
+def _ref_rollout(env, policy_fn, rng, noise_std=0.0):
+    """Columns of one episode, the sequential loop."""
+    state = env.reset(rng)
+    states, actions, rewards, next_states, dones = [], [], [], [], []
+    for _ in range(env.horizon):
+        action = np.asarray(policy_fn(state), dtype=np.float64).reshape(-1)
+        if noise_std > 0.0:
+            action = action + rng.normal(0.0, noise_std, size=action.shape)
+        action = np.clip(action, -1.0, 1.0)
+        next_state, reward, done, _ = _ref_step(env, state, action)
+        states.append(state)
+        actions.append(action)
+        rewards.append(reward)
+        next_states.append(next_state)
+        dones.append(done)
+        state = next_state
+        if done:
+            break
+    return (np.array(states), np.array(actions), np.array(rewards, dtype=np.float64),
+            np.array(next_states), np.array(dones, dtype=np.float64))
+
+
+def _columns(ro):
+    return (ro.states, ro.actions, ro.rewards, ro.next_states, ro.dones)
+
+
+def _same_bits(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _one_episode(policy_fn):
+    """A per-state policy as the batched policy of one episode."""
+    return lambda states: np.asarray(policy_fn(states[0]))[None]
 
 
 def test_point_mass_zero_action_keeps_position():
@@ -34,7 +105,7 @@ def test_point_mass_scripted_rollout_matches_hand_simulation():
     # independent re-simulation of the same closed-form dynamics
     env = PointMassEnv()
     rng = np.random.default_rng(42)
-    ro = rollout(env, env.expert_action, rng)
+    ro = rollout_batch(env, env.expert_action, 1, rng)[0]
 
     state = ro.states[0].copy()
     total = 0.0
@@ -106,7 +177,7 @@ def test_edge_follow_upper_bound():
 
 def test_edge_follow_reward_equals_progress_over_scale():
     env = EdgeFollowEnv()
-    ro = rollout(env, env.expert_action, np.random.default_rng(5))
+    ro = rollout_batch(env, env.expert_action, 1, np.random.default_rng(5))[0]
     progress = ro.next_states[-1, 0] - ro.states[0, 0]
     assert ro.total_reward == pytest.approx(progress / env.step_scale, abs=1e-9)
     assert np.all(ro.rewards >= 0.0)
@@ -131,8 +202,8 @@ def test_reset_is_seed_deterministic():
 
 def test_rollout_respects_horizon():
     env = EdgeFollowEnv(horizon=7)
-    ro = rollout(env, lambda s: np.array([0.0]), np.random.default_rng(6))
-    assert len(ro) == 7
+    for ro in rollout_batch(env, lambda s: np.zeros((len(s), 1)), 3, np.random.default_rng(6)):
+        assert len(ro) == 7
 
 
 def test_make_env_registry():
@@ -140,3 +211,159 @@ def test_make_env_registry():
     assert make_env("edge-follow").name == "edge-follow"
     with pytest.raises(ValueError):
         make_env("mujoco")
+
+
+# -- array step ----------------------------------------------------------------
+
+def _step_rows(env):
+    if isinstance(env, PointMassEnv):
+        # positions around the goal, so some rows reach it
+        state = st.tuples(st.floats(0.8, 1.2), st.floats(0.8, 1.2),
+                          st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    else:
+        state = st.tuples(st.floats(0.0, 1.0))
+    action = st.lists(st.floats(-1.5, 1.5), min_size=env.action_dim, max_size=env.action_dim)
+    return st.lists(st.tuples(state, action), min_size=1, max_size=12)
+
+
+def _assert_rows_match_reference(env, states, actions):
+    reset_clip_warning_count()
+    next_states, rewards, dones = env.step(states, actions)
+    assert clip_warning_count() == sum(_ref_clip(a, env.action_dim)[1] for a in actions)
+    assert next_states.shape == states.shape
+    assert rewards.shape == dones.shape == (len(states),)
+    outcomes = []
+    for i in range(len(states)):
+        want = _ref_step(env, states[i], actions[i])
+        got = env.step(states[i], actions[i])
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1] and got[2] == want[2]
+        assert type(got[1]) is float and type(got[2]) is bool
+        assert np.array_equal(next_states[i], want[0])
+        assert rewards[i] == want[1] and dones[i] == want[2]
+        outcomes.append(want)
+    return outcomes
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(envs.ENVS)))
+def test_one_state_step_is_row_of_batched_step(data, name):
+    env = make_env(name)
+    rows = data.draw(_step_rows(env))
+    _assert_rows_match_reference(env, np.array([r[0] for r in rows]),
+                                 np.array([r[1] for r in rows]))
+
+
+def test_batched_step_rows_cover_every_outcome():
+    edge = EdgeFollowEnv()
+    lim = float(edge.speed_limit(0.2))
+    states = np.array([[0.2], [0.2], [0.999], [0.2], [0.5]])
+    actions = np.array([edge.action_for_speed([lim - 0.1]),    # safe step
+                        edge.action_for_speed([lim + 0.05]),   # edge lost
+                        edge.action_for_speed([0.3]),          # track end
+                        [3.0],                                 # clipped, then lost
+                        [1.0 + 1e-13]])                        # within tolerance: kept
+    out = _assert_rows_match_reference(edge, states, actions)
+    assert [o[2] for o in out] == [False, True, True, True, True]
+    assert [o[3] for o in out] == [False, False, False, True, False]
+    assert out[2][0][0] == 1.0 and out[1][1] == 0.0
+
+    pm = PointMassEnv()
+    states = np.array([[0.99, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.1, -0.1]])
+    actions = np.array([[0.0, 0.0], [0.5, -0.5], [2.0, -0.2]])
+    out = _assert_rows_match_reference(pm, states, actions)
+    assert [o[2] for o in out] == [True, False, False]
+    assert [o[3] for o in out] == [False, False, True]
+
+
+@pytest.mark.parametrize("env, states, actions", [
+    (PointMassEnv(), np.zeros(3), np.zeros(2)),               # state too short
+    (EdgeFollowEnv(), np.array([0.2, 5.0]), np.zeros(1)),     # state too long
+    (PointMassEnv(), np.zeros((2, 5)), np.zeros((2, 2))),     # batch of wrong width
+    (PointMassEnv(), np.zeros((3, 4)), np.zeros((2, 2))),     # row counts differ
+    (EdgeFollowEnv(), np.zeros((2, 1)), np.zeros((2, 2))),    # action of wrong width
+    (EdgeFollowEnv(), np.zeros((2, 1)), np.zeros(1)),         # a batch needs (N, a) actions
+    (EdgeFollowEnv(), np.zeros((1, 1, 1)), np.zeros((1, 1))),
+])
+def test_step_rejects_bad_shapes(env, states, actions):
+    with pytest.raises(ValueError):
+        env.step(states, actions)
+
+
+# -- lockstep engine -------------------------------------------------------------
+
+@pytest.mark.parametrize("n_episodes, noise_std", [
+    (0, 0.0), (-1, 0.0), (1, -1.0), (1, float("nan")), (1, float("inf")), (1, -float("inf")),
+])
+def test_rollout_batch_rejects_bad_inputs(n_episodes, noise_std):
+    env = EdgeFollowEnv()
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        rollout_batch(env, env.expert_action, n_episodes, rng, noise_std=noise_std)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("name", sorted(envs.ENVS))
+@pytest.mark.parametrize("noise_std", [0.0, 0.05, 0.4])
+def test_one_episode_equals_sequential_loop(name, noise_std):
+    env = make_env(name)
+    for seed in range(5):
+        r_ref, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _ref_rollout(env, env.expert_action, r_ref, noise_std)
+        got = rollout_batch(env, env.expert_action, 1, r_new, noise_std)
+        assert len(got) == 1 and _same_bits(_columns(got[0]), want)
+        assert got[0].total_reward == sum(want[2].tolist())
+        assert r_new.bit_generator.state == r_ref.bit_generator.state
+        # a per-state policy drawing from the same rng keeps the same stream too
+        r_ref, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _ref_rollout(env, random_policy(env, r_ref), r_ref, noise_std)
+        got = rollout_batch(env, _one_episode(random_policy(env, r_new)), 1, r_new, noise_std)
+        assert _same_bits(_columns(got[0]), want)
+        assert r_new.bit_generator.state == r_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("name", sorted(envs.ENVS))
+def test_evaluate_policy_equals_sequential_loop(name):
+    env = make_env(name)
+
+    def policy(state):  # deterministic, per state, and off the expert's rule
+        return np.clip(np.asarray(env.expert_action(state)) - 0.3 * math.sin(7.0 * state[0]),
+                       -1.0, 1.0)
+
+    r_ref, r_new, r_batch = (np.random.default_rng(9) for _ in range(3))
+    episodes = [_ref_rollout(env, policy, r_ref) for _ in range(25)]
+    returns = [sum(ep[2].tolist()) for ep in episodes]
+    assert evaluate_policy(env, policy, 25, r_new) == (float(np.mean(returns)),
+                                                       float(np.std(returns)))
+    assert r_new.bit_generator.state == r_ref.bit_generator.state
+    # the same episodes, row for row, from the engine
+    got = rollout_batch(env, lambda s: np.array([policy(x) for x in s]), 25, r_batch)
+    assert all(_same_bits(_columns(ro), ep) for ro, ep in zip(got, episodes))
+    assert len({len(ro) for ro in got}) > 1  # episodes of different lengths were masked
+
+
+@pytest.mark.parametrize("name", sorted(envs.ENVS))
+def test_rollout_batch_masks_finished_episodes_in_order(name):
+    env = make_env(name)
+    rng = np.random.default_rng(7)
+    live_rows = []
+
+    def policy(states):
+        live_rows.append(len(states))
+        return random_policy(env, rng)(states)
+
+    rollouts = rollout_batch(env, policy, 40, rng, noise_std=0.1)
+    starts = np.random.default_rng(7)
+    assert len(rollouts) == 40
+    for ro in rollouts:
+        assert np.array_equal(ro.states[0], env.reset(starts))  # resets in episode order
+        assert 1 <= len(ro) <= env.horizon
+        assert not ro.dones[:-1].any()  # no row after a done
+        assert ro.dones[-1] == 1.0 or len(ro) == env.horizon
+        assert np.array_equal(ro.states[1:], ro.next_states[:-1])
+        next_states, rewards, dones = env.step(ro.states, ro.actions)
+        assert _same_bits((next_states, rewards, dones),
+                          (ro.next_states, ro.rewards, ro.dones == 1.0))
+    # one policy call per step, on exactly the episodes still running
+    assert live_rows == [sum(len(ro) > t for ro in rollouts) for t in range(len(live_rows))]
+    assert max(len(ro) for ro in rollouts) == len(live_rows)

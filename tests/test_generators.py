@@ -39,17 +39,60 @@ def test_expert_dataset_high_reward():
     assert ds.rewards.mean() > 0.3
 
 
+def _generate(env, kind, size, seed):
+    if kind == "bimodal":
+        return make_bimodal_dataset(size, seed, env=env)
+    return generate_dataset(env, kind, size, seed, recipe=FAST_RECIPE)
+
+
+KINDS = ("random", "expert", "medium", "medium_replay", "medium_expert", "bimodal")
+
+
 def test_generate_is_reproducible_byte_for_byte(tmp_path):
     env = EdgeFollowEnv()
-    a = generate_dataset(env, "random", 500, seed=3)
-    b = generate_dataset(env, "random", 500, seed=3)
-    assert a.content_hash() == b.content_hash()
-    pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    save_dataset(pa, a)
-    save_dataset(pb, b)
-    assert pa.read_bytes() == pb.read_bytes()
+    for kind in KINDS:
+        a = _generate(env, kind, 500, seed=5)
+        b = _generate(env, kind, 500, seed=5)
+        assert a.content_hash() == b.content_hash(), kind
+        pa, pb = tmp_path / f"{kind}_a.npz", tmp_path / f"{kind}_b.npz"
+        save_dataset(pa, a)
+        save_dataset(pb, b)
+        assert pa.read_bytes() == pb.read_bytes(), kind
     c = generate_dataset(env, "random", 500, seed=4)
-    assert c.content_hash() != a.content_hash()
+    assert c.content_hash() != generate_dataset(env, "random", 500, seed=3).content_hash()
+
+
+CASES = [(EdgeFollowEnv(), kind) for kind in KINDS] + [(PointMassEnv(), "random"),
+                                                      (PointMassEnv(), "expert")]
+
+
+@pytest.mark.parametrize("env, kind", CASES, ids=[f"{e.name}-{k}" for e, k in CASES])
+def test_every_kind_gives_exactly_the_rows_asked_for(env, kind):
+    replay_rows = len(medium_run(env, 5, FAST_RECIPE).replay) if kind == "medium_replay" else None
+    for size in (1, env.horizon - 1, env.horizon + 1, 5_000):
+        ds = _generate(env, kind, size, seed=5)
+        want = min(size, replay_rows) if replay_rows is not None else size
+        assert len(ds) == ds.meta.size == want, (kind, size)
+
+
+# medium_replay cuts one logged buffer; medium_expert's expert half starts
+# wherever its medium half left the rng
+PREFIX_CASES = [c for c in CASES if c[1] not in ("medium_replay", "medium_expert")]
+
+
+@pytest.mark.parametrize("env, kind", PREFIX_CASES, ids=[f"{e.name}-{k}" for e, k in PREFIX_CASES])
+def test_smaller_dataset_is_a_prefix_of_a_larger_one(env, kind):
+    big = _generate(env, kind, 3_000, seed=5)
+    for n in (1, 37, 1_000, 2_999):
+        small = _generate(env, kind, n, seed=5)
+        for column in ("states", "actions", "rewards", "next_states", "dones"):
+            assert np.array_equal(getattr(small, column), getattr(big, column)[:n]), (n, column)
+
+
+def test_edge_follow_random_episodes_are_short():
+    # the generator's batches end early on most rows: ~3-row episodes, still exact sizes
+    ds = generate_dataset(EdgeFollowEnv(), "random", 2_000, seed=1)
+    assert 1.0 / ds.dones.mean() < 6.0
 
 
 def test_unknown_kind_rejected():
