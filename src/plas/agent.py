@@ -189,14 +189,16 @@ class PlasAgent:
 def _policy_actions(
     agent: PlasAgent, states: np.ndarray, use_target: bool, taped: bool = False
 ) -> tuple[np.ndarray, dict]:
-    """Batched actions: actor, decoder, then the residual head if there is one.
+    """Actions of one state (d,) or a batch (k, d): actor, decoder, then the
+    residual head if there is one, each joined on the last axis.
 
-    ``act`` and ``critic_update`` run plain forwards and get an empty dict.
-    With ``taped`` (``actor_update``) the actor, decoder and head forwards are
-    tapes, returned under "actor", "decoder" and "head" with the unclipped
-    action sum under "summed", for the backward pass.
+    ``act`` and ``critic_update`` run plain forwards and get an empty dict;
+    one state runs them on vectors. With ``taped`` (``actor_update``, on a
+    batch) the actor, decoder and head forwards are tapes, returned under
+    "actor", "decoder" and "head" with the unclipped action sum under
+    "summed", for the backward pass.
     """
-    s = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    s = np.asarray(states, dtype=np.float64)
     actor = agent.actor_target if use_target else agent.actor
     head = agent.perturbation_target if use_target else agent.perturbation
     tapes = {}
@@ -210,7 +212,7 @@ def _policy_actions(
         decoded = agent.decoder.forward(s, z)
     if head is None:
         return decoded, tapes
-    pin = np.concatenate([s, decoded], axis=1)
+    pin = np.concatenate([s, decoded], axis=-1)
     if taped:
         tapes["head"] = mlp_tape(head.net, pin)
         raw = tapes["head"].output
@@ -223,10 +225,9 @@ def _policy_actions(
 
 
 def act(agent: PlasAgent, states: np.ndarray) -> np.ndarray:
-    """Deterministic actions: one state (d,) gives (a,), a batch (k, d) gives (k, a)."""
-    s = np.asarray(states, dtype=np.float64)
-    a, _ = _policy_actions(agent, s, use_target=False)
-    return a[0] if s.ndim == 1 else a
+    """Deterministic actions: one state (d,) gives (a,) through one vector
+    forward per network, a batch (k, d) gives (k, a)."""
+    return _policy_actions(agent, states, use_target=False)[0]
 
 
 def critic_update(agent: PlasAgent, batch: Batch, adam_q1: AdamState,

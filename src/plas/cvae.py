@@ -21,6 +21,7 @@ from .nets import (
     ShapeError,
     Tape,
     _as_batch,
+    _checked,
     _read,
     _write,
     adam_init,
@@ -125,21 +126,21 @@ def reparameterize(mu, log_std, noise):
     return mu + np.exp(log_std) * noise
 
 
-def _decoder_input(cvae: BehaviorCvae, state, z) -> tuple[np.ndarray, bool]:
-    """(state, z) joined into the decoder's (B, state_dim + latent_dim) input,
-    each width checked; the flag marks 1-D arguments."""
-    s, single = _as_batch(state, cvae.state_dim, "state")
-    zz, _ = _as_batch(z, cvae.latent_dim, "z")
-    if s.shape[0] != zz.shape[0]:
-        raise ShapeError("state/z batch mismatch")
-    return np.concatenate([s, zz], axis=1), single
+def _decoder_input(cvae: BehaviorCvae, state, z) -> np.ndarray:
+    """(state, z) joined on the last axis into the decoder's input: one
+    (state_dim + latent_dim,) vector for one state, a (B, ...) batch for a
+    batch. Each width is checked, and state and z must agree in ndim and rows."""
+    s = _checked(state, cvae.state_dim, "state")
+    zz = _checked(z, cvae.latent_dim, "z")
+    if s.shape[:-1] != zz.shape[:-1]:
+        raise ShapeError(f"state {s.shape} and z {zz.shape} differ in ndim or rows")
+    return np.concatenate([s, zz], axis=-1)
 
 
 def decode(cvae: BehaviorCvae, state, z):
-    """Deterministic decoder output; tanh keeps actions in [-1, 1]^d."""
-    x, single = _decoder_input(cvae, state, z)
-    a = mlp_forward(cvae.decoder, x)
-    return a[0] if single else a
+    """Deterministic decoder output; tanh keeps actions in [-1, 1]^d. One
+    state (with one z) runs one forward on vectors and gives (action_dim,)."""
+    return mlp_forward(cvae.decoder, _decoder_input(cvae, state, z))
 
 
 def kl_to_standard_normal(mu, log_std):
@@ -268,13 +269,13 @@ class FrozenDecoder:
         return decode(self._cvae, states, z)
 
     def tape(self, states: np.ndarray, z: np.ndarray) -> Tape:
-        """Taped batch forward; ``.output`` is the (B, action_dim) decoded batch."""
-        return mlp_tape(self._cvae.decoder, _decoder_input(self._cvae, states, z)[0])
+        """Taped forward; ``.output`` is ``forward(states, z)``."""
+        return mlp_tape(self._cvae.decoder, _decoder_input(self._cvae, states, z))
 
     def backward(self, tape: Tape, action_grad: np.ndarray) -> np.ndarray:
-        """(B, latent_dim) dL/dz for L = <action_grad, tape.output>."""
-        d_in = mlp_input_grad(self._cvae.decoder, np.atleast_2d(action_grad), tape)
-        return d_in[:, self.state_dim:]
+        """dL/dz for L = <action_grad, tape.output>, shaped like the taped z."""
+        d_in = mlp_input_grad(self._cvae.decoder, action_grad, tape)
+        return d_in[..., self.state_dim:]
 
     def checkpoint_hash(self) -> str:
         return params_hash(self._cvae.decoder)

@@ -35,17 +35,25 @@ class QErrorReport:
 
 
 def empirical_return(rewards, gamma: float, truncation: int = 1000) -> np.ndarray:
-    """Truncated discounted return G_t for every timestep of one rollout."""
+    """Truncated discounted return G_t for every timestep of one rollout, in
+    O(T): the full suffix returns U_t = r_t + gamma*U_{t+1}, then
+    G_t = U_t - gamma^h * U_{t+h} for the windows that the truncation h cuts.
+    Rewards must be finite: one inf would reach every U before it, and the
+    difference would turn windows that never saw it into NaN."""
     r = np.asarray(rewards, dtype=np.float64)
     if r.size == 0:
         raise ValueError("empty reward sequence")
+    if not np.isfinite(r).all():
+        raise ValueError("non-finite reward")
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    T = r.size
-    out = np.empty(T)
-    for t in range(T):
-        horizon = min(T - t, truncation)
-        out[t] = np.sum(r[t:t + horizon] * gamma ** np.arange(horizon))
+    suffix, u = [], 0.0
+    for x in reversed(r.tolist()):
+        u = x + gamma * u
+        suffix.append(u)
+    out = np.array(suffix[::-1])
+    if truncation < r.size:
+        out[:-truncation] -= gamma ** truncation * out[truncation:]
     return out
 
 
@@ -122,17 +130,16 @@ def support_threshold(dataset, k: int = 10, quantile: float = 0.99,
     """
     rng = np.random.default_rng(seed)
     n = len(dataset)
+    if k < 1 or n < 2:
+        raise ValueError(f"support_threshold needs k >= 1 and two points, got k={k}, n={n}")
     idx = rng.permutation(n)[: min(max_points, n)]
-    tree = cKDTree(dataset.states)
-    k_eff = min(k + 1, n)
-    _, nbr = tree.query(dataset.states[idx], k=k_eff)
-    nbr = np.atleast_2d(nbr)
-    dists = np.empty(len(idx))
-    for row, i in enumerate(idx):
-        neighbors = [j for j in np.atleast_1d(nbr[row]) if j != i][:k]
-        cand = dataset.actions[neighbors]
-        dists[row] = np.min(np.linalg.norm(cand - dataset.actions[i], axis=1))
-    return float(np.quantile(dists, quantile))
+    _, nbr = cKDTree(dataset.states).query(dataset.states[idx], k=min(k + 1, n))
+    # drop each point from its own row (a duplicated state may push it out),
+    # then keep the first k that remain
+    keep = nbr != idx[:, None]
+    keep &= np.cumsum(keep, axis=1) <= k
+    d = np.linalg.norm(dataset.actions[nbr] - dataset.actions[idx][:, None, :], axis=2)
+    return float(np.quantile(np.where(keep, d, np.inf).min(axis=1), quantile))
 
 
 # -- emission -----------------------------------------------------------------

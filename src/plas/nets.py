@@ -5,7 +5,10 @@ checkpoints share.
 Everything in this repo trains through these routines, so they are kept small
 enough to verify against finite differences. All math is float64. Weight
 matrices are stored (out, in); inputs may be single vectors ``(n,)`` or
-batches ``(B, n)``.
+batches ``(B, n)``. One input flows through the forward loop as an ``(n,)``
+vector, with no batch machinery around it: a policy acting on one state per
+control step pays for its layers only. A ``Tape`` of one input views each value
+as ``(1, n)``, so every backward runs on batches.
 
 A network's parameters are one vector, ``flat``, laid out W0, b0, W1, b1, ...
 (row-major); ``weights[k]`` and ``biases[k]`` are views into it, and gradients
@@ -209,18 +212,33 @@ def mlp_zeros(
     return Mlp.from_flat(np.zeros(_flat_size(layer_sizes)), layer_sizes, acts)
 
 
-def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
+def _checked(x, dim: int, what: str) -> np.ndarray:
+    """``x`` as float64, either one ``(dim,)`` vector or a ``(B, dim)`` batch."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-        single = True
-    elif x.ndim == 2:
-        single = False
-    else:
+    if x.ndim not in (1, 2):
         raise ShapeError(f"{what}: expected 1-D or 2-D array, got ndim={x.ndim}")
-    if x.shape[1] != dim:
-        raise ShapeError(f"{what}: expected width {dim}, got {x.shape[1]}")
-    return x, single
+    if x.shape[-1] != dim:
+        raise ShapeError(f"{what}: expected width {dim}, got {x.shape[-1]}")
+    return x
+
+
+def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
+    """``_checked(x)`` as a (B, dim) batch; the flag marks a 1-D ``x``."""
+    x = _checked(x, dim, what)
+    return (x[None, :], True) if x.ndim == 1 else (x, False)
+
+
+def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b``, bit for bit, through ``np.dot`` where that is cheaper.
+
+    numpy's matmul skips BLAS when the inner dimension is 1 (``(100,1) @
+    (1,64)`` takes 4-5x as long); ``np.dot`` does not, and with one product per
+    output entry the two agree exactly. For a vector ``a`` both make the same
+    BLAS call (gemv, or dot for a one-column ``b``), and ``np.dot`` costs less
+    to call."""
+    if a.ndim == 1 or b.shape[0] == 1:
+        return np.dot(a, b, out=out)
+    return np.matmul(a, b, out=out)
 
 
 @dataclass
@@ -231,7 +249,8 @@ class Tape:
     ``values[0]`` is the (B, in) input and ``values[k + 1]`` layer k's
     activation. No pre-activation is kept: every derivative reads the
     activation, and a relu tape is then half the size. ``single`` records a
-    1-D input.
+    1-D input, whose forward ran on (n,) vectors; ``values`` views them as
+    (1, n), so the backward is the batch backward.
     """
 
     output: np.ndarray
@@ -239,30 +258,30 @@ class Tape:
     single: bool
 
 
-def _forward(params: Mlp, x: np.ndarray) -> tuple[list[np.ndarray], bool]:
-    """The input as a (B, n) batch, then each layer's activation; the flag
-    marks a 1-D input. Bias and activation are applied in place, so a layer
-    allocates one (B, out) array."""
-    xb, single = _as_batch(x, params.in_dim, "input")
-    values = [xb]
+def _forward(params: Mlp, x: np.ndarray) -> list[np.ndarray]:
+    """The input, then each layer's activation: (n,) vectors for one input,
+    (B, n) batches for a batch, through the same loop. Bias and activation are
+    applied in place, so a layer allocates one array."""
+    values = [_checked(x, params.in_dim, "input")]
     for w, b, a in zip(params.weights, params.biases, params.activations):
-        h = values[-1] @ w.T
+        h = _mm(values[-1], w.T)
         h += b
         values.append(_act_inplace(a, h))
-    return values, single
+    return values
 
 
 def mlp_forward(params: Mlp, x: np.ndarray) -> np.ndarray:
     """Pure forward pass. Accepts (n,) or (B, n); output shape matches."""
-    values, single = _forward(params, x)
-    return values[-1][0] if single else values[-1]
+    return _forward(params, x)[-1]
 
 
 def mlp_tape(params: Mlp, x: np.ndarray) -> Tape:
     """The forward pass with what its backward needs; ``.output`` equals
     ``mlp_forward(params, x)``."""
-    values, single = _forward(params, x)
-    return Tape(values[-1][0] if single else values[-1], values, single)
+    values = _forward(params, x)
+    if values[0].ndim == 2:
+        return Tape(values[-1], values, False)
+    return Tape(values[-1], [v[None, :] for v in values], True)
 
 
 def _backprop(params: Mlp, output_grad: np.ndarray, tape: Tape,
@@ -279,9 +298,9 @@ def _backprop(params: Mlp, output_grad: np.ndarray, tape: Tape,
     for k in range(len(params.weights) - 1, -1, -1):
         d_pre = _act_grad(params.activations[k], g, tape.values[k + 1])
         if grad_w is not None:
-            np.matmul(d_pre.T, tape.values[k], out=grad_w[k])
+            _mm(d_pre.T, tape.values[k], out=grad_w[k])
             np.sum(d_pre, axis=0, out=grad_b[k])
-        g = d_pre @ params.weights[k]
+        g = _mm(d_pre, params.weights[k])
     return g[0] if single else g
 
 

@@ -59,6 +59,42 @@ def test_empirical_return_rejects_empty():
         empirical_return([], gamma=0.9)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_empirical_return_rejects_non_finite_rewards(bad):
+    with pytest.raises(ValueError):
+        empirical_return([1.0, 2.0, bad, 0.5], gamma=0.9, truncation=1)
+
+
+@pytest.mark.parametrize("truncation", [0, -3])
+def test_empirical_return_rejects_truncation_below_one(truncation):
+    with pytest.raises(ValueError):
+        empirical_return([1.0, 2.0], gamma=0.9, truncation=truncation)
+
+
+def _loop_empirical_return(rewards, gamma, truncation=1000):
+    # the per-timestep window sum that empirical_return replaced
+    r = np.asarray(rewards, dtype=np.float64)
+    out = np.empty(r.size)
+    for t in range(r.size):
+        horizon = min(r.size - t, truncation)
+        out[t] = np.sum(r[t:t + horizon] * gamma ** np.arange(horizon))
+    return out
+
+
+@pytest.mark.parametrize("truncation", [1, 7, 69, 70, 71, 1000])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_empirical_return_equals_the_window_loop(truncation, sign):
+    # env rewards keep one sign per task: edge-follow's are >= 0, point-mass's
+    # (minus the goal distance) <= 0 until the bonus
+    rng = np.random.default_rng(43)
+    for gamma in (0.0, 0.5, 0.9, 0.99):
+        rewards = sign * rng.uniform(0.0, 2.0, size=70)
+        rewards[-1] = 10.0
+        got = empirical_return(rewards, gamma, truncation)
+        np.testing.assert_allclose(got, _loop_empirical_return(rewards, gamma, truncation),
+                                   rtol=1e-12, atol=0.0)
+
+
 def test_report_two_point_hand_case():
     rep = report_from_errors([+1.0, -1.0], n_episodes=1)
     assert rep.mse == 1.0
@@ -157,6 +193,45 @@ def test_support_threshold_separates_random_probes():
     assert rand_summary.violation_rate(thr) > 0.3
     assert data_summary.violation_rate(thr) == 0.0
     assert np.median(rand_summary.distances) > np.median(data_summary.distances)
+
+
+def _loop_support_threshold(dataset, k=10, quantile=0.99, max_points=2000, seed=0):
+    # the per-point neighbour loop that support_threshold replaced
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(seed)
+    n = len(dataset)
+    idx = rng.permutation(n)[: min(max_points, n)]
+    _, nbr = cKDTree(dataset.states).query(dataset.states[idx], k=min(k + 1, n))
+    nbr = np.atleast_2d(nbr)
+    dists = np.empty(len(idx))
+    for row, i in enumerate(idx):
+        neighbors = [j for j in np.atleast_1d(nbr[row]) if j != i][:k]
+        cand = dataset.actions[neighbors]
+        dists[row] = np.min(np.linalg.norm(cand - dataset.actions[i], axis=1))
+    return float(np.quantile(dists, quantile))
+
+
+@pytest.mark.parametrize("n, k, action_dim, max_points", [
+    (200, 10, 1, 2000), (300, 5, 2, 100), (8, 10, 2, 2000), (11, 10, 1, 2000), (2, 1, 1, 2000)])
+@pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
+def test_support_threshold_equals_the_neighbour_loop(n, k, action_dim, max_points, duplicated):
+    ds = tiny_dataset(n=n, action_dim=action_dim, seed=55)
+    if duplicated:  # ties put a point behind its copies, or out of its own row
+        ds.states = ds.states[np.arange(n) % 3]
+    for quantile in (0.5, 0.99, 1.0):
+        assert (support_threshold(ds, k, quantile, max_points)
+                == _loop_support_threshold(ds, k, quantile, max_points))
+
+
+def test_support_threshold_rejects_one_neighbour_queries():
+    # k_eff == 1 leaves no neighbour once a point is dropped from its own row;
+    # the loop failed there too
+    for n, k in ((1, 10), (50, 0)):
+        ds = tiny_dataset(n=n, seed=56)
+        for threshold in (support_threshold, _loop_support_threshold):
+            with pytest.raises(ValueError):
+                threshold(ds, k)
 
 
 def test_report_emission(tmp_path):

@@ -195,6 +195,23 @@ def test_taped_backward_equals_recomputing_reference(acts, rows):
     assert np.array_equal(mlp_input_grad(net, gout, tape), input_grad)
 
 
+@pytest.mark.parametrize("rows", [None, 1, 100], ids=["single", "one-row", "batch"])
+def test_width_one_products_equal_matmul(rows):
+    # a state-dim-1 input layer and a width-1 output layer: every product with
+    # an inner dimension of 1 runs through np.dot and must equal matmul's
+    rng = np.random.default_rng(15)
+    net = mlp_init([1, 64, 64, 1], rng, hidden_activation="tanh")
+    shape = (1,) if rows is None else (rows, 1)
+    x, gout = rng.normal(size=shape), rng.normal(size=shape)
+    tape = mlp_tape(net, x)
+    grads, input_grad = mlp_backward(net, gout, tape)
+    out, want_w, want_b, want_in = _reference_backward(net, x, gout)
+    assert np.array_equal(mlp_forward(net, x), out[0] if rows is None else out)
+    assert np.array_equal(input_grad, want_in)
+    for got, want in zip(grads.weights + grads.biases, want_w + want_b):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("backward", [mlp_backward, mlp_input_grad])
 def test_backward_rejects_a_foreign_tape_or_batch(backward):
     rng = np.random.default_rng(14)
