@@ -69,7 +69,7 @@ def train_bc(dataset: TransitionDataset, config: BcTrainConfig,
         loss = float(np.mean(err ** 2))
         if not np.isfinite(loss):
             raise NonFiniteError(f"BC loss non-finite at step {step}")
-        grads, _ = mlp_backward(net, 2.0 * err / err.size, tape)
+        grads, _ = mlp_backward(net, 2.0 * err / err.size, tape, adam.grad)
         adam_step(net, grads, adam)
         if step % config.log_every == 0 or step == config.steps:
             curve.append((step, loss))
@@ -127,7 +127,7 @@ def direct_actor_update(agent: UnconstrainedAgent, states: np.ndarray,
     s = np.atleast_2d(states)
     tape = mlp_tape(agent.actor, s)
     mean_q, da = _action_grad(agent.critics, s, tape.output)
-    grads, _ = mlp_backward(agent.actor, da, tape)
+    grads, _ = mlp_backward(agent.actor, da, tape, adam_actor.grad)
     adam_step(agent.actor, grads, adam_actor)
     return mean_q
 

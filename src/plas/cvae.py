@@ -162,14 +162,19 @@ def elbo_loss_and_grads(
     actions: np.ndarray,
     noise: np.ndarray,
     kl_weight: float,
+    out: tuple[Gradients, Gradients] | None = None,
 ) -> tuple[ElboReport, Gradients, Gradients]:
     """One minibatch of the CVAE objective with its exact gradients.
 
     Deterministic given `noise` (one standard-normal draw per datum), which is
     what makes the whole composition checkable by finite differences. The
     reconstruction term is the mean squared error over every action entry in
-    the batch; the KL term is averaged over the batch.
+    the batch; the KL term is averaged over the batch. ``out`` is the
+    (encoder, decoder) pair of ``Gradients`` that ``mlp_backward`` writes into
+    and that is returned (``train_cvae`` passes its Adam states' ``grad``);
+    without it both are fresh.
     """
+    enc_buf, dec_buf = (None, None) if out is None else out
     s, _ = _as_batch(states, cvae.state_dim, "states")
     a, _ = _as_batch(actions, cvae.action_dim, "actions")
     B = s.shape[0]
@@ -190,7 +195,7 @@ def elbo_loss_and_grads(
 
     # reconstruction path
     d_recon = 2.0 * diff / diff.size
-    dec_grads, d_dec_in = mlp_backward(cvae.decoder, d_recon, dec_tape)
+    dec_grads, d_dec_in = mlp_backward(cvae.decoder, d_recon, dec_tape, dec_buf)
     dz = d_dec_in[:, cvae.state_dim :]
 
     # z = mu + exp(log_std)*noise, plus the KL term's direct dependence
@@ -201,7 +206,7 @@ def elbo_loss_and_grads(
     g_log_std = np.where(inside, g_log_std, 0.0)
 
     enc_grads, _ = mlp_backward(cvae.encoder, np.concatenate([g_mu, g_log_std], axis=1),
-                                enc_tape)
+                                enc_tape, enc_buf)
     report = ElboReport(recon_loss, kl_loss, kl_weight)
     return report, enc_grads, dec_grads
 
@@ -236,7 +241,8 @@ def train_cvae(
         s = dataset.states[idx]
         a = dataset.actions[idx]
         noise = rng.standard_normal((len(idx), cvae.latent_dim))
-        report, enc_grads, dec_grads = elbo_loss_and_grads(cvae, s, a, noise, config.kl_weight)
+        report, enc_grads, dec_grads = elbo_loss_and_grads(
+            cvae, s, a, noise, config.kl_weight, out=(enc_adam.grad, dec_adam.grad))
         if not np.isfinite(report.total):
             raise NonFiniteError(
                 f"CVAE loss non-finite at step {step}: "
@@ -244,7 +250,6 @@ def train_cvae(
             )
         adam_step(cvae.encoder, enc_grads, enc_adam)
         adam_step(cvae.decoder, dec_grads, dec_adam)
-        del enc_grads, dec_grads  # not held while the next step computes its own
         if step % config.log_every == 0 or step == config.steps:
             report.step = step
             reports.append(report)

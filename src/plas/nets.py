@@ -29,6 +29,16 @@ a ``Tape`` (the input and each layer's activation), and
 recomputing anything. ``mlp_input_grad`` takes the same arguments and returns
 only dL/dx, skipping the weight and bias gradients; it is what a frozen network
 (a critic under the actor, the decoder under the latent policy) needs.
+
+Who owns which buffer: a network owns ``flat``; its ``AdamState`` owns the
+moments, a gradient vector ``grad`` in the same layout and the scratch of the
+update's temporaries, all allocated once by ``adam_init``. A training step
+passes ``out=state.grad`` to ``mlp_backward``, which writes the parameter
+gradients there, and then ``adam_step`` reads them, so a step allocates no
+parameter-sized array. A ``Gradients`` written through ``out=`` is overwritten
+by the next backward into the same buffer: consume it before that. Without
+``out`` every backward returns a fresh vector. Forward values, tapes and input
+gradients are always fresh arrays, since they reach the caller.
 """
 from __future__ import annotations
 
@@ -63,13 +73,18 @@ def _act_inplace(name: str, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _act_grad(name: str, g: np.ndarray, post: np.ndarray) -> np.ndarray:
+def _act_grad(name: str, g: np.ndarray, post: np.ndarray, owned: bool) -> np.ndarray:
     # g times the derivative w.r.t. the pre-activation, from the activation
-    # alone: relu's mask post > 0 is pre > 0, and tanh' = 1 - post^2
+    # alone: relu's mask post > 0 is pre > 0, and tanh' = 1 - post^2. An
+    # ``owned`` g (one the backward made) is overwritten; the products are
+    # g * (post > 0) and g * (1 - post*post) either way, so NaN and -0.0 stay.
     if name == "relu":
-        return g * (post > 0.0)
+        mask = post > 0.0
+        return np.multiply(g, mask, out=g) if owned else g * mask
     if name == "tanh":
-        return g * (1.0 - post * post)
+        d = post * post
+        np.subtract(1.0, d, out=d)
+        return np.multiply(g, d, out=g) if owned else g * d
     if name == "identity":
         return g
     raise ValueError(f"unknown activation {name!r}")
@@ -180,6 +195,12 @@ class Gradients(_FlatLayers):
         if self.flat is None:
             self._pack()
 
+    @classmethod
+    def zeros(cls, layer_sizes) -> "Gradients":
+        """Zero gradients in the flat layout of ``layer_sizes``."""
+        flat = np.zeros(_flat_size(layer_sizes))
+        return cls(*_views(flat, layer_sizes), flat)
+
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
 
@@ -285,39 +306,46 @@ def mlp_tape(params: Mlp, x: np.ndarray) -> Tape:
 
 
 def _backprop(params: Mlp, output_grad: np.ndarray, tape: Tape,
-              grad_w: list[np.ndarray] | None = None,
-              grad_b: list[np.ndarray] | None = None) -> np.ndarray:
-    """dL/dx through ``tape``; writes the parameter gradients into ``grad_w``
-    and ``grad_b`` when given."""
+              grads: Gradients | None = None) -> np.ndarray:
+    """dL/dx through ``tape``; writes the parameter gradients into ``grads``
+    when given."""
     sizes = [v.shape[1] for v in tape.values]
     if sizes != params.layer_sizes:
         raise ShapeError(f"tape of a {sizes} network, parameters of {params.layer_sizes}")
     g, single = _as_batch(output_grad, params.out_dim, "output_grad")
     if single != tape.single or g.shape[0] != tape.values[0].shape[0]:
         raise ShapeError("output_grad and tape batch shapes differ")
+    owned = False  # g is the caller's output_grad until the first product
     for k in range(len(params.weights) - 1, -1, -1):
-        d_pre = _act_grad(params.activations[k], g, tape.values[k + 1])
-        if grad_w is not None:
-            _mm(d_pre.T, tape.values[k], out=grad_w[k])
-            np.sum(d_pre, axis=0, out=grad_b[k])
+        d_pre = _act_grad(params.activations[k], g, tape.values[k + 1], owned)
+        if grads is not None:
+            _mm(d_pre.T, tape.values[k], out=grads.weights[k])
+            np.sum(d_pre, axis=0, out=grads.biases[k])
         g = _mm(d_pre, params.weights[k])
+        owned = True
     return g[0] if single else g
 
 
 def mlp_backward(
-    params: Mlp, output_grad: np.ndarray, tape: Tape
+    params: Mlp, output_grad: np.ndarray, tape: Tape, out: Gradients | None = None
 ) -> tuple[Gradients, np.ndarray]:
     """Reverse-mode gradients of the scalar L = <output_grad, f(x)>, where
     ``tape = mlp_tape(params, x)``.
 
     For batched inputs, L sums over the batch, so parameter gradients
     accumulate across rows (callers fold any 1/B factors into output_grad).
-    Returns (parameter gradients, dL/dx with the same shape as x).
+    Returns (parameter gradients, dL/dx with the same shape as x). The
+    parameter gradients are written into ``out`` when it is given (a
+    ``Gradients`` in ``params``' layout, else ShapeError) and ``out`` itself
+    is returned; without it they land in a fresh vector. Training steps pass
+    their ``AdamState.grad``, so a step allocates no parameter-sized array.
     """
-    flat = np.empty(params.flat.size)
-    grad_w, grad_b = _views(flat, params.layer_sizes)
-    input_grad = _backprop(params, output_grad, tape, grad_w, grad_b)
-    return Gradients(grad_w, grad_b, flat), input_grad
+    if out is None:
+        out = Gradients.zeros(params.layer_sizes)
+    elif out.layer_sizes != params.layer_sizes:
+        raise ShapeError(f"out of a {out.layer_sizes} network, parameters of "
+                         f"{params.layer_sizes}")
+    return out, _backprop(params, output_grad, tape, out)
 
 
 def mlp_input_grad(params: Mlp, output_grad: np.ndarray, tape: Tape) -> np.ndarray:
@@ -325,15 +353,21 @@ def mlp_input_grad(params: Mlp, output_grad: np.ndarray, tape: Tape) -> np.ndarr
     return _backprop(params, output_grad, tape)
 
 
-# Adam walks the flat vectors in slices: whole-vector temporaries of a 750x750
-# net (4.6 MB each) are page-faulted afresh on every call, slice-sized ones stay
-# in cache (about 40% faster at 580k parameters). The result is bit-identical.
+# Adam and Polyak walk the flat vectors in slices of this many elements, with
+# their temporaries in slice-sized scratch: whole-vector temporaries of a
+# 750x750 net (4.6 MB each) would be page-faulted afresh on every call, while
+# slice-sized ones stay in cache. No size from 8k to 64k ran a paper-size CVAE
+# step faster. The result is bit-identical to whole-vector arithmetic.
 _ADAM_CHUNK = 32_768
 
 
 @dataclass
 class AdamState:
-    """Adam moment accumulators for one Mlp, in its flat layout."""
+    """Adam moment accumulators for one Mlp, in its flat layout, and the
+    buffers its update needs, all allocated once by ``adam_init``: ``grad``, a
+    ``Gradients`` that the trainer's ``mlp_backward(..., out=state.grad)``
+    overwrites each step, and ``scratch``, two slices of ``adam_step``
+    temporaries."""
 
     learning_rate: float
     beta1: float = 0.9
@@ -342,19 +376,26 @@ class AdamState:
     step: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
     v: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
+    grad: Gradients | None = field(default=None, repr=False)
+    scratch: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)), repr=False)
 
 
 def adam_init(params: Mlp, learning_rate: float, beta1: float = 0.9,
               beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
     if learning_rate <= 0.0:
         raise ValueError("learning_rate must be positive")
-    return AdamState(learning_rate, beta1, beta2, epsilon,
-                     m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
+    n = params.flat.size
+    return AdamState(learning_rate, beta1, beta2, epsilon, m=np.zeros(n), v=np.zeros(n),
+                     grad=Gradients.zeros(params.layer_sizes),
+                     scratch=np.empty((2, min(n, _ADAM_CHUNK))))
 
 
 def adam_step(params: Mlp, grads: Gradients, state: AdamState) -> tuple[Mlp, AdamState]:
     """One bias-corrected Adam update, in place. Rejects non-finite gradients
-    before touching any parameter."""
+    before touching any parameter. ``grads`` may be ``state.grad``; the
+    temporaries live in ``state.scratch``, and each rounds as in
+    ``p -= lr * (m/c1) / (sqrt(v/c2) + eps)`` with
+    ``m = b1*m + (1-b1)*g`` and ``v = b2*v + (1-b2)*g*g``."""
     if grads.layer_sizes != params.layer_sizes or state.m.shape != params.flat.shape:
         raise ShapeError("gradient/parameter/moment shape mismatch")
     if not grads.all_finite():
@@ -368,25 +409,41 @@ def adam_step(params: Mlp, grads: Gradients, state: AdamState) -> tuple[Mlp, Ada
     for i in range(0, params.flat.size, _ADAM_CHUNK):
         s = slice(i, i + _ADAM_CHUNK)
         p, g, m, v = params.flat[s], grads.flat[s], state.m[s], state.v[s]
+        a, d = state.scratch[0, :p.size], state.scratch[1, :p.size]
+        np.multiply(g, 1.0 - b1, out=a)
         m *= b1
-        m += (1.0 - b1) * g
+        m += a
+        np.multiply(g, 1.0 - b2, out=a)
+        a *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        v += a
+        np.divide(m, c1, out=a)
+        a *= lr
+        np.divide(v, c2, out=d)
+        np.sqrt(d, out=d)
+        d += eps
+        a /= d
+        p -= a
     return params, state
 
 
 def polyak_update(target: Mlp, online: Mlp, tau: float) -> Mlp:
     """Soft target update in place: target <- tau*online + (1-tau)*target,
-    elementwise. Returns target, left untouched if this raises."""
+    elementwise, in slices through one slice-sized buffer. Returns target,
+    left untouched if this raises."""
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
     if target.layer_sizes != online.layer_sizes:
         raise ShapeError(f"layer sizes differ: {target.layer_sizes} vs {online.layer_sizes}")
     if not (np.isfinite(online.flat).all() and np.isfinite(target.flat).all()):
         raise NonFiniteError("non-finite parameters; Polyak update rejected")
-    target.flat *= 1.0 - tau
-    target.flat += tau * online.flat
+    buf = np.empty(min(target.flat.size, _ADAM_CHUNK))
+    for i in range(0, target.flat.size, _ADAM_CHUNK):
+        t, o = target.flat[i:i + _ADAM_CHUNK], online.flat[i:i + _ADAM_CHUNK]
+        b = buf[:t.size]
+        t *= 1.0 - tau
+        np.multiply(o, tau, out=b)
+        t += b
     return target
 
 

@@ -9,6 +9,7 @@ from plas.agent import (
     PerturbationHead,
     PlasAgent,
     PlasTrainConfig,
+    _clip_unit,
     act,
     actor_update,
     agent_hash,
@@ -93,6 +94,16 @@ def test_act_takes_one_state_or_a_batch(epsilon):
     # a batched GEMM row may round differently from the batch-1 forward
     assert np.allclose(batch, one, rtol=0.0, atol=1e-14)
     assert np.array_equal(agent.policy_fn()(states), batch)
+
+
+def test_clip_unit_is_np_clip_bit_for_bit():
+    x = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 1.5, -7.0,
+                  np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 0.3, -5e-324])
+    for v in (x, x[:2], x.reshape(7, 2)):
+        want = np.clip(v, -1.0, 1.0)
+        got = _clip_unit(v)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_latent_bound_holds_everywhere():

@@ -15,6 +15,7 @@ from plas.nets import (
     Mlp,
     NonFiniteError,
     ShapeError,
+    _ADAM_CHUNK,
     _read,
     _write,
     adam_init,
@@ -567,3 +568,59 @@ def test_params_hash_covers_layer_sizes_and_activations():
     assert other_acts.flat.tobytes() == other_sizes.flat.tobytes() == net.flat.tobytes()
     hashes = {params_hash(net), params_hash(other_acts), params_hash(other_sizes)}
     assert len(hashes) == 3
+
+
+# -- gradients written into a caller's buffer ------------------------------------
+
+@pytest.mark.parametrize("hidden_activation", ["relu", "tanh"])
+@pytest.mark.parametrize("single", [False, True], ids=["batch", "one-state"])
+def test_backward_into_out_returns_it_and_equals_the_fresh_result(hidden_activation, single):
+    rng = np.random.default_rng(13)
+    net = mlp_init([3, 6, 5, 2], rng, hidden_activation, "tanh")
+    x = rng.normal(size=3) if single else rng.normal(size=(4, 3))
+    gout = rng.normal(size=x.shape[:-1] + (2,))
+    gout_before = gout.copy()
+    tape = mlp_tape(net, x)
+    fresh, fresh_in = mlp_backward(net, gout, tape)
+    out = adam_init(net, 1e-3).grad
+    out.flat[:] = np.nan  # stale contents must be overwritten everywhere
+    got, got_in = mlp_backward(net, gout, tape, out=out)
+    assert got is out
+    assert fresh.flat.tobytes() == out.flat.tobytes()
+    assert fresh_in.tobytes() == got_in.tobytes()
+    # the activation derivatives run in place on the backward's own arrays only
+    assert gout.tobytes() == gout_before.tobytes()
+
+
+def test_backward_out_of_another_layout_is_rejected():
+    rng = np.random.default_rng(14)
+    net = mlp_init([3, 6, 2], rng)
+    tape = mlp_tape(net, rng.normal(size=(4, 3)))
+    for other in ([3, 7, 2], [3, 6, 2, 2]):
+        out = adam_init(mlp_zeros(other), 1e-3).grad
+        before = out.flat.copy()
+        with pytest.raises(ShapeError):
+            mlp_backward(net, np.ones((4, 2)), tape, out=out)
+        assert np.array_equal(out.flat, before)
+
+
+def test_backward_without_out_returns_a_new_vector_each_call():
+    rng = np.random.default_rng(15)
+    net = mlp_init([3, 6, 2], rng)
+    tape = mlp_tape(net, rng.normal(size=(4, 3)))
+    first, _ = mlp_backward(net, np.ones((4, 2)), tape)
+    second, _ = mlp_backward(net, np.ones((4, 2)), tape)
+    assert not np.shares_memory(first.flat, second.flat)
+    assert not np.shares_memory(first.flat, net.flat)
+
+
+def test_adam_init_owns_a_gradient_buffer_and_scratch():
+    net = mlp_init([3, 300, 200, 2], np.random.default_rng(16))
+    state = adam_init(net, 1e-3)
+    assert state.grad.layer_sizes == net.layer_sizes
+    assert state.grad.flat.shape == net.flat.shape
+    assert all(np.shares_memory(g, state.grad.flat)
+               for g in state.grad.weights + state.grad.biases)
+    for a in (state.m, state.v, state.scratch):
+        assert not np.shares_memory(a, state.grad.flat)
+    assert state.scratch.shape == (2, min(net.n_params(), _ADAM_CHUNK))

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import re
+import sys
 import tomllib
 from pathlib import Path
 
@@ -20,3 +22,24 @@ def test_declared_scripts_and_documented_modules_exist():
     assert documented
     for module in documented:
         importlib.import_module(module)
+
+
+def _third_party_imports() -> set[str]:
+    """Top-level modules imported anywhere under src/plas that are neither the
+    standard library nor plas itself."""
+    found = set()
+    for path in (PYPROJECT.parent / "src" / "plas").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.partition(".")[0])
+    return found - set(sys.stdlib_module_names) - {"plas"}
+
+
+def test_declared_dependencies_are_exactly_the_imported_ones():
+    # each dependency is named as its import name (numpy, scipy)
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    assert declared == _third_party_imports()
