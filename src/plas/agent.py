@@ -11,6 +11,11 @@ Gradient flow in the actor update runs through the frozen decoder (its input
 gradient only, never its parameters), which is the one structurally unusual
 piece; everything else is a standard deterministic policy gradient step. Every
 backward here reuses the tape of its own forward pass (``nets.mlp_tape``).
+
+``plas_agent_init`` builds float32 networks unless asked for float64 (which the
+finite-difference checks use). ``_fit`` casts each float64 minibatch to the
+critics' dtype once per step, so targets, losses and every gradient of a step
+stay in the networks' dtype; ``act`` casts its states once.
 """
 from __future__ import annotations
 
@@ -95,9 +100,10 @@ def q_values(qnet: Mlp, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
 
 
 def compute_target(critics: CriticPair, rewards, next_states, next_actions, dones) -> np.ndarray:
-    """Soft clipped double-Q target: r + gamma*(1-done)*(lam*min + (1-lam)*max)."""
-    r = np.atleast_1d(np.asarray(rewards, dtype=np.float64))
-    d = np.atleast_1d(np.asarray(dones, dtype=np.float64))
+    """Soft clipped double-Q target: r + gamma*(1-done)*(lam*min + (1-lam)*max),
+    in the dtype of the rewards, dones and target critics."""
+    r = np.atleast_1d(rewards)
+    d = np.atleast_1d(dones)
     t1 = q_values(critics.q1_target, next_states, next_actions)
     t2 = q_values(critics.q2_target, next_states, next_actions)
     y = critics.lam * np.minimum(t1, t2) + (1.0 - critics.lam) * np.maximum(t1, t2)
@@ -152,7 +158,8 @@ def _action_grad(critics: CriticPair, states: np.ndarray,
     B, state_dim = states.shape
     tape = mlp_tape(critics.q1, np.concatenate([states, actions], axis=1))
     mean_q = float(np.mean(tape.output[:, 0]))
-    da = mlp_input_grad(critics.q1, np.full((B, 1), -1.0 / B), tape)[:, state_dim:]
+    da = mlp_input_grad(critics.q1, np.full((B, 1), -1.0 / B, critics.q1.dtype),
+                        tape)[:, state_dim:]
     if not np.all(np.isfinite(da)):
         raise NonFiniteError("non-finite actor gradient")
     return mean_q, da
@@ -203,10 +210,11 @@ def _policy_actions(
     one state runs them on vectors. With ``taped`` (``actor_update``, on a
     batch) the actor, decoder and head forwards are tapes, returned under
     "actor", "decoder" and "head" with the unclipped action sum under
-    "summed", for the backward pass.
+    "summed", for the backward pass. The states are cast once, to the actor's
+    dtype.
     """
-    s = np.asarray(states, dtype=np.float64)
     actor = agent.actor_target if use_target else agent.actor
+    s = np.asarray(states, dtype=actor.net.dtype)
     head = agent.perturbation_target if use_target else agent.perturbation
     tapes = {}
     if taped:
@@ -262,15 +270,14 @@ def actor_update(
     tapes. The critics and the decoder give input gradients only: no decoder
     gradient is formed and its parameters are never touched.
     """
-    s = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    s = np.atleast_2d(states)
     actions, tapes = _policy_actions(agent, s, use_target=False, taped=True)
     mean_q, da = _action_grad(agent.critics, s, actions)
 
     pert_grads = None
     if agent.perturbation is not None:
         head = agent.perturbation
-        inside = (np.abs(tapes["summed"]) < 1.0).astype(np.float64)
-        d_sum = da * inside
+        d_sum = da * (np.abs(tapes["summed"]) < 1.0)
         pert_grads, d_pin = mlp_backward(head.net, d_sum * head.epsilon, tapes["head"],
                                          None if adam_pert is None else adam_pert.grad)
         d_decoded = d_sum + d_pin[:, agent.state_dim:]
@@ -325,20 +332,22 @@ def plas_agent_init(
     decoder,
     config: PlasTrainConfig,
     rng: np.random.Generator,
+    dtype=np.float32,
 ) -> PlasAgent:
     hidden = list(config.hidden_sizes)
     latent_dim = decoder.latent_dim
     action_dim = decoder.action_dim
-    actor_net = mlp_init([state_dim] + hidden + [latent_dim], rng, output_activation="tanh")
+    actor_net = mlp_init([state_dim] + hidden + [latent_dim], rng, output_activation="tanh",
+                         dtype=dtype)
     actor = LatentActor(actor_net, config.max_latent_action)
     actor_target = LatentActor(actor_net.copy(), config.max_latent_action)
-    q1 = mlp_init([state_dim + action_dim] + hidden + [1], rng)
-    q2 = mlp_init([state_dim + action_dim] + hidden + [1], rng)
+    q1 = mlp_init([state_dim + action_dim] + hidden + [1], rng, dtype=dtype)
+    q2 = mlp_init([state_dim + action_dim] + hidden + [1], rng, dtype=dtype)
     critics = CriticPair(q1, q2, q1.copy(), q2.copy(), lam=config.lam, gamma=config.gamma)
     pert = pert_target = None
     if config.perturbation_epsilon > 0.0:
         pnet = mlp_init([state_dim + action_dim] + hidden + [action_dim], rng,
-                        output_activation="tanh")
+                        output_activation="tanh", dtype=dtype)
         pert = PerturbationHead(pnet, config.perturbation_epsilon)
         pert_target = PerturbationHead(pnet.copy(), config.perturbation_epsilon)
     return PlasAgent(
@@ -355,18 +364,20 @@ def plas_agent_init(
 def _fit(agent, dataset: TransitionDataset, config, rng: np.random.Generator, env,
          update) -> list[LogRecord]:
     """The training loop of both offline learners. Each step draws a minibatch,
-    runs ``update(batch) -> (critic_loss, mean_q)`` and Polyak-updates every
-    pair of ``agent.target_pairs()``. It logs every ``log_every`` steps and at
-    the last; with an env it also evaluates where ``eval_interval`` divides the
-    step, and at the last. A ``NonFiniteError`` is re-raised naming the step."""
+    casts it to the critics' dtype, runs ``update(batch) -> (critic_loss,
+    mean_q)`` and Polyak-updates every pair of ``agent.target_pairs()``. It
+    logs every ``log_every`` steps and at the last; with an env it also
+    evaluates where ``eval_interval`` divides the step, and at the last. A
+    ``NonFiniteError`` is re-raised naming the step."""
     if config.log_every < 1:
         raise ValueError("log_every must be >= 1")
     if env is not None and (config.eval_interval < 1 or config.eval_episodes < 1):
         raise ValueError("eval_interval and eval_episodes must be >= 1")
     log: list[LogRecord] = []
     losses, qs = [], []
+    dtype = agent.critics.q1.dtype
     for step in range(1, config.steps + 1):
-        batch = sample_batch(dataset, config.batch_size, rng)
+        batch = sample_batch(dataset, config.batch_size, rng).astype(dtype)
         try:
             loss, mean_q = update(batch)
         except NonFiniteError as e:

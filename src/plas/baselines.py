@@ -37,7 +37,7 @@ class BcPolicy:
     net: Mlp  # state -> action, tanh output
 
     def action(self, state: np.ndarray) -> np.ndarray:
-        return mlp_forward(self.net, np.asarray(state, dtype=np.float64))
+        return mlp_forward(self.net, state)
 
     def policy_fn(self):
         return lambda s: self.action(s)
@@ -54,16 +54,18 @@ class BcTrainConfig:
 
 def train_bc(dataset: TransitionDataset, config: BcTrainConfig,
              rng: np.random.Generator) -> tuple[BcPolicy, list[tuple[int, float]]]:
-    """Minimize MSE between net(s) and the dataset action over minibatches."""
+    """Minimize MSE between net(s) and the dataset action over minibatches, in
+    float32."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     net = mlp_init([dataset.state_dim] + list(config.hidden_sizes) + [dataset.action_dim],
-                   rng, output_activation="tanh")
+                   rng, output_activation="tanh", dtype=np.float32)
     adam = adam_init(net, config.learning_rate)
     curve: list[tuple[int, float]] = []
     for step in range(1, config.steps + 1):
         idx = sample_indices(dataset, config.batch_size, rng)
-        s, a = dataset.states[idx], dataset.actions[idx]
+        s = dataset.states[idx].astype(np.float32)
+        a = dataset.actions[idx].astype(np.float32)
         tape = mlp_tape(net, s)
         err = tape.output - a
         loss = float(np.mean(err ** 2))
@@ -83,7 +85,7 @@ class UnconstrainedAgent:
     critics: CriticPair
 
     def action(self, state: np.ndarray) -> np.ndarray:
-        return mlp_forward(self.actor, np.asarray(state, dtype=np.float64))
+        return mlp_forward(self.actor, state)
 
     def policy_fn(self):
         return lambda s: self.action(s)
@@ -112,11 +114,14 @@ class UnconstrainedTrainConfig:
 
 def unconstrained_agent_init(state_dim: int, action_dim: int,
                              config: UnconstrainedTrainConfig,
-                             rng: np.random.Generator) -> UnconstrainedAgent:
+                             rng: np.random.Generator,
+                             dtype=np.float32) -> UnconstrainedAgent:
+    """Float32 networks unless asked for float64."""
     hidden = list(config.hidden_sizes)
-    actor = mlp_init([state_dim] + hidden + [action_dim], rng, output_activation="tanh")
-    q1 = mlp_init([state_dim + action_dim] + hidden + [1], rng)
-    q2 = mlp_init([state_dim + action_dim] + hidden + [1], rng)
+    actor = mlp_init([state_dim] + hidden + [action_dim], rng, output_activation="tanh",
+                     dtype=dtype)
+    q1 = mlp_init([state_dim + action_dim] + hidden + [1], rng, dtype=dtype)
+    q2 = mlp_init([state_dim + action_dim] + hidden + [1], rng, dtype=dtype)
     critics = CriticPair(q1, q2, q1.copy(), q2.copy(), lam=config.lam, gamma=config.gamma)
     return UnconstrainedAgent(actor, actor.copy(), critics)
 
@@ -134,7 +139,8 @@ def direct_actor_update(agent: UnconstrainedAgent, states: np.ndarray,
 
 def unconstrained_update(agent: UnconstrainedAgent, batch, adam_q1, adam_q2,
                          adam_actor) -> tuple[float, float]:
-    """One critic + actor step; shared with the online trainer."""
+    """One critic + actor step; shared with the online trainer. The batch is
+    expected in the networks' dtype (``agent._fit`` casts it)."""
     next_actions = mlp_forward(agent.actor_target, batch.next_states)
     targets = compute_target(agent.critics, batch.rewards, batch.next_states,
                              next_actions, batch.dones)

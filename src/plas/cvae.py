@@ -6,6 +6,12 @@ through a tanh output, so decoded actions always land in [-1, 1]^d. The prior
 over latents is a standard normal, independent of state. Training minimizes
 reconstruction MSE plus a weighted KL to that prior; once trained the model is
 frozen and only its decoder is consulted by the policy.
+
+``cvae_init`` builds float32 networks unless asked for float64 (which the
+finite-difference checks use). Each network computes in its own dtype:
+``encode`` and ``decode`` cast their inputs to it, and ``train_cvae`` casts each
+float64 minibatch, and the standard-normal noise drawn for it in float64, once
+per step.
 """
 from __future__ import annotations
 
@@ -92,20 +98,22 @@ def cvae_init(
     hidden_sizes: tuple[int, ...] = (128, 128),
     log_std_min: float = LOG_STD_MIN_DEFAULT,
     log_std_max: float = LOG_STD_MAX_DEFAULT,
+    dtype=np.float32,
 ) -> BehaviorCvae:
     latent_dim = 2 * action_dim if latent_dim is None else latent_dim
     hidden = list(hidden_sizes)
-    encoder = mlp_init([state_dim + action_dim] + hidden + [2 * latent_dim], rng)
+    encoder = mlp_init([state_dim + action_dim] + hidden + [2 * latent_dim], rng, dtype=dtype)
     decoder = mlp_init([state_dim + latent_dim] + hidden + [action_dim], rng,
-                       output_activation="tanh")
+                       output_activation="tanh", dtype=dtype)
     return BehaviorCvae(encoder, decoder, state_dim, action_dim, latent_dim,
                         log_std_min, log_std_max)
 
 
 def encode(cvae: BehaviorCvae, state, action):
     """Posterior parameters (mu, log_std); log_std is clamped before use."""
-    s, single = _as_batch(state, cvae.state_dim, "state")
-    a, _ = _as_batch(action, cvae.action_dim, "action")
+    dtype = cvae.encoder.dtype
+    s, single = _as_batch(state, cvae.state_dim, "state", dtype)
+    a, _ = _as_batch(action, cvae.action_dim, "action", dtype)
     if s.shape[0] != a.shape[0]:
         raise ShapeError("state/action batch mismatch")
     out = mlp_forward(cvae.encoder, np.concatenate([s, a], axis=1))
@@ -116,22 +124,13 @@ def encode(cvae: BehaviorCvae, state, action):
     return mu, log_std
 
 
-def reparameterize(mu, log_std, noise):
-    """z = mu + exp(log_std) * noise, elementwise."""
-    mu = np.asarray(mu, dtype=np.float64)
-    log_std = np.asarray(log_std, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    if mu.shape != log_std.shape or mu.shape != noise.shape:
-        raise ShapeError("mu/log_std/noise shapes differ")
-    return mu + np.exp(log_std) * noise
-
-
 def _decoder_input(cvae: BehaviorCvae, state, z) -> np.ndarray:
-    """(state, z) joined on the last axis into the decoder's input: one
-    (state_dim + latent_dim,) vector for one state, a (B, ...) batch for a
-    batch. Each width is checked, and state and z must agree in ndim and rows."""
-    s = _checked(state, cvae.state_dim, "state")
-    zz = _checked(z, cvae.latent_dim, "z")
+    """(state, z) joined on the last axis into the decoder's input, in its
+    dtype: one (state_dim + latent_dim,) vector for one state, a (B, ...) batch
+    for a batch. Each width is checked, and state and z must agree in ndim and
+    rows."""
+    s = _checked(state, cvae.state_dim, "state", cvae.decoder.dtype)
+    zz = _checked(z, cvae.latent_dim, "z", cvae.decoder.dtype)
     if s.shape[:-1] != zz.shape[:-1]:
         raise ShapeError(f"state {s.shape} and z {zz.shape} differ in ndim or rows")
     return np.concatenate([s, zz], axis=-1)
@@ -146,10 +145,10 @@ def decode(cvae: BehaviorCvae, state, z):
 def kl_to_standard_normal(mu, log_std):
     """KL(N(mu, diag exp(2*log_std)) || N(0, I)), closed form, >= 0.
 
-    For 2-D inputs returns one value per row.
+    For 2-D inputs returns one value per row, in the inputs' dtype.
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    log_std = np.asarray(log_std, dtype=np.float64)
+    mu = np.asarray(mu)
+    log_std = np.asarray(log_std)
     if mu.shape != log_std.shape:
         raise ShapeError("mu/log_std shapes differ")
     per_dim = 0.5 * (mu ** 2 + np.exp(2.0 * log_std) - 1.0 - 2.0 * log_std)
@@ -167,16 +166,19 @@ def elbo_loss_and_grads(
     """One minibatch of the CVAE objective with its exact gradients.
 
     Deterministic given `noise` (one standard-normal draw per datum), which is
-    what makes the whole composition checkable by finite differences. The
-    reconstruction term is the mean squared error over every action entry in
-    the batch; the KL term is averaged over the batch. ``out`` is the
+    what makes the whole composition checkable by finite differences. States,
+    actions and noise are cast to the encoder's dtype. The reconstruction term
+    is the mean squared error over every action entry in the batch; the KL
+    term is averaged over the batch. ``out`` is the
     (encoder, decoder) pair of ``Gradients`` that ``mlp_backward`` writes into
     and that is returned (``train_cvae`` passes its Adam states' ``grad``);
     without it both are fresh.
     """
     enc_buf, dec_buf = (None, None) if out is None else out
-    s, _ = _as_batch(states, cvae.state_dim, "states")
-    a, _ = _as_batch(actions, cvae.action_dim, "actions")
+    dtype = cvae.encoder.dtype
+    s, _ = _as_batch(states, cvae.state_dim, "states", dtype)
+    a, _ = _as_batch(actions, cvae.action_dim, "actions", dtype)
+    noise = np.asarray(noise, dtype=dtype)
     B = s.shape[0]
 
     enc_tape = mlp_tape(cvae.encoder, np.concatenate([s, a], axis=1))
@@ -216,7 +218,8 @@ def train_cvae(
     config: CvaeTrainConfig,
     rng: np.random.Generator,
 ) -> tuple[BehaviorCvae, list[ElboReport]]:
-    """Fit the behavior model on the static dataset; returns it frozen.
+    """Fit the behavior model, in float32, on the static dataset; returns it
+    frozen.
 
     Raises NonFiniteError with the failing step index if the loss ever leaves
     the reals.
@@ -234,13 +237,16 @@ def train_cvae(
     )
     enc_adam = adam_init(cvae.encoder, config.learning_rate)
     dec_adam = adam_init(cvae.decoder, config.learning_rate)
+    dtype = cvae.encoder.dtype
 
     reports: list[ElboReport] = []
     for step in range(1, config.steps + 1):
         idx = sample_indices(dataset, config.batch_size, rng)
-        s = dataset.states[idx]
-        a = dataset.actions[idx]
-        noise = rng.standard_normal((len(idx), cvae.latent_dim))
+        s = dataset.states[idx].astype(dtype, copy=False)
+        a = dataset.actions[idx].astype(dtype, copy=False)
+        # drawn in float64 and cast: a float32 draw would take another
+        # sampling path and consume the stream differently
+        noise = rng.standard_normal((len(idx), cvae.latent_dim)).astype(dtype, copy=False)
         report, enc_grads, dec_grads = elbo_loss_and_grads(
             cvae, s, a, noise, config.kl_weight, out=(enc_adam.grad, dec_adam.grad))
         if not np.isfinite(report.total):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -115,6 +115,10 @@ class Batch:
 
     def __len__(self) -> int:
         return self.states.shape[0]
+
+    def astype(self, dtype) -> "Batch":
+        """Every column as ``dtype``; columns already of it are not copied."""
+        return Batch(*(getattr(self, c.name).astype(dtype, copy=False) for c in fields(self)))
 
 
 def sample_batch(dataset: TransitionDataset, k: int, rng: np.random.Generator) -> Batch:

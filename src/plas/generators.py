@@ -151,7 +151,7 @@ def train_online_medium(env, seed: int, recipe: OnlineTrainRecipe) -> OnlineRunR
             state = next_state
 
         if t > recipe.warmup_steps:
-            batch = replay.sample(recipe.batch_size, rng)
+            batch = replay.sample(recipe.batch_size, rng).astype(agent.actor.dtype)
             unconstrained_update(agent, batch, adam_q1, adam_q2, adam_actor)
             for target, online in agent.target_pairs():
                 polyak_update(target, online, cfg.tau)

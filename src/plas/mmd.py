@@ -188,10 +188,6 @@ class SweepCurve:
     def argmin_x(self) -> float:
         return float(self.xs[int(np.argmin(self.mean))])
 
-    def minima_set(self, tol: float = 1e-12) -> list[float]:
-        m = float(np.min(self.mean))
-        return [float(x) for x, v in zip(self.xs, self.mean) if v <= m + tol]
-
 
 _HIST_BINS = 8192
 

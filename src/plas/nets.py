@@ -3,7 +3,14 @@ gradients, Adam, Polyak averaging, and the one file container that datasets and
 checkpoints share.
 
 Everything in this repo trains through these routines, so they are kept small
-enough to verify against finite differences. All math is float64. Weight
+enough to verify against finite differences. A network's parameter vector is
+float32 or float64, and its dtype is the dtype of everything computed for it:
+forward values, tapes, backward and input gradients, ``Gradients``, Adam
+moments and scratch, and the Polyak buffer. Inputs and output gradients are
+cast to that dtype on entry, so no product mixes dtypes (a mixed GEMM would
+upcast a whole weight matrix on every call). ``mlp_init``, ``mlp_zeros`` and
+``Mlp.from_flat`` build float64 networks unless told otherwise; every trainer
+asks for float32, and the finite-difference oracles check float64. Weight
 matrices are stored (out, in); inputs may be single vectors ``(n,)`` or
 batches ``(B, n)``. One input flows through the forward loop as an ``(n,)``
 vector, with no batch machinery around it: a policy acting on one state per
@@ -15,13 +22,15 @@ A network's parameters are one vector, ``flat``, laid out W0, b0, W1, b1, ...
 and Adam moments share the layout. Polyak runs in place on the target's
 vector, ``t *= 1-tau; t += tau*o``, which rounds exactly like
 ``tau*o + (1-tau)*t``. ``params_hash`` is the SHA-256 of the JSON header
-``[[layer_sizes, activations], ...]``, then each ``flat``'s little-endian bytes.
+``[[layer_sizes, activations, dtype], ...]``, then each ``flat``'s
+little-endian bytes as stored.
 
 Files are ``.npz`` archives written by ``_write`` and read by ``_read``, the only
 code that knows the container: a ``header`` entry holding one JSON object
 (``format``, ``version``, the writer's settings, and ``nets``, each network's
-``[layer_sizes, activations]``) and named float64 arrays, one ``flat`` per
-network. Zip entries carry a fixed timestamp, so equal contents give equal bytes.
+``[layer_sizes, activations]``) and named arrays: float64 columns, and one
+``flat`` per network in its own dtype, float32 or float64. Zip entries carry a
+fixed timestamp, so equal contents give equal bytes.
 
 A backward reuses its own forward: ``mlp_tape`` runs the forward pass and keeps
 a ``Tape`` (the input and each layer's activation), and
@@ -51,8 +60,12 @@ import numpy as np
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
-# 1 was JSONL datasets, 2 JSON checkpoints; neither is read any more
-FORMAT_VERSION = 3
+# 1 was JSONL datasets, 2 JSON checkpoints, 3 float64-only networks; none is
+# read any more
+FORMAT_VERSION = 4
+
+# the dtypes a network's parameters may have
+PARAM_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class ShapeError(ValueError):
@@ -98,11 +111,24 @@ class _FlatLayers:
     def layer_sizes(self) -> list[int]:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.flat.dtype
+
     def _pack(self) -> None:
-        # copy the given layers into one fresh vector and keep views of it
+        # copy the given layers into one fresh vector, float32 if every layer
+        # is float32 and float64 otherwise, and keep views of it
         layers = [np.ravel(a) for wb in zip(self.weights, self.biases) for a in wb]
-        self.flat = np.concatenate(layers, dtype=np.float64)
+        float32 = all(a.dtype == np.float32 for a in layers)
+        self.flat = np.concatenate(layers, dtype=np.float32 if float32 else np.float64)
         self.weights, self.biases = _views(self.flat, self.layer_sizes)
+
+
+def _param_dtype(dtype) -> np.dtype:
+    dtype = np.dtype(dtype)
+    if dtype not in PARAM_DTYPES:
+        raise TypeError(f"parameters must be float32 or float64, not {dtype}")
+    return dtype
 
 
 def _flat_size(layer_sizes) -> int:
@@ -126,8 +152,9 @@ class Mlp(_FlatLayers):
 
     weights[k] has shape (out_k, in_k) with in_k == out_{k-1}; biases[k] has
     shape (out_k,); activations[k] is applied after layer k. The constructor
-    copies the layers into ``flat``; writes through ``weights[k]`` or
-    ``biases[k]`` land there.
+    copies the layers into ``flat``, float32 if every layer is float32 and
+    float64 otherwise; writes through ``weights[k]`` or ``biases[k]`` land
+    there.
     """
 
     weights: list[np.ndarray]
@@ -140,8 +167,8 @@ class Mlp(_FlatLayers):
             raise ShapeError("weights, biases, activations must have equal length")
         if not self.weights:
             raise ShapeError("empty network")
-        self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
+        self.weights = [np.asarray(w) for w in self.weights]
+        self.biases = [np.asarray(b) for b in self.biases]
         for k, (w, b, a) in enumerate(zip(self.weights, self.biases, self.activations)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ShapeError(f"layer {k}: weight {w.shape} / bias {b.shape} mismatch")
@@ -171,10 +198,11 @@ class Mlp(_FlatLayers):
         return Mlp(self.weights, self.biases, list(self.activations))
 
     @classmethod
-    def from_flat(cls, flat, layer_sizes, activations) -> "Mlp":
-        """The network whose parameter vector (a copy of ``flat``) has the
-        layout ``layer_sizes``; a vector of any other length is rejected."""
-        flat = np.asarray(flat, dtype=np.float64)
+    def from_flat(cls, flat, layer_sizes, activations, dtype=np.float64) -> "Mlp":
+        """The network whose parameter vector (a copy of ``flat`` as ``dtype``,
+        float32 or float64) has the layout ``layer_sizes``; a vector of any
+        other length is rejected."""
+        flat = np.asarray(flat, dtype=_param_dtype(dtype))
         n = _flat_size(layer_sizes)
         if flat.shape != (n,):
             raise ShapeError(f"flat of shape {flat.shape} for layer sizes {layer_sizes}, "
@@ -185,7 +213,7 @@ class Mlp(_FlatLayers):
 @dataclass
 class Gradients(_FlatLayers):
     """Per-parameter gradients in an Mlp's flat layout; per-layer arrays given
-    without ``flat`` are copied into a fresh one."""
+    without ``flat`` are copied into a fresh one, as ``Mlp`` copies them."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -196,9 +224,9 @@ class Gradients(_FlatLayers):
             self._pack()
 
     @classmethod
-    def zeros(cls, layer_sizes) -> "Gradients":
-        """Zero gradients in the flat layout of ``layer_sizes``."""
-        flat = np.zeros(_flat_size(layer_sizes))
+    def zeros(cls, layer_sizes, dtype) -> "Gradients":
+        """Zero ``dtype`` gradients in the flat layout of ``layer_sizes``."""
+        flat = np.zeros(_flat_size(layer_sizes), dtype=dtype)
         return cls(*_views(flat, layer_sizes), flat)
 
     def all_finite(self) -> bool:
@@ -210,15 +238,19 @@ def mlp_init(
     rng: np.random.Generator,
     hidden_activation: str = "relu",
     output_activation: str = "identity",
+    dtype=np.float64,
 ) -> Mlp:
-    """Fan-in scaled uniform init: weights ~ U(-1/sqrt(in), 1/sqrt(in)), zero biases."""
+    """Fan-in scaled uniform init: weights ~ U(-1/sqrt(in), 1/sqrt(in)), zero
+    biases. The weights are drawn in float64 and then cast to ``dtype``, so
+    ``rng`` advances the same way for either dtype."""
     if len(layer_sizes) < 2 or any(int(n) <= 0 for n in layer_sizes):
         raise ShapeError(f"bad layer sizes {layer_sizes}")
+    dtype = _param_dtype(dtype)
     weights, biases = [], []
     for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         bound = 1.0 / np.sqrt(n_in)
-        weights.append(rng.uniform(-bound, bound, size=(n_out, n_in)))
-        biases.append(np.zeros(n_out))
+        weights.append(rng.uniform(-bound, bound, size=(n_out, n_in)).astype(dtype, copy=False))
+        biases.append(np.zeros(n_out, dtype=dtype))
     acts = [hidden_activation] * (len(layer_sizes) - 2) + [output_activation]
     return Mlp(weights, biases, acts)
 
@@ -227,15 +259,16 @@ def mlp_zeros(
     layer_sizes,
     hidden_activation: str = "relu",
     output_activation: str = "identity",
+    dtype=np.float64,
 ) -> Mlp:
     """All-zero network (useful for tests and target bootstraps)."""
     acts = [hidden_activation] * (len(layer_sizes) - 2) + [output_activation]
-    return Mlp.from_flat(np.zeros(_flat_size(layer_sizes)), layer_sizes, acts)
+    return Mlp.from_flat(np.zeros(_flat_size(layer_sizes)), layer_sizes, acts, dtype)
 
 
-def _checked(x, dim: int, what: str) -> np.ndarray:
-    """``x`` as float64, either one ``(dim,)`` vector or a ``(B, dim)`` batch."""
-    x = np.asarray(x, dtype=np.float64)
+def _checked(x, dim: int, what: str, dtype) -> np.ndarray:
+    """``x`` as ``dtype``, either one ``(dim,)`` vector or a ``(B, dim)`` batch."""
+    x = np.asarray(x, dtype=dtype)
     if x.ndim not in (1, 2):
         raise ShapeError(f"{what}: expected 1-D or 2-D array, got ndim={x.ndim}")
     if x.shape[-1] != dim:
@@ -243,9 +276,9 @@ def _checked(x, dim: int, what: str) -> np.ndarray:
     return x
 
 
-def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, dim: int, what: str, dtype) -> tuple[np.ndarray, bool]:
     """``_checked(x)`` as a (B, dim) batch; the flag marks a 1-D ``x``."""
-    x = _checked(x, dim, what)
+    x = _checked(x, dim, what, dtype)
     return (x[None, :], True) if x.ndim == 1 else (x, False)
 
 
@@ -283,7 +316,7 @@ def _forward(params: Mlp, x: np.ndarray) -> list[np.ndarray]:
     """The input, then each layer's activation: (n,) vectors for one input,
     (B, n) batches for a batch, through the same loop. Bias and activation are
     applied in place, so a layer allocates one array."""
-    values = [_checked(x, params.in_dim, "input")]
+    values = [_checked(x, params.in_dim, "input", params.dtype)]
     for w, b, a in zip(params.weights, params.biases, params.activations):
         h = _mm(values[-1], w.T)
         h += b
@@ -312,7 +345,7 @@ def _backprop(params: Mlp, output_grad: np.ndarray, tape: Tape,
     sizes = [v.shape[1] for v in tape.values]
     if sizes != params.layer_sizes:
         raise ShapeError(f"tape of a {sizes} network, parameters of {params.layer_sizes}")
-    g, single = _as_batch(output_grad, params.out_dim, "output_grad")
+    g, single = _as_batch(output_grad, params.out_dim, "output_grad", params.dtype)
     if single != tape.single or g.shape[0] != tape.values[0].shape[0]:
         raise ShapeError("output_grad and tape batch shapes differ")
     owned = False  # g is the caller's output_grad until the first product
@@ -336,15 +369,16 @@ def mlp_backward(
     accumulate across rows (callers fold any 1/B factors into output_grad).
     Returns (parameter gradients, dL/dx with the same shape as x). The
     parameter gradients are written into ``out`` when it is given (a
-    ``Gradients`` in ``params``' layout, else ShapeError) and ``out`` itself
-    is returned; without it they land in a fresh vector. Training steps pass
-    their ``AdamState.grad``, so a step allocates no parameter-sized array.
+    ``Gradients`` in ``params``' layout and dtype, else ShapeError) and
+    ``out`` itself is returned; without it they land in a fresh vector.
+    Training steps pass their ``AdamState.grad``, so a step allocates no
+    parameter-sized array.
     """
     if out is None:
-        out = Gradients.zeros(params.layer_sizes)
-    elif out.layer_sizes != params.layer_sizes:
-        raise ShapeError(f"out of a {out.layer_sizes} network, parameters of "
-                         f"{params.layer_sizes}")
+        out = Gradients.zeros(params.layer_sizes, params.dtype)
+    elif out.layer_sizes != params.layer_sizes or out.dtype != params.dtype:
+        raise ShapeError(f"out of a {out.layer_sizes} {out.dtype} network, parameters of "
+                         f"{params.layer_sizes} {params.dtype}")
     return out, _backprop(params, output_grad, tape, out)
 
 
@@ -363,8 +397,8 @@ _ADAM_CHUNK = 32_768
 
 @dataclass
 class AdamState:
-    """Adam moment accumulators for one Mlp, in its flat layout, and the
-    buffers its update needs, all allocated once by ``adam_init``: ``grad``, a
+    """Adam moment accumulators for one Mlp, in its flat layout and dtype, and
+    the buffers its update needs, all allocated once by ``adam_init``: ``grad``, a
     ``Gradients`` that the trainer's ``mlp_backward(..., out=state.grad)``
     overwrites each step, and ``scratch``, two slices of ``adam_step``
     temporaries."""
@@ -384,10 +418,10 @@ def adam_init(params: Mlp, learning_rate: float, beta1: float = 0.9,
               beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
     if learning_rate <= 0.0:
         raise ValueError("learning_rate must be positive")
-    n = params.flat.size
-    return AdamState(learning_rate, beta1, beta2, epsilon, m=np.zeros(n), v=np.zeros(n),
-                     grad=Gradients.zeros(params.layer_sizes),
-                     scratch=np.empty((2, min(n, _ADAM_CHUNK))))
+    n, dtype = params.flat.size, params.dtype
+    return AdamState(learning_rate, beta1, beta2, epsilon, m=np.zeros(n, dtype),
+                     v=np.zeros(n, dtype), grad=Gradients.zeros(params.layer_sizes, dtype),
+                     scratch=np.empty((2, min(n, _ADAM_CHUNK)), dtype))
 
 
 def adam_step(params: Mlp, grads: Gradients, state: AdamState) -> tuple[Mlp, AdamState]:
@@ -395,9 +429,11 @@ def adam_step(params: Mlp, grads: Gradients, state: AdamState) -> tuple[Mlp, Ada
     before touching any parameter. ``grads`` may be ``state.grad``; the
     temporaries live in ``state.scratch``, and each rounds as in
     ``p -= lr * (m/c1) / (sqrt(v/c2) + eps)`` with
-    ``m = b1*m + (1-b1)*g`` and ``v = b2*v + (1-b2)*g*g``."""
-    if grads.layer_sizes != params.layer_sizes or state.m.shape != params.flat.shape:
-        raise ShapeError("gradient/parameter/moment shape mismatch")
+    ``m = b1*m + (1-b1)*g`` and ``v = b2*v + (1-b2)*g*g``, in the
+    parameters' dtype."""
+    if (grads.layer_sizes != params.layer_sizes or state.m.shape != params.flat.shape
+            or not grads.dtype == state.m.dtype == state.scratch.dtype == params.dtype):
+        raise ShapeError("gradient/parameter/moment shape or dtype mismatch")
     if not grads.all_finite():
         raise NonFiniteError("non-finite gradient; update rejected")
 
@@ -429,15 +465,16 @@ def adam_step(params: Mlp, grads: Gradients, state: AdamState) -> tuple[Mlp, Ada
 
 def polyak_update(target: Mlp, online: Mlp, tau: float) -> Mlp:
     """Soft target update in place: target <- tau*online + (1-tau)*target,
-    elementwise, in slices through one slice-sized buffer. Returns target,
-    left untouched if this raises."""
+    elementwise, in slices through one slice-sized buffer of their dtype.
+    Returns target, left untouched if this raises."""
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    if target.layer_sizes != online.layer_sizes:
-        raise ShapeError(f"layer sizes differ: {target.layer_sizes} vs {online.layer_sizes}")
+    if target.layer_sizes != online.layer_sizes or target.dtype != online.dtype:
+        raise ShapeError(f"layouts differ: {target.layer_sizes} {target.dtype} vs "
+                         f"{online.layer_sizes} {online.dtype}")
     if not (np.isfinite(online.flat).all() and np.isfinite(target.flat).all()):
         raise NonFiniteError("non-finite parameters; Polyak update rejected")
-    buf = np.empty(min(target.flat.size, _ADAM_CHUNK))
+    buf = np.empty(min(target.flat.size, _ADAM_CHUNK), target.dtype)
     for i in range(0, target.flat.size, _ADAM_CHUNK):
         t, o = target.flat[i:i + _ADAM_CHUNK], online.flat[i:i + _ADAM_CHUNK]
         b = buf[:t.size]
@@ -453,7 +490,7 @@ def polyak_update(target: Mlp, online: Mlp, tau: float) -> Mlp:
 def _write(path, kind: str, settings: dict, contents: dict) -> None:
     """Write a ``kind`` container to exactly ``path``: a header of ``settings``
     and, under its name, each of ``contents``, an array or an ``Mlp`` (stored as
-    its ``flat``, with its layout in the header)."""
+    its ``flat`` in its own dtype, with its layout in the header)."""
     header = {"format": kind, "version": FORMAT_VERSION, **settings,
               "nets": {name: _layout(c) for name, c in contents.items() if isinstance(c, Mlp)}}
     arrays = {name: c.flat if isinstance(c, Mlp) else np.asarray(c, dtype=np.float64)
@@ -465,11 +502,12 @@ def _write(path, kind: str, settings: dict, contents: dict) -> None:
 
 def _read(path, kind: str, columns=(), settings=()) -> tuple[dict, dict]:
     """The header of the ``kind`` container at ``path`` and its contents: each
-    of ``columns`` as an array, each network the header lists as an ``Mlp``.
-    A file that is not such a container, is of another format or version, or
-    lacks an entry or one of the header's ``settings`` raises ValueError
-    (ShapeError for a vector that does not fit its layout). Nothing is
-    unpickled."""
+    of ``columns`` as an array, each network the header lists as an ``Mlp``
+    of its stored dtype. A file that is not such a container, is of another
+    format or version, lacks an entry or one of the header's ``settings``, or
+    holds a column that is not float64 or a network that is neither float32
+    nor float64 raises ValueError (ShapeError for a vector that does not fit
+    its layout). Nothing is unpickled."""
     def bad(why):
         return ValueError(f"{path} is not a {kind!r} file of version {FORMAT_VERSION}: {why}")
 
@@ -488,13 +526,17 @@ def _read(path, kind: str, columns=(), settings=()) -> tuple[dict, dict]:
         if name not in header:
             raise bad(f"no setting {name!r}")
     layouts = header.get("nets", {})
-    for name in [*columns, *layouts]:
+    for name in columns:
         if name not in arrays or arrays[name].dtype != np.float64:
             raise bad(f"no float64 array {name!r}")
+    for name in layouts:
+        if name not in arrays or arrays[name].dtype not in PARAM_DTYPES:
+            raise bad(f"no float32 or float64 array {name!r}")
     contents = {name: arrays[name] for name in columns}
     for name, (sizes, activations) in layouts.items():
         try:
-            contents[name] = Mlp.from_flat(arrays[name], sizes, activations)
+            contents[name] = Mlp.from_flat(arrays[name], sizes, activations,
+                                           arrays[name].dtype)
         except ShapeError as e:
             raise ShapeError(f"{path}: {kind!r} network {name!r}: {e}") from e
     return header, contents
@@ -505,10 +547,11 @@ def _layout(net: Mlp) -> list:
 
 
 def params_hash(*nets: Mlp) -> str:
-    """SHA-256 of the JSON header ``[[layer_sizes, activations], ...]``
-    followed by each network's ``flat`` as little-endian float64 bytes."""
-    header = json.dumps([_layout(n) for n in nets])
+    """SHA-256 of the JSON header ``[[layer_sizes, activations, dtype], ...]``
+    followed by each network's ``flat`` as little-endian bytes of its own
+    dtype: networks of equal values and different dtypes hash differently."""
+    header = json.dumps([[*_layout(n), n.dtype.name] for n in nets])
     h = hashlib.sha256(header.encode("utf-8"))
     for n in nets:
-        h.update(n.flat.astype("<f8", copy=False))
+        h.update(n.flat.astype(n.dtype.newbyteorder("<"), copy=False))
     return h.hexdigest()

@@ -63,15 +63,17 @@ class IdentityDecoder:
 
 
 def small_cvae_decoder(state_dim=2, action_dim=2, latent_dim=3, seed=50):
+    # float64, as the finite-difference checks need
     rng = np.random.default_rng(seed)
-    cvae = cvae_init(state_dim, action_dim, rng, latent_dim=latent_dim, hidden_sizes=(8, 8))
+    cvae = cvae_init(state_dim, action_dim, rng, latent_dim=latent_dim, hidden_sizes=(8, 8),
+                     dtype=np.float64)
     return FrozenDecoder(cvae)
 
 
 def make_agent(decoder, state_dim=2, epsilon=0.0, seed=51, max_latent_action=2.0):
     cfg = PlasTrainConfig(perturbation_epsilon=epsilon, hidden_sizes=(8, 8),
                           max_latent_action=max_latent_action)
-    return plas_agent_init(state_dim, decoder, cfg, np.random.default_rng(seed))
+    return plas_agent_init(state_dim, decoder, cfg, np.random.default_rng(seed), np.float64)
 
 
 def test_act_zero_actor_equals_decode_at_zero():

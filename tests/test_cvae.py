@@ -15,7 +15,6 @@ from plas.cvae import (
     encode,
     kl_to_standard_normal,
     load_cvae,
-    reparameterize,
     save_cvae,
     train_cvae,
 )
@@ -63,27 +62,6 @@ def test_encode_deterministic():
     out1 = encode(cvae, s, a)
     out2 = encode(cvae, s, a)
     assert np.array_equal(out1[0], out2[0]) and np.array_equal(out1[1], out2[1])
-
-
-def test_reparameterize_trivials():
-    mu = np.array([0.4, -1.2])
-    log_std = np.array([0.1, -0.3])
-    assert np.array_equal(reparameterize(mu, log_std, np.zeros(2)), mu)
-    n = np.array([1.5, -0.5])
-    assert np.array_equal(reparameterize(np.zeros(2), np.zeros(2), n), n)
-
-
-def test_reparameterize_monte_carlo_moments():
-    rng = np.random.default_rng(12)
-    mu = np.array([0.7, -0.2])
-    log_std = np.array([-0.5, 0.3])
-    noise = rng.standard_normal((100_000, 2))
-    z = reparameterize(np.tile(mu, (100_000, 1)), np.tile(log_std, (100_000, 1)), noise)
-    std = np.exp(log_std)
-    se_mean = std / np.sqrt(100_000)
-    assert np.all(np.abs(z.mean(axis=0) - mu) < 3 * se_mean)
-    se_std = std / np.sqrt(2 * 100_000)
-    assert np.all(np.abs(z.std(axis=0) - std) < 3 * se_std)
 
 
 def test_decode_zero_network():
@@ -144,7 +122,7 @@ def test_kl_matches_quadrature():
 @pytest.mark.parametrize("seed", range(4))
 def test_elbo_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(200 + seed)
-    cvae = cvae_init(2, 1, rng, latent_dim=2, hidden_sizes=(6,))
+    cvae = cvae_init(2, 1, rng, latent_dim=2, hidden_sizes=(6,), dtype=np.float64)
     B = 3
     s = rng.normal(size=(B, 2))
     a = rng.uniform(-0.9, 0.9, size=(B, 1))
@@ -258,7 +236,7 @@ def test_train_cvae_rejects_empty():
 
 def test_frozen_decoder_backward_matches_fd():
     rng = np.random.default_rng(20)
-    cvae = cvae_init(2, 2, rng, latent_dim=3, hidden_sizes=(8,))
+    cvae = cvae_init(2, 2, rng, latent_dim=3, hidden_sizes=(8,), dtype=np.float64)
     dec = FrozenDecoder(cvae)
     s = rng.normal(size=(2, 2))
     z = rng.normal(size=(2, 3))

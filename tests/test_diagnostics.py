@@ -250,12 +250,15 @@ def _tiny_agents(env, seed):
     from plas.baselines import UnconstrainedTrainConfig, unconstrained_agent_init
     from plas.cvae import FrozenDecoder, cvae_init
 
+    # float64, where a batched row and a one-state forward differ by less than
+    # the comparison below allows (float32 ones differ by ~1e-7)
     rng = np.random.default_rng(seed)
-    cvae = cvae_init(env.state_dim, env.action_dim, rng, hidden_sizes=(8, 8))
+    cvae = cvae_init(env.state_dim, env.action_dim, rng, hidden_sizes=(8, 8), dtype=np.float64)
     plas = plas_agent_init(env.state_dim, FrozenDecoder(cvae),
-                           PlasTrainConfig(hidden_sizes=(8, 8), perturbation_epsilon=0.05), rng)
+                           PlasTrainConfig(hidden_sizes=(8, 8), perturbation_epsilon=0.05), rng,
+                           np.float64)
     base = unconstrained_agent_init(env.state_dim, env.action_dim,
-                                    UnconstrainedTrainConfig(hidden_sizes=(8, 8)), rng)
+                                    UnconstrainedTrainConfig(hidden_sizes=(8, 8)), rng, np.float64)
     return {"plas": plas, "unconstrained": base}
 
 

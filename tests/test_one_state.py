@@ -2,7 +2,8 @@
 batch-1 path it replaced.
 
 The references below are a frozen copy of that path: every one-state call was
-promoted to a (1, n) batch and each layer ran ``h @ w.T`` (numpy matmul).
+promoted to a (1, n) batch and each layer ran ``h @ w.T`` (numpy matmul), in
+the network's dtype.
 """
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ _ACT = {"relu": lambda h: np.maximum(h, 0.0, out=h),
 
 
 def _ref_forward(net, x):
-    h = np.asarray(x, dtype=np.float64)[None, :]
+    h = np.asarray(x, dtype=net.dtype)[None, :]
     for w, b, a in zip(net.weights, net.biases, net.activations):
         h = h @ w.T
         h += b
@@ -46,16 +47,17 @@ def _ref_act(agent, s):
     return np.clip(decoded + head.epsilon * raw, -1.0, 1.0)
 
 
-def _plas(state_dim, action_dim, hidden, epsilon, seed):
+def _plas(state_dim, action_dim, hidden, epsilon, seed, dtype=np.float32):
     rng = np.random.default_rng(seed)
-    cvae = cvae_init(state_dim, action_dim, rng, hidden_sizes=hidden)
+    cvae = cvae_init(state_dim, action_dim, rng, hidden_sizes=hidden, dtype=dtype)
     cfg = PlasTrainConfig(hidden_sizes=hidden, perturbation_epsilon=epsilon)
-    return plas_agent_init(state_dim, FrozenDecoder(cvae), cfg, rng)
+    return plas_agent_init(state_dim, FrozenDecoder(cvae), cfg, rng, dtype)
 
 
-def _unconstrained(state_dim, action_dim, hidden, seed):
+def _unconstrained(state_dim, action_dim, hidden, seed, dtype=np.float32):
     cfg = UnconstrainedTrainConfig(hidden_sizes=hidden)
-    return unconstrained_agent_init(state_dim, action_dim, cfg, np.random.default_rng(seed))
+    return unconstrained_agent_init(state_dim, action_dim, cfg, np.random.default_rng(seed),
+                                    dtype)
 
 
 def _equal(a, b):
@@ -66,10 +68,11 @@ def _equal(a, b):
 @given(seed=st.integers(0, 2 ** 32 - 1), state_dim=st.sampled_from([1, 4]),
        hidden=st.sampled_from([(8,), (64, 64), (5, 7)]),
        epsilon=st.sampled_from([0.0, 0.05]),
-       scale=st.sampled_from([1e-3, 1.0, 30.0]))
-def test_one_state_equals_the_batch_one_reference(seed, state_dim, hidden, epsilon, scale):
+       scale=st.sampled_from([1e-3, 1.0, 30.0]),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_one_state_equals_the_batch_one_reference(seed, state_dim, hidden, epsilon, scale, dtype):
     action_dim = 1 if state_dim == 1 else 2
-    agent = _plas(state_dim, action_dim, hidden, epsilon, seed)
+    agent = _plas(state_dim, action_dim, hidden, epsilon, seed, dtype)
     cvae = agent.decoder._cvae
     rng = np.random.default_rng(seed)
     s = scale * rng.normal(size=state_dim)
@@ -80,20 +83,21 @@ def test_one_state_equals_the_batch_one_reference(seed, state_dim, hidden, epsil
     assert _equal(decode(cvae, s, z), _ref_decode(cvae, s, z))
     assert _equal(agent.decoder.forward(s, z), _ref_decode(cvae, s, z))
     assert _equal(act(agent, s), _ref_act(agent, s))
-    base = _unconstrained(state_dim, action_dim, hidden, seed)
+    base = _unconstrained(state_dim, action_dim, hidden, seed, dtype)
     assert _equal(base.action(s), _ref_forward(base.actor, s))
 
 
 @pytest.mark.parametrize("env", [PointMassEnv(), EdgeFollowEnv()], ids=lambda e: e.name)
 @pytest.mark.parametrize("epsilon", [0.0, 0.05])
 def test_evaluate_policy_equals_the_reference(env, epsilon):
-    plas_agent = _plas(env.state_dim, env.action_dim, (16, 16), epsilon, seed=3)
-    base = _unconstrained(env.state_dim, env.action_dim, (16, 16), seed=4)
-    for policy, ref in ((plas_agent.policy_fn(), lambda s: _ref_act(plas_agent, s)),
-                        (base.policy_fn(), lambda s: _ref_forward(base.actor, s))):
-        got = evaluate_policy(env, policy, 6, np.random.default_rng(5))
-        want = evaluate_policy(env, ref, 6, np.random.default_rng(5))
-        assert got == want
+    for dtype in (np.float32, np.float64):
+        plas_agent = _plas(env.state_dim, env.action_dim, (16, 16), epsilon, 3, dtype)
+        base = _unconstrained(env.state_dim, env.action_dim, (16, 16), 4, dtype)
+        for policy, ref in ((plas_agent.policy_fn(), lambda s: _ref_act(plas_agent, s)),
+                            (base.policy_fn(), lambda s: _ref_forward(base.actor, s))):
+            got = evaluate_policy(env, policy, 6, np.random.default_rng(5))
+            want = evaluate_policy(env, ref, 6, np.random.default_rng(5))
+            assert got == want
 
 
 def test_one_state_shapes_are_checked():
