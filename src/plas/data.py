@@ -1,14 +1,18 @@
 """Offline transition datasets: containers, minibatch sampling, files.
 
-A dataset is columnar (state/action/reward/next_state/done arrays) with a
-metadata record. A file is one ``nets`` container of kind ``"dataset"``: the
-five columns as float64 arrays, the metadata in its header.
+Any set of transitions is a ``Batch``: five columns (state/action/reward/
+next_state/done arrays) of one row per transition. Minibatches, the rows of
+lockstep rollouts and the online run's log are all batches; ``concat_rows``
+lays any columnar parts end to end. A dataset (``TransitionDataset``) is
+checked columnar data with a metadata record. A file is one ``nets``
+container of kind ``"dataset"``: the five columns as float64 arrays, the
+metadata in its header.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -82,22 +86,10 @@ class TransitionDataset:
         return h.hexdigest()
 
 
-def concat_datasets(a: TransitionDataset | Batch, b: TransitionDataset | Batch,
-                    meta: DatasetMeta) -> TransitionDataset:
-    """``a``'s rows followed by ``b``'s; either part may be any columnar set."""
-    return TransitionDataset(
-        states=np.concatenate([a.states, b.states]),
-        actions=np.concatenate([a.actions, b.actions]),
-        rewards=np.concatenate([a.rewards, b.rewards]),
-        next_states=np.concatenate([a.next_states, b.next_states]),
-        dones=np.concatenate([a.dones, b.dones]),
-        meta=meta,
-    )
-
-
 # -- sampling ---------------------------------------------------------------
 
-def sample_indices(dataset: TransitionDataset, k: int, rng: np.random.Generator) -> np.ndarray:
+def sample_indices(dataset: TransitionDataset | Batch, k: int,
+                   rng: np.random.Generator) -> np.ndarray:
     """Uniform-with-replacement index draw; the single sampling core behind
     ``sample_batch`` and every learner that indexes the columns itself."""
     if k <= 0:
@@ -116,20 +108,24 @@ class Batch:
     def __len__(self) -> int:
         return self.states.shape[0]
 
+    def __getitem__(self, rows) -> "Batch":
+        """The same rows (a slice or an index array) of every column."""
+        return Batch(*(getattr(self, c)[rows] for c in COLUMNS))
+
     def astype(self, dtype) -> "Batch":
         """Every column as ``dtype``; columns already of it are not copied."""
-        return Batch(*(getattr(self, c.name).astype(dtype, copy=False) for c in fields(self)))
+        return Batch(*(getattr(self, c).astype(dtype, copy=False) for c in COLUMNS))
 
 
-def sample_batch(dataset: TransitionDataset, k: int, rng: np.random.Generator) -> Batch:
+def sample_batch(dataset: TransitionDataset | Batch, k: int, rng: np.random.Generator) -> Batch:
     idx = sample_indices(dataset, k, rng)
-    return Batch(
-        states=dataset.states[idx],
-        actions=dataset.actions[idx],
-        rewards=dataset.rewards[idx],
-        next_states=dataset.next_states[idx],
-        dones=dataset.dones[idx],
-    )
+    return Batch(*(getattr(dataset, c)[idx] for c in COLUMNS))
+
+
+def concat_rows(parts, n: int) -> Batch:
+    """The first ``n`` rows of the columnar ``parts`` (batches or datasets)
+    laid end to end, as new arrays."""
+    return Batch(*(np.concatenate([getattr(p, c) for p in parts])[:n] for c in COLUMNS))
 
 
 # -- files -------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .agent import q_values
-from .envs import rollout_batch
+from .envs import rollout_batch, split_episodes
 
 
 @dataclass
@@ -78,12 +78,13 @@ def q_error_report(agent, env, n_episodes: int, gamma: float,
     ``agent`` needs a ``policy_fn()`` that maps a batch of states (k, d) to
     actions (k, a), and a ``critics.q1`` network (both the latent-action agent
     and the unconstrained baseline qualify). The episodes run in lockstep
-    (``envs.rollout_batch``) and the critic grades all their steps in one call.
+    (``envs.rollout_batch``), the critic grades all their rows in one call, and
+    each episode's rewards give its own returns.
     """
-    rollouts = rollout_batch(env, agent.policy_fn(), n_episodes, rng)
-    q = q_values(agent.critics.q1, np.concatenate([ro.states for ro in rollouts]),
-                 np.concatenate([ro.actions for ro in rollouts]))
-    g = np.concatenate([empirical_return(ro.rewards, gamma, truncation) for ro in rollouts])
+    batch, lengths = rollout_batch(env, agent.policy_fn(), n_episodes, rng)
+    q = q_values(agent.critics.q1, batch.states, batch.actions)
+    g = np.concatenate([empirical_return(r, gamma, truncation)
+                        for r in split_episodes(batch.rewards, lengths)])
     return report_from_errors(q - g, n_episodes)
 
 

@@ -12,18 +12,18 @@ Two environments ship by default:
   which is exactly the regime where out-of-distribution actions get punished.
 
 Environments are cheap value objects: ``step`` is a pure function of
-(states, actions) and ``reset`` only consumes the rng you hand it. ``step`` is an
-array step: states (N, state_dim) and actions (N, action_dim) give next states
-(N, state_dim), rewards (N,) and dones (N,), row by row. One state (state_dim,)
-with one action runs the same code and gives (next state, float, bool), equal
-bit for bit to row 0 of the batched step. Out-of-bounds actions are clipped
-into [-1, 1] row by row (a row is clipped when its largest magnitude exceeds
-1 + 1e-12) and each clipped row adds one to a module-level tally rather than
-raising (see ``clip_warning_count``).
+(states, actions) and ``reset`` only consumes the rng you hand it. ``step``
+takes rows only: states (N, state_dim) and actions (N, action_dim) give next
+states (N, state_dim), rewards (N,) and dones (N,), row by row; one state is
+the row (1, state_dim), and a 1-D state raises ``ValueError``. Out-of-bounds
+actions are clipped into [-1, 1] row by row (a row is clipped when its largest
+magnitude exceeds 1 + 1e-12) and each clipped row adds one to a module-level
+tally rather than raising (see ``clip_warning_count``).
 
 ``rollout_batch`` is the one episode engine: it runs N episodes in lockstep,
-one batched policy call and one array ``step`` per time step, and is used by
-dataset generation, evaluation and the Q-error report.
+one batched policy call and one array ``step`` per time step, and returns
+their transitions as one ``data.Batch`` of rows in episode order. It is used
+by dataset generation, evaluation and the Q-error report.
 """
 from __future__ import annotations
 
@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import Batch
 
 _CLIP_WARNINGS = 0
 
@@ -45,19 +47,13 @@ def reset_clip_warning_count() -> None:
     _CLIP_WARNINGS = 0
 
 
-def _step_rows(env, states, actions) -> tuple[np.ndarray, np.ndarray, bool]:
-    """States (N, state_dim) and row-clipped actions (N, action_dim) as float64,
-    and whether one state was given (then the action may be any shape of
-    ``action_dim`` entries)."""
+def _step_rows(env, states, actions) -> tuple[np.ndarray, np.ndarray]:
+    """States (N, state_dim) and row-clipped actions (N, action_dim) as float64."""
     global _CLIP_WARNINGS
     s = np.asarray(states, dtype=np.float64)
     a = np.asarray(actions, dtype=np.float64)
-    single = s.ndim == 1
-    if single:
-        s, a = s[None, :], a.reshape(1, -1)
     if s.ndim != 2 or s.shape[1] != env.state_dim:
-        raise ValueError(f"states must be ({env.state_dim},) or (N, {env.state_dim}), "
-                         f"got {np.shape(states)}")
+        raise ValueError(f"states must be rows (N, {env.state_dim}), got {np.shape(states)}")
     if a.shape != (s.shape[0], env.action_dim):
         raise ValueError(f"actions must be ({s.shape[0]}, {env.action_dim}) for states "
                          f"{np.shape(states)}, got {np.shape(actions)}")
@@ -66,13 +62,7 @@ def _step_rows(env, states, actions) -> tuple[np.ndarray, np.ndarray, bool]:
         over = over.any(axis=1)
         _CLIP_WARNINGS += int(over.sum())
         a = np.where(over[:, None], np.clip(a, -1.0, 1.0), a)
-    return s, a, single
-
-
-def _stepped(next_states, rewards, dones, single: bool):
-    if single:
-        return next_states[0], rewards.item(), dones.item()
-    return next_states, rewards, dones
+    return s, a
 
 
 @dataclass(frozen=True)
@@ -96,7 +86,7 @@ class PointMassEnv:
 
     def step(self, states: np.ndarray, actions):
         """Array step: see the module docstring for the shapes."""
-        s, a, single = _step_rows(self, states, actions)
+        s, a = _step_rows(self, states, actions)
         v2 = self.damping * s[:, 2:] + self.dt * a
         p2 = s[:, :2] + self.dt * v2
         d = p2 - np.asarray(self.goal)
@@ -104,7 +94,7 @@ class PointMassEnv:
         dist = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
         dones = dist < self.goal_radius
         rewards = -dist + self.goal_bonus * dones
-        return _stepped(np.concatenate([p2, v2], axis=1), rewards, dones, single)
+        return np.concatenate([p2, v2], axis=1), rewards, dones
 
     def expert_action(self, states: np.ndarray) -> np.ndarray:
         """Proportional-derivative servo onto the goal, row-wise over (..., 4)."""
@@ -150,14 +140,14 @@ class EdgeFollowEnv:
 
     def step(self, states: np.ndarray, actions):
         """Array step: see the module docstring for the shapes."""
-        s, a, single = _step_rows(self, states, actions)
+        s, a = _step_rows(self, states, actions)
         x = s[:, 0]
         speed = 0.5 * (a[:, 0] + 1.0)
         # edge lost: absorbing failure, no reward this step, the state stays
         lost = speed > self.speed_limit(x)
         x2 = np.minimum(x + self.step_scale * speed, 1.0)
         next_states = np.where(lost, x, x2)[:, None]
-        return _stepped(next_states, np.where(lost, 0.0, speed), lost | (x2 >= 1.0), single)
+        return next_states, np.where(lost, 0.0, speed), lost | (x2 >= 1.0)
 
     def expert_action(self, states: np.ndarray, margin: float = 0.05) -> np.ndarray:
         """Just under the local speed limit, row-wise over (..., 1)."""
@@ -188,48 +178,27 @@ def make_env(name: str):
         raise ValueError(f"unknown env {name!r}; have {sorted(ENVS)}") from None
 
 
-@dataclass
-class Rollout:
-    """One episode in the dataset's column layout: row t is step t."""
-
-    states: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    next_states: np.ndarray
-    dones: np.ndarray
-
-    @property
-    def total_reward(self) -> float:
-        # Python's left-to-right sum: np.sum's pairwise order would change the last bits
-        return float(sum(self.rewards.tolist()))
-
-    def __len__(self) -> int:
-        return len(self.rewards)
-
-
 def rollout_batch(env, policy, n_episodes: int, rng: np.random.Generator,
-                  noise_std: float = 0.0) -> list[Rollout]:
+                  noise_std: float = 0.0) -> tuple[Batch, np.ndarray]:
     """``n_episodes`` episodes in lockstep under ``policy(states (k, d)) -> (k, a)``.
 
     All resets are drawn first, in episode order. Each time step then calls
     ``policy`` once on the k unfinished episodes, adds Gaussian exploration
     noise (one (k, a) draw from ``rng`` when ``noise_std > 0``), clips into
     [-1, 1] and takes one array ``env.step``; an episode ends at ``done`` or
-    after ``env.horizon`` steps. Returns one ``Rollout`` per episode, in
-    episode order. With one episode and a policy that reads only its own row,
-    this is the sequential single-episode loop, draw for draw.
+    after ``env.horizon`` steps. Returns every episode's rows as one ``Batch``,
+    episode after episode and step after step, and the episode lengths (n,).
+    With one episode and a policy that reads only its own row, this is the
+    sequential single-episode loop, draw for draw.
     """
     if n_episodes < 1:
         raise ValueError("need at least one episode")
     if not (math.isfinite(noise_std) and noise_std >= 0.0):
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
-    n, horizon, a_dim = n_episodes, env.horizon, env.action_dim
+    n, horizon, s_dim, a_dim = n_episodes, env.horizon, env.state_dim, env.action_dim
     state = np.stack([env.reset(rng) for _ in range(n)])
-    states = np.empty((n, horizon, env.state_dim))
-    actions = np.empty((n, horizon, a_dim))
-    rewards = np.empty((n, horizon))
-    next_states = np.empty_like(states)
-    dones = np.empty((n, horizon))
+    steps = Batch(np.empty((n, horizon, s_dim)), np.empty((n, horizon, a_dim)),
+                  np.empty((n, horizon)), np.empty((n, horizon, s_dim)), np.empty((n, horizon)))
     lengths = np.full(n, horizon)
     live = np.arange(n)
     rows = slice(None)  # indexes the live episodes; a slice until the first one ends
@@ -239,11 +208,8 @@ def rollout_batch(env, policy, n_episodes: int, rng: np.random.Generator,
             action = action + rng.normal(0.0, noise_std, size=action.shape)
         action = action.clip(-1.0, 1.0)
         next_state, reward, done = env.step(state, action)
-        states[rows, t] = state
-        actions[rows, t] = action
-        rewards[rows, t] = reward
-        next_states[rows, t] = next_state
-        dones[rows, t] = done
+        steps.states[rows, t], steps.actions[rows, t], steps.rewards[rows, t] = state, action, reward
+        steps.next_states[rows, t], steps.dones[rows, t] = next_state, done
         if np.count_nonzero(done):  # cheaper than .any() on a few rows
             lengths[live[done]] = t + 1
             live = rows = live[~done]
@@ -251,8 +217,12 @@ def rollout_batch(env, policy, n_episodes: int, rng: np.random.Generator,
                 break
             next_state = next_state[~done]
         state = next_state
-    return [Rollout(states[i, :k], actions[i, :k], rewards[i, :k], next_states[i, :k],
-                    dones[i, :k]) for i, k in enumerate(lengths.tolist())]
+    return steps[np.arange(horizon) < lengths[:, None]], lengths
+
+
+def split_episodes(column: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+    """``column`` of a ``rollout_batch`` result cut into its episodes."""
+    return np.split(column, np.cumsum(lengths)[:-1])
 
 
 def evaluate_policy(env, policy_fn, n_episodes: int, rng: np.random.Generator) -> tuple[float, float]:
@@ -260,12 +230,14 @@ def evaluate_policy(env, policy_fn, n_episodes: int, rng: np.random.Generator) -
 
     ``policy_fn(state) -> action`` maps one state. It is called once per state
     per step, in episode order among the live episodes, while the env steps
-    all of them in lockstep. The rng gives the resets only.
+    all of them in lockstep. The rng gives the resets only. Each return is
+    Python's left-to-right sum of its episode's rewards.
     """
     def per_state(states):
         return np.array([policy_fn(s) for s in states])
 
-    returns = [ro.total_reward for ro in rollout_batch(env, per_state, n_episodes, rng)]
+    batch, lengths = rollout_batch(env, per_state, n_episodes, rng)
+    returns = [sum(r.tolist()) for r in split_episodes(batch.rewards, lengths)]
     return float(np.mean(returns)), float(np.std(returns))
 
 

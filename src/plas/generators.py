@@ -4,9 +4,9 @@
 - ``expert``: rollouts of the scripted expert with a little action noise.
 - ``medium``: rollouts of a partially-trained policy. The controller comes
   from an online actor-critic run (the unconstrained learner plus exploration
-  noise and a replay buffer) stopped once evaluation reaches a fraction of the
-  scripted expert's return.
-- ``medium_replay``: the replay buffer logged during that same online run,
+  noise, learning from every transition it has logged so far) stopped once
+  evaluation reaches a fraction of the scripted expert's return.
+- ``medium_replay``: every transition logged during that same online run,
   which is naturally smaller and messier than the medium rollouts.
 - ``medium_expert``: medium rollouts followed by expert rollouts, equal counts.
 - bimodal (``custom``): a two-mode behavior policy on the edge task, used for
@@ -22,19 +22,22 @@ step for the live rows, so the datasets (and their content hashes) differ from
 those of the earlier one-episode-at-a-time loop; for a fixed seed they are
 stable, and a size-n dataset is the first n rows of any larger one.
 
-The online run (``train_online_medium``) steps one state at a time. It is
-cached per (env, seed, recipe) within a process so that ``medium`` and
-``medium_replay`` describe the same training run, and so that the experiment
-pipeline does not pay for it twice.
+The online run (``train_online_medium``) steps one (1, state_dim) row at a
+time and logs every transition into a preallocated ``data.Batch``, which it
+samples like any dataset. It is cached per (env, seed, recipe), keyed by the
+env's value, within a process so that ``medium`` and ``medium_replay``
+describe the same training run, and so that the experiment pipeline does not
+pay for it twice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baselines import UnconstrainedTrainConfig, unconstrained_agent_init, unconstrained_update
-from .data import Batch, DatasetMeta, TransitionDataset, concat_datasets
+from .data import Batch, DatasetMeta, TransitionDataset, concat_rows, sample_batch
 from .envs import EdgeFollowEnv, evaluate_policy, random_policy, rollout_batch
 from .nets import adam_init, polyak_update
 
@@ -54,6 +57,25 @@ class OnlineTrainRecipe:
     gamma: float = 0.99
     tau: float = 0.005
 
+    def __post_init__(self):
+        for name, ok, rule in (
+            ("max_env_steps", self.max_env_steps >= 1, ">= 1"),
+            ("warmup_steps", self.warmup_steps >= 0, ">= 0"),
+            ("exploration_noise", math.isfinite(self.exploration_noise)
+             and self.exploration_noise >= 0.0, "finite and >= 0"),
+            ("stop_fraction", math.isfinite(self.stop_fraction), "finite"),
+            ("eval_every", self.eval_every >= 1, ">= 1"),
+            ("eval_episodes", self.eval_episodes >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("actor_lr", self.actor_lr > 0.0, "> 0"),
+            ("critic_lr", self.critic_lr > 0.0, "> 0"),
+            ("gamma", 0.0 <= self.gamma < 1.0, "in [0, 1)"),
+            ("tau", 0.0 < self.tau <= 1.0, "in (0, 1]"),
+        ):
+            if not ok:
+                raise ValueError(f"OnlineTrainRecipe.{name} must be {rule}, "
+                                 f"got {getattr(self, name)!r}")
+
 
 @dataclass
 class OnlineRunResult:
@@ -65,12 +87,8 @@ class OnlineRunResult:
     medium_return: float = 0.0
 
 
-def expert_policy_fn(env):
-    return lambda s: env.expert_action(s)
-
-
 def expert_return(env, rng: np.random.Generator, episodes: int = 20) -> float:
-    mean, _ = evaluate_policy(env, expert_policy_fn(env), episodes, rng)
+    mean, _ = evaluate_policy(env, env.expert_action, episodes, rng)
     return mean
 
 
@@ -79,38 +97,13 @@ def random_return(env, rng: np.random.Generator, episodes: int = 20) -> float:
     return mean
 
 
-class _ReplayBuffer:
-    """Flat preallocated arrays; cheap append and vectorized sampling."""
-
-    def __init__(self, capacity: int, state_dim: int, action_dim: int):
-        self.states = np.empty((capacity, state_dim))
-        self.actions = np.empty((capacity, action_dim))
-        self.rewards = np.empty(capacity)
-        self.next_states = np.empty((capacity, state_dim))
-        self.dones = np.empty(capacity)
-        self.n = 0
-
-    def add(self, s, a, r, s2, done):
-        i = self.n
-        self.states[i] = s
-        self.actions[i] = a
-        self.rewards[i] = r
-        self.next_states[i] = s2
-        self.dones[i] = 1.0 if done else 0.0
-        self.n += 1
-
-    def sample(self, k: int, rng: np.random.Generator) -> Batch:
-        idx = rng.integers(0, self.n, size=min(k, self.n))
-        return Batch(self.states[idx], self.actions[idx], self.rewards[idx],
-                     self.next_states[idx], self.dones[idx])
-
-
 def train_online_medium(env, seed: int, recipe: OnlineTrainRecipe) -> OnlineRunResult:
     """Online actor-critic run stopped partway up the random->expert gap.
 
     Reuses the unconstrained learner's update code verbatim; the only
-    additions are environment interaction, exploration noise, and the replay
-    buffer that later becomes the medium-replay dataset.
+    additions are environment interaction, exploration noise, and the log of
+    every transition (a ``Batch`` filled row by row), whose filled rows are
+    both the learner's replay and, later, the medium-replay dataset.
     """
     rng = np.random.default_rng(seed)
     exp_ret = expert_return(env, np.random.default_rng(seed + 101))
@@ -130,28 +123,31 @@ def train_online_medium(env, seed: int, recipe: OnlineTrainRecipe) -> OnlineRunR
     adam_q2 = adam_init(agent.critics.q2, cfg.critic_lr)
     adam_actor = adam_init(agent.actor, cfg.actor_lr)
 
-    replay = _ReplayBuffer(recipe.max_env_steps, env.state_dim, env.action_dim)
+    n, d, a = recipe.max_env_steps, env.state_dim, env.action_dim
+    log = Batch(np.empty((n, d)), np.empty((n, a)), np.empty(n), np.empty((n, d)), np.empty(n))
     history: list[tuple[int, float]] = []
-    state = env.reset(rng)
+    state = env.reset(rng)[None]
     episode_steps = 0
     stop_step = recipe.max_env_steps
     for t in range(1, recipe.max_env_steps + 1):
         if t <= recipe.warmup_steps:
-            action = rng.uniform(-1.0, 1.0, size=env.action_dim)
+            action = rng.uniform(-1.0, 1.0, size=(1, a))
         else:
-            action = agent.action(state) + rng.normal(0.0, recipe.exploration_noise, size=env.action_dim)
+            action = agent.action(state) + rng.normal(0.0, recipe.exploration_noise, size=(1, a))
             action = np.clip(action, -1.0, 1.0)
         next_state, reward, done = env.step(state, action)
-        replay.add(state, action, reward, next_state, done)
+        row = slice(t - 1, t)
+        log.states[row], log.actions[row], log.rewards[row] = state, action, reward
+        log.next_states[row], log.dones[row] = next_state, done
         episode_steps += 1
-        if done or episode_steps >= env.horizon:
-            state = env.reset(rng)
+        if done[0] or episode_steps >= env.horizon:
+            state = env.reset(rng)[None]
             episode_steps = 0
         else:
             state = next_state
 
         if t > recipe.warmup_steps:
-            batch = replay.sample(recipe.batch_size, rng).astype(agent.actor.dtype)
+            batch = sample_batch(log[:t], min(recipe.batch_size, t), rng).astype(agent.actor.dtype)
             unconstrained_update(agent, batch, adam_q1, adam_q2, adam_actor)
             for target, online in agent.target_pairs():
                 polyak_update(target, online, cfg.tau)
@@ -167,7 +163,7 @@ def train_online_medium(env, seed: int, recipe: OnlineTrainRecipe) -> OnlineRunR
     medium_mean, _ = evaluate_policy(env, agent.policy_fn(), 20, np.random.default_rng(seed + 99))
     return OnlineRunResult(
         policy_fn=agent.policy_fn(),
-        replay=_first_rows([replay], replay.n),
+        replay=concat_rows([log], stop_step),
         eval_history=history,
         stop_step=stop_step,
         expert_return=exp_ret,
@@ -180,33 +176,26 @@ _MEDIUM_CACHE: dict[tuple, OnlineRunResult] = {}
 
 def medium_run(env, seed: int, recipe: OnlineTrainRecipe | None = None) -> OnlineRunResult:
     recipe = recipe or OnlineTrainRecipe()
-    key = (env.name, seed, tuple(sorted(vars(recipe).items())))
+    key = (env, seed, tuple(sorted(vars(recipe).items())))
     if key not in _MEDIUM_CACHE:
         _MEDIUM_CACHE[key] = train_online_medium(env, seed, recipe)
     return _MEDIUM_CACHE[key]
 
-
-_COLUMNS = tuple(f.name for f in fields(Batch))
 
 # Episodes per lockstep batch in generation. A constant, not a function of the
 # size asked for, so a size-n dataset is the first n rows of any larger one.
 EPISODES_PER_BATCH = 128
 
 
-def _first_rows(parts, n: int) -> Batch:
-    """The first ``n`` rows of columnar ``parts`` laid end to end, as new arrays."""
-    return Batch(*(np.concatenate([getattr(p, c) for p in parts])[:n] for c in _COLUMNS))
-
-
-def _rollout_columns(env, policy, n: int, rng: np.random.Generator,
-                     noise_std: float = 0.0) -> Batch:
+def _rollout_rows(env, policy, n: int, rng: np.random.Generator,
+                  noise_std: float = 0.0) -> Batch:
     """Batches of ``EPISODES_PER_BATCH`` lockstep episodes under the batched
     ``policy`` until there are ``n`` rows, laid end to end and cut to ``n``."""
-    episodes = []
+    parts = []
     # at least one batch, so n == 0 still knows the column widths
-    while not episodes or sum(map(len, episodes)) < n:
-        episodes += rollout_batch(env, policy, EPISODES_PER_BATCH, rng, noise_std)
-    return _first_rows(episodes, n)
+    while not parts or sum(map(len, parts)) < n:
+        parts.append(rollout_batch(env, policy, EPISODES_PER_BATCH, rng, noise_std)[0])
+    return concat_rows(parts, n)
 
 
 def generate_dataset(env, kind: str, size: int, seed: int,
@@ -220,25 +209,23 @@ def generate_dataset(env, kind: str, size: int, seed: int,
         raise ValueError("size must be >= 1")
     rng = np.random.default_rng(seed)
     if kind == "random":
-        columns = _rollout_columns(env, random_policy(env, rng), size, rng)
+        rows = _rollout_rows(env, random_policy(env, rng), size, rng)
     elif kind == "expert":
-        columns = _rollout_columns(env, expert_policy_fn(env), size, rng, noise_std=0.01)
+        rows = _rollout_rows(env, env.expert_action, size, rng, noise_std=0.01)
     elif kind == "medium":
-        run = medium_run(env, seed, recipe)
-        columns = _rollout_columns(env, run.policy_fn, size, rng, noise_std=0.05)
+        policy = medium_run(env, seed, recipe).policy_fn
+        rows = _rollout_rows(env, policy, size, rng, noise_std=0.05)
     elif kind == "medium_replay":
-        columns = _first_rows([medium_run(env, seed, recipe).replay], size)
+        rows = concat_rows([medium_run(env, seed, recipe).replay], size)
     elif kind == "medium_expert":
-        run = medium_run(env, seed, recipe)
-        n_medium = size // 2
-        medium = _rollout_columns(env, run.policy_fn, n_medium, rng, noise_std=0.05)
-        expert = _rollout_columns(env, expert_policy_fn(env), size - n_medium, rng, noise_std=0.01)
-        return concat_datasets(medium, expert, DatasetMeta(env.name, kind, seed, size))
+        policy, n_medium = medium_run(env, seed, recipe).policy_fn, size // 2
+        rows = concat_rows([_rollout_rows(env, policy, n_medium, rng, noise_std=0.05),
+                            _rollout_rows(env, env.expert_action, size - n_medium, rng,
+                                          noise_std=0.01)], size)
     else:
         raise ValueError(f"unknown dataset kind {kind!r}")
-    meta = DatasetMeta(env_name=env.name, generator_kind=kind, seed=seed, size=len(columns))
-    return TransitionDataset(columns.states, columns.actions, columns.rewards,
-                             columns.next_states, columns.dones, meta)
+    meta = DatasetMeta(env_name=env.name, generator_kind=kind, seed=seed, size=len(rows))
+    return TransitionDataset(**vars(rows), meta=meta)
 
 
 def make_bimodal_dataset(size: int, seed: int, env: EdgeFollowEnv | None = None,
@@ -260,7 +247,5 @@ def make_bimodal_dataset(size: int, seed: int, env: EdgeFollowEnv | None = None,
         a = env.action_for_speed(frac * env.speed_limit(states[:, 0]))
         return np.clip(a + mode_noise * rng.standard_normal(len(states)), -1.0, 1.0)
 
-    columns = _rollout_columns(env, behavior, size, rng)
     meta = DatasetMeta(env_name=env.name, generator_kind="custom", seed=seed, size=size)
-    return TransitionDataset(columns.states, columns.actions, columns.rewards,
-                             columns.next_states, columns.dones, meta)
+    return TransitionDataset(**vars(_rollout_rows(env, behavior, size, rng)), meta=meta)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from plas.data import (
+    COLUMNS,
+    Batch,
     DatasetMeta,
     TransitionDataset,
-    concat_datasets,
+    concat_rows,
     load_dataset,
     sample_batch,
     sample_indices,
@@ -130,11 +132,16 @@ def test_sample_batch_matches_minibatch_indices():
 def test_concat_preserves_order():
     a = tiny_dataset(n=5, seed=1)
     b = tiny_dataset(n=7, seed=2)
-    meta = DatasetMeta("synthetic", "medium_expert", 0, 12)
-    both = concat_datasets(a, b, meta)
-    assert len(both) == 12
-    assert np.array_equal(both.states[:5], a.states)
-    assert np.array_equal(both.states[5:], b.states)
+    part = Batch(b.states, b.actions, b.rewards, b.next_states, b.dones)[2:4]
+    both = concat_rows([a, part], 12)  # a dataset and a batch; only 7 rows there
+    assert len(both) == 7 and type(both) is Batch
+    for column in COLUMNS:
+        assert np.array_equal(getattr(both, column)[:5], getattr(a, column))
+        assert np.array_equal(getattr(both, column)[5:], getattr(b, column)[2:4])
+    cut = concat_rows([a, b], 6)
+    assert len(TransitionDataset(**vars(cut), meta=DatasetMeta("x", "custom", 0, 6))) == 6
+    assert np.array_equal(cut.rewards, np.concatenate([a.rewards, b.rewards[:1]]))
+    assert not np.shares_memory(concat_rows([a], 5).states, a.states)
 
 
 

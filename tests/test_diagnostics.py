@@ -277,10 +277,10 @@ def test_q_error_report_matches_sequential_per_state_reference(env_name, which):
         state, rows = env.reset(rng), []
         for _ in range(env.horizon):
             action = np.clip(np.asarray(policy(state)).reshape(-1), -1.0, 1.0)
-            next_state, reward, done = env.step(state, action)
-            rows.append((state, action, reward))
-            state = next_state
-            if done:
+            next_states, rewards, dones = env.step(state[None], action[None])
+            rows.append((state, action, rewards[0]))
+            state = next_states[0]
+            if dones[0]:
                 break
         s, a, r = (np.array(c) for c in zip(*rows))
         errors.append(q_values(agent.critics.q1, s, a) - empirical_return(r, 0.99))

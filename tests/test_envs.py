@@ -21,6 +21,7 @@ from plas.envs import (
 # -- frozen reference: the one-state step and the sequential episode loop ------
 # Kept verbatim from the per-row implementation the array step replaced, so the
 # array step, the lockstep engine and evaluation can be held to it bit for bit.
+# The reference steps one 1-D state; ``env.step`` itself takes only rows.
 
 def _ref_clip(action, dim):
     a = np.asarray(action, dtype=np.float64).reshape(-1)
@@ -71,8 +72,20 @@ def _ref_rollout(env, policy_fn, rng, noise_std=0.0):
             np.array(next_states), np.array(dones, dtype=np.float64))
 
 
-def _columns(ro):
-    return (ro.states, ro.actions, ro.rewards, ro.next_states, ro.dones)
+def _columns(batch):
+    return (batch.states, batch.actions, batch.rewards, batch.next_states, batch.dones)
+
+
+def _episodes(batch, lengths):
+    """The column tuple of every episode of a ``rollout_batch`` result."""
+    ends = np.cumsum(lengths)
+    return [tuple(c[end - k:end] for c in _columns(batch)) for end, k in zip(ends, lengths)]
+
+
+def _step_one(env, state, action):
+    """(next state, reward, done) of one state, stepped as the row (1, d)."""
+    next_states, rewards, dones = env.step(np.asarray(state)[None], np.asarray(action)[None])
+    return next_states[0], rewards[0], dones[0]
 
 
 def _same_bits(a, b):
@@ -87,7 +100,7 @@ def _one_episode(policy_fn):
 def test_point_mass_zero_action_keeps_position():
     env = PointMassEnv()
     state = env.reset(np.random.default_rng(0))
-    next_state, reward, done = env.step(state, np.zeros(2))
+    next_state, reward, done = _step_one(env, state, np.zeros(2))
     assert np.array_equal(next_state[:2], state[:2])
     assert reward == pytest.approx(-np.linalg.norm(state[:2] - np.asarray(env.goal)))
     assert not done
@@ -96,7 +109,7 @@ def test_point_mass_zero_action_keeps_position():
 def test_point_mass_goal_is_absorbing_with_bonus():
     env = PointMassEnv()
     state = np.array([env.goal[0] - 0.01, env.goal[1], 0.0, 0.0])
-    next_state, reward, done = env.step(state, np.zeros(2))
+    next_state, reward, done = _step_one(env, state, np.zeros(2))
     assert done
     assert reward > env.goal_bonus - 1.0
 
@@ -105,7 +118,8 @@ def test_point_mass_scripted_rollout_matches_hand_simulation():
     # independent re-simulation of the same closed-form dynamics
     env = PointMassEnv()
     rng = np.random.default_rng(42)
-    ro = rollout_batch(env, env.expert_action, 1, rng)[0]
+    ro, lengths = rollout_batch(env, env.expert_action, 1, rng)
+    assert lengths.tolist() == [len(ro)]
 
     state = ro.states[0].copy()
     total = 0.0
@@ -117,7 +131,7 @@ def test_point_mass_scripted_rollout_matches_hand_simulation():
         dist = np.linalg.norm(p2 - goal)
         total += -dist + (env.goal_bonus if dist < env.goal_radius else 0.0)
         state = np.concatenate([p2, v2])
-    assert ro.total_reward == pytest.approx(total, abs=1e-9)
+    assert sum(ro.rewards.tolist()) == pytest.approx(total, abs=1e-9)
 
 
 def test_point_mass_expert_beats_random():
@@ -140,7 +154,7 @@ def test_edge_follow_safe_step_reward_is_commanded_speed():
     state = np.array([0.2])
     speed = float(env.speed_limit(0.2)) - 0.1
     a = env.action_for_speed([speed])
-    next_state, reward, done = env.step(state, a)
+    next_state, reward, done = _step_one(env, state, a)
     assert reward == pytest.approx(speed)
     assert next_state[0] == pytest.approx(0.2 + env.step_scale * speed)
     assert not done
@@ -150,7 +164,7 @@ def test_edge_follow_over_limit_fails_with_zero_reward():
     env = EdgeFollowEnv()
     state = np.array([0.2])
     a = env.action_for_speed([float(env.speed_limit(0.2)) + 0.05])
-    next_state, reward, done = env.step(state, a)
+    next_state, reward, done = _step_one(env, state, a)
     assert done
     assert reward == 0.0
     assert next_state[0] == pytest.approx(0.2)
@@ -161,7 +175,7 @@ def test_edge_follow_track_end_terminates():
     state = np.array([0.999])
     a = env.action_for_speed([0.3])
     assert 0.3 < float(env.speed_limit(0.999))
-    next_state, reward, done = env.step(state, a)
+    next_state, reward, done = _step_one(env, state, a)
     assert done
     assert next_state[0] == pytest.approx(1.0)
 
@@ -177,19 +191,19 @@ def test_edge_follow_upper_bound():
 
 def test_edge_follow_reward_equals_progress_over_scale():
     env = EdgeFollowEnv()
-    ro = rollout_batch(env, env.expert_action, 1, np.random.default_rng(5))[0]
+    ro, _ = rollout_batch(env, env.expert_action, 1, np.random.default_rng(5))
     progress = ro.next_states[-1, 0] - ro.states[0, 0]
-    assert ro.total_reward == pytest.approx(progress / env.step_scale, abs=1e-9)
+    assert sum(ro.rewards.tolist()) == pytest.approx(progress / env.step_scale, abs=1e-9)
     assert np.all(ro.rewards >= 0.0)
 
 
 def test_out_of_bounds_actions_clip_and_count():
     env = EdgeFollowEnv()
     reset_clip_warning_count()
-    state = np.array([0.0])
-    env.step(state, np.array([3.0]))  # clipped to 1.0, above the limit -> fail
+    state = np.array([[0.0]])
+    env.step(state, np.array([[3.0]]))  # clipped to 1.0, above the limit -> fail
     assert clip_warning_count() == 1
-    env.step(state, np.array([0.1]))
+    env.step(state, np.array([[0.1]]))
     assert clip_warning_count() == 1
 
 
@@ -202,8 +216,9 @@ def test_reset_is_seed_deterministic():
 
 def test_rollout_respects_horizon():
     env = EdgeFollowEnv(horizon=7)
-    for ro in rollout_batch(env, lambda s: np.zeros((len(s), 1)), 3, np.random.default_rng(6)):
-        assert len(ro) == 7
+    batch, lengths = rollout_batch(env, lambda s: np.zeros((len(s), 1)), 3,
+                                   np.random.default_rng(6))
+    assert lengths.tolist() == [7, 7, 7] and len(batch) == 21
 
 
 def test_make_env_registry():
@@ -235,9 +250,10 @@ def _assert_rows_match_reference(env, states, actions):
     outcomes = []
     for i in range(len(states)):
         want = _ref_step(env, states[i], actions[i])
-        got = env.step(states[i], actions[i])
-        assert np.array_equal(got[0], want[0]) and got[1] == want[1] and got[2] == want[2]
-        assert type(got[1]) is float and type(got[2]) is bool
+        got = env.step(states[i:i + 1], actions[i:i + 1])  # the row alone, as (1, d)
+        assert [x.shape for x in got] == [(1, env.state_dim), (1,), (1,)]
+        assert np.array_equal(got[0][0], want[0]) and got[1][0] == want[1]
+        assert got[2][0] == want[2]
         assert np.array_equal(next_states[i], want[0])
         assert rewards[i] == want[1] and dones[i] == want[2]
         outcomes.append(want)
@@ -276,8 +292,8 @@ def test_batched_step_rows_cover_every_outcome():
 
 
 @pytest.mark.parametrize("env, states, actions", [
-    (PointMassEnv(), np.zeros(3), np.zeros(2)),               # state too short
-    (EdgeFollowEnv(), np.array([0.2, 5.0]), np.zeros(1)),     # state too long
+    (PointMassEnv(), np.zeros((1, 3)), np.zeros((1, 2))),     # state too short
+    (EdgeFollowEnv(), np.array([[0.2, 5.0]]), np.zeros((1, 1))),  # state too long
     (PointMassEnv(), np.zeros((2, 5)), np.zeros((2, 2))),     # batch of wrong width
     (PointMassEnv(), np.zeros((3, 4)), np.zeros((2, 2))),     # row counts differ
     (EdgeFollowEnv(), np.zeros((2, 1)), np.zeros((2, 2))),    # action of wrong width
@@ -287,6 +303,18 @@ def test_batched_step_rows_cover_every_outcome():
 def test_step_rejects_bad_shapes(env, states, actions):
     with pytest.raises(ValueError):
         env.step(states, actions)
+
+
+@pytest.mark.parametrize("name", sorted(envs.ENVS))
+def test_step_rejects_a_one_state_vector(name):
+    env = make_env(name)
+    state = env.reset(np.random.default_rng(0))
+    assert state.shape == (env.state_dim,)
+    for action in (np.zeros(env.action_dim), np.zeros((1, env.action_dim))):
+        with pytest.raises(ValueError, match="rows"):
+            env.step(state, action)
+    next_states, _, _ = env.step(state[None], np.zeros((1, env.action_dim)))
+    assert next_states.shape == (1, env.state_dim)
 
 
 # -- lockstep engine -------------------------------------------------------------
@@ -310,15 +338,14 @@ def test_one_episode_equals_sequential_loop(name, noise_std):
     for seed in range(5):
         r_ref, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
         want = _ref_rollout(env, env.expert_action, r_ref, noise_std)
-        got = rollout_batch(env, env.expert_action, 1, r_new, noise_std)
-        assert len(got) == 1 and _same_bits(_columns(got[0]), want)
-        assert got[0].total_reward == sum(want[2].tolist())
+        got, lengths = rollout_batch(env, env.expert_action, 1, r_new, noise_std)
+        assert lengths.tolist() == [len(got)] and _same_bits(_columns(got), want)
         assert r_new.bit_generator.state == r_ref.bit_generator.state
         # a per-state policy drawing from the same rng keeps the same stream too
         r_ref, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
         want = _ref_rollout(env, random_policy(env, r_ref), r_ref, noise_std)
-        got = rollout_batch(env, _one_episode(random_policy(env, r_new)), 1, r_new, noise_std)
-        assert _same_bits(_columns(got[0]), want)
+        got, _ = rollout_batch(env, _one_episode(random_policy(env, r_new)), 1, r_new, noise_std)
+        assert _same_bits(_columns(got), want)
         assert r_new.bit_generator.state == r_ref.bit_generator.state
 
 
@@ -337,9 +364,9 @@ def test_evaluate_policy_equals_sequential_loop(name):
                                                        float(np.std(returns)))
     assert r_new.bit_generator.state == r_ref.bit_generator.state
     # the same episodes, row for row, from the engine
-    got = rollout_batch(env, lambda s: np.array([policy(x) for x in s]), 25, r_batch)
-    assert all(_same_bits(_columns(ro), ep) for ro, ep in zip(got, episodes))
-    assert len({len(ro) for ro in got}) > 1  # episodes of different lengths were masked
+    got = _episodes(*rollout_batch(env, lambda s: np.array([policy(x) for x in s]), 25, r_batch))
+    assert len(got) == 25 and all(_same_bits(ro, ep) for ro, ep in zip(got, episodes))
+    assert len({len(ro[0]) for ro in got}) > 1  # episodes of different lengths were masked
 
 
 @pytest.mark.parametrize("name", sorted(envs.ENVS))
@@ -352,18 +379,19 @@ def test_rollout_batch_masks_finished_episodes_in_order(name):
         live_rows.append(len(states))
         return random_policy(env, rng)(states)
 
-    rollouts = rollout_batch(env, policy, 40, rng, noise_std=0.1)
+    batch, lengths = rollout_batch(env, policy, 40, rng, noise_std=0.1)
+    assert lengths.shape == (40,) and len(batch) == lengths.sum()
+    # the engine's rows all at once: each is one step of the env
+    next_states, rewards, dones = env.step(batch.states, batch.actions)
+    assert _same_bits((next_states, rewards, dones),
+                      (batch.next_states, batch.rewards, batch.dones == 1.0))
     starts = np.random.default_rng(7)
-    assert len(rollouts) == 40
-    for ro in rollouts:
-        assert np.array_equal(ro.states[0], env.reset(starts))  # resets in episode order
-        assert 1 <= len(ro) <= env.horizon
-        assert not ro.dones[:-1].any()  # no row after a done
-        assert ro.dones[-1] == 1.0 or len(ro) == env.horizon
-        assert np.array_equal(ro.states[1:], ro.next_states[:-1])
-        next_states, rewards, dones = env.step(ro.states, ro.actions)
-        assert _same_bits((next_states, rewards, dones),
-                          (ro.next_states, ro.rewards, ro.dones == 1.0))
+    for states, _, _, next_states, dones in _episodes(batch, lengths):
+        assert np.array_equal(states[0], env.reset(starts))  # resets in episode order
+        assert 1 <= len(states) <= env.horizon
+        assert not dones[:-1].any()  # no row after a done
+        assert dones[-1] == 1.0 or len(states) == env.horizon
+        assert np.array_equal(states[1:], next_states[:-1])
     # one policy call per step, on exactly the episodes still running
-    assert live_rows == [sum(len(ro) > t for ro in rollouts) for t in range(len(live_rows))]
-    assert max(len(ro) for ro in rollouts) == len(live_rows)
+    assert live_rows == [int(np.sum(lengths > t)) for t in range(len(live_rows))]
+    assert lengths.max() == len(live_rows)

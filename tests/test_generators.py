@@ -140,6 +140,34 @@ def test_medium_run_stops_mid_gap():
     assert len(run.replay) == run.stop_step
 
 
+def test_medium_run_is_cached_per_env_value():
+    # two configurations of one env share a name; each gets its own run
+    recipe = OnlineTrainRecipe(max_env_steps=700, eval_every=100, eval_episodes=2)
+    base = medium_run(EdgeFollowEnv(), 0, recipe)
+    other = EdgeFollowEnv(horizon=20, limit_amp=0.1)
+    run = medium_run(other, 0, recipe)
+    assert run is not base
+    assert medium_run(EdgeFollowEnv(horizon=20, limit_amp=0.1), 0, recipe) is run
+    assert medium_run(EdgeFollowEnv(), 0, recipe) is base
+    # every logged row is a step of the env the run was asked for
+    replay = run.replay
+    next_states, rewards, dones = other.step(replay.states, replay.actions)
+    assert np.array_equal(next_states, replay.next_states)
+    assert np.array_equal(rewards, replay.rewards)
+    assert np.array_equal(dones, replay.dones == 1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_env_steps", 0), ("warmup_steps", -1), ("exploration_noise", -0.1),
+    ("exploration_noise", float("nan")), ("stop_fraction", float("inf")), ("eval_every", 0),
+    ("eval_episodes", 0), ("batch_size", 0), ("actor_lr", 0.0), ("critic_lr", float("nan")),
+    ("gamma", 1.0), ("tau", 0.0),
+])
+def test_online_recipe_rejects_bad_fields(field, value):
+    with pytest.raises(ValueError, match=f"OnlineTrainRecipe.{field} "):
+        OnlineTrainRecipe(**{field: value})
+
+
 def test_bimodal_dataset_has_two_modes_and_a_hole():
     env = EdgeFollowEnv()
     ds = make_bimodal_dataset(3_000, seed=6, env=env)
