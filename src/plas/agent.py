@@ -7,10 +7,16 @@ optional bounded residual head nudges the result for controlled
 out-of-distribution generalization. Twin critics with soft-clipped targets and
 Polyak-averaged target copies complete the loop.
 
+Both offline learners have one shape, ``ActorCritic``: a tanh ``Mlp`` actor,
+its Polyak target and twin critics from ``critic_pair_init``. ``PlasAgent``
+adds the frozen decoder, the latent bound, and the optional residual head (a
+tanh ``Mlp`` and its target) with its bound ``epsilon``.
+
 Gradient flow in the actor update runs through the frozen decoder (its input
 gradient only, never its parameters), which is the one structurally unusual
 piece; everything else is a standard deterministic policy gradient step. Every
-backward here reuses the tape of its own forward pass (``nets.mlp_tape``).
+backward here reuses the tape of its own forward pass (``nets.mlp_tape``), so
+the learner steps take state rows (B, d); ``act`` also takes one state (d,).
 
 ``plas_agent_init`` builds float32 networks unless asked for float64 (which the
 finite-difference checks use). ``_fit`` casts each float64 minibatch to the
@@ -46,37 +52,6 @@ from .nets import (
 
 
 @dataclass
-class LatentActor:
-    """Deterministic state -> latent action map, bounded by construction."""
-
-    net: Mlp  # tanh output
-    max_latent_action: float = 2.0
-
-    def __post_init__(self):
-        if self.max_latent_action <= 0:
-            raise ValueError("max_latent_action must be positive")
-        if self.net.activations[-1] != "tanh":
-            raise ValueError("latent actor output activation must be tanh")
-
-    def latent(self, states: np.ndarray) -> np.ndarray:
-        return self.max_latent_action * mlp_forward(self.net, states)
-
-
-@dataclass
-class PerturbationHead:
-    """Residual head: (state, decoded action) -> correction in [-eps, eps]^d."""
-
-    net: Mlp  # tanh output
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.net.activations[-1] != "tanh":
-            raise ValueError("perturbation output activation must be tanh")
-
-
-@dataclass
 class CriticPair:
     """Twin Q networks, their target copies, and the target mixing rule."""
 
@@ -94,20 +69,29 @@ class CriticPair:
             raise ValueError("gamma must be in [0, 1)")
 
 
+def critic_pair_init(state_dim: int, action_dim: int, config, rng: np.random.Generator,
+                     dtype) -> CriticPair:
+    """Twin (state, action) -> Q networks of ``config.hidden_sizes``, q1 drawn
+    first, with target copies and ``config``'s lambda and gamma."""
+    sizes = [state_dim + action_dim] + list(config.hidden_sizes) + [1]
+    q1 = mlp_init(sizes, rng, dtype=dtype)
+    q2 = mlp_init(sizes, rng, dtype=dtype)
+    return CriticPair(q1, q2, q1.copy(), q2.copy(), lam=config.lam, gamma=config.gamma)
+
+
 def q_values(qnet: Mlp, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    x = np.concatenate([np.atleast_2d(states), np.atleast_2d(actions)], axis=1)
-    return mlp_forward(qnet, x)[:, 0]
+    """Q of each (state, action) row pair: (k, d) and (k, a) give (k,)."""
+    return mlp_forward(qnet, np.concatenate([states, actions], axis=1))[:, 0]
 
 
 def compute_target(critics: CriticPair, rewards, next_states, next_actions, dones) -> np.ndarray:
-    """Soft clipped double-Q target: r + gamma*(1-done)*(lam*min + (1-lam)*max),
-    in the dtype of the rewards, dones and target critics."""
-    r = np.atleast_1d(rewards)
-    d = np.atleast_1d(dones)
+    """Soft clipped double-Q target of each row:
+    r + gamma*(1-done)*(lam*min + (1-lam)*max), in the dtype of the rewards,
+    dones and target critics."""
     t1 = q_values(critics.q1_target, next_states, next_actions)
     t2 = q_values(critics.q2_target, next_states, next_actions)
     y = critics.lam * np.minimum(t1, t2) + (1.0 - critics.lam) * np.maximum(t1, t2)
-    return r + critics.gamma * (1.0 - d) * y
+    return rewards + critics.gamma * (1.0 - dones) * y
 
 
 def critic_step(
@@ -166,31 +150,52 @@ def _action_grad(critics: CriticPair, states: np.ndarray,
 
 
 @dataclass
-class PlasAgent:
-    actor: LatentActor
-    actor_target: LatentActor
-    critics: CriticPair
-    # FrozenDecoder-like: forward(s, z) -> actions; tape(s, z) -> a tape whose
-    # .output is forward(s, z); backward(tape, da) -> dz, the input gradient only
-    decoder: object
-    perturbation: PerturbationHead | None = None
-    perturbation_target: PerturbationHead | None = None
-    decoder_hash: str = ""
+class ActorCritic:
+    """Both offline learners; a subclass's ``action`` maps one state (d,) to
+    (a,) and a batch (k, d) to (k, a)."""
 
-    @property
-    def state_dim(self) -> int:
-        return self.actor.net.in_dim
+    actor: Mlp  # tanh output
+    actor_target: Mlp
+    critics: CriticPair
 
     def policy_fn(self):
-        return lambda s: act(self, s)
+        return self.action
 
     def target_pairs(self) -> list[tuple[Mlp, Mlp]]:
         """(target, online) for every network with a Polyak-averaged copy."""
-        pairs = [(self.critics.q1_target, self.critics.q1),
-                 (self.critics.q2_target, self.critics.q2),
-                 (self.actor_target.net, self.actor.net)]
+        return [(self.critics.q1_target, self.critics.q1),
+                (self.critics.q2_target, self.critics.q2),
+                (self.actor_target, self.actor)]
+
+
+@dataclass
+class PlasAgent(ActorCritic):
+    # FrozenDecoder-like: forward(s, z) -> actions; tape(s, z) -> a tape whose
+    # .output is forward(s, z); backward(tape, da) -> dz, the input gradient only
+    decoder: object
+    max_latent_action: float = 2.0  # the latent is this times the actor's output
+    perturbation: Mlp | None = None  # (state, decoded action) -> tanh output
+    perturbation_target: Mlp | None = None
+    epsilon: float = 0.0  # the decoded action's correction is this times the head's output
+    decoder_hash: str = ""
+
+    def __post_init__(self):
+        if self.max_latent_action <= 0:
+            raise ValueError("max_latent_action must be positive")
+        if self.epsilon < 0:
+            raise ValueError("epsilon must be >= 0")
+        for name in ("actor", "actor_target", "perturbation", "perturbation_target"):
+            net = getattr(self, name)
+            if net is not None and net.activations[-1] != "tanh":
+                raise ValueError(f"{name} output activation must be tanh")
+
+    def action(self, states: np.ndarray) -> np.ndarray:
+        return act(self, states)
+
+    def target_pairs(self) -> list[tuple[Mlp, Mlp]]:
+        pairs = super().target_pairs()
         if self.perturbation is not None:
-            pairs.append((self.perturbation_target.net, self.perturbation.net))
+            pairs.append((self.perturbation_target, self.perturbation))
         return pairs
 
 
@@ -214,26 +219,26 @@ def _policy_actions(
     dtype.
     """
     actor = agent.actor_target if use_target else agent.actor
-    s = np.asarray(states, dtype=actor.net.dtype)
+    s = np.asarray(states, dtype=actor.dtype)
     head = agent.perturbation_target if use_target else agent.perturbation
     tapes = {}
     if taped:
-        tapes["actor"] = mlp_tape(actor.net, s)
-        z = actor.max_latent_action * tapes["actor"].output
+        tapes["actor"] = mlp_tape(actor, s)
+        z = agent.max_latent_action * tapes["actor"].output
         tapes["decoder"] = agent.decoder.tape(s, z)
         decoded = tapes["decoder"].output
     else:
-        z = actor.max_latent_action * mlp_forward(actor.net, s)
+        z = agent.max_latent_action * mlp_forward(actor, s)
         decoded = agent.decoder.forward(s, z)
     if head is None:
         return decoded, tapes
     pin = np.concatenate([s, decoded], axis=-1)
     if taped:
-        tapes["head"] = mlp_tape(head.net, pin)
+        tapes["head"] = mlp_tape(head, pin)
         raw = tapes["head"].output
     else:
-        raw = mlp_forward(head.net, pin)
-    summed = decoded + head.epsilon * raw
+        raw = mlp_forward(head, pin)
+    summed = decoded + agent.epsilon * raw
     if taped:
         tapes["summed"] = summed
     return _clip_unit(summed), tapes
@@ -268,29 +273,35 @@ def actor_update(
     Returns the batch-mean Q value before the step. The actor, decoder and
     head each run forward once, taped, and the backward pass reuses those
     tapes. The critics and the decoder give input gradients only: no decoder
-    gradient is formed and its parameters are never touched.
+    gradient is formed and its parameters are never touched. All gradients
+    are formed before either network moves: on NonFiniteError neither the
+    actor nor the head nor their Adam states have changed.
     """
-    s = np.atleast_2d(states)
-    actions, tapes = _policy_actions(agent, s, use_target=False, taped=True)
-    mean_q, da = _action_grad(agent.critics, s, actions)
+    actions, tapes = _policy_actions(agent, states, use_target=False, taped=True)
+    mean_q, da = _action_grad(agent.critics, states, actions)
 
     pert_grads = None
     if agent.perturbation is not None:
-        head = agent.perturbation
         d_sum = da * (np.abs(tapes["summed"]) < 1.0)
-        pert_grads, d_pin = mlp_backward(head.net, d_sum * head.epsilon, tapes["head"],
+        pert_grads, d_pin = mlp_backward(agent.perturbation, d_sum * agent.epsilon,
+                                         tapes["head"],
                                          None if adam_pert is None else adam_pert.grad)
-        d_decoded = d_sum + d_pin[:, agent.state_dim:]
+        d_decoded = d_sum + d_pin[:, agent.actor.in_dim:]
     else:
         d_decoded = da
 
     dz = agent.decoder.backward(tapes["decoder"], d_decoded)
-    du = agent.actor.max_latent_action * dz
-    actor_grads, _ = mlp_backward(agent.actor.net, du, tapes["actor"], adam_actor.grad)
+    du = agent.max_latent_action * dz
+    actor_grads, _ = mlp_backward(agent.actor, du, tapes["actor"], adam_actor.grad)
 
-    adam_step(agent.actor.net, actor_grads, adam_actor)
-    if pert_grads is not None and adam_pert is not None:
-        adam_step(agent.perturbation.net, pert_grads, adam_pert)
+    step_head = pert_grads is not None and adam_pert is not None
+    # adam_step rejects non-finite gradients before it changes anything, so
+    # only the head's need checking here, before the actor steps
+    if step_head and not pert_grads.all_finite():
+        raise NonFiniteError("non-finite perturbation gradient")
+    adam_step(agent.actor, actor_grads, adam_actor)
+    if step_head:
+        adam_step(agent.perturbation, pert_grads, adam_pert)
     return mean_q
 
 
@@ -335,30 +346,17 @@ def plas_agent_init(
     dtype=np.float32,
 ) -> PlasAgent:
     hidden = list(config.hidden_sizes)
-    latent_dim = decoder.latent_dim
     action_dim = decoder.action_dim
-    actor_net = mlp_init([state_dim] + hidden + [latent_dim], rng, output_activation="tanh",
-                         dtype=dtype)
-    actor = LatentActor(actor_net, config.max_latent_action)
-    actor_target = LatentActor(actor_net.copy(), config.max_latent_action)
-    q1 = mlp_init([state_dim + action_dim] + hidden + [1], rng, dtype=dtype)
-    q2 = mlp_init([state_dim + action_dim] + hidden + [1], rng, dtype=dtype)
-    critics = CriticPair(q1, q2, q1.copy(), q2.copy(), lam=config.lam, gamma=config.gamma)
-    pert = pert_target = None
+    actor = mlp_init([state_dim] + hidden + [decoder.latent_dim], rng,
+                     output_activation="tanh", dtype=dtype)
+    critics = critic_pair_init(state_dim, action_dim, config, rng, dtype)
+    head = None
     if config.perturbation_epsilon > 0.0:
-        pnet = mlp_init([state_dim + action_dim] + hidden + [action_dim], rng,
+        head = mlp_init([state_dim + action_dim] + hidden + [action_dim], rng,
                         output_activation="tanh", dtype=dtype)
-        pert = PerturbationHead(pnet, config.perturbation_epsilon)
-        pert_target = PerturbationHead(pnet.copy(), config.perturbation_epsilon)
-    return PlasAgent(
-        actor=actor,
-        actor_target=actor_target,
-        critics=critics,
-        decoder=decoder,
-        perturbation=pert,
-        perturbation_target=pert_target,
-        decoder_hash=decoder.checkpoint_hash(),
-    )
+    return PlasAgent(actor, actor.copy(), critics, decoder, config.max_latent_action,
+                     head, None if head is None else head.copy(),
+                     config.perturbation_epsilon, decoder.checkpoint_hash())
 
 
 def _fit(agent, dataset: TransitionDataset, config, rng: np.random.Generator, env,
@@ -416,9 +414,9 @@ def train_plas(
     agent = plas_agent_init(dataset.state_dim, decoder, config, rng)
     adam_q1 = adam_init(agent.critics.q1, config.critic_lr)
     adam_q2 = adam_init(agent.critics.q2, config.critic_lr)
-    adam_actor = adam_init(agent.actor.net, config.actor_lr)
+    adam_actor = adam_init(agent.actor, config.actor_lr)
     adam_pert = (None if agent.perturbation is None
-                 else adam_init(agent.perturbation.net, config.actor_lr))
+                 else adam_init(agent.perturbation, config.actor_lr))
 
     def update(batch):
         return (critic_update(agent, batch, adam_q1, adam_q2),
@@ -435,23 +433,18 @@ def train_plas(
 def save_agent(path, agent: PlasAgent, config: PlasTrainConfig | None = None) -> None:
     """Every network of ``agent`` and its settings; the decoder is recorded by
     the hash of the one the agent holds, which ``load_agent`` checks."""
-    nets = {
-        "actor": agent.actor.net,
-        "actor_target": agent.actor_target.net,
-        "q1": agent.critics.q1,
-        "q2": agent.critics.q2,
-        "q1_target": agent.critics.q1_target,
-        "q2_target": agent.critics.q2_target,
-    }
+    c = agent.critics
+    nets = {"actor": agent.actor, "actor_target": agent.actor_target, "q1": c.q1, "q2": c.q2,
+            "q1_target": c.q1_target, "q2_target": c.q2_target}
     if agent.perturbation is not None:
-        nets["perturbation"] = agent.perturbation.net
-        nets["perturbation_target"] = agent.perturbation_target.net
+        nets["perturbation"] = agent.perturbation
+        nets["perturbation_target"] = agent.perturbation_target
     _write(path, "agent", {
-        "max_latent_action": agent.actor.max_latent_action,
-        "lam": agent.critics.lam,
-        "gamma": agent.critics.gamma,
+        "max_latent_action": agent.max_latent_action,
+        "lam": c.lam,
+        "gamma": c.gamma,
         "decoder_hash": agent.decoder.checkpoint_hash(),
-        "perturbation_epsilon": 0.0 if agent.perturbation is None else agent.perturbation.epsilon,
+        "perturbation_epsilon": 0.0 if agent.perturbation is None else agent.epsilon,
         "config": None if config is None else asdict(config),
     }, nets)
 
@@ -463,32 +456,16 @@ def load_agent(path, decoder) -> PlasAgent:
         "max_latent_action", "lam", "gamma", "decoder_hash", "perturbation_epsilon"))
     if decoder.checkpoint_hash() != header["decoder_hash"]:
         raise ValueError("checkpoint was trained against a different decoder")
-    sigma = header["max_latent_action"]
-    pert = pert_target = None
-    if "perturbation" in nets:
-        eps = header["perturbation_epsilon"]
-        pert = PerturbationHead(nets["perturbation"], eps)
-        pert_target = PerturbationHead(nets["perturbation_target"], eps)
-    return PlasAgent(
-        actor=LatentActor(nets["actor"], sigma),
-        actor_target=LatentActor(nets["actor_target"], sigma),
-        critics=CriticPair(
-            nets["q1"],
-            nets["q2"],
-            nets["q1_target"],
-            nets["q2_target"],
-            lam=header["lam"],
-            gamma=header["gamma"],
-        ),
-        decoder=decoder,
-        perturbation=pert,
-        perturbation_target=pert_target,
-        decoder_hash=header["decoder_hash"],
-    )
+    critics = CriticPair(nets["q1"], nets["q2"], nets["q1_target"], nets["q2_target"],
+                         lam=header["lam"], gamma=header["gamma"])
+    return PlasAgent(nets["actor"], nets["actor_target"], critics, decoder,
+                     header["max_latent_action"], nets.get("perturbation"),
+                     nets.get("perturbation_target"), header["perturbation_epsilon"],
+                     header["decoder_hash"])
 
 
 def agent_hash(agent: PlasAgent) -> str:
-    nets = [agent.actor.net, agent.critics.q1, agent.critics.q2]
+    nets = [agent.actor, agent.critics.q1, agent.critics.q2]
     if agent.perturbation is not None:
-        nets.append(agent.perturbation.net)
+        nets.append(agent.perturbation)
     return params_hash(*nets)

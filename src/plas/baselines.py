@@ -1,12 +1,13 @@
 """Comparison policies: behavior cloning and the unconstrained off-policy learner.
 
 The unconstrained learner is the minimal ablation of the latent-action agent:
-the same training loop (``agent._fit``: sampling, Polyak targets, logging,
-evaluation), twin critics, critic step (``agent.critic_step``), target logic
-and Q1 actor gradient; only the actor differs, mapping states straight to
-actions with no behavior-model constraint. It deliberately omits target-policy
-smoothing noise so the two learners differ in the actor parameterization and
-nothing else. Applied to a fixed dataset it is the classic recipe for Q-value
+the same shape (``agent.ActorCritic``: a tanh actor, its target, twin critics
+from ``agent.critic_pair_init``), training loop (``agent._fit``: sampling,
+Polyak targets, logging, evaluation), critic step (``agent.critic_step``),
+target logic and Q1 actor gradient; only the actor's output differs, an action
+straight from the state with no behavior-model constraint. It deliberately
+omits target-policy smoothing noise so the two learners differ in the actor
+parameterization and nothing else. Applied to a fixed dataset it is the classic recipe for Q-value
 blow-up, which is exactly why it is here.
 """
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import CriticPair, LogRecord, _action_grad, _fit, compute_target, critic_step
+from .agent import (ActorCritic, LogRecord, _action_grad, _fit, compute_target,
+                    critic_pair_init, critic_step)
 from .data import TransitionDataset, sample_indices
 from .nets import (
     AdamState,
@@ -40,7 +42,7 @@ class BcPolicy:
         return mlp_forward(self.net, state)
 
     def policy_fn(self):
-        return lambda s: self.action(s)
+        return self.action
 
 
 @dataclass
@@ -79,22 +81,11 @@ def train_bc(dataset: TransitionDataset, config: BcTrainConfig,
 
 
 @dataclass
-class UnconstrainedAgent:
-    actor: Mlp  # state -> action, tanh output
-    actor_target: Mlp
-    critics: CriticPair
+class UnconstrainedAgent(ActorCritic):
+    """The actor maps states straight to actions."""
 
     def action(self, state: np.ndarray) -> np.ndarray:
         return mlp_forward(self.actor, state)
-
-    def policy_fn(self):
-        return lambda s: self.action(s)
-
-    def target_pairs(self) -> list[tuple[Mlp, Mlp]]:
-        """(target, online) for every network with a Polyak-averaged copy."""
-        return [(self.critics.q1_target, self.critics.q1),
-                (self.critics.q2_target, self.critics.q2),
-                (self.actor_target, self.actor)]
 
 
 @dataclass
@@ -117,21 +108,17 @@ def unconstrained_agent_init(state_dim: int, action_dim: int,
                              rng: np.random.Generator,
                              dtype=np.float32) -> UnconstrainedAgent:
     """Float32 networks unless asked for float64."""
-    hidden = list(config.hidden_sizes)
-    actor = mlp_init([state_dim] + hidden + [action_dim], rng, output_activation="tanh",
-                     dtype=dtype)
-    q1 = mlp_init([state_dim + action_dim] + hidden + [1], rng, dtype=dtype)
-    q2 = mlp_init([state_dim + action_dim] + hidden + [1], rng, dtype=dtype)
-    critics = CriticPair(q1, q2, q1.copy(), q2.copy(), lam=config.lam, gamma=config.gamma)
+    actor = mlp_init([state_dim] + list(config.hidden_sizes) + [action_dim], rng,
+                     output_activation="tanh", dtype=dtype)
+    critics = critic_pair_init(state_dim, action_dim, config, rng, dtype)
     return UnconstrainedAgent(actor, actor.copy(), critics)
 
 
 def direct_actor_update(agent: UnconstrainedAgent, states: np.ndarray,
                         adam_actor: AdamState) -> float:
     """Deterministic policy gradient straight through the actor (no decoder)."""
-    s = np.atleast_2d(states)
-    tape = mlp_tape(agent.actor, s)
-    mean_q, da = _action_grad(agent.critics, s, tape.output)
+    tape = mlp_tape(agent.actor, states)
+    mean_q, da = _action_grad(agent.critics, states, tape.output)
     grads, _ = mlp_backward(agent.actor, da, tape, adam_actor.grad)
     adam_step(agent.actor, grads, adam_actor)
     return mean_q

@@ -26,9 +26,9 @@ from .nets import (
     NonFiniteError,
     ShapeError,
     Tape,
-    _as_batch,
     _checked,
     _read,
+    _rows,
     _write,
     adam_init,
     adam_step,
@@ -110,17 +110,16 @@ def cvae_init(
 
 
 def encode(cvae: BehaviorCvae, state, action):
-    """Posterior parameters (mu, log_std); log_std is clamped before use."""
+    """Posterior parameters (mu, log_std) of state and action rows, each
+    (B, latent_dim); log_std is clamped before use."""
     dtype = cvae.encoder.dtype
-    s, single = _as_batch(state, cvae.state_dim, "state", dtype)
-    a, _ = _as_batch(action, cvae.action_dim, "action", dtype)
+    s = _rows(state, cvae.state_dim, "state", dtype)
+    a = _rows(action, cvae.action_dim, "action", dtype)
     if s.shape[0] != a.shape[0]:
         raise ShapeError("state/action batch mismatch")
     out = mlp_forward(cvae.encoder, np.concatenate([s, a], axis=1))
     mu = out[:, : cvae.latent_dim]
     log_std = np.clip(out[:, cvae.latent_dim :], cvae.log_std_min, cvae.log_std_max)
-    if single:
-        return mu[0], log_std[0]
     return mu, log_std
 
 
@@ -166,18 +165,18 @@ def elbo_loss_and_grads(
     """One minibatch of the CVAE objective with its exact gradients.
 
     Deterministic given `noise` (one standard-normal draw per datum), which is
-    what makes the whole composition checkable by finite differences. States,
-    actions and noise are cast to the encoder's dtype. The reconstruction term
-    is the mean squared error over every action entry in the batch; the KL
-    term is averaged over the batch. ``out`` is the
+    what makes the whole composition checkable by finite differences. States
+    and actions are (B, n) rows; they and the noise are cast to the encoder's
+    dtype. The reconstruction term is the mean squared error over every action
+    entry in the batch; the KL term is averaged over the batch. ``out`` is the
     (encoder, decoder) pair of ``Gradients`` that ``mlp_backward`` writes into
     and that is returned (``train_cvae`` passes its Adam states' ``grad``);
     without it both are fresh.
     """
     enc_buf, dec_buf = (None, None) if out is None else out
     dtype = cvae.encoder.dtype
-    s, _ = _as_batch(states, cvae.state_dim, "states", dtype)
-    a, _ = _as_batch(actions, cvae.action_dim, "actions", dtype)
+    s = _rows(states, cvae.state_dim, "states", dtype)
+    a = _rows(actions, cvae.action_dim, "actions", dtype)
     noise = np.asarray(noise, dtype=dtype)
     B = s.shape[0]
 
@@ -265,9 +264,10 @@ def train_cvae(
 class FrozenDecoder:
     """Read-only view of a trained decoder for the policy side.
 
-    ``forward`` decodes; ``tape`` decodes a batch and keeps the tape that
-    ``backward`` turns into dL/dz. ``backward`` forms no parameter gradients,
-    so the decoder cannot be updated through this interface.
+    ``forward`` decodes one state or a batch; ``tape`` decodes rows (B, n)
+    only and keeps the tape that ``backward`` turns into dL/dz. ``backward``
+    forms no parameter gradients, so the decoder cannot be updated through
+    this interface.
     """
 
     def __init__(self, cvae: BehaviorCvae):
@@ -284,9 +284,10 @@ class FrozenDecoder:
         return mlp_tape(self._cvae.decoder, _decoder_input(self._cvae, states, z))
 
     def backward(self, tape: Tape, action_grad: np.ndarray) -> np.ndarray:
-        """dL/dz for L = <action_grad, tape.output>, shaped like the taped z."""
+        """dL/dz (B, latent_dim) for L = <action_grad, tape.output>, with
+        ``action_grad`` (B, action_dim) rows."""
         d_in = mlp_input_grad(self._cvae.decoder, action_grad, tape)
-        return d_in[..., self.state_dim:]
+        return d_in[:, self.state_dim:]
 
     def checkpoint_hash(self) -> str:
         return params_hash(self._cvae.decoder)

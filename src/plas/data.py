@@ -124,8 +124,13 @@ def sample_batch(dataset: TransitionDataset | Batch, k: int, rng: np.random.Gene
 
 def concat_rows(parts, n: int) -> Batch:
     """The first ``n`` rows of the columnar ``parts`` (batches or datasets)
-    laid end to end, as new arrays."""
-    return Batch(*(np.concatenate([getattr(p, c) for p in parts])[:n] for c in COLUMNS))
+    laid end to end, as new arrays that hold only those rows."""
+    stops, left = [], n
+    for p in parts:
+        stops.append(left)
+        left = max(left - len(p), 0)
+    return Batch(*(np.concatenate([getattr(p, c)[:k] for p, k in zip(parts, stops)])
+                   for c in COLUMNS))
 
 
 # -- files -------------------------------------------------------------------

@@ -100,18 +100,18 @@ class SupportSummary:
 
 
 def support_distance(dataset, states, actions, k: int = 10) -> SupportSummary:
-    """Distance from each probe (s, a) to the dataset's local action support."""
-    s = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    a = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-    if s.shape[1] != dataset.state_dim or a.shape[1] != dataset.action_dim:
-        raise ValueError("probe dimensions do not match the dataset")
-    tree = cKDTree(dataset.states)
+    """Distance from each probe (s, a) to the dataset's local action support;
+    the probes are state rows (n, d) and action rows (n, a)."""
+    s = np.asarray(states, dtype=np.float64)
+    a = np.asarray(actions, dtype=np.float64)
+    if (s.ndim != 2 or a.ndim != 2 or s.shape[0] != a.shape[0]
+            or s.shape[1] != dataset.state_dim or a.shape[1] != dataset.action_dim):
+        raise ValueError(f"probes must be rows (n, {dataset.state_dim}) and "
+                         f"(n, {dataset.action_dim}), got {s.shape} and {a.shape}")
     k_eff = min(k, len(dataset))
-    _, idx = tree.query(s, k=k_eff)
-    idx = np.atleast_2d(idx)
-    if k_eff == 1:
-        idx = idx.reshape(-1, 1)
-    neighbor_actions = dataset.actions[idx]          # (n, k, action_dim)
+    _, idx = cKDTree(dataset.states).query(s, k=k_eff)
+    # one neighbour comes back as (n,), more as (n, k)
+    neighbor_actions = dataset.actions[idx.reshape(len(s), k_eff)]  # (n, k, action_dim)
     d = np.linalg.norm(neighbor_actions - a[:, None, :], axis=2).min(axis=1)
     return SupportSummary(
         distances=d,

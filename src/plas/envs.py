@@ -38,13 +38,9 @@ _CLIP_WARNINGS = 0
 
 
 def clip_warning_count() -> int:
-    """Number of action rows clipped into [-1, 1] since import (or last reset)."""
+    """Number of action rows clipped into [-1, 1] since import; callers read
+    differences of it."""
     return _CLIP_WARNINGS
-
-
-def reset_clip_warning_count() -> None:
-    global _CLIP_WARNINGS
-    _CLIP_WARNINGS = 0
 
 
 def _step_rows(env, states, actions) -> tuple[np.ndarray, np.ndarray]:

@@ -148,13 +148,6 @@ class MmdScenario:
             return u * signs
         raise ValueError(f"unknown behavior {self.behavior!r}")
 
-    def agent_sample(self, x: float, base: np.ndarray) -> np.ndarray:
-        if self.agent_family == "scale":
-            return x * base
-        if self.agent_family == "shift":
-            return x + 0.5 * base
-        raise ValueError(f"unknown agent family {self.agent_family!r}")
-
 
 def scenario_matched_scale(n_samples: int = 1000, n_repeats: int = 20) -> MmdScenario:
     return MmdScenario(

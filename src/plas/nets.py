@@ -11,11 +11,13 @@ cast to that dtype on entry, so no product mixes dtypes (a mixed GEMM would
 upcast a whole weight matrix on every call). ``mlp_init``, ``mlp_zeros`` and
 ``Mlp.from_flat`` build float64 networks unless told otherwise; every trainer
 asks for float32, and the finite-difference oracles check float64. Weight
-matrices are stored (out, in); inputs may be single vectors ``(n,)`` or
-batches ``(B, n)``. One input flows through the forward loop as an ``(n,)``
-vector, with no batch machinery around it: a policy acting on one state per
-control step pays for its layers only. A ``Tape`` of one input views each value
-as ``(1, n)``, so every backward runs on batches.
+matrices are stored (out, in). ``mlp_forward`` takes a single vector ``(n,)``
+or a batch ``(B, n)``: one input flows through the forward loop as an ``(n,)``
+vector, with no batch machinery around it, so a policy acting on one state per
+control step pays for its layers only. Everything that keeps a tape for a
+backward takes rows only: ``mlp_tape``, ``mlp_backward`` and ``mlp_input_grad``
+take ``(B, n)`` inputs and output gradients, and a 1-D one raises
+``ShapeError``; one input is the row ``(1, n)``.
 
 A network's parameters are one vector, ``flat``, laid out W0, b0, W1, b1, ...
 (row-major); ``weights[k]`` and ``biases[k]`` are views into it, and gradients
@@ -276,10 +278,12 @@ def _checked(x, dim: int, what: str, dtype) -> np.ndarray:
     return x
 
 
-def _as_batch(x: np.ndarray, dim: int, what: str, dtype) -> tuple[np.ndarray, bool]:
-    """``_checked(x)`` as a (B, dim) batch; the flag marks a 1-D ``x``."""
+def _rows(x, dim: int, what: str, dtype) -> np.ndarray:
+    """``_checked(x)``, which must be a (B, dim) batch of rows."""
     x = _checked(x, dim, what, dtype)
-    return (x[None, :], True) if x.ndim == 1 else (x, False)
+    if x.ndim != 2:
+        raise ShapeError(f"{what}: expected rows (B, {dim}), got shape {x.shape}")
+    return x
 
 
 def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -301,22 +305,19 @@ class Tape:
 
     ``output`` is what ``mlp_forward`` returns for the same input.
     ``values[0]`` is the (B, in) input and ``values[k + 1]`` layer k's
-    activation. No pre-activation is kept: every derivative reads the
-    activation, and a relu tape is then half the size. ``single`` records a
-    1-D input, whose forward ran on (n,) vectors; ``values`` views them as
-    (1, n), so the backward is the batch backward.
+    (B, out) activation. No pre-activation is kept: every derivative reads
+    the activation, and a relu tape is then half the size.
     """
 
     output: np.ndarray
     values: list[np.ndarray]
-    single: bool
 
 
 def _forward(params: Mlp, x: np.ndarray) -> list[np.ndarray]:
-    """The input, then each layer's activation: (n,) vectors for one input,
-    (B, n) batches for a batch, through the same loop. Bias and activation are
-    applied in place, so a layer allocates one array."""
-    values = [_checked(x, params.in_dim, "input", params.dtype)]
+    """The checked input ``x``, then each layer's activation: (n,) vectors for
+    one input, (B, n) batches for a batch, through the same loop. Bias and
+    activation are applied in place, so a layer allocates one array."""
+    values = [x]
     for w, b, a in zip(params.weights, params.biases, params.activations):
         h = _mm(values[-1], w.T)
         h += b
@@ -326,16 +327,14 @@ def _forward(params: Mlp, x: np.ndarray) -> list[np.ndarray]:
 
 def mlp_forward(params: Mlp, x: np.ndarray) -> np.ndarray:
     """Pure forward pass. Accepts (n,) or (B, n); output shape matches."""
-    return _forward(params, x)[-1]
+    return _forward(params, _checked(x, params.in_dim, "input", params.dtype))[-1]
 
 
 def mlp_tape(params: Mlp, x: np.ndarray) -> Tape:
-    """The forward pass with what its backward needs; ``.output`` equals
-    ``mlp_forward(params, x)``."""
-    values = _forward(params, x)
-    if values[0].ndim == 2:
-        return Tape(values[-1], values, False)
-    return Tape(values[-1], [v[None, :] for v in values], True)
+    """The forward pass of rows ``x`` (B, n) with what its backward needs;
+    ``.output`` equals ``mlp_forward(params, x)``."""
+    values = _forward(params, _rows(x, params.in_dim, "input", params.dtype))
+    return Tape(values[-1], values)
 
 
 def _backprop(params: Mlp, output_grad: np.ndarray, tape: Tape,
@@ -345,8 +344,8 @@ def _backprop(params: Mlp, output_grad: np.ndarray, tape: Tape,
     sizes = [v.shape[1] for v in tape.values]
     if sizes != params.layer_sizes:
         raise ShapeError(f"tape of a {sizes} network, parameters of {params.layer_sizes}")
-    g, single = _as_batch(output_grad, params.out_dim, "output_grad", params.dtype)
-    if single != tape.single or g.shape[0] != tape.values[0].shape[0]:
+    g = _rows(output_grad, params.out_dim, "output_grad", params.dtype)
+    if g.shape[0] != tape.values[0].shape[0]:
         raise ShapeError("output_grad and tape batch shapes differ")
     owned = False  # g is the caller's output_grad until the first product
     for k in range(len(params.weights) - 1, -1, -1):
@@ -356,23 +355,22 @@ def _backprop(params: Mlp, output_grad: np.ndarray, tape: Tape,
             np.sum(d_pre, axis=0, out=grads.biases[k])
         g = _mm(d_pre, params.weights[k])
         owned = True
-    return g[0] if single else g
+    return g
 
 
 def mlp_backward(
     params: Mlp, output_grad: np.ndarray, tape: Tape, out: Gradients | None = None
 ) -> tuple[Gradients, np.ndarray]:
     """Reverse-mode gradients of the scalar L = <output_grad, f(x)>, where
-    ``tape = mlp_tape(params, x)``.
+    ``tape = mlp_tape(params, x)`` and ``output_grad`` is (B, out) rows.
 
-    For batched inputs, L sums over the batch, so parameter gradients
-    accumulate across rows (callers fold any 1/B factors into output_grad).
-    Returns (parameter gradients, dL/dx with the same shape as x). The
-    parameter gradients are written into ``out`` when it is given (a
-    ``Gradients`` in ``params``' layout and dtype, else ShapeError) and
-    ``out`` itself is returned; without it they land in a fresh vector.
-    Training steps pass their ``AdamState.grad``, so a step allocates no
-    parameter-sized array.
+    L sums over the batch, so parameter gradients accumulate across rows
+    (callers fold any 1/B factors into output_grad). Returns (parameter
+    gradients, dL/dx with the same shape as x). The parameter gradients are
+    written into ``out`` when it is given (a ``Gradients`` in ``params``'
+    layout and dtype, else ShapeError) and ``out`` itself is returned; without
+    it they land in a fresh vector. Training steps pass their
+    ``AdamState.grad``, so a step allocates no parameter-sized array.
     """
     if out is None:
         out = Gradients.zeros(params.layer_sizes, params.dtype)

@@ -5,8 +5,6 @@ import pytest
 
 from plas.agent import (
     CriticPair,
-    LatentActor,
-    PerturbationHead,
     PlasAgent,
     PlasTrainConfig,
     _clip_unit,
@@ -79,7 +77,7 @@ def make_agent(decoder, state_dim=2, epsilon=0.0, seed=51, max_latent_action=2.0
 def test_act_zero_actor_equals_decode_at_zero():
     decoder = small_cvae_decoder()
     agent = make_agent(decoder)
-    agent.actor.net = mlp_zeros([2, 8, 8, 3], output_activation="tanh")
+    agent.actor = mlp_zeros([2, 8, 8, 3], output_activation="tanh")
     s = np.array([0.4, -0.2])
     expect = decoder.forward(s[None, :], np.zeros((1, 3)))[0]
     assert np.allclose(act(agent, s), expect)
@@ -113,18 +111,18 @@ def test_latent_bound_holds_everywhere():
     agent = make_agent(decoder)
     rng = np.random.default_rng(52)
     states = rng.normal(scale=5.0, size=(10_000, 2))
-    z = agent.actor.latent(states)
+    z = agent.max_latent_action * mlp_forward(agent.actor, states)
     assert np.max(np.abs(z)) <= 2.0
     # tanh output is strictly inside, scaled bound is exact
-    assert agent.actor.max_latent_action == 2.0
+    assert agent.max_latent_action == 2.0
 
 
 def test_perturbation_stays_within_epsilon():
     decoder = small_cvae_decoder()
     with_head = make_agent(decoder, epsilon=0.05, seed=53)
     without = PlasAgent(
-        actor=LatentActor(with_head.actor.net.copy(), 2.0),
-        actor_target=LatentActor(with_head.actor_target.net.copy(), 2.0),
+        actor=with_head.actor.copy(),
+        actor_target=with_head.actor_target.copy(),
         critics=with_head.critics,
         decoder=decoder,
     )
@@ -148,11 +146,36 @@ def test_epsilon_zero_is_identity_path():
         actor_target=agent.actor_target,
         critics=agent.critics,
         decoder=decoder,
-        perturbation=PerturbationHead(head_net, 0.0),
-        perturbation_target=PerturbationHead(head_net.copy(), 0.0),
+        perturbation=head_net,
+        perturbation_target=head_net.copy(),
+        epsilon=0.0,
     )
     for s in rng.normal(size=(50, 2)):
         assert np.array_equal(act(agent, s), act(with_head, s))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"max_latent_action": 0.0}, "max_latent_action must be positive"),
+    ({"max_latent_action": -1.0}, "max_latent_action must be positive"),
+    ({"epsilon": -0.01}, "epsilon must be >= 0"),
+    ({"actor": "identity"}, "actor output activation must be tanh"),
+    ({"actor_target": "relu"}, "actor_target output activation must be tanh"),
+    ({"perturbation": "identity"}, "perturbation output activation must be tanh"),
+    ({"perturbation_target": "identity"}, "perturbation_target output activation must be tanh"),
+])
+def test_plas_agent_checks_its_bounds_and_tanh_outputs(change, message):
+    built = make_agent(small_cvae_decoder(), epsilon=0.05)
+    fields = {name: getattr(built, name) for name in (
+        "actor", "actor_target", "critics", "decoder", "max_latent_action", "perturbation",
+        "perturbation_target", "epsilon")}
+    PlasAgent(**fields)  # the built agent passes
+    for name, value in change.items():
+        if isinstance(value, str):  # the same network with another output activation
+            net = fields[name]
+            value = Mlp(net.weights, net.biases, net.activations[:-1] + [value])
+        fields[name] = value
+    with pytest.raises(ValueError, match=message):
+        PlasAgent(**fields)
 
 
 def test_compute_target_lambda_one_is_min():
@@ -286,10 +309,10 @@ def test_actor_chain_gradient_matches_fd(epsilon):
     s = rng.normal(size=(4, 2))
 
     def neg_mean_q(actor_net: Mlp) -> float:
-        saved = agent.actor.net
-        agent.actor.net = actor_net
+        saved = agent.actor
+        agent.actor = actor_net
         actions, _ = _actions_for_test(agent, s)
-        agent.actor.net = saved
+        agent.actor = saved
         x = np.concatenate([s, actions], axis=1)
         return -float(np.mean(mlp_forward(agent.critics.q1, x)[:, 0]))
 
@@ -298,9 +321,9 @@ def test_actor_chain_gradient_matches_fd(epsilon):
         return _policy_actions(agent, states, use_target=False)
 
     # capture gradient by re-running actor_update on a throwaway copy
-    actor_copy = agent.actor.net.copy()
-    adam = adam_init(agent.actor.net, 1e-9)
-    adam_p = adam_init(agent.perturbation.net, 1e-9) if agent.perturbation else None
+    actor_copy = agent.actor.copy()
+    adam = adam_init(agent.actor, 1e-9)
+    adam_p = adam_init(agent.perturbation, 1e-9) if agent.perturbation else None
     from plas.agent import _policy_actions
 
     actions, tapes = _policy_actions(agent, s, use_target=False, taped=True)
@@ -312,17 +335,17 @@ def test_actor_chain_gradient_matches_fd(epsilon):
     if agent.perturbation is not None:
         inside = (np.abs(tapes["summed"]) < 1.0).astype(np.float64)
         d_sum = da * inside
-        _, d_pin = mlp_backward(agent.perturbation.net, d_sum * epsilon, tapes["head"])
+        _, d_pin = mlp_backward(agent.perturbation, d_sum * epsilon, tapes["head"])
         d_decoded = d_sum + d_pin[:, 2:]
     else:
         d_decoded = da
     dz = decoder.backward(tapes["decoder"], d_decoded)
-    grads, _ = mlp_backward(agent.actor.net, 2.0 * dz, tapes["actor"])
+    grads, _ = mlp_backward(agent.actor, 2.0 * dz, tapes["actor"])
 
-    fd_w, fd_b = finite_diff_param_grads(neg_mean_q, agent.actor.net)
+    fd_w, fd_b = finite_diff_param_grads(neg_mean_q, agent.actor)
     for got, want in zip(grads.weights + grads.biases, fd_w + fd_b):
         assert max_rel_err(got, want, floor=1e-6) < 1e-4
-    assert np.array_equal(actor_copy.weights[0], agent.actor.net.weights[0])
+    assert np.array_equal(actor_copy.weights[0], agent.actor.weights[0])
 
 
 def test_actor_update_reaches_quadratic_optimum():
@@ -344,11 +367,11 @@ def test_actor_update_reaches_quadratic_optimum():
     cfg = PlasTrainConfig(hidden_sizes=(16, 16), max_latent_action=2.0)
     agent = plas_agent_init(1, decoder, cfg, np.random.default_rng(64))
     agent.critics.q1 = q
-    adam_actor = adam_init(agent.actor.net, 1e-3)
+    adam_actor = adam_init(agent.actor, 1e-3)
     states = rng.uniform(-1, 1, size=(64, 1))
     for _ in range(1500):
         actor_update(agent, states, adam_actor)
-    decoded = decoder.forward(states, agent.actor.latent(states))
+    decoded = decoder.forward(states, agent.max_latent_action * mlp_forward(agent.actor, states))
     assert np.max(np.abs(decoded)) < 0.15
 
 
@@ -357,10 +380,37 @@ def test_actor_update_never_touches_decoder():
     agent = make_agent(decoder, seed=66)
     before = decoder.checkpoint_hash()
     rng = np.random.default_rng(67)
-    adam_actor = adam_init(agent.actor.net, 1e-3)
+    adam_actor = adam_init(agent.actor, 1e-3)
     for _ in range(1000):
         actor_update(agent, rng.normal(size=(16, 2)), adam_actor)
     assert decoder.checkpoint_hash() == before
+
+
+def test_actor_update_commits_actor_and_head_or_neither(monkeypatch):
+    # the head's parameter gradient alone is NaN: the actor must not step
+    import plas.agent
+
+    agent = make_agent(small_cvae_decoder(seed=80), epsilon=0.1, seed=81)
+    head = agent.perturbation
+    adam_actor = adam_init(agent.actor, 1e-3)
+    adam_head = adam_init(head, 1e-3)
+    states = np.random.default_rng(82).normal(size=(6, 2))
+    actor_update(agent, states, adam_actor, adam_head)  # one finite step: m, v nonzero
+    real = plas.agent.mlp_backward
+
+    def nan_head(params, output_grad, tape, out=None):
+        grads, d_in = real(params, output_grad, tape, out)
+        if params is head:
+            grads.flat[:] = np.nan
+        return grads, d_in
+
+    monkeypatch.setattr(plas.agent, "mlp_backward", nan_head)
+    arrays = (agent.actor.flat, adam_actor.m, adam_actor.v, head.flat, adam_head.m, adam_head.v)
+    before = [a.tobytes() for a in arrays]
+    with pytest.raises(NonFiniteError):
+        actor_update(agent, states, adam_actor, adam_head)
+    assert [a.tobytes() for a in arrays] == before
+    assert adam_actor.step == 1 and adam_head.step == 1
 
 
 def test_plas_step_runs_each_forward_once(monkeypatch):
@@ -382,7 +432,7 @@ def test_plas_step_runs_each_forward_once(monkeypatch):
     s, s2 = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
     batch = Batch(s, rng.uniform(-1, 1, size=(8, 2)), rng.normal(size=8), s2, np.zeros(8))
     adams = [adam_init(net, 1e-3) for net in (agent.critics.q1, agent.critics.q2,
-                                             agent.actor.net, agent.perturbation.net)]
+                                             agent.actor, agent.perturbation)]
     critic_update(agent, batch, adams[0], adams[1])
     actor_update(agent, s, adams[2], adams[3])
 
@@ -394,8 +444,8 @@ def test_plas_step_runs_each_forward_once(monkeypatch):
     assert count(dec, "mlp_input_grad") == 1 and count(dec, "mlp_backward") == 0
     c = agent.critics
     for net, forwards in ((c.q1, 2), (c.q2, 1), (c.q1_target, 1), (c.q2_target, 1),
-                          (agent.actor.net, 1), (agent.actor_target.net, 1),
-                          (agent.perturbation.net, 1), (agent.perturbation_target.net, 1)):
+                          (agent.actor, 1), (agent.actor_target, 1),
+                          (agent.perturbation, 1), (agent.perturbation_target, 1)):
         assert count(net, "mlp_forward", "mlp_tape") == forwards
     assert len(calls) == 11 + 6  # 11 forwards; q1 x2, q2, head, actor, decoder backward
 
@@ -417,7 +467,7 @@ def test_train_plas_smoke_and_freeze(tmp_path):
     agent, log = train_plas(ds, decoder, cfg, np.random.default_rng(70))
     assert len(log) == 4
     assert all(np.isfinite(r.critic_loss) and np.isfinite(r.mean_q) for r in log)
-    z = agent.actor.latent(ds.states)
+    z = agent.max_latent_action * mlp_forward(agent.actor, ds.states)
     assert np.max(np.abs(z)) <= cfg.max_latent_action
 
 
@@ -430,14 +480,14 @@ def test_agent_checkpoint_round_trip(tmp_path):
         save_agent(tmp_path / "agent.npz", agent, PlasTrainConfig(steps=7))
         back = load_agent(tmp_path / "agent.npz", decoder)
         assert agent_hash(back) == agent_hash(agent)
-        assert params_hash(back.actor_target.net, back.critics.q1_target,
+        assert params_hash(back.actor_target, back.critics.q1_target,
                            back.critics.q2_target) == params_hash(
-            agent.actor_target.net, agent.critics.q1_target, agent.critics.q2_target)
+            agent.actor_target, agent.critics.q1_target, agent.critics.q2_target)
         assert (back.perturbation is None) == (epsilon == 0.0)
         if epsilon:
-            assert back.perturbation.epsilon == epsilon
-            assert params_hash(back.perturbation_target.net) == params_hash(
-                agent.perturbation_target.net)
+            assert back.epsilon == epsilon
+            assert params_hash(back.perturbation_target) == params_hash(
+                agent.perturbation_target)
         assert back.decoder_hash == decoder.checkpoint_hash()
         for s in rng.normal(size=(20, 2)):
             assert np.array_equal(act(agent, s), act(back, s))

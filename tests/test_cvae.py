@@ -50,7 +50,8 @@ def zero_cvae(state_dim=2, action_dim=1, latent_dim=2):
 
 def test_encode_zero_network():
     cvae = zero_cvae()
-    mu, log_std = encode(cvae, np.array([0.3, -0.7]), np.array([0.5]))
+    mu, log_std = encode(cvae, np.array([[0.3, -0.7]]), np.array([[0.5]]))
+    assert mu.shape == log_std.shape == (1, cvae.latent_dim)
     assert np.all(mu == 0.0)
     assert np.all(log_std == 0.0)
 
@@ -58,7 +59,7 @@ def test_encode_zero_network():
 def test_encode_deterministic():
     rng = np.random.default_rng(11)
     cvae = cvae_init(3, 2, rng, hidden_sizes=(8, 8))
-    s, a = rng.normal(size=3), rng.uniform(-1, 1, size=2)
+    s, a = rng.normal(size=(1, 3)), rng.uniform(-1, 1, size=(1, 2))
     out1 = encode(cvae, s, a)
     out2 = encode(cvae, s, a)
     assert np.array_equal(out1[0], out2[0]) and np.array_equal(out1[1], out2[1])

@@ -171,6 +171,17 @@ def test_support_distance_dimension_check():
         support_distance(ds, np.zeros((3, 5)), np.zeros((3, 1)))
 
 
+def test_support_distance_takes_rows_with_any_k():
+    ds = tiny_dataset(n=10)
+    for states, actions in ((ds.states[0], ds.actions[0]), (ds.states[:3], ds.actions[:2])):
+        with pytest.raises(ValueError):
+            support_distance(ds, states, actions)
+    # one neighbour, and more neighbours than points, are the same shape of answer
+    for k in (1, 3, 50):
+        summary = support_distance(ds, ds.states[:1], ds.actions[:1], k=k)
+        assert summary.distances.shape == (1,) and summary.distances[0] == 0.0
+
+
 def test_support_threshold_accepts_dataset_itself():
     ds = tiny_dataset(n=200, seed=52)
     thr = support_threshold(ds, k=10)

@@ -18,8 +18,6 @@ import plas.cvae
 from plas import nets
 from plas.agent import (
     CriticPair,
-    LatentActor,
-    PerturbationHead,
     PlasAgent,
     PlasTrainConfig,
     act,
@@ -126,14 +124,14 @@ def _plas_steps(epsilon):
     net = mlp_init([STATE_DIM, *HIDDEN, LATENT_DIM], rng, output_activation="tanh")
     pert = pert_target = None
     if epsilon > 0.0:
-        pnet = mlp_init([STATE_DIM + ACTION_DIM, *HIDDEN, ACTION_DIM], rng,
+        pert = mlp_init([STATE_DIM + ACTION_DIM, *HIDDEN, ACTION_DIM], rng,
                         output_activation="tanh")
-        pert, pert_target = PerturbationHead(pnet, epsilon), PerturbationHead(pnet.copy(), epsilon)
-    agent = PlasAgent(LatentActor(net), LatentActor(net.copy()), _critics(rng), decoder,
-                      pert, pert_target)
+        pert_target = pert.copy()
+    agent = PlasAgent(net, net.copy(), _critics(rng), decoder, perturbation=pert,
+                      perturbation_target=pert_target, epsilon=epsilon)
     adam_q1, adam_q2 = adam_init(agent.critics.q1, 1e-3), adam_init(agent.critics.q2, 1e-3)
-    adam_actor = adam_init(agent.actor.net, 1e-3)
-    adam_pert = None if pert is None else adam_init(pert.net, 1e-3)
+    adam_actor = adam_init(agent.actor, 1e-3)
+    adam_pert = None if pert is None else adam_init(pert, 1e-3)
     for _ in range(STEPS):
         b = _batch(rng)
         critic_update(agent, b, adam_q1, adam_q2)

@@ -13,7 +13,6 @@ from plas.envs import (
     evaluate_policy,
     make_env,
     random_policy,
-    reset_clip_warning_count,
     rollout_batch,
 )
 
@@ -199,12 +198,12 @@ def test_edge_follow_reward_equals_progress_over_scale():
 
 def test_out_of_bounds_actions_clip_and_count():
     env = EdgeFollowEnv()
-    reset_clip_warning_count()
+    before = clip_warning_count()
     state = np.array([[0.0]])
     env.step(state, np.array([[3.0]]))  # clipped to 1.0, above the limit -> fail
-    assert clip_warning_count() == 1
+    assert clip_warning_count() - before == 1
     env.step(state, np.array([[0.1]]))
-    assert clip_warning_count() == 1
+    assert clip_warning_count() - before == 1
 
 
 def test_reset_is_seed_deterministic():
@@ -242,9 +241,9 @@ def _step_rows(env):
 
 
 def _assert_rows_match_reference(env, states, actions):
-    reset_clip_warning_count()
+    before = clip_warning_count()
     next_states, rewards, dones = env.step(states, actions)
-    assert clip_warning_count() == sum(_ref_clip(a, env.action_dim)[1] for a in actions)
+    assert clip_warning_count() - before == sum(_ref_clip(a, env.action_dim)[1] for a in actions)
     assert next_states.shape == states.shape
     assert rewards.shape == dones.shape == (len(states),)
     outcomes = []

@@ -39,6 +39,15 @@ def test_expert_dataset_high_reward():
     assert ds.rewards.mean() > 0.3
 
 
+def test_a_dataset_holds_only_its_own_rows():
+    # a 1-row dataset cut from a lockstep batch of ~2.9k rows must not keep
+    # that batch alive
+    ds = generate_dataset(PointMassEnv(), "expert", 1, 0)
+    for name in ("states", "actions", "rewards", "next_states", "dones"):
+        column = getattr(ds, name)
+        assert column.base is None or column.base.nbytes == column.nbytes, name
+
+
 def _generate(env, kind, size, seed):
     if kind == "bimodal":
         return make_bimodal_dataset(size, seed, env=env)

@@ -105,8 +105,10 @@ def test_run_scenario_matches_direct_estimator():
         behavior_draws = sc.behavior_sample(rng)
         base = rng.standard_normal(200)
         for kern, curve in zip(kernels, curves):
-            direct = [sampled_mmd(kern, behavior_draws, sc.agent_sample(float(x), base))
-                      for x in sc.sweep]
+            # the agent's draws: N(0, x) as x * base, N(x, 0.5) as x + 0.5 * base
+            direct = [sampled_mmd(kern, behavior_draws,
+                                  x * base if family == "scale" else x + 0.5 * base)
+                      for x in sc.sweep.tolist()]
             assert np.max(np.abs(curve.mean - direct)) < 1e-5, (family, kern)
 
 

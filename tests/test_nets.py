@@ -74,8 +74,8 @@ def test_forward_shape_error():
 
 def test_backward_identity_net():
     net = Mlp([np.array([[1.0]])], [np.array([0.0])], ["identity"])
-    grads, input_grad = mlp_backward(net, np.array([1.0]), mlp_tape(net, np.array([4.0])))
-    assert input_grad == pytest.approx([1.0])
+    grads, input_grad = mlp_backward(net, np.array([[1.0]]), mlp_tape(net, np.array([[4.0]])))
+    assert input_grad[0] == pytest.approx([1.0])
     assert np.allclose(grads.weights[0], [[4.0]])
     assert grads.biases[0] == pytest.approx([1.0])
 
@@ -83,7 +83,7 @@ def test_backward_identity_net():
 def test_backward_zero_output_grad():
     rng = np.random.default_rng(2)
     net = mlp_init([3, 5, 2], rng)
-    grads, input_grad = mlp_backward(net, np.zeros(2), mlp_tape(net, rng.normal(size=3)))
+    grads, input_grad = mlp_backward(net, np.zeros((1, 2)), mlp_tape(net, rng.normal(size=(1, 3))))
     assert np.all(input_grad == 0.0)
     for g in grads.weights + grads.biases:
         assert np.all(g == 0.0)
@@ -93,11 +93,11 @@ def test_backward_zero_output_grad():
 def test_backward_matches_finite_differences(seed):
     rng = np.random.default_rng(100 + seed)
     net = mlp_init([4, 8, 6, 3], rng, output_activation="tanh")
-    x = rng.normal(size=4)
-    gout = rng.normal(size=3)
+    x = rng.normal(size=(1, 4))
+    gout = rng.normal(size=(1, 3))
 
     def loss(p: Mlp) -> float:
-        return float(np.dot(gout, mlp_forward(p, x)))
+        return float(np.sum(gout * mlp_forward(p, x)))
 
     grads, input_grad = mlp_backward(net, gout, mlp_tape(net, x))
     fd_w, fd_b = finite_diff_param_grads(loss, net)
@@ -113,13 +113,13 @@ def test_backward_batch_sums_over_rows():
     grads, input_grad = mlp_backward(net, gouts, mlp_tape(net, xs))
     acc_w = [np.zeros_like(w) for w in net.weights]
     acc_b = [np.zeros_like(b) for b in net.biases]
-    for x, g in zip(xs, gouts):
-        row, row_in = mlp_backward(net, g, mlp_tape(net, x))
+    for i in range(len(xs)):
+        row, row_in = mlp_backward(net, gouts[i:i + 1], mlp_tape(net, xs[i:i + 1]))
         for a, r in zip(acc_w, row.weights):
             a += r
         for a, r in zip(acc_b, row.biases):
             a += r
-        assert np.allclose(row_in, input_grad[list(xs).index(x) if False else np.where((xs == x).all(axis=1))[0][0]])
+        assert np.allclose(row_in[0], input_grad[i])
     for got, want in zip(grads.weights + grads.biases, acc_w + acc_b):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -132,11 +132,11 @@ def test_gradient_correctness_many_shapes():
         rng = np.random.default_rng(1000 + seed)
         shape = shapes[seed % len(shapes)]
         net = mlp_init(shape, rng, output_activation="tanh" if seed % 2 else "identity")
-        x = rng.normal(size=shape[0])
-        gout = rng.normal(size=shape[-1])
+        x = rng.normal(size=(1, shape[0]))
+        gout = rng.normal(size=(1, shape[-1]))
 
         def loss(p: Mlp) -> float:
-            return float(np.dot(gout, mlp_forward(p, x)))
+            return float(np.sum(gout * mlp_forward(p, x)))
 
         grads, _ = mlp_backward(net, gout, mlp_tape(net, x))
         fd_w, fd_b = finite_diff_param_grads(loss, net)
@@ -147,10 +147,10 @@ def test_gradient_correctness_many_shapes():
 
 
 def _reference_backward(net: Mlp, x, gout):
-    """Backward that recomputes its own forward and multiplies by each
-    activation's derivative as a float array."""
-    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    g = np.atleast_2d(np.asarray(gout, dtype=np.float64))
+    """Backward of rows ``x`` that recomputes its own forward and multiplies
+    by each activation's derivative as a float array."""
+    h = np.asarray(x, dtype=np.float64)
+    g = np.asarray(gout, dtype=np.float64)
     inputs, pres, posts = [], [], []
     for w, b, a in zip(net.weights, net.biases, net.activations):
         inputs.append(h)
@@ -167,7 +167,19 @@ def _reference_backward(net: Mlp, x, gout):
         grad_w[k] = d_pre.T @ inputs[k]
         grad_b[k] = np.sum(d_pre, axis=0)
         g = d_pre @ net.weights[k]
-    return posts[-1], grad_w, grad_b, g[0] if np.ndim(x) == 1 else g
+    return posts[-1], grad_w, grad_b, g
+
+
+def _assert_one_state_forward_and_no_tape(net, x, gout):
+    """One state (n,) runs forward as a vector, equal to the reference's row;
+    no tape takes it, and no backward takes a 1-D output gradient."""
+    assert np.array_equal(mlp_forward(net, x), _reference_backward(net, x[None], gout[None])[0][0])
+    with pytest.raises(ShapeError):
+        mlp_tape(net, x)
+    row_tape = mlp_tape(net, x[None])
+    for backward in (mlp_backward, mlp_input_grad):
+        with pytest.raises(ShapeError):
+            backward(net, gout, row_tape)
 
 
 ACTIVATION_ORDERS = [("relu", "tanh", "identity"), ("tanh", "identity", "relu"),
@@ -184,11 +196,14 @@ def test_taped_backward_equals_recomputing_reference(acts, rows):
     shape = (sizes[0],) if rows is None else (rows, sizes[0])
     x = rng.normal(size=shape)
     gout = rng.normal(size=shape[:-1] + (sizes[-1],))
+    if rows is None:
+        _assert_one_state_forward_and_no_tape(net, x, gout)
+        return
     tape = mlp_tape(net, x)
     grads, input_grad = mlp_backward(net, gout, tape)
     out, want_w, want_b, want_in = _reference_backward(net, x, gout)
     assert np.array_equal(tape.output, mlp_forward(net, x))
-    assert np.array_equal(tape.output, out[0] if rows is None else out)
+    assert np.array_equal(tape.output, out)
     assert input_grad.shape == x.shape
     assert np.array_equal(input_grad, want_in)
     for got, want in zip(grads.weights + grads.biases, want_w + want_b):
@@ -204,10 +219,13 @@ def test_width_one_products_equal_matmul(rows):
     net = mlp_init([1, 64, 64, 1], rng, hidden_activation="tanh")
     shape = (1,) if rows is None else (rows, 1)
     x, gout = rng.normal(size=shape), rng.normal(size=shape)
+    if rows is None:
+        _assert_one_state_forward_and_no_tape(net, x, gout)
+        return
     tape = mlp_tape(net, x)
     grads, input_grad = mlp_backward(net, gout, tape)
     out, want_w, want_b, want_in = _reference_backward(net, x, gout)
-    assert np.array_equal(mlp_forward(net, x), out[0] if rows is None else out)
+    assert np.array_equal(mlp_forward(net, x), out)
     assert np.array_equal(input_grad, want_in)
     for got, want in zip(grads.weights + grads.biases, want_w + want_b):
         assert np.array_equal(got, want)
@@ -539,8 +557,8 @@ def test_layers_are_views_of_flat_and_copy_shares_nothing():
     assert params_hash(copy) == before
     for a in [copy.flat] + copy.weights + copy.biases:
         assert not np.shares_memory(a, net.flat)
-    tape = mlp_tape(net, rng.normal(size=3))
-    grads, _ = mlp_backward(net, rng.normal(size=2), tape)
+    tape = mlp_tape(net, rng.normal(size=(1, 3)))
+    grads, _ = mlp_backward(net, rng.normal(size=(1, 2)), tape)
     assert all(np.shares_memory(g, grads.flat) for g in grads.weights + grads.biases)
 
 
@@ -577,7 +595,7 @@ def test_params_hash_covers_layer_sizes_and_activations():
 def test_backward_into_out_returns_it_and_equals_the_fresh_result(hidden_activation, single):
     rng = np.random.default_rng(13)
     net = mlp_init([3, 6, 5, 2], rng, hidden_activation, "tanh")
-    x = rng.normal(size=3) if single else rng.normal(size=(4, 3))
+    x = rng.normal(size=(1, 3)) if single else rng.normal(size=(4, 3))  # one state is a row
     gout = rng.normal(size=x.shape[:-1] + (2,))
     gout_before = gout.copy()
     tape = mlp_tape(net, x)

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 import plas.agent
 import plas.baselines
 import plas.cvae
-from plas.agent import PlasTrainConfig, act, plas_agent_init
+from plas.agent import PlasTrainConfig, act, actor_update, plas_agent_init
 from plas.baselines import UnconstrainedTrainConfig, unconstrained_agent_init
-from plas.cvae import FrozenDecoder, cvae_init, decode
+from plas.cvae import FrozenDecoder, cvae_init, decode, elbo_loss_and_grads, encode
 from plas.envs import EdgeFollowEnv, PointMassEnv, evaluate_policy
-from plas.nets import ShapeError, mlp_forward
+from plas.nets import ShapeError, adam_init, mlp_forward
 
 _ACT = {"relu": lambda h: np.maximum(h, 0.0, out=h),
         "tanh": lambda h: np.tanh(h, out=h),
@@ -38,13 +38,13 @@ def _ref_decode(cvae, s, z):
 
 
 def _ref_act(agent, s):
-    z = agent.actor.max_latent_action * _ref_forward(agent.actor.net, s)
+    z = agent.max_latent_action * _ref_forward(agent.actor, s)
     decoded = _ref_decode(agent.decoder._cvae, s, z)
     head = agent.perturbation
     if head is None:
         return decoded
-    raw = _ref_forward(head.net, np.concatenate([s, decoded]))
-    return np.clip(decoded + head.epsilon * raw, -1.0, 1.0)
+    raw = _ref_forward(head, np.concatenate([s, decoded]))
+    return np.clip(decoded + agent.epsilon * raw, -1.0, 1.0)
 
 
 def _plas(state_dim, action_dim, hidden, epsilon, seed, dtype=np.float32):
@@ -77,7 +77,7 @@ def test_one_state_equals_the_batch_one_reference(seed, state_dim, hidden, epsil
     rng = np.random.default_rng(seed)
     s = scale * rng.normal(size=state_dim)
     z = scale * rng.normal(size=cvae.latent_dim)
-    for net in (agent.actor.net, agent.critics.q1, cvae.encoder, cvae.decoder):
+    for net in (agent.actor, agent.critics.q1, cvae.encoder, cvae.decoder):
         x = scale * rng.normal(size=net.in_dim)
         assert _equal(mlp_forward(net, x), _ref_forward(net, x))
     assert _equal(decode(cvae, s, z), _ref_decode(cvae, s, z))
@@ -106,7 +106,7 @@ def test_one_state_shapes_are_checked():
     s, z = np.zeros(4), np.zeros(cvae.latent_dim)
     for bad in (np.zeros(3), np.zeros((1, 1, 4))):
         with pytest.raises(ShapeError):
-            mlp_forward(agent.actor.net, bad)
+            mlp_forward(agent.actor, bad)
         with pytest.raises(ShapeError):
             act(agent, bad)
     for bad_s, bad_z in ((s, z[None, :]), (s[None, :], z), (np.zeros((3, 4)), np.zeros((2, 4))),
@@ -136,7 +136,7 @@ def test_one_state_act_runs_each_network_once_on_vectors(monkeypatch):
     monkeypatch.setattr(FrozenDecoder, "forward", decoder_forward)
     a = act(agent, np.ones(4))
     assert a.shape == (2,)
-    nets = (agent.actor.net, agent.decoder._cvae.decoder, agent.perturbation.net)
+    nets = (agent.actor, agent.decoder._cvae.decoder, agent.perturbation)
     assert sorted(calls) == sorted([("mlp_forward", id(n), 1) for n in nets]
                                    + [("FrozenDecoder.forward", id(agent.decoder), 1)])
 
@@ -155,12 +155,19 @@ def test_unconstrained_action_is_one_forward(monkeypatch):
 
 
 
-def test_frozen_decoder_tapes_one_state_like_a_row_of_a_batch():
-    agent = _plas(4, 2, (8,), 0.0, seed=9)
-    dec = agent.decoder
+def test_tapes_take_rows_only():
+    # one state runs forward as a vector; everything that keeps a tape for a
+    # backward takes (B, n) rows, so a 1-D input raises
+    agent = _plas(4, 2, (8,), 0.05, seed=9)
+    dec, cvae = agent.decoder, agent.decoder._cvae
     rng = np.random.default_rng(10)
-    s, z, g = rng.normal(size=4), rng.normal(size=dec.latent_dim), rng.normal(size=2)
-    tape = dec.tape(s, z)
-    dz = dec.backward(tape, g)
-    assert _equal(tape.output, dec.forward(s, z))
-    assert _equal(dz, dec.backward(dec.tape(s[None, :], z[None, :]), g[None, :])[0])
+    s, z, a = rng.normal(size=4), rng.normal(size=dec.latent_dim), rng.normal(size=2)
+    tape = dec.tape(s[None, :], z[None, :])
+    assert _equal(tape.output[0], dec.forward(s, z))
+    assert dec.backward(tape, a[None, :]).shape == (1, dec.latent_dim)
+    for call in (lambda: dec.tape(s, z), lambda: dec.backward(tape, a),
+                 lambda: encode(cvae, s, a), lambda: encode(cvae, s[None, :], a),
+                 lambda: elbo_loss_and_grads(cvae, s, a, z, 0.5),
+                 lambda: actor_update(agent, s, adam_init(agent.actor, 1e-3))):
+        with pytest.raises(ShapeError):
+            call()

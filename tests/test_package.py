@@ -24,6 +24,16 @@ def test_declared_scripts_and_documented_modules_exist():
         importlib.import_module(module)
 
 
+def test_the_methods_perfbench_traces_are_defined_on_their_classes():
+    # the tracer patches each hook in its class's own namespace; a method that
+    # moved to a base class would silently drop out of ``--trace 1``
+    from perfbench import trace
+
+    for module, cls, method, _ in trace.METHODS + trace.COUNTED:
+        owner = getattr(importlib.import_module(f"plas.{module}"), cls)
+        assert method in vars(owner), f"{module}.{cls}.{method}"
+
+
 def _third_party_imports() -> set[str]:
     """Top-level modules imported anywhere under src/plas that are neither the
     standard library nor plas itself."""

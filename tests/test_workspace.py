@@ -88,10 +88,10 @@ def _run(learner):
         eps = float(learner.split("-")[1])
         agent, log = train_plas(DATASET, _decoder(), PlasTrainConfig(
             perturbation_epsilon=eps, **DESK), rng)
-        nets = [agent.actor.net, agent.actor_target.net, agent.critics.q1, agent.critics.q2,
+        nets = [agent.actor, agent.actor_target, agent.critics.q1, agent.critics.q2,
                 agent.critics.q1_target, agent.critics.q2_target]
         if agent.perturbation is not None:
-            nets += [agent.perturbation.net, agent.perturbation_target.net]
+            nets += [agent.perturbation, agent.perturbation_target]
         return params_hash(*nets), [(r.critic_loss, r.mean_q) for r in log]
     if learner == "unconstrained":
         agent, log = train_unconstrained(DATASET, UnconstrainedTrainConfig(**DESK), rng)
