@@ -22,13 +22,23 @@ value once; each kernel then only divides, exponentiates and averages, in
 place, inside n x n buffers that ``run_scenario`` allocates once per call.
 The kernel formula is written once, as a family distance (``_distance``) over
 a signed divisor (``_divisor``), and serves ``kernel_eval``, the binned terms
-and the shared sweep alike. Means are taken over whole arrays, never over row
-blocks, so the curves keep the summation order, and the bits, of a direct
-``.mean()`` per (kernel, point) cell.
+and the shared sweep alike.
+
+Precision: the exact n x n pair terms (pp, pq and the shift family's qq) run
+in float32 — the samples are rounded to float32 once per term, and the
+differences, distances, divides and exps stay float32 — but each term's total
+is float64: float32 row sums of at most n kernel values, then a float64 sum of
+the n row sums, divided by n^2. A pure float32 total would lose digits to
+cancellation in pp - 2 pq + qq. The binned terms, ``kernel_eval`` and
+``sampled_mmd`` stay float64, and ``sampled_mmd`` is the oracle. The tests
+hold every curve's mean within 1e-6 of a float64 evaluation of the same sweep,
+with the same argmin; over seeds 0-29 at 500 x 2 and 200 x 4 samples x
+repeats, the largest difference read 1.7e-8 and no argmin moved.
 """
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,6 +57,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.sigma <= 0:
             raise ValueError("sigma must be > 0")
 
@@ -99,6 +111,8 @@ def sampled_mmd(spec: KernelSpec, samples_p, samples_q) -> float:
     q = np.asarray(samples_q, dtype=np.float64).ravel()
     if p.size < 2 or q.size < 2:
         raise ValueError("need at least 2 samples on each side")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+        raise ValueError("non-finite samples")
     return (
         _kernel_matrix_mean(spec, p, p)
         - 2.0 * _kernel_matrix_mean(spec, p, q)
@@ -134,6 +148,10 @@ class MmdScenario:
             raise ValueError("empty sweep")
         if not np.all(np.isfinite(self.sweep)):
             raise ValueError("non-finite sweep point")
+        for name in ("n_samples", "n_repeats"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_samples < 2:
             raise ValueError("n_samples must be >= 2")
         if self.n_repeats < 1:
@@ -203,17 +221,19 @@ def _kernel_means(kernels: list[KernelSpec], a: np.ndarray, b: np.ndarray,
                   work: np.ndarray, dist: dict[str, np.ndarray]) -> np.ndarray:
     """Mean of every kernel over the n x n differences a[:, None] - b[None, :].
 
-    The differences land in ``work`` and each family's distance in
+    The float32 differences land in ``work`` and each family's distance in
     ``dist[family]`` once; each kernel then divides into ``work`` and
-    exponentiates in place, so no n x n array is allocated here.
+    exponentiates in place, so no n x n array is allocated here. Each mean is
+    float32 row sums, then a float64 total of those n row sums.
     """
-    np.subtract(a[:, None], b[None, :], out=work)
+    np.subtract(a.astype(np.float32)[:, None], b.astype(np.float32)[None, :], out=work)
     for family, buf in dist.items():
         _distance(family, work, out=buf)
     means = np.empty(len(kernels))
     for ki, k in enumerate(kernels):
-        np.divide(dist[k.family], _divisor(k), out=work)
-        means[ki] = np.exp(work, out=work).mean()
+        np.divide(dist[k.family], np.float32(_divisor(k)), out=work)
+        rows = np.exp(work, out=work).sum(axis=1)
+        means[ki] = rows.sum(dtype=np.float64) / work.size
     return means
 
 
@@ -222,22 +242,25 @@ def run_scenario(scenario: MmdScenario, kernels: list[KernelSpec] | None = None,
     """Mean +/- std loss curves over repeats, common random numbers per repeat.
 
     Matches ``sampled_mmd`` on every (kernel, x, repeat) cell up to the binned
-    evaluation of the x-dependent terms (see ``_diff_histogram``); constant
-    terms are exact and computed once per repeat.
+    evaluation of the x-dependent terms (see ``_diff_histogram``) and the
+    float32 rounding of the exact terms; constant terms are computed once per
+    repeat.
 
     Every exact term (pp, the shift family's constant qq, the scale family's
     pq at each sweep point) builds its difference array once and shares it,
-    squared and absolute, across all kernels (``_kernel_means``). The n x n
-    float64 buffers are allocated once per call, so a sweep does not fault in
-    fresh pages at every (kernel, point) pair. Each mean is one ``.mean()``
-    over the whole array; rows are not blocked, because blocking would change
-    the summation order and with it the last bits of every curve.
+    squared and absolute, across all kernels (``_kernel_means``). These terms
+    run in float32 with float64 totals (see the module docstring); the binned
+    terms are fed float64 differences. The n x n buffers (float32 pair
+    buffers, one float64 buffer for the binned differences) are allocated once
+    per call, so a sweep does not fault in fresh pages at every (kernel,
+    point) pair.
     """
     kernels = kernels if kernels is not None else default_kernels()
     xs = scenario.sweep
     n = scenario.n_samples
-    work = np.empty((n, n))
-    dist = {k.family: np.empty((n, n)) for k in kernels}
+    work = np.empty((n, n), dtype=np.float32)
+    dist = {k.family: np.empty((n, n), dtype=np.float32) for k in kernels}
+    diffs = np.empty((n, n))
     values = np.empty((len(kernels), scenario.n_repeats, xs.size))
     for r in range(scenario.n_repeats):
         rng = np.random.default_rng([seed, r])
@@ -247,8 +270,8 @@ def run_scenario(scenario: MmdScenario, kernels: list[KernelSpec] | None = None,
         if scenario.agent_family == "scale":
             # pq diffs are b_i - x*base_j (2-d structure, computed direct);
             # qq diffs are x*(base_i - base_j): binned on |base_i - base_j|
-            np.subtract(base[:, None], base[None, :], out=work)
-            qq_centers, qq_weights = _diff_histogram(np.abs(work, out=work).ravel())
+            np.subtract(base[:, None], base[None, :], out=diffs)
+            qq_centers, qq_weights = _diff_histogram(np.abs(diffs, out=diffs).ravel())
             for xi, x in enumerate(xs):
                 x = float(x)
                 pq = _kernel_means(kernels, behavior, x * base, work, dist)
@@ -260,8 +283,8 @@ def run_scenario(scenario: MmdScenario, kernels: list[KernelSpec] | None = None,
             # qq diffs are 0.5*(base_i - base_j), independent of x (halving is
             # exact, so differences of halved draws are the same numbers)
             half = 0.5 * base
-            np.subtract(behavior[:, None], half[None, :], out=work)
-            pq_centers, pq_weights = _diff_histogram(work.ravel())
+            np.subtract(behavior[:, None], half[None, :], out=diffs)
+            pq_centers, pq_weights = _diff_histogram(diffs.ravel())
             qq = _kernel_means(kernels, half, half, work, dist)
             for xi, x in enumerate(xs):
                 pq = np.array([pq_weights @ _kernel_of_diff(k, pq_centers - float(x))

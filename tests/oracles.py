@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from plas.mmd import _diff_histogram, _kernel_of_diff
 from plas.nets import Mlp
 
 
@@ -79,3 +80,46 @@ def naive_mlp_forward(params: Mlp, x: np.ndarray) -> np.ndarray:
         else:
             h = out
     return h
+
+
+def float64_pair_mean(k, a, b) -> float:
+    """Mean of kernel k over the float64 n x n differences a[:, None] - b[None, :]."""
+    return float(_kernel_of_diff(k, a[:, None] - b[None, :]).mean())
+
+
+def mmd_reference_curves(sc, kernels, seed, pair_mean=float64_pair_mean):
+    """Float64 oracle of ``plas.mmd.run_scenario``: (mean, std) per kernel.
+
+    The per-(kernel, point) loop of the original sweep: one fresh n x n
+    difference array, and fresh kernel temporaries, for every exact term
+    (pp, the scale family's pq, the shift family's qq), each averaged by
+    ``pair_mean`` — by default a direct float64 ``.mean()``. The binned terms
+    use the same histogram as the sweep.
+    """
+    values = np.empty((len(kernels), sc.n_repeats, sc.sweep.size))
+    for r in range(sc.n_repeats):
+        rng = np.random.default_rng([seed, r])
+        behavior = sc.behavior_sample(rng)
+        base = rng.standard_normal(sc.n_samples)
+        if sc.agent_family == "scale":
+            qq_centers, qq_weights = _diff_histogram(
+                np.abs(base[:, None] - base[None, :]).ravel()
+            )
+        else:
+            pq_centers, pq_weights = _diff_histogram(
+                (behavior[:, None] - 0.5 * base[None, :]).ravel()
+            )
+        for ki, k in enumerate(kernels):
+            pp = pair_mean(k, behavior, behavior)
+            if sc.agent_family == "shift":
+                qq_const = pair_mean(k, 0.5 * base, 0.5 * base)
+            for xi, x in enumerate(sc.sweep):
+                x = float(x)
+                if sc.agent_family == "scale":
+                    pq = pair_mean(k, behavior, x * base)
+                    qq = float(qq_weights @ _kernel_of_diff(k, abs(x) * qq_centers))
+                else:
+                    pq = float(pq_weights @ _kernel_of_diff(k, pq_centers - x))
+                    qq = qq_const
+                values[ki, r, xi] = pp - 2.0 * pq + qq
+    return [(values[ki].mean(axis=0), values[ki].std(axis=0)) for ki in range(len(kernels))]

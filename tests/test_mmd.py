@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from plas import mmd
 from plas.mmd import (
     KernelSpec,
     MmdScenario,
-    _diff_histogram,
     _kernel_of_diff,
     default_kernels,
     kernel_eval,
@@ -14,6 +14,7 @@ from plas.mmd import (
     scenario_matched_scale,
     write_curves_csv,
 )
+from .oracles import mmd_reference_curves
 
 
 def test_kernel_at_equal_points_is_one():
@@ -50,6 +51,13 @@ def test_kernel_rejects_bad_sigma():
         KernelSpec("gaussian", 0.0)
     with pytest.raises(ValueError):
         KernelSpec("cauchy", 1.0)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+def test_kernel_rejects_non_finite_sigma(sigma):
+    # nan made every kernel value NaN; inf made the kernel a constant 1
+    with pytest.raises(ValueError, match="finite"):
+        KernelSpec("gaussian", sigma)
 
 
 def test_sampled_mmd_identical_sets_zero():
@@ -93,6 +101,16 @@ def test_sampled_mmd_needs_two_points():
         sampled_mmd(KernelSpec("gaussian", 1.0), [1.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sampled_mmd_rejects_non_finite_samples(bad):
+    # a NaN sample used to return nan silently
+    spec = KernelSpec("gaussian", 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        sampled_mmd(spec, [0.0, bad, 1.0], [0.5, 1.5])
+    with pytest.raises(ValueError, match="non-finite"):
+        sampled_mmd(spec, [0.5, 1.5], [0.0, 1.0, bad])
+
+
 def test_run_scenario_matches_direct_estimator():
     # one repeat, so each point of a curve is one (kernel, x, repeat) cell
     kernels = [KernelSpec("gaussian", 0.1), KernelSpec("laplacian", 1.0)]
@@ -112,49 +130,29 @@ def test_run_scenario_matches_direct_estimator():
             assert np.max(np.abs(curve.mean - direct)) < 1e-5, (family, kern)
 
 
-def _reference_curves(sc, kernels, seed):
-    """The per-(kernel, point) loop of the earlier sweep: one fresh n x n
-    difference array, and fresh kernel temporaries, for every cell."""
-    values = np.empty((len(kernels), sc.n_repeats, sc.sweep.size))
-    for r in range(sc.n_repeats):
-        rng = np.random.default_rng([seed, r])
-        behavior = sc.behavior_sample(rng)
-        base = rng.standard_normal(sc.n_samples)
-        d_pp = behavior[:, None] - behavior[None, :]
-        d_bb = base[:, None] - base[None, :]
-        if sc.agent_family == "scale":
-            qq_centers, qq_weights = _diff_histogram(np.abs(d_bb).ravel())
-        else:
-            pq_centers, pq_weights = _diff_histogram(
-                (behavior[:, None] - 0.5 * base[None, :]).ravel()
-            )
-        for ki, k in enumerate(kernels):
-            pp = float(_kernel_of_diff(k, d_pp).mean())
-            if sc.agent_family == "shift":
-                qq_const = float(_kernel_of_diff(k, 0.5 * d_bb).mean())
-            for xi, x in enumerate(sc.sweep):
-                x = float(x)
-                if sc.agent_family == "scale":
-                    d_pq = behavior[:, None] - x * base[None, :]
-                    pq = float(_kernel_of_diff(k, d_pq).mean())
-                    qq = float(qq_weights @ _kernel_of_diff(k, abs(x) * qq_centers))
-                else:
-                    pq = float(pq_weights @ _kernel_of_diff(k, pq_centers - x))
-                    qq = qq_const
-                values[ki, r, xi] = pp - 2.0 * pq + qq
-    return [(values[ki].mean(axis=0), values[ki].std(axis=0)) for ki in range(len(kernels))]
+def _float32_pair_mean(k, a, b):
+    """The sweep's pair-term arithmetic, written out: both samples rounded to
+    float32 once, float32 kernel values and row sums, a float64 total."""
+    d = a.astype(np.float32)[:, None] - b.astype(np.float32)[None, :]
+    row_sums = _kernel_of_diff(k, d).sum(axis=1)
+    assert row_sums.dtype == np.float32
+    return float(row_sums.astype(np.float64).sum()) / d.size
 
 
 def test_kernel_formula_bit_equal_to_written_form():
-    # the reference loop above rests on _kernel_of_diff; pin it to the
-    # formula as written, exp(-d^2 / (2 s^2)) and exp(-|d| / s)
+    # the reference pair means (above, and the oracle's in tests/oracles.py)
+    # rest on _kernel_of_diff; pin it to the formula as written, exp(-d^2 / (2 s^2))
+    # and exp(-|d| / s), in float64 and in float32
     d = np.random.default_rng(35).normal(scale=3.0, size=(40, 50))
     for k in default_kernels():
-        if k.family == "gaussian":
-            written = np.exp(-(d ** 2) / (2.0 * k.sigma ** 2))
-        else:
-            written = np.exp(-np.abs(d) / k.sigma)
-        assert np.array_equal(_kernel_of_diff(k, d), written)
+        for dd in (d, d.astype(np.float32)):
+            if k.family == "gaussian":
+                written = np.exp(-(dd ** 2) / (2.0 * k.sigma ** 2))
+            else:
+                written = np.exp(-np.abs(dd) / k.sigma)
+            got = _kernel_of_diff(k, dd)
+            assert got.dtype == dd.dtype
+            assert np.array_equal(got, written)
 
 
 @pytest.mark.parametrize("factory", [scenario_matched_scale, scenario_bimodal_hole])
@@ -162,9 +160,38 @@ def test_run_scenario_bit_equal_to_reference_loop(factory):
     sc = factory(n_samples=37, n_repeats=2)
     kernels = default_kernels()
     curves = run_scenario(sc, kernels, seed=4)
-    for curve, (mean, std) in zip(curves, _reference_curves(sc, kernels, seed=4)):
+    reference = mmd_reference_curves(sc, kernels, 4, pair_mean=_float32_pair_mean)
+    for curve, (mean, std) in zip(curves, reference):
         assert np.array_equal(curve.mean, mean)
         assert np.array_equal(curve.std, std)
+
+
+@pytest.mark.parametrize("factory", [scenario_matched_scale, scenario_bimodal_hole])
+def test_run_scenario_agrees_with_the_float64_oracle(factory):
+    # float32 pair terms with float64 totals move no curve by more than 1e-6
+    # and no kernel's minimum off the float64 one
+    sc = factory(n_samples=200, n_repeats=2)
+    kernels = default_kernels()
+    for seed in range(5):
+        curves = run_scenario(sc, kernels, seed=seed)
+        for curve, (mean, _) in zip(curves, mmd_reference_curves(sc, kernels, seed)):
+            assert np.max(np.abs(curve.mean - mean)) <= 1e-6, (seed, curve.kernel)
+            assert curve.argmin_x() == float(sc.sweep[np.argmin(mean)]), (seed, curve.kernel)
+
+
+@pytest.mark.parametrize("factory", [scenario_matched_scale, scenario_bimodal_hole])
+def test_run_scenario_pair_buffers_are_float32(factory, monkeypatch):
+    seen = []
+
+    def spy(kernels, a, b, work, dist):
+        seen.append([work.dtype, *(buf.dtype for buf in dist.values())])
+        return kernel_means(kernels, a, b, work, dist)
+
+    kernel_means = mmd._kernel_means
+    monkeypatch.setattr(mmd, "_kernel_means", spy)
+    run_scenario(factory(n_samples=20, n_repeats=1), default_kernels(), seed=0)
+    assert seen
+    assert all(dtype == np.float32 for dtypes in seen for dtype in dtypes)
 
 
 def test_run_scenario_reproducible_bit_for_bit():
@@ -232,3 +259,24 @@ def test_scenario_rejects_what_run_scenario_cannot_run(bad):
                   sweep=np.array([0.5, 1.0]), n_samples=10, n_repeats=2)
     with pytest.raises(ValueError):
         MmdScenario(**{**fields, **bad})
+
+
+@pytest.mark.parametrize("field_name, value", [
+    ("n_samples", 2.5),  # constructed, then np.empty raised TypeError in run_scenario
+    ("n_repeats", 1.5),
+    ("n_samples", 10.0),
+    ("n_samples", True),
+    ("n_repeats", True),
+    ("n_repeats", "2"),
+])
+def test_scenario_rejects_non_integer_counts(field_name, value):
+    fields = dict(name="t", behavior="std_normal", agent_family="scale",
+                  sweep=np.array([0.5, 1.0]), n_samples=10, n_repeats=2)
+    with pytest.raises(ValueError, match=field_name):
+        MmdScenario(**{**fields, field_name: value})
+
+
+def test_scenario_accepts_numpy_integer_counts():
+    sc = MmdScenario("t", "std_normal", "scale", sweep=np.array([0.5, 1.0]),
+                     n_samples=np.int64(10), n_repeats=np.int32(2))
+    assert len(run_scenario(sc, [KernelSpec("gaussian", 1.0)], seed=0)[0].mean) == 2
