@@ -7,10 +7,13 @@ optional bounded residual head nudges the result for controlled
 out-of-distribution generalization. Twin critics with soft-clipped targets and
 Polyak-averaged target copies complete the loop.
 
-Both offline learners have one shape, ``ActorCritic``: a tanh ``Mlp`` actor,
-its Polyak target and twin critics from ``critic_pair_init``. ``PlasAgent``
-adds the frozen decoder, the latent bound, and the optional residual head (a
-tanh ``Mlp`` and its target) with its bound ``epsilon``.
+Both offline learners are defined here and differ only in the actor's output.
+``ActorCritic`` is their shape (a tanh ``Mlp`` actor, its Polyak target, twin
+critics); ``nets()`` names each network as a checkpoint does. ``PlasAgent``
+adds the frozen decoder, the latent bound, and the optional residual head with
+its bound ``epsilon``. ``ActorCriticConfig`` holds the shared settings,
+``critic_update`` fits the critics to the agent's ``target_action``, and
+``_fit`` owns the Adam states.
 
 Gradient flow in the actor update runs through the frozen decoder (its input
 gradient only, never its parameters), which is the one structurally unusual
@@ -26,6 +29,7 @@ stay in the networks' dtype; ``act`` casts its states once.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -37,6 +41,7 @@ from .nets import (
     AdamState,
     Mlp,
     NonFiniteError,
+    _check_settings,
     _read,
     _write,
     adam_init,
@@ -151,8 +156,8 @@ def _action_grad(critics: CriticPair, states: np.ndarray,
 
 @dataclass
 class ActorCritic:
-    """Both offline learners; a subclass's ``action`` maps one state (d,) to
-    (a,) and a batch (k, d) to (k, a)."""
+    """Both offline learners; a subclass's ``action`` maps one state (d,) or a
+    batch (k, d) to actions, and ``target_action`` next states to theirs."""
 
     actor: Mlp  # tanh output
     actor_target: Mlp
@@ -161,11 +166,17 @@ class ActorCritic:
     def policy_fn(self):
         return self.action
 
+    def nets(self) -> dict[str, Mlp]:
+        """Every network by checkpoint name, each followed by ``<name>_target``."""
+        c = self.critics
+        return {"q1": c.q1, "q1_target": c.q1_target, "q2": c.q2, "q2_target": c.q2_target,
+                "actor": self.actor, "actor_target": self.actor_target}
+
     def target_pairs(self) -> list[tuple[Mlp, Mlp]]:
-        """(target, online) for every network with a Polyak-averaged copy."""
-        return [(self.critics.q1_target, self.critics.q1),
-                (self.critics.q2_target, self.critics.q2),
-                (self.actor_target, self.actor)]
+        """(target, online) for every network of ``nets()`` with a target."""
+        nets = self.nets()
+        return [(nets[f"{name}_target"], net) for name, net in nets.items()
+                if f"{name}_target" in nets]
 
 
 @dataclass
@@ -180,10 +191,12 @@ class PlasAgent(ActorCritic):
     decoder_hash: str = ""
 
     def __post_init__(self):
-        if self.max_latent_action <= 0:
+        if not self.max_latent_action > 0:  # NaN included
             raise ValueError("max_latent_action must be positive")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be >= 0")
+        if (self.perturbation is None) != (self.perturbation_target is None):
+            raise ValueError("perturbation and perturbation_target come together")
         for name in ("actor", "actor_target", "perturbation", "perturbation_target"):
             net = getattr(self, name)
             if net is not None and net.activations[-1] != "tanh":
@@ -192,11 +205,16 @@ class PlasAgent(ActorCritic):
     def action(self, states: np.ndarray) -> np.ndarray:
         return act(self, states)
 
-    def target_pairs(self) -> list[tuple[Mlp, Mlp]]:
-        pairs = super().target_pairs()
+    def target_action(self, next_states: np.ndarray) -> np.ndarray:
+        """Target actor, decoder, then the target head, clipped."""
+        return _policy_actions(self, next_states, use_target=True)[0]
+
+    def nets(self) -> dict[str, Mlp]:
+        nets = super().nets()
         if self.perturbation is not None:
-            pairs.append((self.perturbation_target, self.perturbation))
-        return pairs
+            nets.update(perturbation=self.perturbation,
+                        perturbation_target=self.perturbation_target)
+        return nets
 
 
 def _clip_unit(x: np.ndarray) -> np.ndarray:
@@ -211,7 +229,7 @@ def _policy_actions(
     """Actions of one state (d,) or a batch (k, d): actor, decoder, then the
     residual head if there is one, each joined on the last axis.
 
-    ``act`` and ``critic_update`` run plain forwards and get an empty dict;
+    ``act`` and ``target_action`` run plain forwards and get an empty dict;
     one state runs them on vectors. With ``taped`` (``actor_update``, on a
     batch) the actor, decoder and head forwards are tapes, returned under
     "actor", "decoder" and "head" with the unclipped action sum under
@@ -250,13 +268,13 @@ def act(agent: PlasAgent, states: np.ndarray) -> np.ndarray:
     return _policy_actions(agent, states, use_target=False)[0]
 
 
-def critic_update(agent: PlasAgent, batch: Batch, adam_q1: AdamState,
+def critic_update(agent: ActorCritic, batch: Batch, adam_q1: AdamState,
                   adam_q2: AdamState) -> float:
-    """Algorithm step: decode the target actor's latent actions for s', form
-    targets, fit critics."""
+    """The critic update of both learners: the agent's ``target_action`` for
+    s', the soft clipped double-Q targets, one Adam step per critic."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    next_actions, _ = _policy_actions(agent, batch.next_states, use_target=True)
+    next_actions = agent.target_action(batch.next_states)
     targets = compute_target(agent.critics, batch.rewards, batch.next_states,
                              next_actions, batch.dones)
     return critic_step(agent.critics, adam_q1, adam_q2, batch.states, batch.actions, targets)
@@ -305,21 +323,55 @@ def actor_update(
     return mean_q
 
 
+def _positive(x) -> bool:
+    return math.isfinite(x) and x > 0.0
+
+
 @dataclass
-class PlasTrainConfig:
-    steps: int = 50_000
+class ActorCriticConfig:
+    """The settings both offline learners share, checked when built."""
+
+    steps: int = 20_000
     batch_size: int = 100
     actor_lr: float = 1e-4
     critic_lr: float = 1e-3
     gamma: float = 0.99
     tau: float = 0.005
     lam: float = 1.0
-    max_latent_action: float = 2.0
-    perturbation_epsilon: float = 0.0  # 0 disables the residual head
     hidden_sizes: tuple[int, ...] = (64, 64)
     eval_interval: int = 2_500
     eval_episodes: int = 10
     log_every: int = 500
+
+    def __post_init__(self):
+        _check_settings(self, (
+            ("steps", self.steps >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("actor_lr", _positive(self.actor_lr), "finite and > 0"),
+            ("critic_lr", _positive(self.critic_lr), "finite and > 0"),
+            ("gamma", 0.0 <= self.gamma < 1.0, "in [0, 1)"),
+            ("tau", 0.0 < self.tau <= 1.0, "in (0, 1]"),
+            ("lam", 0.0 <= self.lam <= 1.0, "in [0, 1]"),
+            ("hidden_sizes", all(n >= 1 for n in self.hidden_sizes), "sizes >= 1"),
+            ("eval_interval", self.eval_interval >= 1, ">= 1"),
+            ("eval_episodes", self.eval_episodes >= 1, ">= 1"),
+            ("log_every", self.log_every >= 1, ">= 1"),
+        ))
+
+
+@dataclass
+class PlasTrainConfig(ActorCriticConfig):
+    steps: int = 50_000  # the shared field, with PLAS's longer default
+    max_latent_action: float = 2.0
+    perturbation_epsilon: float = 0.0  # 0 disables the residual head
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_settings(self, (
+            ("max_latent_action", _positive(self.max_latent_action), "finite and > 0"),
+            ("perturbation_epsilon", math.isfinite(self.perturbation_epsilon)
+             and self.perturbation_epsilon >= 0.0, "finite and >= 0"),
+        ))
 
 
 @dataclass
@@ -359,30 +411,37 @@ def plas_agent_init(
                      config.perturbation_epsilon, decoder.checkpoint_hash())
 
 
-def _fit(agent, dataset: TransitionDataset, config, rng: np.random.Generator, env,
-         update) -> list[LogRecord]:
-    """The training loop of both offline learners. Each step draws a minibatch,
-    casts it to the critics' dtype, runs ``update(batch) -> (critic_loss,
-    mean_q)`` and Polyak-updates every pair of ``agent.target_pairs()``. It
+def adam_states(agent: ActorCritic, config: ActorCriticConfig) -> dict[str, AdamState]:
+    """The Adam state of every online network of ``agent.nets()``, under its
+    name: the critics at ``config.critic_lr``, the rest at ``config.actor_lr``."""
+    return {name: adam_init(net, config.critic_lr if name in ("q1", "q2") else config.actor_lr)
+            for name, net in agent.nets().items() if not name.endswith("_target")}
+
+
+def _fit(agent: ActorCritic, dataset: Batch, config: ActorCriticConfig,
+         rng: np.random.Generator, env, update) -> list[LogRecord]:
+    """The training loop of both offline learners, by their shared (and
+    already checked) ``ActorCriticConfig``. It owns the optimiser state: it
+    builds ``adam_states`` and reads ``agent.target_pairs()`` once. Each step
+    draws a minibatch, casts it to the critics' dtype, runs ``update(batch,
+    adams) -> (critic_loss, mean_q)`` and Polyak-updates every target pair. It
     logs every ``log_every`` steps and at the last; with an env it also
     evaluates where ``eval_interval`` divides the step, and at the last. A
     ``NonFiniteError`` is re-raised naming the step."""
-    if config.log_every < 1:
-        raise ValueError("log_every must be >= 1")
-    if env is not None and (config.eval_interval < 1 or config.eval_episodes < 1):
-        raise ValueError("eval_interval and eval_episodes must be >= 1")
+    adams = adam_states(agent, config)
+    pairs = agent.target_pairs()
     log: list[LogRecord] = []
     losses, qs = [], []
     dtype = agent.critics.q1.dtype
     for step in range(1, config.steps + 1):
         batch = sample_batch(dataset, config.batch_size, rng).astype(dtype)
         try:
-            loss, mean_q = update(batch)
+            loss, mean_q = update(batch, adams)
         except NonFiniteError as e:
             raise NonFiniteError(f"{e} (training step {step})") from e
         losses.append(loss)
         qs.append(mean_q)
-        for target, online in agent.target_pairs():
+        for target, online in pairs:
             polyak_update(target, online, config.tau)
 
         if step % config.log_every == 0 or step == config.steps:
@@ -412,15 +471,10 @@ def train_plas(
     ``NonFiniteError``. Raises RuntimeError if the decoder changed.
     """
     agent = plas_agent_init(dataset.state_dim, decoder, config, rng)
-    adam_q1 = adam_init(agent.critics.q1, config.critic_lr)
-    adam_q2 = adam_init(agent.critics.q2, config.critic_lr)
-    adam_actor = adam_init(agent.actor, config.actor_lr)
-    adam_pert = (None if agent.perturbation is None
-                 else adam_init(agent.perturbation, config.actor_lr))
 
-    def update(batch):
-        return (critic_update(agent, batch, adam_q1, adam_q2),
-                actor_update(agent, batch.states, adam_actor, adam_pert))
+    def update(batch, adams):
+        return (critic_update(agent, batch, adams["q1"], adams["q2"]),
+                actor_update(agent, batch.states, adams["actor"], adams.get("perturbation")))
 
     log = _fit(agent, dataset, config, rng, env, update)
     if decoder.checkpoint_hash() != agent.decoder_hash:
@@ -431,29 +485,25 @@ def train_plas(
 # -- checkpoints --------------------------------------------------------------
 
 def save_agent(path, agent: PlasAgent, config: PlasTrainConfig | None = None) -> None:
-    """Every network of ``agent`` and its settings; the decoder is recorded by
-    the hash of the one the agent holds, which ``load_agent`` checks."""
-    c = agent.critics
-    nets = {"actor": agent.actor, "actor_target": agent.actor_target, "q1": c.q1, "q2": c.q2,
-            "q1_target": c.q1_target, "q2_target": c.q2_target}
-    if agent.perturbation is not None:
-        nets["perturbation"] = agent.perturbation
-        nets["perturbation_target"] = agent.perturbation_target
+    """Every network of ``agent.nets()`` and its settings; the decoder is
+    recorded by the hash of the one the agent holds, which ``load_agent``
+    checks."""
     _write(path, "agent", {
         "max_latent_action": agent.max_latent_action,
-        "lam": c.lam,
-        "gamma": c.gamma,
+        "lam": agent.critics.lam,
+        "gamma": agent.critics.gamma,
         "decoder_hash": agent.decoder.checkpoint_hash(),
         "perturbation_epsilon": 0.0 if agent.perturbation is None else agent.epsilon,
         "config": None if config is None else asdict(config),
-    }, nets)
+    }, agent.nets())
 
 
 def load_agent(path, decoder) -> PlasAgent:
     """The agent saved at ``path``, acting through ``decoder``, which must be
     the decoder it was saved with."""
     header, nets = _read(path, "agent", settings=(
-        "max_latent_action", "lam", "gamma", "decoder_hash", "perturbation_epsilon"))
+        "max_latent_action", "lam", "gamma", "decoder_hash", "perturbation_epsilon"),
+        nets=("q1", "q1_target", "q2", "q2_target", "actor", "actor_target"))
     if decoder.checkpoint_hash() != header["decoder_hash"]:
         raise ValueError("checkpoint was trained against a different decoder")
     critics = CriticPair(nets["q1"], nets["q2"], nets["q1_target"], nets["q2_target"],

@@ -1,14 +1,15 @@
 """Comparison policies: behavior cloning and the unconstrained off-policy learner.
 
-The unconstrained learner is the minimal ablation of the latent-action agent:
-the same shape (``agent.ActorCritic``: a tanh actor, its target, twin critics
-from ``agent.critic_pair_init``), training loop (``agent._fit``: sampling,
-Polyak targets, logging, evaluation), critic step (``agent.critic_step``),
-target logic and Q1 actor gradient; only the actor's output differs, an action
-straight from the state with no behavior-model constraint. It deliberately
-omits target-policy smoothing noise so the two learners differ in the actor
-parameterization and nothing else. Applied to a fixed dataset it is the classic recipe for Q-value
-blow-up, which is exactly why it is here.
+The unconstrained learner is the minimal ablation of the latent-action agent,
+defined by ``agent``: an ``agent.ActorCritic`` with the shared config
+``agent.ActorCriticConfig``, the one critic update ``agent.critic_update``, the
+Q1 action gradient and the one loop ``agent._fit``, which owns the Adam states.
+Only the actor's output differs: an action straight from the state with no
+behavior-model constraint, for acting and as the critic target's
+``target_action``. It deliberately omits target-policy smoothing noise so the
+two learners differ in the actor parameterization and nothing else. Applied to
+a fixed dataset it is the classic recipe for Q-value blow-up, which is why it
+is here.
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import (ActorCritic, LogRecord, _action_grad, _fit, compute_target,
-                    critic_pair_init, critic_step)
+from .agent import (ActorCritic, ActorCriticConfig, LogRecord, _action_grad, _fit,
+                    critic_pair_init, critic_update)
 from .data import TransitionDataset, sample_indices
 from .nets import (
     AdamState,
@@ -87,20 +88,11 @@ class UnconstrainedAgent(ActorCritic):
     def action(self, state: np.ndarray) -> np.ndarray:
         return mlp_forward(self.actor, state)
 
+    def target_action(self, next_states: np.ndarray) -> np.ndarray:
+        return mlp_forward(self.actor_target, next_states)
 
-@dataclass
-class UnconstrainedTrainConfig:
-    steps: int = 20_000
-    batch_size: int = 100
-    actor_lr: float = 1e-4
-    critic_lr: float = 1e-3
-    gamma: float = 0.99
-    tau: float = 0.005
-    lam: float = 1.0
-    hidden_sizes: tuple[int, ...] = (64, 64)
-    eval_interval: int = 2_500
-    eval_episodes: int = 10
-    log_every: int = 500
+
+UnconstrainedTrainConfig = ActorCriticConfig  # no constraint adds a setting
 
 
 def unconstrained_agent_init(state_dim: int, action_dim: int,
@@ -126,14 +118,11 @@ def direct_actor_update(agent: UnconstrainedAgent, states: np.ndarray,
 
 def unconstrained_update(agent: UnconstrainedAgent, batch, adam_q1, adam_q2,
                          adam_actor) -> tuple[float, float]:
-    """One critic + actor step; shared with the online trainer. The batch is
-    expected in the networks' dtype (``agent._fit`` casts it)."""
-    next_actions = mlp_forward(agent.actor_target, batch.next_states)
-    targets = compute_target(agent.critics, batch.rewards, batch.next_states,
-                             next_actions, batch.dones)
-    loss = critic_step(agent.critics, adam_q1, adam_q2, batch.states, batch.actions, targets)
-    mean_q = direct_actor_update(agent, batch.states, adam_actor)
-    return loss, mean_q
+    """``agent.critic_update``, then ``direct_actor_update``; shared with the
+    online trainer. The batch is expected in the networks' dtype
+    (``agent._fit`` casts it)."""
+    return (critic_update(agent, batch, adam_q1, adam_q2),
+            direct_actor_update(agent, batch.states, adam_actor))
 
 
 def train_unconstrained(
@@ -152,13 +141,11 @@ def train_unconstrained(
     the actor's step, after the critics have already stepped.
     """
     agent = unconstrained_agent_init(dataset.state_dim, dataset.action_dim, config, rng)
-    adam_q1 = adam_init(agent.critics.q1, config.critic_lr)
-    adam_q2 = adam_init(agent.critics.q2, config.critic_lr)
-    adam_actor = adam_init(agent.actor, config.actor_lr)
 
-    def update(batch):
+    def update(batch, adams):
         try:
-            loss, mean_q = unconstrained_update(agent, batch, adam_q1, adam_q2, adam_actor)
+            loss, mean_q = unconstrained_update(agent, batch, adams["q1"], adams["q2"],
+                                                adams["actor"])
         except NonFiniteError:
             return LOSS_REPORT_CAP, LOSS_REPORT_CAP
         return (min(loss, LOSS_REPORT_CAP),

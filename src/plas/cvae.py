@@ -15,6 +15,7 @@ per step.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .nets import (
     NonFiniteError,
     ShapeError,
     Tape,
+    _check_settings,
     _checked,
     _read,
     _rows,
@@ -88,6 +90,22 @@ class CvaeTrainConfig:
     log_every: int = 500
     log_std_min: float = LOG_STD_MIN_DEFAULT
     log_std_max: float = LOG_STD_MAX_DEFAULT
+
+    def __post_init__(self):
+        _check_settings(self, (
+            ("steps", self.steps >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("learning_rate", math.isfinite(self.learning_rate) and self.learning_rate > 0.0,
+             "finite and > 0"),
+            ("kl_weight", math.isfinite(self.kl_weight) and self.kl_weight >= 0.0,
+             "finite and >= 0"),
+            ("latent_dim", self.latent_dim is None or self.latent_dim >= 1, "None or >= 1"),
+            ("hidden_sizes", all(n >= 1 for n in self.hidden_sizes), "sizes >= 1"),
+            ("log_every", self.log_every >= 1, ">= 1"),
+            ("log_std_min", math.isfinite(self.log_std_min), "finite"),
+            ("log_std_max", math.isfinite(self.log_std_max)
+             and self.log_std_max > self.log_std_min, "finite and > log_std_min"),
+        ))
 
 
 def cvae_init(
@@ -304,7 +322,7 @@ def save_cvae(path, cvae: BehaviorCvae) -> None:
 
 
 def load_cvae(path) -> BehaviorCvae:
-    header, nets = _read(path, "cvae", settings=_SETTINGS)
+    header, nets = _read(path, "cvae", settings=_SETTINGS, nets=("encoder", "decoder"))
     return BehaviorCvae(nets["encoder"], nets["decoder"],
                         **{name: header[name] for name in _SETTINGS})
 

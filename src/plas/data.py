@@ -3,8 +3,8 @@
 Any set of transitions is a ``Batch``: five columns (state/action/reward/
 next_state/done arrays) of one row per transition. Minibatches, the rows of
 lockstep rollouts and the online run's log are all batches; ``concat_rows``
-lays any columnar parts end to end. A dataset (``TransitionDataset``) is
-checked columnar data with a metadata record. A file is one ``nets``
+lays any of them end to end. A dataset (``TransitionDataset``) is a ``Batch``
+of checked float64 columns with a metadata record. A file is one ``nets``
 container of kind ``"dataset"``: the five columns as float64 arrays, the
 metadata in its header.
 """
@@ -31,19 +31,44 @@ class DatasetMeta:
     size: int
 
 
-class TransitionDataset:
-    """Immutable-by-convention columnar store of offline transitions."""
+@dataclass(eq=False)  # columns are arrays: two batches are equal only if they are one
+class Batch:
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    dones: np.ndarray
 
-    def __init__(self, states, actions, rewards, next_states, dones, meta: DatasetMeta):
-        self.states = np.asarray(states, dtype=np.float64)
-        self.actions = np.asarray(actions, dtype=np.float64)
-        self.rewards = np.asarray(rewards, dtype=np.float64)
-        self.next_states = np.asarray(next_states, dtype=np.float64)
-        self.dones = np.asarray(dones, dtype=np.float64)
-        self.meta = meta
-        self._validate()
+    def __len__(self) -> int:
+        return self.states.shape[0]
 
-    def _validate(self) -> None:
+    @property
+    def state_dim(self) -> int:
+        return self.states.shape[1]
+
+    @property
+    def action_dim(self) -> int:
+        return self.actions.shape[1]
+
+    def __getitem__(self, rows) -> "Batch":
+        """The same rows (a slice or an index array) of every column."""
+        return Batch(*(getattr(self, c)[rows] for c in COLUMNS))
+
+    def astype(self, dtype) -> "Batch":
+        """Every column as ``dtype``; columns already of it are not copied."""
+        return Batch(*(getattr(self, c).astype(dtype, copy=False) for c in COLUMNS))
+
+
+@dataclass(eq=False)
+class TransitionDataset(Batch):
+    """A checked ``Batch`` of float64 columns and its metadata;
+    immutable by convention."""
+
+    meta: DatasetMeta
+
+    def __post_init__(self):
+        for name in COLUMNS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         n = self.states.shape[0]
         if n == 0:
             raise ValueError("empty dataset")
@@ -65,17 +90,6 @@ class TransitionDataset:
         if self.meta.generator_kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.meta.generator_kind!r}")
 
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def state_dim(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def action_dim(self) -> int:
-        return self.actions.shape[1]
-
     def content_hash(self) -> str:
         """SHA-256 over the five columns' shapes, then their little-endian
         float64 bytes (immutability probe; equal across a file round trip)."""
@@ -88,8 +102,7 @@ class TransitionDataset:
 
 # -- sampling ---------------------------------------------------------------
 
-def sample_indices(dataset: TransitionDataset | Batch, k: int,
-                   rng: np.random.Generator) -> np.ndarray:
+def sample_indices(dataset: Batch, k: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform-with-replacement index draw; the single sampling core behind
     ``sample_batch`` and every learner that indexes the columns itself."""
     if k <= 0:
@@ -97,34 +110,13 @@ def sample_indices(dataset: TransitionDataset | Batch, k: int,
     return rng.integers(0, len(dataset), size=k)
 
 
-@dataclass
-class Batch:
-    states: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    next_states: np.ndarray
-    dones: np.ndarray
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-    def __getitem__(self, rows) -> "Batch":
-        """The same rows (a slice or an index array) of every column."""
-        return Batch(*(getattr(self, c)[rows] for c in COLUMNS))
-
-    def astype(self, dtype) -> "Batch":
-        """Every column as ``dtype``; columns already of it are not copied."""
-        return Batch(*(getattr(self, c).astype(dtype, copy=False) for c in COLUMNS))
-
-
-def sample_batch(dataset: TransitionDataset | Batch, k: int, rng: np.random.Generator) -> Batch:
-    idx = sample_indices(dataset, k, rng)
-    return Batch(*(getattr(dataset, c)[idx] for c in COLUMNS))
+def sample_batch(dataset: Batch, k: int, rng: np.random.Generator) -> Batch:
+    return dataset[sample_indices(dataset, k, rng)]
 
 
 def concat_rows(parts, n: int) -> Batch:
-    """The first ``n`` rows of the columnar ``parts`` (batches or datasets)
-    laid end to end, as new arrays that hold only those rows."""
+    """The first ``n`` rows of the batches ``parts`` (datasets included) laid
+    end to end, as new arrays that hold only those rows."""
     stops, left = [], n
     for p in parts:
         stops.append(left)

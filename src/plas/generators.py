@@ -18,9 +18,8 @@ batches of ``EPISODES_PER_BATCH`` through ``envs.rollout_batch``: one batched
 policy call and one array env step per time step. Batches are appended in
 episode order until there are enough rows, and the result is cut to the size
 asked for. Per-step exploration and behaviour noise is drawn once per lockstep
-step for the live rows, so the datasets (and their content hashes) differ from
-those of the earlier one-episode-at-a-time loop; for a fixed seed they are
-stable, and a size-n dataset is the first n rows of any larger one.
+step for the live rows. For a fixed seed the datasets are stable, and a size-n
+dataset is the first n rows of any larger one.
 
 The online run (``train_online_medium``) steps one (1, state_dim) row at a
 time and logs every transition into a preallocated ``data.Batch``, which it
@@ -36,10 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .agent import adam_states
 from .baselines import UnconstrainedTrainConfig, unconstrained_agent_init, unconstrained_update
 from .data import Batch, DatasetMeta, TransitionDataset, concat_rows, sample_batch
 from .envs import EdgeFollowEnv, evaluate_policy, random_policy, rollout_batch
-from .nets import adam_init, polyak_update
+from .nets import _check_settings, polyak_update
 
 
 @dataclass
@@ -58,7 +58,7 @@ class OnlineTrainRecipe:
     tau: float = 0.005
 
     def __post_init__(self):
-        for name, ok, rule in (
+        _check_settings(self, (
             ("max_env_steps", self.max_env_steps >= 1, ">= 1"),
             ("warmup_steps", self.warmup_steps >= 0, ">= 0"),
             ("exploration_noise", math.isfinite(self.exploration_noise)
@@ -71,10 +71,7 @@ class OnlineTrainRecipe:
             ("critic_lr", self.critic_lr > 0.0, "> 0"),
             ("gamma", 0.0 <= self.gamma < 1.0, "in [0, 1)"),
             ("tau", 0.0 < self.tau <= 1.0, "in (0, 1]"),
-        ):
-            if not ok:
-                raise ValueError(f"OnlineTrainRecipe.{name} must be {rule}, "
-                                 f"got {getattr(self, name)!r}")
+        ))
 
 
 @dataclass
@@ -119,9 +116,8 @@ def train_online_medium(env, seed: int, recipe: OnlineTrainRecipe) -> OnlineRunR
         hidden_sizes=recipe.hidden_sizes,
     )
     agent = unconstrained_agent_init(env.state_dim, env.action_dim, cfg, rng)
-    adam_q1 = adam_init(agent.critics.q1, cfg.critic_lr)
-    adam_q2 = adam_init(agent.critics.q2, cfg.critic_lr)
-    adam_actor = adam_init(agent.actor, cfg.actor_lr)
+    adams = adam_states(agent, cfg)
+    pairs = agent.target_pairs()
 
     n, d, a = recipe.max_env_steps, env.state_dim, env.action_dim
     log = Batch(np.empty((n, d)), np.empty((n, a)), np.empty(n), np.empty((n, d)), np.empty(n))
@@ -148,8 +144,8 @@ def train_online_medium(env, seed: int, recipe: OnlineTrainRecipe) -> OnlineRunR
 
         if t > recipe.warmup_steps:
             batch = sample_batch(log[:t], min(recipe.batch_size, t), rng).astype(agent.actor.dtype)
-            unconstrained_update(agent, batch, adam_q1, adam_q2, adam_actor)
-            for target, online in agent.target_pairs():
+            unconstrained_update(agent, batch, adams["q1"], adams["q2"], adams["actor"])
+            for target, online in pairs:
                 polyak_update(target, online, cfg.tau)
 
         if t % recipe.eval_every == 0 and t > recipe.warmup_steps:

@@ -498,14 +498,16 @@ def _write(path, kind: str, settings: dict, contents: dict) -> None:
         np.savez(f, header=np.array(json.dumps(header)), **arrays)
 
 
-def _read(path, kind: str, columns=(), settings=()) -> tuple[dict, dict]:
+def _read(path, kind: str, columns=(), settings=(), nets=()) -> tuple[dict, dict]:
     """The header of the ``kind`` container at ``path`` and its contents: each
     of ``columns`` as an array, each network the header lists as an ``Mlp``
     of its stored dtype. A file that is not such a container, is of another
-    format or version, lacks an entry or one of the header's ``settings``, or
-    holds a column that is not float64 or a network that is neither float32
-    nor float64 raises ValueError (ShapeError for a vector that does not fit
-    its layout). Nothing is unpickled."""
+    format or version, lacks an entry, one of the header's ``settings`` or one
+    of the networks ``nets``, lists a network whose layout is not two or more
+    positive integer sizes and one known activation per layer, or holds a
+    column that is not float64 or a network that is neither float32 nor
+    float64 raises ValueError (ShapeError for a vector that does not fit its
+    layout). Nothing is unpickled."""
     def bad(why):
         return ValueError(f"{path} is not a {kind!r} file of version {FORMAT_VERSION}: {why}")
 
@@ -524,6 +526,14 @@ def _read(path, kind: str, columns=(), settings=()) -> tuple[dict, dict]:
         if name not in header:
             raise bad(f"no setting {name!r}")
     layouts = header.get("nets", {})
+    if not isinstance(layouts, dict):
+        raise bad(f"its networks are {layouts!r}, not a JSON object")
+    for name in nets:
+        if name not in layouts:
+            raise bad(f"no network {name!r}")
+    for name, layout in layouts.items():
+        if not _is_layout(layout):
+            raise bad(f"network {name!r} has the layout {layout!r}")
     for name in columns:
         if name not in arrays or arrays[name].dtype != np.float64:
             raise bad(f"no float64 array {name!r}")
@@ -542,6 +552,26 @@ def _read(path, kind: str, columns=(), settings=()) -> tuple[dict, dict]:
 
 def _layout(net: Mlp) -> list:
     return [net.layer_sizes, list(net.activations)]
+
+
+def _is_layout(layout) -> bool:
+    """Whether ``layout`` is a stored ``[layer_sizes, activations]``."""
+    if not (isinstance(layout, list) and len(layout) == 2
+            and all(isinstance(part, list) for part in layout)):
+        return False
+    sizes, activations = layout
+    return (len(sizes) >= 2 and len(activations) == len(sizes) - 1
+            and all(type(n) is int and n >= 1 for n in sizes)
+            and all(a in ACTIVATIONS for a in activations))
+
+
+def _check_settings(settings, rules) -> None:
+    """Raise ValueError naming the first field of the dataclass ``settings``
+    whose rule fails; ``rules`` holds (field, holds, rule) triples."""
+    for name, holds, rule in rules:
+        if not holds:
+            raise ValueError(f"{type(settings).__name__}.{name} must be {rule}, "
+                             f"got {getattr(settings, name)!r}")
 
 
 def params_hash(*nets: Mlp) -> str:

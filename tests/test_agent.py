@@ -493,6 +493,42 @@ def test_agent_checkpoint_round_trip(tmp_path):
             assert np.array_equal(act(agent, s), act(back, s))
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 0.05], ids=["no-head", "head"])
+def test_nets_name_every_network_once(tmp_path, epsilon):
+    decoder = small_cvae_decoder(seed=80)
+    agent = make_agent(decoder, epsilon=epsilon, seed=81)
+    c = agent.critics
+    expected = {"q1": c.q1, "q1_target": c.q1_target, "q2": c.q2, "q2_target": c.q2_target,
+                "actor": agent.actor, "actor_target": agent.actor_target}
+    if epsilon:
+        expected.update(perturbation=agent.perturbation,
+                        perturbation_target=agent.perturbation_target)
+    nets = agent.nets()
+    assert list(nets) == list(expected)
+    assert all(nets[name] is net for name, net in expected.items())
+    # the Polyak pairs, in the order q1, q2, actor, head, are read off nets()
+    online = ["q1", "q2", "actor"] + (["perturbation"] if epsilon else [])
+    assert [(id(t), id(o)) for t, o in agent.target_pairs()] == [
+        (id(nets[f"{name}_target"]), id(nets[name])) for name in online]
+    # every network round-trips under its name, bit for bit; the targets are
+    # moved off their online copies first, so a swapped pair would show
+    rng = np.random.default_rng(82)
+    for net in nets.values():
+        net.flat += rng.normal(scale=0.01, size=net.flat.size)
+    save_agent(tmp_path / "agent.npz", agent)
+    back = load_agent(tmp_path / "agent.npz", decoder).nets()
+    assert list(back) == list(nets)
+    assert all(back[name].flat.tobytes() == net.flat.tobytes() for name, net in nets.items())
+
+
+def test_a_head_needs_its_target():
+    decoder = small_cvae_decoder(seed=83)
+    agent = make_agent(decoder, epsilon=0.05, seed=84)
+    with pytest.raises(ValueError, match="perturbation_target"):
+        PlasAgent(agent.actor, agent.actor_target, agent.critics, decoder,
+                  perturbation=agent.perturbation, epsilon=0.05)
+
+
 def test_agent_checkpoint_rejects_wrong_decoder(tmp_path):
     decoder = small_cvae_decoder(seed=74)
     other = small_cvae_decoder(seed=75)

@@ -228,6 +228,19 @@ def test_train_cvae_loss_curve_mostly_decreasing():
     assert frac_nonincreasing >= 0.9
 
 
+@pytest.mark.parametrize("field, value", [
+    ("steps", 0), ("steps", -5), ("batch_size", 0), ("learning_rate", 0.0),
+    ("learning_rate", float("nan")), ("kl_weight", -0.5), ("kl_weight", float("inf")),
+    ("latent_dim", 0), ("hidden_sizes", (8, 0)), ("log_every", 0),
+    ("log_std_min", float("nan")), ("log_std_max", -5.0),
+])
+def test_cvae_config_names_the_field_it_rejects(field, value):
+    # unchecked, steps <= 0 would return an untrained model and an empty log,
+    # and log_every=0 would die with ZeroDivisionError after the first Adam step
+    with pytest.raises(ValueError, match=f"CvaeTrainConfig.{field} must be"):
+        CvaeTrainConfig(**{field: value})
+
+
 def test_train_cvae_rejects_empty():
     with pytest.raises(Exception):
         ds = synthetic_dataset(np.zeros((1, 1)), np.zeros(1))

@@ -31,6 +31,19 @@ def tiny_dataset(n=10, state_dim=2, action_dim=1, seed=0, kind="custom"):
     )
 
 
+def test_a_dataset_is_a_batch_with_meta():
+    ds = TransitionDataset(np.zeros((4, 2), int), np.zeros((4, 1), np.float32), [0, 1, 2, 3],
+                           np.ones((4, 2)), np.zeros(4), DatasetMeta("e", "custom", 0, 4))
+    assert isinstance(ds, Batch)
+    assert all(getattr(ds, c).dtype == np.float64 for c in COLUMNS)
+    assert (len(ds), ds.state_dim, ds.action_dim) == (4, 2, 1)
+    rows = ds[1:3]
+    assert type(rows) is Batch and (len(rows), rows.state_dim, rows.action_dim) == (2, 2, 1)
+    # the columnar methods are Batch's; content_hash stays the dataset's own
+    assert not {"__len__", "state_dim", "action_dim"} & set(vars(TransitionDataset))
+    assert "content_hash" in vars(TransitionDataset)
+
+
 def test_dataset_validation():
     ds = tiny_dataset()
     assert len(ds) == 10 and ds.state_dim == 2 and ds.action_dim == 1

@@ -492,6 +492,66 @@ def test_header_missing_a_setting_raises_value_error(tmp_path, make, kind, edit)
         load(path)
 
 
+def _nets_a_list(h):
+    h["nets"] = list(h["nets"].items())
+
+
+def _string_size(h):
+    h["nets"]["decoder"][0][1] = str(h["nets"]["decoder"][0][1])
+
+
+def _zero_width(h):
+    h["nets"]["decoder"][0][1] = 0
+
+
+def _fractional_width(h):
+    h["nets"]["decoder"][0][1] = 4.5
+
+
+def _one_activation_short(h):
+    h["nets"]["decoder"][1].pop()
+
+
+def _unknown_activation(h):
+    h["nets"]["decoder"][1][-1] = "softmax"
+
+
+def _layout_an_object(h):
+    sizes, activations = h["nets"]["decoder"]
+    h["nets"]["decoder"] = {"sizes": sizes, "activations": activations}
+
+
+def _no_networks(h):
+    h["nets"] = {}
+
+
+def _no_q2_target(h):
+    del h["nets"]["q2_target"]
+
+
+@pytest.mark.parametrize("make, kind, edit", [
+    (_small_dataset_file, "dataset", _nets_a_list),
+    (_small_cvae_file, "cvae", _nets_a_list),
+    (_small_cvae_file, "cvae", _string_size),
+    (_small_cvae_file, "cvae", _zero_width),
+    (_small_cvae_file, "cvae", _fractional_width),
+    (_small_cvae_file, "cvae", _one_activation_short),
+    (_small_cvae_file, "cvae", _unknown_activation),
+    (_small_cvae_file, "cvae", _layout_an_object),
+    (_small_cvae_file, "cvae", _no_networks),
+    (_small_agent_file, "agent", _no_networks),
+    (_small_agent_file, "agent", _no_q2_target),
+], ids=lambda x: x.__name__.lstrip("_") if callable(x) else x)
+def test_malformed_network_list_raises_value_error(tmp_path, make, kind, edit):
+    # unchecked, each case would escape as AttributeError, TypeError or KeyError
+    path = tmp_path / "f.npz"
+    load = make(path)
+    load(path)  # the unedited file loads
+    rewrite_container(path, edit)
+    with pytest.raises(ValueError, match=f"'{kind}'"):
+        load(path)
+
+
 def test_from_flat_rejects_a_vector_of_another_length():
     net = mlp_init([3, 4, 2], np.random.default_rng(0))
     back = Mlp.from_flat(net.flat, [3, 4, 2], net.activations)

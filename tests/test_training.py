@@ -1,13 +1,19 @@
 """The off-policy loop shared by the latent-action agent and the unconstrained
 learner, tested through both ``train_plas`` and ``train_unconstrained``."""
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 import plas.agent
-import plas.baselines
-from plas.agent import PlasTrainConfig, plas_agent_init, train_plas
+from plas.agent import (
+    ActorCritic,
+    ActorCriticConfig,
+    PlasTrainConfig,
+    adam_states,
+    plas_agent_init,
+    train_plas,
+)
 from plas.baselines import (
     LOSS_REPORT_CAP,
     UnconstrainedTrainConfig,
@@ -47,6 +53,76 @@ def initial_agent(learner, cfg, seed=2):
     if learner == "plas":
         return plas_agent_init(DATASET.state_dim, DECODER, cfg, rng)
     return unconstrained_agent_init(DATASET.state_dim, DATASET.action_dim, cfg, rng)
+
+
+SHARED = {"steps": 20_000, "batch_size": 100, "actor_lr": 1e-4, "critic_lr": 1e-3,
+          "gamma": 0.99, "tau": 0.005, "lam": 1.0, "hidden_sizes": (64, 64),
+          "eval_interval": 2_500, "eval_episodes": 10, "log_every": 500}
+
+
+def test_the_learner_configs_declare_the_shared_fields_once():
+    assert asdict(ActorCriticConfig()) == SHARED
+    assert UnconstrainedTrainConfig is ActorCriticConfig
+    assert asdict(PlasTrainConfig()) == {**SHARED, "steps": 50_000, "max_latent_action": 2.0,
+                                         "perturbation_epsilon": 0.0}
+    assert issubclass(PlasTrainConfig, ActorCriticConfig)
+    assert [f.name for f in fields(PlasTrainConfig)][:len(SHARED)] == list(SHARED)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("steps", 0), ("steps", -5), ("batch_size", 0), ("actor_lr", 0.0),
+    ("critic_lr", float("nan")), ("gamma", 1.0), ("tau", 0.0), ("lam", 1.5),
+    ("hidden_sizes", (8, 0)), ("eval_interval", 0), ("eval_episodes", 0), ("log_every", 0),
+])
+@pytest.mark.parametrize("learner", LEARNERS)
+def test_configs_name_the_shared_field_they_reject(learner, field, value):
+    # unchecked, steps <= 0 would return an untrained agent and an empty log,
+    # and tau=0 would fail only in the first Polyak update
+    with pytest.raises(ValueError, match=f"Config.{field} must be"):
+        config(learner, **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_latent_action", 0.0), ("max_latent_action", float("nan")),
+    ("max_latent_action", float("inf")), ("perturbation_epsilon", -0.1),
+    ("perturbation_epsilon", float("nan")), ("perturbation_epsilon", float("inf")),
+])
+def test_plas_config_checks_its_own_fields(field, value):
+    # unchecked, perturbation_epsilon=nan would build an agent with epsilon nan
+    # and no head
+    with pytest.raises(ValueError, match=f"PlasTrainConfig.{field} must be"):
+        PlasTrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("learner", LEARNERS)
+def test_adam_states_cover_every_online_network(learner):
+    cfg = config(learner, actor_lr=2e-4, critic_lr=3e-3)
+    agent = initial_agent(learner, cfg)
+    adams = adam_states(agent, cfg)
+    assert list(adams) == ["q1", "q2", "actor"] + (["perturbation"] if learner == "plas" else [])
+    for name, adam in adams.items():
+        assert adam.learning_rate == (3e-3 if name in ("q1", "q2") else 2e-4)
+        assert adam.m.shape == agent.nets()[name].flat.shape and adam.step == 0
+
+
+@pytest.mark.parametrize("learner", LEARNERS)
+def test_the_loop_builds_the_adam_states_and_reads_the_pairs_once(learner, monkeypatch):
+    built, read = [], []
+    states, pairs = plas.agent.adam_states, ActorCritic.target_pairs
+
+    def counted_states(agent, cfg):
+        built.append(states(agent, cfg))
+        return built[-1]
+
+    def counted_pairs(agent):
+        read.append(1)
+        return pairs(agent)
+
+    monkeypatch.setattr(plas.agent, "adam_states", counted_states)
+    monkeypatch.setattr(ActorCritic, "target_pairs", counted_pairs)
+    train(learner, config(learner, steps=6), env=None)
+    assert len(built) == 1 and read == [1]
+    assert all(adam.step == 6 for adam in built[0].values())
 
 
 @pytest.mark.parametrize("bad", [{"log_every": 0}, {"eval_interval": 0}, {"eval_episodes": 0}],
@@ -106,9 +182,9 @@ def test_same_seed_same_run(learner):
 
 @pytest.mark.parametrize("learner", LEARNERS)
 def test_non_finite_update(learner, monkeypatch):
-    # the critic step of the third update fails
-    module = plas.agent if learner == "plas" else plas.baselines
-    step = module.critic_step
+    # the critic step of the third update fails; both learners run it
+    # through ``agent.critic_update``
+    step = plas.agent.critic_step
     calls = []
 
     def failing(*args):
@@ -117,7 +193,7 @@ def test_non_finite_update(learner, monkeypatch):
             raise NonFiniteError("non-finite critic loss")
         return step(*args)
 
-    monkeypatch.setattr(module, "critic_step", failing)
+    monkeypatch.setattr(plas.agent, "critic_step", failing)
     cfg = config(learner, steps=6, log_every=1)
     if learner == "plas":
         with pytest.raises(NonFiniteError, match="training step 3"):
