@@ -13,7 +13,9 @@ critics); ``nets()`` names each network as a checkpoint does. ``PlasAgent``
 adds the frozen decoder, the latent bound, and the optional residual head with
 its bound ``epsilon``. ``ActorCriticConfig`` holds the shared settings,
 ``critic_update`` fits the critics to the agent's ``target_action``, and
-``_fit`` owns the Adam states.
+``_fit`` owns the ``param_groups``: one ``ParamGroup`` per learning rate, the
+critics and the actor with any head, each stepped by one Adam and one Polyak
+call.
 
 Gradient flow in the actor update runs through the frozen decoder (its input
 gradient only, never its parameters), which is the one structurally unusual
@@ -38,17 +40,19 @@ import numpy as np
 from .data import Batch, TransitionDataset, sample_batch
 from .envs import evaluate_policy
 from .nets import (
+    JSON_NUMBER,
     AdamState,
     Mlp,
     NonFiniteError,
+    Params,
     _check_settings,
+    _draw,
     _read,
     _write,
     adam_init,
     adam_step,
     mlp_backward,
     mlp_forward,
-    mlp_init,
     mlp_input_grad,
     mlp_tape,
     params_hash,
@@ -76,12 +80,14 @@ class CriticPair:
 
 def critic_pair_init(state_dim: int, action_dim: int, config, rng: np.random.Generator,
                      dtype) -> CriticPair:
-    """Twin (state, action) -> Q networks of ``config.hidden_sizes``, q1 drawn
-    first, with target copies and ``config``'s lambda and gamma."""
+    """Twin (state, action) -> Q networks of ``config.hidden_sizes``, drawn into
+    one vector, q1 first, with target copies and ``config``'s lambda and gamma."""
     sizes = [state_dim + action_dim] + list(config.hidden_sizes) + [1]
-    q1 = mlp_init(sizes, rng, dtype=dtype)
-    q2 = mlp_init(sizes, rng, dtype=dtype)
-    return CriticPair(q1, q2, q1.copy(), q2.copy(), lam=config.lam, gamma=config.gamma)
+    online, target = (Params.zeros([sizes, sizes], dtype) for _ in range(2))
+    for q in online.nets:
+        _draw(q, rng)
+    target.flat[...] = online.flat
+    return CriticPair(*online.nets, *target.nets, lam=config.lam, gamma=config.gamma)
 
 
 def q_values(qnet: Mlp, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -99,41 +105,40 @@ def compute_target(critics: CriticPair, rewards, next_states, next_actions, done
     return rewards + critics.gamma * (1.0 - dones) * y
 
 
-def critic_step(
-    critics: CriticPair,
-    adam_q1: AdamState,
-    adam_q2: AdamState,
-    states: np.ndarray,
-    actions: np.ndarray,
-    targets: np.ndarray,
-) -> float:
-    """One Adam step on each critic toward the shared target.
+@dataclass
+class ParamGroup:
+    """The networks one learning rate trains: ``online``, which ``adam``
+    steps, and ``target``, of the same layout, which follows it by Polyak."""
+
+    online: Params
+    target: Params
+    adam: AdamState
+
+
+def critic_step(critics: ParamGroup, states: np.ndarray, actions: np.ndarray,
+                targets: np.ndarray) -> float:
+    """One Adam step on the critic group (q1, q2) toward the shared target.
 
     This is the single critic/optimizer code path used by every learner in the
     repo (latent-action agent, unconstrained baseline, online trainer), so
     performance differences between them cannot come from here. Both losses
-    and gradients (each into its critic's ``AdamState.grad``) are computed
-    before either critic moves: on NonFiniteError neither critic nor its Adam
-    moments and step count have changed.
+    and gradients (each into its part of the group's ``adam.grad``) are
+    computed before the group's one ``adam_step``, which rejects a non-finite
+    gradient before it changes anything: on NonFiniteError neither critic nor
+    the Adam moments and step count have changed.
     """
     x = np.concatenate([states, actions], axis=1)
     B = x.shape[0]
-    pairs = ((critics.q1, adam_q1), (critics.q2, adam_q2))
-    losses, grads = [], []
-    for qnet, adam in pairs:
+    losses = []
+    for qnet, grad in zip(critics.online.nets, critics.adam.grad.nets):
         tape = mlp_tape(qnet, x)
         err = tape.output[:, 0] - targets
         loss = float(np.mean(err ** 2))
         if not np.isfinite(loss):
             raise NonFiniteError("non-finite critic loss")
         losses.append(loss)
-        grads.append(mlp_backward(qnet, (2.0 * err / B)[:, None], tape, adam.grad)[0])
-    # adam_step rejects non-finite gradients before it changes anything, so
-    # only q2's need checking here, before q1 steps
-    if not grads[1].all_finite():
-        raise NonFiniteError("non-finite critic gradient")
-    for (qnet, adam), g in zip(pairs, grads):
-        adam_step(qnet, g, adam)
+        mlp_backward(qnet, (2.0 * err / B)[:, None], tape, grad)
+    adam_step(critics.online, critics.adam.grad, critics.adam)
     return sum(losses) / 2.0
 
 
@@ -171,12 +176,6 @@ class ActorCritic:
         c = self.critics
         return {"q1": c.q1, "q1_target": c.q1_target, "q2": c.q2, "q2_target": c.q2_target,
                 "actor": self.actor, "actor_target": self.actor_target}
-
-    def target_pairs(self) -> list[tuple[Mlp, Mlp]]:
-        """(target, online) for every network of ``nets()`` with a target."""
-        nets = self.nets()
-        return [(nets[f"{name}_target"], net) for name, net in nets.items()
-                if f"{name}_target" in nets]
 
 
 @dataclass
@@ -268,58 +267,44 @@ def act(agent: PlasAgent, states: np.ndarray) -> np.ndarray:
     return _policy_actions(agent, states, use_target=False)[0]
 
 
-def critic_update(agent: ActorCritic, batch: Batch, adam_q1: AdamState,
-                  adam_q2: AdamState) -> float:
+def critic_update(agent: ActorCritic, batch: Batch, critics: ParamGroup) -> float:
     """The critic update of both learners: the agent's ``target_action`` for
-    s', the soft clipped double-Q targets, one Adam step per critic."""
+    s', the soft clipped double-Q targets, one Adam step on the critic group."""
     if len(batch) == 0:
         raise ValueError("empty batch")
     next_actions = agent.target_action(batch.next_states)
     targets = compute_target(agent.critics, batch.rewards, batch.next_states,
                              next_actions, batch.dones)
-    return critic_step(agent.critics, adam_q1, adam_q2, batch.states, batch.actions, targets)
+    return critic_step(critics, batch.states, batch.actions, targets)
 
 
-def actor_update(
-    agent: PlasAgent,
-    states: np.ndarray,
-    adam_actor: AdamState,
-    adam_pert: AdamState | None = None,
-) -> float:
-    """Ascend the critic through decoder and (optional) residual head.
+def actor_update(agent: PlasAgent, states: np.ndarray, actor: ParamGroup) -> float:
+    """Ascend the critic through decoder and (optional) residual head, with
+    one Adam step on the actor group (the actor, then the head).
 
     Returns the batch-mean Q value before the step. The actor, decoder and
     head each run forward once, taped, and the backward pass reuses those
     tapes. The critics and the decoder give input gradients only: no decoder
     gradient is formed and its parameters are never touched. All gradients
-    are formed before either network moves: on NonFiniteError neither the
-    actor nor the head nor their Adam states have changed.
+    are formed before the group's one ``adam_step``, which rejects a
+    non-finite one before it changes anything: on NonFiniteError neither the
+    actor nor the head nor their Adam state has changed.
     """
     actions, tapes = _policy_actions(agent, states, use_target=False, taped=True)
     mean_q, da = _action_grad(agent.critics, states, actions)
+    grads = actor.adam.grad.nets  # the actor's, then the head's
 
-    pert_grads = None
     if agent.perturbation is not None:
         d_sum = da * (np.abs(tapes["summed"]) < 1.0)
-        pert_grads, d_pin = mlp_backward(agent.perturbation, d_sum * agent.epsilon,
-                                         tapes["head"],
-                                         None if adam_pert is None else adam_pert.grad)
+        _, d_pin = mlp_backward(agent.perturbation, d_sum * agent.epsilon, tapes["head"],
+                                grads[1])
         d_decoded = d_sum + d_pin[:, agent.actor.in_dim:]
     else:
         d_decoded = da
 
     dz = agent.decoder.backward(tapes["decoder"], d_decoded)
-    du = agent.max_latent_action * dz
-    actor_grads, _ = mlp_backward(agent.actor, du, tapes["actor"], adam_actor.grad)
-
-    step_head = pert_grads is not None and adam_pert is not None
-    # adam_step rejects non-finite gradients before it changes anything, so
-    # only the head's need checking here, before the actor steps
-    if step_head and not pert_grads.all_finite():
-        raise NonFiniteError("non-finite perturbation gradient")
-    adam_step(agent.actor, actor_grads, adam_actor)
-    if step_head:
-        adam_step(agent.perturbation, pert_grads, adam_pert)
+    mlp_backward(agent.actor, agent.max_latent_action * dz, tapes["actor"], grads[0])
+    adam_step(actor.online, actor.adam.grad, actor.adam)
     return mean_q
 
 
@@ -399,50 +384,59 @@ def plas_agent_init(
 ) -> PlasAgent:
     hidden = list(config.hidden_sizes)
     action_dim = decoder.action_dim
-    actor = mlp_init([state_dim] + hidden + [decoder.latent_dim], rng,
-                     output_activation="tanh", dtype=dtype)
-    critics = critic_pair_init(state_dim, action_dim, config, rng, dtype)
-    head = None
+    sizes = [[state_dim] + hidden + [decoder.latent_dim]]
     if config.perturbation_epsilon > 0.0:
-        head = mlp_init([state_dim + action_dim] + hidden + [action_dim], rng,
-                        output_activation="tanh", dtype=dtype)
-    return PlasAgent(actor, actor.copy(), critics, decoder, config.max_latent_action,
-                     head, None if head is None else head.copy(),
-                     config.perturbation_epsilon, decoder.checkpoint_hash())
+        sizes.append([state_dim + action_dim] + hidden + [action_dim])
+    # the actor group, drawn in place: the actor first, the head last
+    online, target = (Params.zeros(sizes, dtype, output_activation="tanh") for _ in range(2))
+    _draw(online.nets[0], rng)
+    critics = critic_pair_init(state_dim, action_dim, config, rng, dtype)
+    for head in online.nets[1:]:
+        _draw(head, rng)
+    target.flat[...] = online.flat
+    nets, targets = online.nets + [None], target.nets + [None]  # actor, head or None
+    return PlasAgent(nets[0], targets[0], critics, decoder, config.max_latent_action,
+                     nets[1], targets[1], config.perturbation_epsilon, decoder.checkpoint_hash())
 
 
-def adam_states(agent: ActorCritic, config: ActorCriticConfig) -> dict[str, AdamState]:
-    """The Adam state of every online network of ``agent.nets()``, under its
-    name: the critics at ``config.critic_lr``, the rest at ``config.actor_lr``."""
-    return {name: adam_init(net, config.critic_lr if name in ("q1", "q2") else config.actor_lr)
-            for name, net in agent.nets().items() if not name.endswith("_target")}
+def param_groups(agent: ActorCritic, config: ActorCriticConfig) -> dict[str, ParamGroup]:
+    """The two groups of ``agent``: "critics" (q1, q2) at ``config.critic_lr``
+    and "actor" (the actor, then any residual head) at ``config.actor_lr``.
+    Networks the init functions drew are already in their groups' vectors;
+    others, built by hand or loaded from a file, are copied in."""
+    nets, groups = agent.nets(), {}
+    for name, members, lr in (("critics", ("q1", "q2"), config.critic_lr),
+                              ("actor", ("actor", "perturbation"), config.actor_lr)):
+        online = Params([nets[m] for m in members if m in nets])
+        target = Params([nets[f"{m}_target"] for m in members if m in nets])
+        groups[name] = ParamGroup(online, target, adam_init(online, lr))
+    return groups
 
 
 def _fit(agent: ActorCritic, dataset: Batch, config: ActorCriticConfig,
          rng: np.random.Generator, env, update) -> list[LogRecord]:
     """The training loop of both offline learners, by their shared (and
     already checked) ``ActorCriticConfig``. It owns the optimiser state: it
-    builds ``adam_states`` and reads ``agent.target_pairs()`` once. Each step
-    draws a minibatch, casts it to the critics' dtype, runs ``update(batch,
-    adams) -> (critic_loss, mean_q)`` and Polyak-updates every target pair. It
-    logs every ``log_every`` steps and at the last; with an env it also
-    evaluates where ``eval_interval`` divides the step, and at the last. A
-    ``NonFiniteError`` is re-raised naming the step."""
-    adams = adam_states(agent, config)
-    pairs = agent.target_pairs()
+    builds ``param_groups`` once. Each step draws a minibatch, casts it to the
+    critics' dtype, runs ``update(batch, groups) -> (critic_loss, mean_q)``
+    and Polyak-updates each group's target. It logs every ``log_every`` steps
+    and at the last; with an env it also evaluates where ``eval_interval``
+    divides the step, and at the last. A ``NonFiniteError`` is re-raised
+    naming the step."""
+    groups = param_groups(agent, config)
     log: list[LogRecord] = []
     losses, qs = [], []
     dtype = agent.critics.q1.dtype
     for step in range(1, config.steps + 1):
         batch = sample_batch(dataset, config.batch_size, rng).astype(dtype)
         try:
-            loss, mean_q = update(batch, adams)
+            loss, mean_q = update(batch, groups)
         except NonFiniteError as e:
             raise NonFiniteError(f"{e} (training step {step})") from e
         losses.append(loss)
         qs.append(mean_q)
-        for target, online in pairs:
-            polyak_update(target, online, config.tau)
+        for group in groups.values():
+            polyak_update(group.target, group.online, config.tau)
 
         if step % config.log_every == 0 or step == config.steps:
             rec = LogRecord(step, float(np.mean(losses)), float(np.mean(qs)))
@@ -466,15 +460,15 @@ def train_plas(
 
     Runs ``_fit``, whose update is: produce next-state latent actions with the
     target actor, decode them, form the soft clipped double-Q target, take one
-    Adam step per critic and one on the actor (plus the residual head when
-    enabled). A non-finite loss or gradient stops training with
+    Adam step on the critic group and one on the actor group (with the residual
+    head when enabled). A non-finite loss or gradient stops training with
     ``NonFiniteError``. Raises RuntimeError if the decoder changed.
     """
     agent = plas_agent_init(dataset.state_dim, decoder, config, rng)
 
-    def update(batch, adams):
-        return (critic_update(agent, batch, adams["q1"], adams["q2"]),
-                actor_update(agent, batch.states, adams["actor"], adams.get("perturbation")))
+    def update(batch, groups):
+        return (critic_update(agent, batch, groups["critics"]),
+                actor_update(agent, batch.states, groups["actor"]))
 
     log = _fit(agent, dataset, config, rng, env, update)
     if decoder.checkpoint_hash() != agent.decoder_hash:
@@ -501,8 +495,9 @@ def save_agent(path, agent: PlasAgent, config: PlasTrainConfig | None = None) ->
 def load_agent(path, decoder) -> PlasAgent:
     """The agent saved at ``path``, acting through ``decoder``, which must be
     the decoder it was saved with."""
-    header, nets = _read(path, "agent", settings=(
-        "max_latent_action", "lam", "gamma", "decoder_hash", "perturbation_epsilon"),
+    header, nets = _read(path, "agent", settings={
+        "max_latent_action": JSON_NUMBER, "lam": JSON_NUMBER, "gamma": JSON_NUMBER,
+        "decoder_hash": (str,), "perturbation_epsilon": JSON_NUMBER},
         nets=("q1", "q1_target", "q2", "q2_target", "actor", "actor_target"))
     if decoder.checkpoint_hash() != header["decoder_hash"]:
         raise ValueError("checkpoint was trained against a different decoder")

@@ -3,7 +3,7 @@
 The unconstrained learner is the minimal ablation of the latent-action agent,
 defined by ``agent``: an ``agent.ActorCritic`` with the shared config
 ``agent.ActorCriticConfig``, the one critic update ``agent.critic_update``, the
-Q1 action gradient and the one loop ``agent._fit``, which owns the Adam states.
+Q1 action gradient and the one loop ``agent._fit``, which owns the groups.
 Only the actor's output differs: an action straight from the state with no
 behavior-model constraint, for acting and as the critic target's
 ``target_action``. It deliberately omits target-policy smoothing noise so the
@@ -17,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import (ActorCritic, ActorCriticConfig, LogRecord, _action_grad, _fit,
-                    critic_pair_init, critic_update)
+from .agent import (ActorCritic, ActorCriticConfig, LogRecord, ParamGroup, _action_grad, _fit,
+                    _positive, critic_pair_init, critic_update)
 from .data import TransitionDataset, sample_indices
 from .nets import (
-    AdamState,
     Mlp,
     NonFiniteError,
+    Params,
+    _check_settings,
     adam_init,
     adam_step,
     mlp_backward,
@@ -54,6 +55,15 @@ class BcTrainConfig:
     hidden_sizes: tuple[int, ...] = (64, 64)
     log_every: int = 500
 
+    def __post_init__(self):
+        _check_settings(self, (
+            ("steps", self.steps >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("learning_rate", _positive(self.learning_rate), "finite and > 0"),
+            ("hidden_sizes", all(n >= 1 for n in self.hidden_sizes), "sizes >= 1"),
+            ("log_every", self.log_every >= 1, ">= 1"),
+        ))
+
 
 def train_bc(dataset: TransitionDataset, config: BcTrainConfig,
              rng: np.random.Generator) -> tuple[BcPolicy, list[tuple[int, float]]]:
@@ -63,7 +73,8 @@ def train_bc(dataset: TransitionDataset, config: BcTrainConfig,
         raise ValueError("empty dataset")
     net = mlp_init([dataset.state_dim] + list(config.hidden_sizes) + [dataset.action_dim],
                    rng, output_activation="tanh", dtype=np.float32)
-    adam = adam_init(net, config.learning_rate)
+    params = Params([net])
+    adam = adam_init(params, config.learning_rate)
     curve: list[tuple[int, float]] = []
     for step in range(1, config.steps + 1):
         idx = sample_indices(dataset, config.batch_size, rng)
@@ -74,8 +85,8 @@ def train_bc(dataset: TransitionDataset, config: BcTrainConfig,
         loss = float(np.mean(err ** 2))
         if not np.isfinite(loss):
             raise NonFiniteError(f"BC loss non-finite at step {step}")
-        grads, _ = mlp_backward(net, 2.0 * err / err.size, tape, adam.grad)
-        adam_step(net, grads, adam)
+        mlp_backward(net, 2.0 * err / err.size, tape, adam.grad.nets[0])
+        adam_step(params, adam.grad, adam)
         if step % config.log_every == 0 or step == config.steps:
             curve.append((step, loss))
     return BcPolicy(net), curve
@@ -107,22 +118,23 @@ def unconstrained_agent_init(state_dim: int, action_dim: int,
 
 
 def direct_actor_update(agent: UnconstrainedAgent, states: np.ndarray,
-                        adam_actor: AdamState) -> float:
-    """Deterministic policy gradient straight through the actor (no decoder)."""
+                        actor: ParamGroup) -> float:
+    """Deterministic policy gradient straight through the actor (no decoder),
+    one Adam step on the actor group."""
     tape = mlp_tape(agent.actor, states)
     mean_q, da = _action_grad(agent.critics, states, tape.output)
-    grads, _ = mlp_backward(agent.actor, da, tape, adam_actor.grad)
-    adam_step(agent.actor, grads, adam_actor)
+    mlp_backward(agent.actor, da, tape, actor.adam.grad.nets[0])
+    adam_step(actor.online, actor.adam.grad, actor.adam)
     return mean_q
 
 
-def unconstrained_update(agent: UnconstrainedAgent, batch, adam_q1, adam_q2,
-                         adam_actor) -> tuple[float, float]:
-    """``agent.critic_update``, then ``direct_actor_update``; shared with the
-    online trainer. The batch is expected in the networks' dtype
-    (``agent._fit`` casts it)."""
-    return (critic_update(agent, batch, adam_q1, adam_q2),
-            direct_actor_update(agent, batch.states, adam_actor))
+def unconstrained_update(agent: UnconstrainedAgent, batch,
+                         groups: dict[str, ParamGroup]) -> tuple[float, float]:
+    """``agent.critic_update``, then ``direct_actor_update``, on the groups of
+    ``agent.param_groups``; shared with the online trainer. The batch is
+    expected in the networks' dtype (``agent._fit`` casts it)."""
+    return (critic_update(agent, batch, groups["critics"]),
+            direct_actor_update(agent, batch.states, groups["actor"]))
 
 
 def train_unconstrained(
@@ -138,14 +150,13 @@ def train_unconstrained(
     baseline, not a bug: they are logged (capped at ``LOSS_REPORT_CAP``) and
     the run continues. A non-finite critic loss or gradient skips the whole
     update, critics and actor alike; a non-finite actor gradient skips only
-    the actor's step, after the critics have already stepped.
+    the actor group's step, after the critics have already stepped.
     """
     agent = unconstrained_agent_init(dataset.state_dim, dataset.action_dim, config, rng)
 
-    def update(batch, adams):
+    def update(batch, groups):
         try:
-            loss, mean_q = unconstrained_update(agent, batch, adams["q1"], adams["q2"],
-                                                adams["actor"])
+            loss, mean_q = unconstrained_update(agent, batch, groups)
         except NonFiniteError:
             return LOSS_REPORT_CAP, LOSS_REPORT_CAP
         return (min(loss, LOSS_REPORT_CAP),

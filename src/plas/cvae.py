@@ -22,9 +22,11 @@ import numpy as np
 
 from .data import TransitionDataset, sample_indices
 from .nets import (
+    JSON_NUMBER,
     Gradients,
     Mlp,
     NonFiniteError,
+    Params,
     ShapeError,
     Tape,
     _check_settings,
@@ -188,8 +190,8 @@ def elbo_loss_and_grads(
     dtype. The reconstruction term is the mean squared error over every action
     entry in the batch; the KL term is averaged over the batch. ``out`` is the
     (encoder, decoder) pair of ``Gradients`` that ``mlp_backward`` writes into
-    and that is returned (``train_cvae`` passes its Adam states' ``grad``);
-    without it both are fresh.
+    and that is returned (``train_cvae`` passes the networks of its Adam
+    states' ``grad``); without it both are fresh.
     """
     enc_buf, dec_buf = (None, None) if out is None else out
     dtype = cvae.encoder.dtype
@@ -252,8 +254,8 @@ def train_cvae(
         log_std_min=config.log_std_min,
         log_std_max=config.log_std_max,
     )
-    enc_adam = adam_init(cvae.encoder, config.learning_rate)
-    dec_adam = adam_init(cvae.decoder, config.learning_rate)
+    enc, dec = Params([cvae.encoder]), Params([cvae.decoder])  # a group per network
+    enc_adam, dec_adam = adam_init(enc, config.learning_rate), adam_init(dec, config.learning_rate)
     dtype = cvae.encoder.dtype
 
     reports: list[ElboReport] = []
@@ -264,15 +266,15 @@ def train_cvae(
         # drawn in float64 and cast: a float32 draw would take another
         # sampling path and consume the stream differently
         noise = rng.standard_normal((len(idx), cvae.latent_dim)).astype(dtype, copy=False)
-        report, enc_grads, dec_grads = elbo_loss_and_grads(
-            cvae, s, a, noise, config.kl_weight, out=(enc_adam.grad, dec_adam.grad))
+        report, _, _ = elbo_loss_and_grads(
+            cvae, s, a, noise, config.kl_weight, out=(*enc_adam.grad.nets, *dec_adam.grad.nets))
         if not np.isfinite(report.total):
             raise NonFiniteError(
                 f"CVAE loss non-finite at step {step}: "
                 f"recon={report.reconstruction_loss} kl={report.kl_loss}"
             )
-        adam_step(cvae.encoder, enc_grads, enc_adam)
-        adam_step(cvae.decoder, dec_grads, dec_adam)
+        adam_step(enc, enc_adam.grad, enc_adam)
+        adam_step(dec, dec_adam.grad, dec_adam)
         if step % config.log_every == 0 or step == config.steps:
             report.step = step
             reports.append(report)
@@ -313,7 +315,8 @@ class FrozenDecoder:
 
 # -- checkpoints --------------------------------------------------------------
 
-_SETTINGS = ("state_dim", "action_dim", "latent_dim", "log_std_min", "log_std_max")
+_SETTINGS = {"state_dim": (int,), "action_dim": (int,), "latent_dim": (int,),
+             "log_std_min": JSON_NUMBER, "log_std_max": JSON_NUMBER}
 
 
 def save_cvae(path, cvae: BehaviorCvae) -> None:

@@ -133,7 +133,7 @@ def save_dataset(path, dataset: TransitionDataset) -> None:
 
 
 def load_dataset(path) -> TransitionDataset:
-    header, columns = _read(path, "dataset", COLUMNS, ("meta",))
+    header, columns = _read(path, "dataset", COLUMNS, {"meta": (dict,)})
     try:
         meta = DatasetMeta(**header["meta"])
     except TypeError as e:

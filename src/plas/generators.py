@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import adam_states
+from .agent import param_groups
 from .baselines import UnconstrainedTrainConfig, unconstrained_agent_init, unconstrained_update
 from .data import Batch, DatasetMeta, TransitionDataset, concat_rows, sample_batch
 from .envs import EdgeFollowEnv, evaluate_policy, random_policy, rollout_batch
@@ -116,8 +116,7 @@ def train_online_medium(env, seed: int, recipe: OnlineTrainRecipe) -> OnlineRunR
         hidden_sizes=recipe.hidden_sizes,
     )
     agent = unconstrained_agent_init(env.state_dim, env.action_dim, cfg, rng)
-    adams = adam_states(agent, cfg)
-    pairs = agent.target_pairs()
+    groups = param_groups(agent, cfg)
 
     n, d, a = recipe.max_env_steps, env.state_dim, env.action_dim
     log = Batch(np.empty((n, d)), np.empty((n, a)), np.empty(n), np.empty((n, d)), np.empty(n))
@@ -144,9 +143,9 @@ def train_online_medium(env, seed: int, recipe: OnlineTrainRecipe) -> OnlineRunR
 
         if t > recipe.warmup_steps:
             batch = sample_batch(log[:t], min(recipe.batch_size, t), rng).astype(agent.actor.dtype)
-            unconstrained_update(agent, batch, adams["q1"], adams["q2"], adams["actor"])
-            for target, online in pairs:
-                polyak_update(target, online, cfg.tau)
+            unconstrained_update(agent, batch, groups)
+            for group in groups.values():
+                polyak_update(group.target, group.online, cfg.tau)
 
         if t % recipe.eval_every == 0 and t > recipe.warmup_steps:
             mean, _ = evaluate_policy(env, agent.policy_fn(), recipe.eval_episodes,

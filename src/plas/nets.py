@@ -41,20 +41,21 @@ recomputing anything. ``mlp_input_grad`` takes the same arguments and returns
 only dL/dx, skipping the weight and bias gradients; it is what a frozen network
 (a critic under the actor, the decoder under the latent policy) needs.
 
-Who owns which buffer: a network owns ``flat``; its ``AdamState`` owns the
-moments, a gradient vector ``grad`` in the same layout and the scratch of the
-update's temporaries, all allocated once by ``adam_init``. A training step
-passes ``out=state.grad`` to ``mlp_backward``, which writes the parameter
-gradients there, and then ``adam_step`` reads them, so a step allocates no
-parameter-sized array. A ``Gradients`` written through ``out=`` is overwritten
-by the next backward into the same buffer: consume it before that. Without
-``out`` every backward returns a fresh vector. Forward values, tapes and input
-gradients are always fresh arrays, since they reach the caller.
+Who owns which buffer: a ``Params``, one learning rate's group of networks,
+owns the one vector their ``flat``s are views of. Its ``AdamState`` owns the
+moments, the group's ``Gradients`` and the update's scratch, all allocated once
+by ``adam_init``. A step passes each network's part of ``state.grad`` as
+``out`` to ``mlp_backward``, then one ``adam_step`` reads the group's vector,
+so a step allocates no parameter-sized array. A ``Gradients`` written through
+``out=`` is overwritten by the next backward into the same buffer: consume it
+before that. Without ``out`` every backward returns a fresh vector. Forward
+values, tapes and input gradients are always fresh arrays.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import zipfile
 from dataclasses import dataclass, field
 
@@ -155,14 +156,14 @@ class Mlp(_FlatLayers):
     weights[k] has shape (out_k, in_k) with in_k == out_{k-1}; biases[k] has
     shape (out_k,); activations[k] is applied after layer k. The constructor
     copies the layers into ``flat``, float32 if every layer is float32 and
-    float64 otherwise; writes through ``weights[k]`` or ``biases[k]`` land
-    there.
+    float64 otherwise, unless given the ``flat`` they are views of; writes
+    through ``weights[k]`` or ``biases[k]`` land there.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activations: list[str]
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (len(self.weights) == len(self.biases) == len(self.activations)):
@@ -181,7 +182,8 @@ class Mlp(_FlatLayers):
                 )
             if a not in ACTIVATIONS:
                 raise ValueError(f"layer {k}: unknown activation {a!r}")
-        self._pack()
+        if self.flat is None:
+            self._pack()
         if not np.isfinite(self.flat).all():
             raise NonFiniteError("non-finite parameters")
 
@@ -225,14 +227,64 @@ class Gradients(_FlatLayers):
         if self.flat is None:
             self._pack()
 
-    @classmethod
-    def zeros(cls, layer_sizes, dtype) -> "Gradients":
-        """Zero ``dtype`` gradients in the flat layout of ``layer_sizes``."""
-        flat = np.zeros(_flat_size(layer_sizes), dtype=dtype)
-        return cls(*_views(flat, layer_sizes), flat)
 
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
+def _parts(flat: np.ndarray, layouts) -> list[np.ndarray]:
+    """Consecutive views of ``flat``, one per network of ``layouts``."""
+    return np.split(flat, np.cumsum([_flat_size(sizes) for sizes in layouts])[:-1])
+
+
+@dataclass
+class Params:
+    """Networks of one dtype (``Mlp``s or ``Gradients``) whose ``flat``s are
+    consecutive views of one vector, ``flat``. Networks that are not yet are
+    copied into a fresh one and re-pointed at it, away from any earlier group."""
+
+    nets: list
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if len({n.dtype for n in self.nets}) != 1:
+            raise ShapeError("a group is one or more networks of one dtype")
+        first = self.nets[0].flat
+        self.flat = first if first.base is None else first.base
+        # unless the networks already are consecutive views of that vector
+        if (self.flat.size != sum(n.flat.size for n in self.nets)
+                or [p.__array_interface__ for p in _parts(self.flat, self.layouts)]
+                != [n.flat.__array_interface__ for n in self.nets]):
+            self.flat = np.concatenate([n.flat for n in self.nets])
+            for net, part in zip(self.nets, _parts(self.flat, self.layouts)):
+                net.flat, (net.weights, net.biases) = part, _views(part, net.layer_sizes)
+
+    @classmethod
+    def zeros(cls, layouts, dtype, hidden_activation: str = "relu",
+              output_activation: str = "identity") -> "Params":
+        """All-zero ``dtype`` networks, one per ``layer_sizes`` of ``layouts``."""
+        if any(len(sizes) < 2 or min(sizes) < 1 for sizes in layouts):
+            raise ShapeError(f"bad layer sizes {layouts}")
+        flat = np.zeros(sum(map(_flat_size, layouts)), _param_dtype(dtype))
+        return cls([Mlp(*_views(p, sizes), [hidden_activation] * (len(sizes) - 2)
+                        + [output_activation], p)
+                    for p, sizes in zip(_parts(flat, layouts), layouts)])
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.flat.dtype
+
+    @property
+    def layouts(self) -> list[list[int]]:
+        return [n.layer_sizes for n in self.nets]
+
+    def n_params(self) -> int:
+        return self.flat.size
+
+
+def _draw(net: Mlp, rng: np.random.Generator) -> Mlp:
+    """Weights ~ U(-1/sqrt(in), 1/sqrt(in)) drawn into ``net`` in place, in
+    float64 and then cast, so ``rng`` advances the same way for either dtype."""
+    for w in net.weights:
+        bound = 1.0 / np.sqrt(w.shape[1])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return net
 
 
 def mlp_init(
@@ -242,19 +294,9 @@ def mlp_init(
     output_activation: str = "identity",
     dtype=np.float64,
 ) -> Mlp:
-    """Fan-in scaled uniform init: weights ~ U(-1/sqrt(in), 1/sqrt(in)), zero
-    biases. The weights are drawn in float64 and then cast to ``dtype``, so
-    ``rng`` advances the same way for either dtype."""
-    if len(layer_sizes) < 2 or any(int(n) <= 0 for n in layer_sizes):
-        raise ShapeError(f"bad layer sizes {layer_sizes}")
-    dtype = _param_dtype(dtype)
-    weights, biases = [], []
-    for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        bound = 1.0 / np.sqrt(n_in)
-        weights.append(rng.uniform(-bound, bound, size=(n_out, n_in)).astype(dtype, copy=False))
-        biases.append(np.zeros(n_out, dtype=dtype))
-    acts = [hidden_activation] * (len(layer_sizes) - 2) + [output_activation]
-    return Mlp(weights, biases, acts)
+    """A network of ``_draw``n weights and zero biases."""
+    group = Params.zeros([layer_sizes], dtype, hidden_activation, output_activation)
+    return _draw(group.nets[0], rng)
 
 
 def mlp_zeros(
@@ -264,8 +306,7 @@ def mlp_zeros(
     dtype=np.float64,
 ) -> Mlp:
     """All-zero network (useful for tests and target bootstraps)."""
-    acts = [hidden_activation] * (len(layer_sizes) - 2) + [output_activation]
-    return Mlp.from_flat(np.zeros(_flat_size(layer_sizes)), layer_sizes, acts, dtype)
+    return Params.zeros([layer_sizes], dtype, hidden_activation, output_activation).nets[0]
 
 
 def _checked(x, dim: int, what: str, dtype) -> np.ndarray:
@@ -369,11 +410,12 @@ def mlp_backward(
     gradients, dL/dx with the same shape as x). The parameter gradients are
     written into ``out`` when it is given (a ``Gradients`` in ``params``'
     layout and dtype, else ShapeError) and ``out`` itself is returned; without
-    it they land in a fresh vector. Training steps pass their
-    ``AdamState.grad``, so a step allocates no parameter-sized array.
+    it they land in a fresh vector. Training steps pass their network's part
+    of ``AdamState.grad``, so a step allocates no parameter-sized array.
     """
     if out is None:
-        out = Gradients.zeros(params.layer_sizes, params.dtype)
+        flat = np.zeros(params.n_params(), params.dtype)
+        out = Gradients(*_views(flat, params.layer_sizes), flat)
     elif out.layer_sizes != params.layer_sizes or out.dtype != params.dtype:
         raise ShapeError(f"out of a {out.layer_sizes} {out.dtype} network, parameters of "
                          f"{params.layer_sizes} {params.dtype}")
@@ -393,51 +435,51 @@ def mlp_input_grad(params: Mlp, output_grad: np.ndarray, tape: Tape) -> np.ndarr
 _ADAM_CHUNK = 32_768
 
 
+# Adam's decay rates and the offset of its denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moment accumulators for one Mlp, in its flat layout and dtype, and
-    the buffers its update needs, all allocated once by ``adam_init``: ``grad``, a
-    ``Gradients`` that the trainer's ``mlp_backward(..., out=state.grad)``
-    overwrites each step, and ``scratch``, two slices of ``adam_step``
-    temporaries."""
+    """Adam's state for one group, allocated by ``adam_init``: moments ``m``
+    and ``v`` in the group's layout and dtype, ``grad``, the group's
+    ``Gradients`` (a ``Params``) that each step's backwards overwrite, and
+    ``scratch``, two slices of ``adam_step`` temporaries."""
 
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    m: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
+    grad: Params = field(repr=False)
+    scratch: np.ndarray = field(repr=False)
     step: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
-    grad: Gradients | None = field(default=None, repr=False)
-    scratch: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)), repr=False)
 
 
-def adam_init(params: Mlp, learning_rate: float, beta1: float = 0.9,
-              beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
-    if learning_rate <= 0.0:
-        raise ValueError("learning_rate must be positive")
-    n, dtype = params.flat.size, params.dtype
-    return AdamState(learning_rate, beta1, beta2, epsilon, m=np.zeros(n, dtype),
-                     v=np.zeros(n, dtype), grad=Gradients.zeros(params.layer_sizes, dtype),
-                     scratch=np.empty((2, min(n, _ADAM_CHUNK)), dtype))
+def adam_init(params: Params, learning_rate: float) -> AdamState:
+    if not (math.isfinite(learning_rate) and learning_rate > 0.0):
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate!r}")
+    n, dtype, layouts = params.n_params(), params.dtype, params.layouts
+    m, v, g = np.zeros(n, dtype), np.zeros(n, dtype), np.zeros(n, dtype)
+    grad = Params([Gradients(*_views(p, s), p) for p, s in zip(_parts(g, layouts), layouts)])
+    return AdamState(learning_rate, m, v, grad, np.empty((2, min(n, _ADAM_CHUNK)), dtype))
 
 
-def adam_step(params: Mlp, grads: Gradients, state: AdamState) -> tuple[Mlp, AdamState]:
-    """One bias-corrected Adam update, in place. Rejects non-finite gradients
-    before touching any parameter. ``grads`` may be ``state.grad``; the
-    temporaries live in ``state.scratch``, and each rounds as in
+def adam_step(params: Params, grads: Params, state: AdamState) -> tuple[Params, AdamState]:
+    """One bias-corrected Adam update of the whole group, in place. Rejects
+    non-finite gradients before touching any parameter of any network.
+    ``grads`` may be ``state.grad``; the temporaries live in
+    ``state.scratch``, and each rounds as in
     ``p -= lr * (m/c1) / (sqrt(v/c2) + eps)`` with
     ``m = b1*m + (1-b1)*g`` and ``v = b2*v + (1-b2)*g*g``, in the
     parameters' dtype."""
-    if (grads.layer_sizes != params.layer_sizes or state.m.shape != params.flat.shape
+    if (grads.layouts != params.layouts or state.m.shape != params.flat.shape
             or not grads.dtype == state.m.dtype == state.scratch.dtype == params.dtype):
         raise ShapeError("gradient/parameter/moment shape or dtype mismatch")
-    if not grads.all_finite():
+    if not np.isfinite(grads.flat).all():
         raise NonFiniteError("non-finite gradient; update rejected")
 
     state.step += 1
     t = state.step
-    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPSILON
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for i in range(0, params.flat.size, _ADAM_CHUNK):
@@ -461,15 +503,15 @@ def adam_step(params: Mlp, grads: Gradients, state: AdamState) -> tuple[Mlp, Ada
     return params, state
 
 
-def polyak_update(target: Mlp, online: Mlp, tau: float) -> Mlp:
-    """Soft target update in place: target <- tau*online + (1-tau)*target,
-    elementwise, in slices through one slice-sized buffer of their dtype.
-    Returns target, left untouched if this raises."""
+def polyak_update(target: Params, online: Params, tau: float) -> Params:
+    """Soft target update of a whole group in place: target <- tau*online +
+    (1-tau)*target, elementwise, in slices through one slice-sized buffer of
+    their dtype. Returns target, left untouched if this raises."""
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    if target.layer_sizes != online.layer_sizes or target.dtype != online.dtype:
-        raise ShapeError(f"layouts differ: {target.layer_sizes} {target.dtype} vs "
-                         f"{online.layer_sizes} {online.dtype}")
+    if target.layouts != online.layouts or target.dtype != online.dtype:
+        raise ShapeError(f"layouts differ: {target.layouts} {target.dtype} vs "
+                         f"{online.layouts} {online.dtype}")
     if not (np.isfinite(online.flat).all() and np.isfinite(target.flat).all()):
         raise NonFiniteError("non-finite parameters; Polyak update rejected")
     buf = np.empty(min(target.flat.size, _ADAM_CHUNK), target.dtype)
@@ -498,16 +540,21 @@ def _write(path, kind: str, settings: dict, contents: dict) -> None:
         np.savez(f, header=np.array(json.dumps(header)), **arrays)
 
 
-def _read(path, kind: str, columns=(), settings=(), nets=()) -> tuple[dict, dict]:
+# the JSON types of a numeric header setting (a bool is not one)
+JSON_NUMBER = (int, float)
+
+
+def _read(path, kind: str, columns=(), settings=None, nets=()) -> tuple[dict, dict]:
     """The header of the ``kind`` container at ``path`` and its contents: each
     of ``columns`` as an array, each network the header lists as an ``Mlp``
-    of its stored dtype. A file that is not such a container, is of another
-    format or version, lacks an entry, one of the header's ``settings`` or one
-    of the networks ``nets``, lists a network whose layout is not two or more
-    positive integer sizes and one known activation per layer, or holds a
-    column that is not float64 or a network that is neither float32 nor
-    float64 raises ValueError (ShapeError for a vector that does not fit its
-    layout). Nothing is unpickled."""
+    of its stored dtype. ``settings`` maps each header setting the file must
+    hold to the types its value may have. A file that is not such a container,
+    is of another format or version, lacks an entry, one of the ``settings``
+    or one of the networks ``nets``, holds a setting of another type, lists a
+    network whose layout is not two or more positive integer sizes and one
+    known activation per layer, or holds a column that is not float64 or a
+    network that is neither float32 nor float64 raises ValueError (ShapeError
+    for a vector that does not fit its layout). Nothing is unpickled."""
     def bad(why):
         return ValueError(f"{path} is not a {kind!r} file of version {FORMAT_VERSION}: {why}")
 
@@ -522,9 +569,12 @@ def _read(path, kind: str, columns=(), settings=(), nets=()) -> tuple[dict, dict
         raise bad("the header is not a JSON object")
     if (header.get("format"), header.get("version")) != (kind, FORMAT_VERSION):
         raise bad(f"format {header.get('format')!r}, version {header.get('version')!r}")
-    for name in settings:
+    for name, types in (settings or {}).items():
         if name not in header:
             raise bad(f"no setting {name!r}")
+        if type(header[name]) not in types:
+            raise bad(f"setting {name!r} is {header[name]!r}, not of type "
+                      f"{' or '.join(t.__name__ for t in types)}")
     layouts = header.get("nets", {})
     if not isinstance(layouts, dict):
         raise bad(f"its networks are {layouts!r}, not a JSON object")

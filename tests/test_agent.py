@@ -5,6 +5,7 @@ import pytest
 
 from plas.agent import (
     CriticPair,
+    ParamGroup,
     PlasAgent,
     PlasTrainConfig,
     _clip_unit,
@@ -15,6 +16,7 @@ from plas.agent import (
     critic_step,
     critic_update,
     load_agent,
+    param_groups,
     plas_agent_init,
     save_agent,
     train_plas,
@@ -22,9 +24,9 @@ from plas.agent import (
 from plas.cvae import FrozenDecoder, cvae_init
 from plas.data import Batch, DatasetMeta, TransitionDataset
 from plas.nets import (
-    Gradients,
     Mlp,
     NonFiniteError,
+    Params,
     adam_init,
     adam_step,
     mlp_backward,
@@ -72,6 +74,16 @@ def make_agent(decoder, state_dim=2, epsilon=0.0, seed=51, max_latent_action=2.0
     cfg = PlasTrainConfig(perturbation_epsilon=epsilon, hidden_sizes=(8, 8),
                           max_latent_action=max_latent_action)
     return plas_agent_init(state_dim, decoder, cfg, np.random.default_rng(seed), np.float64)
+
+
+def groups(agent, lr=1e-3):
+    return param_groups(agent, SimpleNamespace(actor_lr=lr, critic_lr=lr))
+
+
+def critic_group(critics, lr=1e-3):
+    online = Params([critics.q1, critics.q2])
+    return ParamGroup(online, Params([critics.q1_target, critics.q2_target]),
+                      adam_init(online, lr))
 
 
 def test_act_zero_actor_equals_decode_at_zero():
@@ -220,8 +232,7 @@ def test_critic_step_zero_on_terminal_zero_reward():
     agent.critics.q2 = mlp_zeros([4, 8, 1])
     agent.critics.q1_target = mlp_zeros([4, 8, 1])
     agent.critics.q2_target = mlp_zeros([4, 8, 1])
-    adam1 = adam_init(agent.critics.q1, 1e-3)
-    adam2 = adam_init(agent.critics.q2, 1e-3)
+    critics = groups(agent)["critics"]
     batch = Batch(
         states=np.zeros((5, 2)),
         actions=np.zeros((5, 2)),
@@ -230,7 +241,7 @@ def test_critic_step_zero_on_terminal_zero_reward():
         dones=np.ones(5),
     )
     before = params_hash(agent.critics.q1, agent.critics.q2)
-    loss = critic_update(agent, batch, adam1, adam2)
+    loss = critic_update(agent, batch, critics)
     assert loss == 0.0
     assert params_hash(agent.critics.q1, agent.critics.q2) == before
 
@@ -242,8 +253,7 @@ def test_critic_step_commits_both_critics_or_neither(blowup):
     q1 = mlp_init([3, 8, 1], rng)
     q2 = mlp_init([3, 8, 1], rng)
     critics = CriticPair(q1, q2, q1.copy(), q2.copy())
-    adam1 = adam_init(critics.q1, 1e-3)
-    adam2 = adam_init(critics.q2, 1e-3)
+    group = critic_group(critics)
     if blowup == "loss":
         critics.q2.weights[-1][:] = 1e200
     else:
@@ -255,9 +265,9 @@ def test_critic_step_commits_both_critics_or_neither(blowup):
     a = rng.uniform(-1, 1, size=(6, 1))
     before = params_hash(critics.q1)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
-        critic_step(critics, adam1, adam2, s, a, np.zeros(6))
+        critic_step(group, s, a, np.zeros(6))
     assert params_hash(critics.q1) == before
-    assert adam1.step == 0 and adam2.step == 0
+    assert group.adam.step == 0 and not group.adam.m.any() and not group.adam.v.any()
 
 
 def test_critic_regression_to_fixed_target():
@@ -266,14 +276,13 @@ def test_critic_regression_to_fixed_target():
     q1 = mlp_init([3, 16, 1], rng)
     q2 = mlp_init([3, 16, 1], rng)
     critics = CriticPair(q1, q2, q1.copy(), q2.copy(), lam=1.0, gamma=0.99)
-    adam1 = adam_init(critics.q1, 1e-3)
-    adam2 = adam_init(critics.q2, 1e-3)
+    group = critic_group(critics)
     s = np.tile(rng.normal(size=2), (8, 1))
     a = np.tile(rng.uniform(-1, 1, size=1), (8, 1))
     next_a = np.tile(rng.uniform(-1, 1, size=1), (8, 1))
     target = compute_target(critics, 1.0, s, next_a, 0.0)
     for _ in range(2000):
-        critic_step(critics, adam1, adam2, s, a, target)
+        critic_step(group, s, a, target)
     x = np.concatenate([s, a], axis=1)
     assert abs(mlp_forward(critics.q1, x)[0, 0] - target[0]) < 1e-2
     assert abs(mlp_forward(critics.q2, x)[0, 0] - target[0]) < 1e-2
@@ -320,10 +329,8 @@ def test_actor_chain_gradient_matches_fd(epsilon):
         from plas.agent import _policy_actions
         return _policy_actions(agent, states, use_target=False)
 
-    # capture gradient by re-running actor_update on a throwaway copy
+    # the actor chain's gradient, formed by hand; the actor must not move
     actor_copy = agent.actor.copy()
-    adam = adam_init(agent.actor, 1e-9)
-    adam_p = adam_init(agent.perturbation, 1e-9) if agent.perturbation else None
     from plas.agent import _policy_actions
 
     actions, tapes = _policy_actions(agent, s, use_target=False, taped=True)
@@ -354,23 +361,25 @@ def test_actor_update_reaches_quadratic_optimum():
     rng = np.random.default_rng(63)
     decoder = IdentityDecoder(1, state_dim=1)
     q = mlp_init([2, 32, 32, 1], rng)
-    adam_q = adam_init(q, 1e-3)
+    q_params = Params([q])
+    adam_q = adam_init(q_params, 1e-3)
     for _ in range(3000):
         a = rng.uniform(-2, 2, size=(64, 1))
         s = rng.uniform(-1, 1, size=(64, 1))
         x = np.concatenate([s, a], axis=1)
         pred = mlp_forward(q, x)[:, 0]
         err = pred - (-(a[:, 0] ** 2))
-        grads, _ = mlp_backward(q, (2 * err / 64)[:, None], mlp_tape(q, x))
-        adam_step(q, grads, adam_q)
+        mlp_backward(q, (2 * err / 64)[:, None], mlp_tape(q, x), adam_q.grad.nets[0])
+        adam_step(q_params, adam_q.grad, adam_q)
 
     cfg = PlasTrainConfig(hidden_sizes=(16, 16), max_latent_action=2.0)
     agent = plas_agent_init(1, decoder, cfg, np.random.default_rng(64))
-    agent.critics.q1 = q
-    adam_actor = adam_init(agent.actor, 1e-3)
+    agent.critics.q1 = q  # float64, under a float32 actor
+    online = Params([agent.actor])
+    actor = ParamGroup(online, Params([agent.actor_target]), adam_init(online, 1e-3))
     states = rng.uniform(-1, 1, size=(64, 1))
     for _ in range(1500):
-        actor_update(agent, states, adam_actor)
+        actor_update(agent, states, actor)
     decoded = decoder.forward(states, agent.max_latent_action * mlp_forward(agent.actor, states))
     assert np.max(np.abs(decoded)) < 0.15
 
@@ -380,9 +389,9 @@ def test_actor_update_never_touches_decoder():
     agent = make_agent(decoder, seed=66)
     before = decoder.checkpoint_hash()
     rng = np.random.default_rng(67)
-    adam_actor = adam_init(agent.actor, 1e-3)
+    actor = groups(agent)["actor"]
     for _ in range(1000):
-        actor_update(agent, rng.normal(size=(16, 2)), adam_actor)
+        actor_update(agent, rng.normal(size=(16, 2)), actor)
     assert decoder.checkpoint_hash() == before
 
 
@@ -392,10 +401,9 @@ def test_actor_update_commits_actor_and_head_or_neither(monkeypatch):
 
     agent = make_agent(small_cvae_decoder(seed=80), epsilon=0.1, seed=81)
     head = agent.perturbation
-    adam_actor = adam_init(agent.actor, 1e-3)
-    adam_head = adam_init(head, 1e-3)
+    group = groups(agent)["actor"]
     states = np.random.default_rng(82).normal(size=(6, 2))
-    actor_update(agent, states, adam_actor, adam_head)  # one finite step: m, v nonzero
+    actor_update(agent, states, group)  # one finite step: m, v nonzero
     real = plas.agent.mlp_backward
 
     def nan_head(params, output_grad, tape, out=None):
@@ -405,12 +413,12 @@ def test_actor_update_commits_actor_and_head_or_neither(monkeypatch):
         return grads, d_in
 
     monkeypatch.setattr(plas.agent, "mlp_backward", nan_head)
-    arrays = (agent.actor.flat, adam_actor.m, adam_actor.v, head.flat, adam_head.m, adam_head.v)
+    arrays = (agent.actor.flat, head.flat, group.adam.m, group.adam.v)
     before = [a.tobytes() for a in arrays]
     with pytest.raises(NonFiniteError):
-        actor_update(agent, states, adam_actor, adam_head)
+        actor_update(agent, states, group)
     assert [a.tobytes() for a in arrays] == before
-    assert adam_actor.step == 1 and adam_head.step == 1
+    assert group.adam.step == 1
 
 
 def test_plas_step_runs_each_forward_once(monkeypatch):
@@ -431,10 +439,9 @@ def test_plas_step_runs_each_forward_once(monkeypatch):
     rng = np.random.default_rng(73)
     s, s2 = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
     batch = Batch(s, rng.uniform(-1, 1, size=(8, 2)), rng.normal(size=8), s2, np.zeros(8))
-    adams = [adam_init(net, 1e-3) for net in (agent.critics.q1, agent.critics.q2,
-                                             agent.actor, agent.perturbation)]
-    critic_update(agent, batch, adams[0], adams[1])
-    actor_update(agent, s, adams[2], adams[3])
+    built = groups(agent)
+    critic_update(agent, batch, built["critics"])
+    actor_update(agent, s, built["actor"])
 
     def count(net, *names):
         return sum(1 for name, i in calls if i == id(net) and name in names)
@@ -506,10 +513,12 @@ def test_nets_name_every_network_once(tmp_path, epsilon):
     nets = agent.nets()
     assert list(nets) == list(expected)
     assert all(nets[name] is net for name, net in expected.items())
-    # the Polyak pairs, in the order q1, q2, actor, head, are read off nets()
-    online = ["q1", "q2", "actor"] + (["perturbation"] if epsilon else [])
-    assert [(id(t), id(o)) for t, o in agent.target_pairs()] == [
-        (id(nets[f"{name}_target"]), id(nets[name])) for name in online]
+    # the groups, critics then actor and head, are read off nets()
+    members = [["q1", "q2"], ["actor"] + (["perturbation"] if epsilon else [])]
+    for group, names in zip(groups(agent).values(), members):
+        assert [id(n) for n in group.online.nets] == [id(nets[name]) for name in names]
+        assert [id(n) for n in group.target.nets] == [id(nets[f"{name}_target"])
+                                                      for name in names]
     # every network round-trips under its name, bit for bit; the targets are
     # moved off their online copies first, so a swapped pair would show
     rng = np.random.default_rng(82)

@@ -24,6 +24,7 @@ from plas.agent import (
     actor_update,
     critic_update,
     load_agent,
+    param_groups,
     plas_agent_init,
     save_agent,
     train_plas,
@@ -51,6 +52,7 @@ from plas.envs import EdgeFollowEnv
 from plas.generators import make_bimodal_dataset
 from plas.nets import (
     Mlp,
+    Params,
     ShapeError,
     _read,
     _write,
@@ -98,6 +100,19 @@ def _cvae(rng, hidden=HIDDEN):
     return BehaviorCvae(enc, dec, STATE_DIM, ACTION_DIM, LATENT_DIM)
 
 
+def _pairs(agent):
+    """(target, online) of every trained network, in the order q1, q2, actor,
+    head: the order of the digests."""
+    nets = agent.nets()
+    return [(nets[f"{name}_target"], net) for name, net in nets.items()
+            if f"{name}_target" in nets]
+
+
+def _polyak(groups, tau):
+    for group in groups.values():
+        polyak_update(group.target, group.online, tau)
+
+
 def _critics(rng):
     q1 = mlp_init([STATE_DIM + ACTION_DIM, *HIDDEN, 1], rng)
     q2 = mlp_init([STATE_DIM + ACTION_DIM, *HIDDEN, 1], rng)
@@ -107,14 +122,15 @@ def _critics(rng):
 def _elbo_steps():
     rng = np.random.default_rng(101)
     cvae = _cvae(rng, [192, 192])  # more than one Adam slice
-    adams = adam_init(cvae.encoder, 1e-3), adam_init(cvae.decoder, 1e-3)
+    groups = Params([cvae.encoder]), Params([cvae.decoder])
+    adams = adam_init(groups[0], 1e-3), adam_init(groups[1], 1e-3)
     for _ in range(STEPS):
         b = _batch(rng)
         noise = rng.standard_normal((ROWS, LATENT_DIM))
-        _, eg, dg = elbo_loss_and_grads(cvae, b.states, b.actions, noise, 0.5,
-                                        out=(adams[0].grad, adams[1].grad))
-        adam_step(cvae.encoder, eg, adams[0])
-        adam_step(cvae.decoder, dg, adams[1])
+        elbo_loss_and_grads(cvae, b.states, b.actions, noise, 0.5,
+                            out=(adams[0].grad.nets[0], adams[1].grad.nets[0]))
+        for group, adam in zip(groups, adams):
+            adam_step(group, adam.grad, adam)
     return _digest(cvae.encoder, cvae.decoder)
 
 
@@ -129,35 +145,31 @@ def _plas_steps(epsilon):
         pert_target = pert.copy()
     agent = PlasAgent(net, net.copy(), _critics(rng), decoder, perturbation=pert,
                       perturbation_target=pert_target, epsilon=epsilon)
-    adam_q1, adam_q2 = adam_init(agent.critics.q1, 1e-3), adam_init(agent.critics.q2, 1e-3)
-    adam_actor = adam_init(agent.actor, 1e-3)
-    adam_pert = None if pert is None else adam_init(pert, 1e-3)
+    groups = param_groups(agent, PlasTrainConfig(actor_lr=1e-3, critic_lr=1e-3))
     for _ in range(STEPS):
         b = _batch(rng)
-        critic_update(agent, b, adam_q1, adam_q2)
-        actor_update(agent, b.states, adam_actor, adam_pert)
-        for target, online in agent.target_pairs():
-            polyak_update(target, online, 0.05)
-    return _digest(*(n for pair in agent.target_pairs() for n in pair))
+        critic_update(agent, b, groups["critics"])
+        actor_update(agent, b.states, groups["actor"])
+        _polyak(groups, 0.05)
+    return _digest(*(n for pair in _pairs(agent) for n in pair))
 
 
 def _unconstrained_steps():
     rng = np.random.default_rng(103)
     actor = mlp_init([STATE_DIM, *HIDDEN, ACTION_DIM], rng, output_activation="tanh")
     agent = UnconstrainedAgent(actor, actor.copy(), _critics(rng))
-    adams = [adam_init(n, 1e-3) for n in (agent.critics.q1, agent.critics.q2, actor)]
+    groups = param_groups(agent, UnconstrainedTrainConfig(actor_lr=1e-3, critic_lr=1e-3))
     for _ in range(STEPS):
-        unconstrained_update(agent, _batch(rng), *adams)
-        for target, online in agent.target_pairs():
-            polyak_update(target, online, 0.05)
-    return _digest(*(n for pair in agent.target_pairs() for n in pair))
+        unconstrained_update(agent, _batch(rng), groups)
+        _polyak(groups, 0.05)
+    return _digest(*(n for pair in _pairs(agent) for n in pair))
 
 
 def _polyak_steps():
     rng = np.random.default_rng(104)
     target = mlp_init([STATE_DIM, 256, 160], rng)  # more than one Polyak slice
     for _ in range(STEPS):
-        polyak_update(target, mlp_init([STATE_DIM, 256, 160], rng), 0.3)
+        polyak_update(Params([target]), Params([mlp_init([STATE_DIM, 256, 160], rng)]), 0.3)
     return _digest(target)
 
 
@@ -188,10 +200,10 @@ def _train(learner):
         decoder = FrozenDecoder(cvae_init(ENV.state_dim, ENV.action_dim, rng, hidden_sizes=(8, 8)))
         agent, _ = train_plas(DATASET, decoder, PlasTrainConfig(perturbation_epsilon=0.05,
                                                                 **ONE_STEP), rng)
-        return [n for pair in agent.target_pairs() for n in pair] + [decoder._cvae.decoder]
+        return list(agent.nets().values()) + [decoder._cvae.decoder]
     if learner == "unconstrained":
         agent, _ = train_unconstrained(DATASET, UnconstrainedTrainConfig(**ONE_STEP), rng)
-        return [n for pair in agent.target_pairs() for n in pair]
+        return list(agent.nets().values())
     policy, _ = train_bc(DATASET, BcTrainConfig(**ONE_STEP), rng)
     return [policy.net]
 
@@ -273,10 +285,11 @@ def test_float32_polyak_and_adam_round_in_float32():
     online = mlp_init([3, 300, 200], rng, dtype=np.float32)
     want = target.flat * np.float32(1.0 - 0.005)
     want += online.flat * np.float32(0.005)
-    polyak_update(target, online, 0.005)
+    polyak_update(Params([target]), Params([online]), 0.005)
     assert target.flat.tobytes() == want.tobytes()
 
-    adam = adam_init(online, 1e-3)
+    params = Params([online])
+    adam = adam_init(params, 1e-3)
     g = rng.normal(size=online.flat.size).astype(np.float32)
     adam.grad.flat[:] = g
     m = g * np.float32(1.0 - 0.9)
@@ -284,7 +297,7 @@ def test_float32_polyak_and_adam_round_in_float32():
     step = m / np.float32(1.0 - 0.9) * np.float32(1e-3)
     step /= np.sqrt(v / np.float32(1.0 - 0.999)) + np.float32(1e-8)
     want = online.flat - step
-    adam_step(online, adam.grad, adam)
+    adam_step(params, adam.grad, adam)
     assert online.flat.tobytes() == want.tobytes()
     assert adam.m.tobytes() == m.tobytes() and adam.v.tobytes() == v.tobytes()
 
@@ -302,16 +315,16 @@ def test_mlp_dtype_follows_its_layers():
 
 def test_steps_reject_networks_of_another_dtype():
     net32 = mlp_zeros([3, 2], dtype=np.float32)
-    net64 = mlp_zeros([3, 2])
+    p32, p64 = Params([net32]), Params([mlp_zeros([3, 2])])
     with pytest.raises(ShapeError):
-        polyak_update(net32, net64, 0.5)
+        polyak_update(p32, p64, 0.5)
     with pytest.raises(ShapeError):
-        adam_step(net32, adam_init(net64, 1e-3).grad, adam_init(net32, 1e-3))
+        adam_step(p32, adam_init(p64, 1e-3).grad, adam_init(p32, 1e-3))
     with pytest.raises(ShapeError):
-        adam_step(net32, adam_init(net32, 1e-3).grad, adam_init(net64, 1e-3))
+        adam_step(p32, adam_init(p32, 1e-3).grad, adam_init(p64, 1e-3))
     with pytest.raises(ShapeError):
         mlp_backward(net32, np.ones((1, 2)), mlp_tape(net32, np.ones((1, 3))),
-                     out=adam_init(net64, 1e-3).grad)
+                     out=adam_init(p64, 1e-3).grad.nets[0])
 
 
 # -- the container and the hash keep each network's dtype ------------------------------
@@ -342,9 +355,9 @@ def test_float32_cvae_and_agent_checkpoints_round_trip(tmp_path):
                                                         perturbation_epsilon=0.1), rng)
     save_agent(tmp_path / "agent.npz", agent)
     loaded = load_agent(tmp_path / "agent.npz", decoder)
-    for (t0, o0), (t1, o1) in zip(agent.target_pairs(), loaded.target_pairs()):
-        for a, b in ((t0, t1), (o0, o1)):
-            assert b.dtype == np.float32 and a.flat.tobytes() == b.flat.tobytes()
+    assert list(agent.nets()) == list(loaded.nets())
+    for a, b in zip(agent.nets().values(), loaded.nets().values()):
+        assert b.dtype == np.float32 and a.flat.tobytes() == b.flat.tobytes()
 
 
 def _savez(path, header, **arrays):

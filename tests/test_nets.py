@@ -9,11 +9,14 @@ from plas.agent import PlasTrainConfig, load_agent, plas_agent_init, save_agent
 from plas.cvae import FrozenDecoder, cvae_init, load_cvae, save_cvae
 from plas.data import DatasetMeta, TransitionDataset, load_dataset, save_dataset
 from plas.nets import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     FORMAT_VERSION,
-    AdamState,
     Gradients,
     Mlp,
     NonFiniteError,
+    Params,
     ShapeError,
     _ADAM_CHUNK,
     _read,
@@ -251,10 +254,11 @@ def test_adam_zero_gradient_keeps_params():
     rng = np.random.default_rng(4)
     net = mlp_init([2, 3, 1], rng)
     before = net.copy()
-    state = adam_init(net, learning_rate=1e-3)
+    params = Params([net])
+    state = adam_init(params, learning_rate=1e-3)
     grads = Gradients([np.zeros_like(w) for w in net.weights],
                       [np.zeros_like(b) for b in net.biases])
-    adam_step(net, grads, state)
+    adam_step(params, Params([grads]), state)
     for w0, w1 in zip(before.weights, net.weights):
         assert np.array_equal(w0, w1)
     assert state.step == 1
@@ -265,8 +269,8 @@ def test_adam_first_step_is_signed_lr():
     net = Mlp([np.array([[1.0, -2.0]])], [np.array([0.5])], ["identity"])
     before = net.copy()
     g = Gradients([np.array([[0.3, -0.7]])], [np.array([2.0])])
-    state = adam_init(net, learning_rate=1e-2)
-    adam_step(net, g, state)
+    params = Params([net])
+    adam_step(params, Params([g]), adam_init(params, learning_rate=1e-2))
     delta_w = net.weights[0] - before.weights[0]
     assert np.allclose(delta_w, -1e-2 * np.sign(g.weights[0]), rtol=1e-6)
     assert net.biases[0][0] == pytest.approx(0.5 - 1e-2, rel=1e-6)
@@ -275,12 +279,13 @@ def test_adam_first_step_is_signed_lr():
 def test_adam_quadratic_descent_monotone():
     # Minimize f(w) = w^2 on a 1-parameter net; loss strictly decreases.
     net = Mlp([np.array([[3.0]])], [np.array([0.0])], ["identity"])
-    state = adam_init(net, learning_rate=0.05)
+    params = Params([net])
+    state = adam_init(params, learning_rate=0.05)
     losses = []
     for _ in range(100):
         w = net.weights[0][0, 0]
         losses.append(w * w)
-        adam_step(net, Gradients([np.array([[2.0 * w]])], [np.array([0.0])]), state)
+        adam_step(params, Params([Gradients([np.array([[2.0 * w]])], [np.array([0.0])])]), state)
     assert all(b < a for a, b in zip(losses, losses[1:]))
     assert state.step == 100
 
@@ -289,10 +294,11 @@ def test_adam_rejects_non_finite():
     rng = np.random.default_rng(5)
     net = mlp_init([2, 2], rng)
     before = net.copy()
-    state = adam_init(net, learning_rate=1e-3)
+    params = Params([net])
+    state = adam_init(params, learning_rate=1e-3)
     bad = Gradients([np.array([[np.nan, 0.0], [0.0, 0.0]])], [np.zeros(2)])
     with pytest.raises(NonFiniteError):
-        adam_step(net, bad, state)
+        adam_step(params, Params([bad]), state)
     assert np.array_equal(before.weights[0], net.weights[0])
     assert state.step == 0
 
@@ -301,8 +307,9 @@ def test_polyak_tau_one_copies():
     rng = np.random.default_rng(6)
     online = mlp_init([3, 4, 2], rng)
     target = mlp_zeros([3, 4, 2])
-    out = polyak_update(target, online, tau=1.0)
-    for w_out, w_on in zip(out.weights, online.weights):
+    out = polyak_update(Params([target]), Params([online]), tau=1.0)
+    assert out.nets == [target]
+    for w_out, w_on in zip(target.weights, online.weights):
         assert np.array_equal(w_out, w_on)
 
 
@@ -310,9 +317,9 @@ def test_polyak_paper_value():
     # tau=0.005, target 0, online 1 -> every parameter 0.005.
     online = Mlp([np.ones((2, 2))], [np.ones(2)], ["identity"])
     target = mlp_zeros([2, 2])
-    out = polyak_update(target, online, tau=0.005)
-    assert np.all(out.weights[0] == 0.005)
-    assert np.all(out.biases[0] == 0.005)
+    polyak_update(Params([target]), Params([online]), tau=0.005)
+    assert np.all(target.weights[0] == 0.005)
+    assert np.all(target.biases[0] == 0.005)
 
 
 def test_polyak_geometric_decay():
@@ -320,13 +327,13 @@ def test_polyak_geometric_decay():
     target = mlp_zeros([1, 1])
     tau = 0.1
     for n in range(1, 40):
-        target = polyak_update(target, online, tau)
+        polyak_update(Params([target]), Params([online]), tau)
         gap = 1.0 - target.weights[0][0, 0]
         assert gap == pytest.approx((1.0 - tau) ** n, rel=1e-12)
 
 
 def test_polyak_rejects_bad_tau():
-    net = mlp_zeros([2, 2])
+    net = Params([mlp_zeros([2, 2])])
     for tau in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             polyak_update(net, net, tau)
@@ -341,10 +348,10 @@ def test_polyak_rejects_bad_tau():
 def test_polyak_exact_affine(tau, a, b):
     target = Mlp([np.full((2, 3), a)], [np.full(2, a)], ["identity"])
     online = Mlp([np.full((2, 3), b)], [np.full(2, b)], ["identity"])
-    out = polyak_update(target, online, tau)
+    polyak_update(Params([target]), Params([online]), tau)
     expect = tau * b + (1.0 - tau) * a
-    assert np.all(out.weights[0] == expect)
-    assert np.all(out.biases[0] == expect)
+    assert np.all(target.weights[0] == expect)
+    assert np.all(target.biases[0] == expect)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
@@ -492,6 +499,30 @@ def test_header_missing_a_setting_raises_value_error(tmp_path, make, kind, edit)
         load(path)
 
 
+@pytest.mark.parametrize("make, kind, name, value", [
+    (_small_agent_file, "agent", "max_latent_action", "2"),
+    (_small_agent_file, "agent", "lam", None),
+    (_small_agent_file, "agent", "gamma", True),
+    (_small_agent_file, "agent", "decoder_hash", 7),
+    (_small_agent_file, "agent", "perturbation_epsilon", [0.0]),
+    (_small_cvae_file, "cvae", "state_dim", "1"),
+    (_small_cvae_file, "cvae", "latent_dim", 2.0),
+    (_small_cvae_file, "cvae", "log_std_max", "15"),
+    (_small_dataset_file, "dataset", "meta", "e"),
+], ids=["agent-max_latent_action", "agent-lam", "agent-gamma", "agent-decoder_hash",
+        "agent-perturbation_epsilon", "cvae-state_dim", "cvae-latent_dim", "cvae-log_std_max",
+        "dataset-meta"])
+def test_a_header_setting_of_another_type_raises_value_error_naming_it(tmp_path, make, kind,
+                                                                     name, value):
+    # unchecked, an agent's max_latent_action "2" and a CVAE's state_dim "1"
+    # raised TypeError from deep inside the loader
+    path = tmp_path / "f.npz"
+    load = make(path)
+    rewrite_container(path, lambda h: h.update({name: value}))
+    with pytest.raises(ValueError, match=f"'{kind}' .*setting '{name}'"):
+        load(path)
+
+
 def _nets_a_list(h):
     h["nets"] = list(h["nets"].items())
 
@@ -584,12 +615,13 @@ def test_adam_steps_match_per_layer_reference(hidden):
     v_w = [np.zeros_like(w) for w in ref_w]
     m_b = [np.zeros_like(b) for b in ref_b]
     v_b = [np.zeros_like(b) for b in ref_b]
-    state = adam_init(net, learning_rate=1e-2)
-    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+    params = Params([net])
+    state = adam_init(params, learning_rate=1e-2)
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPSILON
     for t in range(1, 6):
         tape = mlp_tape(net, rng.normal(size=(7, 3)))
         grads, _ = mlp_backward(net, rng.normal(size=(7, 2)), tape)
-        adam_step(net, grads, state)
+        adam_step(params, Params([grads]), state)
         c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
         for ps, gs, ms, vs in ((ref_w, grads.weights, m_w, v_w), (ref_b, grads.biases, m_b, v_b)):
             for p, g, m, v in zip(ps, gs, ms, vs):
@@ -634,7 +666,7 @@ def test_polyak_rejection_leaves_target_untouched(bad):
     before = target.flat.copy()
     error = ShapeError if bad == "shape" else NonFiniteError
     with pytest.raises(error):
-        polyak_update(target, online, 0.005)
+        polyak_update(Params([target]), Params([online]), 0.005)
     assert np.array_equal(target.flat, before, equal_nan=True)
 
 
@@ -660,7 +692,7 @@ def test_backward_into_out_returns_it_and_equals_the_fresh_result(hidden_activat
     gout_before = gout.copy()
     tape = mlp_tape(net, x)
     fresh, fresh_in = mlp_backward(net, gout, tape)
-    out = adam_init(net, 1e-3).grad
+    out = adam_init(Params([net]), 1e-3).grad.nets[0]
     out.flat[:] = np.nan  # stale contents must be overwritten everywhere
     got, got_in = mlp_backward(net, gout, tape, out=out)
     assert got is out
@@ -675,7 +707,7 @@ def test_backward_out_of_another_layout_is_rejected():
     net = mlp_init([3, 6, 2], rng)
     tape = mlp_tape(net, rng.normal(size=(4, 3)))
     for other in ([3, 7, 2], [3, 6, 2, 2]):
-        out = adam_init(mlp_zeros(other), 1e-3).grad
+        out = adam_init(Params([mlp_zeros(other)]), 1e-3).grad.nets[0]
         before = out.flat.copy()
         with pytest.raises(ShapeError):
             mlp_backward(net, np.ones((4, 2)), tape, out=out)
@@ -694,11 +726,80 @@ def test_backward_without_out_returns_a_new_vector_each_call():
 
 def test_adam_init_owns_a_gradient_buffer_and_scratch():
     net = mlp_init([3, 300, 200, 2], np.random.default_rng(16))
-    state = adam_init(net, 1e-3)
-    assert state.grad.layer_sizes == net.layer_sizes
+    state = adam_init(Params([net]), 1e-3)
+    assert state.grad.layouts == [net.layer_sizes]
     assert state.grad.flat.shape == net.flat.shape
-    assert all(np.shares_memory(g, state.grad.flat)
-               for g in state.grad.weights + state.grad.biases)
+    grad = state.grad.nets[0]
+    assert isinstance(grad, Gradients)
+    assert all(np.shares_memory(g, state.grad.flat) for g in grad.weights + grad.biases)
     for a in (state.m, state.v, state.scratch):
         assert not np.shares_memory(a, state.grad.flat)
     assert state.scratch.shape == (2, min(net.n_params(), _ADAM_CHUNK))
+
+
+# -- parameter groups ----------------------------------------------------------
+
+def test_a_group_copies_its_networks_into_one_vector_in_order():
+    rng = np.random.default_rng(17)
+    a, b = mlp_init([3, 4, 2], rng), mlp_init([2, 5, 1], rng, output_activation="tanh")
+    values = [a.flat.copy(), b.flat.copy()]
+    old_a = a.flat
+    group = Params([a, b])
+    assert group.n_params() == group.flat.size == a.n_params() + b.n_params()
+    assert group.layouts == [[3, 4, 2], [2, 5, 1]] and group.dtype == np.float64
+    assert np.shares_memory(a.flat, group.flat) and not np.shares_memory(a.flat, old_a)
+    assert np.array_equal(group.flat[:a.n_params()], values[0])
+    assert np.array_equal(group.flat[a.n_params():], values[1])
+    # the layers follow their network into the group's vector
+    a.weights[0][1, 2] = 9.0
+    assert group.flat[1 * 3 + 2] == 9.0
+    assert all(np.shares_memory(x, group.flat) for x in b.weights + b.biases)
+    # grouping networks that already are its views keeps them where they are
+    again = Params([a, b])
+    assert again.flat is group.flat
+
+
+def test_a_zero_group_is_one_vector_and_adam_init_lays_its_gradients_out_alike():
+    group = Params.zeros([[3, 4, 2], [5, 1]], np.float32, output_activation="tanh")
+    assert group.dtype == np.float32 and not group.flat.any()
+    assert [n.activations for n in group.nets] == [["relu", "tanh"], ["tanh"]]
+    assert Params(group.nets).flat is group.flat
+    state = adam_init(group, 1e-3)
+    assert state.grad.layouts == group.layouts and state.grad.dtype == np.float32
+    assert all(isinstance(g, Gradients) for g in state.grad.nets)
+    for a in (state.m, state.v, state.scratch):
+        assert not np.shares_memory(a, state.grad.flat)
+    with pytest.raises(ShapeError):
+        Params.zeros([[3]], np.float32)
+
+
+def test_a_group_is_of_one_dtype():
+    with pytest.raises(ShapeError):
+        Params([mlp_zeros([2, 2]), mlp_zeros([2, 2], dtype=np.float32)])
+    with pytest.raises(ShapeError):
+        Params([])
+
+
+def test_one_adam_step_over_a_group_rejects_a_non_finite_gradient_in_any_network():
+    rng = np.random.default_rng(18)
+    group = Params([mlp_init([3, 4, 2], rng), mlp_init([3, 4, 2], rng)])
+    state = adam_init(group, 1e-3)
+    adam_step(group, state.grad, state)
+    before = group.flat.copy(), state.m.copy(), state.v.copy()
+    state.grad.nets[1].biases[1][0] = np.inf
+    with pytest.raises(NonFiniteError):
+        adam_step(group, state.grad, state)
+    assert all(np.array_equal(x, y) for x, y in zip(before, (group.flat, state.m, state.v)))
+    assert state.step == 1
+
+
+@pytest.mark.parametrize("learning_rate", [0.0, -1e-3, float("nan"), float("inf")])
+def test_adam_init_refuses_a_learning_rate_that_is_not_finite_and_positive(learning_rate):
+    with pytest.raises(ValueError, match="learning_rate"):
+        adam_init(Params([mlp_zeros([2, 2])]), learning_rate)
+
+
+def test_adam_constants_are_not_settings():
+    with pytest.raises(TypeError):
+        adam_init(Params([mlp_zeros([2, 2])]), 1e-3, beta1=0.5)
+    assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)

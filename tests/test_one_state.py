@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 import plas.agent
 import plas.baselines
 import plas.cvae
-from plas.agent import PlasTrainConfig, act, actor_update, plas_agent_init
+from plas.agent import PlasTrainConfig, act, actor_update, param_groups, plas_agent_init
 from plas.baselines import UnconstrainedTrainConfig, unconstrained_agent_init
 from plas.cvae import FrozenDecoder, cvae_init, decode, elbo_loss_and_grads, encode
 from plas.envs import EdgeFollowEnv, PointMassEnv, evaluate_policy
-from plas.nets import ShapeError, adam_init, mlp_forward
+from plas.nets import ShapeError, mlp_forward
 
 _ACT = {"relu": lambda h: np.maximum(h, 0.0, out=h),
         "tanh": lambda h: np.tanh(h, out=h),
@@ -168,6 +168,6 @@ def test_tapes_take_rows_only():
     for call in (lambda: dec.tape(s, z), lambda: dec.backward(tape, a),
                  lambda: encode(cvae, s, a), lambda: encode(cvae, s[None, :], a),
                  lambda: elbo_loss_and_grads(cvae, s, a, z, 0.5),
-                 lambda: actor_update(agent, s, adam_init(agent.actor, 1e-3))):
+                 lambda: actor_update(agent, s, param_groups(agent, PlasTrainConfig())["actor"])):
         with pytest.raises(ShapeError):
             call()

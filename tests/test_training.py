@@ -6,23 +6,25 @@ import numpy as np
 import pytest
 
 import plas.agent
+import plas.baselines
+import plas.generators
 from plas.agent import (
-    ActorCritic,
     ActorCriticConfig,
     PlasTrainConfig,
-    adam_states,
+    param_groups,
     plas_agent_init,
     train_plas,
 )
 from plas.baselines import (
     LOSS_REPORT_CAP,
+    BcTrainConfig,
     UnconstrainedTrainConfig,
     train_unconstrained,
     unconstrained_agent_init,
 )
 from plas.cvae import FrozenDecoder, cvae_init
 from plas.envs import EdgeFollowEnv
-from plas.generators import make_bimodal_dataset
+from plas.generators import OnlineTrainRecipe, make_bimodal_dataset, train_online_medium
 from plas.nets import NonFiniteError, params_hash
 
 LEARNERS = ["plas", "unconstrained"]
@@ -45,6 +47,13 @@ def train(learner, cfg, seed=2, env=ENV):
     if learner == "plas":
         return train_plas(DATASET, DECODER, cfg, rng, env)
     return train_unconstrained(DATASET, cfg, rng, env)
+
+
+def pairs(agent):
+    """(target, online) of every trained network: q1, q2, actor, head."""
+    nets = agent.nets()
+    return [(nets[f"{name}_target"], net) for name, net in nets.items()
+            if f"{name}_target" in nets]
 
 
 def initial_agent(learner, cfg, seed=2):
@@ -94,35 +103,94 @@ def test_plas_config_checks_its_own_fields(field, value):
         PlasTrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("steps", 0), ("batch_size", 0), ("learning_rate", 0.0), ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")), ("hidden_sizes", (8, 0)), ("log_every", 0),
+])
+def test_the_bc_config_names_the_field_it_rejects(field, value):
+    # unchecked, log_every=0 died with ZeroDivisionError, steps=0 returned an
+    # untrained policy and learning_rate=nan ran until its loss went non-finite
+    with pytest.raises(ValueError, match=f"BcTrainConfig.{field} must be"):
+        BcTrainConfig(**{field: value})
+
+
 @pytest.mark.parametrize("learner", LEARNERS)
-def test_adam_states_cover_every_online_network(learner):
+def test_each_group_is_one_online_vector_and_one_target_vector(learner):
     cfg = config(learner, actor_lr=2e-4, critic_lr=3e-3)
     agent = initial_agent(learner, cfg)
-    adams = adam_states(agent, cfg)
-    assert list(adams) == ["q1", "q2", "actor"] + (["perturbation"] if learner == "plas" else [])
-    for name, adam in adams.items():
-        assert adam.learning_rate == (3e-3 if name in ("q1", "q2") else 2e-4)
-        assert adam.m.shape == agent.nets()[name].flat.shape and adam.step == 0
+    nets = agent.nets()
+    flats = {name: net.flat for name, net in nets.items()}
+    groups = param_groups(agent, cfg)
+    members = {"critics": ["q1", "q2"],
+               "actor": ["actor"] + (["perturbation"] if learner == "plas" else [])}
+    assert list(groups) == list(members)
+    for name, group in groups.items():
+        assert group.adam.learning_rate == (3e-3 if name == "critics" else 2e-4)
+        assert group.adam.step == 0 and group.adam.m.shape == group.online.flat.shape
+        assert group.target.layouts == group.online.layouts
+        assert not np.shares_memory(group.online.flat, group.target.flat)
+        for part, names in ((group.online, members[name]),
+                            (group.target, [f"{m}_target" for m in members[name]])):
+            assert [id(n) for n in part.nets] == [id(nets[m]) for m in names]
+            at = 0
+            for m in names:  # consecutive views of the one vector, in order
+                size = nets[m].n_params()
+                flat = nets[m].flat
+                assert (flat if flat.base is None else flat.base) is part.flat
+                assert np.shares_memory(nets[m].flat, part.flat[at:at + size])
+                at += size
+            assert at == part.flat.size
+            # the init functions drew them there: building the groups moved nothing
+            assert all(nets[m].flat is flats[m] for m in names)
 
 
 @pytest.mark.parametrize("learner", LEARNERS)
-def test_the_loop_builds_the_adam_states_and_reads_the_pairs_once(learner, monkeypatch):
-    built, read = [], []
-    states, pairs = plas.agent.adam_states, ActorCritic.target_pairs
+def test_the_loop_builds_the_groups_once_and_steps_each_once_per_step(learner, monkeypatch):
+    built, adam_calls, polyak_calls = [], [], []
+    build, adam_step, polyak_update = (plas.agent.param_groups, plas.agent.adam_step,
+                                       plas.agent.polyak_update)
 
-    def counted_states(agent, cfg):
-        built.append(states(agent, cfg))
+    def counted_groups(agent, cfg):
+        built.append(build(agent, cfg))
         return built[-1]
 
-    def counted_pairs(agent):
-        read.append(1)
-        return pairs(agent)
+    def counted_adam(params, *args):
+        adam_calls.append(id(params))
+        return adam_step(params, *args)
 
-    monkeypatch.setattr(plas.agent, "adam_states", counted_states)
-    monkeypatch.setattr(ActorCritic, "target_pairs", counted_pairs)
+    def counted_polyak(target, online, tau):
+        polyak_calls.append((id(target), id(online)))
+        return polyak_update(target, online, tau)
+
+    monkeypatch.setattr(plas.agent, "param_groups", counted_groups)
+    for module in (plas.agent, plas.baselines):
+        monkeypatch.setattr(module, "adam_step", counted_adam)
+    monkeypatch.setattr(plas.agent, "polyak_update", counted_polyak)
+    train(learner, config(learner, steps=1), env=None)
+    # with the residual head too, one step is one Adam and one Polyak call per group
+    assert len(built) == 1
+    groups = built[0].values()
+    assert adam_calls == [id(g.online) for g in groups]
+    assert polyak_calls == [(id(g.target), id(g.online)) for g in groups]
     train(learner, config(learner, steps=6), env=None)
-    assert len(built) == 1 and read == [1]
-    assert all(adam.step == 6 for adam in built[0].values())
+    assert len(built) == 2 and all(g.adam.step == 6 for g in built[1].values())
+
+
+def test_the_online_run_builds_the_groups_once(monkeypatch):
+    built = []
+    build = plas.generators.param_groups
+
+    def counted_groups(agent, cfg):
+        built.append(build(agent, cfg))
+        return built[-1]
+
+    monkeypatch.setattr(plas.generators, "param_groups", counted_groups)
+    recipe = OnlineTrainRecipe(max_env_steps=40, warmup_steps=30, eval_every=1000,
+                               actor_lr=2e-4, critic_lr=3e-3)
+    train_online_medium(ENV, 0, recipe)
+    assert len(built) == 1
+    assert {n: (g.adam.learning_rate, g.adam.step) for n, g in built[0].items()} == {
+        "critics": (3e-3, 10), "actor": (2e-4, 10)}
 
 
 @pytest.mark.parametrize("bad", [{"log_every": 0}, {"eval_interval": 0}, {"eval_episodes": 0}],
@@ -159,11 +227,10 @@ def test_logs_and_evaluations_fall_on_their_intervals(learner):
 @pytest.mark.parametrize("learner", LEARNERS)
 def test_every_target_network_moves(learner):
     cfg = config(learner)
-    start = initial_agent(learner, cfg).target_pairs()
+    start = pairs(initial_agent(learner, cfg))
     agent, _ = train(learner, cfg)
-    pairs = agent.target_pairs()
-    assert len(pairs) == (4 if learner == "plas" else 3)
-    for (target, online), (target0, online0) in zip(pairs, start):
+    assert len(pairs(agent)) == (4 if learner == "plas" else 3)
+    for (target, online), (target0, online0) in zip(pairs(agent), start):
         assert params_hash(target0) == params_hash(online0)
         assert params_hash(target) != params_hash(target0)
         assert params_hash(target) != params_hash(online)
@@ -172,12 +239,12 @@ def test_every_target_network_moves(learner):
 @pytest.mark.parametrize("learner", LEARNERS)
 def test_same_seed_same_run(learner):
     runs = [train(learner, config(learner)) for _ in range(2)]
-    hashes = [params_hash(*(net for pair in agent.target_pairs() for net in pair))
+    hashes = [params_hash(*(net for pair in pairs(agent) for net in pair))
               for agent, _ in runs]
     assert hashes[0] == hashes[1]
     assert [asdict(r) for r in runs[0][1]] == [asdict(r) for r in runs[1][1]]
     other, _ = train(learner, config(learner), seed=3)
-    assert params_hash(*(net for pair in other.target_pairs() for net in pair)) != hashes[0]
+    assert params_hash(*(net for pair in pairs(other) for net in pair)) != hashes[0]
 
 
 @pytest.mark.parametrize("learner", LEARNERS)

@@ -1,7 +1,7 @@
 """Training steps write their gradients into buffers their Adam states own.
 
-The reference runs below restore the allocating path: ``mlp_backward`` ignores
-``out`` and returns a fresh vector, ``adam_step`` and ``polyak_update`` are
+The reference runs below restore the allocating path: ``mlp_backward`` forms a
+fresh vector and copies it into ``out``, ``adam_step`` and ``polyak_update`` are
 frozen copies of the whole-slice temporaries they replaced. Equal hashes show
 that no buffer is overwritten before it is consumed and that no expression
 rounds differently.
@@ -14,13 +14,17 @@ import pytest
 import plas.agent
 import plas.baselines
 import plas.cvae
-from plas.agent import CriticPair, PlasTrainConfig, critic_step, train_plas
+from plas.agent import CriticPair, ParamGroup, PlasTrainConfig, critic_step, train_plas
 from plas.baselines import BcTrainConfig, UnconstrainedTrainConfig, train_bc, train_unconstrained
 from plas.cvae import CvaeTrainConfig, FrozenDecoder, cvae_init, elbo_loss_and_grads, train_cvae
 from plas.envs import EdgeFollowEnv
 from plas.generators import make_bimodal_dataset
 from plas.nets import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     NonFiniteError,
+    Params,
     ShapeError,
     adam_init,
     adam_step,
@@ -36,17 +40,21 @@ DESK = {"steps": 30, "batch_size": 32, "hidden_sizes": (64, 64), "log_every": 10
 
 
 def _fresh_backward(params, output_grad, tape, out=None):
-    return mlp_backward(params, output_grad, tape)
+    grads, d_in = mlp_backward(params, output_grad, tape)
+    if out is None:
+        return grads, d_in
+    out.flat[...] = grads.flat  # a group's Adam step reads its gradients there
+    return out, d_in
 
 
 def _reference_adam_step(params, grads, state):
-    if grads.layer_sizes != params.layer_sizes or state.m.shape != params.flat.shape:
+    if grads.layouts != params.layouts or state.m.shape != params.flat.shape:
         raise ShapeError("gradient/parameter/moment shape mismatch")
-    if not grads.all_finite():
+    if not np.isfinite(grads.flat).all():
         raise NonFiniteError("non-finite gradient; update rejected")
     state.step += 1
     t = state.step
-    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPSILON
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for i in range(0, params.flat.size, 32_768):
@@ -127,16 +135,17 @@ def _peak_rise(step) -> int:
 def test_cvae_step_allocates_less_than_one_parameter_vector():
     rng = np.random.default_rng(8)
     cvae = cvae_init(ENV.state_dim, ENV.action_dim, rng, hidden_sizes=(256, 256))
-    adams = (adam_init(cvae.encoder, 1e-3), adam_init(cvae.decoder, 1e-3))
+    groups = (Params([cvae.encoder]), Params([cvae.decoder]))
+    adams = (adam_init(groups[0], 1e-3), adam_init(groups[1], 1e-3))
     idx = rng.integers(0, len(DATASET), 16)
     s, a = DATASET.states[idx], DATASET.actions[idx]
     noise = rng.standard_normal((16, cvae.latent_dim))
 
     def step():
-        _, enc_grads, dec_grads = elbo_loss_and_grads(
-            cvae, s, a, noise, 0.5, out=(adams[0].grad, adams[1].grad))
-        adam_step(cvae.encoder, enc_grads, adams[0])
-        adam_step(cvae.decoder, dec_grads, adams[1])
+        elbo_loss_and_grads(cvae, s, a, noise, 0.5,
+                            out=(adams[0].grad.nets[0], adams[1].grad.nets[0]))
+        for group, adam in zip(groups, adams):
+            adam_step(group, adam.grad, adam)
 
     step()  # warm
     assert _peak_rise(step) < cvae.encoder.flat.nbytes
@@ -147,14 +156,16 @@ def test_critic_step_and_polyak_allocate_less_than_one_parameter_vector():
     q1 = mlp_init([ENV.state_dim + ENV.action_dim, 256, 256, 1], rng)
     q2 = mlp_init([ENV.state_dim + ENV.action_dim, 256, 256, 1], rng)
     critics = CriticPair(q1, q2, q1.copy(), q2.copy())
-    adams = (adam_init(q1, 1e-3), adam_init(q2, 1e-3))
+    online = Params([q1, q2])
+    group = ParamGroup(online, Params([critics.q1_target, critics.q2_target]),
+                       adam_init(online, 1e-3))
     s = DATASET.states[:16]
     a = DATASET.actions[:16]
     targets = DATASET.rewards[:16]
 
     def step():
-        critic_step(critics, *adams, s, a, targets)
-        polyak_update(critics.q1_target, critics.q1, 0.005)
+        critic_step(group, s, a, targets)
+        polyak_update(group.target, group.online, 0.005)
 
     step()  # warm
     assert _peak_rise(step) < q1.flat.nbytes
