@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import param_groups
+from .agent import _positive, param_groups
 from .baselines import UnconstrainedTrainConfig, unconstrained_agent_init, unconstrained_update
 from .data import Batch, DatasetMeta, TransitionDataset, concat_rows, sample_batch
 from .envs import EdgeFollowEnv, evaluate_policy, random_policy, rollout_batch
@@ -67,8 +67,8 @@ class OnlineTrainRecipe:
             ("eval_every", self.eval_every >= 1, ">= 1"),
             ("eval_episodes", self.eval_episodes >= 1, ">= 1"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
-            ("actor_lr", self.actor_lr > 0.0, "> 0"),
-            ("critic_lr", self.critic_lr > 0.0, "> 0"),
+            ("actor_lr", _positive(self.actor_lr), "finite and > 0"),
+            ("critic_lr", _positive(self.critic_lr), "finite and > 0"),
             ("gamma", 0.0 <= self.gamma < 1.0, "in [0, 1)"),
             ("tau", 0.0 < self.tau <= 1.0, "in (0, 1]"),
         ))

@@ -16,24 +16,36 @@ draws — scenario 1 scales one fixed standard-normal sample, scenario 2 shifts
 it — so a sweep traces a smooth curve whose shape is the signal rather than
 per-point sampling noise. Each repeat redraws everything.
 
-A sweep evaluates every kernel on the same pairs, so each exact n x n term
-builds its difference array once, squares it once and takes its absolute
-value once; each kernel then only divides, exponentiates and averages, in
-place, inside n x n buffers that ``run_scenario`` allocates once per call.
-The kernel formula is written once, as a family distance (``_distance``) over
-a signed divisor (``_divisor``), and serves ``kernel_eval``, the binned terms
-and the shared sweep alike.
+A sweep evaluates every kernel on the same pairs. For the Gaussian kernels,
+each exact n x n term builds its float32 squared differences once, in a
+buffer that ``run_scenario`` allocates once per call; each Gaussian kernel
+then only divides, exponentiates and sums rows, in place, inside a second
+such buffer.
+The Laplacian terms need no n x n array. With b sorted, a row sum splits at
+a_i into exp(-a_i/s) * sum_{b_j <= a_i} exp(b_j/s) plus
+exp(a_i/s) * sum_{b_j > a_i} exp(-b_j/s), and both sums are read from float64
+log-space prefix sums over the sorted b (``_laplacian_mean``): O(n log n) per
+term, and no exponent exceeds log n, so no sigma > 0 overflows. The kernel
+formula is written once, as a family distance (``_distance``) over a signed
+divisor (``_divisor``); it serves ``kernel_eval``, the binned terms and the
+Gaussian pair terms, and the Laplacian pair terms regroup the same exponent.
 
-Precision: the exact n x n pair terms (pp, pq and the shift family's qq) run
-in float32 — the samples are rounded to float32 once per term, and the
-differences, distances, divides and exps stay float32 — but each term's total
-is float64: float32 row sums of at most n kernel values, then a float64 sum of
-the n row sums, divided by n^2. A pure float32 total would lose digits to
-cancellation in pp - 2 pq + qq. The binned terms, ``kernel_eval`` and
+Precision: the Gaussian pair terms (pp, pq and the shift family's qq) run in
+float32. The samples are rounded to float32 once per term, and the
+differences, squares, divides and exps stay float32. Where a term's largest
+distance over the divisor falls below -87, the exp arguments are floored at
+-87, so a kernel value below 1.65e-38 reads 1.65e-38: float32 exp takes a
+slow path for subnormal results, over 10x the time of an ordinary one. Each
+term's total is float64: float32 row sums (``np.einsum``) of at most n kernel
+values, then a float64 sum of the n row sums, divided by n^2. A pure float32
+total would lose digits to cancellation in pp - 2 pq + qq. The Laplacian pair
+terms are float64 throughout; since a/s and b/s are rounded before the
+exponent subtracts them, their relative error is of order eps * max|x| / s
+(3e-14 at |x| = 13.5 and s = 0.1). The binned terms, ``kernel_eval`` and
 ``sampled_mmd`` stay float64, and ``sampled_mmd`` is the oracle. The tests
 hold every curve's mean within 1e-6 of a float64 evaluation of the same sweep,
-with the same argmin; over seeds 0-29 at 500 x 2 and 200 x 4 samples x
-repeats, the largest difference read 1.7e-8 and no argmin moved.
+with the same argmin; over seeds 0-4 at 500 x 2 and 200 x 4 samples x
+repeats, the largest difference read 1.2e-8 and no argmin moved.
 """
 from __future__ import annotations
 
@@ -48,6 +60,17 @@ KERNEL_FAMILIES = ("gaussian", "laplacian")
 BEHAVIORS = ("std_normal", "uniform_bimodal")
 AGENT_FAMILIES = ("scale", "shift")
 
+_F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+_F32_MAX = float(np.finfo(np.float32).max)
+# sigmas whose float32 divisor, -2 s^2 or -s, is finite and nonzero: its magnitude
+# must round to at least the smallest subnormal and at most the largest float32
+_SIGMA_RANGE = {
+    "gaussian": (math.sqrt(_F32_TINY / 4), math.sqrt(_F32_MAX / 2)),
+    "laplacian": (_F32_TINY / 2, _F32_MAX),
+}
+# the smallest float32 exp argument whose result is normal, rounded up: exp(-87) = 1.65e-38
+_EXP_FLOOR = np.float32(-87.0)
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -61,6 +84,15 @@ class KernelSpec:
             raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.sigma <= 0:
             raise ValueError("sigma must be > 0")
+        # the sweep divides by the float32 divisor: 0 gives NaN at d = 0, inf a constant 1;
+        # sigma <= high also keeps sigma ** 2 from overflowing
+        low, high = _SIGMA_RANGE[self.family]
+        with np.errstate(over="ignore", under="ignore"):
+            if not (self.sigma <= high and 0 < abs(np.float32(_divisor(self))) < np.inf):
+                raise ValueError(
+                    f"{self.family} sigma {self.sigma:g} must lie in [{low:.3g}, {high:.3g}], "
+                    "where its float32 divisor is finite and nonzero"
+                )
 
     @property
     def label(self) -> str:
@@ -197,6 +229,8 @@ class SweepCurve:
     std: np.ndarray
 
     def argmin_x(self) -> float:
+        if not np.all(np.isfinite(self.mean)):
+            raise ValueError(f"{self.kernel.label} curve has non-finite means, so no argmin")
         return float(self.xs[int(np.argmin(self.mean))])
 
 
@@ -217,22 +251,55 @@ def _diff_histogram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centers[mask], counts[mask] / values.size
 
 
+def _laplacian_mean(sigma: float, a: np.ndarray, b_sorted: np.ndarray,
+                    split: np.ndarray) -> float:
+    """Mean of exp(-|a_i - b_j| / sigma) over all pairs, with no n x n array.
+
+    ``b_sorted`` is b in ascending order and ``split[i]`` counts the b_j <= a_i.
+    Below the split a pair is exp(b_j/s - a_i/s), above it exp(a_i/s - b_j/s),
+    so each row sum is two terms over float64 log-space prefix sums of b/s
+    (from the left) and -b/s (from the right). An empty side reads log 0 =
+    -inf, and no exponent exceeds log n.
+    """
+    t = a / sigma
+    u = b_sorted / sigma
+    below = np.concatenate(([-np.inf], np.logaddexp.accumulate(u)))
+    above = np.concatenate((np.logaddexp.accumulate(-u[::-1])[::-1], [-np.inf]))
+    rows = np.exp(below[split] - t) + np.exp(t + above[split])
+    return rows.sum() / (a.size * b_sorted.size)
+
+
 def _kernel_means(kernels: list[KernelSpec], a: np.ndarray, b: np.ndarray,
-                  work: np.ndarray, dist: dict[str, np.ndarray]) -> np.ndarray:
+                  work: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """Mean of every kernel over the n x n differences a[:, None] - b[None, :].
 
-    The float32 differences land in ``work`` and each family's distance in
-    ``dist[family]`` once; each kernel then divides into ``work`` and
-    exponentiates in place, so no n x n array is allocated here. Each mean is
-    float32 row sums, then a float64 total of those n row sums.
+    Gaussian kernels share the float32 squared differences, written into
+    ``sq`` once; each then divides into ``work``, floors the arguments at
+    ``_EXP_FLOOR`` when the largest one would fall below it, exponentiates in
+    place and sums rows, so no n x n array is allocated here. Each such mean
+    is float32 row sums, then a float64 total of those n row sums. Laplacian
+    kernels share one sort of b and one split of a into it
+    (``_laplacian_mean``).
     """
-    np.subtract(a.astype(np.float32)[:, None], b.astype(np.float32)[None, :], out=work)
-    for family, buf in dist.items():
-        _distance(family, work, out=buf)
     means = np.empty(len(kernels))
+    if any(k.family == "gaussian" for k in kernels):
+        a32, b32 = a.astype(np.float32), b.astype(np.float32)
+        np.subtract(a32[:, None], b32[None, :], out=sq)
+        _distance("gaussian", sq, out=sq)
+        # float32 rounding is monotone, so the extremes give the largest square exactly
+        farthest = np.square(max(a32.max() - b32.min(), b32.max() - a32.min()))
+    if any(k.family == "laplacian" for k in kernels):
+        b_sorted = np.sort(b)
+        split = np.searchsorted(b_sorted, a, side="right")
     for ki, k in enumerate(kernels):
-        np.divide(dist[k.family], np.float32(_divisor(k)), out=work)
-        rows = np.exp(work, out=work).sum(axis=1)
+        if k.family == "laplacian":
+            means[ki] = _laplacian_mean(k.sigma, a, b_sorted, split)
+            continue
+        divisor = np.float32(_divisor(k))
+        np.divide(sq, divisor, out=work)
+        if farthest / divisor < _EXP_FLOOR:
+            np.maximum(work, _EXP_FLOOR, out=work)
+        rows = np.einsum("ij->i", np.exp(work, out=work))
         means[ki] = rows.sum(dtype=np.float64) / work.size
     return means
 
@@ -247,26 +314,28 @@ def run_scenario(scenario: MmdScenario, kernels: list[KernelSpec] | None = None,
     repeat.
 
     Every exact term (pp, the shift family's constant qq, the scale family's
-    pq at each sweep point) builds its difference array once and shares it,
-    squared and absolute, across all kernels (``_kernel_means``). These terms
-    run in float32 with float64 totals (see the module docstring); the binned
-    terms are fed float64 differences. The n x n buffers (float32 pair
-    buffers, one float64 buffer for the binned differences) are allocated once
-    per call, so a sweep does not fault in fresh pages at every (kernel,
-    point) pair.
+    pq at each sweep point) goes through ``_kernel_means``: the Gaussian
+    kernels share one float32 array of squared differences, the Laplacian
+    kernels one sort of the second sample, and each Laplacian mean is
+    O(n log n). The Gaussian terms run in float32 with float64 totals, the
+    Laplacian terms in float64 (see the module docstring); the binned terms
+    are fed float64 differences. The n x n buffers (two float32 pair buffers
+    when any kernel is Gaussian, one float64 buffer for the binned
+    differences) are allocated once per call, so a sweep does not fault in
+    fresh pages at every (kernel, point) pair.
     """
     kernels = kernels if kernels is not None else default_kernels()
     xs = scenario.sweep
     n = scenario.n_samples
-    work = np.empty((n, n), dtype=np.float32)
-    dist = {k.family: np.empty((n, n), dtype=np.float32) for k in kernels}
+    gaussian = any(k.family == "gaussian" for k in kernels)
+    work, sq = np.empty((2, n, n) if gaussian else (2, 0, 0), dtype=np.float32)
     diffs = np.empty((n, n))
     values = np.empty((len(kernels), scenario.n_repeats, xs.size))
     for r in range(scenario.n_repeats):
         rng = np.random.default_rng([seed, r])
         behavior = scenario.behavior_sample(rng)
         base = rng.standard_normal(n)
-        pp = _kernel_means(kernels, behavior, behavior, work, dist)
+        pp = _kernel_means(kernels, behavior, behavior, work, sq)
         if scenario.agent_family == "scale":
             # pq diffs are b_i - x*base_j (2-d structure, computed direct);
             # qq diffs are x*(base_i - base_j): binned on |base_i - base_j|
@@ -274,7 +343,7 @@ def run_scenario(scenario: MmdScenario, kernels: list[KernelSpec] | None = None,
             qq_centers, qq_weights = _diff_histogram(np.abs(diffs, out=diffs).ravel())
             for xi, x in enumerate(xs):
                 x = float(x)
-                pq = _kernel_means(kernels, behavior, x * base, work, dist)
+                pq = _kernel_means(kernels, behavior, x * base, work, sq)
                 qq = np.array([qq_weights @ _kernel_of_diff(k, abs(x) * qq_centers)
                                for k in kernels])
                 values[:, r, xi] = pp - 2.0 * pq + qq
@@ -285,7 +354,7 @@ def run_scenario(scenario: MmdScenario, kernels: list[KernelSpec] | None = None,
             half = 0.5 * base
             np.subtract(behavior[:, None], half[None, :], out=diffs)
             pq_centers, pq_weights = _diff_histogram(diffs.ravel())
-            qq = _kernel_means(kernels, half, half, work, dist)
+            qq = _kernel_means(kernels, half, half, work, sq)
             for xi, x in enumerate(xs):
                 pq = np.array([pq_weights @ _kernel_of_diff(k, pq_centers - float(x))
                                for k in kernels])

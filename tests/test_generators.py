@@ -170,7 +170,7 @@ def test_medium_run_is_cached_per_env_value():
     ("max_env_steps", 0), ("warmup_steps", -1), ("exploration_noise", -0.1),
     ("exploration_noise", float("nan")), ("stop_fraction", float("inf")), ("eval_every", 0),
     ("eval_episodes", 0), ("batch_size", 0), ("actor_lr", 0.0), ("critic_lr", float("nan")),
-    ("gamma", 1.0), ("tau", 0.0),
+    ("actor_lr", float("inf")), ("critic_lr", float("inf")), ("gamma", 1.0), ("tau", 0.0),
 ])
 def test_online_recipe_rejects_bad_fields(field, value):
     with pytest.raises(ValueError, match=f"OnlineTrainRecipe.{field} "):

@@ -5,6 +5,8 @@ from plas import mmd
 from plas.mmd import (
     KernelSpec,
     MmdScenario,
+    SweepCurve,
+    _kernel_means,
     _kernel_of_diff,
     default_kernels,
     kernel_eval,
@@ -14,7 +16,7 @@ from plas.mmd import (
     scenario_matched_scale,
     write_curves_csv,
 )
-from .oracles import mmd_reference_curves
+from .oracles import float64_pair_mean, mmd_reference_curves
 
 
 def test_kernel_at_equal_points_is_one():
@@ -58,6 +60,82 @@ def test_kernel_rejects_non_finite_sigma(sigma):
     # nan made every kernel value NaN; inf made the kernel a constant 1
     with pytest.raises(ValueError, match="finite"):
         KernelSpec("gaussian", sigma)
+
+
+@pytest.mark.parametrize("family, sigma", [
+    ("gaussian", 1e-200),  # built, then kernel_eval(k, [0], [0]) read NaN
+    ("gaussian", 1e-30),  # built, then run_scenario gave NaN curves
+    ("gaussian", 1e20),
+    ("gaussian", 1e200),
+    ("laplacian", 1e-46),
+    ("gaussian", 1.87e-23),  # 2 s^2 rounds to a zero float32
+    ("laplacian", 7.006492321624085e-46),  # half the smallest subnormal: rounds to zero
+])
+def test_kernel_rejects_sigma_without_a_float32_divisor(family, sigma):
+    with pytest.raises(ValueError, match=r"must lie in \[.*\], where its float32 divisor"):
+        KernelSpec(family, sigma)
+
+
+@pytest.mark.parametrize("family, sigma", [("gaussian", 1.9e-23), ("laplacian", 1e-45),
+                                           ("gaussian", 1.3e19), ("laplacian", 3.4e38)])
+def test_kernel_at_the_sigma_limits_stays_finite(family, sigma):
+    k = KernelSpec(family, sigma)
+    assert kernel_eval(k, [0.0, 1.0], [0.0, 1.0]).tolist() == [1.0, 1.0]
+    assert np.isfinite(sampled_mmd(k, [0.0, 1.0], [0.5, 2.0]))
+
+
+def test_argmin_of_a_non_finite_curve_raises():
+    curve = SweepCurve(KernelSpec("gaussian", 1.0), np.array([0.0, 1.0, 2.0]),
+                       np.array([np.nan, 1.0, 0.5]), np.zeros(3))
+    with pytest.raises(ValueError, match="non-finite"):
+        curve.argmin_x()
+
+
+_NO_PAIRS = np.empty((0, 0), dtype=np.float32)
+
+
+def _laplacian_cases():
+    rng = np.random.default_rng(36)
+    a = rng.normal(size=50)
+    wide = rng.uniform(-1e3, 1e3, size=60)
+    cluster = 1e3 - rng.exponential(1e-3, size=40)
+    return {
+        "ties": (np.round(rng.normal(size=60), 1), np.round(rng.normal(size=40), 1)),
+        "duplicates": (a, np.repeat(a[:10], 5)),
+        "n=2": (np.array([0.3, -1.2]), np.array([0.5, 0.5])),
+        "a_below_b": (rng.normal(size=30) - 4.0, rng.normal(size=30) + 4.0),
+        "a_above_b": (rng.normal(size=30) + 4.0, rng.normal(size=30) - 4.0),
+        "wide": (wide, np.concatenate([wide[:20], rng.uniform(-1e3, 1e3, size=30)])),
+        "wide_clusters": (np.concatenate([-cluster, cluster]),
+                          np.concatenate([cluster[::-1], -cluster])),
+    }
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.1, 10.0, 1e3])
+@pytest.mark.parametrize("case", list(_laplacian_cases()))
+def test_sorted_laplacian_mean_matches_brute_force(case, sigma):
+    # a/s and b/s are rounded before the exponent subtracts them, so the
+    # relative error scales with eps * max|x| / s: every case reads below 4e-13
+    # except the clusters at +-1e3 under s = 1e-3 (8.5e-11, 0.38 eps * 1e6)
+    a, b = _laplacian_cases()[case]
+    k = KernelSpec("laplacian", sigma)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = _kernel_means([k], a, b, _NO_PAIRS, _NO_PAIRS)[0]
+    want = float64_pair_mean(k, a, b)
+    scale = max(np.abs(a).max(), np.abs(b).max()) / sigma
+    assert np.isfinite(got)
+    assert abs(got - want) <= max(1e-12, 16 * np.finfo(float).eps * scale) * want
+
+
+def test_gaussian_pair_mean_below_the_exp_floor():
+    # every pair is >= 5 apart, so every argument is <= -1250 and floored at -87
+    a = 10.0 * np.arange(20)
+    k = KernelSpec("gaussian", 0.1)
+    work, sq = np.empty((2, 20, 20), dtype=np.float32)
+    got = _kernel_means([k], a, a + 5.0, work, sq)[0]
+    assert abs(got - float64_pair_mean(k, a, a + 5.0)) <= 1e-36
+    # every kernel value reads exp(-87) = 1.65e-38 (float32 row sums round it)
+    assert got == pytest.approx(float(np.exp(np.float32(-87.0))), rel=1e-6, abs=0.0)
 
 
 def test_sampled_mmd_identical_sets_zero():
@@ -131,10 +209,24 @@ def test_run_scenario_matches_direct_estimator():
 
 
 def _float32_pair_mean(k, a, b):
-    """The sweep's pair-term arithmetic, written out: both samples rounded to
-    float32 once, float32 kernel values and row sums, a float64 total."""
+    """The sweep's pair-term arithmetic, written out.
+
+    Gaussian: both samples rounded to float32 once, float32 exp arguments
+    floored at -87, float32 kernel values and einsum row sums, a float64
+    total. Laplacian: float64 log-space prefix sums of b/s and -b/s over the
+    sorted b, read at each a's split.
+    """
+    if k.family == "laplacian":
+        b_sorted = np.sort(b)
+        split = np.searchsorted(b_sorted, a, side="right")
+        t, u = a / k.sigma, b_sorted / k.sigma
+        below = np.concatenate(([-np.inf], np.logaddexp.accumulate(u)))
+        above = np.concatenate((np.logaddexp.accumulate(-u[::-1])[::-1], [-np.inf]))
+        rows = np.exp(below[split] - t) + np.exp(t + above[split])
+        return float(rows.sum()) / (a.size * b.size)
     d = a.astype(np.float32)[:, None] - b.astype(np.float32)[None, :]
-    row_sums = _kernel_of_diff(k, d).sum(axis=1)
+    args = np.maximum(d ** 2 / np.float32(-(2.0 * k.sigma ** 2)), np.float32(-87.0))
+    row_sums = np.einsum("ij->i", np.exp(args))
     assert row_sums.dtype == np.float32
     return float(row_sums.astype(np.float64).sum()) / d.size
 
@@ -183,9 +275,9 @@ def test_run_scenario_agrees_with_the_float64_oracle(factory):
 def test_run_scenario_pair_buffers_are_float32(factory, monkeypatch):
     seen = []
 
-    def spy(kernels, a, b, work, dist):
-        seen.append([work.dtype, *(buf.dtype for buf in dist.values())])
-        return kernel_means(kernels, a, b, work, dist)
+    def spy(kernels, a, b, work, sq):
+        seen.append([work.dtype, sq.dtype])
+        return kernel_means(kernels, a, b, work, sq)
 
     kernel_means = mmd._kernel_means
     monkeypatch.setattr(mmd, "_kernel_means", spy)
