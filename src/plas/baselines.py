@@ -19,7 +19,7 @@ import numpy as np
 
 from .agent import (ActorCritic, ActorCriticConfig, LogRecord, ParamGroup, _action_grad, _fit,
                     _positive, critic_pair_init, critic_update)
-from .data import TransitionDataset, sample_indices
+from .data import TransitionDataset, sample_batch
 from .nets import (
     Mlp,
     NonFiniteError,
@@ -77,11 +77,9 @@ def train_bc(dataset: TransitionDataset, config: BcTrainConfig,
     adam = adam_init(params, config.learning_rate)
     curve: list[tuple[int, float]] = []
     for step in range(1, config.steps + 1):
-        idx = sample_indices(dataset, config.batch_size, rng)
-        s = dataset.states[idx].astype(np.float32)
-        a = dataset.actions[idx].astype(np.float32)
-        tape = mlp_tape(net, s)
-        err = tape.output - a
+        batch = sample_batch(dataset, config.batch_size, rng).astype(np.float32)
+        tape = mlp_tape(net, batch.states)
+        err = tape.output - batch.actions
         loss = float(np.mean(err ** 2))
         if not np.isfinite(loss):
             raise NonFiniteError(f"BC loss non-finite at step {step}")

@@ -7,11 +7,13 @@ over latents is a standard normal, independent of state. Training minimizes
 reconstruction MSE plus a weighted KL to that prior; once trained the model is
 frozen and only its decoder is consulted by the policy.
 
-``cvae_init`` builds float32 networks unless asked for float64 (which the
-finite-difference checks use). Each network computes in its own dtype:
-``encode`` and ``decode`` cast their inputs to it, and ``train_cvae`` casts each
-float64 minibatch, and the standard-normal noise drawn for it in float64, once
-per step.
+``cvae_init`` builds the model a ``CvaeTrainConfig`` describes: the encoder,
+then the decoder, drawn into one parameter vector, float32 unless asked for
+float64 (which the finite-difference checks use). ``train_cvae`` steps that
+vector as one Adam group, as the learners step theirs. Each network computes in
+its own dtype: ``encode`` and ``decode`` cast their inputs to it, and
+``train_cvae`` casts each ``data.sample_batch`` minibatch, and the
+standard-normal noise drawn for it in float64, once per step.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TransitionDataset, sample_indices
+from .data import TransitionDataset, sample_batch
 from .nets import (
     JSON_NUMBER,
     Gradients,
@@ -31,6 +33,7 @@ from .nets import (
     Tape,
     _check_settings,
     _checked,
+    _draw,
     _read,
     _rows,
     _write,
@@ -38,7 +41,6 @@ from .nets import (
     adam_step,
     mlp_backward,
     mlp_forward,
-    mlp_init,
     mlp_input_grad,
     mlp_tape,
     params_hash,
@@ -113,20 +115,20 @@ class CvaeTrainConfig:
 def cvae_init(
     state_dim: int,
     action_dim: int,
+    config: CvaeTrainConfig,
     rng: np.random.Generator,
-    latent_dim: int | None = None,
-    hidden_sizes: tuple[int, ...] = (128, 128),
-    log_std_min: float = LOG_STD_MIN_DEFAULT,
-    log_std_max: float = LOG_STD_MAX_DEFAULT,
     dtype=np.float32,
 ) -> BehaviorCvae:
-    latent_dim = 2 * action_dim if latent_dim is None else latent_dim
-    hidden = list(hidden_sizes)
-    encoder = mlp_init([state_dim + action_dim] + hidden + [2 * latent_dim], rng, dtype=dtype)
-    decoder = mlp_init([state_dim + latent_dim] + hidden + [action_dim], rng,
-                       output_activation="tanh", dtype=dtype)
+    """The CVAE of ``config``'s latent width, hidden sizes and log-std bounds:
+    the encoder, then the decoder, drawn into one vector."""
+    latent_dim = 2 * action_dim if config.latent_dim is None else config.latent_dim
+    hidden = list(config.hidden_sizes)
+    group = Params.zeros([[state_dim + action_dim] + hidden + [2 * latent_dim],
+                          [state_dim + latent_dim] + hidden + [action_dim]], dtype)
+    encoder, decoder = (_draw(net, rng) for net in group.nets)
+    decoder.activations[-1] = "tanh"
     return BehaviorCvae(encoder, decoder, state_dim, action_dim, latent_dim,
-                        log_std_min, log_std_max)
+                        config.log_std_min, config.log_std_max)
 
 
 def encode(cvae: BehaviorCvae, state, action):
@@ -190,8 +192,8 @@ def elbo_loss_and_grads(
     dtype. The reconstruction term is the mean squared error over every action
     entry in the batch; the KL term is averaged over the batch. ``out`` is the
     (encoder, decoder) pair of ``Gradients`` that ``mlp_backward`` writes into
-    and that is returned (``train_cvae`` passes the networks of its Adam
-    states' ``grad``); without it both are fresh.
+    and that is returned (``train_cvae`` passes the two networks of its Adam
+    state's ``grad``); without it both are fresh.
     """
     enc_buf, dec_buf = (None, None) if out is None else out
     dtype = cvae.encoder.dtype
@@ -245,36 +247,24 @@ def train_cvae(
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    cvae = cvae_init(
-        dataset.state_dim,
-        dataset.action_dim,
-        rng,
-        latent_dim=config.latent_dim,
-        hidden_sizes=tuple(config.hidden_sizes),
-        log_std_min=config.log_std_min,
-        log_std_max=config.log_std_max,
-    )
-    enc, dec = Params([cvae.encoder]), Params([cvae.decoder])  # a group per network
-    enc_adam, dec_adam = adam_init(enc, config.learning_rate), adam_init(dec, config.learning_rate)
-    dtype = cvae.encoder.dtype
+    cvae = cvae_init(dataset.state_dim, dataset.action_dim, config, rng)
+    params = Params([cvae.encoder, cvae.decoder])  # the vector cvae_init drew into
+    adam = adam_init(params, config.learning_rate)
 
     reports: list[ElboReport] = []
     for step in range(1, config.steps + 1):
-        idx = sample_indices(dataset, config.batch_size, rng)
-        s = dataset.states[idx].astype(dtype, copy=False)
-        a = dataset.actions[idx].astype(dtype, copy=False)
+        batch = sample_batch(dataset, config.batch_size, rng).astype(params.dtype)
         # drawn in float64 and cast: a float32 draw would take another
         # sampling path and consume the stream differently
-        noise = rng.standard_normal((len(idx), cvae.latent_dim)).astype(dtype, copy=False)
-        report, _, _ = elbo_loss_and_grads(
-            cvae, s, a, noise, config.kl_weight, out=(*enc_adam.grad.nets, *dec_adam.grad.nets))
+        noise = rng.standard_normal((config.batch_size, cvae.latent_dim)).astype(params.dtype)
+        report, _, _ = elbo_loss_and_grads(cvae, batch.states, batch.actions, noise,
+                                           config.kl_weight, out=tuple(adam.grad.nets))
         if not np.isfinite(report.total):
             raise NonFiniteError(
                 f"CVAE loss non-finite at step {step}: "
                 f"recon={report.reconstruction_loss} kl={report.kl_loss}"
             )
-        adam_step(enc, enc_adam.grad, enc_adam)
-        adam_step(dec, dec_adam.grad, dec_adam)
+        adam_step(params, adam.grad, adam)
         if step % config.log_every == 0 or step == config.steps:
             report.step = step
             reports.append(report)

@@ -2,11 +2,11 @@
 
 Any set of transitions is a ``Batch``: five columns (state/action/reward/
 next_state/done arrays) of one row per transition. Minibatches, the rows of
-lockstep rollouts and the online run's log are all batches; ``concat_rows``
-lays any of them end to end. A dataset (``TransitionDataset``) is a ``Batch``
-of checked float64 columns with a metadata record. A file is one ``nets``
-container of kind ``"dataset"``: the five columns as float64 arrays, the
-metadata in its header.
+lockstep rollouts and the online run's log are all batches; ``sample_batch``
+draws every trainer's minibatch and ``concat_rows`` lays any batches end to
+end. A dataset (``TransitionDataset``) is a ``Batch`` of checked float64
+columns with a metadata record. A file is one ``nets`` container of kind
+``"dataset"``: the five columns as float64 arrays, the metadata in its header.
 """
 from __future__ import annotations
 
@@ -102,16 +102,12 @@ class TransitionDataset(Batch):
 
 # -- sampling ---------------------------------------------------------------
 
-def sample_indices(dataset: Batch, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform-with-replacement index draw; the single sampling core behind
-    ``sample_batch`` and every learner that indexes the columns itself."""
+def sample_batch(dataset: Batch, k: int, rng: np.random.Generator) -> Batch:
+    """``k`` rows drawn uniformly with replacement: the one minibatch draw of
+    every trainer, which casts it to its networks' dtype with ``astype``."""
     if k <= 0:
         raise ValueError("k must be >= 1")
-    return rng.integers(0, len(dataset), size=k)
-
-
-def sample_batch(dataset: Batch, k: int, rng: np.random.Generator) -> Batch:
-    return dataset[sample_indices(dataset, k, rng)]
+    return dataset[rng.integers(0, len(dataset), size=k)]
 
 
 def concat_rows(parts, n: int) -> Batch:

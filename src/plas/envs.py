@@ -125,9 +125,6 @@ class EdgeFollowEnv:
     def speed_limit(self, x) -> np.ndarray:
         return self.limit_base + self.limit_amp * np.sin(2.0 * np.pi * self.limit_freq * np.asarray(x))
 
-    def speed_of(self, action) -> np.ndarray:
-        return 0.5 * (np.asarray(action, dtype=np.float64) + 1.0)
-
     def action_for_speed(self, speed) -> np.ndarray:
         return 2.0 * np.asarray(speed, dtype=np.float64) - 1.0
 

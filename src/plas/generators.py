@@ -223,12 +223,16 @@ def generate_dataset(env, kind: str, size: int, seed: int,
     return TransitionDataset(**vars(rows), meta=meta)
 
 
-def make_bimodal_dataset(size: int, seed: int, env: EdgeFollowEnv | None = None,
-                         fast_frac: float = 0.9, slow_frac: float = 0.3,
-                         p_fast: float = 0.65, mode_noise: float = 0.03) -> TransitionDataset:
+# the bimodal behavior: the shares of the local speed limit that its fast and
+# slow modes command, the fast mode's probability and the action noise
+FAST_FRAC, SLOW_FRAC, P_FAST, MODE_NOISE = 0.9, 0.3, 0.65, 0.03
+
+
+def make_bimodal_dataset(size: int, seed: int,
+                         env: EdgeFollowEnv | None = None) -> TransitionDataset:
     """Two-mode behavior on the edge task with a hole between the modes.
 
-    At every state the behavior commands either ``fast_frac`` or ``slow_frac``
+    At every state the behavior commands either ``FAST_FRAC`` or ``SLOW_FRAC``
     of the local speed limit (plus a little action noise), so the local action
     distribution is bimodal everywhere, with nothing between the modes. The
     episodes run in lockstep batches like every other rollout regime; each
@@ -238,9 +242,9 @@ def make_bimodal_dataset(size: int, seed: int, env: EdgeFollowEnv | None = None,
     rng = np.random.default_rng(seed)
 
     def behavior(states):
-        frac = np.where(rng.uniform(size=len(states)) < p_fast, fast_frac, slow_frac)
+        frac = np.where(rng.uniform(size=len(states)) < P_FAST, FAST_FRAC, SLOW_FRAC)
         a = env.action_for_speed(frac * env.speed_limit(states[:, 0]))
-        return np.clip(a + mode_noise * rng.standard_normal(len(states)), -1.0, 1.0)
+        return np.clip(a + MODE_NOISE * rng.standard_normal(len(states)), -1.0, 1.0)
 
     meta = DatasetMeta(env_name=env.name, generator_kind="custom", seed=seed, size=size)
     return TransitionDataset(**vars(_rollout_rows(env, behavior, size, rng)), meta=meta)

@@ -42,14 +42,16 @@ only dL/dx, skipping the weight and bias gradients; it is what a frozen network
 (a critic under the actor, the decoder under the latent policy) needs.
 
 Who owns which buffer: a ``Params``, one learning rate's group of networks,
-owns the one vector their ``flat``s are views of. Its ``AdamState`` owns the
-moments, the group's ``Gradients`` and the update's scratch, all allocated once
-by ``adam_init``. A step passes each network's part of ``state.grad`` as
-``out`` to ``mlp_backward``, then one ``adam_step`` reads the group's vector,
-so a step allocates no parameter-sized array. A ``Gradients`` written through
-``out=`` is overwritten by the next backward into the same buffer: consume it
-before that. Without ``out`` every backward returns a fresh vector. Forward
-values, tapes and input gradients are always fresh arrays.
+owns the one vector their ``flat``s are views of. A trainer has one group per
+learning rate: a learner's critics, its actor with any head, and the CVAE's
+encoder with its decoder. A group's ``AdamState`` owns the moments, the
+group's ``Gradients`` and the update's scratch, all allocated once by
+``adam_init``. A step passes each network's part of ``state.grad`` as ``out``
+to ``mlp_backward``, then one ``adam_step`` reads the group's vector, so a step
+allocates no parameter-sized array. A ``Gradients`` written through ``out=`` is
+overwritten by the next backward into the same buffer: consume it before that.
+Without ``out`` every backward returns a fresh vector. Forward values, tapes
+and input gradients are always fresh arrays.
 """
 from __future__ import annotations
 

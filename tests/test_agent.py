@@ -21,7 +21,7 @@ from plas.agent import (
     save_agent,
     train_plas,
 )
-from plas.cvae import FrozenDecoder, cvae_init
+from plas.cvae import CvaeTrainConfig, FrozenDecoder, cvae_init
 from plas.data import Batch, DatasetMeta, TransitionDataset
 from plas.nets import (
     Mlp,
@@ -65,8 +65,9 @@ class IdentityDecoder:
 def small_cvae_decoder(state_dim=2, action_dim=2, latent_dim=3, seed=50):
     # float64, as the finite-difference checks need
     rng = np.random.default_rng(seed)
-    cvae = cvae_init(state_dim, action_dim, rng, latent_dim=latent_dim, hidden_sizes=(8, 8),
-                     dtype=np.float64)
+    cvae = cvae_init(state_dim, action_dim,
+                     CvaeTrainConfig(latent_dim=latent_dim, hidden_sizes=(8, 8)), rng,
+                     np.float64)
     return FrozenDecoder(cvae)
 
 

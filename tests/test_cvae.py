@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import plas.cvae
 from plas.cvae import (
     BehaviorCvae,
     CvaeTrainConfig,
@@ -19,7 +20,7 @@ from plas.cvae import (
     train_cvae,
 )
 from plas.data import DatasetMeta, TransitionDataset
-from plas.nets import ShapeError, mlp_zeros
+from plas.nets import Params, ShapeError, mlp_zeros
 
 from .oracles import finite_diff_param_grads, max_rel_err
 
@@ -58,7 +59,7 @@ def test_encode_zero_network():
 
 def test_encode_deterministic():
     rng = np.random.default_rng(11)
-    cvae = cvae_init(3, 2, rng, hidden_sizes=(8, 8))
+    cvae = cvae_init(3, 2, CvaeTrainConfig(hidden_sizes=(8, 8)), rng)
     s, a = rng.normal(size=(1, 3)), rng.uniform(-1, 1, size=(1, 2))
     out1 = encode(cvae, s, a)
     out2 = encode(cvae, s, a)
@@ -75,7 +76,7 @@ def test_decode_zero_network():
 @given(seed=st.integers(0, 10_000), scale=st.floats(0.1, 30.0))
 def test_decode_always_in_bounds(seed, scale):
     rng = np.random.default_rng(seed)
-    cvae = cvae_init(2, 3, rng, hidden_sizes=(6,))
+    cvae = cvae_init(2, 3, CvaeTrainConfig(hidden_sizes=(6,)), rng)
     s = scale * rng.normal(size=2)
     z = scale * rng.normal(size=cvae.latent_dim)
     a = decode(cvae, s, z)
@@ -123,7 +124,7 @@ def test_kl_matches_quadrature():
 @pytest.mark.parametrize("seed", range(4))
 def test_elbo_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(200 + seed)
-    cvae = cvae_init(2, 1, rng, latent_dim=2, hidden_sizes=(6,), dtype=np.float64)
+    cvae = cvae_init(2, 1, CvaeTrainConfig(latent_dim=2, hidden_sizes=(6,)), rng, np.float64)
     B = 3
     s = rng.normal(size=(B, 2))
     a = rng.uniform(-0.9, 0.9, size=(B, 1))
@@ -145,7 +146,7 @@ def test_elbo_gradients_match_finite_differences(seed):
 
 def test_elbo_report_total_identity():
     rng = np.random.default_rng(15)
-    cvae = cvae_init(2, 1, rng, hidden_sizes=(6,))
+    cvae = cvae_init(2, 1, CvaeTrainConfig(hidden_sizes=(6,)), rng)
     s = rng.normal(size=(4, 2))
     a = rng.uniform(-1, 1, size=(4, 1))
     noise = rng.standard_normal((4, cvae.latent_dim))
@@ -241,6 +242,39 @@ def test_cvae_config_names_the_field_it_rejects(field, value):
         CvaeTrainConfig(**{field: value})
 
 
+def test_cvae_init_draws_encoder_and_decoder_into_one_vector():
+    cvae = cvae_init(3, 2, CvaeTrainConfig(latent_dim=3, hidden_sizes=(8, 8)),
+                     np.random.default_rng(4))
+    flat = cvae.encoder.flat.base
+    assert flat is not None and cvae.decoder.flat.base is flat
+    assert cvae.encoder.activations == ["relu", "relu", "identity"]
+    assert cvae.decoder.activations == ["relu", "relu", "tanh"]
+    # the encoder's layers, then the decoder's: the group copies nothing
+    group = Params([cvae.encoder, cvae.decoder])
+    assert group.flat is flat and cvae.encoder.flat.base is flat
+
+
+def test_a_train_cvae_step_draws_one_minibatch_and_makes_one_adam_step(monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(plas.cvae, name)
+
+        def counted(*args):
+            calls.append((name, args[0]))
+            return real(*args)
+        return counted
+
+    for name in ("sample_batch", "adam_step"):
+        monkeypatch.setattr(plas.cvae, name, spy(name))
+    ds = synthetic_dataset(np.zeros((20, 2)), np.zeros(20))
+    cvae, _ = train_cvae(ds, CvaeTrainConfig(steps=1, batch_size=8, hidden_sizes=(8,)),
+                         np.random.default_rng(0))
+    assert [name for name, _ in calls] == ["sample_batch", "adam_step"]
+    assert calls[0][1] is ds
+    assert [id(n) for n in calls[1][1].nets] == [id(cvae.encoder), id(cvae.decoder)]
+
+
 def test_train_cvae_rejects_empty():
     with pytest.raises(Exception):
         ds = synthetic_dataset(np.zeros((1, 1)), np.zeros(1))
@@ -250,7 +284,7 @@ def test_train_cvae_rejects_empty():
 
 def test_frozen_decoder_backward_matches_fd():
     rng = np.random.default_rng(20)
-    cvae = cvae_init(2, 2, rng, latent_dim=3, hidden_sizes=(8,), dtype=np.float64)
+    cvae = cvae_init(2, 2, CvaeTrainConfig(latent_dim=3, hidden_sizes=(8,)), rng, np.float64)
     dec = FrozenDecoder(cvae)
     s = rng.normal(size=(2, 2))
     z = rng.normal(size=(2, 3))
@@ -269,7 +303,8 @@ def test_frozen_decoder_backward_matches_fd():
 
 def test_frozen_decoder_checks_state_and_latent_widths():
     # widths 3 + 1 add up to the decoder's input width 2 + 2
-    cvae = cvae_init(2, 2, np.random.default_rng(22), latent_dim=2, hidden_sizes=(8,))
+    cvae = cvae_init(2, 2, CvaeTrainConfig(latent_dim=2, hidden_sizes=(8,)),
+                     np.random.default_rng(22))
     dec = FrozenDecoder(cvae)
     s, z = np.zeros((4, 2)), np.zeros((4, 2))
     assert dec.tape(s, z).output.shape == (4, 2)
@@ -283,7 +318,7 @@ def test_frozen_decoder_checks_state_and_latent_widths():
 
 def test_cvae_checkpoint_round_trip_and_hash(tmp_path):
     rng = np.random.default_rng(21)
-    cvae = cvae_init(3, 2, rng, hidden_sizes=(8, 8), log_std_min=-3.0)
+    cvae = cvae_init(3, 2, CvaeTrainConfig(hidden_sizes=(8, 8), log_std_min=-3.0), rng)
     save_cvae(tmp_path / "cvae.npz", cvae)
     back = load_cvae(tmp_path / "cvae.npz")
     assert cvae_hash(back) == cvae_hash(cvae)

@@ -11,7 +11,6 @@ from plas.data import (
     concat_rows,
     load_dataset,
     sample_batch,
-    sample_indices,
     save_dataset,
 )
 
@@ -111,35 +110,35 @@ def test_dataset_file_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
 
 def test_sampling_seed_reproducible():
     ds = tiny_dataset(n=50)
-    a = sample_indices(ds, 32, np.random.default_rng(123))
-    b = sample_indices(ds, 32, np.random.default_rng(123))
-    assert np.array_equal(a, b)
+    a = sample_batch(ds, 32, np.random.default_rng(123))
+    b = sample_batch(ds, 32, np.random.default_rng(123))
+    for c in COLUMNS:
+        assert np.array_equal(getattr(a, c), getattr(b, c))
 
 
 def test_sampling_rejects_k_zero():
     ds = tiny_dataset()
     with pytest.raises(ValueError):
-        sample_indices(ds, 0, np.random.default_rng(0))
+        sample_batch(ds, 0, np.random.default_rng(0))
 
 
 def test_sampling_uniformity_chi_square():
     ds = tiny_dataset(n=100)
-    rng = np.random.default_rng(7)
-    counts = np.zeros(100)
-    draws = sample_indices(ds, 1_000_000, rng)
-    for i in draws:
-        counts[i] += 1
+    ds.rewards = np.arange(100.0)  # each row's reward names it
+    batch = sample_batch(ds, 1_000_000, np.random.default_rng(7))
+    counts = np.bincount(batch.rewards.astype(int), minlength=100)
     expected = 10_000.0
     sigma = np.sqrt(1_000_000 * 0.01 * 0.99)
     assert np.all(np.abs(counts - expected) < 5 * sigma)
 
 
 def test_sample_batch_matches_minibatch_indices():
+    # the draw is one rng.integers call: every trainer's stream depends on it
     ds = tiny_dataset(n=30)
     batch = sample_batch(ds, 8, np.random.default_rng(9))
-    idx = sample_indices(ds, 8, np.random.default_rng(9))
-    assert np.array_equal(batch.states, ds.states[idx])
-    assert np.array_equal(batch.rewards, ds.rewards[idx])
+    idx = np.random.default_rng(9).integers(0, 30, size=8)
+    for c in COLUMNS:
+        assert np.array_equal(getattr(batch, c), getattr(ds, c)[idx])
 
 
 def test_concat_preserves_order():

@@ -132,12 +132,12 @@ def test_report_invariants(errors):
 def test_q_error_report_on_trained_pair():
     # wiring check: a real agent-shaped object rolled out on a real env
     from plas.agent import PlasTrainConfig, plas_agent_init
-    from plas.cvae import FrozenDecoder, cvae_init
+    from plas.cvae import CvaeTrainConfig, FrozenDecoder, cvae_init
     from plas.envs import EdgeFollowEnv
 
     env = EdgeFollowEnv()
     rng = np.random.default_rng(43)
-    cvae = cvae_init(env.state_dim, env.action_dim, rng, hidden_sizes=(8, 8))
+    cvae = cvae_init(env.state_dim, env.action_dim, CvaeTrainConfig(hidden_sizes=(8, 8)), rng)
     agent = plas_agent_init(env.state_dim, FrozenDecoder(cvae),
                             PlasTrainConfig(hidden_sizes=(8, 8)), rng)
     rep = q_error_report(agent, env, n_episodes=3, gamma=0.99,
@@ -250,7 +250,8 @@ def test_report_emission(tmp_path):
     path = tmp_path / "reports.csv"
     append_report_csv(path, rep, "plas", "edge-follow-medium", seed=0, step=1000)
     append_report_csv(path, rep, "bc", "edge-follow-medium", seed=0, step=1000)
-    rows = list(csv.DictReader(path.open()))
+    with path.open() as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 2
     assert rows[0]["algorithm"] == "plas"
     assert float(rows[1]["mse"]) == 1.5
@@ -259,12 +260,13 @@ def test_report_emission(tmp_path):
 def _tiny_agents(env, seed):
     from plas.agent import PlasTrainConfig, plas_agent_init
     from plas.baselines import UnconstrainedTrainConfig, unconstrained_agent_init
-    from plas.cvae import FrozenDecoder, cvae_init
+    from plas.cvae import CvaeTrainConfig, FrozenDecoder, cvae_init
 
     # float64, where a batched row and a one-state forward differ by less than
     # the comparison below allows (float32 ones differ by ~1e-7)
     rng = np.random.default_rng(seed)
-    cvae = cvae_init(env.state_dim, env.action_dim, rng, hidden_sizes=(8, 8), dtype=np.float64)
+    cvae = cvae_init(env.state_dim, env.action_dim, CvaeTrainConfig(hidden_sizes=(8, 8)), rng,
+                     np.float64)
     plas = plas_agent_init(env.state_dim, FrozenDecoder(cvae),
                            PlasTrainConfig(hidden_sizes=(8, 8), perturbation_epsilon=0.05), rng,
                            np.float64)

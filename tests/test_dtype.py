@@ -3,8 +3,9 @@ forward, backward, Adam and Polyak passes.
 
 Float64 networks keep the exact bits they had when float64 was the only dtype
 (the digests below were taken then, over the raw ``flat`` bytes, since
-``params_hash`` now names the dtype in its header). Float32 training never
-mixes dtypes. The file container stores each network in its own dtype.
+``params_hash`` now names the dtype in its header), and desk-size float32
+CVAE and BC training keep theirs too. Float32 training never mixes dtypes.
+The file container stores each network in its own dtype.
 """
 import hashlib
 import json
@@ -122,15 +123,15 @@ def _critics(rng):
 def _elbo_steps():
     rng = np.random.default_rng(101)
     cvae = _cvae(rng, [192, 192])  # more than one Adam slice
-    groups = Params([cvae.encoder]), Params([cvae.decoder])
-    adams = adam_init(groups[0], 1e-3), adam_init(groups[1], 1e-3)
+    # one group, as train_cvae steps it; the digest was taken with a group per
+    # network, and Adam is elementwise
+    group = Params([cvae.encoder, cvae.decoder])
+    adam = adam_init(group, 1e-3)
     for _ in range(STEPS):
         b = _batch(rng)
         noise = rng.standard_normal((ROWS, LATENT_DIM))
-        elbo_loss_and_grads(cvae, b.states, b.actions, noise, 0.5,
-                            out=(adams[0].grad.nets[0], adams[1].grad.nets[0]))
-        for group, adam in zip(groups, adams):
-            adam_step(group, adam.grad, adam)
+        elbo_loss_and_grads(cvae, b.states, b.actions, noise, 0.5, out=tuple(adam.grad.nets))
+        adam_step(group, adam.grad, adam)
     return _digest(cvae.encoder, cvae.decoder)
 
 
@@ -189,6 +190,27 @@ ENV = EdgeFollowEnv()
 DATASET = make_bimodal_dataset(300, 0, ENV)
 ONE_STEP = {"steps": 1, "batch_size": 16, "hidden_sizes": (8, 8), "log_every": 1}
 
+# float32 training at desk size, taken while the CVAE stepped its encoder and
+# decoder as two Adam groups and both trainers indexed the dataset's columns
+# themselves; one group and one sample_batch draw keep every bit
+FLOAT32_DIGESTS = {
+    "cvae": "b34afe5e60050203daaeaf814befca99960954461223518fc156bf49b8a2392e",
+    "bc": "8dd5aa7f0c5f8f9a3b29e4525d6620463ec9192c7ac92cef7608d85eb7d02bad",
+}
+
+
+@pytest.mark.parametrize("learner", list(FLOAT32_DIGESTS))
+def test_float32_training_keeps_its_bits(learner):
+    config = {"steps": 50, "batch_size": 32, "hidden_sizes": (64, 64), "log_every": 25}
+    rng = np.random.default_rng(3)
+    if learner == "cvae":
+        cvae, _ = train_cvae(DATASET, CvaeTrainConfig(**config), rng)
+        networks = [cvae.encoder, cvae.decoder]
+    else:
+        networks = [train_bc(DATASET, BcTrainConfig(**config), rng)[0].net]
+    assert networks[0].dtype == np.float32
+    assert _digest(*networks) == FLOAT32_DIGESTS[learner]
+
 
 def _train(learner):
     """One step of ``learner``; returns its networks (Polyak targets included)."""
@@ -197,7 +219,8 @@ def _train(learner):
         cvae, _ = train_cvae(DATASET, CvaeTrainConfig(**ONE_STEP), rng)
         return [cvae.encoder, cvae.decoder]
     if learner == "plas":
-        decoder = FrozenDecoder(cvae_init(ENV.state_dim, ENV.action_dim, rng, hidden_sizes=(8, 8)))
+        decoder = FrozenDecoder(cvae_init(ENV.state_dim, ENV.action_dim,
+                                          CvaeTrainConfig(hidden_sizes=(8, 8)), rng))
         agent, _ = train_plas(DATASET, decoder, PlasTrainConfig(perturbation_epsilon=0.05,
                                                                 **ONE_STEP), rng)
         return list(agent.nets().values()) + [decoder._cvae.decoder]
@@ -262,14 +285,14 @@ def test_inputs_and_output_gradients_take_the_network_dtype():
     assert grads.flat.dtype == dx.dtype == np.float32
     s = rng.normal(size=(4, ENV.state_dim))
     agent = plas_agent_init(ENV.state_dim, FrozenDecoder(cvae_init(
-        ENV.state_dim, ENV.action_dim, rng, hidden_sizes=(8,))), PlasTrainConfig(
+        ENV.state_dim, ENV.action_dim, CvaeTrainConfig(hidden_sizes=(8,)), rng)), PlasTrainConfig(
         hidden_sizes=(8,), perturbation_epsilon=0.05), rng)
     assert act(agent, s).dtype == act(agent, s[0]).dtype == np.float32
 
 
 def test_a_float32_elbo_casts_its_float64_inputs_first():
     rng = np.random.default_rng(13)
-    cvae = cvae_init(2, 1, rng, hidden_sizes=(6,))
+    cvae = cvae_init(2, 1, CvaeTrainConfig(hidden_sizes=(6,)), rng)
     s, a = rng.normal(size=(5, 2)), rng.uniform(-1, 1, size=(5, 1))
     noise = rng.standard_normal((5, cvae.latent_dim))
     got = elbo_loss_and_grads(cvae, s, a, noise, 0.5)
@@ -345,7 +368,7 @@ def test_container_round_trips_each_dtype_bit_for_bit(tmp_path):
 
 def test_float32_cvae_and_agent_checkpoints_round_trip(tmp_path):
     rng = np.random.default_rng(9)
-    cvae = cvae_init(2, 1, rng, hidden_sizes=(4,))
+    cvae = cvae_init(2, 1, CvaeTrainConfig(hidden_sizes=(4,)), rng)
     save_cvae(tmp_path / "cvae.npz", cvae)
     back = load_cvae(tmp_path / "cvae.npz")
     for a, b in ((cvae.encoder, back.encoder), (cvae.decoder, back.decoder)):

@@ -5,6 +5,8 @@ from scipy import stats
 from plas.data import save_dataset
 from plas.envs import EdgeFollowEnv, PointMassEnv
 from plas.generators import (
+    FAST_FRAC,
+    SLOW_FRAC,
     OnlineTrainRecipe,
     generate_dataset,
     make_bimodal_dataset,
@@ -117,11 +119,11 @@ def test_medium_expert_is_concatenation():
     assert len(ds) == 2_000
     assert ds.meta.generator_kind == "medium_expert"
     # expert half comes second: its commanded speeds hug the limit
-    expert_speeds = env.speed_of(ds.actions[1_000:, 0])
+    expert_speeds = 0.5 * (ds.actions[1_000:, 0] + 1.0)
     limits = env.speed_limit(ds.states[1_000:, 0])
     assert np.mean(np.abs(expert_speeds - (limits - 0.05)) < 0.06) > 0.9
     # medium half is visibly different from the expert rule
-    medium_speeds = env.speed_of(ds.actions[:1_000, 0])
+    medium_speeds = 0.5 * (ds.actions[:1_000, 0] + 1.0)
     limits_m = env.speed_limit(ds.states[:1_000, 0])
     assert np.mean(np.abs(medium_speeds - (limits_m - 0.05)) < 0.06) < 0.8
 
@@ -130,7 +132,7 @@ def test_medium_expert_of_one_row_is_all_expert():
     env = EdgeFollowEnv()
     ds = generate_dataset(env, "medium_expert", 1, seed=5, recipe=FAST_RECIPE)
     assert len(ds) == 1 and ds.meta.size == 1
-    assert abs(env.speed_of(ds.actions[0, 0]) - (env.speed_limit(ds.states[0, 0]) - 0.05)) < 0.06
+    assert abs(0.5 * (ds.actions[0, 0] + 1.0) - (env.speed_limit(ds.states[0, 0]) - 0.05)) < 0.06
 
 
 def test_medium_replay_smaller_than_medium():
@@ -182,10 +184,10 @@ def test_bimodal_dataset_has_two_modes_and_a_hole():
     ds = make_bimodal_dataset(3_000, seed=6, env=env)
     assert len(ds) == 3_000
     lim = env.speed_limit(ds.states[:, 0])
-    speeds = env.speed_of(ds.actions[:, 0])
+    speeds = 0.5 * (ds.actions[:, 0] + 1.0)
     frac = speeds / lim
-    near_fast = np.abs(frac - 0.9) < 0.15
-    near_slow = np.abs(frac - 0.3) < 0.15
+    near_fast = np.abs(frac - FAST_FRAC) < 0.15
+    near_slow = np.abs(frac - SLOW_FRAC) < 0.15
     assert np.mean(near_fast) > 0.4
     assert np.mean(near_slow) > 0.15
     # nothing between the per-state modes

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plas.agent import PlasTrainConfig, load_agent, plas_agent_init, save_agent
-from plas.cvae import FrozenDecoder, cvae_init, load_cvae, save_cvae
+from plas.cvae import CvaeTrainConfig, FrozenDecoder, cvae_init, load_cvae, save_cvae
 from plas.data import DatasetMeta, TransitionDataset, load_dataset, save_dataset
 from plas.nets import (
     ADAM_BETA1,
@@ -406,7 +406,7 @@ def _small_dataset_file(path):
 
 
 def _small_cvae_file(path):
-    save_cvae(path, cvae_init(2, 1, np.random.default_rng(0), hidden_sizes=(4,)))
+    save_cvae(path, cvae_init(2, 1, CvaeTrainConfig(hidden_sizes=(4,)), np.random.default_rng(0)))
     return load_cvae
 
 
@@ -477,7 +477,8 @@ def test_malformed_files_raise_value_error(tmp_path, make, monkeypatch):
 
 
 def _small_agent_file(path):
-    decoder = FrozenDecoder(cvae_init(2, 1, np.random.default_rng(0), hidden_sizes=(4,)))
+    decoder = FrozenDecoder(cvae_init(2, 1, CvaeTrainConfig(hidden_sizes=(4,)),
+                                      np.random.default_rng(0)))
     agent = plas_agent_init(2, decoder, PlasTrainConfig(hidden_sizes=(4,)),
                             np.random.default_rng(1))
     save_agent(path, agent)

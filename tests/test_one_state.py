@@ -15,7 +15,8 @@ import plas.baselines
 import plas.cvae
 from plas.agent import PlasTrainConfig, act, actor_update, param_groups, plas_agent_init
 from plas.baselines import UnconstrainedTrainConfig, unconstrained_agent_init
-from plas.cvae import FrozenDecoder, cvae_init, decode, elbo_loss_and_grads, encode
+from plas.cvae import (CvaeTrainConfig, FrozenDecoder, cvae_init, decode, elbo_loss_and_grads,
+                       encode)
 from plas.envs import EdgeFollowEnv, PointMassEnv, evaluate_policy
 from plas.nets import ShapeError, mlp_forward
 
@@ -49,7 +50,7 @@ def _ref_act(agent, s):
 
 def _plas(state_dim, action_dim, hidden, epsilon, seed, dtype=np.float32):
     rng = np.random.default_rng(seed)
-    cvae = cvae_init(state_dim, action_dim, rng, hidden_sizes=hidden, dtype=dtype)
+    cvae = cvae_init(state_dim, action_dim, CvaeTrainConfig(hidden_sizes=hidden), rng, dtype)
     cfg = PlasTrainConfig(hidden_sizes=hidden, perturbation_epsilon=epsilon)
     return plas_agent_init(state_dim, FrozenDecoder(cvae), cfg, rng, dtype)
 

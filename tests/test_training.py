@@ -22,7 +22,7 @@ from plas.baselines import (
     train_unconstrained,
     unconstrained_agent_init,
 )
-from plas.cvae import FrozenDecoder, cvae_init
+from plas.cvae import CvaeTrainConfig, FrozenDecoder, cvae_init
 from plas.envs import EdgeFollowEnv
 from plas.generators import OnlineTrainRecipe, make_bimodal_dataset, train_online_medium
 from plas.nets import NonFiniteError, params_hash
@@ -30,8 +30,9 @@ from plas.nets import NonFiniteError, params_hash
 LEARNERS = ["plas", "unconstrained"]
 ENV = EdgeFollowEnv()
 DATASET = make_bimodal_dataset(400, 0, ENV)
-DECODER = FrozenDecoder(cvae_init(ENV.state_dim, ENV.action_dim, np.random.default_rng(1),
-                                  latent_dim=2, hidden_sizes=(8, 8)))
+DECODER = FrozenDecoder(cvae_init(ENV.state_dim, ENV.action_dim,
+                                  CvaeTrainConfig(latent_dim=2, hidden_sizes=(8, 8)),
+                                  np.random.default_rng(1)))
 
 
 def config(learner, **settings):

@@ -82,8 +82,8 @@ def _reference(monkeypatch):
 
 
 def _decoder():
-    cvae = cvae_init(ENV.state_dim, ENV.action_dim, np.random.default_rng(1),
-                     hidden_sizes=(64, 64))
+    cvae = cvae_init(ENV.state_dim, ENV.action_dim, CvaeTrainConfig(hidden_sizes=(64, 64)),
+                     np.random.default_rng(1))
     return FrozenDecoder(cvae)
 
 
@@ -134,18 +134,16 @@ def _peak_rise(step) -> int:
 
 def test_cvae_step_allocates_less_than_one_parameter_vector():
     rng = np.random.default_rng(8)
-    cvae = cvae_init(ENV.state_dim, ENV.action_dim, rng, hidden_sizes=(256, 256))
-    groups = (Params([cvae.encoder]), Params([cvae.decoder]))
-    adams = (adam_init(groups[0], 1e-3), adam_init(groups[1], 1e-3))
+    cvae = cvae_init(ENV.state_dim, ENV.action_dim, CvaeTrainConfig(hidden_sizes=(256, 256)), rng)
+    group = Params([cvae.encoder, cvae.decoder])  # one group, as train_cvae steps it
+    adam = adam_init(group, 1e-3)
     idx = rng.integers(0, len(DATASET), 16)
     s, a = DATASET.states[idx], DATASET.actions[idx]
     noise = rng.standard_normal((16, cvae.latent_dim))
 
     def step():
-        elbo_loss_and_grads(cvae, s, a, noise, 0.5,
-                            out=(adams[0].grad.nets[0], adams[1].grad.nets[0]))
-        for group, adam in zip(groups, adams):
-            adam_step(group, adam.grad, adam)
+        elbo_loss_and_grads(cvae, s, a, noise, 0.5, out=tuple(adam.grad.nets))
+        adam_step(group, adam.grad, adam)
 
     step()  # warm
     assert _peak_rise(step) < cvae.encoder.flat.nbytes
