@@ -77,9 +77,9 @@ def train_bc(dataset: TransitionDataset, config: BcTrainConfig,
     adam = adam_init(params, config.learning_rate)
     curve: list[tuple[int, float]] = []
     for step in range(1, config.steps + 1):
-        batch = sample_batch(dataset, config.batch_size, rng).astype(np.float32)
-        tape = mlp_tape(net, batch.states)
-        err = tape.output - batch.actions
+        batch = sample_batch(dataset, config.batch_size, rng)
+        tape = mlp_tape(net, batch.states.astype(np.float32))
+        err = tape.output - batch.actions.astype(np.float32)
         loss = float(np.mean(err ** 2))
         if not np.isfinite(loss):
             raise NonFiniteError(f"BC loss non-finite at step {step}")

@@ -12,8 +12,9 @@ then the decoder, drawn into one parameter vector, float32 unless asked for
 float64 (which the finite-difference checks use). ``train_cvae`` steps that
 vector as one Adam group, as the learners step theirs. Each network computes in
 its own dtype: ``encode`` and ``decode`` cast their inputs to it, and
-``train_cvae`` casts each ``data.sample_batch`` minibatch, and the
-standard-normal noise drawn for it in float64, once per step.
+``train_cvae`` casts the two columns it reads of each ``data.sample_batch``
+minibatch, and the standard-normal noise drawn for it in float64, once per
+step.
 """
 from __future__ import annotations
 
@@ -253,11 +254,12 @@ def train_cvae(
 
     reports: list[ElboReport] = []
     for step in range(1, config.steps + 1):
-        batch = sample_batch(dataset, config.batch_size, rng).astype(params.dtype)
+        batch = sample_batch(dataset, config.batch_size, rng)
+        states, actions = batch.states.astype(params.dtype), batch.actions.astype(params.dtype)
         # drawn in float64 and cast: a float32 draw would take another
         # sampling path and consume the stream differently
         noise = rng.standard_normal((config.batch_size, cvae.latent_dim)).astype(params.dtype)
-        report, _, _ = elbo_loss_and_grads(cvae, batch.states, batch.actions, noise,
+        report, _, _ = elbo_loss_and_grads(cvae, states, actions, noise,
                                            config.kl_weight, out=tuple(adam.grad.nets))
         if not np.isfinite(report.total):
             raise NonFiniteError(

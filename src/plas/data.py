@@ -104,7 +104,7 @@ class TransitionDataset(Batch):
 
 def sample_batch(dataset: Batch, k: int, rng: np.random.Generator) -> Batch:
     """``k`` rows drawn uniformly with replacement: the one minibatch draw of
-    every trainer, which casts it to its networks' dtype with ``astype``."""
+    every trainer, which casts to its networks' dtype what it reads."""
     if k <= 0:
         raise ValueError("k must be >= 1")
     return dataset[rng.integers(0, len(dataset), size=k)]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from plas.diagnostics import (
     QErrorReport,
+    _nearest,
     append_report_csv,
     empirical_return,
     q_error_report,
@@ -243,6 +244,102 @@ def test_support_threshold_rejects_one_neighbour_queries():
         for threshold in (support_threshold, _loop_support_threshold):
             with pytest.raises(ValueError):
                 threshold(ds, k)
+
+
+def _lexsort_nearest(points, queries, k):
+    # every row, ordered by distance, then state value, then dataset row
+    rows = np.arange(len(points))
+    return np.array([np.lexsort((rows, points[:, 0], np.abs(points[:, 0] - q)))[:k]
+                     for q in queries[:, 0]])
+
+
+def _probes_around(states, rng):
+    low, high = states.min(), states.max()
+    return np.concatenate([low - rng.uniform(0.1, 2.0, (4, 1)),
+                           rng.uniform(low, high, (8, 1)),
+                           states[rng.integers(0, len(states), 4)],
+                           high + rng.uniform(0.1, 2.0, (4, 1))])
+
+
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_sorted_search_orders_distinct_states_as_the_kd_tree(n):
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(57)
+    states = rng.normal(size=(n, 1))
+    probes = _probes_around(states, rng)
+    for k in (1, 2, 10, 11, n, n + 5):
+        got = _nearest(states, probes, min(k, n))
+        # past n neighbours the tree pads with the index n
+        expect = cKDTree(states).query(probes, k=np.arange(1, k + 1))[1][:, :n]
+        assert got.shape == (len(probes), min(k, n))
+        assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("n, copies", [(40, 3), (40, 15), (25, 25)])
+def test_sorted_search_breaks_ties_by_state_then_row(n, copies):
+    # runs of equal states longer than k cross the search window's edges
+    ds = tiny_dataset(n=n, state_dim=1, seed=58)
+    ds.states = ds.states[np.arange(n) % (n // copies)]
+    probes = _probes_around(ds.states, np.random.default_rng(59))
+    for k in (1, 2, 5, 10, n):
+        assert np.array_equal(_nearest(ds.states, probes, k),
+                              _lexsort_nearest(ds.states, probes, k))
+        nbr = _lexsort_nearest(ds.states, probes, min(k, n))
+        actions = np.random.default_rng(k).uniform(-1, 1, (len(probes), 1))
+        expect = np.linalg.norm(ds.actions[nbr] - actions[:, None], axis=2).min(axis=1)
+        assert np.array_equal(support_distance(ds, probes, actions, k).distances, expect)
+
+
+def _lexsort_loop_support_threshold(dataset, k=10, quantile=0.99, max_points=2000, seed=0):
+    # the per-point neighbour loop, on one-dimensional states, over the
+    # brute-force neighbour order
+    rng = np.random.default_rng(seed)
+    n = len(dataset)
+    idx = rng.permutation(n)[: min(max_points, n)]
+    nbr = _lexsort_nearest(dataset.states, dataset.states[idx], min(k + 1, n))
+    dists = np.empty(len(idx))
+    for row, i in enumerate(idx):
+        neighbors = [j for j in nbr[row] if j != i][:k]
+        cand = dataset.actions[neighbors]
+        dists[row] = np.min(np.linalg.norm(cand - dataset.actions[i], axis=1))
+    return float(np.quantile(dists, quantile))
+
+
+@pytest.mark.parametrize("n, k, action_dim, max_points", [
+    (200, 10, 1, 2000), (300, 5, 2, 100), (8, 10, 2, 2000), (11, 10, 1, 2000), (2, 1, 1, 2000)])
+@pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
+def test_one_dimensional_support_threshold_equals_the_neighbour_loop(
+        n, k, action_dim, max_points, duplicated):
+    ds = tiny_dataset(n=n, state_dim=1, action_dim=action_dim, seed=55)
+    if duplicated:
+        ds.states = ds.states[np.arange(n) % 3]
+    for quantile in (0.5, 0.99, 1.0):
+        assert (support_threshold(ds, k, quantile, max_points)
+                == _lexsort_loop_support_threshold(ds, k, quantile, max_points))
+
+
+@pytest.mark.parametrize("state_dim", [1, 2], ids=["sorted", "kd-tree"])
+@pytest.mark.parametrize("column", ["states", "actions"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_support_distance_rejects_non_finite_probes(state_dim, column, bad):
+    # a NaN action's distance is NaN, which no threshold counts as a violation
+    ds = tiny_dataset(n=20, state_dim=state_dim, seed=60)
+    probes = {"states": ds.states[:3].copy(), "actions": ds.actions[:3].copy()}
+    probes[column][1, 0] = bad
+    with pytest.raises(ValueError, match=f"probe {column} must be finite"):
+        support_distance(ds, probes["states"], probes["actions"])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ds: support_distance(ds, ds.states, ds.actions, k=0), "k >= 1"),
+    (lambda ds: support_distance(ds, ds.states[:0], ds.actions[:0]), "at least one probe row"),
+    (lambda ds: support_threshold(ds, max_points=0), "max_points >= 1"),
+], ids=["k", "probes", "max_points"])
+@pytest.mark.parametrize("state_dim", [1, 2], ids=["sorted", "kd-tree"])
+def test_support_diagnostics_name_the_argument_they_reject(call, message, state_dim):
+    with pytest.raises(ValueError, match=message):
+        call(tiny_dataset(n=20, state_dim=state_dim, seed=61))
 
 
 def test_report_emission(tmp_path):

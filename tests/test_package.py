@@ -1,6 +1,8 @@
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -71,3 +73,40 @@ def test_declared_dependencies_are_exactly_the_imported_ones():
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
                 for dep in project["dependencies"]}
     assert declared == _third_party_imports()
+
+
+IMPORT_WEIGHT = r"""
+import re, sys
+import numpy as np
+import plas
+
+modules = re.findall(r":mod:`([\w.]+)`", plas.__doc__)
+assert modules
+for module in modules:
+    __import__(module)
+from plas.data import DatasetMeta, TransitionDataset
+from plas.diagnostics import support_distance, support_threshold
+
+def dataset(state_dim):
+    rng = np.random.default_rng(0)
+    states = rng.normal(size=(50, state_dim))
+    return TransitionDataset(states, rng.uniform(-1, 1, (50, 1)), np.zeros(50), states,
+                             np.zeros(50), DatasetMeta("synthetic", "custom", 0, 50))
+
+for state_dim in (1, 4):
+    data = dataset(state_dim)
+    threshold = support_threshold(data)
+    support_distance(data, data.states, data.actions).violation_rate(threshold)
+    print(state_dim, "scipy.spatial" in sys.modules)
+"""
+
+
+def test_one_dimensional_support_diagnostics_never_load_scipy_spatial():
+    # scipy.spatial adds ~38 MB of resident memory; only wider states need it
+    src = str(PYPROJECT.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", IMPORT_WEIGHT], env=env, capture_output=True,
+                          text=True, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "False", "4", "True"]
