@@ -76,8 +76,11 @@ class TransitionDataset(Batch):
             raise ValueError("states/actions must be 2-D")
         if self.next_states.shape != self.states.shape:
             raise ValueError("next_states shape mismatch")
-        if not (self.actions.shape[0] == self.rewards.shape[0] == self.dones.shape[0] == n):
+        if self.actions.shape[0] != n:
             raise ValueError("column lengths differ")
+        for name in ("rewards", "dones"):
+            if getattr(self, name).shape != (n,):
+                raise ValueError(f"{name} must be ({n},), got {getattr(self, name).shape}")
         for name in ("states", "actions", "rewards", "next_states"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"non-finite {name}")

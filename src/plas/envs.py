@@ -15,10 +15,11 @@ Environments are cheap value objects: ``step`` is a pure function of
 (states, actions) and ``reset`` only consumes the rng you hand it. ``step``
 takes rows only: states (N, state_dim) and actions (N, action_dim) give next
 states (N, state_dim), rewards (N,) and dones (N,), row by row; one state is
-the row (1, state_dim), and a 1-D state raises ``ValueError``. Out-of-bounds
-actions are clipped into [-1, 1] row by row (a row is clipped when its largest
-magnitude exceeds 1 + 1e-12) and each clipped row adds one to a module-level
-tally rather than raising (see ``clip_warning_count``).
+the row (1, state_dim), and a 1-D state raises ``ValueError``. Finite
+out-of-bounds actions are clipped into [-1, 1] row by row (a row is clipped
+when its largest magnitude exceeds 1 + 1e-12) and each clipped row adds one to
+a module-level tally rather than raising (see ``clip_warning_count``); a NaN
+or infinite action raises ``ValueError``.
 
 ``rollout_batch`` is the one episode engine: it runs N episodes in lockstep,
 one batched policy call and one array ``step`` per time step, and returns
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,7 +46,8 @@ def clip_warning_count() -> int:
 
 
 def _step_rows(env, states, actions) -> tuple[np.ndarray, np.ndarray]:
-    """States (N, state_dim) and row-clipped actions (N, action_dim) as float64."""
+    """States (N, state_dim) and row-clipped actions (N, action_dim) as float64;
+    a non-finite action raises."""
     global _CLIP_WARNINGS
     s = np.asarray(states, dtype=np.float64)
     a = np.asarray(actions, dtype=np.float64)
@@ -53,9 +56,11 @@ def _step_rows(env, states, actions) -> tuple[np.ndarray, np.ndarray]:
     if a.shape != (s.shape[0], env.action_dim):
         raise ValueError(f"actions must be ({s.shape[0]}, {env.action_dim}) for states "
                          f"{np.shape(states)}, got {np.shape(actions)}")
-    over = np.abs(a) > 1.0 + 1e-12
-    if np.count_nonzero(over):
-        over = over.any(axis=1)
+    inside = np.abs(a) <= 1.0 + 1e-12  # False for NaN as well
+    if np.count_nonzero(inside) < a.size:
+        if not np.isfinite(a).all():
+            raise ValueError("actions must be finite")
+        over = ~inside.all(axis=1)
         _CLIP_WARNINGS += int(over.sum())
         a = np.where(over[:, None], np.clip(a, -1.0, 1.0), a)
     return s, a
@@ -65,9 +70,9 @@ def _step_rows(env, states, actions) -> tuple[np.ndarray, np.ndarray]:
 class PointMassEnv:
     """Accelerate a point in the plane onto a goal."""
 
-    name: str = "point-mass"
-    state_dim: int = 4  # (px, py, vx, vy)
-    action_dim: int = 2
+    name: ClassVar[str] = "point-mass"
+    state_dim: ClassVar[int] = 4  # (px, py, vx, vy)
+    action_dim: ClassVar[int] = 2
     goal: tuple[float, float] = (1.0, 1.0)
     dt: float = 0.1
     damping: float = 0.9
@@ -112,9 +117,9 @@ class EdgeFollowEnv:
     ``return_upper_bound`` -- handy for catching critics that think otherwise.
     """
 
-    name: str = "edge-follow"
-    state_dim: int = 1  # normalized track position x in [0, 1]
-    action_dim: int = 1
+    name: ClassVar[str] = "edge-follow"
+    state_dim: ClassVar[int] = 1  # normalized track position x in [0, 1]
+    action_dim: ClassVar[int] = 1
     step_scale: float = 1.0 / 30.0
     limit_base: float = 0.5
     limit_amp: float = 0.3

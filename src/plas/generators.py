@@ -21,67 +21,43 @@ asked for. Per-step exploration and behaviour noise is drawn once per lockstep
 step for the live rows. For a fixed seed the datasets are stable, and a size-n
 dataset is the first n rows of any larger one.
 
-The online run (``train_online_medium``) steps one (1, state_dim) row at a
-time and logs every transition into a preallocated ``data.Batch``, which it
-samples like any dataset. It is cached per (env, seed, recipe), keyed by the
-env's value, within a process so that ``medium`` and ``medium_replay``
-describe the same training run, and so that the experiment pipeline does not
-pay for it twice.
+The online run (``train_online_medium``) has one fixed recipe, set by the
+module constants below. Its learner is ``ONLINE_LEARNER``: the unconstrained
+learner's defaults with a faster actor. It takes at most ``MAX_ENV_STEPS`` env
+steps, the first ``WARMUP_STEPS`` of them uniform-random and the rest the
+learner's action plus Gaussian noise of std ``EXPLORATION_NOISE``, one update
+per step after the warm-up. Every ``EVAL_EVERY`` steps it evaluates the
+learner over ``EVAL_EPISODES`` episodes and stops once that reaches
+``STOP_FRACTION`` of the way from the random policy's return to the scripted
+expert's. It steps one (1, state_dim) row at a time and logs every transition
+into a preallocated ``data.Batch``, which it samples like any dataset. Runs
+are cached per (env, seed), keyed by the env's value, within a process, so
+that ``medium`` and ``medium_replay`` describe the same training run and the
+experiment pipeline does not pay for it twice.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import _positive, param_groups
+from .agent import param_groups
 from .baselines import UnconstrainedTrainConfig, unconstrained_agent_init, unconstrained_update
 from .data import Batch, DatasetMeta, TransitionDataset, concat_rows, sample_batch
 from .envs import EdgeFollowEnv, evaluate_policy, random_policy, rollout_batch
-from .nets import _check_settings, polyak_update
+from .nets import polyak_update
 
 
-@dataclass
-class OnlineTrainRecipe:
-    max_env_steps: int = 20_000
-    warmup_steps: int = 500  # uniform-random actions before learning starts
-    exploration_noise: float = 0.1
-    stop_fraction: float = 0.5  # of the random->expert return gap
-    eval_every: int = 500
-    eval_episodes: int = 5
-    batch_size: int = 100
-    actor_lr: float = 3e-4
-    critic_lr: float = 1e-3
-    hidden_sizes: tuple[int, ...] = (64, 64)
-    gamma: float = 0.99
-    tau: float = 0.005
-
-    def __post_init__(self):
-        _check_settings(self, (
-            ("max_env_steps", self.max_env_steps >= 1, ">= 1"),
-            ("warmup_steps", self.warmup_steps >= 0, ">= 0"),
-            ("exploration_noise", math.isfinite(self.exploration_noise)
-             and self.exploration_noise >= 0.0, "finite and >= 0"),
-            ("stop_fraction", math.isfinite(self.stop_fraction), "finite"),
-            ("eval_every", self.eval_every >= 1, ">= 1"),
-            ("eval_episodes", self.eval_episodes >= 1, ">= 1"),
-            ("batch_size", self.batch_size >= 1, ">= 1"),
-            ("actor_lr", _positive(self.actor_lr), "finite and > 0"),
-            ("critic_lr", _positive(self.critic_lr), "finite and > 0"),
-            ("gamma", 0.0 <= self.gamma < 1.0, "in [0, 1)"),
-            ("tau", 0.0 < self.tau <= 1.0, "in (0, 1]"),
-        ))
+# the online run's recipe (see the module docstring)
+MAX_ENV_STEPS, WARMUP_STEPS, EXPLORATION_NOISE = 20_000, 500, 0.1
+STOP_FRACTION, EVAL_EVERY, EVAL_EPISODES = 0.5, 500, 5
+ONLINE_LEARNER = UnconstrainedTrainConfig(actor_lr=3e-4)
 
 
 @dataclass
 class OnlineRunResult:
     policy_fn: object
     replay: Batch  # every transition the run logged, in order
-    eval_history: list[tuple[int, float]] = field(default_factory=list)
-    stop_step: int = 0
-    expert_return: float = 0.0
-    medium_return: float = 0.0
 
 
 def expert_return(env, rng: np.random.Generator, episodes: int = 20) -> float:
@@ -94,7 +70,7 @@ def random_return(env, rng: np.random.Generator, episodes: int = 20) -> float:
     return mean
 
 
-def train_online_medium(env, seed: int, recipe: OnlineTrainRecipe) -> OnlineRunResult:
+def train_online_medium(env, seed: int) -> OnlineRunResult:
     """Online actor-critic run stopped partway up the random->expert gap.
 
     Reuses the unconstrained learner's update code verbatim; the only
@@ -105,30 +81,21 @@ def train_online_medium(env, seed: int, recipe: OnlineTrainRecipe) -> OnlineRunR
     rng = np.random.default_rng(seed)
     exp_ret = expert_return(env, np.random.default_rng(seed + 101))
     rand_ret = random_return(env, np.random.default_rng(seed + 102))
-    target_return = rand_ret + recipe.stop_fraction * (exp_ret - rand_ret)
+    target_return = rand_ret + STOP_FRACTION * (exp_ret - rand_ret)
 
-    cfg = UnconstrainedTrainConfig(
-        batch_size=recipe.batch_size,
-        actor_lr=recipe.actor_lr,
-        critic_lr=recipe.critic_lr,
-        gamma=recipe.gamma,
-        tau=recipe.tau,
-        hidden_sizes=recipe.hidden_sizes,
-    )
+    cfg = ONLINE_LEARNER
     agent = unconstrained_agent_init(env.state_dim, env.action_dim, cfg, rng)
     groups = param_groups(agent, cfg)
 
-    n, d, a = recipe.max_env_steps, env.state_dim, env.action_dim
+    n, d, a = MAX_ENV_STEPS, env.state_dim, env.action_dim
     log = Batch(np.empty((n, d)), np.empty((n, a)), np.empty(n), np.empty((n, d)), np.empty(n))
-    history: list[tuple[int, float]] = []
     state = env.reset(rng)[None]
     episode_steps = 0
-    stop_step = recipe.max_env_steps
-    for t in range(1, recipe.max_env_steps + 1):
-        if t <= recipe.warmup_steps:
+    for t in range(1, n + 1):
+        if t <= WARMUP_STEPS:
             action = rng.uniform(-1.0, 1.0, size=(1, a))
         else:
-            action = agent.action(state) + rng.normal(0.0, recipe.exploration_noise, size=(1, a))
+            action = agent.action(state) + rng.normal(0.0, EXPLORATION_NOISE, size=(1, a))
             action = np.clip(action, -1.0, 1.0)
         next_state, reward, done = env.step(state, action)
         row = slice(t - 1, t)
@@ -141,39 +108,26 @@ def train_online_medium(env, seed: int, recipe: OnlineTrainRecipe) -> OnlineRunR
         else:
             state = next_state
 
-        if t > recipe.warmup_steps:
-            batch = sample_batch(log[:t], min(recipe.batch_size, t), rng).astype(agent.actor.dtype)
+        if t > WARMUP_STEPS:
+            batch = sample_batch(log[:t], min(cfg.batch_size, t), rng).astype(agent.actor.dtype)
             unconstrained_update(agent, batch, groups)
             for group in groups.values():
                 polyak_update(group.target, group.online, cfg.tau)
-
-        if t % recipe.eval_every == 0 and t > recipe.warmup_steps:
-            mean, _ = evaluate_policy(env, agent.policy_fn(), recipe.eval_episodes,
-                                      np.random.default_rng(seed + 7000 + t))
-            history.append((t, mean))
-            if mean >= target_return:
-                stop_step = t
-                break
-
-    medium_mean, _ = evaluate_policy(env, agent.policy_fn(), 20, np.random.default_rng(seed + 99))
-    return OnlineRunResult(
-        policy_fn=agent.policy_fn(),
-        replay=concat_rows([log], stop_step),
-        eval_history=history,
-        stop_step=stop_step,
-        expert_return=exp_ret,
-        medium_return=medium_mean,
-    )
+            if t % EVAL_EVERY == 0:
+                mean, _ = evaluate_policy(env, agent.policy_fn(), EVAL_EPISODES,
+                                          np.random.default_rng(seed + 7000 + t))
+                if mean >= target_return:
+                    break
+    return OnlineRunResult(policy_fn=agent.policy_fn(), replay=concat_rows([log], t))
 
 
 _MEDIUM_CACHE: dict[tuple, OnlineRunResult] = {}
 
 
-def medium_run(env, seed: int, recipe: OnlineTrainRecipe | None = None) -> OnlineRunResult:
-    recipe = recipe or OnlineTrainRecipe()
-    key = (env, seed, tuple(sorted(vars(recipe).items())))
+def medium_run(env, seed: int) -> OnlineRunResult:
+    key = (env, seed)
     if key not in _MEDIUM_CACHE:
-        _MEDIUM_CACHE[key] = train_online_medium(env, seed, recipe)
+        _MEDIUM_CACHE[key] = train_online_medium(env, seed)
     return _MEDIUM_CACHE[key]
 
 
@@ -193,8 +147,7 @@ def _rollout_rows(env, policy, n: int, rng: np.random.Generator,
     return concat_rows(parts, n)
 
 
-def generate_dataset(env, kind: str, size: int, seed: int,
-                     recipe: OnlineTrainRecipe | None = None) -> TransitionDataset:
+def generate_dataset(env, kind: str, size: int, seed: int) -> TransitionDataset:
     """Produce one of the benchmark-style dataset regimes for a toy env.
 
     Exactly ``size`` rows, except ``medium_replay``, which has at most the
@@ -208,12 +161,12 @@ def generate_dataset(env, kind: str, size: int, seed: int,
     elif kind == "expert":
         rows = _rollout_rows(env, env.expert_action, size, rng, noise_std=0.01)
     elif kind == "medium":
-        policy = medium_run(env, seed, recipe).policy_fn
+        policy = medium_run(env, seed).policy_fn
         rows = _rollout_rows(env, policy, size, rng, noise_std=0.05)
     elif kind == "medium_replay":
-        rows = concat_rows([medium_run(env, seed, recipe).replay], size)
+        rows = concat_rows([medium_run(env, seed).replay], size)
     elif kind == "medium_expert":
-        policy, n_medium = medium_run(env, seed, recipe).policy_fn, size // 2
+        policy, n_medium = medium_run(env, seed).policy_fn, size // 2
         rows = concat_rows([_rollout_rows(env, policy, n_medium, rng, noise_std=0.05),
                             _rollout_rows(env, env.expert_action, size - n_medium, rng,
                                           noise_std=0.01)], size)

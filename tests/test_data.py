@@ -75,6 +75,27 @@ def test_dataset_rejects_dones_outside_zero_one(done):
         TransitionDataset(ds.states, ds.actions, ds.rewards, ds.next_states, dones, ds.meta)
 
 
+@pytest.mark.parametrize("column", ["rewards", "dones"])
+@pytest.mark.parametrize("shape", [(10, 1), (10, 3), (9,), ()])
+def test_dataset_rewards_and_dones_are_one_value_per_row(column, shape):
+    # a (n, 1) column would broadcast the critic targets to (B, B)
+    ds = tiny_dataset()
+    cols = {c: getattr(ds, c) for c in COLUMNS}
+    cols[column] = np.zeros(shape)
+    with pytest.raises(ValueError, match=f"{column} must be \\(10,\\)"):
+        TransitionDataset(**cols, meta=ds.meta)
+
+
+@pytest.mark.parametrize("column", ["rewards", "dones"])
+def test_load_dataset_rejects_a_two_dimensional_reward_or_done_column(tmp_path, column):
+    path = tmp_path / "d.npz"
+    ds = tiny_dataset()
+    save_dataset(path, ds)
+    rewrite_container(path, **{column: getattr(ds, column)[:, None]})
+    with pytest.raises(ValueError, match=f"{column} must be \\(10,\\), got \\(10, 1\\)"):
+        load_dataset(path)
+
+
 def test_metadata_size_must_match():
     with pytest.raises(ValueError):
         TransitionDataset(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros(2),

@@ -206,6 +206,29 @@ def test_out_of_bounds_actions_clip_and_count():
     assert clip_warning_count() - before == 1
 
 
+@pytest.mark.parametrize("name", sorted(envs.ENVS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_step_rejects_non_finite_actions(name, bad):
+    # NaN is neither above nor below the bound, so clipping alone would pass
+    # it through as NaN states and rewards
+    env = make_env(name)
+    states = np.stack([env.reset(np.random.default_rng(i)) for i in range(3)])
+    actions = np.zeros((3, env.action_dim))
+    actions[1, -1] = bad
+    before = clip_warning_count()
+    with pytest.raises(ValueError, match="finite"):
+        env.step(states, actions)
+    assert clip_warning_count() == before
+
+
+@pytest.mark.parametrize("name", sorted(envs.ENVS))
+def test_evaluating_a_nan_policy_raises(name):
+    env = make_env(name)
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_policy(env, lambda state: np.full(env.action_dim, np.nan), 3,
+                        np.random.default_rng(0))
+
+
 def test_reset_is_seed_deterministic():
     for env in (PointMassEnv(), EdgeFollowEnv()):
         a = env.reset(np.random.default_rng(11))
@@ -225,6 +248,15 @@ def test_make_env_registry():
     assert make_env("edge-follow").name == "edge-follow"
     with pytest.raises(ValueError):
         make_env("mujoco")
+
+
+@pytest.mark.parametrize("name, widths", [("point-mass", (4, 2)), ("edge-follow", (1, 1))])
+def test_an_envs_name_and_widths_are_its_class_constants(name, widths):
+    env = make_env(name)
+    assert (env.name, env.state_dim, env.action_dim) == (name, *widths)
+    for field, value in [("name", "other"), ("state_dim", 3), ("action_dim", 2)]:
+        with pytest.raises(TypeError, match=field):
+            type(env)(**{field: value})
 
 
 # -- array step ----------------------------------------------------------------

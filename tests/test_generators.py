@@ -3,18 +3,17 @@ import pytest
 from scipy import stats
 
 from plas.data import save_dataset
-from plas.envs import EdgeFollowEnv, PointMassEnv
+from plas.envs import EdgeFollowEnv, PointMassEnv, evaluate_policy
 from plas.generators import (
     FAST_FRAC,
+    MAX_ENV_STEPS,
     SLOW_FRAC,
-    OnlineTrainRecipe,
+    WARMUP_STEPS,
+    expert_return,
     generate_dataset,
     make_bimodal_dataset,
     medium_run,
 )
-
-# short recipe so the medium policy trains in seconds; cached across tests
-FAST_RECIPE = OnlineTrainRecipe(max_env_steps=6_000, eval_every=500)
 
 
 def test_random_dataset_actions_uniform():
@@ -53,7 +52,7 @@ def test_a_dataset_holds_only_its_own_rows():
 def _generate(env, kind, size, seed):
     if kind == "bimodal":
         return make_bimodal_dataset(size, seed, env=env)
-    return generate_dataset(env, kind, size, seed, recipe=FAST_RECIPE)
+    return generate_dataset(env, kind, size, seed)
 
 
 KINDS = ("random", "expert", "medium", "medium_replay", "medium_expert", "bimodal")
@@ -79,7 +78,7 @@ CASES = [(EdgeFollowEnv(), kind) for kind in KINDS] + [(PointMassEnv(), "random"
 
 @pytest.mark.parametrize("env, kind", CASES, ids=[f"{e.name}-{k}" for e, k in CASES])
 def test_every_kind_gives_exactly_the_rows_asked_for(env, kind):
-    replay_rows = len(medium_run(env, 5, FAST_RECIPE).replay) if kind == "medium_replay" else None
+    replay_rows = len(medium_run(env, 5).replay) if kind == "medium_replay" else None
     for size in (1, env.horizon - 1, env.horizon + 1, 5_000):
         ds = _generate(env, kind, size, seed=5)
         want = min(size, replay_rows) if replay_rows is not None else size
@@ -115,7 +114,7 @@ def test_unknown_kind_rejected():
 
 def test_medium_expert_is_concatenation():
     env = EdgeFollowEnv()
-    ds = generate_dataset(env, "medium_expert", 2_000, seed=5, recipe=FAST_RECIPE)
+    ds = generate_dataset(env, "medium_expert", 2_000, seed=5)
     assert len(ds) == 2_000
     assert ds.meta.generator_kind == "medium_expert"
     # expert half comes second: its commanded speeds hug the limit
@@ -130,53 +129,42 @@ def test_medium_expert_is_concatenation():
 
 def test_medium_expert_of_one_row_is_all_expert():
     env = EdgeFollowEnv()
-    ds = generate_dataset(env, "medium_expert", 1, seed=5, recipe=FAST_RECIPE)
+    ds = generate_dataset(env, "medium_expert", 1, seed=5)
     assert len(ds) == 1 and ds.meta.size == 1
     assert abs(0.5 * (ds.actions[0, 0] + 1.0) - (env.speed_limit(ds.states[0, 0]) - 0.05)) < 0.06
 
 
 def test_medium_replay_smaller_than_medium():
     env = EdgeFollowEnv()
-    medium = generate_dataset(env, "medium", 10_000, seed=5, recipe=FAST_RECIPE)
-    replay = generate_dataset(env, "medium_replay", 10_000, seed=5, recipe=FAST_RECIPE)
+    medium = generate_dataset(env, "medium", 10_000, seed=5)
+    replay = generate_dataset(env, "medium_replay", 10_000, seed=5)
     assert len(replay) < len(medium)
     assert replay.meta.size == len(replay)
 
 
 def test_medium_run_stops_mid_gap():
     env = EdgeFollowEnv()
-    run = medium_run(env, 5, FAST_RECIPE)
-    assert run.medium_return < 0.9 * run.expert_return
-    assert run.stop_step <= FAST_RECIPE.max_env_steps
-    assert len(run.replay) == run.stop_step
+    run = medium_run(env, 5)
+    medium, _ = evaluate_policy(env, run.policy_fn, 20, np.random.default_rng(104))
+    assert medium < 0.9 * expert_return(env, np.random.default_rng(106))
+    assert WARMUP_STEPS < len(run.replay) <= MAX_ENV_STEPS
 
 
 def test_medium_run_is_cached_per_env_value():
-    # two configurations of one env share a name; each gets its own run
-    recipe = OnlineTrainRecipe(max_env_steps=700, eval_every=100, eval_episodes=2)
-    base = medium_run(EdgeFollowEnv(), 0, recipe)
+    # two configurations of one env share a name; each gets its own run (seed
+    # 5, whose default-env run the other tests share)
+    base = medium_run(EdgeFollowEnv(), 5)
     other = EdgeFollowEnv(horizon=20, limit_amp=0.1)
-    run = medium_run(other, 0, recipe)
+    run = medium_run(other, 5)
     assert run is not base
-    assert medium_run(EdgeFollowEnv(horizon=20, limit_amp=0.1), 0, recipe) is run
-    assert medium_run(EdgeFollowEnv(), 0, recipe) is base
+    assert medium_run(EdgeFollowEnv(horizon=20, limit_amp=0.1), 5) is run
+    assert medium_run(EdgeFollowEnv(), 5) is base
     # every logged row is a step of the env the run was asked for
     replay = run.replay
     next_states, rewards, dones = other.step(replay.states, replay.actions)
     assert np.array_equal(next_states, replay.next_states)
     assert np.array_equal(rewards, replay.rewards)
     assert np.array_equal(dones, replay.dones == 1.0)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("max_env_steps", 0), ("warmup_steps", -1), ("exploration_noise", -0.1),
-    ("exploration_noise", float("nan")), ("stop_fraction", float("inf")), ("eval_every", 0),
-    ("eval_episodes", 0), ("batch_size", 0), ("actor_lr", 0.0), ("critic_lr", float("nan")),
-    ("actor_lr", float("inf")), ("critic_lr", float("inf")), ("gamma", 1.0), ("tau", 0.0),
-])
-def test_online_recipe_rejects_bad_fields(field, value):
-    with pytest.raises(ValueError, match=f"OnlineTrainRecipe.{field} "):
-        OnlineTrainRecipe(**{field: value})
 
 
 def test_bimodal_dataset_has_two_modes_and_a_hole():

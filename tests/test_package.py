@@ -110,3 +110,31 @@ def test_one_dimensional_support_diagnostics_never_load_scipy_spatial():
                           text=True, timeout=120, check=False)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1", "False", "4", "True"]
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_a_failing_property(x):
+    assert x < 0
+
+
+def test_a_later_test():
+    pass
+"""
+
+
+def test_a_failing_property_fails_one_test_not_the_session(tmp_path):
+    # printing a failing property's patch imports libcst, which warns; the
+    # suite's warnings-as-errors filter must not turn that into an internal
+    # error that stops every later test
+    path = tmp_path / "test_property.py"
+    path.write_text(FAILING_PROPERTY, encoding="utf-8")
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-c", str(PYPROJECT),
+                           "-p", "no:cacheprovider", str(path)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout, done.stdout

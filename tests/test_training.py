@@ -24,7 +24,7 @@ from plas.baselines import (
 )
 from plas.cvae import CvaeTrainConfig, FrozenDecoder, cvae_init
 from plas.envs import EdgeFollowEnv
-from plas.generators import OnlineTrainRecipe, make_bimodal_dataset, train_online_medium
+from plas.generators import make_bimodal_dataset, train_online_medium
 from plas.nets import NonFiniteError, params_hash
 
 LEARNERS = ["plas", "unconstrained"]
@@ -186,12 +186,15 @@ def test_the_online_run_builds_the_groups_once(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(plas.generators, "param_groups", counted_groups)
-    recipe = OnlineTrainRecipe(max_env_steps=40, warmup_steps=30, eval_every=1000,
-                               actor_lr=2e-4, critic_lr=3e-3)
-    train_online_medium(ENV, 0, recipe)
+    # a 40-step run: 30 warm-up steps, then 10 updates and no evaluation
+    monkeypatch.setattr(plas.generators, "MAX_ENV_STEPS", 40)
+    monkeypatch.setattr(plas.generators, "WARMUP_STEPS", 30)
+    run = train_online_medium(ENV, 0)
+    assert len(run.replay) == 40
     assert len(built) == 1
+    # ONLINE_LEARNER's rates: the learner's critic default, a faster actor
     assert {n: (g.adam.learning_rate, g.adam.step) for n, g in built[0].items()} == {
-        "critics": (3e-3, 10), "actor": (2e-4, 10)}
+        "critics": (1e-3, 10), "actor": (3e-4, 10)}
 
 
 @pytest.mark.parametrize("bad", [{"log_every": 0}, {"eval_interval": 0}, {"eval_episodes": 0}],
