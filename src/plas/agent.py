@@ -47,6 +47,7 @@ from .nets import (
     Params,
     _check_settings,
     _draw,
+    _positive,
     _read,
     _write,
     adam_init,
@@ -306,10 +307,6 @@ def actor_update(agent: PlasAgent, states: np.ndarray, actor: ParamGroup) -> flo
     mlp_backward(agent.actor, agent.max_latent_action * dz, tapes["actor"], grads[0])
     adam_step(actor.online, actor.adam.grad, actor.adam)
     return mean_q
-
-
-def _positive(x) -> bool:
-    return math.isfinite(x) and x > 0.0
 
 
 @dataclass

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agent import (ActorCritic, ActorCriticConfig, LogRecord, ParamGroup, _action_grad, _fit,
-                    _positive, critic_pair_init, critic_update)
+                    critic_pair_init, critic_update)
 from .data import TransitionDataset, sample_batch
 from .nets import (
     Mlp,
     NonFiniteError,
     Params,
     _check_settings,
+    _positive,
     adam_init,
     adam_step,
     mlp_backward,

@@ -11,15 +11,18 @@ Two environments ship by default:
   edge: zero reward and an absorbing failure. The support boundary is fragile,
   which is exactly the regime where out-of-distribution actions get punished.
 
-Environments are cheap value objects: ``step`` is a pure function of
-(states, actions) and ``reset`` only consumes the rng you hand it. ``step``
-takes rows only: states (N, state_dim) and actions (N, action_dim) give next
-states (N, state_dim), rewards (N,) and dones (N,), row by row; one state is
-the row (1, state_dim), and a 1-D state raises ``ValueError``. Finite
-out-of-bounds actions are clipped into [-1, 1] row by row (a row is clipped
-when its largest magnitude exceeds 1 + 1e-12) and each clipped row adds one to
-a module-level tally rather than raising (see ``clip_warning_count``); a NaN
-or infinite action raises ``ValueError``.
+Environments are cheap value objects, checked when built: a bad field raises
+``ValueError`` naming it. ``step`` is a pure function of (states, actions) and
+``reset`` only consumes the rng you hand it. Both take and give rows only:
+``reset(rng, n)`` gives the start states (n, state_dim) of n episodes from one
+rng call, the same numbers in the same order as n one-episode draws; states
+(N, state_dim) and actions (N, action_dim) give next states (N, state_dim),
+rewards (N,) and dones (N,), row by row; one state is the row (1, state_dim),
+and a 1-D state raises ``ValueError``. Finite out-of-bounds actions are
+clipped into [-1, 1] row by row (a row is clipped when its largest magnitude
+exceeds 1 + 1e-12) and each clipped row adds one to a module-level tally
+rather than raising (see ``clip_warning_count``); a NaN or infinite action
+raises ``ValueError``.
 
 ``rollout_batch`` is the one episode engine: it runs N episodes in lockstep,
 one batched policy call and one array ``step`` per time step, and returns
@@ -35,6 +38,7 @@ from typing import ClassVar
 import numpy as np
 
 from .data import Batch
+from .nets import _check_settings, _positive
 
 _CLIP_WARNINGS = 0
 
@@ -66,6 +70,15 @@ def _step_rows(env, states, actions) -> tuple[np.ndarray, np.ndarray]:
     return s, a
 
 
+def _horizon_rule(env) -> tuple:
+    return ("horizon", isinstance(env.horizon, (int, np.integer)) and env.horizon >= 1,
+            "an integer >= 1")
+
+
+def _non_negative(x) -> bool:
+    return math.isfinite(x) and x >= 0.0
+
+
 @dataclass(frozen=True)
 class PointMassEnv:
     """Accelerate a point in the plane onto a goal."""
@@ -81,9 +94,22 @@ class PointMassEnv:
     goal_bonus: float = 10.0
     horizon: int = 100
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        p = rng.uniform(-self.start_jitter, self.start_jitter, size=2)
-        return np.array([p[0], p[1], 0.0, 0.0])
+    def __post_init__(self):
+        _check_settings(self, (
+            ("goal", len(self.goal) == 2 and all(map(math.isfinite, self.goal)),
+             "two finite floats"),
+            ("dt", _positive(self.dt), "finite and > 0"),
+            ("damping", math.isfinite(self.damping), "finite"),
+            ("start_jitter", _non_negative(self.start_jitter), "finite and >= 0"),
+            ("goal_radius", math.isfinite(self.goal_radius), "finite"),
+            ("goal_bonus", math.isfinite(self.goal_bonus), "finite"),
+            _horizon_rule(self),
+        ))
+
+    def reset(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """(n, 4) start rows: uniform positions from one (n, 2) draw, at rest."""
+        p = rng.uniform(-self.start_jitter, self.start_jitter, size=(n, 2))
+        return np.concatenate([p, np.zeros((n, 2))], axis=1)
 
     def step(self, states: np.ndarray, actions):
         """Array step: see the module docstring for the shapes."""
@@ -127,14 +153,25 @@ class EdgeFollowEnv:
     start_jitter: float = 0.1
     horizon: int = 70
 
+    def __post_init__(self):
+        _check_settings(self, (
+            ("step_scale", _positive(self.step_scale), "finite and > 0"),
+            ("limit_base", math.isfinite(self.limit_base), "finite"),
+            ("limit_amp", math.isfinite(self.limit_amp), "finite"),
+            ("limit_freq", math.isfinite(self.limit_freq), "finite"),
+            ("start_jitter", _non_negative(self.start_jitter), "finite and >= 0"),
+            _horizon_rule(self),
+        ))
+
     def speed_limit(self, x) -> np.ndarray:
         return self.limit_base + self.limit_amp * np.sin(2.0 * np.pi * self.limit_freq * np.asarray(x))
 
     def action_for_speed(self, speed) -> np.ndarray:
         return 2.0 * np.asarray(speed, dtype=np.float64) - 1.0
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        return np.array([rng.uniform(0.0, self.start_jitter)])
+    def reset(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """(n, 1) start rows from one draw, uniform on [0, start_jitter)."""
+        return rng.uniform(0.0, self.start_jitter, size=(n, 1))
 
     def step(self, states: np.ndarray, actions):
         """Array step: see the module docstring for the shapes."""
@@ -180,8 +217,8 @@ def rollout_batch(env, policy, n_episodes: int, rng: np.random.Generator,
                   noise_std: float = 0.0) -> tuple[Batch, np.ndarray]:
     """``n_episodes`` episodes in lockstep under ``policy(states (k, d)) -> (k, a)``.
 
-    All resets are drawn first, in episode order. Each time step then calls
-    ``policy`` once on the k unfinished episodes, adds Gaussian exploration
+    All starts are one (n, state_dim) ``env.reset`` draw. Each time step then
+    calls ``policy`` once on the k unfinished episodes, adds Gaussian exploration
     noise (one (k, a) draw from ``rng`` when ``noise_std > 0``), clips into
     [-1, 1] and takes one array ``env.step``; an episode ends at ``done`` or
     after ``env.horizon`` steps. Returns every episode's rows as one ``Batch``,
@@ -191,10 +228,12 @@ def rollout_batch(env, policy, n_episodes: int, rng: np.random.Generator,
     """
     if n_episodes < 1:
         raise ValueError("need at least one episode")
+    if env.horizon < 1:  # no step would ever be taken
+        raise ValueError(f"env.horizon must be >= 1, got {env.horizon}")
     if not (math.isfinite(noise_std) and noise_std >= 0.0):
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     n, horizon, s_dim, a_dim = n_episodes, env.horizon, env.state_dim, env.action_dim
-    state = np.stack([env.reset(rng) for _ in range(n)])
+    state = env.reset(rng, n)
     steps = Batch(np.empty((n, horizon, s_dim)), np.empty((n, horizon, a_dim)),
                   np.empty((n, horizon)), np.empty((n, horizon, s_dim)), np.empty((n, horizon)))
     lengths = np.full(n, horizon)

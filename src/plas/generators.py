@@ -89,7 +89,7 @@ def train_online_medium(env, seed: int) -> OnlineRunResult:
 
     n, d, a = MAX_ENV_STEPS, env.state_dim, env.action_dim
     log = Batch(np.empty((n, d)), np.empty((n, a)), np.empty(n), np.empty((n, d)), np.empty(n))
-    state = env.reset(rng)[None]
+    state = env.reset(rng, 1)
     episode_steps = 0
     for t in range(1, n + 1):
         if t <= WARMUP_STEPS:
@@ -103,7 +103,7 @@ def train_online_medium(env, seed: int) -> OnlineRunResult:
         log.next_states[row], log.dones[row] = next_state, done
         episode_steps += 1
         if done[0] or episode_steps >= env.horizon:
-            state = env.reset(rng)[None]
+            state = env.reset(rng, 1)
             episode_steps = 0
         else:
             state = next_state
@@ -191,6 +191,8 @@ def make_bimodal_dataset(size: int, seed: int,
     episodes run in lockstep batches like every other rollout regime; each
     step draws the live rows' modes, then their noise.
     """
+    if size < 1:
+        raise ValueError("size must be >= 1")
     env = env or EdgeFollowEnv()
     rng = np.random.default_rng(seed)
 

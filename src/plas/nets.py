@@ -626,6 +626,10 @@ def _check_settings(settings, rules) -> None:
                              f"got {getattr(settings, name)!r}")
 
 
+def _positive(x) -> bool:
+    return math.isfinite(x) and x > 0.0
+
+
 def params_hash(*nets: Mlp) -> str:
     """SHA-256 of the JSON header ``[[layer_sizes, activations, dtype], ...]``
     followed by each network's ``flat`` as little-endian bytes of its own

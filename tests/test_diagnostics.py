@@ -384,7 +384,7 @@ def test_q_error_report_matches_sequential_per_state_reference(env_name, which):
     rng = np.random.default_rng(46)
     errors = []
     for _ in range(6):  # one episode at a time, one state at a time
-        state, rows = env.reset(rng), []
+        state, rows = env.reset(rng, 1)[0], []
         for _ in range(env.horizon):
             action = np.clip(np.asarray(policy(state)).reshape(-1), -1.0, 1.0)
             next_states, rewards, dones = env.step(state[None], action[None])
@@ -401,3 +401,15 @@ def test_q_error_report_matches_sequential_per_state_reference(env_name, which):
     assert got.positive_error_pct == want.positive_error_pct
     for field in ("mse", "positive_error_mean", "negative_error_mean"):
         assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9, abs=1e-12)
+
+
+def test_q_error_report_resets_once(monkeypatch):
+    from plas.envs import make_env
+
+    from .test_envs import _CountedReset
+
+    env = make_env("point-mass")
+    agent = _tiny_agents(env, 45)["plas"]
+    counter = _CountedReset(monkeypatch, env)
+    q_error_report(agent, env, 6, 0.99, np.random.default_rng(46))
+    assert counter.calls == 1

@@ -20,7 +20,16 @@ from plas.envs import (
 # -- frozen reference: the one-state step and the sequential episode loop ------
 # Kept verbatim from the per-row implementation the array step replaced, so the
 # array step, the lockstep engine and evaluation can be held to it bit for bit.
-# The reference steps one 1-D state; ``env.step`` itself takes only rows.
+# The reference starts and steps one 1-D state; ``env.reset`` and ``env.step``
+# themselves take and give only rows.
+
+def _ref_reset(env, rng):
+    """The start state of one episode, the one-state draw."""
+    if isinstance(env, PointMassEnv):
+        p = rng.uniform(-env.start_jitter, env.start_jitter, size=2)
+        return np.array([p[0], p[1], 0.0, 0.0])
+    return np.array([rng.uniform(0.0, env.start_jitter)])
+
 
 def _ref_clip(action, dim):
     a = np.asarray(action, dtype=np.float64).reshape(-1)
@@ -51,7 +60,7 @@ def _ref_step(env, state, action):
 
 def _ref_rollout(env, policy_fn, rng, noise_std=0.0):
     """Columns of one episode, the sequential loop."""
-    state = env.reset(rng)
+    state = _ref_reset(env, rng)
     states, actions, rewards, next_states, dones = [], [], [], [], []
     for _ in range(env.horizon):
         action = np.asarray(policy_fn(state), dtype=np.float64).reshape(-1)
@@ -98,7 +107,7 @@ def _one_episode(policy_fn):
 
 def test_point_mass_zero_action_keeps_position():
     env = PointMassEnv()
-    state = env.reset(np.random.default_rng(0))
+    state = env.reset(np.random.default_rng(0), 1)[0]
     next_state, reward, done = _step_one(env, state, np.zeros(2))
     assert np.array_equal(next_state[:2], state[:2])
     assert reward == pytest.approx(-np.linalg.norm(state[:2] - np.asarray(env.goal)))
@@ -212,7 +221,7 @@ def test_step_rejects_non_finite_actions(name, bad):
     # NaN is neither above nor below the bound, so clipping alone would pass
     # it through as NaN states and rewards
     env = make_env(name)
-    states = np.stack([env.reset(np.random.default_rng(i)) for i in range(3)])
+    states = env.reset(np.random.default_rng(0), 3)
     actions = np.zeros((3, env.action_dim))
     actions[1, -1] = bad
     before = clip_warning_count()
@@ -231,9 +240,71 @@ def test_evaluating_a_nan_policy_raises(name):
 
 def test_reset_is_seed_deterministic():
     for env in (PointMassEnv(), EdgeFollowEnv()):
-        a = env.reset(np.random.default_rng(11))
-        b = env.reset(np.random.default_rng(11))
+        a = env.reset(np.random.default_rng(11), 5)
+        b = env.reset(np.random.default_rng(11), 5)
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(envs.ENVS))
+@pytest.mark.parametrize("n", [1, 7, 128])
+def test_reset_rows_are_per_episode_draws(name, n):
+    env = make_env(name)
+    for seed in range(3):
+        r_ref, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = np.stack([_ref_reset(env, r_ref) for _ in range(n)])
+        got = env.reset(r_new, n)
+        assert got.shape == (n, env.state_dim) and got.dtype == np.float64
+        assert np.array_equal(got, want)
+        assert r_new.bit_generator.state == r_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("env_type, field, value, rule", [
+    (EdgeFollowEnv, "horizon", 0, "an integer >= 1"),
+    (EdgeFollowEnv, "horizon", -1, "an integer >= 1"),
+    (EdgeFollowEnv, "horizon", 2.5, "an integer >= 1"),
+    (EdgeFollowEnv, "step_scale", 0.0, "> 0"),
+    (EdgeFollowEnv, "step_scale", float("inf"), "finite"),
+    (EdgeFollowEnv, "limit_freq", float("nan"), "finite"),
+    (EdgeFollowEnv, "start_jitter", -0.1, ">= 0"),
+    (PointMassEnv, "start_jitter", float("nan"), "finite"),
+    (PointMassEnv, "dt", 0.0, "> 0"),
+    (PointMassEnv, "damping", float("inf"), "finite"),
+    (PointMassEnv, "goal", (float("nan"), 1.0), "finite"),
+    (PointMassEnv, "goal", (1.0,), "two"),
+    (PointMassEnv, "horizon", 0, "an integer >= 1"),
+])
+def test_an_env_names_the_field_it_rejects(env_type, field, value, rule):
+    with pytest.raises(ValueError, match=f"{env_type.__name__}.{field} must be .*{rule}"):
+        env_type(**{field: value})
+
+
+def test_edge_cases_of_env_fields_build():
+    starts = EdgeFollowEnv(horizon=1, start_jitter=0.0).reset(np.random.default_rng(0), 2)
+    assert np.array_equal(starts, np.zeros((2, 1)))
+    assert PointMassEnv(horizon=np.int64(3), damping=0.0).horizon == 3
+
+
+class _CountedReset:
+    """Wraps ``type(env).reset`` to count its calls."""
+
+    def __init__(self, monkeypatch, env):
+        self.calls, reset = 0, type(env).reset
+
+        def counted(env_self, rng, n):
+            self.calls += 1
+            return reset(env_self, rng, n)
+
+        monkeypatch.setattr(type(env), "reset", counted)
+
+
+@pytest.mark.parametrize("name", sorted(envs.ENVS))
+def test_rollout_and_evaluation_reset_once_per_call(name, monkeypatch):
+    env = make_env(name)
+    counter = _CountedReset(monkeypatch, env)
+    rollout_batch(env, env.expert_action, 40, np.random.default_rng(0))
+    assert counter.calls == 1
+    evaluate_policy(env, env.expert_action, 25, np.random.default_rng(1))
+    assert counter.calls == 2
 
 
 def test_rollout_respects_horizon():
@@ -339,7 +410,7 @@ def test_step_rejects_bad_shapes(env, states, actions):
 @pytest.mark.parametrize("name", sorted(envs.ENVS))
 def test_step_rejects_a_one_state_vector(name):
     env = make_env(name)
-    state = env.reset(np.random.default_rng(0))
+    state = env.reset(np.random.default_rng(0), 1)[0]
     assert state.shape == (env.state_dim,)
     for action in (np.zeros(env.action_dim), np.zeros((1, env.action_dim))):
         with pytest.raises(ValueError, match="rows"):
@@ -359,6 +430,26 @@ def test_rollout_batch_rejects_bad_inputs(n_episodes, noise_std):
     before = rng.bit_generator.state
     with pytest.raises(ValueError):
         rollout_batch(env, env.expert_action, n_episodes, rng, noise_std=noise_std)
+    assert rng.bit_generator.state == before
+
+
+class NoStepEnv:
+    """A duck-typed env, unchecked, whose episodes could take no step."""
+
+    name, state_dim, action_dim, horizon = "edge-follow", 1, 1, 0
+
+    def reset(self, rng, n):
+        return np.zeros((n, 1))
+
+    def step(self, states, actions):
+        raise AssertionError("a zero-step episode must not step")
+
+
+def test_rollout_batch_rejects_an_env_without_steps():
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="horizon"):
+        rollout_batch(NoStepEnv(), lambda s: np.zeros((len(s), 1)), 3, rng)
     assert rng.bit_generator.state == before
 
 
@@ -416,9 +507,9 @@ def test_rollout_batch_masks_finished_episodes_in_order(name):
     next_states, rewards, dones = env.step(batch.states, batch.actions)
     assert _same_bits((next_states, rewards, dones),
                       (batch.next_states, batch.rewards, batch.dones == 1.0))
-    starts = np.random.default_rng(7)
-    for states, _, _, next_states, dones in _episodes(batch, lengths):
-        assert np.array_equal(states[0], env.reset(starts))  # resets in episode order
+    starts = env.reset(np.random.default_rng(7), 40)  # drawn first, in episode order
+    for start, (states, _, _, next_states, dones) in zip(starts, _episodes(batch, lengths)):
+        assert np.array_equal(states[0], start)
         assert 1 <= len(states) <= env.horizon
         assert not dones[:-1].any()  # no row after a done
         assert dones[-1] == 1.0 or len(states) == env.horizon

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from plas.data import save_dataset
-from plas.envs import EdgeFollowEnv, PointMassEnv, evaluate_policy
+from plas.envs import EdgeFollowEnv, PointMassEnv, evaluate_policy, make_env
 from plas.generators import (
     FAST_FRAC,
     MAX_ENV_STEPS,
@@ -14,6 +14,8 @@ from plas.generators import (
     make_bimodal_dataset,
     medium_run,
 )
+
+from .test_envs import NoStepEnv
 
 
 def test_random_dataset_actions_uniform():
@@ -110,6 +112,51 @@ def test_unknown_kind_rejected():
         generate_dataset(EdgeFollowEnv(), "expert_replay", 10, seed=0)
     with pytest.raises(ValueError):
         generate_dataset(EdgeFollowEnv(), "random", 0, seed=0)
+
+
+@pytest.mark.parametrize("size", [0, -5])
+def test_bimodal_dataset_needs_a_row(size, monkeypatch):
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("rolled out before checking the size")
+
+    monkeypatch.setattr("plas.generators.rollout_batch", no_rollout)
+    with pytest.raises(ValueError, match="size"):
+        make_bimodal_dataset(size, seed=0)
+
+
+def test_an_env_without_steps_cannot_make_a_dataset():
+    # the batches of zero-step episodes hold no rows, so appending them until
+    # there are enough would never end
+    with pytest.raises(ValueError, match="horizon"):
+        generate_dataset(NoStepEnv(), "random", 10, seed=0)
+
+
+# content hashes of generated datasets, taken while every rollout started its
+# episodes with one one-state reset each; drawing the starts in one block keeps
+# every bit, and a reordered draw anywhere in a generator changes them
+DATASET_DIGESTS = {
+    ("bimodal", 20_000, 0): "9ce7f33af443485ce2b86bdd25f1e8c8cc4afd232dadee5818c050a54deb82b8",
+    ("bimodal", 5_000, 2): "4406df1c77c2b5e41c3c5895dda88709f967cc523a076e37f89e872881cd707f",
+    ("edge-follow", "random", 2_000, 1):
+        "4380d6d7a2aab109f6694f75c2faa796184d2412b20b336cb53e4c33cd1622ed",
+    ("point-mass", "expert", 5_000, 0):
+        "e287650b868ef189342df9e35ce897041c4c478139eae641ffccdf02f9b8fc3a",
+    ("point-mass", "random", 5_000, 1):
+        "6820233429e4c150d507cfd939a2012ca1c67b483ede88462318aba0ffffed4b",
+    ("edge-follow", "medium", 3_000, 5):
+        "2e3bbcbe0f938ebc40e85958bc56c4e3158ec472242188783cb66503d35ebb59",
+    ("edge-follow", "medium_replay", 3_000, 5):
+        "0a506747ed822df5badea88c232f6f0bab806a2cb0186cd4eb9135899bb93f57",
+}
+
+
+@pytest.mark.parametrize("case", list(DATASET_DIGESTS), ids=lambda case: "-".join(map(str, case)))
+def test_generated_datasets_keep_their_bits(case):
+    if case[0] == "bimodal":
+        ds = make_bimodal_dataset(*case[1:])
+    else:
+        ds = generate_dataset(make_env(case[0]), *case[1:])
+    assert ds.content_hash() == DATASET_DIGESTS[case]
 
 
 def test_medium_expert_is_concatenation():
