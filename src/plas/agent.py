@@ -40,12 +40,14 @@ import numpy as np
 from .data import Batch, TransitionDataset, sample_batch
 from .envs import evaluate_policy
 from .nets import (
+    COUNT,
     JSON_NUMBER,
     AdamState,
     Mlp,
     NonFiniteError,
     Params,
     _check_settings,
+    _count,
     _draw,
     _positive,
     _read,
@@ -191,10 +193,10 @@ class PlasAgent(ActorCritic):
     decoder_hash: str = ""
 
     def __post_init__(self):
-        if not self.max_latent_action > 0:  # NaN included
-            raise ValueError("max_latent_action must be positive")
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be >= 0")
+        _check_settings(self, (
+            ("max_latent_action", _positive(self.max_latent_action), "positive and finite"),
+            ("epsilon", math.isfinite(self.epsilon) and self.epsilon >= 0.0, ">= 0 and finite"),
+        ))
         if (self.perturbation is None) != (self.perturbation_target is None):
             raise ValueError("perturbation and perturbation_target come together")
         for name in ("actor", "actor_target", "perturbation", "perturbation_target"):
@@ -327,17 +329,17 @@ class ActorCriticConfig:
 
     def __post_init__(self):
         _check_settings(self, (
-            ("steps", self.steps >= 1, ">= 1"),
-            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("steps", _count(self.steps), COUNT),
+            ("batch_size", _count(self.batch_size), COUNT),
             ("actor_lr", _positive(self.actor_lr), "finite and > 0"),
             ("critic_lr", _positive(self.critic_lr), "finite and > 0"),
             ("gamma", 0.0 <= self.gamma < 1.0, "in [0, 1)"),
             ("tau", 0.0 < self.tau <= 1.0, "in (0, 1]"),
             ("lam", 0.0 <= self.lam <= 1.0, "in [0, 1]"),
-            ("hidden_sizes", all(n >= 1 for n in self.hidden_sizes), "sizes >= 1"),
-            ("eval_interval", self.eval_interval >= 1, ">= 1"),
-            ("eval_episodes", self.eval_episodes >= 1, ">= 1"),
-            ("log_every", self.log_every >= 1, ">= 1"),
+            ("hidden_sizes", all(map(_count, self.hidden_sizes)), f"sizes each {COUNT}"),
+            ("eval_interval", _count(self.eval_interval), COUNT),
+            ("eval_episodes", _count(self.eval_episodes), COUNT),
+            ("log_every", _count(self.log_every), COUNT),
         ))
 
 
@@ -418,8 +420,9 @@ def _fit(agent: ActorCritic, dataset: Batch, config: ActorCriticConfig,
     critics' dtype, runs ``update(batch, groups) -> (critic_loss, mean_q)``
     and Polyak-updates each group's target. It logs every ``log_every`` steps
     and at the last; with an env it also evaluates where ``eval_interval``
-    divides the step, and at the last. A ``NonFiniteError`` is re-raised
-    naming the step."""
+    divides the step, and at the last, each time on a fresh ``rng.spawn``
+    child, which leaves ``rng`` where it was: the env changes the log, not
+    what is learned. A ``NonFiniteError`` is re-raised naming the step."""
     groups = param_groups(agent, config)
     log: list[LogRecord] = []
     losses, qs = [], []
@@ -439,9 +442,8 @@ def _fit(agent: ActorCritic, dataset: Batch, config: ActorCriticConfig,
             rec = LogRecord(step, float(np.mean(losses)), float(np.mean(qs)))
             losses, qs = [], []
             if env is not None and (step % config.eval_interval == 0 or step == config.steps):
-                eval_rng = np.random.default_rng(rng.integers(2 ** 63))
                 rec.eval_return_mean, rec.eval_return_std = evaluate_policy(
-                    env, agent.policy_fn(), config.eval_episodes, eval_rng)
+                    env, agent.policy_fn(), config.eval_episodes, rng.spawn(1)[0])
             log.append(rec)
     return log
 

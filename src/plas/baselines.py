@@ -21,10 +21,12 @@ from .agent import (ActorCritic, ActorCriticConfig, LogRecord, ParamGroup, _acti
                     critic_pair_init, critic_update)
 from .data import TransitionDataset, sample_batch
 from .nets import (
+    COUNT,
     Mlp,
     NonFiniteError,
     Params,
     _check_settings,
+    _count,
     _positive,
     adam_init,
     adam_step,
@@ -58,11 +60,11 @@ class BcTrainConfig:
 
     def __post_init__(self):
         _check_settings(self, (
-            ("steps", self.steps >= 1, ">= 1"),
-            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("steps", _count(self.steps), COUNT),
+            ("batch_size", _count(self.batch_size), COUNT),
             ("learning_rate", _positive(self.learning_rate), "finite and > 0"),
-            ("hidden_sizes", all(n >= 1 for n in self.hidden_sizes), "sizes >= 1"),
-            ("log_every", self.log_every >= 1, ">= 1"),
+            ("hidden_sizes", all(map(_count, self.hidden_sizes)), f"sizes each {COUNT}"),
+            ("log_every", _count(self.log_every), COUNT),
         ))
 
 

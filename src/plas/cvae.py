@@ -1,11 +1,13 @@
 """Conditional VAE over actions: the behavior model for offline training.
 
 The encoder maps (state, action) to the mean and log-std of a diagonal
-Gaussian over latents; the decoder maps (state, latent) back to an action
-through a tanh output, so decoded actions always land in [-1, 1]^d. The prior
-over latents is a standard normal, independent of state. Training minimizes
-reconstruction MSE plus a weighted KL to that prior; once trained the model is
-frozen and only its decoder is consulted by the policy.
+Gaussian over latents, the log-std clamped to [``LOG_STD_MIN``,
+``LOG_STD_MAX``] = [-4, 15], the bounds of the BCQ-style VAE that PLAS builds
+on (no gradient flows where the clamp holds). The decoder maps (state, latent)
+back to an action through a tanh output, so decoded actions always land in
+[-1, 1]^d. The prior over latents is a standard normal, independent of state.
+Training minimizes reconstruction MSE plus a weighted KL to that prior; once
+trained the model is frozen and only its decoder is consulted by the policy.
 
 ``cvae_init`` builds the model a ``CvaeTrainConfig`` describes: the encoder,
 then the decoder, drawn into one parameter vector, float32 unless asked for
@@ -25,7 +27,7 @@ import numpy as np
 
 from .data import TransitionDataset, sample_batch
 from .nets import (
-    JSON_NUMBER,
+    COUNT,
     Gradients,
     Mlp,
     NonFiniteError,
@@ -34,7 +36,9 @@ from .nets import (
     Tape,
     _check_settings,
     _checked,
+    _count,
     _draw,
+    _positive,
     _read,
     _rows,
     _write,
@@ -47,8 +51,8 @@ from .nets import (
     params_hash,
 )
 
-LOG_STD_MIN_DEFAULT = -4.0
-LOG_STD_MAX_DEFAULT = 15.0
+# the encoder's log-std clamp (see the module docstring)
+LOG_STD_MIN, LOG_STD_MAX = -4.0, 15.0
 
 
 @dataclass
@@ -58,8 +62,6 @@ class BehaviorCvae:
     state_dim: int
     action_dim: int
     latent_dim: int
-    log_std_min: float = LOG_STD_MIN_DEFAULT
-    log_std_max: float = LOG_STD_MAX_DEFAULT
 
     def __post_init__(self):
         if self.encoder.out_dim != 2 * self.latent_dim:
@@ -93,23 +95,17 @@ class CvaeTrainConfig:
     latent_dim: int | None = None  # default 2 * action_dim
     hidden_sizes: tuple[int, ...] = (128, 128)
     log_every: int = 500
-    log_std_min: float = LOG_STD_MIN_DEFAULT
-    log_std_max: float = LOG_STD_MAX_DEFAULT
 
     def __post_init__(self):
         _check_settings(self, (
-            ("steps", self.steps >= 1, ">= 1"),
-            ("batch_size", self.batch_size >= 1, ">= 1"),
-            ("learning_rate", math.isfinite(self.learning_rate) and self.learning_rate > 0.0,
-             "finite and > 0"),
+            ("steps", _count(self.steps), COUNT),
+            ("batch_size", _count(self.batch_size), COUNT),
+            ("learning_rate", _positive(self.learning_rate), "finite and > 0"),
             ("kl_weight", math.isfinite(self.kl_weight) and self.kl_weight >= 0.0,
              "finite and >= 0"),
-            ("latent_dim", self.latent_dim is None or self.latent_dim >= 1, "None or >= 1"),
-            ("hidden_sizes", all(n >= 1 for n in self.hidden_sizes), "sizes >= 1"),
-            ("log_every", self.log_every >= 1, ">= 1"),
-            ("log_std_min", math.isfinite(self.log_std_min), "finite"),
-            ("log_std_max", math.isfinite(self.log_std_max)
-             and self.log_std_max > self.log_std_min, "finite and > log_std_min"),
+            ("latent_dim", self.latent_dim is None or _count(self.latent_dim), f"None or {COUNT}"),
+            ("hidden_sizes", all(map(_count, self.hidden_sizes)), f"sizes each {COUNT}"),
+            ("log_every", _count(self.log_every), COUNT),
         ))
 
 
@@ -120,21 +116,20 @@ def cvae_init(
     rng: np.random.Generator,
     dtype=np.float32,
 ) -> BehaviorCvae:
-    """The CVAE of ``config``'s latent width, hidden sizes and log-std bounds:
-    the encoder, then the decoder, drawn into one vector."""
+    """The CVAE of ``config``'s latent width and hidden sizes: the encoder,
+    then the decoder, drawn into one vector."""
     latent_dim = 2 * action_dim if config.latent_dim is None else config.latent_dim
     hidden = list(config.hidden_sizes)
     group = Params.zeros([[state_dim + action_dim] + hidden + [2 * latent_dim],
                           [state_dim + latent_dim] + hidden + [action_dim]], dtype)
     encoder, decoder = (_draw(net, rng) for net in group.nets)
     decoder.activations[-1] = "tanh"
-    return BehaviorCvae(encoder, decoder, state_dim, action_dim, latent_dim,
-                        config.log_std_min, config.log_std_max)
+    return BehaviorCvae(encoder, decoder, state_dim, action_dim, latent_dim)
 
 
 def encode(cvae: BehaviorCvae, state, action):
     """Posterior parameters (mu, log_std) of state and action rows, each
-    (B, latent_dim); log_std is clamped before use."""
+    (B, latent_dim); log_std is clamped to [LOG_STD_MIN, LOG_STD_MAX]."""
     dtype = cvae.encoder.dtype
     s = _rows(state, cvae.state_dim, "state", dtype)
     a = _rows(action, cvae.action_dim, "action", dtype)
@@ -142,7 +137,7 @@ def encode(cvae: BehaviorCvae, state, action):
         raise ShapeError("state/action batch mismatch")
     out = mlp_forward(cvae.encoder, np.concatenate([s, a], axis=1))
     mu = out[:, : cvae.latent_dim]
-    log_std = np.clip(out[:, cvae.latent_dim :], cvae.log_std_min, cvae.log_std_max)
+    log_std = np.clip(out[:, cvae.latent_dim :], LOG_STD_MIN, LOG_STD_MAX)
     return mu, log_std
 
 
@@ -207,7 +202,7 @@ def elbo_loss_and_grads(
     enc_out = enc_tape.output
     mu = enc_out[:, : cvae.latent_dim]
     raw_log_std = enc_out[:, cvae.latent_dim :]
-    log_std = np.clip(raw_log_std, cvae.log_std_min, cvae.log_std_max)
+    log_std = np.clip(raw_log_std, LOG_STD_MIN, LOG_STD_MAX)
     std = np.exp(log_std)
     z = mu + std * noise
 
@@ -226,7 +221,7 @@ def elbo_loss_and_grads(
     g_mu = dz + kl_weight * mu / B
     g_log_std = dz * std * noise + kl_weight * (np.exp(2.0 * log_std) - 1.0) / B
     # clamp: zero gradient where the raw output sits outside the bounds
-    inside = (raw_log_std > cvae.log_std_min) & (raw_log_std < cvae.log_std_max)
+    inside = (raw_log_std > LOG_STD_MIN) & (raw_log_std < LOG_STD_MAX)
     g_log_std = np.where(inside, g_log_std, 0.0)
 
     enc_grads, _ = mlp_backward(cvae.encoder, np.concatenate([g_mu, g_log_std], axis=1),
@@ -307,8 +302,9 @@ class FrozenDecoder:
 
 # -- checkpoints --------------------------------------------------------------
 
-_SETTINGS = {"state_dim": (int,), "action_dim": (int,), "latent_dim": (int,),
-             "log_std_min": JSON_NUMBER, "log_std_max": JSON_NUMBER}
+# files written while the log-std bounds were settings also hold
+# "log_std_min" and "log_std_max" (always -4 and 15); the reader ignores them
+_SETTINGS = {"state_dim": (int,), "action_dim": (int,), "latent_dim": (int,)}
 
 
 def save_cvae(path, cvae: BehaviorCvae) -> None:

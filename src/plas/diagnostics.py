@@ -1,10 +1,13 @@
 """Q-function error analysis and dataset-support probes.
 
-The Q-error report compares a critic's claims against truncated Monte-Carlo
-returns collected from evaluation rollouts of the same policy: per step,
-error = Q(s_t, a_t) - G(s_t, a_t). Four aggregates summarize the comparison:
-overall MSE, the fraction of overestimates, and the mean magnitudes of over-
-and under-estimation.
+The Q-error report compares a critic's claims against Monte-Carlo returns
+collected from evaluation rollouts of the same policy: per step,
+error = Q(s_t, a_t) - G(s_t, a_t), where G is the discounted sum of the
+episode's rewards from t on. The sum is not truncated: at the default horizons
+no episode is longer than 100 steps (edge-follow caps at 70, point-mass at
+100), so a cut at 1000 steps would never apply. Four aggregates summarize the
+comparison: overall MSE, the fraction of overestimates, and the mean
+magnitudes of over- and under-estimation.
 
 Support distance operationalizes "within the support of the dataset": the
 distance from a probe (s, a) to the data is the smallest action distance among
@@ -43,27 +46,19 @@ class QErrorReport:
     n_episodes: int
 
 
-def empirical_return(rewards, gamma: float, truncation: int = 1000) -> np.ndarray:
-    """Truncated discounted return G_t for every timestep of one rollout, in
-    O(T): the full suffix returns U_t = r_t + gamma*U_{t+1}, then
-    G_t = U_t - gamma^h * U_{t+h} for the windows that the truncation h cuts.
-    Rewards must be finite: one inf would reach every U before it, and the
-    difference would turn windows that never saw it into NaN."""
+def empirical_return(rewards, gamma: float) -> np.ndarray:
+    """Discounted return G_t of every timestep of one rollout, in O(T): the
+    suffix sums G_t = r_t + gamma*G_{t+1}. Rewards must be finite."""
     r = np.asarray(rewards, dtype=np.float64)
     if r.size == 0:
         raise ValueError("empty reward sequence")
     if not np.isfinite(r).all():
         raise ValueError("non-finite reward")
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    suffix, u = [], 0.0
+    suffix, g = [], 0.0
     for x in reversed(r.tolist()):
-        u = x + gamma * u
-        suffix.append(u)
-    out = np.array(suffix[::-1])
-    if truncation < r.size:
-        out[:-truncation] -= gamma ** truncation * out[truncation:]
-    return out
+        g = x + gamma * g
+        suffix.append(g)
+    return np.array(suffix[::-1])
 
 
 def report_from_errors(errors, n_episodes: int) -> QErrorReport:
@@ -81,7 +76,7 @@ def report_from_errors(errors, n_episodes: int) -> QErrorReport:
 
 
 def q_error_report(agent, env, n_episodes: int, gamma: float,
-                   rng: np.random.Generator, truncation: int = 1000) -> QErrorReport:
+                   rng: np.random.Generator) -> QErrorReport:
     """Roll out the agent's deterministic policy and grade its first critic.
 
     ``agent`` needs a ``policy_fn()`` that maps a batch of states (k, d) to
@@ -92,7 +87,7 @@ def q_error_report(agent, env, n_episodes: int, gamma: float,
     """
     batch, lengths = rollout_batch(env, agent.policy_fn(), n_episodes, rng)
     q = q_values(agent.critics.q1, batch.states, batch.actions)
-    g = np.concatenate([empirical_return(r, gamma, truncation)
+    g = np.concatenate([empirical_return(r, gamma)
                         for r in split_episodes(batch.rewards, lengths)])
     return report_from_errors(q - g, n_episodes)
 

@@ -11,18 +11,21 @@ Two environments ship by default:
   edge: zero reward and an absorbing failure. The support boundary is fragile,
   which is exactly the regime where out-of-distribution actions get punished.
 
-Environments are cheap value objects, checked when built: a bad field raises
-``ValueError`` naming it. ``step`` is a pure function of (states, actions) and
-``reset`` only consumes the rng you hand it. Both take and give rows only:
-``reset(rng, n)`` gives the start states (n, state_dim) of n episodes from one
-rng call, the same numbers in the same order as n one-episode draws; states
-(N, state_dim) and actions (N, action_dim) give next states (N, state_dim),
-rewards (N,) and dones (N,), row by row; one state is the row (1, state_dim),
-and a 1-D state raises ``ValueError``. Finite out-of-bounds actions are
-clipped into [-1, 1] row by row (a row is clipped when its largest magnitude
-exceeds 1 + 1e-12) and each clipped row adds one to a module-level tally
-rather than raising (see ``clip_warning_count``); a NaN or infinite action
-raises ``ValueError``.
+Environments are cheap value objects, one fixed task each: the dynamics are
+class constants (``ClassVar``s such as point-mass's ``goal``, ``dt`` and
+``damping`` or edge-follow's speed-limit curve and ``step_scale``). The one
+field is ``horizon``, the cap on an episode's length, an integer >= 1 checked
+when built (``ValueError`` naming it otherwise). ``step`` is a pure function
+of (states, actions) and ``reset`` only consumes the rng you hand it. Both take
+and give rows only: ``reset(rng, n)`` gives the start states (n, state_dim) of
+n episodes from one rng call, the same numbers in the same order as n
+one-episode draws; states (N, state_dim) and actions (N, action_dim) give next
+states (N, state_dim), rewards (N,) and dones (N,), row by row; one state is
+the row (1, state_dim), and a 1-D state raises ``ValueError``. Finite
+out-of-bounds actions are clipped into [-1, 1] row by row (a row is clipped
+when its largest magnitude exceeds 1 + 1e-12) and each clipped row adds one to
+a module-level tally rather than raising (see ``clip_warning_count``); a NaN
+or infinite action raises ``ValueError``.
 
 ``rollout_batch`` is the one episode engine: it runs N episodes in lockstep,
 one batched policy call and one array ``step`` per time step, and returns
@@ -38,7 +41,7 @@ from typing import ClassVar
 import numpy as np
 
 from .data import Batch
-from .nets import _check_settings, _positive
+from .nets import COUNT, _check_settings, _count
 
 _CLIP_WARNINGS = 0
 
@@ -70,15 +73,6 @@ def _step_rows(env, states, actions) -> tuple[np.ndarray, np.ndarray]:
     return s, a
 
 
-def _horizon_rule(env) -> tuple:
-    return ("horizon", isinstance(env.horizon, (int, np.integer)) and env.horizon >= 1,
-            "an integer >= 1")
-
-
-def _non_negative(x) -> bool:
-    return math.isfinite(x) and x >= 0.0
-
-
 @dataclass(frozen=True)
 class PointMassEnv:
     """Accelerate a point in the plane onto a goal."""
@@ -86,25 +80,16 @@ class PointMassEnv:
     name: ClassVar[str] = "point-mass"
     state_dim: ClassVar[int] = 4  # (px, py, vx, vy)
     action_dim: ClassVar[int] = 2
-    goal: tuple[float, float] = (1.0, 1.0)
-    dt: float = 0.1
-    damping: float = 0.9
-    start_jitter: float = 0.1
-    goal_radius: float = 0.1
-    goal_bonus: float = 10.0
+    goal: ClassVar[tuple[float, float]] = (1.0, 1.0)
+    dt: ClassVar[float] = 0.1
+    damping: ClassVar[float] = 0.9
+    start_jitter: ClassVar[float] = 0.1
+    goal_radius: ClassVar[float] = 0.1
+    goal_bonus: ClassVar[float] = 10.0
     horizon: int = 100
 
     def __post_init__(self):
-        _check_settings(self, (
-            ("goal", len(self.goal) == 2 and all(map(math.isfinite, self.goal)),
-             "two finite floats"),
-            ("dt", _positive(self.dt), "finite and > 0"),
-            ("damping", math.isfinite(self.damping), "finite"),
-            ("start_jitter", _non_negative(self.start_jitter), "finite and >= 0"),
-            ("goal_radius", math.isfinite(self.goal_radius), "finite"),
-            ("goal_bonus", math.isfinite(self.goal_bonus), "finite"),
-            _horizon_rule(self),
-        ))
+        _check_settings(self, (("horizon", _count(self.horizon), COUNT),))
 
     def reset(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """(n, 4) start rows: uniform positions from one (n, 2) draw, at rest."""
@@ -146,22 +131,16 @@ class EdgeFollowEnv:
     name: ClassVar[str] = "edge-follow"
     state_dim: ClassVar[int] = 1  # normalized track position x in [0, 1]
     action_dim: ClassVar[int] = 1
-    step_scale: float = 1.0 / 30.0
-    limit_base: float = 0.5
-    limit_amp: float = 0.3
-    limit_freq: float = 1.5  # cycles over the unit track
-    start_jitter: float = 0.1
+    step_scale: ClassVar[float] = 1.0 / 30.0
+    limit_base: ClassVar[float] = 0.5
+    limit_amp: ClassVar[float] = 0.3
+    limit_freq: ClassVar[float] = 1.5  # cycles over the unit track
+    start_jitter: ClassVar[float] = 0.1
+    expert_margin: ClassVar[float] = 0.05  # how far under the limit the expert slides
     horizon: int = 70
 
     def __post_init__(self):
-        _check_settings(self, (
-            ("step_scale", _positive(self.step_scale), "finite and > 0"),
-            ("limit_base", math.isfinite(self.limit_base), "finite"),
-            ("limit_amp", math.isfinite(self.limit_amp), "finite"),
-            ("limit_freq", math.isfinite(self.limit_freq), "finite"),
-            ("start_jitter", _non_negative(self.start_jitter), "finite and >= 0"),
-            _horizon_rule(self),
-        ))
+        _check_settings(self, (("horizon", _count(self.horizon), COUNT),))
 
     def speed_limit(self, x) -> np.ndarray:
         return self.limit_base + self.limit_amp * np.sin(2.0 * np.pi * self.limit_freq * np.asarray(x))
@@ -184,9 +163,10 @@ class EdgeFollowEnv:
         next_states = np.where(lost, x, x2)[:, None]
         return next_states, np.where(lost, 0.0, speed), lost | (x2 >= 1.0)
 
-    def expert_action(self, states: np.ndarray, margin: float = 0.05) -> np.ndarray:
-        """Just under the local speed limit, row-wise over (..., 1)."""
-        return self.action_for_speed(self.speed_limit(np.asarray(states)[..., :1]) - margin)
+    def expert_action(self, states: np.ndarray) -> np.ndarray:
+        """``expert_margin`` under the local speed limit, row-wise over (..., 1)."""
+        return self.action_for_speed(self.speed_limit(np.asarray(states)[..., :1])
+                                     - self.expert_margin)
 
     def return_upper_bound(self, gamma: float) -> float:
         """Analytic ceiling on any discounted return from any state-action.

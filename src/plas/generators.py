@@ -29,9 +29,10 @@ learner's action plus Gaussian noise of std ``EXPLORATION_NOISE``, one update
 per step after the warm-up. Every ``EVAL_EVERY`` steps it evaluates the
 learner over ``EVAL_EPISODES`` episodes and stops once that reaches
 ``STOP_FRACTION`` of the way from the random policy's return to the scripted
-expert's. It steps one (1, state_dim) row at a time and logs every transition
-into a preallocated ``data.Batch``, which it samples like any dataset. Runs
-are cached per (env, seed), keyed by the env's value, within a process, so
+expert's, each a mean over ``REFERENCE_EPISODES`` episodes. It steps one
+(1, state_dim) row at a time and logs every transition into a preallocated
+``data.Batch``, which it samples like any dataset. Runs are cached per
+(env, seed), keyed by the env's value (its horizon), within a process, so
 that ``medium`` and ``medium_replay`` describe the same training run and the
 experiment pipeline does not pay for it twice.
 """
@@ -51,6 +52,7 @@ from .nets import polyak_update
 # the online run's recipe (see the module docstring)
 MAX_ENV_STEPS, WARMUP_STEPS, EXPLORATION_NOISE = 20_000, 500, 0.1
 STOP_FRACTION, EVAL_EVERY, EVAL_EPISODES = 0.5, 500, 5
+REFERENCE_EPISODES = 20  # of the expert and random returns that set the stop
 ONLINE_LEARNER = UnconstrainedTrainConfig(actor_lr=3e-4)
 
 
@@ -60,13 +62,13 @@ class OnlineRunResult:
     replay: Batch  # every transition the run logged, in order
 
 
-def expert_return(env, rng: np.random.Generator, episodes: int = 20) -> float:
-    mean, _ = evaluate_policy(env, env.expert_action, episodes, rng)
+def expert_return(env, rng: np.random.Generator) -> float:
+    mean, _ = evaluate_policy(env, env.expert_action, REFERENCE_EPISODES, rng)
     return mean
 
 
-def random_return(env, rng: np.random.Generator, episodes: int = 20) -> float:
-    mean, _ = evaluate_policy(env, random_policy(env, rng), episodes, rng)
+def random_return(env, rng: np.random.Generator) -> float:
+    mean, _ = evaluate_policy(env, random_policy(env, rng), REFERENCE_EPISODES, rng)
     return mean
 
 
@@ -181,9 +183,8 @@ def generate_dataset(env, kind: str, size: int, seed: int) -> TransitionDataset:
 FAST_FRAC, SLOW_FRAC, P_FAST, MODE_NOISE = 0.9, 0.3, 0.65, 0.03
 
 
-def make_bimodal_dataset(size: int, seed: int,
-                         env: EdgeFollowEnv | None = None) -> TransitionDataset:
-    """Two-mode behavior on the edge task with a hole between the modes.
+def make_bimodal_dataset(size: int, seed: int) -> TransitionDataset:
+    """Two-mode behavior on the default edge task with a hole between the modes.
 
     At every state the behavior commands either ``FAST_FRAC`` or ``SLOW_FRAC``
     of the local speed limit (plus a little action noise), so the local action
@@ -193,8 +194,7 @@ def make_bimodal_dataset(size: int, seed: int,
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-    env = env or EdgeFollowEnv()
-    rng = np.random.default_rng(seed)
+    env, rng = EdgeFollowEnv(), np.random.default_rng(seed)
 
     def behavior(states):
         frac = np.where(rng.uniform(size=len(states)) < P_FAST, FAST_FRAC, SLOW_FRAC)

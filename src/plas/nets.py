@@ -10,11 +10,14 @@ moments and scratch, and the Polyak buffer. Inputs and output gradients are
 cast to that dtype on entry, so no product mixes dtypes (a mixed GEMM would
 upcast a whole weight matrix on every call). ``mlp_init``, ``mlp_zeros`` and
 ``Mlp.from_flat`` build float64 networks unless told otherwise; every trainer
-asks for float32, and the finite-difference oracles check float64. Weight
-matrices are stored (out, in). ``mlp_forward`` takes a single vector ``(n,)``
-or a batch ``(B, n)``: one input flows through the forward loop as an ``(n,)``
-vector, with no batch machinery around it, so a policy acting on one state per
-control step pays for its layers only. Everything that keeps a tape for a
+asks for float32, and the finite-difference oracles check float64. Every
+network the library builds has relu hidden layers, so ``Params.zeros``,
+``mlp_init`` and ``mlp_zeros`` take the output activation only; another hidden
+activation is set on ``activations`` after the build. Weight matrices are
+stored (out, in). ``mlp_forward`` takes a single vector ``(n,)`` or a batch
+``(B, n)``: one input flows through the forward loop as an ``(n,)`` vector,
+with no batch machinery around it, so a policy acting on one state per control
+step pays for its layers only. Everything that keeps a tape for a
 backward takes rows only: ``mlp_tape``, ``mlp_backward`` and ``mlp_input_grad``
 take ``(B, n)`` inputs and output gradients, and a 1-D one raises
 ``ShapeError``; one input is the row ``(1, n)``.
@@ -258,14 +261,13 @@ class Params:
                 net.flat, (net.weights, net.biases) = part, _views(part, net.layer_sizes)
 
     @classmethod
-    def zeros(cls, layouts, dtype, hidden_activation: str = "relu",
-              output_activation: str = "identity") -> "Params":
-        """All-zero ``dtype`` networks, one per ``layer_sizes`` of ``layouts``."""
+    def zeros(cls, layouts, dtype, output_activation: str = "identity") -> "Params":
+        """All-zero ``dtype`` networks, one per ``layer_sizes`` of ``layouts``,
+        with relu hidden layers."""
         if any(len(sizes) < 2 or min(sizes) < 1 for sizes in layouts):
             raise ShapeError(f"bad layer sizes {layouts}")
         flat = np.zeros(sum(map(_flat_size, layouts)), _param_dtype(dtype))
-        return cls([Mlp(*_views(p, sizes), [hidden_activation] * (len(sizes) - 2)
-                        + [output_activation], p)
+        return cls([Mlp(*_views(p, sizes), ["relu"] * (len(sizes) - 2) + [output_activation], p)
                     for p, sizes in zip(_parts(flat, layouts), layouts)])
 
     @property
@@ -292,23 +294,16 @@ def _draw(net: Mlp, rng: np.random.Generator) -> Mlp:
 def mlp_init(
     layer_sizes,
     rng: np.random.Generator,
-    hidden_activation: str = "relu",
     output_activation: str = "identity",
     dtype=np.float64,
 ) -> Mlp:
-    """A network of ``_draw``n weights and zero biases."""
-    group = Params.zeros([layer_sizes], dtype, hidden_activation, output_activation)
-    return _draw(group.nets[0], rng)
+    """A relu network of ``_draw``n weights and zero biases."""
+    return _draw(Params.zeros([layer_sizes], dtype, output_activation).nets[0], rng)
 
 
-def mlp_zeros(
-    layer_sizes,
-    hidden_activation: str = "relu",
-    output_activation: str = "identity",
-    dtype=np.float64,
-) -> Mlp:
-    """All-zero network (useful for tests and target bootstraps)."""
-    return Params.zeros([layer_sizes], dtype, hidden_activation, output_activation).nets[0]
+def mlp_zeros(layer_sizes, output_activation: str = "identity", dtype=np.float64) -> Mlp:
+    """All-zero relu network (useful for tests and target bootstraps)."""
+    return Params.zeros([layer_sizes], dtype, output_activation).nets[0]
 
 
 def _checked(x, dim: int, what: str, dtype) -> np.ndarray:
@@ -628,6 +623,15 @@ def _check_settings(settings, rules) -> None:
 
 def _positive(x) -> bool:
     return math.isfinite(x) and x > 0.0
+
+
+# the rule of every count setting: a step count, a batch size, a width, a horizon
+COUNT = "an integer >= 1"
+
+
+def _count(x) -> bool:
+    """Whether ``x`` is a count: an int or numpy integer, not a bool, >= 1."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
 
 
 def params_hash(*nets: Mlp) -> str:

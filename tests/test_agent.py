@@ -175,6 +175,9 @@ def test_epsilon_zero_is_identity_path():
     ({"actor_target": "relu"}, "actor_target output activation must be tanh"),
     ({"perturbation": "identity"}, "perturbation output activation must be tanh"),
     ({"perturbation_target": "identity"}, "perturbation_target output activation must be tanh"),
+    ({"max_latent_action": float("inf")}, "max_latent_action must be positive and finite"),
+    ({"max_latent_action": float("nan")}, "max_latent_action must be positive and finite"),
+    ({"epsilon": float("inf")}, "epsilon must be >= 0 and finite"),
 ])
 def test_plas_agent_checks_its_bounds_and_tanh_outputs(change, message):
     built = make_agent(small_cvae_decoder(), epsilon=0.05)

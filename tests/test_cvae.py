@@ -233,11 +233,14 @@ def test_train_cvae_loss_curve_mostly_decreasing():
     ("steps", 0), ("steps", -5), ("batch_size", 0), ("learning_rate", 0.0),
     ("learning_rate", float("nan")), ("kl_weight", -0.5), ("kl_weight", float("inf")),
     ("latent_dim", 0), ("hidden_sizes", (8, 0)), ("log_every", 0),
-    ("log_std_min", float("nan")), ("log_std_max", -5.0),
+    ("steps", 20.0), ("batch_size", 16.0), ("latent_dim", 2.0), ("hidden_sizes", (8.0, 8)),
+    ("log_every", 2.5), ("steps", True), ("hidden_sizes", (8, False)),
+    ("learning_rate", float("inf")),
 ])
 def test_cvae_config_names_the_field_it_rejects(field, value):
     # unchecked, steps <= 0 would return an untrained model and an empty log,
-    # and log_every=0 would die with ZeroDivisionError after the first Adam step
+    # log_every=0 would die with ZeroDivisionError after the first Adam step,
+    # and a float count failed later, inside numpy
     with pytest.raises(ValueError, match=f"CvaeTrainConfig.{field} must be"):
         CvaeTrainConfig(**{field: value})
 
@@ -318,12 +321,11 @@ def test_frozen_decoder_checks_state_and_latent_widths():
 
 def test_cvae_checkpoint_round_trip_and_hash(tmp_path):
     rng = np.random.default_rng(21)
-    cvae = cvae_init(3, 2, CvaeTrainConfig(hidden_sizes=(8, 8), log_std_min=-3.0), rng)
+    cvae = cvae_init(3, 2, CvaeTrainConfig(hidden_sizes=(8, 8)), rng)
     save_cvae(tmp_path / "cvae.npz", cvae)
     back = load_cvae(tmp_path / "cvae.npz")
     assert cvae_hash(back) == cvae_hash(cvae)
     assert (back.state_dim, back.action_dim, back.latent_dim) == (3, 2, 4)
-    assert (back.log_std_min, back.log_std_max) == (cvae.log_std_min, cvae.log_std_max)
     s = rng.normal(size=3)
     z = rng.normal(size=cvae.latent_dim)
     assert np.array_equal(decode(back, s, z), decode(cvae, s, z))

@@ -187,7 +187,7 @@ def test_float64_training_keeps_its_bits(name):
 # -- float32 training never mixes dtypes --------------------------------------------
 
 ENV = EdgeFollowEnv()
-DATASET = make_bimodal_dataset(300, 0, ENV)
+DATASET = make_bimodal_dataset(300, 0)
 ONE_STEP = {"steps": 1, "batch_size": 16, "hidden_sizes": (8, 8), "log_every": 1}
 
 # float32 training at desk size, taken while the CVAE stepped its encoder and

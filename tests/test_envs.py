@@ -262,16 +262,9 @@ def test_reset_rows_are_per_episode_draws(name, n):
     (EdgeFollowEnv, "horizon", 0, "an integer >= 1"),
     (EdgeFollowEnv, "horizon", -1, "an integer >= 1"),
     (EdgeFollowEnv, "horizon", 2.5, "an integer >= 1"),
-    (EdgeFollowEnv, "step_scale", 0.0, "> 0"),
-    (EdgeFollowEnv, "step_scale", float("inf"), "finite"),
-    (EdgeFollowEnv, "limit_freq", float("nan"), "finite"),
-    (EdgeFollowEnv, "start_jitter", -0.1, ">= 0"),
-    (PointMassEnv, "start_jitter", float("nan"), "finite"),
-    (PointMassEnv, "dt", 0.0, "> 0"),
-    (PointMassEnv, "damping", float("inf"), "finite"),
-    (PointMassEnv, "goal", (float("nan"), 1.0), "finite"),
-    (PointMassEnv, "goal", (1.0,), "two"),
     (PointMassEnv, "horizon", 0, "an integer >= 1"),
+    (EdgeFollowEnv, "horizon", True, "an integer >= 1"),
+    (PointMassEnv, "horizon", 100.0, "an integer >= 1"),
 ])
 def test_an_env_names_the_field_it_rejects(env_type, field, value, rule):
     with pytest.raises(ValueError, match=f"{env_type.__name__}.{field} must be .*{rule}"):
@@ -279,9 +272,8 @@ def test_an_env_names_the_field_it_rejects(env_type, field, value, rule):
 
 
 def test_edge_cases_of_env_fields_build():
-    starts = EdgeFollowEnv(horizon=1, start_jitter=0.0).reset(np.random.default_rng(0), 2)
-    assert np.array_equal(starts, np.zeros((2, 1)))
-    assert PointMassEnv(horizon=np.int64(3), damping=0.0).horizon == 3
+    assert EdgeFollowEnv(horizon=1).horizon == 1
+    assert PointMassEnv(horizon=np.int64(3)).horizon == 3
 
 
 class _CountedReset:

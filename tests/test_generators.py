@@ -53,7 +53,7 @@ def test_a_dataset_holds_only_its_own_rows():
 
 def _generate(env, kind, size, seed):
     if kind == "bimodal":
-        return make_bimodal_dataset(size, seed, env=env)
+        return make_bimodal_dataset(size, seed)
     return generate_dataset(env, kind, size, seed)
 
 
@@ -198,13 +198,13 @@ def test_medium_run_stops_mid_gap():
 
 
 def test_medium_run_is_cached_per_env_value():
-    # two configurations of one env share a name; each gets its own run (seed
-    # 5, whose default-env run the other tests share)
+    # two horizons of one env share a name; each gets its own run (seed 5,
+    # whose default-env run the other tests share)
     base = medium_run(EdgeFollowEnv(), 5)
-    other = EdgeFollowEnv(horizon=20, limit_amp=0.1)
+    other = EdgeFollowEnv(horizon=20)
     run = medium_run(other, 5)
     assert run is not base
-    assert medium_run(EdgeFollowEnv(horizon=20, limit_amp=0.1), 5) is run
+    assert medium_run(EdgeFollowEnv(horizon=20), 5) is run
     assert medium_run(EdgeFollowEnv(), 5) is base
     # every logged row is a step of the env the run was asked for
     replay = run.replay
@@ -216,7 +216,7 @@ def test_medium_run_is_cached_per_env_value():
 
 def test_bimodal_dataset_has_two_modes_and_a_hole():
     env = EdgeFollowEnv()
-    ds = make_bimodal_dataset(3_000, seed=6, env=env)
+    ds = make_bimodal_dataset(3_000, seed=6)
     assert len(ds) == 3_000
     lim = env.speed_limit(ds.states[:, 0])
     speeds = 0.5 * (ds.actions[:, 0] + 1.0)

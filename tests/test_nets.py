@@ -219,7 +219,8 @@ def test_width_one_products_equal_matmul(rows):
     # a state-dim-1 input layer and a width-1 output layer: every product with
     # an inner dimension of 1 runs through np.dot and must equal matmul's
     rng = np.random.default_rng(15)
-    net = mlp_init([1, 64, 64, 1], rng, hidden_activation="tanh")
+    net = mlp_init([1, 64, 64, 1], rng)
+    net.activations[:2] = ["tanh", "tanh"]
     shape = (1,) if rows is None else (rows, 1)
     x, gout = rng.normal(size=shape), rng.normal(size=shape)
     if rows is None:
@@ -508,11 +509,9 @@ def test_header_missing_a_setting_raises_value_error(tmp_path, make, kind, edit)
     (_small_agent_file, "agent", "perturbation_epsilon", [0.0]),
     (_small_cvae_file, "cvae", "state_dim", "1"),
     (_small_cvae_file, "cvae", "latent_dim", 2.0),
-    (_small_cvae_file, "cvae", "log_std_max", "15"),
     (_small_dataset_file, "dataset", "meta", "e"),
 ], ids=["agent-max_latent_action", "agent-lam", "agent-gamma", "agent-decoder_hash",
-        "agent-perturbation_epsilon", "cvae-state_dim", "cvae-latent_dim", "cvae-log_std_max",
-        "dataset-meta"])
+        "agent-perturbation_epsilon", "cvae-state_dim", "cvae-latent_dim", "dataset-meta"])
 def test_a_header_setting_of_another_type_raises_value_error_naming_it(tmp_path, make, kind,
                                                                      name, value):
     # unchecked, an agent's max_latent_action "2" and a CVAE's state_dim "1"
@@ -522,6 +521,29 @@ def test_a_header_setting_of_another_type_raises_value_error_naming_it(tmp_path,
     rewrite_container(path, lambda h: h.update({name: value}))
     with pytest.raises(ValueError, match=f"'{kind}' .*setting '{name}'"):
         load(path)
+
+
+@pytest.mark.parametrize("name, field", [("max_latent_action", "max_latent_action"),
+                                         ("perturbation_epsilon", "epsilon")])
+def test_an_agent_file_with_an_infinite_bound_raises_value_error_naming_it(tmp_path, name,
+                                                                          field):
+    # the header holds JSON's Infinity; unchecked, a max_latent_action of
+    # Infinity loaded and act returned NaN
+    path = tmp_path / "f.npz"
+    load = _small_agent_file(path)
+    rewrite_container(path, lambda h: h.update({name: float("inf")}))
+    with pytest.raises(ValueError, match=f"PlasAgent.{field} must be"):
+        load(path)
+
+
+def test_a_cvae_file_with_the_clamp_bounds_in_its_header_loads(tmp_path):
+    # files written while the log-std clamp was a setting hold its bounds; the
+    # clamp is a constant now and the reader ignores them
+    path = tmp_path / "f.npz"
+    load = _small_cvae_file(path)
+    want = params_hash(load(path).encoder)
+    rewrite_container(path, lambda h: h.update(log_std_min=-4.0, log_std_max=15.0))
+    assert params_hash(load(path).encoder) == want
 
 
 def _nets_a_list(h):
@@ -687,7 +709,8 @@ def test_params_hash_covers_layer_sizes_and_activations():
 @pytest.mark.parametrize("single", [False, True], ids=["batch", "one-state"])
 def test_backward_into_out_returns_it_and_equals_the_fresh_result(hidden_activation, single):
     rng = np.random.default_rng(13)
-    net = mlp_init([3, 6, 5, 2], rng, hidden_activation, "tanh")
+    net = mlp_init([3, 6, 5, 2], rng, "tanh")
+    net.activations[:2] = [hidden_activation] * 2
     x = rng.normal(size=(1, 3)) if single else rng.normal(size=(4, 3))  # one state is a row
     gout = rng.normal(size=x.shape[:-1] + (2,))
     gout_before = gout.copy()

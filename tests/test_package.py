@@ -5,9 +5,12 @@ import re
 import subprocess
 import sys
 import tomllib
+from dataclasses import fields
 from pathlib import Path
 
 import plas
+from plas.cvae import BehaviorCvae, CvaeTrainConfig
+from plas.envs import EdgeFollowEnv, PointMassEnv
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -138,3 +141,18 @@ def test_a_failing_property_fails_one_test_not_the_session(tmp_path):
                           capture_output=True, text=True, timeout=120, check=False)
     assert done.returncode == 1, done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout, done.stdout
+
+
+def test_the_settable_values_of_the_envs_and_the_cvae_are_pinned():
+    # each task and the behaviour model have one fixed form: a new setting
+    # must show up here as a reviewed edit (the learner configs are pinned in
+    # test_training.py)
+    got = {cls.__name__: [f.name for f in fields(cls)]
+           for cls in (PointMassEnv, EdgeFollowEnv, CvaeTrainConfig, BehaviorCvae)}
+    assert got == {
+        "PointMassEnv": ["horizon"],
+        "EdgeFollowEnv": ["horizon"],
+        "CvaeTrainConfig": ["steps", "batch_size", "learning_rate", "kl_weight", "latent_dim",
+                            "hidden_sizes", "log_every"],
+        "BehaviorCvae": ["encoder", "decoder", "state_dim", "action_dim", "latent_dim"],
+    }

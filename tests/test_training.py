@@ -29,7 +29,7 @@ from plas.nets import NonFiniteError, params_hash
 
 LEARNERS = ["plas", "unconstrained"]
 ENV = EdgeFollowEnv()
-DATASET = make_bimodal_dataset(400, 0, ENV)
+DATASET = make_bimodal_dataset(400, 0)
 DECODER = FrozenDecoder(cvae_init(ENV.state_dim, ENV.action_dim,
                                   CvaeTrainConfig(latent_dim=2, hidden_sizes=(8, 8)),
                                   np.random.default_rng(1)))
@@ -83,11 +83,14 @@ def test_the_learner_configs_declare_the_shared_fields_once():
     ("steps", 0), ("steps", -5), ("batch_size", 0), ("actor_lr", 0.0),
     ("critic_lr", float("nan")), ("gamma", 1.0), ("tau", 0.0), ("lam", 1.5),
     ("hidden_sizes", (8, 0)), ("eval_interval", 0), ("eval_episodes", 0), ("log_every", 0),
+    ("steps", 20.0), ("batch_size", 16.0), ("hidden_sizes", (8.0, 8)), ("log_every", 2.5),
+    ("eval_interval", True), ("eval_episodes", 1.0), ("hidden_sizes", (8, True)),
 ])
 @pytest.mark.parametrize("learner", LEARNERS)
 def test_configs_name_the_shared_field_they_reject(learner, field, value):
     # unchecked, steps <= 0 would return an untrained agent and an empty log,
-    # and tau=0 would fail only in the first Polyak update
+    # tau=0 would fail only in the first Polyak update, log_every=2.5 logged
+    # one record in 5 steps and a float steps failed later, inside numpy
     with pytest.raises(ValueError, match=f"Config.{field} must be"):
         config(learner, **{field: value})
 
@@ -107,6 +110,7 @@ def test_plas_config_checks_its_own_fields(field, value):
 @pytest.mark.parametrize("field, value", [
     ("steps", 0), ("batch_size", 0), ("learning_rate", 0.0), ("learning_rate", float("nan")),
     ("learning_rate", float("inf")), ("hidden_sizes", (8, 0)), ("log_every", 0),
+    ("steps", 20.0), ("batch_size", True), ("hidden_sizes", (8.0,)), ("log_every", 2.5),
 ])
 def test_the_bc_config_names_the_field_it_rejects(field, value):
     # unchecked, log_every=0 died with ZeroDivisionError, steps=0 returned an
@@ -226,6 +230,18 @@ def test_logs_and_evaluations_fall_on_their_intervals(learner):
     _, log = train(learner, config(learner), env=None)
     assert [r.step for r in log] == [5, 10, 15, 20, 23]
     assert all(r.eval_return_mean is None for r in log)
+
+
+@pytest.mark.parametrize("learner", LEARNERS)
+def test_evaluation_does_not_change_what_is_learned(learner):
+    # each evaluation runs on a spawned generator, which leaves the training
+    # draws as they are
+    runs = [train(learner, config(learner), env=env) for env in (ENV, None)]
+    hashes = [params_hash(*(net for pair in pairs(agent) for net in pair)) for agent, _ in runs]
+    assert hashes[0] == hashes[1]
+    logs = [[(r.step, r.critic_loss, r.mean_q) for r in log] for _, log in runs]
+    assert logs[0] == logs[1]
+    assert [r.step for r in runs[0][1] if r.eval_return_mean is not None] == [10, 20, 23]
 
 
 @pytest.mark.parametrize("learner", LEARNERS)

@@ -35,7 +35,7 @@ from plas.nets import (
 )
 
 ENV = EdgeFollowEnv()
-DATASET = make_bimodal_dataset(600, 0, ENV)
+DATASET = make_bimodal_dataset(600, 0)
 DESK = {"steps": 30, "batch_size": 32, "hidden_sizes": (64, 64), "log_every": 10}
 
 
