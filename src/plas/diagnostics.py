@@ -11,8 +11,12 @@ magnitudes of over- and under-estimation.
 
 Support distance operationalizes "within the support of the dataset": the
 distance from a probe (s, a) to the data is the smallest action distance among
-the k nearest dataset states. A dataset-specific violation threshold comes
-from leave-one-out calibration on the dataset itself.
+the ``SUPPORT_K`` = 10 nearest dataset states. The violation threshold is a
+leave-one-out calibration: the ``THRESHOLD_QUANTILE`` = 0.99 quantile of that
+distance for at most ``THRESHOLD_POINTS`` = 2000 dataset points, each against
+the rest of the data. One k serves both functions: a violation rate compares a
+probe's distance with the threshold, which means nothing unless both take
+their minimum over the same number of neighbours.
 
 Both support functions find those neighbours with one search, ``_nearest``,
 which orders a probe's neighbours by distance, then by state value, then by
@@ -34,6 +38,10 @@ import numpy as np
 
 from .agent import q_values
 from .envs import rollout_batch, split_episodes
+
+SUPPORT_K = 10
+THRESHOLD_QUANTILE = 0.99
+THRESHOLD_POINTS = 2000
 
 
 @dataclass
@@ -128,7 +136,7 @@ def _nearest(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     return order[np.take_along_axis(window, by_distance[:, :k], axis=1)]
 
 
-def support_distance(dataset, states, actions, k: int = 10) -> SupportSummary:
+def support_distance(dataset, states, actions) -> SupportSummary:
     """Distance from each probe (s, a) to the dataset's local action support;
     the probes are finite state rows (n, d) and action rows (n, a), n >= 1."""
     s = np.asarray(states, dtype=np.float64)
@@ -137,15 +145,13 @@ def support_distance(dataset, states, actions, k: int = 10) -> SupportSummary:
             or s.shape[1] != dataset.state_dim or a.shape[1] != dataset.action_dim):
         raise ValueError(f"probes must be rows (n, {dataset.state_dim}) and "
                          f"(n, {dataset.action_dim}), got {s.shape} and {a.shape}")
-    if k < 1:
-        raise ValueError(f"support_distance needs k >= 1, got k={k}")
     if len(s) == 0:
         raise ValueError("support_distance needs at least one probe row")
     # a NaN action's distance is NaN, which no threshold counts as a violation
     for name, column in (("states", s), ("actions", a)):
         if not np.isfinite(column).all():
             raise ValueError(f"probe {name} must be finite")
-    idx = _nearest(dataset.states, s, min(k, len(dataset)))
+    idx = _nearest(dataset.states, s, min(SUPPORT_K, len(dataset)))
     d = np.linalg.norm(dataset.actions[idx] - a[:, None, :], axis=2).min(axis=1)
     return SupportSummary(
         distances=d,
@@ -155,28 +161,26 @@ def support_distance(dataset, states, actions, k: int = 10) -> SupportSummary:
     )
 
 
-def support_threshold(dataset, k: int = 10, quantile: float = 0.99,
-                      max_points: int = 2000, seed: int = 0) -> float:
+def support_threshold(dataset, seed: int = 0) -> float:
     """Leave-one-out calibration: the in-distribution distance scale.
 
-    For (a subsample of) dataset points, measure the support distance of each
-    point against the rest of the data and take a high quantile. Probes below
-    this threshold are indistinguishable from dataset points.
+    For a subsample of ``THRESHOLD_POINTS`` dataset points (``seed`` draws it),
+    measure the support distance of each point against the rest of the data
+    and take the ``THRESHOLD_QUANTILE`` quantile. Probes below this threshold
+    are indistinguishable from dataset points. Needs two points.
     """
     rng = np.random.default_rng(seed)
     n = len(dataset)
-    if k < 1 or n < 2:
-        raise ValueError(f"support_threshold needs k >= 1 and two points, got k={k}, n={n}")
-    if max_points < 1:
-        raise ValueError(f"support_threshold needs max_points >= 1, got {max_points}")
-    idx = rng.permutation(n)[: min(max_points, n)]
-    nbr = _nearest(dataset.states, dataset.states[idx], min(k + 1, n))
+    if n < 2:
+        raise ValueError(f"support_threshold needs two points, got n={n}")
+    idx = rng.permutation(n)[: min(THRESHOLD_POINTS, n)]
+    nbr = _nearest(dataset.states, dataset.states[idx], min(SUPPORT_K + 1, n))
     # drop each point from its own row (a duplicated state may push it out),
-    # then keep the first k that remain
+    # then keep the first SUPPORT_K that remain
     keep = nbr != idx[:, None]
-    keep &= np.cumsum(keep, axis=1) <= k
+    keep &= np.cumsum(keep, axis=1) <= SUPPORT_K
     d = np.linalg.norm(dataset.actions[nbr] - dataset.actions[idx][:, None, :], axis=2)
-    return float(np.quantile(np.where(keep, d, np.inf).min(axis=1), quantile))
+    return float(np.quantile(np.where(keep, d, np.inf).min(axis=1), THRESHOLD_QUANTILE))
 
 
 # -- emission -----------------------------------------------------------------

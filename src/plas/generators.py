@@ -46,7 +46,7 @@ from .agent import param_groups
 from .baselines import UnconstrainedTrainConfig, unconstrained_agent_init, unconstrained_update
 from .data import Batch, DatasetMeta, TransitionDataset, concat_rows, sample_batch
 from .envs import EdgeFollowEnv, evaluate_policy, random_policy, rollout_batch
-from .nets import polyak_update
+from .nets import COUNT, _count, polyak_update
 
 
 # the online run's recipe (see the module docstring)
@@ -155,8 +155,8 @@ def generate_dataset(env, kind: str, size: int, seed: int) -> TransitionDataset:
     Exactly ``size`` rows, except ``medium_replay``, which has at most the
     online run's logged transitions.
     """
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    if not _count(size):
+        raise ValueError(f"size must be {COUNT}, got {size!r}")
     rng = np.random.default_rng(seed)
     if kind == "random":
         rows = _rollout_rows(env, random_policy(env, rng), size, rng)
@@ -192,8 +192,8 @@ def make_bimodal_dataset(size: int, seed: int) -> TransitionDataset:
     episodes run in lockstep batches like every other rollout regime; each
     step draws the live rows' modes, then their noise.
     """
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    if not _count(size):
+        raise ValueError(f"size must be {COUNT}, got {size!r}")
     env, rng = EdgeFollowEnv(), np.random.default_rng(seed)
 
     def behavior(states):

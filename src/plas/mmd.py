@@ -3,12 +3,15 @@ policy constraints.
 
 Two scenarios, both one-dimensional:
 
-1. behavior N(0, 1) versus agent N(0, x) with the scale x swept: the loss
-   minimum should sit near the matched scale x = 1.
+1. behavior N(0, 1) versus agent N(0, x) with the scale x swept over 0.1,
+   0.2, ..., 3.0: the loss minimum should sit near the matched scale x = 1.
 2. behavior uniform on [-2, -1] union [1, 2] versus agent N(x, 0.5) with the
-   mean x swept: a constraint which respected the support would prefer the
-   modes at +/-1.5; with wide kernels the loss is instead minimized in the
-   hole between them.
+   mean x swept over -3.0, -2.9, ..., 3.0: a constraint which respected the
+   support would prefer the modes at +/-1.5; with wide kernels the loss is
+   instead minimized in the hole between them.
+
+A scenario is its name and its sizes (samples per side, repeats): the name
+fixes the behaviour sampler, the agent family and the sweep grid.
 
 Estimates use the biased V-statistic (the plotted losses are then
 non-negative). Within one repeat, every sweep point reuses the same base
@@ -56,9 +59,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .nets import COUNT, _check_settings, _count
+
 KERNEL_FAMILIES = ("gaussian", "laplacian")
-BEHAVIORS = ("std_normal", "uniform_bimodal")
-AGENT_FAMILIES = ("scale", "shift")
+# each scenario's behaviour sampler, agent family and sweep grid, by name
+SCENARIOS = {
+    "scenario1-scale": ("std_normal", "scale", (0.1, 3.0)),
+    "scenario2-bimodal": ("uniform_bimodal", "shift", (-3.0, 3.0)),
+}
 
 _F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
 _F32_MAX = float(np.finfo(np.float32).max)
@@ -159,66 +167,41 @@ def default_kernels() -> list[KernelSpec]:
 
 @dataclass
 class MmdScenario:
-    """One sweep definition: behavior sampler, agent family, grid."""
+    """One sweep: a name of ``SCENARIOS`` and its sizes. The name sets
+    ``behavior`` ("std_normal" or "uniform_bimodal"), ``agent_family``
+    ("scale", N(0, x), or "shift", N(x, 0.5)) and ``sweep``, the grid of x."""
 
     name: str
-    behavior: str  # "std_normal" | "uniform_bimodal"
-    agent_family: str  # "scale" (N(0, x)) | "shift" (N(x, 0.5))
-    sweep: np.ndarray = field(default_factory=lambda: np.array([]))
     n_samples: int = 1000
     n_repeats: int = 20
+    behavior: str = field(init=False)
+    agent_family: str = field(init=False)
+    sweep: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.behavior not in BEHAVIORS:
-            raise ValueError(f"unknown behavior {self.behavior!r}")
-        if self.agent_family not in AGENT_FAMILIES:
-            raise ValueError(f"unknown agent family {self.agent_family!r}")
-        self.sweep = np.asarray(self.sweep, dtype=np.float64)
-        if self.sweep.ndim != 1:
-            raise ValueError(f"sweep must be 1-d, got shape {self.sweep.shape}")
-        if self.sweep.size == 0:
-            raise ValueError("empty sweep")
-        if not np.all(np.isfinite(self.sweep)):
-            raise ValueError("non-finite sweep point")
-        for name in ("n_samples", "n_repeats"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_samples < 2:
-            raise ValueError("n_samples must be >= 2")
-        if self.n_repeats < 1:
-            raise ValueError("n_repeats must be >= 1")
+        if self.name not in SCENARIOS:
+            raise ValueError(f"unknown scenario {self.name!r}; the scenarios are "
+                             f"{', '.join(SCENARIOS)}")
+        self.behavior, self.agent_family, (low, high) = SCENARIOS[self.name]
+        self.sweep = np.round(np.arange(low, high + 1e-9, 0.1), 10)
+        _check_settings(self, [
+            ("n_samples", _count(self.n_samples) and self.n_samples >= 2, "an integer >= 2"),
+            ("n_repeats", _count(self.n_repeats), COUNT)])
 
     def behavior_sample(self, rng: np.random.Generator) -> np.ndarray:
         if self.behavior == "std_normal":
             return rng.standard_normal(self.n_samples)
-        if self.behavior == "uniform_bimodal":
-            u = rng.uniform(1.0, 2.0, size=self.n_samples)
-            signs = rng.choice([-1.0, 1.0], size=self.n_samples)
-            return u * signs
-        raise ValueError(f"unknown behavior {self.behavior!r}")
+        u = rng.uniform(1.0, 2.0, size=self.n_samples)
+        signs = rng.choice([-1.0, 1.0], size=self.n_samples)
+        return u * signs
 
 
 def scenario_matched_scale(n_samples: int = 1000, n_repeats: int = 20) -> MmdScenario:
-    return MmdScenario(
-        name="scenario1-scale",
-        behavior="std_normal",
-        agent_family="scale",
-        sweep=np.round(np.arange(0.1, 3.0 + 1e-9, 0.1), 10),
-        n_samples=n_samples,
-        n_repeats=n_repeats,
-    )
+    return MmdScenario("scenario1-scale", n_samples, n_repeats)
 
 
 def scenario_bimodal_hole(n_samples: int = 1000, n_repeats: int = 20) -> MmdScenario:
-    return MmdScenario(
-        name="scenario2-bimodal",
-        behavior="uniform_bimodal",
-        agent_family="shift",
-        sweep=np.round(np.arange(-3.0, 3.0 + 1e-9, 0.1), 10),
-        n_samples=n_samples,
-        n_repeats=n_repeats,
-    )
+    return MmdScenario("scenario2-bimodal", n_samples, n_repeats)
 
 
 @dataclass

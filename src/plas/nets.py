@@ -530,11 +530,20 @@ def _write(path, kind: str, settings: dict, contents: dict) -> None:
     its ``flat`` in its own dtype, with its layout in the header)."""
     header = {"format": kind, "version": FORMAT_VERSION, **settings,
               "nets": {name: _layout(c) for name, c in contents.items() if isinstance(c, Mlp)}}
+    # encoded before the file is opened, which empties it
+    text = json.dumps(header, default=_json_number)
     arrays = {name: c.flat if isinstance(c, Mlp) else np.asarray(c, dtype=np.float64)
               for name, c in contents.items()}
     # through a handle: given a name, np.savez would append ".npz" to it
     with open(path, "wb") as f:
-        np.savez(f, header=np.array(json.dumps(header)), **arrays)
+        np.savez(f, header=np.array(text), **arrays)
+
+
+def _json_number(x):
+    """A numpy integer or float scalar as the JSON number of its value."""
+    if not isinstance(x, (np.integer, np.floating)):
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    return int(x) if isinstance(x, np.integer) else float(x)
 
 
 # the JSON types of a numeric header setting (a bool is not one)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from plas import diagnostics
 from plas.diagnostics import (
     QErrorReport,
     _nearest,
@@ -137,7 +138,7 @@ def test_q_error_report_on_trained_pair():
 
 def test_support_distance_zero_for_dataset_probes():
     ds = tiny_dataset(n=40, seed=50)
-    summary = support_distance(ds, ds.states, ds.actions, k=5)
+    summary = support_distance(ds, ds.states, ds.actions)
     assert np.all(summary.distances == 0.0)
     assert summary.mean == 0.0
 
@@ -145,8 +146,8 @@ def test_support_distance_zero_for_dataset_probes():
 def test_support_distance_flags_far_actions():
     ds = tiny_dataset(n=60, seed=51)
     far_actions = np.full((60, 1), 1.0) * np.where(ds.actions > 0, -1.0, 1.0)
-    far = support_distance(ds, ds.states, far_actions, k=5)
-    near = support_distance(ds, ds.states, ds.actions, k=5)
+    far = support_distance(ds, ds.states, far_actions)
+    near = support_distance(ds, ds.states, ds.actions)
     assert far.mean > near.mean
     assert far.p95 > 0.5
 
@@ -157,21 +158,22 @@ def test_support_distance_dimension_check():
         support_distance(ds, np.zeros((3, 5)), np.zeros((3, 1)))
 
 
-def test_support_distance_takes_rows_with_any_k():
+def test_support_distance_takes_rows_with_any_k(monkeypatch):
     ds = tiny_dataset(n=10)
     for states, actions in ((ds.states[0], ds.actions[0]), (ds.states[:3], ds.actions[:2])):
         with pytest.raises(ValueError):
             support_distance(ds, states, actions)
     # one neighbour, and more neighbours than points, are the same shape of answer
     for k in (1, 3, 50):
-        summary = support_distance(ds, ds.states[:1], ds.actions[:1], k=k)
+        monkeypatch.setattr(diagnostics, "SUPPORT_K", k)
+        summary = support_distance(ds, ds.states[:1], ds.actions[:1])
         assert summary.distances.shape == (1,) and summary.distances[0] == 0.0
 
 
 def test_support_threshold_accepts_dataset_itself():
     ds = tiny_dataset(n=200, seed=52)
-    thr = support_threshold(ds, k=10)
-    summary = support_distance(ds, ds.states, ds.actions, k=10)
+    thr = support_threshold(ds)
+    summary = support_distance(ds, ds.states, ds.actions)
     assert summary.violation_rate(thr) == 0.0
     assert thr > 0.0
 
@@ -181,15 +183,22 @@ def test_support_threshold_separates_random_probes():
     from plas.generators import make_bimodal_dataset
 
     ds = make_bimodal_dataset(2_000, seed=53)
-    thr = support_threshold(ds, k=10)
+    thr = support_threshold(ds)
     rng = np.random.default_rng(54)
     idx = rng.integers(0, len(ds), size=1_000)
     random_actions = rng.uniform(-1, 1, size=(1_000, 1))
-    rand_summary = support_distance(ds, ds.states[idx], random_actions, k=10)
-    data_summary = support_distance(ds, ds.states[idx], ds.actions[idx], k=10)
+    rand_summary = support_distance(ds, ds.states[idx], random_actions)
+    data_summary = support_distance(ds, ds.states[idx], ds.actions[idx])
     assert rand_summary.violation_rate(thr) > 0.3
     assert data_summary.violation_rate(thr) == 0.0
     assert np.median(rand_summary.distances) > np.median(data_summary.distances)
+
+
+def _set_support_recipe(monkeypatch, k, quantile, max_points):
+    # the reference loops take the recipe as arguments; the library reads constants
+    monkeypatch.setattr(diagnostics, "SUPPORT_K", k)
+    monkeypatch.setattr(diagnostics, "THRESHOLD_QUANTILE", quantile)
+    monkeypatch.setattr(diagnostics, "THRESHOLD_POINTS", max_points)
 
 
 def _loop_support_threshold(dataset, k=10, quantile=0.99, max_points=2000, seed=0):
@@ -212,23 +221,23 @@ def _loop_support_threshold(dataset, k=10, quantile=0.99, max_points=2000, seed=
 @pytest.mark.parametrize("n, k, action_dim, max_points", [
     (200, 10, 1, 2000), (300, 5, 2, 100), (8, 10, 2, 2000), (11, 10, 1, 2000), (2, 1, 1, 2000)])
 @pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
-def test_support_threshold_equals_the_neighbour_loop(n, k, action_dim, max_points, duplicated):
+def test_support_threshold_equals_the_neighbour_loop(n, k, action_dim, max_points, duplicated,
+                                                     monkeypatch):
     ds = tiny_dataset(n=n, action_dim=action_dim, seed=55)
     if duplicated:  # ties put a point behind its copies, or out of its own row
         ds.states = ds.states[np.arange(n) % 3]
     for quantile in (0.5, 0.99, 1.0):
-        assert (support_threshold(ds, k, quantile, max_points)
-                == _loop_support_threshold(ds, k, quantile, max_points))
+        _set_support_recipe(monkeypatch, k, quantile, max_points)
+        assert support_threshold(ds) == _loop_support_threshold(ds, k, quantile, max_points)
 
 
 def test_support_threshold_rejects_one_neighbour_queries():
-    # k_eff == 1 leaves no neighbour once a point is dropped from its own row;
-    # the loop failed there too
-    for n, k in ((1, 10), (50, 0)):
-        ds = tiny_dataset(n=n, seed=56)
-        for threshold in (support_threshold, _loop_support_threshold):
-            with pytest.raises(ValueError):
-                threshold(ds, k)
+    # one point leaves no neighbour once it is dropped from its own row; the
+    # loop failed there too
+    ds = tiny_dataset(n=1, seed=56)
+    for threshold in (support_threshold, _loop_support_threshold):
+        with pytest.raises(ValueError):
+            threshold(ds)
 
 
 def _lexsort_nearest(points, queries, k):
@@ -262,7 +271,7 @@ def test_sorted_search_orders_distinct_states_as_the_kd_tree(n):
 
 
 @pytest.mark.parametrize("n, copies", [(40, 3), (40, 15), (25, 25)])
-def test_sorted_search_breaks_ties_by_state_then_row(n, copies):
+def test_sorted_search_breaks_ties_by_state_then_row(n, copies, monkeypatch):
     # runs of equal states longer than k cross the search window's edges
     ds = tiny_dataset(n=n, state_dim=1, seed=58)
     ds.states = ds.states[np.arange(n) % (n // copies)]
@@ -273,7 +282,8 @@ def test_sorted_search_breaks_ties_by_state_then_row(n, copies):
         nbr = _lexsort_nearest(ds.states, probes, min(k, n))
         actions = np.random.default_rng(k).uniform(-1, 1, (len(probes), 1))
         expect = np.linalg.norm(ds.actions[nbr] - actions[:, None], axis=2).min(axis=1)
-        assert np.array_equal(support_distance(ds, probes, actions, k).distances, expect)
+        monkeypatch.setattr(diagnostics, "SUPPORT_K", k)
+        assert np.array_equal(support_distance(ds, probes, actions).distances, expect)
 
 
 def _lexsort_loop_support_threshold(dataset, k=10, quantile=0.99, max_points=2000, seed=0):
@@ -295,12 +305,13 @@ def _lexsort_loop_support_threshold(dataset, k=10, quantile=0.99, max_points=200
     (200, 10, 1, 2000), (300, 5, 2, 100), (8, 10, 2, 2000), (11, 10, 1, 2000), (2, 1, 1, 2000)])
 @pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
 def test_one_dimensional_support_threshold_equals_the_neighbour_loop(
-        n, k, action_dim, max_points, duplicated):
+        n, k, action_dim, max_points, duplicated, monkeypatch):
     ds = tiny_dataset(n=n, state_dim=1, action_dim=action_dim, seed=55)
     if duplicated:
         ds.states = ds.states[np.arange(n) % 3]
     for quantile in (0.5, 0.99, 1.0):
-        assert (support_threshold(ds, k, quantile, max_points)
+        _set_support_recipe(monkeypatch, k, quantile, max_points)
+        assert (support_threshold(ds)
                 == _lexsort_loop_support_threshold(ds, k, quantile, max_points))
 
 
@@ -317,10 +328,8 @@ def test_support_distance_rejects_non_finite_probes(state_dim, column, bad):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda ds: support_distance(ds, ds.states, ds.actions, k=0), "k >= 1"),
     (lambda ds: support_distance(ds, ds.states[:0], ds.actions[:0]), "at least one probe row"),
-    (lambda ds: support_threshold(ds, max_points=0), "max_points >= 1"),
-], ids=["k", "probes", "max_points"])
+], ids=["probes"])
 @pytest.mark.parametrize("state_dim", [1, 2], ids=["sorted", "kd-tree"])
 def test_support_diagnostics_name_the_argument_they_reject(call, message, state_dim):
     with pytest.raises(ValueError, match=message):

@@ -124,6 +124,20 @@ def test_bimodal_dataset_needs_a_row(size, monkeypatch):
         make_bimodal_dataset(size, seed=0)
 
 
+@pytest.mark.parametrize("size", [10.5, 10.0, True, "10"])
+@pytest.mark.parametrize("kind", ["bimodal", "random", "medium_replay"])
+def test_a_dataset_size_is_a_count_checked_before_any_rollout(kind, size, monkeypatch):
+    # a float size ran a whole lockstep batch, then numpy refused it as a slice
+    # index; True built a 1-row dataset
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("rolled out before checking the size")
+
+    monkeypatch.setattr("plas.generators.rollout_batch", no_rollout)
+    monkeypatch.setattr("plas.generators.medium_run", no_rollout)
+    with pytest.raises(ValueError, match="size must be an integer >= 1"):
+        _generate(EdgeFollowEnv(), kind, size, seed=0)
+
+
 def test_an_env_without_steps_cannot_make_a_dataset():
     # the batches of zero-step episodes hold no rows, so appending them until
     # there are enough would never end

@@ -192,10 +192,8 @@ def test_sampled_mmd_rejects_non_finite_samples(bad):
 def test_run_scenario_matches_direct_estimator():
     # one repeat, so each point of a curve is one (kernel, x, repeat) cell
     kernels = [KernelSpec("gaussian", 0.1), KernelSpec("laplacian", 1.0)]
-    for behavior, family, sweep in (("uniform_bimodal", "shift", [-0.7, 0.3]),
-                                    ("std_normal", "scale", [0.5, 1.3])):
-        sc = MmdScenario("t", behavior, family, sweep=np.array(sweep),
-                         n_samples=200, n_repeats=1)
+    for name in ("scenario2-bimodal", "scenario1-scale"):
+        sc = MmdScenario(name, n_samples=200, n_repeats=1)
         curves = run_scenario(sc, kernels, seed=3)
         rng = np.random.default_rng([3, 0])
         behavior_draws = sc.behavior_sample(rng)
@@ -203,9 +201,9 @@ def test_run_scenario_matches_direct_estimator():
         for kern, curve in zip(kernels, curves):
             # the agent's draws: N(0, x) as x * base, N(x, 0.5) as x + 0.5 * base
             direct = [sampled_mmd(kern, behavior_draws,
-                                  x * base if family == "scale" else x + 0.5 * base)
+                                  x * base if sc.agent_family == "scale" else x + 0.5 * base)
                       for x in sc.sweep.tolist()]
-            assert np.max(np.abs(curve.mean - direct)) < 1e-5, (family, kern)
+            assert np.max(np.abs(curve.mean - direct)) < 1e-5, (name, kern)
 
 
 def _float32_pair_mean(k, a, b):
@@ -333,22 +331,32 @@ def test_csv_output(tmp_path):
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError):
-        MmdScenario("t", "std_normal", "scale", sweep=np.array([]), n_samples=10)
-    with pytest.raises(ValueError):
-        MmdScenario("t", "std_normal", "scale", sweep=np.array([1.0]), n_samples=1)
+    with pytest.raises(ValueError, match="unknown scenario 'scenario3'"):
+        MmdScenario("scenario3", n_samples=10)
+    with pytest.raises(ValueError, match="n_samples"):
+        MmdScenario("scenario1-scale", n_samples=1)
+
+
+def test_a_scenario_is_its_name_and_its_sizes():
+    # the two grids, as the study has always swept them
+    grids = {"scenario1-scale": np.round(np.arange(0.1, 3.0 + 1e-9, 0.1), 10),
+             "scenario2-bimodal": np.round(np.arange(-3.0, 3.0 + 1e-9, 0.1), 10)}
+    for factory, behavior, family in (
+            (scenario_matched_scale, "std_normal", "scale"),
+            (scenario_bimodal_hole, "uniform_bimodal", "shift")):
+        sc = factory(50, 3)
+        assert (sc.n_samples, sc.n_repeats) == (50, 3)
+        assert (sc.behavior, sc.agent_family) == (behavior, family)
+        assert sc.sweep.dtype == np.float64
+        assert np.array_equal(sc.sweep, grids[sc.name])
 
 
 @pytest.mark.parametrize("bad", [
     {"n_repeats": 0},  # all-NaN curves, argmin silently at the first point
-    {"agent_family": "scael"},  # ran as the shift family, then crashed
-    {"behavior": "std_normall"},  # failed only inside run_scenario
-    {"sweep": np.array([[0.5, 1.0], [1.5, 2.0]])},  # TypeError inside the loop
-    {"sweep": np.array([0.5, np.nan])},
+    {"name": "scenario1-scael"},
 ])
 def test_scenario_rejects_what_run_scenario_cannot_run(bad):
-    fields = dict(name="t", behavior="std_normal", agent_family="scale",
-                  sweep=np.array([0.5, 1.0]), n_samples=10, n_repeats=2)
+    fields = dict(name="scenario1-scale", n_samples=10, n_repeats=2)
     with pytest.raises(ValueError):
         MmdScenario(**{**fields, **bad})
 
@@ -362,13 +370,11 @@ def test_scenario_rejects_what_run_scenario_cannot_run(bad):
     ("n_repeats", "2"),
 ])
 def test_scenario_rejects_non_integer_counts(field_name, value):
-    fields = dict(name="t", behavior="std_normal", agent_family="scale",
-                  sweep=np.array([0.5, 1.0]), n_samples=10, n_repeats=2)
+    fields = dict(name="scenario1-scale", n_samples=10, n_repeats=2)
     with pytest.raises(ValueError, match=field_name):
         MmdScenario(**{**fields, field_name: value})
 
 
 def test_scenario_accepts_numpy_integer_counts():
-    sc = MmdScenario("t", "std_normal", "scale", sweep=np.array([0.5, 1.0]),
-                     n_samples=np.int64(10), n_repeats=np.int32(2))
-    assert len(run_scenario(sc, [KernelSpec("gaussian", 1.0)], seed=0)[0].mean) == 2
+    sc = MmdScenario("scenario1-scale", n_samples=np.int64(10), n_repeats=np.int32(2))
+    assert len(run_scenario(sc, [KernelSpec("gaussian", 1.0)], seed=0)[0].mean) == 30

@@ -486,6 +486,52 @@ def _small_agent_file(path):
     return lambda p: load_agent(p, decoder)
 
 
+def _header(path):
+    with np.load(path) as z:
+        return json.loads(z["header"].item())
+
+
+def test_numpy_scalar_settings_save_as_json_numbers(tmp_path):
+    # the configs accept numpy counts; every writer stores them as plain numbers
+    from plas.envs import EdgeFollowEnv
+    from plas.generators import generate_dataset, make_bimodal_dataset
+
+    path = tmp_path / "f.npz"
+    for data in (make_bimodal_dataset(np.int64(50), np.int64(3)),
+                 generate_dataset(EdgeFollowEnv(), "random", np.int64(10), np.int64(1))):
+        save_dataset(path, data)
+        back = load_dataset(path).meta
+        assert back == data.meta
+        assert (type(back.seed), type(back.size)) == (int, int)
+    cvae = cvae_init(2, 1, CvaeTrainConfig(latent_dim=np.int64(2), hidden_sizes=(4,)),
+                     np.random.default_rng(0))
+    save_cvae(path, cvae)
+    back = load_cvae(path)
+    assert type(back.latent_dim) is int and back.latent_dim == 2
+    assert np.array_equal(back.decoder.flat, cvae.decoder.flat)
+    decoder = FrozenDecoder(cvae)
+    agent = plas_agent_init(2, decoder, PlasTrainConfig(hidden_sizes=(4,)),
+                            np.random.default_rng(1))
+    save_agent(path, agent, PlasTrainConfig(steps=np.int64(3), hidden_sizes=(8, np.int32(8)),
+                                            gamma=np.float32(0.5)))
+    assert np.array_equal(load_agent(path, decoder).actor.flat, agent.actor.flat)
+    config = _header(path)["config"]
+    assert (config["steps"], config["hidden_sizes"], config["gamma"]) == (3, [8, 8], 0.5)
+    assert type(config["steps"]) is int and type(config["gamma"]) is float
+
+
+def test_a_save_that_cannot_encode_its_header_leaves_the_file_as_it_was(tmp_path):
+    # opening the file empties it, so the header is encoded first
+    path = tmp_path / "f.npz"
+    _small_dataset_file(path)
+    before = path.read_bytes()
+    rows = np.ones((3, 1))
+    with pytest.raises(TypeError, match="complex"):
+        save_dataset(path, TransitionDataset(rows, rows, rows[:, 0], rows, rows[:, 0],
+                                             DatasetMeta("e", "custom", 1j, 3)))
+    assert path.read_bytes() == before
+
+
 @pytest.mark.parametrize("make, kind, edit", [
     (_small_dataset_file, "dataset", lambda h: h.pop("meta")),
     (_small_dataset_file, "dataset", lambda h: h["meta"].pop("seed")),

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -10,7 +11,9 @@ from pathlib import Path
 
 import plas
 from plas.cvae import BehaviorCvae, CvaeTrainConfig
+from plas.diagnostics import support_distance, support_threshold
 from plas.envs import EdgeFollowEnv, PointMassEnv
+from plas.mmd import MmdScenario
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -144,15 +147,20 @@ def test_a_failing_property_fails_one_test_not_the_session(tmp_path):
 
 
 def test_the_settable_values_of_the_envs_and_the_cvae_are_pinned():
-    # each task and the behaviour model have one fixed form: a new setting
-    # must show up here as a reviewed edit (the learner configs are pinned in
-    # test_training.py)
-    got = {cls.__name__: [f.name for f in fields(cls)]
-           for cls in (PointMassEnv, EdgeFollowEnv, CvaeTrainConfig, BehaviorCvae)}
+    # each task, the behaviour model and the analyses have one fixed form: a
+    # new setting must show up here as a reviewed edit (the learner configs
+    # are pinned in test_training.py)
+    got = {cls.__name__: [f.name for f in fields(cls) if f.init]
+           for cls in (PointMassEnv, EdgeFollowEnv, CvaeTrainConfig, BehaviorCvae, MmdScenario)}
+    got.update({fn.__name__: list(inspect.signature(fn).parameters)
+                for fn in (support_distance, support_threshold)})
     assert got == {
         "PointMassEnv": ["horizon"],
         "EdgeFollowEnv": ["horizon"],
         "CvaeTrainConfig": ["steps", "batch_size", "learning_rate", "kl_weight", "latent_dim",
                             "hidden_sizes", "log_every"],
         "BehaviorCvae": ["encoder", "decoder", "state_dim", "action_dim", "latent_dim"],
+        "MmdScenario": ["name", "n_samples", "n_repeats"],
+        "support_distance": ["dataset", "states", "actions"],
+        "support_threshold": ["dataset", "seed"],
     }
