@@ -31,8 +31,7 @@ stay in the networks' dtype; ``act`` casts its states once.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +48,9 @@ from .nets import (
     _check_settings,
     _count,
     _draw,
+    _nonnegative,
     _positive,
+    _real,
     _read,
     _write,
     adam_init,
@@ -75,10 +76,10 @@ class CriticPair:
     gamma: float = 0.99
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lambda must be in [0, 1]")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must be in [0, 1)")
+        _check_settings(self, (
+            ("lam", _real(self.lam) and 0.0 <= self.lam <= 1.0, "in [0, 1]"),
+            ("gamma", _real(self.gamma) and 0.0 <= self.gamma < 1.0, "in [0, 1)"),
+        ))
 
 
 def critic_pair_init(state_dim: int, action_dim: int, config, rng: np.random.Generator,
@@ -184,18 +185,20 @@ class ActorCritic:
 @dataclass
 class PlasAgent(ActorCritic):
     # FrozenDecoder-like: forward(s, z) -> actions; tape(s, z) -> a tape whose
-    # .output is forward(s, z); backward(tape, da) -> dz, the input gradient only
+    # .output is forward(s, z); backward(tape, da) -> dz, the input gradient
+    # only; checkpoint_hash() -> the str that save_agent records
     decoder: object
     max_latent_action: float = 2.0  # the latent is this times the actor's output
     perturbation: Mlp | None = None  # (state, decoded action) -> tanh output
     perturbation_target: Mlp | None = None
     epsilon: float = 0.0  # the decoded action's correction is this times the head's output
-    decoder_hash: str = ""
+    decoder_hash: str = field(init=False)  # the decoder's checkpoint_hash() when built
 
     def __post_init__(self):
+        self.decoder_hash = self.decoder.checkpoint_hash()
         _check_settings(self, (
             ("max_latent_action", _positive(self.max_latent_action), "positive and finite"),
-            ("epsilon", math.isfinite(self.epsilon) and self.epsilon >= 0.0, ">= 0 and finite"),
+            ("epsilon", _nonnegative(self.epsilon), ">= 0 and finite"),
         ))
         if (self.perturbation is None) != (self.perturbation_target is None):
             raise ValueError("perturbation and perturbation_target come together")
@@ -333,9 +336,9 @@ class ActorCriticConfig:
             ("batch_size", _count(self.batch_size), COUNT),
             ("actor_lr", _positive(self.actor_lr), "finite and > 0"),
             ("critic_lr", _positive(self.critic_lr), "finite and > 0"),
-            ("gamma", 0.0 <= self.gamma < 1.0, "in [0, 1)"),
-            ("tau", 0.0 < self.tau <= 1.0, "in (0, 1]"),
-            ("lam", 0.0 <= self.lam <= 1.0, "in [0, 1]"),
+            ("gamma", _real(self.gamma) and 0.0 <= self.gamma < 1.0, "in [0, 1)"),
+            ("tau", _real(self.tau) and 0.0 < self.tau <= 1.0, "in (0, 1]"),
+            ("lam", _real(self.lam) and 0.0 <= self.lam <= 1.0, "in [0, 1]"),
             ("hidden_sizes", all(map(_count, self.hidden_sizes)), f"sizes each {COUNT}"),
             ("eval_interval", _count(self.eval_interval), COUNT),
             ("eval_episodes", _count(self.eval_episodes), COUNT),
@@ -353,8 +356,7 @@ class PlasTrainConfig(ActorCriticConfig):
         super().__post_init__()
         _check_settings(self, (
             ("max_latent_action", _positive(self.max_latent_action), "finite and > 0"),
-            ("perturbation_epsilon", math.isfinite(self.perturbation_epsilon)
-             and self.perturbation_epsilon >= 0.0, "finite and >= 0"),
+            ("perturbation_epsilon", _nonnegative(self.perturbation_epsilon), "finite and >= 0"),
         ))
 
 
@@ -395,7 +397,7 @@ def plas_agent_init(
     target.flat[...] = online.flat
     nets, targets = online.nets + [None], target.nets + [None]  # actor, head or None
     return PlasAgent(nets[0], targets[0], critics, decoder, config.max_latent_action,
-                     nets[1], targets[1], config.perturbation_epsilon, decoder.checkpoint_hash())
+                     nets[1], targets[1], config.perturbation_epsilon)
 
 
 def param_groups(agent: ActorCritic, config: ActorCriticConfig) -> dict[str, ParamGroup]:
@@ -498,14 +500,14 @@ def load_agent(path, decoder) -> PlasAgent:
         "max_latent_action": JSON_NUMBER, "lam": JSON_NUMBER, "gamma": JSON_NUMBER,
         "decoder_hash": (str,), "perturbation_epsilon": JSON_NUMBER},
         nets=("q1", "q1_target", "q2", "q2_target", "actor", "actor_target"))
-    if decoder.checkpoint_hash() != header["decoder_hash"]:
-        raise ValueError("checkpoint was trained against a different decoder")
     critics = CriticPair(nets["q1"], nets["q2"], nets["q1_target"], nets["q2_target"],
                          lam=header["lam"], gamma=header["gamma"])
-    return PlasAgent(nets["actor"], nets["actor_target"], critics, decoder,
-                     header["max_latent_action"], nets.get("perturbation"),
-                     nets.get("perturbation_target"), header["perturbation_epsilon"],
-                     header["decoder_hash"])
+    agent = PlasAgent(nets["actor"], nets["actor_target"], critics, decoder,
+                      header["max_latent_action"], nets.get("perturbation"),
+                      nets.get("perturbation_target"), header["perturbation_epsilon"])
+    if agent.decoder_hash != header["decoder_hash"]:
+        raise ValueError("checkpoint was trained against a different decoder")
+    return agent
 
 
 def agent_hash(agent: PlasAgent) -> str:

@@ -7,21 +7,23 @@ on (no gradient flows where the clamp holds). The decoder maps (state, latent)
 back to an action through a tanh output, so decoded actions always land in
 [-1, 1]^d. The prior over latents is a standard normal, independent of state.
 Training minimizes reconstruction MSE plus a weighted KL to that prior; once
-trained the model is frozen and only its decoder is consulted by the policy.
+trained the model is frozen and only its decoder is consulted by the policy,
+through ``FrozenDecoder``, whose ``forward`` is the one decoder entry.
 
-``cvae_init`` builds the model a ``CvaeTrainConfig`` describes: the encoder,
-then the decoder, drawn into one parameter vector, float32 unless asked for
-float64 (which the finite-difference checks use). ``train_cvae`` steps that
-vector as one Adam group, as the learners step theirs. Each network computes in
-its own dtype: ``encode`` and ``decode`` cast their inputs to it, and
-``train_cvae`` casts the two columns it reads of each ``data.sample_batch``
-minibatch, and the standard-normal noise drawn for it in float64, once per
-step.
+A ``BehaviorCvae`` is its two networks: its state, action and latent widths
+are read off their layouts. ``cvae_init`` builds the model a
+``CvaeTrainConfig`` describes, with a latent of 2 × action_dim as in BCQ's VAE:
+the encoder, then the decoder, drawn into one parameter vector, float32 unless
+asked for float64 (which the finite-difference checks use). ``train_cvae``
+steps that vector as one Adam group, as the learners step theirs. Each network
+computes in its own dtype: ``encode`` and ``FrozenDecoder`` cast their inputs
+to it, and ``train_cvae`` casts the two columns it reads of each
+``data.sample_batch`` minibatch, and the standard-normal noise drawn for it in
+float64, once per step.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .nets import (
     _checked,
     _count,
     _draw,
+    _nonnegative,
     _positive,
     _read,
     _rows,
@@ -59,19 +62,19 @@ LOG_STD_MIN, LOG_STD_MAX = -4.0, 15.0
 class BehaviorCvae:
     encoder: Mlp  # (s, a) -> (mu, log_std), width 2*latent_dim
     decoder: Mlp  # (s, z) -> action, tanh output
-    state_dim: int
-    action_dim: int
-    latent_dim: int
+    state_dim: int = field(init=False)  # the encoder's input width less action_dim
+    action_dim: int = field(init=False)  # the decoder's output width
+    latent_dim: int = field(init=False)  # half the encoder's output width
 
     def __post_init__(self):
-        if self.encoder.out_dim != 2 * self.latent_dim:
-            raise ShapeError("encoder output must be 2*latent_dim")
-        if self.encoder.in_dim != self.state_dim + self.action_dim:
-            raise ShapeError("encoder input must be state_dim + action_dim")
-        if self.decoder.out_dim != self.action_dim:
-            raise ShapeError("decoder output must be action_dim")
-        if self.decoder.in_dim != self.state_dim + self.latent_dim:
-            raise ShapeError("decoder input must be state_dim + latent_dim")
+        enc, dec = self.encoder, self.decoder
+        self.action_dim, self.latent_dim = dec.out_dim, enc.out_dim // 2
+        self.state_dim = enc.in_dim - self.action_dim
+        if enc.out_dim % 2 or self.state_dim < 1 or dec.in_dim != self.state_dim + self.latent_dim:
+            raise ShapeError(f"an encoder {enc.in_dim} -> {enc.out_dim} and a decoder {dec.in_dim}"
+                             f" -> {dec.out_dim} are not (s + a -> 2z, s + z -> a), s >= 1")
+        if dec.activations[-1] != "tanh":
+            raise ValueError("decoder output activation must be tanh")
 
 
 @dataclass
@@ -92,7 +95,6 @@ class CvaeTrainConfig:
     batch_size: int = 100
     learning_rate: float = 1e-3
     kl_weight: float = 0.5
-    latent_dim: int | None = None  # default 2 * action_dim
     hidden_sizes: tuple[int, ...] = (128, 128)
     log_every: int = 500
 
@@ -101,9 +103,7 @@ class CvaeTrainConfig:
             ("steps", _count(self.steps), COUNT),
             ("batch_size", _count(self.batch_size), COUNT),
             ("learning_rate", _positive(self.learning_rate), "finite and > 0"),
-            ("kl_weight", math.isfinite(self.kl_weight) and self.kl_weight >= 0.0,
-             "finite and >= 0"),
-            ("latent_dim", self.latent_dim is None or _count(self.latent_dim), f"None or {COUNT}"),
+            ("kl_weight", _nonnegative(self.kl_weight), "finite and >= 0"),
             ("hidden_sizes", all(map(_count, self.hidden_sizes)), f"sizes each {COUNT}"),
             ("log_every", _count(self.log_every), COUNT),
         ))
@@ -116,29 +116,35 @@ def cvae_init(
     rng: np.random.Generator,
     dtype=np.float32,
 ) -> BehaviorCvae:
-    """The CVAE of ``config``'s latent width and hidden sizes: the encoder,
-    then the decoder, drawn into one vector."""
-    latent_dim = 2 * action_dim if config.latent_dim is None else config.latent_dim
+    """The CVAE of ``config``'s hidden sizes and a latent of 2 * action_dim:
+    the encoder, then the decoder, drawn into one vector."""
+    latent_dim = 2 * action_dim
     hidden = list(config.hidden_sizes)
     group = Params.zeros([[state_dim + action_dim] + hidden + [2 * latent_dim],
                           [state_dim + latent_dim] + hidden + [action_dim]], dtype)
     encoder, decoder = (_draw(net, rng) for net in group.nets)
     decoder.activations[-1] = "tanh"
-    return BehaviorCvae(encoder, decoder, state_dim, action_dim, latent_dim)
+    return BehaviorCvae(encoder, decoder)
+
+
+def _encoder_pass(cvae: BehaviorCvae, states, actions):
+    """The taped encoder pass over (state, action) rows: the rows checked and
+    cast to its dtype, the tape of their join, and its output split into mu
+    and the unclamped log-std, each (B, latent_dim)."""
+    dtype = cvae.encoder.dtype
+    s = _rows(states, cvae.state_dim, "states", dtype)
+    a = _rows(actions, cvae.action_dim, "actions", dtype)
+    if s.shape[0] != a.shape[0]:
+        raise ShapeError(f"{s.shape[0]} state rows and {a.shape[0]} action rows")
+    tape = mlp_tape(cvae.encoder, np.concatenate([s, a], axis=1))
+    return s, a, tape, tape.output[:, : cvae.latent_dim], tape.output[:, cvae.latent_dim :]
 
 
 def encode(cvae: BehaviorCvae, state, action):
     """Posterior parameters (mu, log_std) of state and action rows, each
     (B, latent_dim); log_std is clamped to [LOG_STD_MIN, LOG_STD_MAX]."""
-    dtype = cvae.encoder.dtype
-    s = _rows(state, cvae.state_dim, "state", dtype)
-    a = _rows(action, cvae.action_dim, "action", dtype)
-    if s.shape[0] != a.shape[0]:
-        raise ShapeError("state/action batch mismatch")
-    out = mlp_forward(cvae.encoder, np.concatenate([s, a], axis=1))
-    mu = out[:, : cvae.latent_dim]
-    log_std = np.clip(out[:, cvae.latent_dim :], LOG_STD_MIN, LOG_STD_MAX)
-    return mu, log_std
+    *_, mu, raw_log_std = _encoder_pass(cvae, state, action)
+    return mu, np.clip(raw_log_std, LOG_STD_MIN, LOG_STD_MAX)
 
 
 def _decoder_input(cvae: BehaviorCvae, state, z) -> np.ndarray:
@@ -151,12 +157,6 @@ def _decoder_input(cvae: BehaviorCvae, state, z) -> np.ndarray:
     if s.shape[:-1] != zz.shape[:-1]:
         raise ShapeError(f"state {s.shape} and z {zz.shape} differ in ndim or rows")
     return np.concatenate([s, zz], axis=-1)
-
-
-def decode(cvae: BehaviorCvae, state, z):
-    """Deterministic decoder output; tanh keeps actions in [-1, 1]^d. One
-    state (with one z) runs one forward on vectors and gives (action_dim,)."""
-    return mlp_forward(cvae.decoder, _decoder_input(cvae, state, z))
 
 
 def kl_to_standard_normal(mu, log_std):
@@ -184,29 +184,25 @@ def elbo_loss_and_grads(
 
     Deterministic given `noise` (one standard-normal draw per datum), which is
     what makes the whole composition checkable by finite differences. States
-    and actions are (B, n) rows; they and the noise are cast to the encoder's
-    dtype. The reconstruction term is the mean squared error over every action
-    entry in the batch; the KL term is averaged over the batch. ``out`` is the
+    and actions are (B, n) rows and the noise is (B, latent_dim); all three
+    are cast to the encoder's dtype. The reconstruction term is the mean
+    squared error over every action entry in the batch; the KL term is
+    averaged over the batch. ``out`` is the
     (encoder, decoder) pair of ``Gradients`` that ``mlp_backward`` writes into
     and that is returned (``train_cvae`` passes the two networks of its Adam
     state's ``grad``); without it both are fresh.
     """
     enc_buf, dec_buf = (None, None) if out is None else out
-    dtype = cvae.encoder.dtype
-    s = _rows(states, cvae.state_dim, "states", dtype)
-    a = _rows(actions, cvae.action_dim, "actions", dtype)
-    noise = np.asarray(noise, dtype=dtype)
+    s, a, enc_tape, mu, raw_log_std = _encoder_pass(cvae, states, actions)
+    noise = np.asarray(noise, dtype=cvae.encoder.dtype)
     B = s.shape[0]
-
-    enc_tape = mlp_tape(cvae.encoder, np.concatenate([s, a], axis=1))
-    enc_out = enc_tape.output
-    mu = enc_out[:, : cvae.latent_dim]
-    raw_log_std = enc_out[:, cvae.latent_dim :]
+    if noise.shape != mu.shape:
+        raise ShapeError(f"noise must be (B, latent_dim) = {mu.shape}, got {noise.shape}")
     log_std = np.clip(raw_log_std, LOG_STD_MIN, LOG_STD_MAX)
     std = np.exp(log_std)
     z = mu + std * noise
 
-    dec_tape = mlp_tape(cvae.decoder, np.concatenate([s, z], axis=1))
+    dec_tape = mlp_tape(cvae.decoder, _decoder_input(cvae, s, z))
     diff = dec_tape.output - a
     recon_loss = float(np.mean(diff ** 2))
     kl = kl_to_standard_normal(mu, log_std)
@@ -284,7 +280,9 @@ class FrozenDecoder:
         self.latent_dim = cvae.latent_dim
 
     def forward(self, states: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return decode(self._cvae, states, z)
+        """Decoded actions, in [-1, 1]^d by the tanh: one state (with one z)
+        runs one forward on vectors and gives (action_dim,)."""
+        return mlp_forward(self._cvae.decoder, _decoder_input(self._cvae, states, z))
 
     def tape(self, states: np.ndarray, z: np.ndarray) -> Tape:
         """Taped forward; ``.output`` is ``forward(states, z)``."""
@@ -302,20 +300,15 @@ class FrozenDecoder:
 
 # -- checkpoints --------------------------------------------------------------
 
-# files written while the log-std bounds were settings also hold
-# "log_std_min" and "log_std_max" (always -4 and 15); the reader ignores them
-_SETTINGS = {"state_dim": (int,), "action_dim": (int,), "latent_dim": (int,)}
-
-
 def save_cvae(path, cvae: BehaviorCvae) -> None:
-    _write(path, "cvae", {name: getattr(cvae, name) for name in _SETTINGS},
-           {"encoder": cvae.encoder, "decoder": cvae.decoder})
+    _write(path, "cvae", {}, {"encoder": cvae.encoder, "decoder": cvae.decoder})
 
 
 def load_cvae(path) -> BehaviorCvae:
-    header, nets = _read(path, "cvae", settings=_SETTINGS, nets=("encoder", "decoder"))
-    return BehaviorCvae(nets["encoder"], nets["decoder"],
-                        **{name: header[name] for name in _SETTINGS})
+    """The model at ``path``. Older files also hold the widths and some the
+    log-std bounds (always -4 and 15), which are ignored."""
+    _, nets = _read(path, "cvae", nets=("encoder", "decoder"))
+    return BehaviorCvae(nets["encoder"], nets["decoder"])
 
 
 def cvae_hash(cvae: BehaviorCvae) -> str:

@@ -174,9 +174,10 @@ class MmdScenario:
     name: str
     n_samples: int = 1000
     n_repeats: int = 20
-    behavior: str = field(init=False)
-    agent_family: str = field(init=False)
-    sweep: np.ndarray = field(init=False)
+    # set by the name, so equality compares the name and the sizes only
+    behavior: str = field(init=False, compare=False)
+    agent_family: str = field(init=False, compare=False)
+    sweep: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.name not in SCENARIOS:

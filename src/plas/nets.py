@@ -630,8 +630,18 @@ def _check_settings(settings, rules) -> None:
                              f"got {getattr(settings, name)!r}")
 
 
+def _real(x) -> bool:
+    """Whether ``x`` is a real number setting: an int, a float or a numpy
+    integer or float scalar, not a bool (the float twin of ``_count``)."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def _positive(x) -> bool:
-    return math.isfinite(x) and x > 0.0
+    return _real(x) and math.isfinite(x) and x > 0.0
+
+
+def _nonnegative(x) -> bool:
+    return _real(x) and math.isfinite(x) and x >= 0.0
 
 
 # the rule of every count setting: a step count, a batch size, a width, a horizon

@@ -62,11 +62,10 @@ class IdentityDecoder:
         return "identity"
 
 
-def small_cvae_decoder(state_dim=2, action_dim=2, latent_dim=3, seed=50):
+def small_cvae_decoder(state_dim=2, action_dim=2, seed=50):
     # float64, as the finite-difference checks need
     rng = np.random.default_rng(seed)
-    cvae = cvae_init(state_dim, action_dim,
-                     CvaeTrainConfig(latent_dim=latent_dim, hidden_sizes=(8, 8)), rng,
+    cvae = cvae_init(state_dim, action_dim, CvaeTrainConfig(hidden_sizes=(8, 8)), rng,
                      np.float64)
     return FrozenDecoder(cvae)
 
@@ -90,9 +89,9 @@ def critic_group(critics, lr=1e-3):
 def test_act_zero_actor_equals_decode_at_zero():
     decoder = small_cvae_decoder()
     agent = make_agent(decoder)
-    agent.actor = mlp_zeros([2, 8, 8, 3], output_activation="tanh")
+    agent.actor = mlp_zeros([2, 8, 8, decoder.latent_dim], output_activation="tanh")
     s = np.array([0.4, -0.2])
-    expect = decoder.forward(s[None, :], np.zeros((1, 3)))[0]
+    expect = decoder.forward(s[None, :], np.zeros((1, decoder.latent_dim)))[0]
     assert np.allclose(act(agent, s), expect)
 
 
@@ -472,7 +471,7 @@ def test_train_plas_smoke_and_freeze(tmp_path):
         next_states=next_states, dones=np.zeros(n),
         meta=DatasetMeta("synthetic", "custom", 0, n),
     )
-    decoder = small_cvae_decoder(state_dim=2, action_dim=2, latent_dim=4, seed=69)
+    decoder = small_cvae_decoder(state_dim=2, action_dim=2, seed=69)
     cfg = PlasTrainConfig(steps=400, batch_size=32, hidden_sizes=(16, 16),
                           log_every=100, eval_interval=10_000)
     agent, log = train_plas(ds, decoder, cfg, np.random.default_rng(70))
@@ -552,11 +551,11 @@ def test_agent_checkpoint_rejects_wrong_decoder(tmp_path):
 
 
 def test_hand_built_agent_checkpoint_rejects_wrong_decoder(tmp_path):
-    # decoder_hash defaults to "", which must not switch the decoder check off
+    # a hand-built agent reads its decoder_hash off its decoder, as a drawn one does
     decoder = small_cvae_decoder(seed=77)
     built = make_agent(decoder, seed=78)
     agent = PlasAgent(built.actor, built.actor_target, built.critics, decoder)
-    assert agent.decoder_hash == ""
+    assert agent.decoder_hash == built.decoder_hash == decoder.checkpoint_hash()
     save_agent(tmp_path / "agent.npz", agent)
     assert load_agent(tmp_path / "agent.npz", decoder).decoder_hash == decoder.checkpoint_hash()
     with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from plas.cvae import (
     FrozenDecoder,
     cvae_hash,
     cvae_init,
-    decode,
     elbo_loss_and_grads,
     encode,
     kl_to_standard_normal,
@@ -20,7 +19,7 @@ from plas.cvae import (
     train_cvae,
 )
 from plas.data import DatasetMeta, TransitionDataset
-from plas.nets import Params, ShapeError, mlp_zeros
+from plas.nets import Params, ShapeError, _write, mlp_zeros
 
 from .oracles import finite_diff_param_grads, max_rel_err
 
@@ -46,7 +45,52 @@ def synthetic_dataset(states, actions, kind="custom", seed=0, env_name="syntheti
 def zero_cvae(state_dim=2, action_dim=1, latent_dim=2):
     enc = mlp_zeros([state_dim + action_dim, 4, 2 * latent_dim])
     dec = mlp_zeros([state_dim + latent_dim, 4, action_dim], output_activation="tanh")
-    return BehaviorCvae(enc, dec, state_dim, action_dim, latent_dim)
+    return BehaviorCvae(enc, dec)
+
+
+def test_the_widths_are_read_off_the_layouts():
+    # a latent of other than 2 * action_dim, as a hand-built model may have
+    cvae = zero_cvae(state_dim=3, action_dim=2, latent_dim=5)
+    assert (cvae.state_dim, cvae.action_dim, cvae.latent_dim) == (3, 2, 5)
+    assert (FrozenDecoder(cvae).state_dim, FrozenDecoder(cvae).latent_dim) == (3, 5)
+    drawn = cvae_init(3, 2, CvaeTrainConfig(hidden_sizes=(8,)), np.random.default_rng(0))
+    assert (drawn.state_dim, drawn.action_dim, drawn.latent_dim) == (3, 2, 4)
+
+
+@pytest.mark.parametrize("encoder, decoder", [
+    ([3, 4, 5], [4, 4, 1]),  # an odd encoder output
+    ([1, 4, 4], [3, 4, 1]),  # the action takes the whole encoder input
+    ([1, 4, 4], [1, 4, 2]),  # ... or more: a state width of -1 would fit -1 + 2
+    ([3, 4, 4], [5, 4, 1]),  # the encoder says 2 + 2
+])
+def test_a_cvae_whose_networks_do_not_fit_raises_shape_error(encoder, decoder):
+    with pytest.raises(ShapeError, match=f"encoder {encoder[0]} -> {encoder[-1]} and a "
+                                         f"decoder {decoder[0]} -> {decoder[-1]} are not"):
+        BehaviorCvae(mlp_zeros(encoder), mlp_zeros(decoder, output_activation="tanh"))
+
+
+def test_a_cvae_file_whose_decoder_is_not_tanh_is_refused(tmp_path):
+    # an identity output decoded 45.6 for a latent inside the box, outside the
+    # [-1, 1] the support argument rests on
+    cvae = cvae_init(2, 1, CvaeTrainConfig(hidden_sizes=(4,)), np.random.default_rng(0))
+    untanhed = cvae.decoder.copy()
+    untanhed.activations[-1] = "identity"
+    _write(tmp_path / "cvae.npz", "cvae", {}, {"encoder": cvae.encoder, "decoder": untanhed})
+    with pytest.raises(ValueError, match="decoder output activation must be tanh"):
+        load_cvae(tmp_path / "cvae.npz")
+    with pytest.raises(ValueError, match="decoder output activation must be tanh"):
+        BehaviorCvae(cvae.encoder, untanhed)
+
+
+def test_a_cvae_file_that_still_holds_its_widths_loads(tmp_path):
+    # files written while the widths were stored: the reader ignores them
+    cvae = cvae_init(2, 1, CvaeTrainConfig(hidden_sizes=(4,)), np.random.default_rng(1))
+    _write(tmp_path / "cvae.npz", "cvae",
+           {"state_dim": 2, "action_dim": 1, "latent_dim": 2, "log_std_min": -4.0,
+            "log_std_max": 15.0}, {"encoder": cvae.encoder, "decoder": cvae.decoder})
+    back = load_cvae(tmp_path / "cvae.npz")
+    assert cvae_hash(back) == cvae_hash(cvae)
+    assert (back.state_dim, back.action_dim, back.latent_dim) == (2, 1, 2)
 
 
 def test_encode_zero_network():
@@ -68,7 +112,7 @@ def test_encode_deterministic():
 
 def test_decode_zero_network():
     cvae = zero_cvae()
-    a = decode(cvae, np.array([0.2, 0.9]), np.array([1.0, -1.0]))
+    a = FrozenDecoder(cvae).forward(np.array([0.2, 0.9]), np.array([1.0, -1.0]))
     assert np.all(a == 0.0)
 
 
@@ -79,7 +123,7 @@ def test_decode_always_in_bounds(seed, scale):
     cvae = cvae_init(2, 3, CvaeTrainConfig(hidden_sizes=(6,)), rng)
     s = scale * rng.normal(size=2)
     z = scale * rng.normal(size=cvae.latent_dim)
-    a = decode(cvae, s, z)
+    a = FrozenDecoder(cvae).forward(s, z)
     assert np.all(np.abs(a) <= 1.0)
 
 
@@ -124,7 +168,7 @@ def test_kl_matches_quadrature():
 @pytest.mark.parametrize("seed", range(4))
 def test_elbo_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(200 + seed)
-    cvae = cvae_init(2, 1, CvaeTrainConfig(latent_dim=2, hidden_sizes=(6,)), rng, np.float64)
+    cvae = cvae_init(2, 1, CvaeTrainConfig(hidden_sizes=(6,)), rng, np.float64)
     B = 3
     s = rng.normal(size=(B, 2))
     a = rng.uniform(-0.9, 0.9, size=(B, 1))
@@ -155,6 +199,26 @@ def test_elbo_report_total_identity():
     assert rep.kl_loss >= 0.0
 
 
+def test_the_elbo_rejects_state_and_action_rows_that_differ_in_number():
+    # numpy's concatenate raised a plain ValueError here
+    cvae = cvae_init(2, 1, CvaeTrainConfig(hidden_sizes=(6,)), np.random.default_rng(16))
+    s, a = np.zeros((5, 2)), np.zeros((4, 1))
+    for run in (lambda: elbo_loss_and_grads(cvae, s, a, np.zeros((5, 2)), 0.5),
+                lambda: encode(cvae, s, a)):
+        with pytest.raises(ShapeError, match="5 state rows and 4 action rows"):
+            run()
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (4, 1), (4, 3), (4, 2, 1)])
+def test_the_elbo_takes_noise_of_shape_b_by_latent_only(shape):
+    # each of these broadcast into z = mu + std * noise and gave a wrong loss
+    cvae = cvae_init(2, 1, CvaeTrainConfig(hidden_sizes=(6,)), np.random.default_rng(17))
+    s, a = np.zeros((4, 2)), np.zeros((4, 1))
+    elbo_loss_and_grads(cvae, s, a, np.zeros((4, 2)), 0.5)
+    with pytest.raises(ShapeError, match="noise must be"):
+        elbo_loss_and_grads(cvae, s, a, np.zeros(shape), 0.5)
+
+
 def test_train_cvae_constant_action():
     rng = np.random.default_rng(16)
     states = rng.uniform(0, 1, size=(500, 1))
@@ -165,7 +229,7 @@ def test_train_cvae_constant_action():
     assert reports[-1].reconstruction_loss < 1e-3
     z = np.random.default_rng(1).standard_normal((500, cvae.latent_dim))
     s = states[np.random.default_rng(2).integers(0, 500, size=500)]
-    decoded = decode(cvae, s, z)
+    decoded = FrozenDecoder(cvae).forward(s, z)
     assert np.mean(np.abs(decoded - 0.3) < 0.1) > 0.95
 
 
@@ -183,7 +247,7 @@ def test_train_cvae_deterministic_actions_ignore_latent():
     probe_rng = np.random.default_rng(7)
     s = ds.states[probe_rng.integers(0, len(ds), size=2_000)]
     z = probe_rng.standard_normal((2_000, cvae.latent_dim))
-    decoded = decode(cvae, s, z)[:, 0]
+    decoded = FrozenDecoder(cvae).forward(s, z)[:, 0]
     target = 0.5 * np.sin(2 * np.pi * s[:, 0])
     assert np.quantile(np.abs(decoded - target), 0.99) < 0.05
     _, log_std = encode(cvae, ds.states, ds.actions)
@@ -206,7 +270,7 @@ def test_train_cvae_bimodal_avoids_hole():
     probe_rng = np.random.default_rng(5)
     s = ds.states[probe_rng.integers(0, n, size=10_000)]
     z = probe_rng.standard_normal((10_000, cvae.latent_dim))
-    decoded = decode(cvae, s, z)[:, 0]
+    decoded = FrozenDecoder(cvae).forward(s, z)[:, 0]
     in_hole = np.mean((decoded > -0.3) & (decoded < 0.3))
     assert in_hole < 0.06
     # both modes are actually generated, not averaged into the gap
@@ -232,22 +296,22 @@ def test_train_cvae_loss_curve_mostly_decreasing():
 @pytest.mark.parametrize("field, value", [
     ("steps", 0), ("steps", -5), ("batch_size", 0), ("learning_rate", 0.0),
     ("learning_rate", float("nan")), ("kl_weight", -0.5), ("kl_weight", float("inf")),
-    ("latent_dim", 0), ("hidden_sizes", (8, 0)), ("log_every", 0),
-    ("steps", 20.0), ("batch_size", 16.0), ("latent_dim", 2.0), ("hidden_sizes", (8.0, 8)),
-    ("log_every", 2.5), ("steps", True), ("hidden_sizes", (8, False)),
+    ("kl_weight", "0.5"), ("hidden_sizes", (8, 0)), ("log_every", 0),
+    ("steps", 20.0), ("batch_size", 16.0), ("learning_rate", np.True_),
+    ("hidden_sizes", (8.0, 8)), ("log_every", 2.5), ("steps", True), ("hidden_sizes", (8, False)),
     ("learning_rate", float("inf")),
 ])
 def test_cvae_config_names_the_field_it_rejects(field, value):
     # unchecked, steps <= 0 would return an untrained model and an empty log,
     # log_every=0 would die with ZeroDivisionError after the first Adam step,
-    # and a float count failed later, inside numpy
+    # a float count failed later, inside numpy, and a str kl_weight raised
+    # TypeError
     with pytest.raises(ValueError, match=f"CvaeTrainConfig.{field} must be"):
         CvaeTrainConfig(**{field: value})
 
 
 def test_cvae_init_draws_encoder_and_decoder_into_one_vector():
-    cvae = cvae_init(3, 2, CvaeTrainConfig(latent_dim=3, hidden_sizes=(8, 8)),
-                     np.random.default_rng(4))
+    cvae = cvae_init(3, 2, CvaeTrainConfig(hidden_sizes=(8, 8)), np.random.default_rng(4))
     flat = cvae.encoder.flat.base
     assert flat is not None and cvae.decoder.flat.base is flat
     assert cvae.encoder.activations == ["relu", "relu", "identity"]
@@ -287,10 +351,10 @@ def test_train_cvae_rejects_empty():
 
 def test_frozen_decoder_backward_matches_fd():
     rng = np.random.default_rng(20)
-    cvae = cvae_init(2, 2, CvaeTrainConfig(latent_dim=3, hidden_sizes=(8,)), rng, np.float64)
+    cvae = cvae_init(2, 2, CvaeTrainConfig(hidden_sizes=(8,)), rng, np.float64)
     dec = FrozenDecoder(cvae)
     s = rng.normal(size=(2, 2))
-    z = rng.normal(size=(2, 3))
+    z = rng.normal(size=(2, 4))
     gout = rng.normal(size=(2, 2))
     dz = dec.backward(dec.tape(s, z), gout)
     h = 1e-6
@@ -306,11 +370,10 @@ def test_frozen_decoder_backward_matches_fd():
 
 def test_frozen_decoder_checks_state_and_latent_widths():
     # widths 3 + 1 add up to the decoder's input width 2 + 2
-    cvae = cvae_init(2, 2, CvaeTrainConfig(latent_dim=2, hidden_sizes=(8,)),
-                     np.random.default_rng(22))
+    cvae = cvae_init(2, 1, CvaeTrainConfig(hidden_sizes=(8,)), np.random.default_rng(22))
     dec = FrozenDecoder(cvae)
     s, z = np.zeros((4, 2)), np.zeros((4, 2))
-    assert dec.tape(s, z).output.shape == (4, 2)
+    assert dec.tape(s, z).output.shape == (4, 1)
     for bad_s, bad_z in ((np.zeros((4, 3)), np.zeros((4, 1))), (s, np.zeros((4, 3))),
                          (s, np.zeros((5, 2)))):
         with pytest.raises(ShapeError):
@@ -328,4 +391,4 @@ def test_cvae_checkpoint_round_trip_and_hash(tmp_path):
     assert (back.state_dim, back.action_dim, back.latent_dim) == (3, 2, 4)
     s = rng.normal(size=3)
     z = rng.normal(size=cvae.latent_dim)
-    assert np.array_equal(decode(back, s, z), decode(cvae, s, z))
+    assert np.array_equal(FrozenDecoder(back).forward(s, z), FrozenDecoder(cvae).forward(s, z))

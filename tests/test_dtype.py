@@ -98,7 +98,7 @@ def _batch(rng):
 def _cvae(rng, hidden=HIDDEN):
     enc = mlp_init([STATE_DIM + ACTION_DIM, *hidden, 2 * LATENT_DIM], rng)
     dec = mlp_init([STATE_DIM + LATENT_DIM, *hidden, ACTION_DIM], rng, output_activation="tanh")
-    return BehaviorCvae(enc, dec, STATE_DIM, ACTION_DIM, LATENT_DIM)
+    return BehaviorCvae(enc, dec)
 
 
 def _pairs(agent):

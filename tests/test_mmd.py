@@ -351,6 +351,14 @@ def test_a_scenario_is_its_name_and_its_sizes():
         assert np.array_equal(sc.sweep, grids[sc.name])
 
 
+def test_scenarios_are_equal_when_their_names_and_sizes_are():
+    # the sweep array made == raise ValueError
+    assert scenario_matched_scale(50, 3) == scenario_matched_scale(50, 3)
+    assert scenario_matched_scale(50, 3) != scenario_bimodal_hole(50, 3)
+    assert scenario_matched_scale(50, 3) != scenario_matched_scale(60, 3)
+    assert scenario_matched_scale(50, 3) != scenario_matched_scale(50, 4)
+
+
 @pytest.mark.parametrize("bad", [
     {"n_repeats": 0},  # all-NaN curves, argmin silently at the first point
     {"name": "scenario1-scael"},

@@ -503,8 +503,7 @@ def test_numpy_scalar_settings_save_as_json_numbers(tmp_path):
         back = load_dataset(path).meta
         assert back == data.meta
         assert (type(back.seed), type(back.size)) == (int, int)
-    cvae = cvae_init(2, 1, CvaeTrainConfig(latent_dim=np.int64(2), hidden_sizes=(4,)),
-                     np.random.default_rng(0))
+    cvae = cvae_init(2, 1, CvaeTrainConfig(hidden_sizes=(np.int64(4),)), np.random.default_rng(0))
     save_cvae(path, cvae)
     back = load_cvae(path)
     assert type(back.latent_dim) is int and back.latent_dim == 2
@@ -535,9 +534,8 @@ def test_a_save_that_cannot_encode_its_header_leaves_the_file_as_it_was(tmp_path
 @pytest.mark.parametrize("make, kind, edit", [
     (_small_dataset_file, "dataset", lambda h: h.pop("meta")),
     (_small_dataset_file, "dataset", lambda h: h["meta"].pop("seed")),
-    (_small_cvae_file, "cvae", lambda h: h.pop("latent_dim")),
     (_small_agent_file, "agent", lambda h: h.pop("decoder_hash")),
-], ids=["dataset-meta", "dataset-meta-seed", "cvae-latent_dim", "agent-decoder_hash"])
+], ids=["dataset-meta", "dataset-meta-seed", "agent-decoder_hash"])
 def test_header_missing_a_setting_raises_value_error(tmp_path, make, kind, edit):
     path = tmp_path / "f.npz"
     load = make(path)
@@ -553,15 +551,13 @@ def test_header_missing_a_setting_raises_value_error(tmp_path, make, kind, edit)
     (_small_agent_file, "agent", "gamma", True),
     (_small_agent_file, "agent", "decoder_hash", 7),
     (_small_agent_file, "agent", "perturbation_epsilon", [0.0]),
-    (_small_cvae_file, "cvae", "state_dim", "1"),
-    (_small_cvae_file, "cvae", "latent_dim", 2.0),
     (_small_dataset_file, "dataset", "meta", "e"),
 ], ids=["agent-max_latent_action", "agent-lam", "agent-gamma", "agent-decoder_hash",
-        "agent-perturbation_epsilon", "cvae-state_dim", "cvae-latent_dim", "dataset-meta"])
+        "agent-perturbation_epsilon", "dataset-meta"])
 def test_a_header_setting_of_another_type_raises_value_error_naming_it(tmp_path, make, kind,
                                                                      name, value):
-    # unchecked, an agent's max_latent_action "2" and a CVAE's state_dim "1"
-    # raised TypeError from deep inside the loader
+    # unchecked, an agent's max_latent_action "2" raised TypeError from deep
+    # inside the loader
     path = tmp_path / "f.npz"
     load = make(path)
     rewrite_container(path, lambda h: h.update({name: value}))

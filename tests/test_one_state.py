@@ -15,8 +15,7 @@ import plas.baselines
 import plas.cvae
 from plas.agent import PlasTrainConfig, act, actor_update, param_groups, plas_agent_init
 from plas.baselines import UnconstrainedTrainConfig, unconstrained_agent_init
-from plas.cvae import (CvaeTrainConfig, FrozenDecoder, cvae_init, decode, elbo_loss_and_grads,
-                       encode)
+from plas.cvae import CvaeTrainConfig, FrozenDecoder, cvae_init, elbo_loss_and_grads, encode
 from plas.envs import EdgeFollowEnv, PointMassEnv, evaluate_policy
 from plas.nets import ShapeError, mlp_forward
 
@@ -81,7 +80,6 @@ def test_one_state_equals_the_batch_one_reference(seed, state_dim, hidden, epsil
     for net in (agent.actor, agent.critics.q1, cvae.encoder, cvae.decoder):
         x = scale * rng.normal(size=net.in_dim)
         assert _equal(mlp_forward(net, x), _ref_forward(net, x))
-    assert _equal(decode(cvae, s, z), _ref_decode(cvae, s, z))
     assert _equal(agent.decoder.forward(s, z), _ref_decode(cvae, s, z))
     assert _equal(act(agent, s), _ref_act(agent, s))
     base = _unconstrained(state_dim, action_dim, hidden, seed, dtype)
@@ -112,8 +110,6 @@ def test_one_state_shapes_are_checked():
             act(agent, bad)
     for bad_s, bad_z in ((s, z[None, :]), (s[None, :], z), (np.zeros((3, 4)), np.zeros((2, 4))),
                          (np.zeros(5), z), (s, np.zeros(cvae.latent_dim + 1))):
-        with pytest.raises(ShapeError):
-            decode(cvae, bad_s, bad_z)
         with pytest.raises(ShapeError):
             agent.decoder.forward(bad_s, bad_z)
 

@@ -10,6 +10,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import plas
+from plas.agent import CriticPair, PlasAgent
 from plas.cvae import BehaviorCvae, CvaeTrainConfig
 from plas.diagnostics import support_distance, support_threshold
 from plas.envs import EdgeFollowEnv, PointMassEnv
@@ -147,20 +148,24 @@ def test_a_failing_property_fails_one_test_not_the_session(tmp_path):
 
 
 def test_the_settable_values_of_the_envs_and_the_cvae_are_pinned():
-    # each task, the behaviour model and the analyses have one fixed form: a
-    # new setting must show up here as a reviewed edit (the learner configs
-    # are pinned in test_training.py)
+    # each task, the behaviour model, the PLAS agent and the analyses have one
+    # fixed form: a new setting must show up here as a reviewed edit (the
+    # learner configs are pinned in test_training.py)
     got = {cls.__name__: [f.name for f in fields(cls) if f.init]
-           for cls in (PointMassEnv, EdgeFollowEnv, CvaeTrainConfig, BehaviorCvae, MmdScenario)}
+           for cls in (PointMassEnv, EdgeFollowEnv, CvaeTrainConfig, BehaviorCvae, MmdScenario,
+                       PlasAgent, CriticPair)}
     got.update({fn.__name__: list(inspect.signature(fn).parameters)
                 for fn in (support_distance, support_threshold)})
     assert got == {
         "PointMassEnv": ["horizon"],
         "EdgeFollowEnv": ["horizon"],
-        "CvaeTrainConfig": ["steps", "batch_size", "learning_rate", "kl_weight", "latent_dim",
+        "CvaeTrainConfig": ["steps", "batch_size", "learning_rate", "kl_weight",
                             "hidden_sizes", "log_every"],
-        "BehaviorCvae": ["encoder", "decoder", "state_dim", "action_dim", "latent_dim"],
+        "BehaviorCvae": ["encoder", "decoder"],
         "MmdScenario": ["name", "n_samples", "n_repeats"],
+        "PlasAgent": ["actor", "actor_target", "critics", "decoder", "max_latent_action",
+                      "perturbation", "perturbation_target", "epsilon"],
+        "CriticPair": ["q1", "q2", "q1_target", "q2_target", "lam", "gamma"],
         "support_distance": ["dataset", "states", "actions"],
         "support_threshold": ["dataset", "seed"],
     }

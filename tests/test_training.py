@@ -1,6 +1,7 @@
 """The off-policy loop shared by the latent-action agent and the unconstrained
 learner, tested through both ``train_plas`` and ``train_unconstrained``."""
 from dataclasses import asdict, fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import plas.baselines
 import plas.generators
 from plas.agent import (
     ActorCriticConfig,
+    CriticPair,
+    PlasAgent,
     PlasTrainConfig,
     param_groups,
     plas_agent_init,
@@ -31,7 +34,7 @@ LEARNERS = ["plas", "unconstrained"]
 ENV = EdgeFollowEnv()
 DATASET = make_bimodal_dataset(400, 0)
 DECODER = FrozenDecoder(cvae_init(ENV.state_dim, ENV.action_dim,
-                                  CvaeTrainConfig(latent_dim=2, hidden_sizes=(8, 8)),
+                                  CvaeTrainConfig(hidden_sizes=(8, 8)),
                                   np.random.default_rng(1)))
 
 
@@ -117,6 +120,29 @@ def test_the_bc_config_names_the_field_it_rejects(field, value):
     # untrained policy and learning_rate=nan ran until its loss went non-finite
     with pytest.raises(ValueError, match=f"BcTrainConfig.{field} must be"):
         BcTrainConfig(**{field: value})
+
+
+FLOAT_FIELDS = [(ActorCriticConfig, name) for name in ("actor_lr", "critic_lr", "gamma", "tau",
+                                                       "lam")] + [
+    (PlasTrainConfig, "max_latent_action"), (PlasTrainConfig, "perturbation_epsilon"),
+    (CvaeTrainConfig, "learning_rate"), (CvaeTrainConfig, "kl_weight"),
+    (BcTrainConfig, "learning_rate"), (PlasAgent, "max_latent_action"), (PlasAgent, "epsilon"),
+    (CriticPair, "lam"), (CriticPair, "gamma")]
+
+
+@pytest.mark.parametrize("value", [True, Fraction(1, 1000)], ids=["True", "Fraction"])
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
+def test_a_float_setting_must_be_a_real_number(cls, name, value):
+    # True passed as 1.0, and Fraction(1, 1000) passed until save_agent raised
+    # TypeError on it
+    built = {}
+    if cls in (PlasAgent, CriticPair):
+        agent = initial_agent("plas", config("plas"))
+        built = agent if cls is PlasAgent else agent.critics
+        built = {f.name: getattr(built, f.name) for f in fields(cls) if f.init}
+    with pytest.raises(ValueError, match=f"^{cls.__name__}.{name} must be"):
+        cls(**{**built, name: value})
 
 
 @pytest.mark.parametrize("learner", LEARNERS)
