@@ -13,9 +13,9 @@ critics); ``nets()`` names each network as a checkpoint does. ``PlasAgent``
 adds the frozen decoder, the latent bound, and the optional residual head with
 its bound ``epsilon``. ``ActorCriticConfig`` holds the shared settings,
 ``critic_update`` fits the critics to the agent's ``target_action``, and
-``_fit`` owns the ``param_groups``: one ``ParamGroup`` per learning rate, the
-critics and the actor with any head, each stepped by one Adam and one Polyak
-call.
+``_fit`` owns the ``param_groups``: one ``nets.ParamGroup`` per learning rate
+(the critics, and the actor with any head), each holding its networks, their
+targets and Adam state, and stepped by one Adam and one Polyak call a step.
 
 Gradient flow in the actor update runs through the frozen decoder (its input
 gradient only, never its parameters), which is the one structurally unusual
@@ -41,19 +41,19 @@ from .envs import evaluate_policy
 from .nets import (
     COUNT,
     JSON_NUMBER,
-    AdamState,
     Mlp,
     NonFiniteError,
     Params,
+    ParamGroup,
     _check_settings,
     _count,
+    _counts,
     _draw,
     _nonnegative,
     _positive,
     _real,
     _read,
     _write,
-    adam_init,
     adam_step,
     mlp_backward,
     mlp_forward,
@@ -109,16 +109,6 @@ def compute_target(critics: CriticPair, rewards, next_states, next_actions, done
     return rewards + critics.gamma * (1.0 - dones) * y
 
 
-@dataclass
-class ParamGroup:
-    """The networks one learning rate trains: ``online``, which ``adam``
-    steps, and ``target``, of the same layout, which follows it by Polyak."""
-
-    online: Params
-    target: Params
-    adam: AdamState
-
-
 def critic_step(critics: ParamGroup, states: np.ndarray, actions: np.ndarray,
                 targets: np.ndarray) -> float:
     """One Adam step on the critic group (q1, q2) toward the shared target.
@@ -126,7 +116,7 @@ def critic_step(critics: ParamGroup, states: np.ndarray, actions: np.ndarray,
     This is the single critic/optimizer code path used by every learner in the
     repo (latent-action agent, unconstrained baseline, online trainer), so
     performance differences between them cannot come from here. Both losses
-    and gradients (each into its part of the group's ``adam.grad``) are
+    and gradients (each into its part of the group's ``grad``) are
     computed before the group's one ``adam_step``, which rejects a non-finite
     gradient before it changes anything: on NonFiniteError neither critic nor
     the Adam moments and step count have changed.
@@ -134,7 +124,7 @@ def critic_step(critics: ParamGroup, states: np.ndarray, actions: np.ndarray,
     x = np.concatenate([states, actions], axis=1)
     B = x.shape[0]
     losses = []
-    for qnet, grad in zip(critics.online.nets, critics.adam.grad.nets):
+    for qnet, grad in zip(critics.online.nets, critics.grad.nets):
         tape = mlp_tape(qnet, x)
         err = tape.output[:, 0] - targets
         loss = float(np.mean(err ** 2))
@@ -142,7 +132,7 @@ def critic_step(critics: ParamGroup, states: np.ndarray, actions: np.ndarray,
             raise NonFiniteError("non-finite critic loss")
         losses.append(loss)
         mlp_backward(qnet, (2.0 * err / B)[:, None], tape, grad)
-    adam_step(critics.online, critics.adam.grad, critics.adam)
+    adam_step(critics)
     return sum(losses) / 2.0
 
 
@@ -298,7 +288,7 @@ def actor_update(agent: PlasAgent, states: np.ndarray, actor: ParamGroup) -> flo
     """
     actions, tapes = _policy_actions(agent, states, use_target=False, taped=True)
     mean_q, da = _action_grad(agent.critics, states, actions)
-    grads = actor.adam.grad.nets  # the actor's, then the head's
+    grads = actor.grad.nets  # the actor's, then the head's
 
     if agent.perturbation is not None:
         d_sum = da * (np.abs(tapes["summed"]) < 1.0)
@@ -310,7 +300,7 @@ def actor_update(agent: PlasAgent, states: np.ndarray, actor: ParamGroup) -> flo
 
     dz = agent.decoder.backward(tapes["decoder"], d_decoded)
     mlp_backward(agent.actor, agent.max_latent_action * dz, tapes["actor"], grads[0])
-    adam_step(actor.online, actor.adam.grad, actor.adam)
+    adam_step(actor)
     return mean_q
 
 
@@ -339,7 +329,7 @@ class ActorCriticConfig:
             ("gamma", _real(self.gamma) and 0.0 <= self.gamma < 1.0, "in [0, 1)"),
             ("tau", _real(self.tau) and 0.0 < self.tau <= 1.0, "in (0, 1]"),
             ("lam", _real(self.lam) and 0.0 <= self.lam <= 1.0, "in [0, 1]"),
-            ("hidden_sizes", all(map(_count, self.hidden_sizes)), f"sizes each {COUNT}"),
+            ("hidden_sizes", _counts(self.hidden_sizes), f"a tuple of sizes each {COUNT}"),
             ("eval_interval", _count(self.eval_interval), COUNT),
             ("eval_episodes", _count(self.eval_episodes), COUNT),
             ("log_every", _count(self.log_every), COUNT),
@@ -410,7 +400,7 @@ def param_groups(agent: ActorCritic, config: ActorCriticConfig) -> dict[str, Par
                               ("actor", ("actor", "perturbation"), config.actor_lr)):
         online = Params([nets[m] for m in members if m in nets])
         target = Params([nets[f"{m}_target"] for m in members if m in nets])
-        groups[name] = ParamGroup(online, target, adam_init(online, lr))
+        groups[name] = ParamGroup(online, lr, target)
     return groups
 
 
@@ -438,7 +428,7 @@ def _fit(agent: ActorCritic, dataset: Batch, config: ActorCriticConfig,
         losses.append(loss)
         qs.append(mean_q)
         for group in groups.values():
-            polyak_update(group.target, group.online, config.tau)
+            polyak_update(group, config.tau)
 
         if step % config.log_every == 0 or step == config.steps:
             rec = LogRecord(step, float(np.mean(losses)), float(np.mean(qs)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import (ActorCritic, ActorCriticConfig, LogRecord, ParamGroup, _action_grad, _fit,
+from .agent import (ActorCritic, ActorCriticConfig, LogRecord, _action_grad, _fit,
                     critic_pair_init, critic_update)
 from .data import TransitionDataset, sample_batch
 from .nets import (
@@ -25,10 +25,11 @@ from .nets import (
     Mlp,
     NonFiniteError,
     Params,
+    ParamGroup,
     _check_settings,
     _count,
+    _counts,
     _positive,
-    adam_init,
     adam_step,
     mlp_backward,
     mlp_forward,
@@ -63,7 +64,7 @@ class BcTrainConfig:
             ("steps", _count(self.steps), COUNT),
             ("batch_size", _count(self.batch_size), COUNT),
             ("learning_rate", _positive(self.learning_rate), "finite and > 0"),
-            ("hidden_sizes", all(map(_count, self.hidden_sizes)), f"sizes each {COUNT}"),
+            ("hidden_sizes", _counts(self.hidden_sizes), f"a tuple of sizes each {COUNT}"),
             ("log_every", _count(self.log_every), COUNT),
         ))
 
@@ -76,8 +77,7 @@ def train_bc(dataset: TransitionDataset, config: BcTrainConfig,
         raise ValueError("empty dataset")
     net = mlp_init([dataset.state_dim] + list(config.hidden_sizes) + [dataset.action_dim],
                    rng, output_activation="tanh", dtype=np.float32)
-    params = Params([net])
-    adam = adam_init(params, config.learning_rate)
+    group = ParamGroup(Params([net]), config.learning_rate)
     curve: list[tuple[int, float]] = []
     for step in range(1, config.steps + 1):
         batch = sample_batch(dataset, config.batch_size, rng)
@@ -86,8 +86,8 @@ def train_bc(dataset: TransitionDataset, config: BcTrainConfig,
         loss = float(np.mean(err ** 2))
         if not np.isfinite(loss):
             raise NonFiniteError(f"BC loss non-finite at step {step}")
-        mlp_backward(net, 2.0 * err / err.size, tape, adam.grad.nets[0])
-        adam_step(params, adam.grad, adam)
+        mlp_backward(net, 2.0 * err / err.size, tape, group.grad.nets[0])
+        adam_step(group)
         if step % config.log_every == 0 or step == config.steps:
             curve.append((step, loss))
     return BcPolicy(net), curve
@@ -124,8 +124,8 @@ def direct_actor_update(agent: UnconstrainedAgent, states: np.ndarray,
     one Adam step on the actor group."""
     tape = mlp_tape(agent.actor, states)
     mean_q, da = _action_grad(agent.critics, states, tape.output)
-    mlp_backward(agent.actor, da, tape, actor.adam.grad.nets[0])
-    adam_step(actor.online, actor.adam.grad, actor.adam)
+    mlp_backward(agent.actor, da, tape, actor.grad.nets[0])
+    adam_step(actor)
     return mean_q
 
 

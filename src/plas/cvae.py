@@ -34,18 +34,19 @@ from .nets import (
     Mlp,
     NonFiniteError,
     Params,
+    ParamGroup,
     ShapeError,
     Tape,
     _check_settings,
     _checked,
     _count,
+    _counts,
     _draw,
     _nonnegative,
     _positive,
     _read,
     _rows,
     _write,
-    adam_init,
     adam_step,
     mlp_backward,
     mlp_forward,
@@ -104,7 +105,7 @@ class CvaeTrainConfig:
             ("batch_size", _count(self.batch_size), COUNT),
             ("learning_rate", _positive(self.learning_rate), "finite and > 0"),
             ("kl_weight", _nonnegative(self.kl_weight), "finite and >= 0"),
-            ("hidden_sizes", all(map(_count, self.hidden_sizes)), f"sizes each {COUNT}"),
+            ("hidden_sizes", _counts(self.hidden_sizes), f"a tuple of sizes each {COUNT}"),
             ("log_every", _count(self.log_every), COUNT),
         ))
 
@@ -189,8 +190,8 @@ def elbo_loss_and_grads(
     squared error over every action entry in the batch; the KL term is
     averaged over the batch. ``out`` is the
     (encoder, decoder) pair of ``Gradients`` that ``mlp_backward`` writes into
-    and that is returned (``train_cvae`` passes the two networks of its Adam
-    state's ``grad``); without it both are fresh.
+    and that is returned (``train_cvae`` passes the two networks of its
+    group's ``grad``); without it both are fresh.
     """
     enc_buf, dec_buf = (None, None) if out is None else out
     s, a, enc_tape, mu, raw_log_std = _encoder_pass(cvae, states, actions)
@@ -241,7 +242,7 @@ def train_cvae(
         raise ValueError("empty dataset")
     cvae = cvae_init(dataset.state_dim, dataset.action_dim, config, rng)
     params = Params([cvae.encoder, cvae.decoder])  # the vector cvae_init drew into
-    adam = adam_init(params, config.learning_rate)
+    group = ParamGroup(params, config.learning_rate)
 
     reports: list[ElboReport] = []
     for step in range(1, config.steps + 1):
@@ -251,13 +252,13 @@ def train_cvae(
         # sampling path and consume the stream differently
         noise = rng.standard_normal((config.batch_size, cvae.latent_dim)).astype(params.dtype)
         report, _, _ = elbo_loss_and_grads(cvae, states, actions, noise,
-                                           config.kl_weight, out=tuple(adam.grad.nets))
+                                           config.kl_weight, out=tuple(group.grad.nets))
         if not np.isfinite(report.total):
             raise NonFiniteError(
                 f"CVAE loss non-finite at step {step}: "
                 f"recon={report.reconstruction_loss} kl={report.kl_loss}"
             )
-        adam_step(params, adam.grad, adam)
+        adam_step(group)
         if step % config.log_every == 0 or step == config.steps:
             report.step = step
             reports.append(report)

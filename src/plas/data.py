@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .nets import _read, _write
+from .nets import COUNT, _count, _read, _write
 
 GENERATOR_KINDS = ("random", "medium", "medium_replay", "medium_expert", "expert", "custom")
 
@@ -108,8 +108,8 @@ class TransitionDataset(Batch):
 def sample_batch(dataset: Batch, k: int, rng: np.random.Generator) -> Batch:
     """``k`` rows drawn uniformly with replacement: the one minibatch draw of
     every trainer, which casts to its networks' dtype what it reads."""
-    if k <= 0:
-        raise ValueError("k must be >= 1")
+    if not _count(k):
+        raise ValueError(f"k must be {COUNT}, got {k!r}")
     return dataset[rng.integers(0, len(dataset), size=k)]
 
 

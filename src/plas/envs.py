@@ -34,14 +34,13 @@ by dataset generation, evaluation and the Q-error report.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from .data import Batch
-from .nets import COUNT, _check_settings, _count
+from .nets import COUNT, _check_settings, _count, _nonnegative
 
 _CLIP_WARNINGS = 0
 
@@ -206,12 +205,12 @@ def rollout_batch(env, policy, n_episodes: int, rng: np.random.Generator,
     With one episode and a policy that reads only its own row, this is the
     sequential single-episode loop, draw for draw.
     """
-    if n_episodes < 1:
-        raise ValueError("need at least one episode")
+    if not _count(n_episodes):
+        raise ValueError(f"n_episodes must be {COUNT}, got {n_episodes!r}")
     if env.horizon < 1:  # no step would ever be taken
         raise ValueError(f"env.horizon must be >= 1, got {env.horizon}")
-    if not (math.isfinite(noise_std) and noise_std >= 0.0):
-        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
+    if not _nonnegative(noise_std):
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
     n, horizon, s_dim, a_dim = n_episodes, env.horizon, env.state_dim, env.action_dim
     state = env.reset(rng, n)
     steps = Batch(np.empty((n, horizon, s_dim)), np.empty((n, horizon, a_dim)),

@@ -114,7 +114,7 @@ def train_online_medium(env, seed: int) -> OnlineRunResult:
             batch = sample_batch(log[:t], min(cfg.batch_size, t), rng).astype(agent.actor.dtype)
             unconstrained_update(agent, batch, groups)
             for group in groups.values():
-                polyak_update(group.target, group.online, cfg.tau)
+                polyak_update(group, cfg.tau)
             if t % EVAL_EVERY == 0:
                 mean, _ = evaluate_policy(env, agent.policy_fn(), EVAL_EPISODES,
                                           np.random.default_rng(seed + 7000 + t))

@@ -59,7 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nets import COUNT, _check_settings, _count
+from .nets import COUNT, _check_settings, _count, _real
 
 KERNEL_FAMILIES = ("gaussian", "laplacian")
 # each scenario's behaviour sampler, agent family and sweep grid, by name
@@ -88,8 +88,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be finite, got {self.sigma}")
+        if not (_real(self.sigma) and math.isfinite(self.sigma)):
+            raise ValueError(f"sigma must be a finite real number, got {self.sigma!r}")
         if self.sigma <= 0:
             raise ValueError("sigma must be > 0")
         # the sweep divides by the float32 divisor: 0 gives NaN at d = 0, inf a constant 1;

@@ -44,17 +44,17 @@ recomputing anything. ``mlp_input_grad`` takes the same arguments and returns
 only dL/dx, skipping the weight and bias gradients; it is what a frozen network
 (a critic under the actor, the decoder under the latent policy) needs.
 
-Who owns which buffer: a ``Params``, one learning rate's group of networks,
-owns the one vector their ``flat``s are views of. A trainer has one group per
-learning rate: a learner's critics, its actor with any head, and the CVAE's
-encoder with its decoder. A group's ``AdamState`` owns the moments, the
-group's ``Gradients`` and the update's scratch, all allocated once by
-``adam_init``. A step passes each network's part of ``state.grad`` as ``out``
-to ``mlp_backward``, then one ``adam_step`` reads the group's vector, so a step
-allocates no parameter-sized array. A ``Gradients`` written through ``out=`` is
-overwritten by the next backward into the same buffer: consume it before that.
-Without ``out`` every backward returns a fresh vector. Forward values, tapes
-and input gradients are always fresh arrays.
+Who owns which buffer: a ``Params`` owns the one vector its networks'
+``flat``s are views of. A trainer has one ``ParamGroup`` per learning rate (a
+learner's critics, its actor with any head, the CVAE's encoder and decoder),
+which holds all that training them keeps: the online ``Params``, the target
+``Params`` that follows it by Polyak, Adam's moments, step count, gradients and
+scratch, allocated and checked once when it is built. A step passes each
+network's part of ``group.grad`` as ``out`` to ``mlp_backward``, then one
+``adam_step(group)`` reads it, so a step allocates no parameter-sized array. A
+``Gradients`` written through ``out=`` is overwritten by the next backward into
+the same buffer: consume it before that. Without ``out`` every backward returns
+a fresh vector. Forward values, tapes and input gradients are always fresh.
 """
 from __future__ import annotations
 
@@ -408,7 +408,7 @@ def mlp_backward(
     written into ``out`` when it is given (a ``Gradients`` in ``params``'
     layout and dtype, else ShapeError) and ``out`` itself is returned; without
     it they land in a fresh vector. Training steps pass their network's part
-    of ``AdamState.grad``, so a step allocates no parameter-sized array.
+    of ``ParamGroup.grad``, so a step allocates no parameter-sized array.
     """
     if out is None:
         flat = np.zeros(params.n_params(), params.dtype)
@@ -437,52 +437,57 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass
-class AdamState:
-    """Adam's state for one group, allocated by ``adam_init``: moments ``m``
-    and ``v`` in the group's layout and dtype, ``grad``, the group's
-    ``Gradients`` (a ``Params``) that each step's backwards overwrite, and
-    ``scratch``, two slices of ``adam_step`` temporaries."""
+class ParamGroup:
+    """The networks one learning rate trains: ``online``, which ``adam_step``
+    steps, and any ``target`` of its layout and dtype, which ``polyak_update``
+    moves toward it. Built with them: Adam's moments ``m`` and ``v``, the
+    ``grad`` that backwards overwrite, ``scratch`` and the ``step`` count."""
 
+    online: Params
     learning_rate: float
-    m: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
-    grad: Params = field(repr=False)
-    scratch: np.ndarray = field(repr=False)
-    step: int = 0
+    target: Params | None = None
+    m: np.ndarray = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
+    grad: Params = field(init=False, repr=False)
+    scratch: np.ndarray = field(init=False, repr=False)
+    step: int = field(init=False, default=0)
+
+    def __post_init__(self):
+        _check_settings(self, [("learning_rate", _positive(self.learning_rate), "finite and > 0")])
+        online, target = self.online, self.target
+        if target is not None and (target.layouts, target.dtype) != (online.layouts, online.dtype):
+            raise ShapeError(f"target of {target.layouts} {target.dtype}, online of "
+                             f"{online.layouts} {online.dtype}")
+        n, dtype, layouts = online.n_params(), online.dtype, online.layouts
+        self.m, self.v, g = np.zeros(n, dtype), np.zeros(n, dtype), np.zeros(n, dtype)
+        self.grad = Params([Gradients(*_views(p, s), p)
+                            for p, s in zip(_parts(g, layouts), layouts)])
+        self.scratch = np.empty((2, min(n, _ADAM_CHUNK)), dtype)
+
+    def n_params(self) -> int:
+        return self.online.n_params()
 
 
-def adam_init(params: Params, learning_rate: float) -> AdamState:
-    if not (math.isfinite(learning_rate) and learning_rate > 0.0):
-        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate!r}")
-    n, dtype, layouts = params.n_params(), params.dtype, params.layouts
-    m, v, g = np.zeros(n, dtype), np.zeros(n, dtype), np.zeros(n, dtype)
-    grad = Params([Gradients(*_views(p, s), p) for p, s in zip(_parts(g, layouts), layouts)])
-    return AdamState(learning_rate, m, v, grad, np.empty((2, min(n, _ADAM_CHUNK)), dtype))
-
-
-def adam_step(params: Params, grads: Params, state: AdamState) -> tuple[Params, AdamState]:
-    """One bias-corrected Adam update of the whole group, in place. Rejects
-    non-finite gradients before touching any parameter of any network.
-    ``grads`` may be ``state.grad``; the temporaries live in
-    ``state.scratch``, and each rounds as in
-    ``p -= lr * (m/c1) / (sqrt(v/c2) + eps)`` with
+def adam_step(group: ParamGroup) -> None:
+    """One bias-corrected Adam update of the group's online networks from
+    ``group.grad``, in place. Rejects non-finite gradients before touching
+    any parameter of any network. The temporaries live in ``group.scratch``,
+    and each rounds as in ``p -= lr * (m/c1) / (sqrt(v/c2) + eps)`` with
     ``m = b1*m + (1-b1)*g`` and ``v = b2*v + (1-b2)*g*g``, in the
     parameters' dtype."""
-    if (grads.layouts != params.layouts or state.m.shape != params.flat.shape
-            or not grads.dtype == state.m.dtype == state.scratch.dtype == params.dtype):
-        raise ShapeError("gradient/parameter/moment shape or dtype mismatch")
-    if not np.isfinite(grads.flat).all():
+    grad, flat = group.grad.flat, group.online.flat
+    if not np.isfinite(grad).all():
         raise NonFiniteError("non-finite gradient; update rejected")
 
-    state.step += 1
-    t = state.step
-    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPSILON
+    group.step += 1
+    t = group.step
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, group.learning_rate, ADAM_EPSILON
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    for i in range(0, params.flat.size, _ADAM_CHUNK):
+    for i in range(0, flat.size, _ADAM_CHUNK):
         s = slice(i, i + _ADAM_CHUNK)
-        p, g, m, v = params.flat[s], grads.flat[s], state.m[s], state.v[s]
-        a, d = state.scratch[0, :p.size], state.scratch[1, :p.size]
+        p, g, m, v = flat[s], grad[s], group.m[s], group.v[s]
+        a, d = group.scratch[0, :p.size], group.scratch[1, :p.size]
         np.multiply(g, 1.0 - b1, out=a)
         m *= b1
         m += a
@@ -497,18 +502,15 @@ def adam_step(params: Params, grads: Params, state: AdamState) -> tuple[Params, 
         d += eps
         a /= d
         p -= a
-    return params, state
 
 
-def polyak_update(target: Params, online: Params, tau: float) -> Params:
-    """Soft target update of a whole group in place: target <- tau*online +
+def polyak_update(group: ParamGroup, tau: float) -> Params:
+    """Soft update of the group's target in place: target <- tau*online +
     (1-tau)*target, elementwise, in slices through one slice-sized buffer of
-    their dtype. Returns target, left untouched if this raises."""
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
-    if target.layouts != online.layouts or target.dtype != online.dtype:
-        raise ShapeError(f"layouts differ: {target.layouts} {target.dtype} vs "
-                         f"{online.layouts} {online.dtype}")
+    their dtype. Returns the target, left untouched if this raises."""
+    if not (_real(tau) and 0.0 < tau <= 1.0):
+        raise ValueError(f"tau must be in (0, 1], got {tau!r}")
+    target, online = group.target, group.online
     if not (np.isfinite(online.flat).all() and np.isfinite(target.flat).all()):
         raise NonFiniteError("non-finite parameters; Polyak update rejected")
     buf = np.empty(min(target.flat.size, _ADAM_CHUNK), target.dtype)
@@ -651,6 +653,10 @@ COUNT = "an integer >= 1"
 def _count(x) -> bool:
     """Whether ``x`` is a count: an int or numpy integer, not a bool, >= 1."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
+
+
+def _counts(x) -> bool:  # hidden widths: a tuple or list of counts
+    return isinstance(x, (tuple, list)) and all(map(_count, x))
 
 
 def params_hash(*nets: Mlp) -> str:

@@ -5,7 +5,6 @@ import pytest
 
 from plas.agent import (
     CriticPair,
-    ParamGroup,
     PlasAgent,
     PlasTrainConfig,
     _clip_unit,
@@ -27,7 +26,7 @@ from plas.nets import (
     Mlp,
     NonFiniteError,
     Params,
-    adam_init,
+    ParamGroup,
     adam_step,
     mlp_backward,
     mlp_forward,
@@ -81,9 +80,8 @@ def groups(agent, lr=1e-3):
 
 
 def critic_group(critics, lr=1e-3):
-    online = Params([critics.q1, critics.q2])
-    return ParamGroup(online, Params([critics.q1_target, critics.q2_target]),
-                      adam_init(online, lr))
+    return ParamGroup(Params([critics.q1, critics.q2]), lr,
+                      Params([critics.q1_target, critics.q2_target]))
 
 
 def test_act_zero_actor_equals_decode_at_zero():
@@ -270,7 +268,7 @@ def test_critic_step_commits_both_critics_or_neither(blowup):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
         critic_step(group, s, a, np.zeros(6))
     assert params_hash(critics.q1) == before
-    assert group.adam.step == 0 and not group.adam.m.any() and not group.adam.v.any()
+    assert group.step == 0 and not group.m.any() and not group.v.any()
 
 
 def test_critic_regression_to_fixed_target():
@@ -364,22 +362,20 @@ def test_actor_update_reaches_quadratic_optimum():
     rng = np.random.default_rng(63)
     decoder = IdentityDecoder(1, state_dim=1)
     q = mlp_init([2, 32, 32, 1], rng)
-    q_params = Params([q])
-    adam_q = adam_init(q_params, 1e-3)
+    q_group = ParamGroup(Params([q]), 1e-3)
     for _ in range(3000):
         a = rng.uniform(-2, 2, size=(64, 1))
         s = rng.uniform(-1, 1, size=(64, 1))
         x = np.concatenate([s, a], axis=1)
         pred = mlp_forward(q, x)[:, 0]
         err = pred - (-(a[:, 0] ** 2))
-        mlp_backward(q, (2 * err / 64)[:, None], mlp_tape(q, x), adam_q.grad.nets[0])
-        adam_step(q_params, adam_q.grad, adam_q)
+        mlp_backward(q, (2 * err / 64)[:, None], mlp_tape(q, x), q_group.grad.nets[0])
+        adam_step(q_group)
 
     cfg = PlasTrainConfig(hidden_sizes=(16, 16), max_latent_action=2.0)
     agent = plas_agent_init(1, decoder, cfg, np.random.default_rng(64))
     agent.critics.q1 = q  # float64, under a float32 actor
-    online = Params([agent.actor])
-    actor = ParamGroup(online, Params([agent.actor_target]), adam_init(online, 1e-3))
+    actor = ParamGroup(Params([agent.actor]), 1e-3, Params([agent.actor_target]))
     states = rng.uniform(-1, 1, size=(64, 1))
     for _ in range(1500):
         actor_update(agent, states, actor)
@@ -416,12 +412,12 @@ def test_actor_update_commits_actor_and_head_or_neither(monkeypatch):
         return grads, d_in
 
     monkeypatch.setattr(plas.agent, "mlp_backward", nan_head)
-    arrays = (agent.actor.flat, head.flat, group.adam.m, group.adam.v)
+    arrays = (agent.actor.flat, head.flat, group.m, group.v)
     before = [a.tobytes() for a in arrays]
     with pytest.raises(NonFiniteError):
         actor_update(agent, states, group)
     assert [a.tobytes() for a in arrays] == before
-    assert group.adam.step == 1
+    assert group.step == 1
 
 
 def test_plas_step_runs_each_forward_once(monkeypatch):

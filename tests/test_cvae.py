@@ -299,7 +299,7 @@ def test_train_cvae_loss_curve_mostly_decreasing():
     ("kl_weight", "0.5"), ("hidden_sizes", (8, 0)), ("log_every", 0),
     ("steps", 20.0), ("batch_size", 16.0), ("learning_rate", np.True_),
     ("hidden_sizes", (8.0, 8)), ("log_every", 2.5), ("steps", True), ("hidden_sizes", (8, False)),
-    ("learning_rate", float("inf")),
+    ("learning_rate", float("inf")), ("hidden_sizes", 64), ("hidden_sizes", None),
 ])
 def test_cvae_config_names_the_field_it_rejects(field, value):
     # unchecked, steps <= 0 would return an untrained model and an empty log,
@@ -339,7 +339,7 @@ def test_a_train_cvae_step_draws_one_minibatch_and_makes_one_adam_step(monkeypat
                          np.random.default_rng(0))
     assert [name for name, _ in calls] == ["sample_batch", "adam_step"]
     assert calls[0][1] is ds
-    assert [id(n) for n in calls[1][1].nets] == [id(cvae.encoder), id(cvae.decoder)]
+    assert [id(n) for n in calls[1][1].online.nets] == [id(cvae.encoder), id(cvae.decoder)]
 
 
 def test_train_cvae_rejects_empty():

@@ -143,6 +143,16 @@ def test_sampling_rejects_k_zero():
         sample_batch(ds, 0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("k", [2.5, True, np.True_, "3", -1])
+def test_sampling_takes_a_count_as_the_configs_do(k):
+    # a float or bool k raised numpy's TypeError from inside the draw
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^k must be an integer >= 1"):
+        sample_batch(tiny_dataset(), k, rng)
+    assert rng.bit_generator.state == before
+
+
 def test_sampling_uniformity_chi_square():
     ds = tiny_dataset(n=100)
     ds.rewards = np.arange(100.0)  # each row's reward names it

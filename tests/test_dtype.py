@@ -13,8 +13,6 @@ import json
 import numpy as np
 import pytest
 
-import plas.agent
-import plas.baselines
 import plas.cvae
 from plas import nets
 from plas.agent import (
@@ -54,10 +52,10 @@ from plas.generators import make_bimodal_dataset
 from plas.nets import (
     Mlp,
     Params,
+    ParamGroup,
     ShapeError,
     _read,
     _write,
-    adam_init,
     adam_step,
     mlp_backward,
     mlp_forward,
@@ -111,7 +109,7 @@ def _pairs(agent):
 
 def _polyak(groups, tau):
     for group in groups.values():
-        polyak_update(group.target, group.online, tau)
+        polyak_update(group, tau)
 
 
 def _critics(rng):
@@ -125,13 +123,12 @@ def _elbo_steps():
     cvae = _cvae(rng, [192, 192])  # more than one Adam slice
     # one group, as train_cvae steps it; the digest was taken with a group per
     # network, and Adam is elementwise
-    group = Params([cvae.encoder, cvae.decoder])
-    adam = adam_init(group, 1e-3)
+    group = ParamGroup(Params([cvae.encoder, cvae.decoder]), 1e-3)
     for _ in range(STEPS):
         b = _batch(rng)
         noise = rng.standard_normal((ROWS, LATENT_DIM))
-        elbo_loss_and_grads(cvae, b.states, b.actions, noise, 0.5, out=tuple(adam.grad.nets))
-        adam_step(group, adam.grad, adam)
+        elbo_loss_and_grads(cvae, b.states, b.actions, noise, 0.5, out=tuple(group.grad.nets))
+        adam_step(group)
     return _digest(cvae.encoder, cvae.decoder)
 
 
@@ -170,7 +167,8 @@ def _polyak_steps():
     rng = np.random.default_rng(104)
     target = mlp_init([STATE_DIM, 256, 160], rng)  # more than one Polyak slice
     for _ in range(STEPS):
-        polyak_update(Params([target]), Params([mlp_init([STATE_DIM, 256, 160], rng)]), 0.3)
+        online = Params([mlp_init([STATE_DIM, 256, 160], rng)])
+        polyak_update(ParamGroup(online, 1e-3, Params([target])), 0.3)
     return _digest(target)
 
 
@@ -233,7 +231,7 @@ def _train(learner):
 
 @pytest.mark.parametrize("learner", ["cvae", "plas", "unconstrained", "bc"])
 def test_a_float32_step_never_mixes_dtypes(learner, monkeypatch):
-    products, given, adams = [], [], []
+    products, given, groups = [], [], []
     mm, checked = nets._mm, nets._checked
 
     def spy_mm(a, b, out=None):
@@ -249,19 +247,20 @@ def test_a_float32_step_never_mixes_dtypes(learner, monkeypatch):
     monkeypatch.setattr(nets, "_mm", spy_mm)
     monkeypatch.setattr(nets, "_checked", spy_checked)
     monkeypatch.setattr(plas.cvae, "_checked", spy_checked)
-    for module in (plas.cvae, plas.agent, plas.baselines):
-        def spy_init(*args, _init=module.adam_init, **kwargs):
-            adams.append(_init(*args, **kwargs))
-            return adams[-1]
-        monkeypatch.setattr(module, "adam_init", spy_init)
+    build = nets.ParamGroup.__post_init__
+
+    def spy_build(group):
+        build(group)
+        groups.append(group)
+    monkeypatch.setattr(nets.ParamGroup, "__post_init__", spy_build)
 
     networks = _train(learner)
     f32 = np.dtype(np.float32)
     assert products and all(dtypes == (f32, f32, f32) for dtypes in products)
     assert given and all(dtype == f32 for dtype in given)
-    assert adams and all(a.step == 1 for a in adams)
-    for a in adams:
-        assert a.m.dtype == a.v.dtype == a.grad.flat.dtype == a.scratch.dtype == f32
+    assert groups and all(g.step == 1 for g in groups)
+    for g in groups:
+        assert g.m.dtype == g.v.dtype == g.grad.flat.dtype == g.scratch.dtype == f32
     assert all(n.flat.dtype == f32 for n in networks)
 
 
@@ -308,21 +307,20 @@ def test_float32_polyak_and_adam_round_in_float32():
     online = mlp_init([3, 300, 200], rng, dtype=np.float32)
     want = target.flat * np.float32(1.0 - 0.005)
     want += online.flat * np.float32(0.005)
-    polyak_update(Params([target]), Params([online]), 0.005)
+    polyak_update(ParamGroup(Params([online]), 1e-3, Params([target])), 0.005)
     assert target.flat.tobytes() == want.tobytes()
 
-    params = Params([online])
-    adam = adam_init(params, 1e-3)
+    group = ParamGroup(Params([online]), 1e-3)
     g = rng.normal(size=online.flat.size).astype(np.float32)
-    adam.grad.flat[:] = g
+    group.grad.flat[:] = g
     m = g * np.float32(1.0 - 0.9)
     v = g * np.float32(1.0 - 0.999) * g
     step = m / np.float32(1.0 - 0.9) * np.float32(1e-3)
     step /= np.sqrt(v / np.float32(1.0 - 0.999)) + np.float32(1e-8)
     want = online.flat - step
-    adam_step(params, adam.grad, adam)
+    adam_step(group)
     assert online.flat.tobytes() == want.tobytes()
-    assert adam.m.tobytes() == m.tobytes() and adam.v.tobytes() == v.tobytes()
+    assert group.m.tobytes() == m.tobytes() and group.v.tobytes() == v.tobytes()
 
 
 def test_mlp_dtype_follows_its_layers():
@@ -339,15 +337,16 @@ def test_mlp_dtype_follows_its_layers():
 def test_steps_reject_networks_of_another_dtype():
     net32 = mlp_zeros([3, 2], dtype=np.float32)
     p32, p64 = Params([net32]), Params([mlp_zeros([3, 2])])
+    # a group's Adam state takes its online dtype, and its target must share it
     with pytest.raises(ShapeError):
-        polyak_update(p32, p64, 0.5)
+        ParamGroup(p32, 1e-3, p64)
     with pytest.raises(ShapeError):
-        adam_step(p32, adam_init(p64, 1e-3).grad, adam_init(p32, 1e-3))
-    with pytest.raises(ShapeError):
-        adam_step(p32, adam_init(p32, 1e-3).grad, adam_init(p64, 1e-3))
+        ParamGroup(p64, 1e-3, p32)
+    group = ParamGroup(p32, 1e-3)
+    assert group.m.dtype == group.v.dtype == group.grad.dtype == group.scratch.dtype == np.float32
     with pytest.raises(ShapeError):
         mlp_backward(net32, np.ones((1, 2)), mlp_tape(net32, np.ones((1, 3))),
-                     out=adam_init(p64, 1e-3).grad.nets[0])
+                     out=ParamGroup(p64, 1e-3).grad.nets[0])
 
 
 # -- the container and the hash keep each network's dtype ------------------------------

@@ -425,6 +425,19 @@ def test_rollout_batch_rejects_bad_inputs(n_episodes, noise_std):
     assert rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("n_episodes, noise_std, name", [
+    (2.5, 0.0, "n_episodes"), (True, 0.0, "n_episodes"), (np.True_, 0.0, "n_episodes"),
+    (1, True, "noise_std"), (1, "0.1", "noise_std"),
+])
+def test_rollout_batch_names_the_argument_it_rejects(n_episodes, noise_std, name):
+    # a float or bool n_episodes raised numpy's TypeError, and noise_std=True
+    # ran as 1.0
+    env = EdgeFollowEnv()
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        rollout_batch(env, env.expert_action, n_episodes, rng, noise_std=noise_std)
+
+
 class NoStepEnv:
     """A duck-typed env, unchecked, whose episodes could take no step."""
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,10 @@ def test_kernel_rejects_bad_sigma():
         KernelSpec("gaussian", 0.0)
     with pytest.raises(ValueError):
         KernelSpec("cauchy", 1.0)
+    # a bool or a Fraction built, and a Fraction's label then read "0.5"
+    for sigma in (True, Fraction(1, 2), "1.0"):
+        with pytest.raises(ValueError, match="sigma must be a finite real number"):
+            KernelSpec("gaussian", sigma)
 
 
 @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])

@@ -17,11 +17,11 @@ from plas.nets import (
     Mlp,
     NonFiniteError,
     Params,
+    ParamGroup,
     ShapeError,
     _ADAM_CHUNK,
     _read,
     _write,
-    adam_init,
     adam_step,
     mlp_backward,
     mlp_forward,
@@ -255,14 +255,12 @@ def test_adam_zero_gradient_keeps_params():
     rng = np.random.default_rng(4)
     net = mlp_init([2, 3, 1], rng)
     before = net.copy()
-    params = Params([net])
-    state = adam_init(params, learning_rate=1e-3)
-    grads = Gradients([np.zeros_like(w) for w in net.weights],
-                      [np.zeros_like(b) for b in net.biases])
-    adam_step(params, Params([grads]), state)
+    group = ParamGroup(Params([net]), learning_rate=1e-3)
+    group.grad.flat[:] = 0.0
+    adam_step(group)
     for w0, w1 in zip(before.weights, net.weights):
         assert np.array_equal(w0, w1)
-    assert state.step == 1
+    assert group.step == 1
 
 
 def test_adam_first_step_is_signed_lr():
@@ -270,8 +268,9 @@ def test_adam_first_step_is_signed_lr():
     net = Mlp([np.array([[1.0, -2.0]])], [np.array([0.5])], ["identity"])
     before = net.copy()
     g = Gradients([np.array([[0.3, -0.7]])], [np.array([2.0])])
-    params = Params([net])
-    adam_step(params, Params([g]), adam_init(params, learning_rate=1e-2))
+    group = ParamGroup(Params([net]), learning_rate=1e-2)
+    group.grad.flat[:] = g.flat
+    adam_step(group)
     delta_w = net.weights[0] - before.weights[0]
     assert np.allclose(delta_w, -1e-2 * np.sign(g.weights[0]), rtol=1e-6)
     assert net.biases[0][0] == pytest.approx(0.5 - 1e-2, rel=1e-6)
@@ -280,35 +279,40 @@ def test_adam_first_step_is_signed_lr():
 def test_adam_quadratic_descent_monotone():
     # Minimize f(w) = w^2 on a 1-parameter net; loss strictly decreases.
     net = Mlp([np.array([[3.0]])], [np.array([0.0])], ["identity"])
-    params = Params([net])
-    state = adam_init(params, learning_rate=0.05)
+    group = ParamGroup(Params([net]), learning_rate=0.05)
     losses = []
     for _ in range(100):
         w = net.weights[0][0, 0]
         losses.append(w * w)
-        adam_step(params, Params([Gradients([np.array([[2.0 * w]])], [np.array([0.0])])]), state)
+        group.grad.flat[:] = [2.0 * w, 0.0]  # dw, then db
+        adam_step(group)
     assert all(b < a for a, b in zip(losses, losses[1:]))
-    assert state.step == 100
+    assert group.step == 100
 
 
 def test_adam_rejects_non_finite():
     rng = np.random.default_rng(5)
     net = mlp_init([2, 2], rng)
     before = net.copy()
-    params = Params([net])
-    state = adam_init(params, learning_rate=1e-3)
+    group = ParamGroup(Params([net]), learning_rate=1e-3)
     bad = Gradients([np.array([[np.nan, 0.0], [0.0, 0.0]])], [np.zeros(2)])
+    group.grad.flat[:] = bad.flat
     with pytest.raises(NonFiniteError):
-        adam_step(params, Params([bad]), state)
+        adam_step(group)
     assert np.array_equal(before.weights[0], net.weights[0])
-    assert state.step == 0
+    assert group.step == 0
+
+
+def _pair(target, online):
+    """The group of ``online`` that ``target`` follows."""
+    return ParamGroup(Params([online]), 1e-3, Params([target]))
 
 
 def test_polyak_tau_one_copies():
     rng = np.random.default_rng(6)
     online = mlp_init([3, 4, 2], rng)
     target = mlp_zeros([3, 4, 2])
-    out = polyak_update(Params([target]), Params([online]), tau=1.0)
+    out = polyak_update(_pair(target, online), tau=1.0)
     assert out.nets == [target]
     for w_out, w_on in zip(target.weights, online.weights):
         assert np.array_equal(w_out, w_on)
@@ -318,7 +322,7 @@ def test_polyak_paper_value():
     # tau=0.005, target 0, online 1 -> every parameter 0.005.
     online = Mlp([np.ones((2, 2))], [np.ones(2)], ["identity"])
     target = mlp_zeros([2, 2])
-    polyak_update(Params([target]), Params([online]), tau=0.005)
+    polyak_update(_pair(target, online), tau=0.005)
     assert np.all(target.weights[0] == 0.005)
     assert np.all(target.biases[0] == 0.005)
 
@@ -327,17 +331,18 @@ def test_polyak_geometric_decay():
     online = Mlp([np.ones((1, 1))], [np.ones(1)], ["identity"])
     target = mlp_zeros([1, 1])
     tau = 0.1
+    group = _pair(target, online)
     for n in range(1, 40):
-        polyak_update(Params([target]), Params([online]), tau)
+        polyak_update(group, tau)
         gap = 1.0 - target.weights[0][0, 0]
         assert gap == pytest.approx((1.0 - tau) ** n, rel=1e-12)
 
 
 def test_polyak_rejects_bad_tau():
     net = Params([mlp_zeros([2, 2])])
-    for tau in (0.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            polyak_update(net, net, tau)
+    for tau in (0.0, -0.1, 1.5, True, np.True_, "0.5"):
+        with pytest.raises(ValueError, match="tau"):
+            polyak_update(ParamGroup(net, 1e-3, net), tau)
 
 
 @settings(max_examples=50, deadline=None)
@@ -349,7 +354,7 @@ def test_polyak_rejects_bad_tau():
 def test_polyak_exact_affine(tau, a, b):
     target = Mlp([np.full((2, 3), a)], [np.full(2, a)], ["identity"])
     online = Mlp([np.full((2, 3), b)], [np.full(2, b)], ["identity"])
-    polyak_update(Params([target]), Params([online]), tau)
+    polyak_update(_pair(target, online), tau)
     expect = tau * b + (1.0 - tau) * a
     assert np.all(target.weights[0] == expect)
     assert np.all(target.biases[0] == expect)
@@ -680,13 +685,12 @@ def test_adam_steps_match_per_layer_reference(hidden):
     v_w = [np.zeros_like(w) for w in ref_w]
     m_b = [np.zeros_like(b) for b in ref_b]
     v_b = [np.zeros_like(b) for b in ref_b]
-    params = Params([net])
-    state = adam_init(params, learning_rate=1e-2)
-    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPSILON
+    group = ParamGroup(Params([net]), learning_rate=1e-2)
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, group.learning_rate, ADAM_EPSILON
     for t in range(1, 6):
         tape = mlp_tape(net, rng.normal(size=(7, 3)))
-        grads, _ = mlp_backward(net, rng.normal(size=(7, 2)), tape)
-        adam_step(params, Params([grads]), state)
+        grads, _ = mlp_backward(net, rng.normal(size=(7, 2)), tape, group.grad.nets[0])
+        adam_step(group)
         c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
         for ps, gs, ms, vs in ((ref_w, grads.weights, m_w, v_w), (ref_b, grads.biases, m_b, v_b)):
             for p, g, m, v in zip(ps, gs, ms, vs):
@@ -731,7 +735,7 @@ def test_polyak_rejection_leaves_target_untouched(bad):
     before = target.flat.copy()
     error = ShapeError if bad == "shape" else NonFiniteError
     with pytest.raises(error):
-        polyak_update(Params([target]), Params([online]), 0.005)
+        polyak_update(_pair(target, online), 0.005)  # "shape": the group refuses them
     assert np.array_equal(target.flat, before, equal_nan=True)
 
 
@@ -758,7 +762,7 @@ def test_backward_into_out_returns_it_and_equals_the_fresh_result(hidden_activat
     gout_before = gout.copy()
     tape = mlp_tape(net, x)
     fresh, fresh_in = mlp_backward(net, gout, tape)
-    out = adam_init(Params([net]), 1e-3).grad.nets[0]
+    out = ParamGroup(Params([net]), 1e-3).grad.nets[0]
     out.flat[:] = np.nan  # stale contents must be overwritten everywhere
     got, got_in = mlp_backward(net, gout, tape, out=out)
     assert got is out
@@ -773,7 +777,7 @@ def test_backward_out_of_another_layout_is_rejected():
     net = mlp_init([3, 6, 2], rng)
     tape = mlp_tape(net, rng.normal(size=(4, 3)))
     for other in ([3, 7, 2], [3, 6, 2, 2]):
-        out = adam_init(Params([mlp_zeros(other)]), 1e-3).grad.nets[0]
+        out = ParamGroup(Params([mlp_zeros(other)]), 1e-3).grad.nets[0]
         before = out.flat.copy()
         with pytest.raises(ShapeError):
             mlp_backward(net, np.ones((4, 2)), tape, out=out)
@@ -790,17 +794,17 @@ def test_backward_without_out_returns_a_new_vector_each_call():
     assert not np.shares_memory(first.flat, net.flat)
 
 
-def test_adam_init_owns_a_gradient_buffer_and_scratch():
+def test_a_param_group_owns_a_gradient_buffer_and_scratch():
     net = mlp_init([3, 300, 200, 2], np.random.default_rng(16))
-    state = adam_init(Params([net]), 1e-3)
-    assert state.grad.layouts == [net.layer_sizes]
-    assert state.grad.flat.shape == net.flat.shape
-    grad = state.grad.nets[0]
+    group = ParamGroup(Params([net]), 1e-3)
+    assert group.grad.layouts == [net.layer_sizes]
+    assert group.grad.flat.shape == net.flat.shape
+    grad = group.grad.nets[0]
     assert isinstance(grad, Gradients)
-    assert all(np.shares_memory(g, state.grad.flat) for g in grad.weights + grad.biases)
-    for a in (state.m, state.v, state.scratch):
-        assert not np.shares_memory(a, state.grad.flat)
-    assert state.scratch.shape == (2, min(net.n_params(), _ADAM_CHUNK))
+    assert all(np.shares_memory(g, group.grad.flat) for g in grad.weights + grad.biases)
+    for a in (group.m, group.v, group.scratch):
+        assert not np.shares_memory(a, group.grad.flat)
+    assert group.scratch.shape == (2, min(net.n_params(), _ADAM_CHUNK))
 
 
 # -- parameter groups ----------------------------------------------------------
@@ -825,16 +829,16 @@ def test_a_group_copies_its_networks_into_one_vector_in_order():
     assert again.flat is group.flat
 
 
-def test_a_zero_group_is_one_vector_and_adam_init_lays_its_gradients_out_alike():
-    group = Params.zeros([[3, 4, 2], [5, 1]], np.float32, output_activation="tanh")
-    assert group.dtype == np.float32 and not group.flat.any()
-    assert [n.activations for n in group.nets] == [["relu", "tanh"], ["tanh"]]
-    assert Params(group.nets).flat is group.flat
-    state = adam_init(group, 1e-3)
-    assert state.grad.layouts == group.layouts and state.grad.dtype == np.float32
-    assert all(isinstance(g, Gradients) for g in state.grad.nets)
-    for a in (state.m, state.v, state.scratch):
-        assert not np.shares_memory(a, state.grad.flat)
+def test_a_zero_group_is_one_vector_and_its_param_group_lays_its_gradients_out_alike():
+    params = Params.zeros([[3, 4, 2], [5, 1]], np.float32, output_activation="tanh")
+    assert params.dtype == np.float32 and not params.flat.any()
+    assert [n.activations for n in params.nets] == [["relu", "tanh"], ["tanh"]]
+    assert Params(params.nets).flat is params.flat
+    group = ParamGroup(params, 1e-3)
+    assert group.grad.layouts == params.layouts and group.grad.dtype == np.float32
+    assert all(isinstance(g, Gradients) for g in group.grad.nets)
+    for a in (group.m, group.v, group.scratch):
+        assert not np.shares_memory(a, group.grad.flat)
     with pytest.raises(ShapeError):
         Params.zeros([[3]], np.float32)
 
@@ -848,24 +852,34 @@ def test_a_group_is_of_one_dtype():
 
 def test_one_adam_step_over_a_group_rejects_a_non_finite_gradient_in_any_network():
     rng = np.random.default_rng(18)
-    group = Params([mlp_init([3, 4, 2], rng), mlp_init([3, 4, 2], rng)])
-    state = adam_init(group, 1e-3)
-    adam_step(group, state.grad, state)
-    before = group.flat.copy(), state.m.copy(), state.v.copy()
-    state.grad.nets[1].biases[1][0] = np.inf
+    params = Params([mlp_init([3, 4, 2], rng), mlp_init([3, 4, 2], rng)])
+    group = ParamGroup(params, 1e-3)
+    adam_step(group)
+    before = params.flat.copy(), group.m.copy(), group.v.copy()
+    group.grad.nets[1].biases[1][0] = np.inf
     with pytest.raises(NonFiniteError):
-        adam_step(group, state.grad, state)
-    assert all(np.array_equal(x, y) for x, y in zip(before, (group.flat, state.m, state.v)))
-    assert state.step == 1
+        adam_step(group)
+    assert all(np.array_equal(x, y) for x, y in zip(before, (params.flat, group.m, group.v)))
+    assert group.step == 1
 
 
-@pytest.mark.parametrize("learning_rate", [0.0, -1e-3, float("nan"), float("inf")])
-def test_adam_init_refuses_a_learning_rate_that_is_not_finite_and_positive(learning_rate):
-    with pytest.raises(ValueError, match="learning_rate"):
-        adam_init(Params([mlp_zeros([2, 2])]), learning_rate)
+@pytest.mark.parametrize("learning_rate", [0.0, -1e-3, float("nan"), float("inf"), True])
+def test_a_param_group_refuses_a_learning_rate_that_is_not_finite_and_positive(learning_rate):
+    with pytest.raises(ValueError, match="^ParamGroup.learning_rate must be"):
+        ParamGroup(Params([mlp_zeros([2, 2])]), learning_rate)
+
+
+@pytest.mark.parametrize("other", [([2, 3], np.float64), ([2, 2, 2], np.float64),
+                                   ([2, 2], np.float32)], ids=["width", "depth", "dtype"])
+def test_a_param_group_refuses_a_target_of_another_layout_or_dtype(other):
+    online = Params([mlp_zeros([2, 2])])
+    with pytest.raises(ShapeError):
+        ParamGroup(online, 1e-3, Params([mlp_zeros(other[0], dtype=other[1])]))
+    group = ParamGroup(online, 1e-3, Params([mlp_zeros([2, 2])]))
+    assert group.step == 0 and group.n_params() == group.target.n_params() == 6
 
 
 def test_adam_constants_are_not_settings():
     with pytest.raises(TypeError):
-        adam_init(Params([mlp_zeros([2, 2])]), 1e-3, beta1=0.5)
+        ParamGroup(Params([mlp_zeros([2, 2])]), 1e-3, beta1=0.5)
     assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)

@@ -15,6 +15,7 @@ from plas.cvae import BehaviorCvae, CvaeTrainConfig
 from plas.diagnostics import support_distance, support_threshold
 from plas.envs import EdgeFollowEnv, PointMassEnv
 from plas.mmd import MmdScenario
+from plas.nets import ParamGroup, adam_step, polyak_update
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -153,9 +154,9 @@ def test_the_settable_values_of_the_envs_and_the_cvae_are_pinned():
     # learner configs are pinned in test_training.py)
     got = {cls.__name__: [f.name for f in fields(cls) if f.init]
            for cls in (PointMassEnv, EdgeFollowEnv, CvaeTrainConfig, BehaviorCvae, MmdScenario,
-                       PlasAgent, CriticPair)}
+                       PlasAgent, CriticPair, ParamGroup)}
     got.update({fn.__name__: list(inspect.signature(fn).parameters)
-                for fn in (support_distance, support_threshold)})
+                for fn in (support_distance, support_threshold, adam_step, polyak_update)})
     assert got == {
         "PointMassEnv": ["horizon"],
         "EdgeFollowEnv": ["horizon"],
@@ -166,6 +167,9 @@ def test_the_settable_values_of_the_envs_and_the_cvae_are_pinned():
         "PlasAgent": ["actor", "actor_target", "critics", "decoder", "max_latent_action",
                       "perturbation", "perturbation_target", "epsilon"],
         "CriticPair": ["q1", "q2", "q1_target", "q2_target", "lam", "gamma"],
+        "ParamGroup": ["online", "learning_rate", "target"],
         "support_distance": ["dataset", "states", "actions"],
         "support_threshold": ["dataset", "seed"],
+        "adam_step": ["group"],
+        "polyak_update": ["group", "tau"],
     }

@@ -1,5 +1,6 @@
 """The off-policy loop shared by the latent-action agent and the unconstrained
 learner, tested through both ``train_plas`` and ``train_unconstrained``."""
+import json
 from dataclasses import asdict, fields
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from plas.agent import (
     param_groups,
     plas_agent_init,
     train_plas,
+    write_log_jsonl,
 )
 from plas.baselines import (
     LOSS_REPORT_CAP,
@@ -88,6 +90,7 @@ def test_the_learner_configs_declare_the_shared_fields_once():
     ("hidden_sizes", (8, 0)), ("eval_interval", 0), ("eval_episodes", 0), ("log_every", 0),
     ("steps", 20.0), ("batch_size", 16.0), ("hidden_sizes", (8.0, 8)), ("log_every", 2.5),
     ("eval_interval", True), ("eval_episodes", 1.0), ("hidden_sizes", (8, True)),
+    ("hidden_sizes", 64), ("hidden_sizes", None),
 ])
 @pytest.mark.parametrize("learner", LEARNERS)
 def test_configs_name_the_shared_field_they_reject(learner, field, value):
@@ -114,6 +117,7 @@ def test_plas_config_checks_its_own_fields(field, value):
     ("steps", 0), ("batch_size", 0), ("learning_rate", 0.0), ("learning_rate", float("nan")),
     ("learning_rate", float("inf")), ("hidden_sizes", (8, 0)), ("log_every", 0),
     ("steps", 20.0), ("batch_size", True), ("hidden_sizes", (8.0,)), ("log_every", 2.5),
+    ("hidden_sizes", 64),
 ])
 def test_the_bc_config_names_the_field_it_rejects(field, value):
     # unchecked, log_every=0 died with ZeroDivisionError, steps=0 returned an
@@ -156,8 +160,8 @@ def test_each_group_is_one_online_vector_and_one_target_vector(learner):
                "actor": ["actor"] + (["perturbation"] if learner == "plas" else [])}
     assert list(groups) == list(members)
     for name, group in groups.items():
-        assert group.adam.learning_rate == (3e-3 if name == "critics" else 2e-4)
-        assert group.adam.step == 0 and group.adam.m.shape == group.online.flat.shape
+        assert group.learning_rate == (3e-3 if name == "critics" else 2e-4)
+        assert group.step == 0 and group.m.shape == group.online.flat.shape
         assert group.target.layouts == group.online.layouts
         assert not np.shares_memory(group.online.flat, group.target.flat)
         for part, names in ((group.online, members[name]),
@@ -185,13 +189,13 @@ def test_the_loop_builds_the_groups_once_and_steps_each_once_per_step(learner, m
         built.append(build(agent, cfg))
         return built[-1]
 
-    def counted_adam(params, *args):
-        adam_calls.append(id(params))
-        return adam_step(params, *args)
+    def counted_adam(group):
+        adam_calls.append(id(group))
+        return adam_step(group)
 
-    def counted_polyak(target, online, tau):
-        polyak_calls.append((id(target), id(online)))
-        return polyak_update(target, online, tau)
+    def counted_polyak(group, tau):
+        polyak_calls.append(id(group))
+        return polyak_update(group, tau)
 
     monkeypatch.setattr(plas.agent, "param_groups", counted_groups)
     for module in (plas.agent, plas.baselines):
@@ -201,10 +205,9 @@ def test_the_loop_builds_the_groups_once_and_steps_each_once_per_step(learner, m
     # with the residual head too, one step is one Adam and one Polyak call per group
     assert len(built) == 1
     groups = built[0].values()
-    assert adam_calls == [id(g.online) for g in groups]
-    assert polyak_calls == [(id(g.target), id(g.online)) for g in groups]
+    assert adam_calls == polyak_calls == [id(g) for g in groups]
     train(learner, config(learner, steps=6), env=None)
-    assert len(built) == 2 and all(g.adam.step == 6 for g in built[1].values())
+    assert len(built) == 2 and all(g.step == 6 for g in built[1].values())
 
 
 def test_the_online_run_builds_the_groups_once(monkeypatch):
@@ -223,7 +226,7 @@ def test_the_online_run_builds_the_groups_once(monkeypatch):
     assert len(run.replay) == 40
     assert len(built) == 1
     # ONLINE_LEARNER's rates: the learner's critic default, a faster actor
-    assert {n: (g.adam.learning_rate, g.adam.step) for n, g in built[0].items()} == {
+    assert {n: (g.learning_rate, g.step) for n, g in built[0].items()} == {
         "critics": (1e-3, 10), "actor": (3e-4, 10)}
 
 
@@ -256,6 +259,19 @@ def test_logs_and_evaluations_fall_on_their_intervals(learner):
     _, log = train(learner, config(learner), env=None)
     assert [r.step for r in log] == [5, 10, 15, 20, 23]
     assert all(r.eval_return_mean is None for r in log)
+
+
+def test_a_training_log_is_one_json_object_per_record(tmp_path):
+    _, log = train("plas", config("plas"))
+    path = tmp_path / "log.jsonl"
+    write_log_jsonl(path, log)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in lines] == [asdict(r) for r in log]
+    assert list(json.loads(lines[0])) == ["step", "critic_loss", "mean_q", "eval_return_mean",
+                                          "eval_return_std"]
+    # step 5 was not evaluated: its eval fields are JSON nulls; step 10 was
+    assert '"eval_return_mean": null, "eval_return_std": null' in lines[0]
+    assert json.loads(lines[1])["eval_return_mean"] == log[1].eval_return_mean is not None
 
 
 @pytest.mark.parametrize("learner", LEARNERS)

@@ -1,4 +1,4 @@
-"""Training steps write their gradients into buffers their Adam states own.
+"""Training steps write their gradients into buffers their groups own.
 
 The reference runs below restore the allocating path: ``mlp_backward`` forms a
 fresh vector and copies it into ``out``, ``adam_step`` and ``polyak_update`` are
@@ -14,7 +14,7 @@ import pytest
 import plas.agent
 import plas.baselines
 import plas.cvae
-from plas.agent import CriticPair, ParamGroup, PlasTrainConfig, critic_step, train_plas
+from plas.agent import CriticPair, PlasTrainConfig, critic_step, train_plas
 from plas.baselines import BcTrainConfig, UnconstrainedTrainConfig, train_bc, train_unconstrained
 from plas.cvae import CvaeTrainConfig, FrozenDecoder, cvae_init, elbo_loss_and_grads, train_cvae
 from plas.envs import EdgeFollowEnv
@@ -25,8 +25,7 @@ from plas.nets import (
     ADAM_EPSILON,
     NonFiniteError,
     Params,
-    ShapeError,
-    adam_init,
+    ParamGroup,
     adam_step,
     mlp_backward,
     mlp_init,
@@ -47,31 +46,29 @@ def _fresh_backward(params, output_grad, tape, out=None):
     return out, d_in
 
 
-def _reference_adam_step(params, grads, state):
-    if grads.layouts != params.layouts or state.m.shape != params.flat.shape:
-        raise ShapeError("gradient/parameter/moment shape mismatch")
-    if not np.isfinite(grads.flat).all():
+def _reference_adam_step(group):
+    if not np.isfinite(group.grad.flat).all():
         raise NonFiniteError("non-finite gradient; update rejected")
-    state.step += 1
-    t = state.step
-    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPSILON
+    group.step += 1
+    t = group.step
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, group.learning_rate, ADAM_EPSILON
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    for i in range(0, params.flat.size, 32_768):
+    for i in range(0, group.online.flat.size, 32_768):
         s = slice(i, i + 32_768)
-        p, g, m, v = params.flat[s], grads.flat[s], state.m[s], state.v[s]
+        p, g, m, v = group.online.flat[s], group.grad.flat[s], group.m[s], group.v[s]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
         p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-    return params, state
+    return group
 
 
-def _reference_polyak_update(target, online, tau):
-    target.flat *= 1.0 - tau
-    target.flat += tau * online.flat
-    return target
+def _reference_polyak_update(group, tau):
+    group.target.flat *= 1.0 - tau
+    group.target.flat += tau * group.online.flat
+    return group.target
 
 
 def _reference(monkeypatch):
@@ -135,15 +132,14 @@ def _peak_rise(step) -> int:
 def test_cvae_step_allocates_less_than_one_parameter_vector():
     rng = np.random.default_rng(8)
     cvae = cvae_init(ENV.state_dim, ENV.action_dim, CvaeTrainConfig(hidden_sizes=(256, 256)), rng)
-    group = Params([cvae.encoder, cvae.decoder])  # one group, as train_cvae steps it
-    adam = adam_init(group, 1e-3)
+    group = ParamGroup(Params([cvae.encoder, cvae.decoder]), 1e-3)  # as train_cvae steps it
     idx = rng.integers(0, len(DATASET), 16)
     s, a = DATASET.states[idx], DATASET.actions[idx]
     noise = rng.standard_normal((16, cvae.latent_dim))
 
     def step():
-        elbo_loss_and_grads(cvae, s, a, noise, 0.5, out=tuple(adam.grad.nets))
-        adam_step(group, adam.grad, adam)
+        elbo_loss_and_grads(cvae, s, a, noise, 0.5, out=tuple(group.grad.nets))
+        adam_step(group)
 
     step()  # warm
     assert _peak_rise(step) < cvae.encoder.flat.nbytes
@@ -154,16 +150,14 @@ def test_critic_step_and_polyak_allocate_less_than_one_parameter_vector():
     q1 = mlp_init([ENV.state_dim + ENV.action_dim, 256, 256, 1], rng)
     q2 = mlp_init([ENV.state_dim + ENV.action_dim, 256, 256, 1], rng)
     critics = CriticPair(q1, q2, q1.copy(), q2.copy())
-    online = Params([q1, q2])
-    group = ParamGroup(online, Params([critics.q1_target, critics.q2_target]),
-                       adam_init(online, 1e-3))
+    group = ParamGroup(Params([q1, q2]), 1e-3, Params([critics.q1_target, critics.q2_target]))
     s = DATASET.states[:16]
     a = DATASET.actions[:16]
     targets = DATASET.rewards[:16]
 
     def step():
         critic_step(group, s, a, targets)
-        polyak_update(group.target, group.online, 0.005)
+        polyak_update(group, 0.005)
 
     step()  # warm
     assert _peak_rise(step) < q1.flat.nbytes
