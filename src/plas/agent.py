@@ -16,6 +16,9 @@ its bound ``epsilon``. ``ActorCriticConfig`` holds the shared settings,
 ``_fit`` owns the ``param_groups``: one ``nets.ParamGroup`` per learning rate
 (the critics, and the actor with any head), each holding its networks, their
 targets and Adam state, and stepped by one Adam and one Polyak call a step.
+``_fit`` steps through ``_learner_step`` (the update, then Polyak on every
+group, a failure named by its step), the one learner step that the online run
+in ``generators`` takes too.
 
 Gradient flow in the actor update runs through the frozen decoder (its input
 gradient only, never its parameters), which is the one structurally unusual
@@ -404,31 +407,39 @@ def param_groups(agent: ActorCritic, config: ActorCriticConfig) -> dict[str, Par
     return groups
 
 
+def _learner_step(update, groups: dict[str, ParamGroup], batch: Batch, tau: float, step: int):
+    """One learner step, offline and online: ``update(batch, groups)``, then a
+    Polyak update of every group's target at ``tau``. Returns what ``update``
+    returns; a ``NonFiniteError`` from either is re-raised naming ``step``."""
+    try:
+        out = update(batch, groups)
+        for group in groups.values():
+            polyak_update(group, tau)
+    except NonFiniteError as e:
+        raise NonFiniteError(f"{e} (training step {step})") from e
+    return out
+
+
 def _fit(agent: ActorCritic, dataset: Batch, config: ActorCriticConfig,
          rng: np.random.Generator, env, update) -> list[LogRecord]:
     """The training loop of both offline learners, by their shared (and
     already checked) ``ActorCriticConfig``. It owns the optimiser state: it
     builds ``param_groups`` once. Each step draws a minibatch, casts it to the
-    critics' dtype, runs ``update(batch, groups) -> (critic_loss, mean_q)``
-    and Polyak-updates each group's target. It logs every ``log_every`` steps
-    and at the last; with an env it also evaluates where ``eval_interval``
-    divides the step, and at the last, each time on a fresh ``rng.spawn``
-    child, which leaves ``rng`` where it was: the env changes the log, not
-    what is learned. A ``NonFiniteError`` is re-raised naming the step."""
+    critics' dtype and runs one ``_learner_step`` with ``update(batch, groups)
+    -> (critic_loss, mean_q)``. It logs every ``log_every`` steps and at the
+    last; with an env it also evaluates where ``eval_interval`` divides the
+    step, and at the last, each time on a fresh ``rng.spawn`` child, which
+    leaves ``rng`` where it was: the env changes the log, not what is
+    learned."""
     groups = param_groups(agent, config)
     log: list[LogRecord] = []
     losses, qs = [], []
     dtype = agent.critics.q1.dtype
     for step in range(1, config.steps + 1):
         batch = sample_batch(dataset, config.batch_size, rng).astype(dtype)
-        try:
-            loss, mean_q = update(batch, groups)
-        except NonFiniteError as e:
-            raise NonFiniteError(f"{e} (training step {step})") from e
+        loss, mean_q = _learner_step(update, groups, batch, config.tau, step)
         losses.append(loss)
         qs.append(mean_q)
-        for group in groups.values():
-            polyak_update(group, config.tau)
 
         if step % config.log_every == 0 or step == config.steps:
             rec = LogRecord(step, float(np.mean(losses)), float(np.mean(qs)))

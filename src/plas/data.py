@@ -116,9 +116,9 @@ def sample_batch(dataset: Batch, k: int, rng: np.random.Generator) -> Batch:
 def concat_rows(parts, n: int) -> Batch:
     """The first ``n`` rows of the batches ``parts`` (datasets included) laid
     end to end, as new arrays that hold only those rows; ``n`` may exceed
-    their total and must be >= 0."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    their total and must be an integer >= 0."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
     stops, left = [], n
     for p in parts:
         stops.append(left)

@@ -25,28 +25,31 @@ The online run (``train_online_medium``) has one fixed recipe, set by the
 module constants below. Its learner is ``ONLINE_LEARNER``: the unconstrained
 learner's defaults with a faster actor. It takes at most ``MAX_ENV_STEPS`` env
 steps, the first ``WARMUP_STEPS`` of them uniform-random and the rest the
-learner's action plus Gaussian noise of std ``EXPLORATION_NOISE``, one update
-per step after the warm-up. Every ``EVAL_EVERY`` steps it evaluates the
-learner over ``EVAL_EPISODES`` episodes and stops once that reaches
-``STOP_FRACTION`` of the way from the random policy's return to the scripted
-expert's, each a mean over ``REFERENCE_EPISODES`` episodes. It steps one
-(1, state_dim) row at a time and logs every transition into a preallocated
-``data.Batch``, which it samples like any dataset. Runs are cached per
-(env, seed), keyed by the env's value (its horizon), within a process, so
-that ``medium`` and ``medium_replay`` describe the same training run and the
-experiment pipeline does not pay for it twice.
+learner's action plus Gaussian noise of std ``EXPLORATION_NOISE``. After the
+warm-up, each env step runs one ``agent._learner_step`` (the offline learners'
+step, so a failure names its env step) on a minibatch of the log. Every
+``EVAL_EVERY`` steps it evaluates the learner over ``EVAL_EPISODES`` episodes
+and stops once that reaches ``STOP_FRACTION`` of the way from the random
+policy's return to the scripted expert's, each a mean over
+``REFERENCE_EPISODES`` episodes. It steps one (1, state_dim) row at a time and
+logs every transition into a preallocated ``data.Batch``, which it samples
+like any dataset. Runs are cached per (env, seed), keyed by the env's value
+(its horizon), within a process, so that ``medium`` and ``medium_replay``
+describe the same training run and the experiment pipeline does not pay for
+it twice.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .agent import param_groups
+from .agent import _learner_step, param_groups
 from .baselines import UnconstrainedTrainConfig, unconstrained_agent_init, unconstrained_update
 from .data import Batch, DatasetMeta, TransitionDataset, concat_rows, sample_batch
 from .envs import EdgeFollowEnv, evaluate_policy, random_policy, rollout_batch
-from .nets import COUNT, _count, polyak_update
+from .nets import COUNT, _count
 
 
 # the online run's recipe (see the module docstring)
@@ -75,10 +78,11 @@ def random_return(env, rng: np.random.Generator) -> float:
 def train_online_medium(env, seed: int) -> OnlineRunResult:
     """Online actor-critic run stopped partway up the random->expert gap.
 
-    Reuses the unconstrained learner's update code verbatim; the only
-    additions are environment interaction, exploration noise, and the log of
-    every transition (a ``Batch`` filled row by row), whose filled rows are
-    both the learner's replay and, later, the medium-replay dataset.
+    Reuses the unconstrained learner's update and the offline learners'
+    ``_learner_step`` verbatim; the only additions are environment
+    interaction, exploration noise, and the log of every transition (a
+    ``Batch`` filled row by row), whose filled rows are both the learner's
+    replay and, later, the medium-replay dataset.
     """
     rng = np.random.default_rng(seed)
     exp_ret = expert_return(env, np.random.default_rng(seed + 101))
@@ -112,9 +116,7 @@ def train_online_medium(env, seed: int) -> OnlineRunResult:
 
         if t > WARMUP_STEPS:
             batch = sample_batch(log[:t], min(cfg.batch_size, t), rng).astype(agent.actor.dtype)
-            unconstrained_update(agent, batch, groups)
-            for group in groups.values():
-                polyak_update(group, cfg.tau)
+            _learner_step(partial(unconstrained_update, agent), groups, batch, cfg.tau, t)
             if t % EVAL_EVERY == 0:
                 mean, _ = evaluate_policy(env, agent.policy_fn(), EVAL_EPISODES,
                                           np.random.default_rng(seed + 7000 + t))

@@ -55,6 +55,16 @@ network's part of ``group.grad`` as ``out`` to ``mlp_backward``, then one
 ``Gradients`` written through ``out=`` is overwritten by the next backward into
 the same buffer: consume it before that. Without ``out`` every backward returns
 a fresh vector. Forward values, tapes and input gradients are always fresh.
+
+Adam flushes subnormal first moments on every 64th step (``step % 64 ==
+0``): after the update, each ``|m|`` below the dtype's smallest normal is set
+to 0, slice by slice through the group's scratch. Where a gradient stops (a
+dead ReLU unit), ``m *= b1`` decays into subnormals that never reach 0 (the
+smallest times 0.9 rounds back to itself), and long float32 runs then spent
+several times longer in ``adam_step``. The flush reads only ``step``, so a
+resumed run flushes where the uninterrupted one did. The parameters keep their
+bits: a subnormal moment's update, at most ``lr * tiny / eps``, is below half
+an ulp of any parameter not itself near 0. ``v`` stays normal and is left alone.
 """
 from __future__ import annotations
 
@@ -435,6 +445,8 @@ _ADAM_CHUNK = 32_768
 # Adam's decay rates and the offset of its denominator
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
+_FLUSH_EVERY = 64  # adam_step's subnormal flush period (see the module docstring)
+
 
 @dataclass
 class ParamGroup:
@@ -474,7 +486,8 @@ def adam_step(group: ParamGroup) -> None:
     any parameter of any network. The temporaries live in ``group.scratch``,
     and each rounds as in ``p -= lr * (m/c1) / (sqrt(v/c2) + eps)`` with
     ``m = b1*m + (1-b1)*g`` and ``v = b2*v + (1-b2)*g*g``, in the
-    parameters' dtype."""
+    parameters' dtype. On every ``_FLUSH_EVERY``-th step, after the update,
+    each subnormal entry of ``m`` is set to 0."""
     grad, flat = group.grad.flat, group.online.flat
     if not np.isfinite(grad).all():
         raise NonFiniteError("non-finite gradient; update rejected")
@@ -484,6 +497,7 @@ def adam_step(group: ParamGroup) -> None:
     b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, group.learning_rate, ADAM_EPSILON
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
+    tiny = np.finfo(flat.dtype).tiny if t % _FLUSH_EVERY == 0 else None
     for i in range(0, flat.size, _ADAM_CHUNK):
         s = slice(i, i + _ADAM_CHUNK)
         p, g, m, v = flat[s], grad[s], group.m[s], group.v[s]
@@ -502,6 +516,9 @@ def adam_step(group: ParamGroup) -> None:
         d += eps
         a /= d
         p -= a
+        if tiny is not None:
+            np.abs(m, out=a)
+            np.copyto(m, 0.0, where=a < tiny)
 
 
 def polyak_update(group: ParamGroup, tau: float) -> Params:

@@ -185,8 +185,13 @@ def test_concat_preserves_order():
     assert len(TransitionDataset(**vars(cut), meta=DatasetMeta("x", "custom", 0, 6))) == 6
     assert np.array_equal(cut.rewards, np.concatenate([a.rewards, b.rewards[:1]]))
     assert not np.shares_memory(concat_rows([a], 5).states, a.states)
-    with pytest.raises(ValueError, match="n must be >= 0"):
+    with pytest.raises(ValueError, match="n must be an integer >= 0"):
         concat_rows([a, b], -1)  # slicing would keep all but the last row
+    with pytest.raises(ValueError, match="n must be an integer >= 0"):
+        concat_rows([a], 2.5)  # slicing would raise TypeError
+    with pytest.raises(ValueError, match="n must be an integer >= 0"):
+        concat_rows([a], True)  # slicing would keep one row
+    assert len(concat_rows([a, b], 0)) == 0  # a size-1 medium_expert's medium part
 
 
 

@@ -4,8 +4,8 @@ forward, backward, Adam and Polyak passes.
 Float64 networks keep the exact bits they had when float64 was the only dtype
 (the digests below were taken then, over the raw ``flat`` bytes, since
 ``params_hash`` now names the dtype in its header), and desk-size float32
-CVAE and BC training keep theirs too. Float32 training never mixes dtypes.
-The file container stores each network in its own dtype.
+CVAE, BC, PLAS and unconstrained training keep theirs too. Float32 training
+never mixes dtypes. The file container stores each network in its own dtype.
 """
 import hashlib
 import json
@@ -194,6 +194,11 @@ ONE_STEP = {"steps": 1, "batch_size": 16, "hidden_sizes": (8, 8), "log_every": 1
 FLOAT32_DIGESTS = {
     "cvae": "b34afe5e60050203daaeaf814befca99960954461223518fc156bf49b8a2392e",
     "bc": "8dd5aa7f0c5f8f9a3b29e4525d6620463ec9192c7ac92cef7608d85eb7d02bad",
+    # the learners' draw, cast, update and Polyak steps, every network and
+    # target, taken while ``_fit`` ran them itself; PLAS (epsilon 0.05) acts
+    # through the 50-step CVAE above, trained on the same rng first
+    "plas": "d67bbc11c4a04ab95d86d59b16bbbf13de3f49af4f40b523497b72a15e294808",
+    "unconstrained": "7a620f0bd16b7eedfd7756b43fcc229d7d58bcadfefbf136014158858b70814b",
 }
 
 
@@ -201,10 +206,17 @@ FLOAT32_DIGESTS = {
 def test_float32_training_keeps_its_bits(learner):
     config = {"steps": 50, "batch_size": 32, "hidden_sizes": (64, 64), "log_every": 25}
     rng = np.random.default_rng(3)
-    if learner == "cvae":
+    if learner in ("cvae", "plas"):
         cvae, _ = train_cvae(DATASET, CvaeTrainConfig(**config), rng)
         networks = [cvae.encoder, cvae.decoder]
-    else:
+    if learner == "plas":
+        agent, _ = train_plas(DATASET, FrozenDecoder(cvae),
+                              PlasTrainConfig(perturbation_epsilon=0.05, **config), rng)
+        networks = list(agent.nets().values())
+    elif learner == "unconstrained":
+        agent, _ = train_unconstrained(DATASET, UnconstrainedTrainConfig(**config), rng)
+        networks = list(agent.nets().values())
+    elif learner == "bc":
         networks = [train_bc(DATASET, BcTrainConfig(**config), rng)[0].net]
     assert networks[0].dtype == np.float32
     assert _digest(*networks) == FLOAT32_DIGESTS[learner]

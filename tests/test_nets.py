@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plas.nets
 from plas.agent import PlasTrainConfig, load_agent, plas_agent_init, save_agent
 from plas.cvae import CvaeTrainConfig, FrozenDecoder, cvae_init, load_cvae, save_cvae
 from plas.data import DatasetMeta, TransitionDataset, load_dataset, save_dataset
@@ -883,3 +884,33 @@ def test_adam_constants_are_not_settings():
     with pytest.raises(TypeError):
         ParamGroup(Params([mlp_zeros([2, 2])]), 1e-3, beta1=0.5)
     assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)
+
+
+def test_adam_flushes_subnormal_first_moments_and_keeps_the_parameters(monkeypatch):
+    # two 4-64-64-1 float32 critics in one group; after step 50, 30% of the
+    # gradient entries stop, and their first moments decay into subnormals
+    rng = np.random.default_rng(10)
+    nets = [mlp_init([4, 64, 64, 1], rng, dtype=np.float32) for _ in range(2)]
+    flushed = ParamGroup(Params(nets), 1e-3)
+    kept = ParamGroup(Params([n.copy() for n in nets]), 1e-3)
+    dead = rng.uniform(size=flushed.n_params()) < 0.3
+    tiny = np.finfo(np.float32).tiny
+
+    def subnormal(m):
+        return np.count_nonzero((m != 0.0) & (np.abs(m) < tiny))
+
+    most_kept = 0
+    for t in range(1, 1201):
+        g = rng.normal(0.0, 0.01, flushed.n_params())
+        if t > 50:
+            g[dead] = 0.0
+        flushed.grad.flat[...] = kept.grad.flat[...] = g
+        adam_step(flushed)
+        with monkeypatch.context() as m:
+            m.setattr(plas.nets, "_FLUSH_EVERY", 10 ** 9)  # the unflushed reference
+            adam_step(kept)
+        if t % 64 == 0:
+            assert subnormal(flushed.m) == 0
+            most_kept = max(most_kept, subnormal(kept.m))
+        assert np.array_equal(flushed.online.flat, kept.online.flat)
+    assert most_kept > 0.2 * kept.n_params()  # the reference did go subnormal

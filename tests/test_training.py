@@ -230,6 +230,24 @@ def test_the_online_run_builds_the_groups_once(monkeypatch):
         "critics": (1e-3, 10), "actor": (3e-4, 10)}
 
 
+def test_the_online_run_names_a_failing_step(monkeypatch):
+    calls = []
+    critic_step = plas.agent.critic_step
+
+    def failing_third(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise NonFiniteError("non-finite critic loss")
+        return critic_step(*args)
+
+    monkeypatch.setattr(plas.agent, "critic_step", failing_third)
+    monkeypatch.setattr(plas.generators, "MAX_ENV_STEPS", 40)
+    monkeypatch.setattr(plas.generators, "WARMUP_STEPS", 30)
+    # updates start after the 30 warm-up steps: the third runs at env step 33
+    with pytest.raises(NonFiniteError, match=r"critic loss \(training step 33\)"):
+        train_online_medium(ENV, 0)
+
+
 @pytest.mark.parametrize("bad", [{"log_every": 0}, {"eval_interval": 0}, {"eval_episodes": 0}],
                          ids=["log_every", "eval_interval", "eval_episodes"])
 @pytest.mark.parametrize("learner", LEARNERS)
