@@ -16,9 +16,15 @@ its bound ``epsilon``. ``ActorCriticConfig`` holds the shared settings,
 ``_fit`` owns the ``param_groups``: one ``nets.ParamGroup`` per learning rate
 (the critics, and the actor with any head), each holding its networks, their
 targets and Adam state, and stepped by one Adam and one Polyak call a step.
-``_fit`` steps through ``_learner_step`` (the update, then Polyak on every
-group, a failure named by its step), the one learner step that the online run
-in ``generators`` takes too.
+An agent's networks must fit one another when it is built: each target has its
+online network's layout, q2 has q1's, and q1, the actor and any head have the
+widths the actor's states and actions (or the decoder's) give them.
+
+``_steps`` is the offline loop of every trainer (``_fit`` here,
+``cvae.train_cvae`` and ``baselines.train_bc``): it draws each minibatch,
+casts it to the groups' dtype and runs ``_learner_step``. That is the one
+training step, which the online run in ``generators`` takes too: the update,
+then Polyak on every group with a target, a failure named by its step.
 
 Gradient flow in the actor update runs through the frozen decoder (its input
 gradient only, never its parameters), which is the one structurally unusual
@@ -27,7 +33,7 @@ backward here reuses the tape of its own forward pass (``nets.mlp_tape``), so
 the learner steps take state rows (B, d); ``act`` also takes one state (d,).
 
 ``plas_agent_init`` builds float32 networks unless asked for float64 (which the
-finite-difference checks use). ``_fit`` casts each float64 minibatch to the
+finite-difference checks use). ``_steps`` casts each float64 minibatch to the
 critics' dtype once per step, so targets, losses and every gradient of a step
 stay in the networks' dtype; ``act`` casts its states once.
 """
@@ -48,10 +54,12 @@ from .nets import (
     NonFiniteError,
     Params,
     ParamGroup,
+    ShapeError,
     _check_settings,
     _count,
     _counts,
     _draw,
+    _layout,
     _nonnegative,
     _positive,
     _real,
@@ -165,6 +173,26 @@ class ActorCritic:
     actor_target: Mlp
     critics: CriticPair
 
+    def __post_init__(self):
+        """Raise ShapeError naming the first network that does not fit: each
+        online network must map the widths ``_widths`` gives it, q2 must have
+        q1's layout, and each target its online network's."""
+        nets = self.nets()
+        for name, (n_in, n_out) in self._widths().items():
+            if (nets[name].in_dim, nets[name].out_dim) != (n_in, n_out):
+                raise ShapeError(f"{name} is {nets[name].in_dim} -> {nets[name].out_dim}, "
+                                 f"not {n_in} -> {n_out}")
+        for name, net in nets.items():
+            like = nets["q1" if name == "q2" else name.removesuffix("_target")]
+            if _layout(net) != _layout(like):
+                raise ShapeError(f"{name} has the layout {_layout(net)}, not {_layout(like)}")
+
+    def _widths(self) -> dict[str, tuple[int, int]]:
+        """(input, output) widths by network: the actor maps states to
+        actions, and q1 a state and an action to one value."""
+        s, a = self.actor.in_dim, self.actor.out_dim
+        return {"q1": (s + a, 1)}
+
     def policy_fn(self):
         return self.action
 
@@ -199,6 +227,16 @@ class PlasAgent(ActorCritic):
             net = getattr(self, name)
             if net is not None and net.activations[-1] != "tanh":
                 raise ValueError(f"{name} output activation must be tanh")
+        super().__post_init__()
+
+    def _widths(self) -> dict[str, tuple[int, int]]:
+        """The actor maps states to latents and any head a state and an action
+        to an action, all of the decoder's widths."""
+        s, a, z = self.decoder.state_dim, self.decoder.action_dim, self.decoder.latent_dim
+        widths = {"q1": (s + a, 1), "actor": (s, z)}
+        if self.perturbation is not None:
+            widths["perturbation"] = (s + a, a)
+        return widths
 
     def action(self, states: np.ndarray) -> np.ndarray:
         return act(self, states)
@@ -407,37 +445,43 @@ def param_groups(agent: ActorCritic, config: ActorCriticConfig) -> dict[str, Par
     return groups
 
 
-def _learner_step(update, groups: dict[str, ParamGroup], batch: Batch, tau: float, step: int):
-    """One learner step, offline and online: ``update(batch, groups)``, then a
-    Polyak update of every group's target at ``tau``. Returns what ``update``
+def _learner_step(update, groups: dict[str, ParamGroup], batch, tau: float | None, step: int):
+    """One training step, offline and online: ``update(batch, groups)``, then a
+    Polyak update at ``tau`` of each group with a target. Returns what ``update``
     returns; a ``NonFiniteError`` from either is re-raised naming ``step``."""
     try:
         out = update(batch, groups)
         for group in groups.values():
-            polyak_update(group, tau)
+            if group.target is not None:
+                polyak_update(group, tau)
     except NonFiniteError as e:
         raise NonFiniteError(f"{e} (training step {step})") from e
     return out
 
 
-def _fit(agent: ActorCritic, dataset: Batch, config: ActorCriticConfig,
-         rng: np.random.Generator, env, update) -> list[LogRecord]:
-    """The training loop of both offline learners, by their shared (and
-    already checked) ``ActorCriticConfig``. It owns the optimiser state: it
-    builds ``param_groups`` once. Each step draws a minibatch, casts it to the
-    critics' dtype and runs one ``_learner_step`` with ``update(batch, groups)
-    -> (critic_loss, mean_q)``. It logs every ``log_every`` steps and at the
-    last; with an env it also evaluates where ``eval_interval`` divides the
-    step, and at the last, each time on a fresh ``rng.spawn`` child, which
-    leaves ``rng`` where it was: the env changes the log, not what is
-    learned."""
-    groups = param_groups(agent, config)
-    log: list[LogRecord] = []
-    losses, qs = [], []
-    dtype = agent.critics.q1.dtype
+def _steps(groups: dict[str, ParamGroup], dataset: Batch, config, rng, update, tau=None):
+    """Every offline trainer's loop: per step a ``config.batch_size`` minibatch,
+    cast to the groups' dtype, through ``_learner_step``; yields (step, its result)."""
+    dtype = next(iter(groups.values())).online.dtype
     for step in range(1, config.steps + 1):
         batch = sample_batch(dataset, config.batch_size, rng).astype(dtype)
-        loss, mean_q = _learner_step(update, groups, batch, config.tau, step)
+        yield step, _learner_step(update, groups, batch, tau, step)
+
+
+def _fit(agent: ActorCritic, dataset: Batch, config: ActorCriticConfig,
+         rng: np.random.Generator, env, update) -> list[LogRecord]:
+    """The training of both offline learners, by their shared (and already
+    checked) ``ActorCriticConfig``. It owns the optimiser state: it builds
+    ``param_groups`` once, and steps them through ``_steps`` with
+    ``update(batch, groups) -> (critic_loss, mean_q)``. It logs every
+    ``log_every`` steps and at the last; with an env it also evaluates where
+    ``eval_interval`` divides the step, and at the last, each time on a fresh
+    ``rng.spawn`` child, which leaves ``rng`` where it was: the env changes
+    the log, not what is learned."""
+    log: list[LogRecord] = []
+    losses, qs = [], []
+    groups = param_groups(agent, config)
+    for step, (loss, mean_q) in _steps(groups, dataset, config, rng, update, config.tau):
         losses.append(loss)
         qs.append(mean_q)
 

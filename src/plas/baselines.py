@@ -1,15 +1,16 @@
 """Comparison policies: behavior cloning and the unconstrained off-policy learner.
 
-The unconstrained learner is the minimal ablation of the latent-action agent,
-defined by ``agent``: an ``agent.ActorCritic`` with the shared config
-``agent.ActorCriticConfig``, the one critic update ``agent.critic_update``, the
-Q1 action gradient and the one loop ``agent._fit``, which owns the groups.
-Only the actor's output differs: an action straight from the state with no
-behavior-model constraint, for acting and as the critic target's
-``target_action``. It deliberately omits target-policy smoothing noise so the
-two learners differ in the actor parameterization and nothing else. Applied to
-a fixed dataset it is the classic recipe for Q-value blow-up, which is why it
-is here.
+Both train through ``agent._steps``, the offline loop of every trainer, whose
+step is ``agent._learner_step``. The unconstrained learner is the minimal
+ablation of the latent-action agent, defined by ``agent``: an
+``agent.ActorCritic`` with the shared config ``agent.ActorCriticConfig``, the
+one critic update ``agent.critic_update``, the Q1 action gradient and the
+learners' training ``agent._fit``, which owns the groups. Only the actor's
+output differs: an action straight from the state with no behavior-model
+constraint, for acting and as the critic target's ``target_action``. It
+deliberately omits target-policy smoothing noise so the two learners differ in
+the actor parameterization and nothing else. Applied to a fixed dataset it is
+the classic recipe for Q-value blow-up, which is why it is here.
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import (ActorCritic, ActorCriticConfig, LogRecord, _action_grad, _fit,
+from .agent import (ActorCritic, ActorCriticConfig, LogRecord, _action_grad, _fit, _steps,
                     critic_pair_init, critic_update)
-from .data import TransitionDataset, sample_batch
+from .data import TransitionDataset
 from .nets import (
     COUNT,
     Mlp,
@@ -72,22 +73,24 @@ class BcTrainConfig:
 def train_bc(dataset: TransitionDataset, config: BcTrainConfig,
              rng: np.random.Generator) -> tuple[BcPolicy, list[tuple[int, float]]]:
     """Minimize MSE between net(s) and the dataset action over minibatches, in
-    float32."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
+    float32; a failing step raises NonFiniteError naming it, as
+    ``"non-finite BC loss (training step 3)"``."""
     net = mlp_init([dataset.state_dim] + list(config.hidden_sizes) + [dataset.action_dim],
                    rng, output_activation="tanh", dtype=np.float32)
     group = ParamGroup(Params([net]), config.learning_rate)
-    curve: list[tuple[int, float]] = []
-    for step in range(1, config.steps + 1):
-        batch = sample_batch(dataset, config.batch_size, rng)
-        tape = mlp_tape(net, batch.states.astype(np.float32))
-        err = tape.output - batch.actions.astype(np.float32)
+
+    def update(batch, groups):
+        tape = mlp_tape(net, batch.states)
+        err = tape.output - batch.actions
         loss = float(np.mean(err ** 2))
         if not np.isfinite(loss):
-            raise NonFiniteError(f"BC loss non-finite at step {step}")
+            raise NonFiniteError("non-finite BC loss")
         mlp_backward(net, 2.0 * err / err.size, tape, group.grad.nets[0])
         adam_step(group)
+        return loss
+
+    curve: list[tuple[int, float]] = []
+    for step, loss in _steps({"bc": group}, dataset, config, rng, update):
         if step % config.log_every == 0 or step == config.steps:
             curve.append((step, loss))
     return BcPolicy(net), curve
@@ -133,7 +136,7 @@ def unconstrained_update(agent: UnconstrainedAgent, batch,
                          groups: dict[str, ParamGroup]) -> tuple[float, float]:
     """``agent.critic_update``, then ``direct_actor_update``, on the groups of
     ``agent.param_groups``; shared with the online trainer. The batch is
-    expected in the networks' dtype (``agent._fit`` casts it)."""
+    expected in the networks' dtype (``agent._steps`` casts it)."""
     return (critic_update(agent, batch, groups["critics"]),
             direct_actor_update(agent, batch.states, groups["actor"]))
 

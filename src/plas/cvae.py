@@ -15,11 +15,11 @@ are read off their layouts. ``cvae_init`` builds the model a
 ``CvaeTrainConfig`` describes, with a latent of 2 × action_dim as in BCQ's VAE:
 the encoder, then the decoder, drawn into one parameter vector, float32 unless
 asked for float64 (which the finite-difference checks use). ``train_cvae``
-steps that vector as one Adam group, as the learners step theirs. Each network
-computes in its own dtype: ``encode`` and ``FrozenDecoder`` cast their inputs
-to it, and ``train_cvae`` casts the two columns it reads of each
-``data.sample_batch`` minibatch, and the standard-normal noise drawn for it in
-float64, once per step.
+steps that vector as one Adam group through ``agent._steps``, the offline loop
+of every trainer, whose step is ``agent._learner_step``. Each network computes
+in its own dtype: ``encode`` and ``FrozenDecoder`` cast their inputs to it,
+``_steps`` casts each minibatch, and ``train_cvae`` the standard-normal noise
+drawn for it in float64, once per step.
 """
 from __future__ import annotations
 
@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TransitionDataset, sample_batch
+from .agent import _steps
+from .data import TransitionDataset
 from .nets import (
     COUNT,
     Gradients,
@@ -235,30 +236,28 @@ def train_cvae(
     """Fit the behavior model, in float32, on the static dataset; returns it
     frozen.
 
-    Raises NonFiniteError with the failing step index if the loss ever leaves
-    the reals.
+    Steps through ``agent._steps``, so a non-finite loss or a rejected Adam
+    step raises NonFiniteError naming the step, as the learners do:
+    ``"non-finite gradient; update rejected (training step 3)"``.
     """
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
     cvae = cvae_init(dataset.state_dim, dataset.action_dim, config, rng)
     params = Params([cvae.encoder, cvae.decoder])  # the vector cvae_init drew into
     group = ParamGroup(params, config.learning_rate)
 
-    reports: list[ElboReport] = []
-    for step in range(1, config.steps + 1):
-        batch = sample_batch(dataset, config.batch_size, rng)
-        states, actions = batch.states.astype(params.dtype), batch.actions.astype(params.dtype)
+    def update(batch, groups):
         # drawn in float64 and cast: a float32 draw would take another
         # sampling path and consume the stream differently
         noise = rng.standard_normal((config.batch_size, cvae.latent_dim)).astype(params.dtype)
-        report, _, _ = elbo_loss_and_grads(cvae, states, actions, noise,
+        report, _, _ = elbo_loss_and_grads(cvae, batch.states, batch.actions, noise,
                                            config.kl_weight, out=tuple(group.grad.nets))
         if not np.isfinite(report.total):
-            raise NonFiniteError(
-                f"CVAE loss non-finite at step {step}: "
-                f"recon={report.reconstruction_loss} kl={report.kl_loss}"
-            )
+            raise NonFiniteError(f"non-finite CVAE loss: recon={report.reconstruction_loss}"
+                                 f" kl={report.kl_loss}")
         adam_step(group)
+        return report
+
+    reports: list[ElboReport] = []
+    for step, report in _steps({"cvae": group}, dataset, config, rng, update):
         if step % config.log_every == 0 or step == config.steps:
             report.step = step
             reports.append(report)

@@ -38,6 +38,7 @@ import numpy as np
 
 from .agent import q_values
 from .envs import rollout_batch, split_episodes
+from .nets import _real
 
 SUPPORT_K = 10
 THRESHOLD_QUANTILE = 0.99
@@ -54,9 +55,16 @@ class QErrorReport:
     n_episodes: int
 
 
+def _check_gamma(gamma) -> None:
+    if not (_real(gamma) and 0.0 <= gamma < 1.0):
+        raise ValueError(f"gamma must be a real number in [0, 1), got {gamma!r}")
+
+
 def empirical_return(rewards, gamma: float) -> np.ndarray:
     """Discounted return G_t of every timestep of one rollout, in O(T): the
-    suffix sums G_t = r_t + gamma*G_{t+1}. Rewards must be finite."""
+    suffix sums G_t = r_t + gamma*G_{t+1}. Rewards must be finite and gamma
+    in [0, 1)."""
+    _check_gamma(gamma)
     r = np.asarray(rewards, dtype=np.float64)
     if r.size == 0:
         raise ValueError("empty reward sequence")
@@ -91,8 +99,10 @@ def q_error_report(agent, env, n_episodes: int, gamma: float,
     actions (k, a), and a ``critics.q1`` network (both the latent-action agent
     and the unconstrained baseline qualify). The episodes run in lockstep
     (``envs.rollout_batch``), the critic grades all their rows in one call, and
-    each episode's rewards give its own returns.
+    each episode's rewards give its own returns. ``gamma`` is checked, as
+    ``empirical_return`` checks it, before any rollout.
     """
+    _check_gamma(gamma)
     batch, lengths = rollout_batch(env, agent.policy_fn(), n_episodes, rng)
     q = q_values(agent.critics.q1, batch.states, batch.actions)
     g = np.concatenate([empirical_return(r, gamma)

@@ -26,7 +26,7 @@ module constants below. Its learner is ``ONLINE_LEARNER``: the unconstrained
 learner's defaults with a faster actor. It takes at most ``MAX_ENV_STEPS`` env
 steps, the first ``WARMUP_STEPS`` of them uniform-random and the rest the
 learner's action plus Gaussian noise of std ``EXPLORATION_NOISE``. After the
-warm-up, each env step runs one ``agent._learner_step`` (the offline learners'
+warm-up, each env step runs one ``agent._learner_step`` (every offline trainer's
 step, so a failure names its env step) on a minibatch of the log. Every
 ``EVAL_EVERY`` steps it evaluates the learner over ``EVAL_EPISODES`` episodes
 and stops once that reaches ``STOP_FRACTION`` of the way from the random
@@ -78,7 +78,7 @@ def random_return(env, rng: np.random.Generator) -> float:
 def train_online_medium(env, seed: int) -> OnlineRunResult:
     """Online actor-critic run stopped partway up the random->expert gap.
 
-    Reuses the unconstrained learner's update and the offline learners'
+    Reuses the unconstrained learner's update and every offline trainer's
     ``_learner_step`` verbatim; the only additions are environment
     interaction, exploration noise, and the log of every transition (a
     ``Batch`` filled row by row), whose filled rows are both the learner's

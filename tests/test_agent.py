@@ -20,6 +20,7 @@ from plas.agent import (
     save_agent,
     train_plas,
 )
+from plas.baselines import UnconstrainedAgent, UnconstrainedTrainConfig, unconstrained_agent_init
 from plas.cvae import CvaeTrainConfig, FrozenDecoder, cvae_init
 from plas.data import Batch, DatasetMeta, TransitionDataset
 from plas.nets import (
@@ -27,6 +28,8 @@ from plas.nets import (
     NonFiniteError,
     Params,
     ParamGroup,
+    ShapeError,
+    _write,
     adam_step,
     mlp_backward,
     mlp_forward,
@@ -535,6 +538,58 @@ def test_a_head_needs_its_target():
     with pytest.raises(ValueError, match="perturbation_target"):
         PlasAgent(agent.actor, agent.actor_target, agent.critics, decoder,
                   perturbation=agent.perturbation, epsilon=0.05)
+
+
+def _net(sizes, output_activation="identity"):
+    return mlp_init(sizes, np.random.default_rng(88), output_activation=output_activation,
+                    dtype=np.float64)
+
+
+def test_a_checkpoint_whose_critics_do_not_fit_is_refused(tmp_path):
+    # 2-output critics: q_values would read their first column as Q
+    decoder = small_cvae_decoder(seed=85)
+    nets = make_agent(decoder, seed=86).nets()
+    for name in ("q1", "q1_target", "q2", "q2_target"):
+        nets[name] = _net([4, 8, 8, 2])
+    _write(tmp_path / "agent.npz", "agent", {
+        "max_latent_action": 2.0, "lam": 1.0, "gamma": 0.99, "config": None,
+        "decoder_hash": decoder.checkpoint_hash(), "perturbation_epsilon": 0.0}, nets)
+    with pytest.raises(ShapeError, match="q1 is 4 -> 2, not 4 -> 1"):
+        load_agent(tmp_path / "agent.npz", decoder)
+
+
+# (network, its replacement, the message); the agent's s = a = 2, z = 4
+MISFITS = [
+    ("actor_target", _net([2, 5, 5, 4], "tanh"), "actor_target has the layout"),
+    ("q1_target", _net([4, 5, 5, 1]), "q1_target has the layout"),
+    ("q2", _net([4, 8, 8, 1], "tanh"), "q2 has the layout"),
+    ("q2_target", _net([4, 5, 5, 1]), "q2_target has the layout"),
+    ("perturbation_target", _net([4, 5, 5, 2], "tanh"), "perturbation_target has the layout"),
+    ("actor", _net([2, 8, 8, 3], "tanh"), "actor is 2 -> 3, not 2 -> 4"),
+    ("perturbation", _net([4, 8, 8, 3], "tanh"), "perturbation is 4 -> 3, not 4 -> 2"),
+]
+
+
+@pytest.mark.parametrize("name, net, message", MISFITS, ids=[m[0] for m in MISFITS])
+def test_a_plas_agent_refuses_networks_that_do_not_fit(name, net, message):
+    built = make_agent(small_cvae_decoder(seed=89), epsilon=0.05, seed=90)
+    fields = {f: getattr(built, f) for f in (
+        "actor", "actor_target", "decoder", "max_latent_action", "perturbation",
+        "perturbation_target", "epsilon")}
+    c = built.critics
+    critics = {"q1": c.q1, "q2": c.q2, "q1_target": c.q1_target, "q2_target": c.q2_target}
+    PlasAgent(critics=CriticPair(**critics), **fields)  # the built agent passes
+    (critics if name in critics else fields)[name] = net
+    with pytest.raises(ShapeError, match=message):
+        PlasAgent(critics=CriticPair(**critics), **fields)
+
+
+def test_an_unconstrained_actor_must_act_in_the_critics_action_width():
+    built = unconstrained_agent_init(2, 2, UnconstrainedTrainConfig(hidden_sizes=(8, 8)),
+                                     np.random.default_rng(91))
+    actor = _net([2, 8, 8, 3], "tanh")
+    with pytest.raises(ShapeError, match="q1 is 4 -> 1, not 5 -> 1"):
+        UnconstrainedAgent(actor, actor.copy(), built.critics)
 
 
 def test_agent_checkpoint_rejects_wrong_decoder(tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import plas.agent
 import plas.cvae
 from plas.cvae import (
     BehaviorCvae,
@@ -322,18 +323,19 @@ def test_cvae_init_draws_encoder_and_decoder_into_one_vector():
 
 
 def test_a_train_cvae_step_draws_one_minibatch_and_makes_one_adam_step(monkeypatch):
+    # the minibatch is drawn by the loop every trainer shares, ``agent._steps``
     calls = []
 
-    def spy(name):
-        real = getattr(plas.cvae, name)
+    def spy(module, name):
+        real = getattr(module, name)
 
         def counted(*args):
             calls.append((name, args[0]))
             return real(*args)
-        return counted
+        monkeypatch.setattr(module, name, counted)
 
-    for name in ("sample_batch", "adam_step"):
-        monkeypatch.setattr(plas.cvae, name, spy(name))
+    spy(plas.agent, "sample_batch")
+    spy(plas.cvae, "adam_step")
     ds = synthetic_dataset(np.zeros((20, 2)), np.zeros(20))
     cvae, _ = train_cvae(ds, CvaeTrainConfig(steps=1, batch_size=8, hidden_sizes=(8,)),
                          np.random.default_rng(0))

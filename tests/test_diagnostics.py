@@ -136,6 +136,23 @@ def test_q_error_report_on_trained_pair():
         q_error_report(agent, env, 0, 0.99, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("gamma", [1.5, np.nan, -0.5, True], ids=["1.5", "nan", "-0.5", "True"])
+def test_gamma_must_be_a_real_number_in_the_unit_interval(gamma):
+    from plas.agent import PlasTrainConfig, plas_agent_init
+    from plas.cvae import CvaeTrainConfig, FrozenDecoder, cvae_init
+    from plas.envs import EdgeFollowEnv
+
+    with pytest.raises(ValueError, match="gamma"):
+        empirical_return([1.0, 1.0, 1.0], gamma)
+    env = EdgeFollowEnv()
+    rng = np.random.default_rng(45)
+    cvae = cvae_init(env.state_dim, env.action_dim, CvaeTrainConfig(hidden_sizes=(8,)), rng)
+    agent = plas_agent_init(env.state_dim, FrozenDecoder(cvae),
+                            PlasTrainConfig(hidden_sizes=(8,)), rng)
+    with pytest.raises(ValueError, match="gamma"):
+        q_error_report(agent, env, 2, gamma, np.random.default_rng(46))
+
+
 def test_support_distance_zero_for_dataset_probes():
     ds = tiny_dataset(n=40, seed=50)
     summary = support_distance(ds, ds.states, ds.actions)

@@ -1,5 +1,7 @@
-"""The off-policy loop shared by the latent-action agent and the unconstrained
-learner, tested through both ``train_plas`` and ``train_unconstrained``."""
+"""The offline loop ``agent._steps`` and its step ``agent._learner_step``,
+tested through the latent-action agent's and the unconstrained learner's
+``train_plas`` and ``train_unconstrained``, and for the failures it names,
+through ``train_cvae`` and ``train_bc`` too."""
 import json
 from dataclasses import asdict, fields
 from fractions import Fraction
@@ -9,6 +11,7 @@ import pytest
 
 import plas.agent
 import plas.baselines
+import plas.cvae
 import plas.generators
 from plas.agent import (
     ActorCriticConfig,
@@ -24,10 +27,11 @@ from plas.baselines import (
     LOSS_REPORT_CAP,
     BcTrainConfig,
     UnconstrainedTrainConfig,
+    train_bc,
     train_unconstrained,
     unconstrained_agent_init,
 )
-from plas.cvae import CvaeTrainConfig, FrozenDecoder, cvae_init
+from plas.cvae import CvaeTrainConfig, FrozenDecoder, cvae_init, train_cvae
 from plas.envs import EdgeFollowEnv
 from plas.generators import make_bimodal_dataset, train_online_medium
 from plas.nets import NonFiniteError, params_hash
@@ -351,3 +355,23 @@ def test_non_finite_update(learner, monkeypatch):
     assert [r.step for r in log] == list(range(1, 7))
     assert log[2].critic_loss == LOSS_REPORT_CAP and log[2].mean_q == LOSS_REPORT_CAP
     assert all(r.critic_loss < LOSS_REPORT_CAP for i, r in enumerate(log) if i != 2)
+
+
+@pytest.mark.parametrize("module, trainer, cfg", [
+    (plas.cvae, train_cvae, CvaeTrainConfig(steps=6, batch_size=16, hidden_sizes=(8,))),
+    (plas.baselines, train_bc, BcTrainConfig(steps=6, batch_size=16, hidden_sizes=(8,))),
+], ids=["cvae", "bc"])
+def test_every_trainer_names_its_failing_step(module, trainer, cfg, monkeypatch):
+    step = module.adam_step
+    calls = []
+
+    def failing(group):
+        calls.append(1)
+        if len(calls) == 3:
+            raise NonFiniteError("non-finite gradient; update rejected")
+        return step(group)
+
+    monkeypatch.setattr(module, "adam_step", failing)
+    with pytest.raises(NonFiniteError, match=r"update rejected \(training step 3\)"):
+        trainer(DATASET, cfg, np.random.default_rng(0))
+    assert len(calls) == 3
