@@ -176,16 +176,20 @@ class ActorCritic:
     def __post_init__(self):
         """Raise ShapeError naming the first network that does not fit: each
         online network must map the widths ``_widths`` gives it, q2 must have
-        q1's layout, and each target its online network's."""
+        q1's layout, each target its online network's, and every network
+        q1's dtype."""
         nets = self.nets()
         for name, (n_in, n_out) in self._widths().items():
             if (nets[name].in_dim, nets[name].out_dim) != (n_in, n_out):
                 raise ShapeError(f"{name} is {nets[name].in_dim} -> {nets[name].out_dim}, "
                                  f"not {n_in} -> {n_out}")
+        dtype = nets["q1"].dtype
         for name, net in nets.items():
             like = nets["q1" if name == "q2" else name.removesuffix("_target")]
             if _layout(net) != _layout(like):
                 raise ShapeError(f"{name} has the layout {_layout(net)}, not {_layout(like)}")
+            if net.dtype != dtype:
+                raise ShapeError(f"{name} is {net.dtype}, not {dtype} as q1 is")
 
     def _widths(self) -> dict[str, tuple[int, int]]:
         """(input, output) widths by network: the actor maps states to

@@ -110,6 +110,8 @@ def sample_batch(dataset: Batch, k: int, rng: np.random.Generator) -> Batch:
     every trainer, which casts to its networks' dtype what it reads."""
     if not _count(k):
         raise ValueError(f"k must be {COUNT}, got {k!r}")
+    if len(dataset) == 0:
+        raise ValueError("cannot sample rows from an empty batch")
     return dataset[rng.integers(0, len(dataset), size=k)]
 
 

@@ -122,9 +122,12 @@ class EdgeFollowEnv:
     faster looks strictly better. Safe speeds vary along the track as
     ``speed_limit(x)``; commanding more loses the edge: zero reward, episode
     over, an absorbing failure. Reaching the far end of the track ends the
-    episode successfully. Because reward is bounded by 1 and total reward
-    equals net progress divided by ``step_scale``, no return can exceed
-    ``return_upper_bound`` -- handy for catching critics that think otherwise.
+    episode successfully. Reward is at most 1, and each step's reward is its
+    progress divided by ``step_scale`` except on the step that reaches x = 1:
+    that step earns its full speed while its progress is cut at 1 (from
+    x = 0.99 at the speed limit it earns 0.528, where (1 - x) / step_scale is
+    0.3). ``return_upper_bound`` builds a ceiling on returns from these (see
+    there) -- handy for catching critics that think otherwise.
     """
 
     name: ClassVar[str] = "edge-follow"
@@ -168,12 +171,15 @@ class EdgeFollowEnv:
                                      - self.expert_margin)
 
     def return_upper_bound(self, gamma: float) -> float:
-        """Analytic ceiling on any discounted return from any state-action.
+        """Ceiling on discounted returns: the smaller of two terms.
 
         Per-step reward is at most 1 and episodes last at most ``horizon``
-        steps, so the discounted sum is below the truncated geometric series;
-        additionally total reward equals net track progress / step_scale,
-        bounded by the full track. The tighter of the two applies.
+        steps, so the discounted sum is below the truncated geometric series.
+        The track term, 1 / step_scale, is the reward of the full track's
+        progress. The step that reaches x = 1 earns its full speed while its
+        progress is cut at 1, so an undiscounted total can pass the track term
+        by less than that step's speed: the track term bounds a return only
+        where discounting takes off more than that.
         """
         if not 0.0 <= gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")

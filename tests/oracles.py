@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from plas.mmd import _diff_histogram, _kernel_of_diff
+from plas.mmd import _BINS_PER_STEP, _aligned_histogram, _diff_histogram, _kernel_of_diff
 from plas.nets import Mlp
 
 
@@ -94,7 +94,9 @@ def mmd_reference_curves(sc, kernels, seed, pair_mean=float64_pair_mean):
     difference array, and fresh kernel temporaries, for every exact term
     (pp, the scale family's pq, the shift family's qq), each averaged by
     ``pair_mean`` — by default a direct float64 ``.mean()``. The binned terms
-    use the same histogram as the sweep.
+    use the same histograms as the sweep; each (kernel, point) binned term of
+    the shift family evaluates the kernel afresh at its own bin-centre-to-point
+    offsets, first + b + 1/2 - _BINS_PER_STEP * xi bins for bin b.
     """
     values = np.empty((len(kernels), sc.n_repeats, sc.sweep.size))
     for r in range(sc.n_repeats):
@@ -106,8 +108,10 @@ def mmd_reference_curves(sc, kernels, seed, pair_mean=float64_pair_mean):
                 np.abs(base[:, None] - base[None, :]).ravel()
             )
         else:
-            pq_centers, pq_weights = _diff_histogram(
-                (behavior[:, None] - 0.5 * base[None, :]).ravel()
+            half = 0.5 * base
+            first, width, pq_weights = _aligned_histogram(
+                (behavior[:, None] - half[None, :]).ravel(),
+                behavior.min() - half.max(), behavior.max() - half.min(), sc.sweep,
             )
         for ki, k in enumerate(kernels):
             pp = pair_mean(k, behavior, behavior)
@@ -119,7 +123,8 @@ def mmd_reference_curves(sc, kernels, seed, pair_mean=float64_pair_mean):
                     pq = pair_mean(k, behavior, x * base)
                     qq = float(qq_weights @ _kernel_of_diff(k, abs(x) * qq_centers))
                 else:
-                    pq = float(pq_weights @ _kernel_of_diff(k, pq_centers - x))
+                    bins = first + np.arange(pq_weights.size) - _BINS_PER_STEP * xi
+                    pq = float(pq_weights @ _kernel_of_diff(k, (bins + 0.5) * width))
                     qq = qq_const
                 values[ki, r, xi] = pp - 2.0 * pq + qq
     return [(values[ki].mean(axis=0), values[ki].std(axis=0)) for ki in range(len(kernels))]

@@ -592,6 +592,18 @@ def test_an_unconstrained_actor_must_act_in_the_critics_action_width():
         UnconstrainedAgent(actor, actor.copy(), built.critics)
 
 
+def test_an_agent_is_of_one_dtype():
+    # float32 actors over float64 critics built, and then trained with mixed-dtype gradients
+    config = UnconstrainedTrainConfig(hidden_sizes=(8, 8))
+    agents = {dtype: unconstrained_agent_init(2, 2, config, np.random.default_rng(92), dtype)
+              for dtype in (np.float32, np.float64)}
+    for agent in agents.values():  # one dtype throughout builds
+        UnconstrainedAgent(agent.actor, agent.actor_target, agent.critics)
+    single = agents[np.float32]
+    with pytest.raises(ShapeError, match="^actor is float32, not float64 as q1 is$"):
+        UnconstrainedAgent(single.actor, single.actor_target, agents[np.float64].critics)
+
+
 def test_agent_checkpoint_rejects_wrong_decoder(tmp_path):
     decoder = small_cvae_decoder(seed=74)
     other = small_cvae_decoder(seed=75)

@@ -345,9 +345,9 @@ def test_a_train_cvae_step_draws_one_minibatch_and_makes_one_adam_step(monkeypat
 
 
 def test_train_cvae_rejects_empty():
-    with pytest.raises(Exception):
-        ds = synthetic_dataset(np.zeros((1, 1)), np.zeros(1))
-        ds.states = np.zeros((0, 1))  # force the degenerate case
+    ds = synthetic_dataset(np.zeros((1, 1)), np.zeros(1))
+    ds.states = np.zeros((0, 1))  # force the degenerate case
+    with pytest.raises(ValueError, match="^cannot sample rows from an empty batch$"):
         train_cvae(ds, CvaeTrainConfig(steps=1), np.random.default_rng(0))
 
 

@@ -143,6 +143,15 @@ def test_sampling_rejects_k_zero():
         sample_batch(ds, 0, np.random.default_rng(0))
 
 
+def test_sampling_names_an_empty_batch():
+    # numpy's "high <= 0" from the draw named neither the batch nor its emptiness
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^cannot sample rows from an empty batch$"):
+        sample_batch(tiny_dataset()[:0], 4, rng)
+    assert rng.bit_generator.state == before
+
+
 @pytest.mark.parametrize("k", [2.5, True, np.True_, "3", -1])
 def test_sampling_takes_a_count_as_the_configs_do(k):
     # a float or bool k raised numpy's TypeError from inside the draw

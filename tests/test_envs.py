@@ -205,6 +205,18 @@ def test_edge_follow_reward_equals_progress_over_scale():
     assert np.all(ro.rewards >= 0.0)
 
 
+def test_edge_follow_step_to_the_end_earns_its_full_speed():
+    # the progress is cut at x = 1, the reward is not: 0.528 against (1 - x) / step_scale = 0.3
+    env = EdgeFollowEnv()
+    speed = float(env.speed_limit(0.99))
+    next_state, reward, done = _step_one(env, np.array([0.99]), env.action_for_speed([speed]))
+    assert done
+    assert next_state[0] == 1.0
+    assert reward == pytest.approx(speed)
+    assert reward == pytest.approx(0.528, abs=1e-3)
+    assert (1.0 - 0.99) / env.step_scale == pytest.approx(0.3)
+
+
 def test_out_of_bounds_actions_clip_and_count():
     env = EdgeFollowEnv()
     before = clip_warning_count()

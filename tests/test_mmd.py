@@ -8,6 +8,7 @@ from plas.mmd import (
     KernelSpec,
     MmdScenario,
     SweepCurve,
+    _aligned_histogram,
     _kernel_means,
     _kernel_of_diff,
     default_kernels,
@@ -195,21 +196,61 @@ def test_sampled_mmd_rejects_non_finite_samples(bad):
         sampled_mmd(spec, [0.5, 1.5], [0.0, 1.0, bad])
 
 
+def _direct_curves(sc, kernels, seed):
+    """``sampled_mmd`` at every point of a one-repeat sweep, on the sweep's draws."""
+    rng = np.random.default_rng([seed, 0])
+    behavior_draws = sc.behavior_sample(rng)
+    base = rng.standard_normal(sc.n_samples)
+    # the agent's draws: N(0, x) as x * base, N(x, 0.5) as x + 0.5 * base
+    agents = [x * base if sc.agent_family == "scale" else x + 0.5 * base
+              for x in sc.sweep.tolist()]
+    return [[sampled_mmd(k, behavior_draws, agent) for agent in agents] for k in kernels]
+
+
 def test_run_scenario_matches_direct_estimator():
     # one repeat, so each point of a curve is one (kernel, x, repeat) cell
     kernels = [KernelSpec("gaussian", 0.1), KernelSpec("laplacian", 1.0)]
     for name in ("scenario2-bimodal", "scenario1-scale"):
         sc = MmdScenario(name, n_samples=200, n_repeats=1)
         curves = run_scenario(sc, kernels, seed=3)
-        rng = np.random.default_rng([3, 0])
-        behavior_draws = sc.behavior_sample(rng)
-        base = rng.standard_normal(200)
-        for kern, curve in zip(kernels, curves):
-            # the agent's draws: N(0, x) as x * base, N(x, 0.5) as x + 0.5 * base
-            direct = [sampled_mmd(kern, behavior_draws,
-                                  x * base if sc.agent_family == "scale" else x + 0.5 * base)
-                      for x in sc.sweep.tolist()]
+        for kern, curve, direct in zip(kernels, curves, _direct_curves(sc, kernels, 3)):
             assert np.max(np.abs(curve.mean - direct)) < 1e-5, (name, kern)
+
+
+# the worst |curve - sampled_mmd| over the default kernels at 200 samples x 1
+# repeat, seeds 0-4, rounded up to three digits, when both families binned on
+# 8192 bins spanning their differences: 6.1602e-5 (scale, whose binning is still
+# that) and 9.6998e-6 (shift; its aligned grid reads 7.12e-6)
+DIRECT_ESTIMATOR_BOUNDS = {"scenario1-scale": 6.17e-5, "scenario2-bimodal": 9.7e-6}
+
+
+@pytest.mark.parametrize("name", list(DIRECT_ESTIMATOR_BOUNDS))
+def test_every_default_kernel_tracks_the_direct_estimator(name):
+    sc = MmdScenario(name, n_samples=200, n_repeats=1)
+    kernels = default_kernels()
+    for seed in range(3):
+        curves = run_scenario(sc, kernels, seed=seed)
+        for curve, direct in zip(curves, _direct_curves(sc, kernels, seed)):
+            error = np.max(np.abs(curve.mean - direct))
+            assert error <= DIRECT_ESTIMATOR_BOUNDS[name], (seed, curve.kernel, error)
+
+
+@pytest.mark.parametrize("factory", [scenario_matched_scale, scenario_bimodal_hole])
+def test_aligned_histogram_keeps_every_value_on_the_sweeps_grid(factory):
+    sweep = factory().sweep
+    values = np.random.default_rng(37).uniform(-4.3, 4.7, size=5000)
+    values[:2] = -4.3, 4.7  # the range's own ends stay inside it
+    first, width, weights = _aligned_histogram(values, -4.3, 4.7, sweep)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert width == pytest.approx(0.1 / 256, rel=1e-12)
+    # each bin centre lies a whole number of bins plus a half from each point
+    centres = sweep[0] + (first + np.arange(weights.size) + 0.5) * width
+    offsets = (centres[:, None] - sweep[None, :]) / width - 0.5
+    assert np.max(np.abs(offsets - np.round(offsets))) < 1e-6
+    # and every value is counted in the bin that contains it
+    containing = np.floor((values - sweep[0]) / width) - first
+    assert np.array_equal(np.bincount(containing.astype(int), minlength=weights.size) / values.size,
+                          weights)
 
 
 def _float32_pair_mean(k, a, b):
