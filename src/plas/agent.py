@@ -20,9 +20,10 @@ An agent's networks must fit one another when it is built: each target has its
 online network's layout, q2 has q1's, and q1, the actor and any head have the
 widths the actor's states and actions (or the decoder's) give them.
 
-``_steps`` is the offline loop of every trainer (``_fit`` here,
-``cvae.train_cvae`` and ``baselines.train_bc``): it draws each minibatch,
-casts it to the groups' dtype and runs ``_learner_step``. That is the one
+``_steps`` is the offline loop and log of every trainer (``_fit`` here,
+``cvae.train_cvae`` and ``baselines.train_bc``): it runs ``_learner_step`` on
+each minibatch, cast to the groups' dtype, and each log record is the mean of
+the update's numbers over its ``log_every`` steps. ``_learner_step`` is the one
 training step, which the online run in ``generators`` takes too: the update,
 then Polyak on every group with a target, a failure named by its step.
 
@@ -58,6 +59,7 @@ from .nets import (
     _check_settings,
     _count,
     _counts,
+    _discount,
     _draw,
     _layout,
     _nonnegative,
@@ -89,7 +91,7 @@ class CriticPair:
     def __post_init__(self):
         _check_settings(self, (
             ("lam", _real(self.lam) and 0.0 <= self.lam <= 1.0, "in [0, 1]"),
-            ("gamma", _real(self.gamma) and 0.0 <= self.gamma < 1.0, "in [0, 1)"),
+            ("gamma", _discount(self.gamma), "in [0, 1)"),
         ))
 
 
@@ -371,7 +373,7 @@ class ActorCriticConfig:
             ("batch_size", _count(self.batch_size), COUNT),
             ("actor_lr", _positive(self.actor_lr), "finite and > 0"),
             ("critic_lr", _positive(self.critic_lr), "finite and > 0"),
-            ("gamma", _real(self.gamma) and 0.0 <= self.gamma < 1.0, "in [0, 1)"),
+            ("gamma", _discount(self.gamma), "in [0, 1)"),
             ("tau", _real(self.tau) and 0.0 < self.tau <= 1.0, "in (0, 1]"),
             ("lam", _real(self.lam) and 0.0 <= self.lam <= 1.0, "in [0, 1]"),
             ("hidden_sizes", _counts(self.hidden_sizes), f"a tuple of sizes each {COUNT}"),
@@ -464,38 +466,38 @@ def _learner_step(update, groups: dict[str, ParamGroup], batch, tau: float | Non
 
 
 def _steps(groups: dict[str, ParamGroup], dataset: Batch, config, rng, update, tau=None):
-    """Every offline trainer's loop: per step a ``config.batch_size`` minibatch,
-    cast to the groups' dtype, through ``_learner_step``; yields (step, its result)."""
+    """Every offline trainer's loop and log: per step a ``config.batch_size``
+    minibatch, cast to the groups' dtype, through ``_learner_step``. At every
+    ``log_every``-th step and at the last it yields (step, the mean of each
+    number ``update`` returned since the last yield)."""
     dtype = next(iter(groups.values())).online.dtype
+    interval = []
     for step in range(1, config.steps + 1):
         batch = sample_batch(dataset, config.batch_size, rng).astype(dtype)
-        yield step, _learner_step(update, groups, batch, tau, step)
+        interval.append(_learner_step(update, groups, batch, tau, step))
+        if step % config.log_every == 0 or step == config.steps:
+            yield step, tuple(float(np.mean(column)) for column in zip(*interval))
+            interval = []
 
 
 def _fit(agent: ActorCritic, dataset: Batch, config: ActorCriticConfig,
          rng: np.random.Generator, env, update) -> list[LogRecord]:
     """The training of both offline learners, by their shared (and already
     checked) ``ActorCriticConfig``. It owns the optimiser state: it builds
-    ``param_groups`` once, and steps them through ``_steps`` with
-    ``update(batch, groups) -> (critic_loss, mean_q)``. It logs every
-    ``log_every`` steps and at the last; with an env it also evaluates where
-    ``eval_interval`` divides the step, and at the last, each time on a fresh
-    ``rng.spawn`` child, which leaves ``rng`` where it was: the env changes
-    the log, not what is learned."""
+    ``param_groups`` once and steps them through ``_steps`` with ``update(batch,
+    groups) -> (critic_loss, mean_q)``. With an env it also evaluates at each
+    logged step that ``eval_interval`` divides and at the last (``log_every`` 10
+    and ``eval_interval`` 15 evaluate at step 30 only), on a fresh ``rng.spawn``
+    child each time, which leaves ``rng`` where it was: the env changes the
+    log, not what is learned."""
     log: list[LogRecord] = []
-    losses, qs = [], []
     groups = param_groups(agent, config)
     for step, (loss, mean_q) in _steps(groups, dataset, config, rng, update, config.tau):
-        losses.append(loss)
-        qs.append(mean_q)
-
-        if step % config.log_every == 0 or step == config.steps:
-            rec = LogRecord(step, float(np.mean(losses)), float(np.mean(qs)))
-            losses, qs = [], []
-            if env is not None and (step % config.eval_interval == 0 or step == config.steps):
-                rec.eval_return_mean, rec.eval_return_std = evaluate_policy(
-                    env, agent.policy_fn(), config.eval_episodes, rng.spawn(1)[0])
-            log.append(rec)
+        rec = LogRecord(step, loss, mean_q)
+        if env is not None and (step % config.eval_interval == 0 or step == config.steps):
+            rec.eval_return_mean, rec.eval_return_std = evaluate_policy(
+                env, agent.policy_fn(), config.eval_episodes, rng.spawn(1)[0])
+        log.append(rec)
     return log
 
 

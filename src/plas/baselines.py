@@ -74,7 +74,8 @@ def train_bc(dataset: TransitionDataset, config: BcTrainConfig,
              rng: np.random.Generator) -> tuple[BcPolicy, list[tuple[int, float]]]:
     """Minimize MSE between net(s) and the dataset action over minibatches, in
     float32; a failing step raises NonFiniteError naming it, as
-    ``"non-finite BC loss (training step 3)"``."""
+    ``"non-finite BC loss (training step 3)"``; each logged loss is its
+    interval's mean (see ``agent._steps``)."""
     net = mlp_init([dataset.state_dim] + list(config.hidden_sizes) + [dataset.action_dim],
                    rng, output_activation="tanh", dtype=np.float32)
     group = ParamGroup(Params([net]), config.learning_rate)
@@ -87,13 +88,10 @@ def train_bc(dataset: TransitionDataset, config: BcTrainConfig,
             raise NonFiniteError("non-finite BC loss")
         mlp_backward(net, 2.0 * err / err.size, tape, group.grad.nets[0])
         adam_step(group)
-        return loss
+        return (loss,)
 
-    curve: list[tuple[int, float]] = []
-    for step, loss in _steps({"bc": group}, dataset, config, rng, update):
-        if step % config.log_every == 0 or step == config.steps:
-            curve.append((step, loss))
-    return BcPolicy(net), curve
+    return BcPolicy(net), [(step, loss) for step, (loss,)
+                           in _steps({"bc": group}, dataset, config, rng, update)]
 
 
 @dataclass

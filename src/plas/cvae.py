@@ -238,7 +238,8 @@ def train_cvae(
 
     Steps through ``agent._steps``, so a non-finite loss or a rejected Adam
     step raises NonFiniteError naming the step, as the learners do:
-    ``"non-finite gradient; update rejected (training step 3)"``.
+    ``"non-finite gradient; update rejected (training step 3)"``. Each report
+    of the log is its interval's mean (see ``agent._steps``).
     """
     cvae = cvae_init(dataset.state_dim, dataset.action_dim, config, rng)
     params = Params([cvae.encoder, cvae.decoder])  # the vector cvae_init drew into
@@ -254,14 +255,10 @@ def train_cvae(
             raise NonFiniteError(f"non-finite CVAE loss: recon={report.reconstruction_loss}"
                                  f" kl={report.kl_loss}")
         adam_step(group)
-        return report
+        return report.reconstruction_loss, report.kl_loss
 
-    reports: list[ElboReport] = []
-    for step, report in _steps({"cvae": group}, dataset, config, rng, update):
-        if step % config.log_every == 0 or step == config.steps:
-            report.step = step
-            reports.append(report)
-    return cvae, reports
+    return cvae, [ElboReport(recon, kl, config.kl_weight, step)
+                  for step, (recon, kl) in _steps({"cvae": group}, dataset, config, rng, update)]
 
 
 class FrozenDecoder:

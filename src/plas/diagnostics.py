@@ -38,7 +38,7 @@ import numpy as np
 
 from .agent import q_values
 from .envs import rollout_batch, split_episodes
-from .nets import _real
+from .nets import _discount
 
 SUPPORT_K = 10
 THRESHOLD_QUANTILE = 0.99
@@ -56,7 +56,7 @@ class QErrorReport:
 
 
 def _check_gamma(gamma) -> None:
-    if not (_real(gamma) and 0.0 <= gamma < 1.0):
+    if not _discount(gamma):
         raise ValueError(f"gamma must be a real number in [0, 1), got {gamma!r}")
 
 

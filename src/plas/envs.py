@@ -40,7 +40,7 @@ from typing import ClassVar
 import numpy as np
 
 from .data import Batch
-from .nets import COUNT, _check_settings, _count, _nonnegative
+from .nets import COUNT, _check_settings, _count, _discount, _nonnegative
 
 _CLIP_WARNINGS = 0
 
@@ -181,8 +181,8 @@ class EdgeFollowEnv:
         by less than that step's speed: the track term bounds a return only
         where discounting takes off more than that.
         """
-        if not 0.0 <= gamma < 1.0:
-            raise ValueError("gamma must be in [0, 1)")
+        if not _discount(gamma):
+            raise ValueError(f"gamma must be a real number in [0, 1), got {gamma!r}")
         geometric = (1.0 - gamma ** self.horizon) / (1.0 - gamma) if gamma > 0 else 1.0
         track = 1.0 / self.step_scale
         return min(geometric, track)

@@ -525,6 +525,8 @@ def polyak_update(group: ParamGroup, tau: float) -> Params:
     """Soft update of the group's target in place: target <- tau*online +
     (1-tau)*target, elementwise, in slices through one slice-sized buffer of
     their dtype. Returns the target, left untouched if this raises."""
+    if group.target is None:
+        raise ValueError("the group has no target to update")
     if not (_real(tau) and 0.0 < tau <= 1.0):
         raise ValueError(f"tau must be in (0, 1], got {tau!r}")
     target, online = group.target, group.online
@@ -661,6 +663,11 @@ def _positive(x) -> bool:
 
 def _nonnegative(x) -> bool:
     return _real(x) and math.isfinite(x) and x >= 0.0
+
+
+def _discount(x) -> bool:
+    """Whether ``x`` is a discount factor: a real number in [0, 1)."""
+    return _real(x) and 0.0 <= x < 1.0
 
 
 # the rule of every count setting: a step count, a batch size, a width, a horizon

@@ -1,4 +1,5 @@
 import csv
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,15 +137,25 @@ def test_q_error_report_on_trained_pair():
         q_error_report(agent, env, 0, 0.99, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("gamma", [1.5, np.nan, -0.5, True], ids=["1.5", "nan", "-0.5", "True"])
+@pytest.mark.parametrize("gamma", [1.5, np.nan, -0.5, True, "0.5", Fraction(1, 2), 1.0, -0.1],
+                         ids=["1.5", "nan", "-0.5", "True", "str", "Fraction", "1.0", "-0.1"])
 def test_gamma_must_be_a_real_number_in_the_unit_interval(gamma):
-    from plas.agent import PlasTrainConfig, plas_agent_init
+    # one rule (nets._discount) for the critics, the config, the Q-error
+    # report and the env's return ceiling
+    from plas.agent import ActorCriticConfig, CriticPair, PlasTrainConfig, plas_agent_init
     from plas.cvae import CvaeTrainConfig, FrozenDecoder, cvae_init
     from plas.envs import EdgeFollowEnv
+    from plas.nets import mlp_zeros
 
     with pytest.raises(ValueError, match="gamma"):
         empirical_return([1.0, 1.0, 1.0], gamma)
+    with pytest.raises(ValueError, match="gamma"):
+        ActorCriticConfig(gamma=gamma)
+    with pytest.raises(ValueError, match="gamma"):
+        CriticPair(*(mlp_zeros([3, 1]) for _ in range(4)), gamma=gamma)
     env = EdgeFollowEnv()
+    with pytest.raises(ValueError, match="gamma"):
+        env.return_upper_bound(gamma)
     rng = np.random.default_rng(45)
     cvae = cvae_init(env.state_dim, env.action_dim, CvaeTrainConfig(hidden_sizes=(8,)), rng)
     agent = plas_agent_init(env.state_dim, FrozenDecoder(cvae),

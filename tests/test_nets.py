@@ -346,6 +346,14 @@ def test_polyak_rejects_bad_tau():
             polyak_update(ParamGroup(net, 1e-3, net), tau)
 
 
+def test_polyak_names_a_group_without_a_target():
+    group = ParamGroup(Params.zeros([[2, 3, 1]], np.float32), 1e-3)
+    before = group.online.flat.copy()
+    with pytest.raises(ValueError, match="no target"):
+        polyak_update(group, 0.5)
+    assert np.array_equal(group.online.flat, before) and group.target is None
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     tau=st.floats(min_value=1e-6, max_value=1.0),

@@ -173,3 +173,36 @@ def test_the_settable_values_of_the_envs_and_the_cvae_are_pinned():
         "adam_step": ["group"],
         "polyak_update": ["group", "tau"],
     }
+
+
+def test_the_library_writes_nothing_to_stdout_or_stderr(capfd, tmp_path):
+    # a script that prints one JSON result line relies on the library being
+    # quiet: a desk-size pipeline through the public API, file descriptors
+    # captured (so a C-level write would show too)
+    import numpy as np
+
+    from plas.agent import PlasTrainConfig, train_plas
+    from plas.baselines import (BcTrainConfig, UnconstrainedTrainConfig, train_bc,
+                                train_unconstrained)
+    from plas.cvae import FrozenDecoder, train_cvae
+    from plas.data import load_dataset, save_dataset
+    from plas.diagnostics import q_error_report
+    from plas.envs import evaluate_policy
+    from plas.generators import generate_dataset
+    from plas.mmd import run_scenario, scenario_bimodal_hole
+
+    env, rng = EdgeFollowEnv(), np.random.default_rng(0)
+    save_dataset(tmp_path / "data.npz", generate_dataset(env, "expert", 500, 0))
+    data = load_dataset(tmp_path / "data.npz")
+    small = {"steps": 30, "batch_size": 32, "hidden_sizes": (16, 16), "log_every": 10}
+    learner = {**small, "eval_interval": 20, "eval_episodes": 2}
+    cvae, _ = train_cvae(data, CvaeTrainConfig(**small), rng)
+    agent, _ = train_plas(data, FrozenDecoder(cvae), PlasTrainConfig(**learner), rng, env)
+    train_unconstrained(data, UnconstrainedTrainConfig(**learner), rng, env)
+    train_bc(data, BcTrainConfig(**small), rng)
+    evaluate_policy(env, agent.policy_fn(), 2, rng)
+    q_error_report(agent, env, 2, 0.99, rng)
+    support_distance(data, data.states[:20], data.actions[:20])
+    support_threshold(data)
+    run_scenario(scenario_bimodal_hole(n_samples=50, n_repeats=1), seed=0)
+    assert capfd.readouterr() == ("", "")

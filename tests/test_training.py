@@ -1,7 +1,7 @@
 """The offline loop ``agent._steps`` and its step ``agent._learner_step``,
 tested through the latent-action agent's and the unconstrained learner's
-``train_plas`` and ``train_unconstrained``, and for the failures it names,
-through ``train_cvae`` and ``train_bc`` too."""
+``train_plas`` and ``train_unconstrained``, and for the failures it names and
+the interval means it logs, through ``train_cvae`` and ``train_bc`` too."""
 import json
 from dataclasses import asdict, fields
 from fractions import Fraction
@@ -375,3 +375,39 @@ def test_every_trainer_names_its_failing_step(module, trainer, cfg, monkeypatch)
     with pytest.raises(NonFiniteError, match=r"update rejected \(training step 3\)"):
         trainer(DATASET, cfg, np.random.default_rng(0))
     assert len(calls) == 3
+
+
+def _run_logged(trainer):
+    """The log of a 23-step run, logged every 5 steps, as rows of numbers."""
+    small = {"steps": 23, "batch_size": 16, "hidden_sizes": (8,), "log_every": 5}
+    rng = np.random.default_rng(0)
+    if trainer == "cvae":
+        _, log = train_cvae(DATASET, CvaeTrainConfig(**small), rng)
+        return [(r.step, (r.reconstruction_loss, r.kl_loss)) for r in log]
+    if trainer == "bc":
+        _, curve = train_bc(DATASET, BcTrainConfig(**small), rng)
+        return [(step, (loss,)) for step, loss in curve]
+    if trainer == "unconstrained":
+        _, log = train_unconstrained(DATASET, UnconstrainedTrainConfig(**small), rng)
+    else:
+        eps = 0.05 if trainer == "plas-head" else 0.0
+        _, log = train_plas(DATASET, DECODER, PlasTrainConfig(perturbation_epsilon=eps, **small),
+                            rng)
+    return [(r.step, (r.critic_loss, r.mean_q)) for r in log]
+
+
+@pytest.mark.parametrize("trainer", ["cvae", "bc", "plas", "plas-head", "unconstrained"])
+def test_every_log_record_is_its_intervals_mean(trainer, monkeypatch):
+    step, results = plas.agent._learner_step, []
+
+    def recorded(*args):
+        results.append(step(*args))
+        return results[-1]
+
+    monkeypatch.setattr(plas.agent, "_learner_step", recorded)
+    log = _run_logged(trainer)
+    assert [s for s, _ in log] == [5, 10, 15, 20, 23]
+    assert len(results) == 23
+    for (end, numbers), start in zip(log, [0, 5, 10, 15, 20]):
+        interval = results[start:end]
+        assert numbers == tuple(float(np.mean(column)) for column in zip(*interval))
