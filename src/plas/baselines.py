@@ -15,6 +15,7 @@ the classic recipe for Q-value blow-up, which is why it is here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,9 +38,6 @@ from .nets import (
     mlp_init,
     mlp_tape,
 )
-
-LOSS_REPORT_CAP = 1e12
-
 
 @dataclass
 class BcPolicy:
@@ -147,21 +145,8 @@ def train_unconstrained(
 ) -> tuple[UnconstrainedAgent, list[LogRecord]]:
     """Run the off-policy learner on the fixed buffer, no constraint at all.
 
-    Runs ``agent._fit`` with ``unconstrained_update`` as its update.
-    Non-finite losses late in training are expected behavior for this
-    baseline, not a bug: they are logged (capped at ``LOSS_REPORT_CAP``) and
-    the run continues. A non-finite critic loss or gradient skips the whole
-    update, critics and actor alike; a non-finite actor gradient skips only
-    the actor group's step, after the critics have already stepped.
+    Runs ``agent._fit`` with ``unconstrained_update`` as its update; a
+    failing step raises NonFiniteError naming it, as every trainer's does.
     """
     agent = unconstrained_agent_init(dataset.state_dim, dataset.action_dim, config, rng)
-
-    def update(batch, groups):
-        try:
-            loss, mean_q = unconstrained_update(agent, batch, groups)
-        except NonFiniteError:
-            return LOSS_REPORT_CAP, LOSS_REPORT_CAP
-        return (min(loss, LOSS_REPORT_CAP),
-                float(np.clip(mean_q, -LOSS_REPORT_CAP, LOSS_REPORT_CAP)))
-
-    return agent, _fit(agent, dataset, config, rng, env, update)
+    return agent, _fit(agent, dataset, config, rng, env, partial(unconstrained_update, agent))

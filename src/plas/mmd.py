@@ -19,11 +19,10 @@ draws — scenario 1 scales one fixed standard-normal sample, scenario 2 shifts
 it — so a sweep traces a smooth curve whose shape is the signal rather than
 per-point sampling noise. Each repeat redraws everything.
 
-A sweep evaluates every kernel on the same pairs. For the Gaussian kernels,
-each exact n x n term builds its float32 squared differences once, in a
-buffer that ``run_scenario`` allocates once per call; each Gaussian kernel
-then only divides, exponentiates and sums rows, in place, inside a second
-such buffer.
+A sweep evaluates every kernel on the same pairs. Each exact n x n Gaussian
+term builds its float32 squared differences once, in a buffer that
+``run_scenario`` allocates once per call; each Gaussian kernel then only
+divides, exponentiates and sums rows, in place, inside a second such buffer.
 The Laplacian terms need no n x n array. With b sorted, a row sum splits at
 a_i into exp(-a_i/s) * sum_{b_j <= a_i} exp(b_j/s) plus
 exp(a_i/s) * sum_{b_j > a_i} exp(-b_j/s), and both sums are read from float64
@@ -33,36 +32,51 @@ formula is written once, as a family distance (``_distance``) over a signed
 divisor (``_divisor``); it serves ``kernel_eval``, the binned terms and the
 Gaussian pair terms, and the Laplacian pair terms regroup the same exponent.
 
+The scale family's Gaussian pq term at x is the mean over the agent draws
+x * base_j of the behaviour sample's density K(y) = mean_i k(b_i - y). Each
+Gaussian kernel tabulates K and its derivative once per repeat, on nodes
+s / 12 apart over the draws of the whole sweep (clipped to 9 s from the
+behaviour sample), and every point reads its draws by cubic Hermite
+interpolation (``_tabulated_pq``): one (nodes x n) evaluation per kernel and
+repeat rather than an n x n one per kernel, point and repeat. A kernel whose
+table would need more nodes than the sweep has draws (a narrow s, such as
+1e-3 on 20 samples) takes the exact pair means at every point instead.
+
 The terms whose differences move with x in one dimension are binned, as
 weights at bin centres. The scale family's qq differences are x times
-|base_i - base_j|, binned on 8192 bins spanning them; at each point, |x| times
-the centres and its square are computed once and shared by every kernel. The
-shift family's pq differences are (b_i - base_j / 2) - x, binned on the
-sweep's own grid (``_aligned_histogram``): bins a 256th of the sweep step wide,
-with edges on the first sweep point, so every bin centre lies a whole number
-of bins plus a half from every sweep point. Each kernel is then evaluated once
-per repeat, at all those offsets, into one reused buffer, and each point's
-term is one dot product of the weights with a window of it: one evaluation per
-kernel and repeat rather than one per kernel, point and repeat.
+|base_i - base_j|, binned on 8192 bins spanning them, except the n
+self-differences, which are exactly 0 and weighted at a centre of 0; at each
+point, |x| times the centres and its square are computed once and shared by
+every kernel. The shift family's pq differences are (b_i - base_j / 2) - x,
+binned on the sweep's own grid (``_aligned_histogram``): bins a 256th of the
+sweep step wide, with edges on the first sweep point, so every bin centre lies
+a whole number of bins plus a half from every sweep point. Each kernel is then
+evaluated once per repeat, at all those offsets, into one reused buffer, and
+each point's term is one dot product of the weights with a window of it: one
+evaluation per kernel and repeat rather than one per kernel, point and repeat.
 
-Precision: the Gaussian pair terms (pp, pq and the shift family's qq) run in
-float32. The samples are rounded to float32 once per term, and the
-differences, squares, divides and exps stay float32. Where a term's largest
-distance over the divisor falls below -87, the exp arguments are floored at
--87, so a kernel value below 1.65e-38 reads 1.65e-38: float32 exp takes a
-slow path for subnormal results, over 10x the time of an ordinary one. Each
-term's total is float64: float32 row sums (``np.einsum``) of at most n kernel
-values, then a float64 sum of the n row sums, divided by n^2. A pure float32
-total would lose digits to cancellation in pp - 2 pq + qq. The Laplacian pair
-terms are float64 throughout; since a/s and b/s are rounded before the
-exponent subtracts them, their relative error is of order eps * max|x| / s
-(3e-14 at |x| = 13.5 and s = 0.1). The binned terms, ``kernel_eval`` and
-``sampled_mmd`` stay float64, and ``sampled_mmd`` is the oracle. The tests
-hold every curve's mean within 1e-6 of a float64 evaluation of the same sweep,
-with the same argmin; over seeds 0-4 at 500 x 2 and 200 x 4 samples x
-repeats, the largest difference read 1.2e-8 and no argmin moved. The binning
-moves the curves further: against ``sampled_mmd`` at 200 samples x 1 repeat, over the default
-kernels and seeds 0-4, the worst difference read 6.2e-5 in the scale family
+Precision: the exact Gaussian pair terms (pp, the shift family's qq and a
+narrow kernel's pq) run in float32. The samples are rounded to float32 once
+per term, and the differences, squares, divides and exps stay float32. Where a
+term's largest distance over the divisor falls below -87, the exp arguments
+are floored at -87, so a kernel value below 1.65e-38 reads 1.65e-38: float32
+exp takes a slow path for subnormal results, over 10x the time of an ordinary
+one. Each term's total is float64: float32 row sums (``np.einsum``) of at most
+n kernel values, then a float64 sum of the n row sums, divided by n^2. A pure
+float32 total would lose digits to cancellation in pp - 2 pq + qq. The
+tabulated pq terms take float32 kernel values by the same rule, float64 node
+totals and a float64 interpolation, whose error is at most 3 / (384 * 12^4) =
+3.8e-7 of a kernel's peak of 1. The Laplacian pair terms are float64
+throughout; since a/s and b/s are rounded before the exponent subtracts them,
+their relative error is of order eps * max|x| / s (3e-14 at |x| = 13.5 and
+s = 0.1). The binned terms, ``kernel_eval`` and ``sampled_mmd`` stay float64,
+and ``sampled_mmd`` is the oracle. The tests hold every curve's mean within
+1e-6 of a float64 evaluation of the same sweep with exact pair terms, with the
+same argmin; over seeds 0-4 at 500 x 2, 200 x 4, 200 x 2, 37 x 2 and 20 x 1
+samples x repeats, the largest difference read 6.3e-7 (scale family) and
+2.3e-8 (shift family), and no argmin moved. The binning moves the curves
+further: against ``sampled_mmd`` at 200 samples x 1 repeat, over the default
+kernels and seeds 0-4, the worst difference read 5.7e-6 in the scale family
 and 7.1e-6 in the shift family.
 """
 from __future__ import annotations
@@ -239,18 +253,29 @@ _HIST_BINS = 8192
 # default kernels read 7.1e-6 here; 128 ran faster but read 1.39e-5, worse
 # than the 9.7e-6 of 8192 bins spanning the differences
 _BINS_PER_STEP = 256
+# the scale family's Gaussian pq table (see _tabulated_pq): nodes sigma / 12
+# apart, out to 9 sigma from the behaviour sample
+_GRID_PER_SIGMA = 12
+_REACH_SIGMAS = 9
 
 
-def _diff_histogram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-grid weighted histogram of a large set of pairwise differences.
+def _diff_histogram(values: np.ndarray, zeros: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-grid weighted histogram of the absolute pairwise differences of a
+    sample, ``zeros`` of which are its self-differences (i = j), exactly 0.
 
     Collapsing the n^2 differences to bin centers turns every sweep point into
-    an O(bins) kernel evaluation. The midpoint error is O(bin_width^2 / sigma^2)
-    weighted mass, ~1e-6 for the sharpest default kernel: orders of magnitude
-    below the estimator's own sampling noise.
+    an O(bins) kernel evaluation. The self-differences are taken out of the
+    first bin and weighted at a centre of exactly 0, where every kernel reads
+    1; at that bin's centre instead, the Laplacian s = 0.1 kernel misread them
+    by up to 6e-5. The other differences' midpoint error is
+    O(bin_width^2 / sigma^2) weighted mass: against ``sampled_mmd`` at 200
+    samples x 1 repeat, seeds 0-4, the scale family's worst error over the
+    default kernels reads 5.7e-6.
     """
     counts, edges = np.histogram(values, bins=_HIST_BINS)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    counts[0] -= zeros
+    centers = np.concatenate(([0.0], 0.5 * (edges[:-1] + edges[1:])))
+    counts = np.concatenate(([zeros], counts))
     mask = counts > 0
     return centers[mask], counts[mask] / values.size
 
@@ -303,17 +328,91 @@ def _laplacian_mean(sigma: float, a: np.ndarray, b_sorted: np.ndarray,
     return rows.sum() / (a.size * b_sorted.size)
 
 
+def _gaussian_values(k: KernelSpec, sq: np.ndarray, farthest: np.float32,
+                     out: np.ndarray) -> np.ndarray:
+    """Gaussian kernel k at the float32 squared differences ``sq``, whose
+    largest is ``farthest``, written into ``out`` (which may be ``sq``).
+
+    The arguments sq / divisor are floored at ``_EXP_FLOOR`` when the largest
+    would fall below it. At the smallest sigmas the float32 quotient overflows
+    to -inf, which the floor absorbs, so that overflow is silenced and the
+    floor is tested in float64.
+    """
+    divisor = np.float32(_divisor(k))
+    with np.errstate(over="ignore"):
+        np.divide(sq, divisor, out=out)
+    if farthest / np.float64(divisor) < _EXP_FLOOR:
+        np.maximum(out, _EXP_FLOOR, out=out)
+    return np.exp(out, out=out)
+
+
+def _tabulated_pq(k: KernelSpec, behavior: np.ndarray, draws: np.ndarray,
+                  work: np.ndarray, sq: np.ndarray) -> np.ndarray | None:
+    """Mean of the Gaussian kernel k over the pairs (behavior_i, draws[p, j]),
+    for each row p of ``draws``, read from a table of the behaviour sample's
+    density; None when the table would need more nodes than ``draws`` has
+    values, and the caller then takes the exact pair means.
+
+    The density K(y) = mean_i k(b_i - y) and its derivative
+    K'(y) = mean_i (b_i - y) / s^2 * k(b_i - y) are tabulated at a spacing of
+    s / _GRID_PER_SIGMA, over the span of the draws clipped to within
+    _REACH_SIGMAS * s of the behaviour sample; each draw then reads K by cubic
+    Hermite interpolation. Its error is at most max|k''''| h^4 / 384 =
+    3 / (384 * 12^4) = 3.8e-7 of the kernel's peak of 1. A draw outside the
+    table reads 0: each of its pairs is at most exp(-9^2 / 2) = 2.6e-18.
+
+    The nodes go through ``work`` and ``sq`` in blocks of n: the float32
+    differences b - y into ``work``, the kernel values into ``sq``
+    (``_gaussian_values``), and float64 totals over b. Only arrays the size
+    of ``draws`` and of the table are allocated.
+    """
+    step = k.sigma / _GRID_PER_SIGMA
+    reach = _REACH_SIGMAS * k.sigma
+    low = max(draws.min(), behavior.min() - reach)
+    high = min(draws.max(), behavior.max() + reach)
+    if low > high:
+        return np.zeros(draws.shape[0])
+    cells = max(math.ceil((high - low) / step), 1)
+    if cells + 1 > draws.size:
+        return None
+    nodes = low + step * np.arange(cells + 1)
+    n = behavior.size
+    b32 = behavior.astype(np.float32)
+    density, slope = np.empty((2, nodes.size))
+    for start in range(0, nodes.size, n):
+        y32 = nodes[start:start + n].astype(np.float32)
+        d = np.subtract(b32[None, :], y32[:, None], out=work[:y32.size])
+        kv = _distance("gaussian", d, out=sq[:y32.size])
+        # float32 rounding is monotone, so the extremes give the largest square exactly
+        farthest = np.square(max(b32.max() - y32.min(), y32.max() - b32.min()))
+        _gaussian_values(k, kv, farthest, out=kv)
+        density[start:start + y32.size] = np.einsum("ij->i", kv, dtype=np.float64) / n
+        slope[start:start + y32.size] = (np.einsum("ij,ij->i", d, kv, dtype=np.float64)
+                                         / (n * k.sigma ** 2))
+    # cubic Hermite on each draw's cell; t is clipped so outside draws stay finite
+    t = np.clip((draws - low) / step, 0.0, cells)
+    cell = np.minimum(t.astype(np.intp), cells - 1)
+    s = t - cell
+    s2 = s * s
+    s3 = s2 * s
+    values = ((2.0 * s3 - 3.0 * s2 + 1.0) * density[cell]
+              + (s3 - 2.0 * s2 + s) * step * slope[cell]
+              + (3.0 * s2 - 2.0 * s3) * density[cell + 1]
+              + (s3 - s2) * step * slope[cell + 1])
+    inside = (draws >= low) & (draws <= high)
+    return np.where(inside, values, 0.0).mean(axis=1)
+
+
 def _kernel_means(kernels: list[KernelSpec], a: np.ndarray, b: np.ndarray,
                   work: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """Mean of every kernel over the n x n differences a[:, None] - b[None, :].
 
     Gaussian kernels share the float32 squared differences, written into
-    ``sq`` once; each then divides into ``work``, floors the arguments at
-    ``_EXP_FLOOR`` when the largest one would fall below it, exponentiates in
-    place and sums rows, so no n x n array is allocated here. Each such mean
-    is float32 row sums, then a float64 total of those n row sums. Laplacian
-    kernels share one sort of b and one split of a into it
-    (``_laplacian_mean``).
+    ``sq`` once; each then takes its kernel values into ``work``
+    (``_gaussian_values``) and sums rows, so no n x n array is allocated
+    here. Each such mean is float32 row sums, then a float64 total of those n
+    row sums. Laplacian kernels share one sort of b and one split of a into
+    it (``_laplacian_mean``).
     """
     means = np.empty(len(kernels))
     if any(k.family == "gaussian" for k in kernels):
@@ -329,11 +428,7 @@ def _kernel_means(kernels: list[KernelSpec], a: np.ndarray, b: np.ndarray,
         if k.family == "laplacian":
             means[ki] = _laplacian_mean(k.sigma, a, b_sorted, split)
             continue
-        divisor = np.float32(_divisor(k))
-        np.divide(sq, divisor, out=work)
-        if farthest / divisor < _EXP_FLOOR:
-            np.maximum(work, _EXP_FLOOR, out=work)
-        rows = np.einsum("ij->i", np.exp(work, out=work))
+        rows = np.einsum("ij->i", _gaussian_values(k, sq, farthest, out=work))
         means[ki] = rows.sum(dtype=np.float64) / work.size
     return means
 
@@ -344,26 +439,30 @@ def run_scenario(scenario: MmdScenario, kernels: list[KernelSpec] | None = None,
 
     Matches ``sampled_mmd`` on every (kernel, x, repeat) cell up to the binned
     evaluation of the x-dependent terms (see ``_diff_histogram`` and
-    ``_aligned_histogram``) and the float32 rounding of the exact terms;
+    ``_aligned_histogram``), the interpolation of the tabulated ones (see
+    ``_tabulated_pq``) and the float32 rounding of the exact pair terms;
     constant terms are computed once per repeat.
 
-    Every exact term (pp, the shift family's constant qq, the scale family's
-    pq at each sweep point) goes through ``_kernel_means``: the Gaussian
-    kernels share one float32 array of squared differences, the Laplacian
-    kernels one sort of the second sample, and each Laplacian mean is
-    O(n log n). The Gaussian terms run in float32 with float64 totals, the
-    Laplacian terms in float64 (see the module docstring); the binned terms
-    are fed float64 differences. The n x n buffers (two float32 pair buffers
-    when any kernel is Gaussian, one float64 buffer for the binned
-    differences) are allocated once per call, so a sweep does not fault in
-    fresh pages at every (kernel, point) pair.
+    The scale family's Gaussian pq terms are read from one table of the
+    behaviour sample's density per kernel and repeat; a kernel too narrow for
+    its table, and every Laplacian kernel, takes the exact pq at each point.
+    Every exact term (pp, the shift family's constant qq, those pq terms) goes
+    through ``_kernel_means``: the Gaussian kernels share one float32 array of
+    squared differences, the Laplacian kernels one sort of the second sample,
+    and each Laplacian mean is O(n log n). The Gaussian terms run in float32
+    with float64 totals, the Laplacian terms in float64 (see the module
+    docstring); the binned terms are fed float64 differences. The n x n
+    buffers (two float32 pair buffers when any kernel is Gaussian, which also
+    carry the tables' rows in blocks of n, and one float64 buffer for the
+    binned differences) are allocated once per call, so a sweep does not fault
+    in fresh pages at every (kernel, point) pair.
 
     The binned terms share one kernel-value buffer per repeat. The scale
     family fills it once per (kernel, point) from the point's shared
-    distances. The shift family fills it once per kernel, at every
-    bin-centre-to-point offset of the aligned grid, and reads each point's
-    term as the dot product of the weights with a window of it; no
-    (point x bin) array is built.
+    distances, and weights its n self-differences at exactly 0. The shift
+    family fills it once per kernel, at every bin-centre-to-point offset of
+    the aligned grid, and reads each point's term as the dot product of the
+    weights with a window of it; no (point x bin) array is built.
     """
     kernels = kernels if kernels is not None else default_kernels()
     xs = scenario.sweep
@@ -378,16 +477,29 @@ def run_scenario(scenario: MmdScenario, kernels: list[KernelSpec] | None = None,
         base = rng.standard_normal(n)
         pp = _kernel_means(kernels, behavior, behavior, work, sq)
         if scenario.agent_family == "scale":
-            # pq diffs are b_i - x*base_j (2-d structure, computed direct);
-            # qq diffs are x*(base_i - base_j): binned on |base_i - base_j|
+            # pq diffs are b_i - x*base_j: read from each Gaussian kernel's
+            # table, or exact where it has none; qq diffs are
+            # x*(base_i - base_j): binned on |base_i - base_j|
+            draws = xs[:, None] * base
+            pq = np.empty((len(kernels), xs.size))
+            exact = []
+            for ki, k in enumerate(kernels):
+                table = (_tabulated_pq(k, behavior, draws, work, sq)
+                         if k.family == "gaussian" else None)
+                if table is None:
+                    exact.append(ki)
+                else:
+                    pq[ki] = table
+            exact_kernels = [kernels[ki] for ki in exact]
             np.subtract(base[:, None], base[None, :], out=diffs)
-            qq_centers, qq_weights = _diff_histogram(np.abs(diffs, out=diffs).ravel())
+            qq_centers, qq_weights = _diff_histogram(np.abs(diffs, out=diffs).ravel(), n)
             grid = np.empty(qq_centers.size)
             for xi, x in enumerate(xs):
                 x = float(x)
-                pq = _kernel_means(kernels, behavior, x * base, work, sq)
+                if exact:
+                    pq[exact, xi] = _kernel_means(exact_kernels, behavior, draws[xi], work, sq)
                 qq = [qq_weights @ g for g in _kernel_grids(kernels, abs(x) * qq_centers, grid)]
-                values[:, r, xi] = pp - 2.0 * pq + qq
+                values[:, r, xi] = pp - 2.0 * pq[:, xi] + qq
         else:
             # pq diffs are (b_i - 0.5*base_j) - x: binned on the constant part;
             # qq diffs are 0.5*(base_i - base_j), independent of x (halving is

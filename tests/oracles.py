@@ -87,15 +87,19 @@ def float64_pair_mean(k, a, b) -> float:
     return float(_kernel_of_diff(k, a[:, None] - b[None, :]).mean())
 
 
-def mmd_reference_curves(sc, kernels, seed, pair_mean=float64_pair_mean):
+def mmd_reference_curves(sc, kernels, seed, pair_mean=float64_pair_mean, pq_table=None):
     """Float64 oracle of ``plas.mmd.run_scenario``: (mean, std) per kernel.
 
     The per-(kernel, point) loop of the original sweep: one fresh n x n
     difference array, and fresh kernel temporaries, for every exact term
     (pp, the scale family's pq, the shift family's qq), each averaged by
-    ``pair_mean`` — by default a direct float64 ``.mean()``. The binned terms
-    use the same histograms as the sweep; each (kernel, point) binned term of
-    the shift family evaluates the kernel afresh at its own bin-centre-to-point
+    ``pair_mean`` — by default a direct float64 ``.mean()``. Given
+    ``pq_table(k, behavior, draws)``, the scale family's pq terms of kernel k
+    are instead read from its result, one value per row of the (points x n)
+    agent draws, wherever it returns one rather than None. The binned terms
+    use the same histograms as the sweep, the scale family's with the n
+    self-differences at exactly 0; each (kernel, point) binned term of the
+    shift family evaluates the kernel afresh at its own bin-centre-to-point
     offsets, first + b + 1/2 - _BINS_PER_STEP * xi bins for bin b.
     """
     values = np.empty((len(kernels), sc.n_repeats, sc.sweep.size))
@@ -105,7 +109,7 @@ def mmd_reference_curves(sc, kernels, seed, pair_mean=float64_pair_mean):
         base = rng.standard_normal(sc.n_samples)
         if sc.agent_family == "scale":
             qq_centers, qq_weights = _diff_histogram(
-                np.abs(base[:, None] - base[None, :]).ravel()
+                np.abs(base[:, None] - base[None, :]).ravel(), sc.n_samples
             )
         else:
             half = 0.5 * base
@@ -117,10 +121,13 @@ def mmd_reference_curves(sc, kernels, seed, pair_mean=float64_pair_mean):
             pp = pair_mean(k, behavior, behavior)
             if sc.agent_family == "shift":
                 qq_const = pair_mean(k, 0.5 * base, 0.5 * base)
+            table = None
+            if sc.agent_family == "scale" and pq_table is not None:
+                table = pq_table(k, behavior, sc.sweep[:, None] * base)
             for xi, x in enumerate(sc.sweep):
                 x = float(x)
                 if sc.agent_family == "scale":
-                    pq = pair_mean(k, behavior, x * base)
+                    pq = table[xi] if table is not None else pair_mean(k, behavior, x * base)
                     qq = float(qq_weights @ _kernel_of_diff(k, abs(x) * qq_centers))
                 else:
                     bins = first + np.arange(pq_weights.size) - _BINS_PER_STEP * xi

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 
 from plas import mmd
 from plas.mmd import (
+    SCENARIOS,
     KernelSpec,
     MmdScenario,
     SweepCurve,
     _aligned_histogram,
     _kernel_means,
     _kernel_of_diff,
+    _tabulated_pq,
     default_kernels,
     kernel_eval,
     run_scenario,
@@ -86,9 +89,13 @@ def test_kernel_rejects_sigma_without_a_float32_divisor(family, sigma):
 @pytest.mark.parametrize("family, sigma", [("gaussian", 1.9e-23), ("laplacian", 1e-45),
                                            ("gaussian", 1.3e19), ("laplacian", 3.4e38)])
 def test_kernel_at_the_sigma_limits_stays_finite(family, sigma):
+    # run_scenario at gaussian 1.9e-23 warned of float32 overflow in its divides
     k = KernelSpec(family, sigma)
     assert kernel_eval(k, [0.0, 1.0], [0.0, 1.0]).tolist() == [1.0, 1.0]
     assert np.isfinite(sampled_mmd(k, [0.0, 1.0], [0.5, 2.0]))
+    for name in SCENARIOS:
+        curve = run_scenario(MmdScenario(name, 20, 1), [k])[0]
+        assert np.all(np.isfinite(curve.mean)), name
 
 
 def test_argmin_of_a_non_finite_curve_raises():
@@ -218,10 +225,12 @@ def test_run_scenario_matches_direct_estimator():
 
 
 # the worst |curve - sampled_mmd| over the default kernels at 200 samples x 1
-# repeat, seeds 0-4, rounded up to three digits, when both families binned on
-# 8192 bins spanning their differences: 6.1602e-5 (scale, whose binning is still
-# that) and 9.6998e-6 (shift; its aligned grid reads 7.12e-6)
-DIRECT_ESTIMATOR_BOUNDS = {"scenario1-scale": 6.17e-5, "scenario2-bimodal": 9.7e-6}
+# repeat, seeds 0-4, rounded up to three digits: 5.7106e-6 in the scale family
+# (tabulated Gaussian pq, its qq binned on 8192 bins spanning the differences
+# with the self-differences at 0; 6.1602e-5 before that last fix), and 9.6998e-6
+# in the shift family when it also binned on 8192 such bins (its aligned grid
+# reads 7.12e-6)
+DIRECT_ESTIMATOR_BOUNDS = {"scenario1-scale": 5.72e-6, "scenario2-bimodal": 9.7e-6}
 
 
 @pytest.mark.parametrize("name", list(DIRECT_ESTIMATOR_BOUNDS))
@@ -276,6 +285,48 @@ def _float32_pair_mean(k, a, b):
     return float(row_sums.astype(np.float64).sum()) / d.size
 
 
+def _float32_tabulated_pq(k, behavior, draws):
+    """The sweep's tabulated Gaussian pq, written out; None for a Laplacian
+    kernel, or where the table would need more rows than there are draws.
+
+    Nodes sigma / 12 apart over the draws' span clipped to 9 sigma from the
+    behaviour sample; at each node the float32 kernel values (arguments
+    floored at -87) of every behaviour draw, and float64 totals of them and
+    of their differences times them, for the density and its derivative.
+    Each draw then reads the density by cubic Hermite interpolation on its
+    cell, and a draw outside the nodes' span reads 0.
+    """
+    if k.family == "laplacian":
+        return None
+    step, reach = k.sigma / 12, 9 * k.sigma
+    low = max(draws.min(), behavior.min() - reach)
+    high = min(draws.max(), behavior.max() + reach)
+    if low > high:
+        return np.zeros(len(draws))
+    cells = max(math.ceil((high - low) / step), 1)
+    if cells + 1 > draws.size:
+        return None
+    nodes = low + step * np.arange(cells + 1)
+    d = behavior.astype(np.float32)[None, :] - nodes.astype(np.float32)[:, None]
+    kv = np.exp(np.maximum(d ** 2 / np.float32(-(2.0 * k.sigma ** 2)), np.float32(-87.0)))
+    n = behavior.size
+    density = np.einsum("ij->i", kv, dtype=np.float64) / n
+    slope = np.einsum("ij,ij->i", d, kv, dtype=np.float64) / (n * k.sigma ** 2)
+    values = np.zeros(draws.shape)
+    for p, j in np.ndindex(draws.shape):
+        y = float(draws[p, j])
+        if low <= y <= high:
+            c = min(int((y - low) / step), cells - 1)
+            s = (y - low) / step - c
+            s2 = s * s
+            s3 = s2 * s
+            values[p, j] = ((2.0 * s3 - 3.0 * s2 + 1.0) * density[c]
+                            + (s3 - 2.0 * s2 + s) * step * slope[c]
+                            + (3.0 * s2 - 2.0 * s3) * density[c + 1]
+                            + (s3 - s2) * step * slope[c + 1])
+    return values.mean(axis=1)
+
+
 def test_kernel_formula_bit_equal_to_written_form():
     # the reference pair means (above, and the oracle's in tests/oracles.py)
     # rest on _kernel_of_diff; pin it to the formula as written, exp(-d^2 / (2 s^2))
@@ -297,8 +348,75 @@ def test_run_scenario_bit_equal_to_reference_loop(factory):
     sc = factory(n_samples=37, n_repeats=2)
     kernels = default_kernels()
     curves = run_scenario(sc, kernels, seed=4)
-    reference = mmd_reference_curves(sc, kernels, 4, pair_mean=_float32_pair_mean)
+    reference = mmd_reference_curves(sc, kernels, 4, pair_mean=_float32_pair_mean,
+                                     pq_table=_float32_tabulated_pq)
     for curve, (mean, std) in zip(curves, reference):
+        assert np.array_equal(curve.mean, mean)
+        assert np.array_equal(curve.std, std)
+
+
+@pytest.mark.parametrize("sigma", [0.1, 1.0, 3.0, 10.0])
+def test_tabulated_pq_matches_exact_pair_means(sigma):
+    # the Hermite error is at most 3.8e-7 of the kernel's peak
+    behavior, base = np.random.default_rng(38).standard_normal((2, 200))
+    draws = scenario_matched_scale().sweep[:, None] * base
+    k = KernelSpec("gaussian", sigma)
+    work, sq = np.empty((2, 200, 200), dtype=np.float32)
+    got = _tabulated_pq(k, behavior, draws, work, sq)
+    want = [float64_pair_mean(k, behavior, row) for row in draws]
+    assert np.max(np.abs(got - want)) <= 1e-6
+
+
+@pytest.mark.parametrize("shift", [-1e3, 1e3])
+@pytest.mark.parametrize("sigma", [0.1, 10.0])
+def test_tabulated_pq_beyond_the_reach_reads_zero(shift, sigma):
+    behavior, base = np.random.default_rng(39).standard_normal((2, 50))
+    draws = scenario_matched_scale().sweep[:, None] * base
+    work, sq = np.empty((2, 50, 50), dtype=np.float32)
+    got = _tabulated_pq(KernelSpec("gaussian", sigma), behavior + shift, draws, work, sq)
+    assert got.shape == (draws.shape[0],)
+    assert np.all(np.abs(got) <= 1e-30)
+
+
+def test_default_kernels_read_every_gaussian_pq_from_a_table(monkeypatch):
+    exact_pq, tables = [], []
+
+    def kernel_means_spy(kernels, a, b, work, sq):
+        if a is not b:
+            exact_pq.extend(k.family for k in kernels)
+        return kernel_means(kernels, a, b, work, sq)
+
+    def tabulated_spy(k, behavior, draws, work, sq):
+        table = tabulated(k, behavior, draws, work, sq)
+        tables.append(table is not None)
+        return table
+
+    kernel_means, tabulated = mmd._kernel_means, mmd._tabulated_pq
+    monkeypatch.setattr(mmd, "_kernel_means", kernel_means_spy)
+    monkeypatch.setattr(mmd, "_tabulated_pq", tabulated_spy)
+    run_scenario(scenario_matched_scale(200, 2), default_kernels(), seed=0)
+    assert tables == [True] * 8  # four Gaussian kernels, two repeats
+    assert exact_pq and set(exact_pq) == {"laplacian"}
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 1.9e-23])
+def test_a_narrow_gaussian_takes_the_exact_pq(sigma, monkeypatch):
+    # the table would need more rows than the sweep has draws
+    tables = []
+
+    def tabulated_spy(*args):
+        tables.append(tabulated(*args))
+        return tables[-1]
+
+    tabulated = mmd._tabulated_pq
+    monkeypatch.setattr(mmd, "_tabulated_pq", tabulated_spy)
+    sc, kernels = scenario_matched_scale(20, 1), [KernelSpec("gaussian", sigma)]
+    curve = run_scenario(sc, kernels, seed=2)[0]
+    assert tables == [None]
+    assert np.all(np.isfinite(curve.mean))
+    if sigma == 1e-3:
+        (mean, std), = mmd_reference_curves(sc, kernels, 2, pair_mean=_float32_pair_mean,
+                                            pq_table=_float32_tabulated_pq)
         assert np.array_equal(curve.mean, mean)
         assert np.array_equal(curve.std, std)
 

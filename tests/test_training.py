@@ -24,7 +24,6 @@ from plas.agent import (
     write_log_jsonl,
 )
 from plas.baselines import (
-    LOSS_REPORT_CAP,
     BcTrainConfig,
     UnconstrainedTrainConfig,
     train_bc,
@@ -334,7 +333,7 @@ def test_same_seed_same_run(learner):
 @pytest.mark.parametrize("learner", LEARNERS)
 def test_non_finite_update(learner, monkeypatch):
     # the critic step of the third update fails; both learners run it
-    # through ``agent.critic_update``
+    # through ``agent.critic_update``, and both stop there, naming the step
     step = plas.agent.critic_step
     calls = []
 
@@ -345,16 +344,9 @@ def test_non_finite_update(learner, monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(plas.agent, "critic_step", failing)
-    cfg = config(learner, steps=6, log_every=1)
-    if learner == "plas":
-        with pytest.raises(NonFiniteError, match="training step 3"):
-            train(learner, cfg, env=None)
-        assert len(calls) == 3
-        return
-    _, log = train(learner, cfg, env=None)
-    assert [r.step for r in log] == list(range(1, 7))
-    assert log[2].critic_loss == LOSS_REPORT_CAP and log[2].mean_q == LOSS_REPORT_CAP
-    assert all(r.critic_loss < LOSS_REPORT_CAP for i, r in enumerate(log) if i != 2)
+    with pytest.raises(NonFiniteError, match="training step 3"):
+        train(learner, config(learner, steps=6, log_every=1), env=None)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("module, trainer, cfg", [
