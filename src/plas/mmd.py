@@ -27,10 +27,14 @@ The Laplacian terms need no n x n array. With b sorted, a row sum splits at
 a_i into exp(-a_i/s) * sum_{b_j <= a_i} exp(b_j/s) plus
 exp(a_i/s) * sum_{b_j > a_i} exp(-b_j/s), and both sums are read from float64
 log-space prefix sums over the sorted b (``_laplacian_mean``): O(n log n) per
-term, and no exponent exceeds log n, so no sigma > 0 overflows. The kernel
-formula is written once, as a family distance (``_distance``) over a signed
-divisor (``_divisor``); it serves ``kernel_eval``, the binned terms and the
-Gaussian pair terms, and the Laplacian pair terms regroup the same exponent.
+term, and no exponent exceeds log n, so no sigma > 0 overflows. The pair mean
+is symmetric, so the scale family's pq terms take the behaviour sample as b:
+it is sorted once per repeat, the agent draws of all sweep points are split
+into it by one search, and every point's pq is read from each kernel's one
+pair of prefix sums. The kernel formula is written once, as a family distance
+(``_distance``) over a signed divisor (``_divisor``); it serves
+``kernel_eval``, the binned terms and the Gaussian pair terms, and the
+Laplacian pair terms regroup the same exponent.
 
 The scale family's Gaussian pq term at x is the mean over the agent draws
 x * base_j of the behaviour sample's density K(y) = mean_i k(b_i - y). Each
@@ -40,7 +44,8 @@ behaviour sample), and every point reads its draws by cubic Hermite
 interpolation (``_tabulated_pq``): one (nodes x n) evaluation per kernel and
 repeat rather than an n x n one per kernel, point and repeat. A kernel whose
 table would need more nodes than the sweep has draws (a narrow s, such as
-1e-3 on 20 samples) takes the exact pair means at every point instead.
+1e-3 on 20 samples) takes the exact pair means at every point instead: the
+only pq term of either family still evaluated point by point.
 
 The terms whose differences move with x in one dimension are binned, as
 weights at bin centres. The scale family's qq differences are x times
@@ -311,21 +316,25 @@ def _kernel_grids(kernels: list[KernelSpec], d: np.ndarray, out: np.ndarray):
 
 
 def _laplacian_mean(sigma: float, a: np.ndarray, b_sorted: np.ndarray,
-                    split: np.ndarray) -> float:
-    """Mean of exp(-|a_i - b_j| / sigma) over all pairs, with no n x n array.
+                    split: np.ndarray) -> float | np.ndarray:
+    """Mean of exp(-|a_i - b_j| / sigma) over all pairs (a_i, b_j) of each row
+    of ``a``, with no n x n array: a float for a 1-d ``a``, one mean per row
+    for a (points, n) one.
 
-    ``b_sorted`` is b in ascending order and ``split[i]`` counts the b_j <= a_i.
-    Below the split a pair is exp(b_j/s - a_i/s), above it exp(a_i/s - b_j/s),
-    so each row sum is two terms over float64 log-space prefix sums of b/s
-    (from the left) and -b/s (from the right). An empty side reads log 0 =
-    -inf, and no exponent exceeds log n.
+    ``b_sorted`` is b in ascending order and ``split`` counts, for each a_i,
+    the b_j <= a_i. Below the split a pair is exp(b_j/s - a_i/s), above it
+    exp(a_i/s - b_j/s), so each a_i's sum over b is two terms over float64
+    log-space prefix sums of b/s (from the left) and -b/s (from the right),
+    taken once for every row. An empty side reads log 0 = -inf, and no
+    exponent exceeds log n. Each row's total is the same sum as a 1-d call on
+    that row, bit for bit.
     """
     t = a / sigma
     u = b_sorted / sigma
     below = np.concatenate(([-np.inf], np.logaddexp.accumulate(u)))
     above = np.concatenate((np.logaddexp.accumulate(-u[::-1])[::-1], [-np.inf]))
-    rows = np.exp(below[split] - t) + np.exp(t + above[split])
-    return rows.sum() / (a.size * b_sorted.size)
+    sums = np.exp(below[split] - t) + np.exp(t + above[split])
+    return sums.sum(axis=-1) / (a.shape[-1] * b_sorted.size)
 
 
 def _gaussian_values(k: KernelSpec, sq: np.ndarray, farthest: np.float32,
@@ -444,18 +453,21 @@ def run_scenario(scenario: MmdScenario, kernels: list[KernelSpec] | None = None,
     constant terms are computed once per repeat.
 
     The scale family's Gaussian pq terms are read from one table of the
-    behaviour sample's density per kernel and repeat; a kernel too narrow for
-    its table, and every Laplacian kernel, takes the exact pq at each point.
-    Every exact term (pp, the shift family's constant qq, those pq terms) goes
-    through ``_kernel_means``: the Gaussian kernels share one float32 array of
-    squared differences, the Laplacian kernels one sort of the second sample,
-    and each Laplacian mean is O(n log n). The Gaussian terms run in float32
-    with float64 totals, the Laplacian terms in float64 (see the module
-    docstring); the binned terms are fed float64 differences. The n x n
-    buffers (two float32 pair buffers when any kernel is Gaussian, which also
-    carry the tables' rows in blocks of n, and one float64 buffer for the
-    binned differences) are allocated once per call, so a sweep does not fault
-    in fresh pages at every (kernel, point) pair.
+    behaviour sample's density per kernel and repeat. Its Laplacian pq terms
+    are exact, and read from one sort of the behaviour sample and one split
+    of all the sweep's agent draws into it per repeat: one ``_laplacian_mean``
+    call per kernel and repeat serves every point. Only a Gaussian kernel too
+    narrow for its table takes exact pq pairs at each point. Those, pp and the
+    shift family's constant qq go through ``_kernel_means``: the Gaussian
+    kernels share one float32 array of squared differences, the Laplacian
+    kernels one sort of the second sample, and each Laplacian mean is
+    O(n log n). The Gaussian terms run in float32 with float64 totals, the
+    Laplacian terms in float64 (see the module docstring); the binned terms
+    are fed float64 differences. The n x n buffers (two float32 pair buffers
+    when any kernel is Gaussian, which also carry the tables' rows in blocks
+    of n, and one float64 buffer for the binned differences) are allocated
+    once per call, so a sweep does not fault in fresh pages at every (kernel,
+    point) pair.
 
     The binned terms share one kernel-value buffer per repeat. The scale
     family fills it once per (kernel, point) from the point's shared
@@ -478,14 +490,21 @@ def run_scenario(scenario: MmdScenario, kernels: list[KernelSpec] | None = None,
         pp = _kernel_means(kernels, behavior, behavior, work, sq)
         if scenario.agent_family == "scale":
             # pq diffs are b_i - x*base_j: read from each Gaussian kernel's
-            # table, or exact where it has none; qq diffs are
-            # x*(base_i - base_j): binned on |base_i - base_j|
+            # table, or exact where it has none; each Laplacian kernel's, by
+            # symmetry, from every point's draws split into the one sorted
+            # behaviour sample. qq diffs are x*(base_i - base_j): binned on
+            # |base_i - base_j|
             draws = xs[:, None] * base
+            if any(k.family == "laplacian" for k in kernels):
+                b_sorted = np.sort(behavior)
+                split = np.searchsorted(b_sorted, draws, side="right")
             pq = np.empty((len(kernels), xs.size))
             exact = []
             for ki, k in enumerate(kernels):
-                table = (_tabulated_pq(k, behavior, draws, work, sq)
-                         if k.family == "gaussian" else None)
+                if k.family == "laplacian":
+                    pq[ki] = _laplacian_mean(k.sigma, draws, b_sorted, split)
+                    continue
+                table = _tabulated_pq(k, behavior, draws, work, sq)
                 if table is None:
                     exact.append(ki)
                 else:

@@ -127,7 +127,12 @@ def mmd_reference_curves(sc, kernels, seed, pair_mean=float64_pair_mean, pq_tabl
             for xi, x in enumerate(sc.sweep):
                 x = float(x)
                 if sc.agent_family == "scale":
-                    pq = table[xi] if table is not None else pair_mean(k, behavior, x * base)
+                    if table is not None:
+                        pq = table[xi]
+                    elif k.family == "laplacian":
+                        pq = pair_mean(k, x * base, behavior)
+                    else:
+                        pq = pair_mean(k, behavior, x * base)
                     qq = float(qq_weights @ _kernel_of_diff(k, abs(x) * qq_centers))
                 else:
                     bins = first + np.arange(pq_weights.size) - _BINS_PER_STEP * xi

@@ -13,6 +13,7 @@ from plas.mmd import (
     _aligned_histogram,
     _kernel_means,
     _kernel_of_diff,
+    _laplacian_mean,
     _tabulated_pq,
     default_kernels,
     kernel_eval,
@@ -139,6 +140,33 @@ def test_sorted_laplacian_mean_matches_brute_force(case, sigma):
     scale = max(np.abs(a).max(), np.abs(b).max()) / sigma
     assert np.isfinite(got)
     assert abs(got - want) <= max(1e-12, 16 * np.finfo(float).eps * scale) * want
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.1, 10.0, 1e3])
+def test_laplacian_mean_of_each_row(sigma):
+    # the scale sweep splits the draws of every point into one sorted
+    # behaviour sample at once: each row must read as its own 1-d call, bit
+    # for bit, and as the brute force within the bound above
+    k = KernelSpec("laplacian", sigma)
+    for case, (a, b) in _laplacian_cases().items():
+        span = b.max() - b.min()
+        # the case's own a, then b's own values repeated to a's length (every
+        # one a tie), rows at b's ends and rows wholly below and above b
+        rows = np.stack([a, np.resize(b, a.size),
+                         np.full(a.size, b.min()), np.full(a.size, b.max()),
+                         a - a.max() + b.min() - 0.5 * span,
+                         a - a.min() + b.max() + 0.5 * span])
+        b_sorted = np.sort(b)
+        split = np.searchsorted(b_sorted, rows, side="right")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _laplacian_mean(sigma, rows, b_sorted, split)
+            alone = [_laplacian_mean(sigma, row, b_sorted, s) for row, s in zip(rows, split)]
+        assert got.shape == (rows.shape[0],)
+        assert np.array_equal(got, alone), case
+        for row, value in zip(rows, got):
+            want = float64_pair_mean(k, row, b)
+            scale = max(np.abs(row).max(), np.abs(b).max()) / sigma
+            assert abs(value - want) <= max(1e-12, 16 * np.finfo(float).eps * scale) * want, case
 
 
 def test_gaussian_pair_mean_below_the_exp_floor():
@@ -379,7 +407,7 @@ def test_tabulated_pq_beyond_the_reach_reads_zero(shift, sigma):
 
 
 def test_default_kernels_read_every_gaussian_pq_from_a_table(monkeypatch):
-    exact_pq, tables = [], []
+    exact_pq, tables, laplacian_rows = [], [], []
 
     def kernel_means_spy(kernels, a, b, work, sq):
         if a is not b:
@@ -391,12 +419,23 @@ def test_default_kernels_read_every_gaussian_pq_from_a_table(monkeypatch):
         tables.append(table is not None)
         return table
 
-    kernel_means, tabulated = mmd._kernel_means, mmd._tabulated_pq
+    def laplacian_spy(sigma, a, b_sorted, split):
+        laplacian_rows.append(a.shape)
+        return laplacian_mean(sigma, a, b_sorted, split)
+
+    kernel_means, tabulated, laplacian_mean = (
+        mmd._kernel_means, mmd._tabulated_pq, mmd._laplacian_mean)
     monkeypatch.setattr(mmd, "_kernel_means", kernel_means_spy)
     monkeypatch.setattr(mmd, "_tabulated_pq", tabulated_spy)
-    run_scenario(scenario_matched_scale(200, 2), default_kernels(), seed=0)
+    monkeypatch.setattr(mmd, "_laplacian_mean", laplacian_spy)
+    sc = scenario_matched_scale(200, 2)
+    run_scenario(sc, default_kernels(), seed=0)
     assert tables == [True] * 8  # four Gaussian kernels, two repeats
-    assert exact_pq and set(exact_pq) == {"laplacian"}
+    assert exact_pq == []
+    # per repeat, pp of each of the four Laplacian kernels, then each one's
+    # pq at every sweep point from one call
+    repeat = [(200,)] * 4 + [(sc.sweep.size, 200)] * 4
+    assert laplacian_rows == repeat * 2
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 1.9e-23])
