@@ -28,39 +28,34 @@ a_i into exp(-a_i/s) * sum_{b_j <= a_i} exp(b_j/s) plus
 exp(a_i/s) * sum_{b_j > a_i} exp(-b_j/s), and both sums are read from float64
 log-space prefix sums over the sorted b (``_laplacian_mean``): O(n log n) per
 term, and no exponent exceeds log n, so no sigma > 0 overflows. The pair mean
-is symmetric, so the scale family's pq terms take the behaviour sample as b:
-it is sorted once per repeat, the agent draws of all sweep points are split
-into it by one search, and every point's pq is read from each kernel's one
-pair of prefix sums. The kernel formula is written once, as a family distance
-(``_distance``) over a signed divisor (``_divisor``); it serves
-``kernel_eval``, the binned terms and the Gaussian pair terms, and the
-Laplacian pair terms regroup the same exponent.
+is symmetric, so the pq terms take the behaviour sample as b: it is sorted
+once per repeat, the agent draws of all sweep points and the behaviour sample
+itself are split into it by one search, and every point's pq, and pp, are
+read from each kernel's one pair of prefix sums. The kernel formula is written
+once, as a family distance (``_distance``) over a signed divisor
+(``_divisor``); it serves ``kernel_eval``, the binned terms and the Gaussian
+pair terms, and the Laplacian pair terms regroup the same exponent.
 
-The scale family's Gaussian pq term at x is the mean over the agent draws
-x * base_j of the behaviour sample's density K(y) = mean_i k(b_i - y). Each
-Gaussian kernel tabulates K and its derivative once per repeat, on nodes
-s / 12 apart over the draws of the whole sweep (clipped to 9 s from the
-behaviour sample), and every point reads its draws by cubic Hermite
-interpolation (``_tabulated_pq``): one (nodes x n) evaluation per kernel and
-repeat rather than an n x n one per kernel, point and repeat. A kernel whose
-table would need more nodes than the sweep has draws (a narrow s, such as
-1e-3 on 20 samples) takes the exact pair means at every point instead: the
-only pq term of either family still evaluated point by point.
+Both families take their pq terms by that one rule: the Gaussian pq term at x
+is the mean over the agent draws (x * base_j or x + base_j / 2) of the
+behaviour sample's density K(y) = mean_i k(b_i - y). Each Gaussian kernel
+tabulates K and its derivative once per repeat, on nodes s / 12 apart over
+the draws of the whole sweep (clipped to 9 s from the behaviour sample), and
+every point reads its draws by cubic Hermite interpolation
+(``_tabulated_pq``): one (nodes x n) evaluation per kernel and repeat rather
+than an n x n one per kernel, point and repeat. A kernel whose table would
+need more nodes than the sweep has draws (a narrow s, such as 1e-3 on 20
+samples) takes the exact pair means at every point instead: the only pq term
+still evaluated point by point.
 
-The terms whose differences move with x in one dimension are binned, as
-weights at bin centres. The scale family's qq differences are x times
-|base_i - base_j|, binned on 8192 bins spanning them, except the n
-self-differences, which are exactly 0 and weighted at a centre of 0; at each
-point, |x| times the centres and its square are computed once and shared by
-every kernel. The shift family's pq differences are (b_i - base_j / 2) - x,
-binned on the sweep's own grid (``_aligned_histogram``): bins a 256th of the
-sweep step wide, with edges on the first sweep point, so every bin centre lies
-a whole number of bins plus a half from every sweep point. Each kernel is then
-evaluated once per repeat, at all those offsets, into one reused buffer, and
-each point's term is one dot product of the weights with a window of it: one
-evaluation per kernel and repeat rather than one per kernel, point and repeat.
+The scale family's qq differences are x times |base_i - base_j|, so they are
+binned once per repeat, as weights at the centres of 8192 bins spanning
+them, except the n self-differences, which are exactly 0 and weighted at a
+centre of 0; at each point, |x| times the centres and its square are computed
+once and shared by every kernel. The shift family's qq does not move with x.
 
-Precision: the exact Gaussian pair terms (pp, the shift family's qq and a
+Precision: every pq term is tabulated or exact, and only the scale family's
+qq is binned. The exact Gaussian pair terms (pp, the shift family's qq and a
 narrow kernel's pq) run in float32. The samples are rounded to float32 once
 per term, and the differences, squares, divides and exps stay float32. Where a
 term's largest distance over the divisor falls below -87, the exp arguments
@@ -75,14 +70,15 @@ totals and a float64 interpolation, whose error is at most 3 / (384 * 12^4) =
 throughout; since a/s and b/s are rounded before the exponent subtracts them,
 their relative error is of order eps * max|x| / s (3e-14 at |x| = 13.5 and
 s = 0.1). The binned terms, ``kernel_eval`` and ``sampled_mmd`` stay float64,
-and ``sampled_mmd`` is the oracle. The tests hold every curve's mean within
-1e-6 of a float64 evaluation of the same sweep with exact pair terms, with the
-same argmin; over seeds 0-4 at 500 x 2, 200 x 4, 200 x 2, 37 x 2 and 20 x 1
-samples x repeats, the largest difference read 6.3e-7 (scale family) and
-2.3e-8 (shift family), and no argmin moved. The binning moves the curves
-further: against ``sampled_mmd`` at 200 samples x 1 repeat, over the default
-kernels and seeds 0-4, the worst difference read 5.7e-6 in the scale family
-and 7.1e-6 in the shift family.
+and ``sampled_mmd`` is the oracle. Each curve reads the same bits at one and
+two BLAS threads. The tests hold every curve's mean within 1e-6 of a float64
+evaluation of the same sweep with exact pair terms, with the same argmin; over
+seeds 0-4 at 500 x 2, 200 x 4, 200 x 2, 37 x 2 and 20 x 1 samples x repeats,
+the largest difference read 6.3e-7 (scale family) and 5.0e-7 (shift family),
+and no argmin moved. The scale family's binning moves its curves further:
+against ``sampled_mmd`` at 200 samples x 1 repeat, over the default kernels
+and seeds 0-4, the worst difference read 5.7e-6 in the scale family and
+4.0e-7 in the shift family.
 """
 from __future__ import annotations
 
@@ -253,13 +249,8 @@ class SweepCurve:
 
 
 _HIST_BINS = 8192
-# the shift family's bins per sweep step (see _aligned_histogram). Against
-# sampled_mmd at 200 samples x 1 repeat, seeds 0-4, the worst error over the
-# default kernels read 7.1e-6 here; 128 ran faster but read 1.39e-5, worse
-# than the 9.7e-6 of 8192 bins spanning the differences
-_BINS_PER_STEP = 256
-# the scale family's Gaussian pq table (see _tabulated_pq): nodes sigma / 12
-# apart, out to 9 sigma from the behaviour sample
+# the Gaussian pq table (see _tabulated_pq): nodes sigma / 12 apart, out to
+# 9 sigma from the behaviour sample
 _GRID_PER_SIGMA = 12
 _REACH_SIGMAS = 9
 
@@ -283,26 +274,6 @@ def _diff_histogram(values: np.ndarray, zeros: int) -> tuple[np.ndarray, np.ndar
     counts = np.concatenate(([zeros], counts))
     mask = counts > 0
     return centers[mask], counts[mask] / values.size
-
-
-def _aligned_histogram(values: np.ndarray, low: float, high: float,
-                       sweep: np.ndarray) -> tuple[int, float, np.ndarray]:
-    """Weighted histogram of ``values``, all within [low, high], on the sweep's
-    own grid: bins ``_BINS_PER_STEP`` to a sweep step, edges on the sweep's
-    first point.
-
-    Returns (first, width, weights): bin b spans sweep[0] + (first + b + [0, 1])
-    * width. Its centre then lies first + b + 1/2 - _BINS_PER_STEP * xi bins
-    from sweep point xi, a whole number of bins plus a half, so the kernel
-    values at those offsets serve every point. One spare bin on each side keeps
-    low and high inside the range whatever the rounding of its ends.
-    """
-    width = (sweep[-1] - sweep[0]) / (sweep.size - 1) / _BINS_PER_STEP
-    first = math.floor((low - sweep[0]) / width) - 1
-    stop = math.floor((high - sweep[0]) / width) + 2
-    counts, _ = np.histogram(values, bins=stop - first,
-                             range=(sweep[0] + first * width, sweep[0] + stop * width))
-    return first, width, counts / values.size
 
 
 def _kernel_grids(kernels: list[KernelSpec], d: np.ndarray, out: np.ndarray):
@@ -447,99 +418,80 @@ def run_scenario(scenario: MmdScenario, kernels: list[KernelSpec] | None = None,
     """Mean +/- std loss curves over repeats, common random numbers per repeat.
 
     Matches ``sampled_mmd`` on every (kernel, x, repeat) cell up to the binned
-    evaluation of the x-dependent terms (see ``_diff_histogram`` and
-    ``_aligned_histogram``), the interpolation of the tabulated ones (see
-    ``_tabulated_pq``) and the float32 rounding of the exact pair terms;
-    constant terms are computed once per repeat.
+    scale-family qq terms (see ``_diff_histogram``), the interpolated pq terms
+    (see ``_tabulated_pq``) and the float32 rounding of the exact Gaussian pair
+    terms; constant terms are computed once per repeat.
 
-    The scale family's Gaussian pq terms are read from one table of the
-    behaviour sample's density per kernel and repeat. Its Laplacian pq terms
-    are exact, and read from one sort of the behaviour sample and one split
-    of all the sweep's agent draws into it per repeat: one ``_laplacian_mean``
-    call per kernel and repeat serves every point. Only a Gaussian kernel too
-    narrow for its table takes exact pq pairs at each point. Those, pp and the
-    shift family's constant qq go through ``_kernel_means``: the Gaussian
-    kernels share one float32 array of squared differences, the Laplacian
-    kernels one sort of the second sample, and each Laplacian mean is
-    O(n log n). The Gaussian terms run in float32 with float64 totals, the
-    Laplacian terms in float64 (see the module docstring); the binned terms
-    are fed float64 differences. The n x n buffers (two float32 pair buffers
-    when any kernel is Gaussian, which also carry the tables' rows in blocks
-    of n, and one float64 buffer for the binned differences) are allocated
-    once per call, so a sweep does not fault in fresh pages at every (kernel,
-    point) pair.
-
-    The binned terms share one kernel-value buffer per repeat. The scale
-    family fills it once per (kernel, point) from the point's shared
-    distances, and weights its n self-differences at exactly 0. The shift
-    family fills it once per kernel, at every bin-centre-to-point offset of
-    the aligned grid, and reads each point's term as the dot product of the
-    weights with a window of it; no (point x bin) array is built.
+    The families differ only in their agent draws at each point x: x * base
+    or x + base / 2, with base sorted so that each point's draws are too.
+    Each Gaussian kernel reads every point's pq from one table per repeat or,
+    too narrow for its table, takes exact pq pairs at each point. Each
+    Laplacian kernel reads every point's pq, and pp from a last row of the
+    behaviour sample itself, from one ``_laplacian_mean`` call per repeat over
+    one sort of the behaviour sample and one search of those rows into it.
+    The Gaussian pp, the exact pq pairs and the shift family's constant qq go
+    through ``_kernel_means``. The scale family's qq terms share one
+    kernel-value buffer per repeat, filled once per (kernel, point) from the
+    point's shared distances. The n x n buffers (two float32 pair buffers when
+    any kernel is Gaussian, which also carry the tables' rows in blocks of n,
+    and, for the scale family only, one float64 buffer for its qq
+    differences) are allocated once per call, so a sweep does not fault in
+    fresh pages at every (kernel, point) pair.
     """
     kernels = kernels if kernels is not None else default_kernels()
     xs = scenario.sweep
     n = scenario.n_samples
-    gaussian = any(k.family == "gaussian" for k in kernels)
+    scale = scenario.agent_family == "scale"
+    gaussian = [ki for ki, k in enumerate(kernels) if k.family == "gaussian"]
+    laplacian = [ki for ki, k in enumerate(kernels) if k.family == "laplacian"]
     work, sq = np.empty((2, n, n) if gaussian else (2, 0, 0), dtype=np.float32)
-    diffs = np.empty((n, n))
+    diffs = np.empty((n, n)) if scale else None
     values = np.empty((len(kernels), scenario.n_repeats, xs.size))
     for r in range(scenario.n_repeats):
         rng = np.random.default_rng([seed, r])
         behavior = scenario.behavior_sample(rng)
-        base = rng.standard_normal(n)
-        pp = _kernel_means(kernels, behavior, behavior, work, sq)
-        if scenario.agent_family == "scale":
-            # pq diffs are b_i - x*base_j: read from each Gaussian kernel's
-            # table, or exact where it has none; each Laplacian kernel's, by
-            # symmetry, from every point's draws split into the one sorted
-            # behaviour sample. qq diffs are x*(base_i - base_j): binned on
-            # |base_i - base_j|
-            draws = xs[:, None] * base
-            if any(k.family == "laplacian" for k in kernels):
-                b_sorted = np.sort(behavior)
-                split = np.searchsorted(b_sorted, draws, side="right")
-            pq = np.empty((len(kernels), xs.size))
-            exact = []
-            for ki, k in enumerate(kernels):
-                if k.family == "laplacian":
-                    pq[ki] = _laplacian_mean(k.sigma, draws, b_sorted, split)
-                    continue
-                table = _tabulated_pq(k, behavior, draws, work, sq)
-                if table is None:
-                    exact.append(ki)
-                else:
-                    pq[ki] = table
+        # a V-statistic does not depend on sample order: sorted, every row of
+        # draws is sorted too, which keeps the search below fast
+        base = np.sort(rng.standard_normal(n))
+        draws = xs[:, None] * base if scale else xs[:, None] + 0.5 * base
+        pp, pq = np.empty(len(kernels)), np.empty((len(kernels), xs.size))
+        pp[gaussian] = _kernel_means([kernels[ki] for ki in gaussian],
+                                     behavior, behavior, work, sq)
+        exact = []
+        for ki in gaussian:
+            table = _tabulated_pq(kernels[ki], behavior, draws, work, sq)
+            if table is None:
+                exact.append(ki)
+            else:
+                pq[ki] = table
+        if exact:
             exact_kernels = [kernels[ki] for ki in exact]
+            for xi in range(xs.size):
+                pq[exact, xi] = _kernel_means(exact_kernels, behavior, draws[xi], work, sq)
+        if laplacian:
+            # by symmetry, pq splits the draws into the sorted behaviour
+            # sample; the behaviour sample rides as a last row, for pp
+            rows = np.vstack((draws, behavior))
+            b_sorted = np.sort(behavior)
+            split = np.searchsorted(b_sorted, rows, side="right")
+            for ki in laplacian:
+                means = _laplacian_mean(kernels[ki].sigma, rows, b_sorted, split)
+                pq[ki], pp[ki] = means[:-1], means[-1]
+        if scale:
+            # qq diffs are x*(base_i - base_j): binned on |base_i - base_j|
             np.subtract(base[:, None], base[None, :], out=diffs)
             qq_centers, qq_weights = _diff_histogram(np.abs(diffs, out=diffs).ravel(), n)
             grid = np.empty(qq_centers.size)
-            for xi, x in enumerate(xs):
-                x = float(x)
-                if exact:
-                    pq[exact, xi] = _kernel_means(exact_kernels, behavior, draws[xi], work, sq)
-                qq = [qq_weights @ g for g in _kernel_grids(kernels, abs(x) * qq_centers, grid)]
-                values[:, r, xi] = pp - 2.0 * pq[:, xi] + qq
+            qq = np.empty((len(kernels), xs.size))
+            for xi, x in enumerate(xs.tolist()):
+                qq[:, xi] = [qq_weights @ g
+                             for g in _kernel_grids(kernels, abs(x) * qq_centers, grid)]
         else:
-            # pq diffs are (b_i - 0.5*base_j) - x: binned on the constant part;
             # qq diffs are 0.5*(base_i - base_j), independent of x (halving is
             # exact, so differences of halved draws are the same numbers)
             half = 0.5 * base
-            np.subtract(behavior[:, None], half[None, :], out=diffs)
-            # float64 subtraction is monotone, so the extremes bound every difference
-            first, width, pq_weights = _aligned_histogram(
-                diffs.ravel(), behavior.min() - half.max(), behavior.max() - half.min(), xs)
-            # every bin-centre-to-point offset, in bins: point xi reads the
-            # pq_weights.size of them that start at lead - _BINS_PER_STEP * xi
-            lead = _BINS_PER_STEP * (xs.size - 1)
-            offsets = (np.arange(first - lead, first + pq_weights.size) + 0.5) * width
-            grid = np.empty(offsets.size)
-            pq = np.empty((len(kernels), xs.size))
-            for ki, g in enumerate(_kernel_grids(kernels, offsets, grid)):
-                for xi in range(xs.size):
-                    start = lead - _BINS_PER_STEP * xi
-                    pq[ki, xi] = pq_weights @ g[start:start + pq_weights.size]
-            qq = _kernel_means(kernels, half, half, work, sq)
-            values[:, r] = pp[:, None] - 2.0 * pq + qq[:, None]
+            qq = _kernel_means(kernels, half, half, work, sq)[:, None]
+        values[:, r] = pp[:, None] - 2.0 * pq + qq
     return [
         SweepCurve(k, xs.copy(), values[ki].mean(axis=0), values[ki].std(axis=0))
         for ki, k in enumerate(kernels)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from plas.mmd import _BINS_PER_STEP, _aligned_histogram, _diff_histogram, _kernel_of_diff
+from plas.mmd import _diff_histogram, _kernel_of_diff
 from plas.nets import Mlp
 
 
@@ -92,51 +92,43 @@ def mmd_reference_curves(sc, kernels, seed, pair_mean=float64_pair_mean, pq_tabl
 
     The per-(kernel, point) loop of the original sweep: one fresh n x n
     difference array, and fresh kernel temporaries, for every exact term
-    (pp, the scale family's pq, the shift family's qq), each averaged by
-    ``pair_mean`` — by default a direct float64 ``.mean()``. Given
-    ``pq_table(k, behavior, draws)``, the scale family's pq terms of kernel k
-    are instead read from its result, one value per row of the (points x n)
-    agent draws, wherever it returns one rather than None. The binned terms
-    use the same histograms as the sweep, the scale family's with the n
-    self-differences at exactly 0; each (kernel, point) binned term of the
-    shift family evaluates the kernel afresh at its own bin-centre-to-point
-    offsets, first + b + 1/2 - _BINS_PER_STEP * xi bins for bin b.
+    (pp, pq, the shift family's qq), each averaged by ``pair_mean`` — by
+    default a direct float64 ``.mean()``. The agent draws at point x are
+    x * base (scale) or x + 0.5 * base (shift), with base sorted as the sweep
+    sorts it. Given ``pq_table(k, behavior, draws)``, the pq terms of kernel
+    k are instead read from its result, one value per row of the (points x n)
+    agent draws, wherever it returns one rather than None. The scale family's
+    qq terms use the same histogram as the sweep, with the n self-differences
+    at exactly 0.
     """
     values = np.empty((len(kernels), sc.n_repeats, sc.sweep.size))
     for r in range(sc.n_repeats):
         rng = np.random.default_rng([seed, r])
         behavior = sc.behavior_sample(rng)
-        base = rng.standard_normal(sc.n_samples)
+        base = np.sort(rng.standard_normal(sc.n_samples))
         if sc.agent_family == "scale":
+            draws = sc.sweep[:, None] * base
             qq_centers, qq_weights = _diff_histogram(
                 np.abs(base[:, None] - base[None, :]).ravel(), sc.n_samples
             )
         else:
-            half = 0.5 * base
-            first, width, pq_weights = _aligned_histogram(
-                (behavior[:, None] - half[None, :]).ravel(),
-                behavior.min() - half.max(), behavior.max() - half.min(), sc.sweep,
-            )
+            draws = sc.sweep[:, None] + 0.5 * base
         for ki, k in enumerate(kernels):
             pp = pair_mean(k, behavior, behavior)
             if sc.agent_family == "shift":
                 qq_const = pair_mean(k, 0.5 * base, 0.5 * base)
-            table = None
-            if sc.agent_family == "scale" and pq_table is not None:
-                table = pq_table(k, behavior, sc.sweep[:, None] * base)
+            table = pq_table(k, behavior, draws) if pq_table is not None else None
             for xi, x in enumerate(sc.sweep):
                 x = float(x)
+                if table is not None:
+                    pq = table[xi]
+                elif k.family == "laplacian":
+                    pq = pair_mean(k, draws[xi], behavior)
+                else:
+                    pq = pair_mean(k, behavior, draws[xi])
                 if sc.agent_family == "scale":
-                    if table is not None:
-                        pq = table[xi]
-                    elif k.family == "laplacian":
-                        pq = pair_mean(k, x * base, behavior)
-                    else:
-                        pq = pair_mean(k, behavior, x * base)
                     qq = float(qq_weights @ _kernel_of_diff(k, abs(x) * qq_centers))
                 else:
-                    bins = first + np.arange(pq_weights.size) - _BINS_PER_STEP * xi
-                    pq = float(pq_weights @ _kernel_of_diff(k, (bins + 0.5) * width))
                     qq = qq_const
                 values[ki, r, xi] = pp - 2.0 * pq + qq
     return [(values[ki].mean(axis=0), values[ki].std(axis=0)) for ki in range(len(kernels))]

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,6 @@ from plas.mmd import (
     KernelSpec,
     MmdScenario,
     SweepCurve,
-    _aligned_histogram,
     _kernel_means,
     _kernel_of_diff,
     _laplacian_mean,
@@ -144,9 +147,10 @@ def test_sorted_laplacian_mean_matches_brute_force(case, sigma):
 
 @pytest.mark.parametrize("sigma", [1e-3, 0.1, 10.0, 1e3])
 def test_laplacian_mean_of_each_row(sigma):
-    # the scale sweep splits the draws of every point into one sorted
-    # behaviour sample at once: each row must read as its own 1-d call, bit
-    # for bit, and as the brute force within the bound above
+    # the sweep splits the draws of every point, and the behaviour sample
+    # itself, into one sorted behaviour sample at once: each row must read as
+    # its own 1-d call, bit for bit, and as the brute force within the bound
+    # above
     k = KernelSpec("laplacian", sigma)
     for case, (a, b) in _laplacian_cases().items():
         span = b.max() - b.min()
@@ -255,10 +259,10 @@ def test_run_scenario_matches_direct_estimator():
 # the worst |curve - sampled_mmd| over the default kernels at 200 samples x 1
 # repeat, seeds 0-4, rounded up to three digits: 5.7106e-6 in the scale family
 # (tabulated Gaussian pq, its qq binned on 8192 bins spanning the differences
-# with the self-differences at 0; 6.1602e-5 before that last fix), and 9.6998e-6
-# in the shift family when it also binned on 8192 such bins (its aligned grid
-# reads 7.12e-6)
-DIRECT_ESTIMATOR_BOUNDS = {"scenario1-scale": 5.72e-6, "scenario2-bimodal": 9.7e-6}
+# with the self-differences at 0; 6.1602e-5 before that last fix), and 3.9907e-7
+# in the shift family, whose pq terms are tabulated or exact and whose qq is
+# exact (7.12e-6 when its pq was binned)
+DIRECT_ESTIMATOR_BOUNDS = {"scenario1-scale": 5.72e-6, "scenario2-bimodal": 4.0e-7}
 
 
 @pytest.mark.parametrize("name", list(DIRECT_ESTIMATOR_BOUNDS))
@@ -270,24 +274,6 @@ def test_every_default_kernel_tracks_the_direct_estimator(name):
         for curve, direct in zip(curves, _direct_curves(sc, kernels, seed)):
             error = np.max(np.abs(curve.mean - direct))
             assert error <= DIRECT_ESTIMATOR_BOUNDS[name], (seed, curve.kernel, error)
-
-
-@pytest.mark.parametrize("factory", [scenario_matched_scale, scenario_bimodal_hole])
-def test_aligned_histogram_keeps_every_value_on_the_sweeps_grid(factory):
-    sweep = factory().sweep
-    values = np.random.default_rng(37).uniform(-4.3, 4.7, size=5000)
-    values[:2] = -4.3, 4.7  # the range's own ends stay inside it
-    first, width, weights = _aligned_histogram(values, -4.3, 4.7, sweep)
-    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert width == pytest.approx(0.1 / 256, rel=1e-12)
-    # each bin centre lies a whole number of bins plus a half from each point
-    centres = sweep[0] + (first + np.arange(weights.size) + 0.5) * width
-    offsets = (centres[:, None] - sweep[None, :]) / width - 0.5
-    assert np.max(np.abs(offsets - np.round(offsets))) < 1e-6
-    # and every value is counted in the bin that contains it
-    containing = np.floor((values - sweep[0]) / width) - first
-    assert np.array_equal(np.bincount(containing.astype(int), minlength=weights.size) / values.size,
-                          weights)
 
 
 def _float32_pair_mean(k, a, b):
@@ -407,6 +393,7 @@ def test_tabulated_pq_beyond_the_reach_reads_zero(shift, sigma):
 
 
 def test_default_kernels_read_every_gaussian_pq_from_a_table(monkeypatch):
+    # both families, one rule
     exact_pq, tables, laplacian_rows = [], [], []
 
     def kernel_means_spy(kernels, a, b, work, sq):
@@ -428,19 +415,24 @@ def test_default_kernels_read_every_gaussian_pq_from_a_table(monkeypatch):
     monkeypatch.setattr(mmd, "_kernel_means", kernel_means_spy)
     monkeypatch.setattr(mmd, "_tabulated_pq", tabulated_spy)
     monkeypatch.setattr(mmd, "_laplacian_mean", laplacian_spy)
-    sc = scenario_matched_scale(200, 2)
-    run_scenario(sc, default_kernels(), seed=0)
-    assert tables == [True] * 8  # four Gaussian kernels, two repeats
-    assert exact_pq == []
-    # per repeat, pp of each of the four Laplacian kernels, then each one's
-    # pq at every sweep point from one call
-    repeat = [(200,)] * 4 + [(sc.sweep.size, 200)] * 4
-    assert laplacian_rows == repeat * 2
+    for factory in (scenario_matched_scale, scenario_bimodal_hole):
+        del exact_pq[:], tables[:], laplacian_rows[:]
+        sc = factory(200, 2)
+        run_scenario(sc, default_kernels(), seed=0)
+        assert tables == [True] * 8, sc.name  # four Gaussian kernels, two repeats
+        assert exact_pq == [], sc.name
+        # per repeat, one call for each of the four Laplacian kernels: pq at
+        # every sweep point, and pp from the behaviour sample's own last row
+        # (then the shift family's qq, one 1-d call each on the halved draws)
+        repeat = [(sc.sweep.size + 1, 200)] * 4
+        if sc.agent_family == "shift":
+            repeat += [(200,)] * 4
+        assert laplacian_rows == repeat * 2, sc.name
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 1.9e-23])
 def test_a_narrow_gaussian_takes_the_exact_pq(sigma, monkeypatch):
-    # the table would need more rows than the sweep has draws
+    # the table would need more rows than the sweep has draws, in both families
     tables = []
 
     def tabulated_spy(*args):
@@ -449,15 +441,17 @@ def test_a_narrow_gaussian_takes_the_exact_pq(sigma, monkeypatch):
 
     tabulated = mmd._tabulated_pq
     monkeypatch.setattr(mmd, "_tabulated_pq", tabulated_spy)
-    sc, kernels = scenario_matched_scale(20, 1), [KernelSpec("gaussian", sigma)]
-    curve = run_scenario(sc, kernels, seed=2)[0]
-    assert tables == [None]
-    assert np.all(np.isfinite(curve.mean))
-    if sigma == 1e-3:
-        (mean, std), = mmd_reference_curves(sc, kernels, 2, pair_mean=_float32_pair_mean,
-                                            pq_table=_float32_tabulated_pq)
-        assert np.array_equal(curve.mean, mean)
-        assert np.array_equal(curve.std, std)
+    for factory in (scenario_matched_scale, scenario_bimodal_hole):
+        tables.clear()
+        sc, kernels = factory(20, 1), [KernelSpec("gaussian", sigma)]
+        curve = run_scenario(sc, kernels, seed=2)[0]
+        assert tables == [None], sc.name
+        assert np.all(np.isfinite(curve.mean)), sc.name
+        if sigma == 1e-3:
+            (mean, std), = mmd_reference_curves(sc, kernels, 2, pair_mean=_float32_pair_mean,
+                                                pq_table=_float32_tabulated_pq)
+            assert np.array_equal(curve.mean, mean), sc.name
+            assert np.array_equal(curve.std, std), sc.name
 
 
 @pytest.mark.parametrize("factory", [scenario_matched_scale, scenario_bimodal_hole])
@@ -496,6 +490,33 @@ def test_run_scenario_reproducible_bit_for_bit():
     for ca, cb in zip(a, b):
         assert np.array_equal(ca.mean, cb.mean)
         assert np.array_equal(ca.std, cb.std)
+
+
+CURVE_BITS = """
+from plas.mmd import SCENARIOS, MmdScenario, run_scenario
+
+for name in SCENARIOS:
+    for c in run_scenario(MmdScenario(name, 200, 4), seed=3):
+        print(name, c.kernel.label, c.mean.tobytes().hex(), c.std.tobytes().hex())
+"""
+
+
+def test_run_scenario_bit_equal_across_blas_thread_counts():
+    # the shift family's curves differed in their last bits between one and
+    # two BLAS threads when its pq terms were dot products over ~19k bins
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", CURVE_BITS], env=env, capture_output=True,
+                              text=True, timeout=120, check=False)
+        assert done.returncode == 0, done.stderr
+        runs.append(done.stdout.splitlines())
+    assert len(runs[0]) == 2 * len(default_kernels())
+    for one, two in zip(*runs):
+        assert one == two, one.split()[:2]
 
 
 def test_run_scenario_kernel_curves_independent_of_list():
