@@ -41,9 +41,11 @@ is the mean over the agent draws (x * base_j or x + base_j / 2) of the
 behaviour sample's density K(y) = mean_i k(b_i - y). Each Gaussian kernel
 tabulates K and its derivative once per repeat, on nodes s / 12 apart over
 the draws of the whole sweep (clipped to 9 s from the behaviour sample), and
-every point reads its draws by cubic Hermite interpolation
-(``_tabulated_pq``): one (nodes x n) evaluation per kernel and repeat rather
-than an n x n one per kernel, point and repeat. A kernel whose table would
+turns each cell between two nodes into the coefficients of its cubic Hermite
+interpolant; every point then reads each of its draws as one cubic in the
+draw's position along its cell, in Horner form (``_tabulated_pq``): one
+(nodes x n) evaluation per kernel and repeat rather than an n x n one per
+kernel, point and repeat. A kernel whose table would
 need more nodes than the sweep has draws (a narrow s, such as 1e-3 on 20
 samples) takes the exact pair means at every point instead: the only pq term
 still evaluated point by point.
@@ -51,8 +53,12 @@ still evaluated point by point.
 The scale family's qq differences are x times |base_i - base_j|, so they are
 binned once per repeat, as weights at the centres of 8192 bins spanning
 them, except the n self-differences, which are exactly 0 and weighted at a
-centre of 0; at each point, |x| times the centres and its square are computed
-once and shared by every kernel. The shift family's qq does not move with x.
+centre of 0. The sweep's points are evenly spaced, x_m = x_0 + m h, so each
+kernel's values at x times the centres step from one point to the next by
+multiplication (``_scale_qq``): two exps per kernel and repeat (Laplacian) or
+three (Gaussian) over the centres, then one product per value and point
+(two for a Gaussian, whose ratio itself steps). The shift family's qq does
+not move with x.
 
 Precision: every pq term is tabulated or exact, and only the scale family's
 qq is binned. The exact Gaussian pair terms (pp, the shift family's qq and a
@@ -70,7 +76,16 @@ totals and a float64 interpolation, whose error is at most 3 / (384 * 12^4) =
 throughout; since a/s and b/s are rounded before the exponent subtracts them,
 their relative error is of order eps * max|x| / s (3e-14 at |x| = 13.5 and
 s = 0.1). The binned terms, ``kernel_eval`` and ``sampled_mmd`` stay float64,
-and ``sampled_mmd`` is the oracle. Each curve reads the same bits at one and
+and ``sampled_mmd`` is the oracle. A stepped qq value carries the
+roundings of its products and of its ratio: a Laplacian value about two per
+step, 16 ulp at most at the 30th point where it is above 0.01 on a dense grid
+of centres; a Gaussian ratio is itself a product of steps, so its rounding
+reaches the value about m^2 / 2 times, 159 ulp at most at the 30th point. In
+absolute terms the worst read 3.4e-14 (Gaussian) and 1.9e-15 (Laplacian),
+and a qq term, a mean of such values, moves no more than its worst value;
+over seeds 0-4 at 200 x 4 and 500 x 2, no curve moved more than 4.0e-15 from
+a sweep that takes one exp per value and point and reads its tables through
+the four Hermite basis polynomials. Each curve reads the same bits at one and
 two BLAS threads. The tests hold every curve's mean within 1e-6 of a float64
 evaluation of the same sweep with exact pair terms, with the same argmin; over
 seeds 0-4 at 500 x 2, 200 x 4, 200 x 2, 37 x 2 and 20 x 1 samples x repeats,
@@ -92,7 +107,9 @@ import numpy as np
 from .nets import COUNT, _check_settings, _count, _real
 
 KERNEL_FAMILIES = ("gaussian", "laplacian")
-# each scenario's behaviour sampler, agent family and sweep grid, by name
+# each scenario's behaviour sampler, agent family and sweep grid (low, high),
+# _SWEEP_STEP apart, by name
+_SWEEP_STEP = 0.1
 SCENARIOS = {
     "scenario1-scale": ("std_normal", "scale", (0.1, 3.0)),
     "scenario2-bimodal": ("uniform_bimodal", "shift", (-3.0, 3.0)),
@@ -214,7 +231,7 @@ class MmdScenario:
             raise ValueError(f"unknown scenario {self.name!r}; the scenarios are "
                              f"{', '.join(SCENARIOS)}")
         self.behavior, self.agent_family, (low, high) = SCENARIOS[self.name]
-        self.sweep = np.round(np.arange(low, high + 1e-9, 0.1), 10)
+        self.sweep = np.round(np.arange(low, high + 1e-9, _SWEEP_STEP), 10)
         _check_settings(self, [
             ("n_samples", _count(self.n_samples) and self.n_samples >= 2, "an integer >= 2"),
             ("n_repeats", _count(self.n_repeats), COUNT)])
@@ -276,14 +293,42 @@ def _diff_histogram(values: np.ndarray, zeros: int) -> tuple[np.ndarray, np.ndar
     return centers[mask], counts[mask] / values.size
 
 
-def _kernel_grids(kernels: list[KernelSpec], d: np.ndarray, out: np.ndarray):
-    """Each kernel's values at the differences ``d``, in turn, written into
-    ``out``: bit for bit ``_kernel_of_diff(k, d)``, with each family's distance
-    of d computed once and shared by its kernels."""
-    distances = {f: _distance(f, d) for f in {k.family for k in kernels}}
-    for k in kernels:
-        np.divide(distances[k.family], _divisor(k), out=out)
-        yield np.exp(out, out=out)
+def _scale_qq(kernels: list[KernelSpec], xs: np.ndarray, centers: np.ndarray,
+              weights: np.ndarray) -> np.ndarray:
+    """The scale family's qq term of every kernel at every sweep point x:
+    ``weights @ k(x * centers)``, one row per kernel.
+
+    ``xs`` is the scale sweep, x_m = x_0 + m * h with x_0 > 0 and h =
+    _SWEEP_STEP, so each kernel's values step from one point to the next by
+    multiplication, with u = distance(centers) / divisor: a Laplacian's
+    exp(x_m u) is exp(x_{m-1} u) * Q with Q = exp(h u), and a Gaussian's
+    exp(x_m^2 u) is exp(x_{m-1}^2 u) * R_m with R_1 = exp((2 x_0 h + h^2) u)
+    and R_{m+1} = R_m * exp(2 h^2 u). A family's kernels step together as one
+    (kernels x centres) array, from two exps (Laplacian) or three (Gaussian)
+    per kernel, not one per kernel, point and centre. Each point's total is
+    one float64 dot per kernel, not a matrix product over the points, which
+    keeps the curves' bits the same at one and two BLAS threads.
+    """
+    qq = np.empty((len(kernels), xs.size))
+    x0, h = float(xs[0]), _SWEEP_STEP
+    for family in KERNEL_FAMILIES:
+        rows = [ki for ki, k in enumerate(kernels) if k.family == family]
+        if not rows:
+            continue
+        divisors = np.array([_divisor(kernels[ki]) for ki in rows])
+        u = _distance(family, centers) / divisors[:, None]
+        if family == "gaussian":
+            values, ratio, ratio_step = (np.exp(x0 * x0 * u), np.exp((2.0 * x0 * h + h * h) * u),
+                                         np.exp(2.0 * h * h * u))
+        else:
+            values, ratio, ratio_step = np.exp(x0 * u), np.exp(h * u), None
+        for xi in range(xs.size):
+            if xi:
+                values *= ratio
+                if ratio_step is not None:
+                    ratio *= ratio_step
+            qq[rows, xi] = [weights @ row for row in values]
+    return qq
 
 
 def _laplacian_mean(sigma: float, a: np.ndarray, b_sorted: np.ndarray,
@@ -336,10 +381,12 @@ def _tabulated_pq(k: KernelSpec, behavior: np.ndarray, draws: np.ndarray,
     The density K(y) = mean_i k(b_i - y) and its derivative
     K'(y) = mean_i (b_i - y) / s^2 * k(b_i - y) are tabulated at a spacing of
     s / _GRID_PER_SIGMA, over the span of the draws clipped to within
-    _REACH_SIGMAS * s of the behaviour sample; each draw then reads K by cubic
-    Hermite interpolation. Its error is at most max|k''''| h^4 / 384 =
-    3 / (384 * 12^4) = 3.8e-7 of the kernel's peak of 1. A draw outside the
-    table reads 0: each of its pairs is at most exp(-9^2 / 2) = 2.6e-18.
+    _REACH_SIGMAS * s of the behaviour sample, and each cell's cubic Hermite
+    interpolant is turned into four coefficients once; each draw then reads K
+    as that cubic in its position along its cell, in Horner form. Its error
+    is at most max|k''''| h^4 / 384 = 3 / (384 * 12^4) = 3.8e-7 of the
+    kernel's peak of 1. A draw outside the table reads 0: each of its pairs
+    is at most exp(-9^2 / 2) = 2.6e-18.
 
     The nodes go through ``work`` and ``sq`` in blocks of n: the float32
     differences b - y into ``work``, the kernel values into ``sq``
@@ -369,16 +416,19 @@ def _tabulated_pq(k: KernelSpec, behavior: np.ndarray, draws: np.ndarray,
         density[start:start + y32.size] = np.einsum("ij->i", kv, dtype=np.float64) / n
         slope[start:start + y32.size] = (np.einsum("ij,ij->i", d, kv, dtype=np.float64)
                                          / (n * k.sigma ** 2))
-    # cubic Hermite on each draw's cell; t is clipped so outside draws stay finite
+    # each cell's cubic Hermite as a cubic in the draw's position s in [0, 1]
+    # along it, ((a3 s + a2) s + a1) s + a0, with a0 = D_c and a1 = M_c from
+    # the node densities D and slopes M = step * K'
+    d0, d1 = density[:-1], density[1:]
+    m = step * slope
+    m0, m1 = m[:-1], m[1:]
+    a2 = 3.0 * (d1 - d0) - 2.0 * m0 - m1
+    a3 = 2.0 * (d0 - d1) + m0 + m1
+    # t is clipped so outside draws stay finite
     t = np.clip((draws - low) / step, 0.0, cells)
     cell = np.minimum(t.astype(np.intp), cells - 1)
     s = t - cell
-    s2 = s * s
-    s3 = s2 * s
-    values = ((2.0 * s3 - 3.0 * s2 + 1.0) * density[cell]
-              + (s3 - 2.0 * s2 + s) * step * slope[cell]
-              + (3.0 * s2 - 2.0 * s3) * density[cell + 1]
-              + (s3 - s2) * step * slope[cell + 1])
+    values = ((a3[cell] * s + a2[cell]) * s + m0[cell]) * s + d0[cell]
     inside = (draws >= low) & (draws <= high)
     return np.where(inside, values, 0.0).mean(axis=1)
 
@@ -430,9 +480,10 @@ def run_scenario(scenario: MmdScenario, kernels: list[KernelSpec] | None = None,
     behaviour sample itself, from one ``_laplacian_mean`` call per repeat over
     one sort of the behaviour sample and one search of those rows into it.
     The Gaussian pp, the exact pq pairs and the shift family's constant qq go
-    through ``_kernel_means``. The scale family's qq terms share one
-    kernel-value buffer per repeat, filled once per (kernel, point) from the
-    point's shared distances. The n x n buffers (two float32 pair buffers when
+    through ``_kernel_means``. The scale family's qq terms step each kernel's
+    values at x times the binned centres from point to point by
+    multiplication (``_scale_qq``), in one (kernels x centres) array per
+    family and repeat. The n x n buffers (two float32 pair buffers when
     any kernel is Gaussian, which also carry the tables' rows in blocks of n,
     and, for the scale family only, one float64 buffer for its qq
     differences) are allocated once per call, so a sweep does not fault in
@@ -481,11 +532,7 @@ def run_scenario(scenario: MmdScenario, kernels: list[KernelSpec] | None = None,
             # qq diffs are x*(base_i - base_j): binned on |base_i - base_j|
             np.subtract(base[:, None], base[None, :], out=diffs)
             qq_centers, qq_weights = _diff_histogram(np.abs(diffs, out=diffs).ravel(), n)
-            grid = np.empty(qq_centers.size)
-            qq = np.empty((len(kernels), xs.size))
-            for xi, x in enumerate(xs.tolist()):
-                qq[:, xi] = [qq_weights @ g
-                             for g in _kernel_grids(kernels, abs(x) * qq_centers, grid)]
+            qq = _scale_qq(kernels, xs, qq_centers, qq_weights)
         else:
             # qq diffs are 0.5*(base_i - base_j), independent of x (halving is
             # exact, so differences of halved draws are the same numbers)

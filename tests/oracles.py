@@ -87,7 +87,13 @@ def float64_pair_mean(k, a, b) -> float:
     return float(_kernel_of_diff(k, a[:, None] - b[None, :]).mean())
 
 
-def mmd_reference_curves(sc, kernels, seed, pair_mean=float64_pair_mean, pq_table=None):
+def _per_point_kernel_values(k, sweep, centers):
+    """k(|x| * centers) at every point x of the sweep, one fresh exp each."""
+    return [_kernel_of_diff(k, abs(float(x)) * centers) for x in sweep]
+
+
+def mmd_reference_curves(sc, kernels, seed, pair_mean=float64_pair_mean, pq_table=None,
+                         qq_grid=_per_point_kernel_values):
     """Float64 oracle of ``plas.mmd.run_scenario``: (mean, std) per kernel.
 
     The per-(kernel, point) loop of the original sweep: one fresh n x n
@@ -99,7 +105,9 @@ def mmd_reference_curves(sc, kernels, seed, pair_mean=float64_pair_mean, pq_tabl
     k are instead read from its result, one value per row of the (points x n)
     agent draws, wherever it returns one rather than None. The scale family's
     qq terms use the same histogram as the sweep, with the n self-differences
-    at exactly 0.
+    at exactly 0; each is the float64 dot of its weights with row xi of
+    ``qq_grid(k, sweep, centers)``, the kernel values at |x| times the centres,
+    by default a fresh float64 exp at every point.
     """
     values = np.empty((len(kernels), sc.n_repeats, sc.sweep.size))
     for r in range(sc.n_repeats):
@@ -118,8 +126,9 @@ def mmd_reference_curves(sc, kernels, seed, pair_mean=float64_pair_mean, pq_tabl
             if sc.agent_family == "shift":
                 qq_const = pair_mean(k, 0.5 * base, 0.5 * base)
             table = pq_table(k, behavior, draws) if pq_table is not None else None
-            for xi, x in enumerate(sc.sweep):
-                x = float(x)
+            if sc.agent_family == "scale":
+                grid = qq_grid(k, sc.sweep, qq_centers)
+            for xi in range(sc.sweep.size):
                 if table is not None:
                     pq = table[xi]
                 elif k.family == "laplacian":
@@ -127,7 +136,7 @@ def mmd_reference_curves(sc, kernels, seed, pair_mean=float64_pair_mean, pq_tabl
                 else:
                     pq = pair_mean(k, behavior, draws[xi])
                 if sc.agent_family == "scale":
-                    qq = float(qq_weights @ _kernel_of_diff(k, abs(x) * qq_centers))
+                    qq = float(qq_weights @ grid[xi])
                 else:
                     qq = qq_const
                 values[ki, r, xi] = pp - 2.0 * pq + qq

@@ -10,10 +10,12 @@ import pytest
 
 from plas import mmd
 from plas.mmd import (
+    KERNEL_FAMILIES,
     SCENARIOS,
     KernelSpec,
     MmdScenario,
     SweepCurve,
+    _diff_histogram,
     _kernel_means,
     _kernel_of_diff,
     _laplacian_mean,
@@ -214,9 +216,11 @@ def test_sampled_mmd_far_separated_modes():
 
 
 def test_sampled_mmd_null_concentration():
+    # two N(0, 1) samples of n: the statistic's expectation is
+    # 2 (1 - 1/sqrt(3)) / n = 4.2e-4 at n = 2000, 24x under the bound
     rng = np.random.default_rng(34)
-    p = rng.standard_normal(10_000)
-    q = rng.standard_normal(10_000)
+    p = rng.standard_normal(2_000)
+    q = rng.standard_normal(2_000)
     assert sampled_mmd(KernelSpec("gaussian", 1.0), p, q) < 0.01
 
 
@@ -299,7 +303,27 @@ def _float32_pair_mean(k, a, b):
     return float(row_sums.astype(np.float64).sum()) / d.size
 
 
-def _float32_tabulated_pq(k, behavior, draws):
+def _cubic_read(density, slope, step, c, s):
+    """The table's read of a draw at position s along cell c, as the sweep
+    writes it: the cell's cubic in s from its two nodes' densities D and
+    slopes M = step * K'."""
+    d0, d1, m0, m1 = density[c], density[c + 1], step * slope[c], step * slope[c + 1]
+    a2 = 3.0 * (d1 - d0) - 2.0 * m0 - m1
+    a3 = 2.0 * (d0 - d1) + m0 + m1
+    return ((a3 * s + a2) * s + m0) * s + d0
+
+
+def _hermite_read(density, slope, step, c, s):
+    """The same read as a sum over the four cubic Hermite basis polynomials."""
+    s2 = s * s
+    s3 = s2 * s
+    return ((2.0 * s3 - 3.0 * s2 + 1.0) * density[c]
+            + (s3 - 2.0 * s2 + s) * step * slope[c]
+            + (3.0 * s2 - 2.0 * s3) * density[c + 1]
+            + (s3 - s2) * step * slope[c + 1])
+
+
+def _float32_tabulated_pq(k, behavior, draws, read=_cubic_read):
     """The sweep's tabulated Gaussian pq, written out; None for a Laplacian
     kernel, or where the table would need more rows than there are draws.
 
@@ -307,8 +331,8 @@ def _float32_tabulated_pq(k, behavior, draws):
     behaviour sample; at each node the float32 kernel values (arguments
     floored at -87) of every behaviour draw, and float64 totals of them and
     of their differences times them, for the density and its derivative.
-    Each draw then reads the density by cubic Hermite interpolation on its
-    cell, and a draw outside the nodes' span reads 0.
+    Each draw then reads the density on its cell by ``read``, and a draw
+    outside the nodes' span reads 0.
     """
     if k.family == "laplacian":
         return None
@@ -331,14 +355,34 @@ def _float32_tabulated_pq(k, behavior, draws):
         y = float(draws[p, j])
         if low <= y <= high:
             c = min(int((y - low) / step), cells - 1)
-            s = (y - low) / step - c
-            s2 = s * s
-            s3 = s2 * s
-            values[p, j] = ((2.0 * s3 - 3.0 * s2 + 1.0) * density[c]
-                            + (s3 - 2.0 * s2 + s) * step * slope[c]
-                            + (3.0 * s2 - 2.0 * s3) * density[c + 1]
-                            + (s3 - s2) * step * slope[c + 1])
+            values[p, j] = read(density, slope, step, c, (y - low) / step - c)
     return values.mean(axis=1)
+
+
+def _stepped_kernel_values(k, sweep, centers):
+    """The scale sweep's qq kernel values k(x * centers) at every point x,
+    written out: exps at the first point, then products from point to point.
+
+    With u = distance / divisor, x_0 = sweep[0] and h = 0.1: a Laplacian
+    value is exp(x_0 u) times Q = exp(h u) per step, and a Gaussian value is
+    exp(x_0^2 u) times R_m per step, with R_1 = exp((2 x_0 h + h^2) u) and
+    R_{m+1} = R_m exp(2 h^2 u).
+    """
+    x0, h = float(sweep[0]), 0.1
+    if k.family == "gaussian":
+        u = centers ** 2 / -(2.0 * k.sigma ** 2)
+        value, ratio, ratio_step = (np.exp(x0 * x0 * u), np.exp((2.0 * x0 * h + h * h) * u),
+                                    np.exp(2.0 * h * h * u))
+    else:
+        u = centers / -k.sigma
+        value, ratio = np.exp(x0 * u), np.exp(h * u)
+    values = [value]
+    for _ in range(sweep.size - 1):
+        value = value * ratio
+        if k.family == "gaussian":
+            ratio = ratio * ratio_step
+        values.append(value)
+    return values
 
 
 def test_kernel_formula_bit_equal_to_written_form():
@@ -363,10 +407,39 @@ def test_run_scenario_bit_equal_to_reference_loop(factory):
     kernels = default_kernels()
     curves = run_scenario(sc, kernels, seed=4)
     reference = mmd_reference_curves(sc, kernels, 4, pair_mean=_float32_pair_mean,
-                                     pq_table=_float32_tabulated_pq)
+                                     pq_table=_float32_tabulated_pq,
+                                     qq_grid=_stepped_kernel_values)
     for curve, (mean, std) in zip(curves, reference):
         assert np.array_equal(curve.mean, mean)
         assert np.array_equal(curve.std, std)
+
+
+@pytest.mark.parametrize("n", [2, 20, 200, 500])
+def test_stepped_qq_matches_an_exp_at_every_point(n):
+    # each product rounds, and a Gaussian's ratio is stepped too; the worst
+    # difference read 1.3e-14 at 2 samples and 3.7e-15 at 500
+    base = np.sort(np.random.default_rng(40).standard_normal(n))
+    centers, weights = _diff_histogram(np.abs(base[:, None] - base[None, :]).ravel(), n)
+    xs = scenario_matched_scale().sweep
+    # at sigma 1e-3 most values underflow to 0 along the sweep, through subnormals
+    kernels = default_kernels() + [KernelSpec(f, 1e-3) for f in KERNEL_FAMILIES]
+    got = mmd._scale_qq(kernels, xs, centers, weights)
+    for k, row in zip(kernels, got):
+        want = [weights @ _kernel_of_diff(k, x * centers) for x in xs.tolist()]
+        assert np.max(np.abs(row - want)) <= 1e-13, k
+
+
+@pytest.mark.parametrize("sigma", [0.1, 1.0])
+def test_cubic_read_is_the_hermite_basis_read(sigma):
+    # one draw per row, so each row's mean is that draw's read, at a random
+    # position along its cell; the table's peak is at most 1
+    behavior = np.random.default_rng(41).standard_normal(200)
+    draws = np.random.default_rng(42).uniform(-3.0, 3.0, size=(2000, 1))
+    k = KernelSpec("gaussian", sigma)
+    work, sq = np.empty((2, 200, 200), dtype=np.float32)
+    got = _tabulated_pq(k, behavior, draws, work, sq)
+    want = _float32_tabulated_pq(k, behavior, draws, read=_hermite_read)
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 @pytest.mark.parametrize("sigma", [0.1, 1.0, 3.0, 10.0])
@@ -449,7 +522,8 @@ def test_a_narrow_gaussian_takes_the_exact_pq(sigma, monkeypatch):
         assert np.all(np.isfinite(curve.mean)), sc.name
         if sigma == 1e-3:
             (mean, std), = mmd_reference_curves(sc, kernels, 2, pair_mean=_float32_pair_mean,
-                                                pq_table=_float32_tabulated_pq)
+                                                pq_table=_float32_tabulated_pq,
+                                                qq_grid=_stepped_kernel_values)
             assert np.array_equal(curve.mean, mean), sc.name
             assert np.array_equal(curve.std, std), sc.name
 
